@@ -10,8 +10,8 @@
    minor-heap ratio between the two — the headline number CI asserts
    stays >= 3x.
 
-   A domain-scaling section reruns the largest broadcast on the sharded
-   core (Simulator_par) at 1/2/4/8 domains, reporting wall-clock speedup
+   A domain-scaling section reruns the largest broadcast on the
+   simulator at 1/2/4/8 domains, reporting wall-clock speedup
    and asserting the determinism contract (identical states and stats at
    every domain count). The speedup gate — >= 2x at 4 domains — runs
    only when the machine reports >= 4 cores and prints a skip message
@@ -251,7 +251,7 @@ let traced_entries =
   ]
 
 (* Parallel-profiler overhead on the sharded core: the flood broadcast
-   through Simulator_par at 2 domains, with the Par_profile collector
+   through the simulator at 2 domains, with the Par_profile collector
    detached (off — the row the allocation gate protects: every
    instrumentation point must stay behind a [match ... with None -> ()]
    branch, so the off path allocates exactly what it did before the
@@ -271,7 +271,7 @@ let par_obs_entries =
           let program = flood_program g ~root:0 in
           fun () ->
             ignore
-              (Simulator_par.run ~domains:2 ?par_profile:(pp_of ()) g program));
+              (Simulator.run ~domains:2 ?par_profile:(pp_of ()) g program));
     }
   in
   [
@@ -348,8 +348,8 @@ let curve name run =
     (fun d ->
       if run d <> reference then begin
         Printf.eprintf
-          "DETERMINISM FAILURE: %s at %d domains differs from the serial \
-           result\n"
+          "DETERMINISM FAILURE: %s at %d domains differs from the \
+           1-domain result\n"
           name d;
         exit 1
       end)
@@ -440,7 +440,7 @@ let run_scaling () =
   let bcast_run =
     let g = Generators.grid ~rows:120 ~cols:120 in
     let program = flood_program g ~root:0 in
-    fun ?par_profile d -> Simulator_par.run ?par_profile ~domains:d g program
+    fun ?par_profile d -> Simulator.run ?par_profile ~domains:d g program
   in
   let pa_run =
     let g = Generators.grid ~rows:28 ~cols:28 in

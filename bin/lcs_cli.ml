@@ -65,28 +65,76 @@ let build_family seed family =
       let lb = Lower_bound_graph.create ~delta':d ~d':dd in
       (lb.Lower_bound_graph.graph, `Lbg lb)
 
+type parts = Rows | Voronoi of int | Whole | Singletons
+
+let parse_parts s =
+  match String.split_on_char ':' s with
+  | [ "rows" ] -> Ok Rows
+  | [ "whole" ] -> Ok Whole
+  | [ "singletons" ] -> Ok Singletons
+  | [ "voronoi"; k ] -> (
+      match int_of_string_opt k with
+      | Some k when k >= 1 -> Ok (Voronoi k)
+      | _ -> Error (Printf.sprintf "voronoi:K needs a positive cell count, got %S" k))
+  | _ -> Error (Printf.sprintf "unknown partition %S (rows | voronoi:K | whole | singletons)" s)
+
+let parts_to_string = function
+  | Rows -> "rows"
+  | Voronoi k -> Printf.sprintf "voronoi:%d" k
+  | Whole -> "whole"
+  | Singletons -> "singletons"
+
+(* Whether a well-formed spec fits the graph depends on the graph's shape,
+   so a misfit is a malformed input (exit 2), not a usage error. *)
 let build_partition seed g shape spec =
+  let misfit msg =
+    Printf.eprintf "lcs: bad --parts %s: %s\n" (parts_to_string spec) msg;
+    exit 2
+  in
   match (spec, shape) with
-  | "rows", `Grid s -> Partition.grid_rows g ~rows:s ~cols:s
-  | "rows", `Lbg lb -> lb.Lower_bound_graph.parts
-  | "whole", _ -> Partition.whole g
-  | "singletons", _ -> Partition.singletons g
-  | spec, _ -> (
-      match String.split_on_char ':' spec with
-      | [ "voronoi"; k ] ->
-          Partition.voronoi g (Rng.create (seed + 1)) ~parts:(int_of_string k)
-      | _ -> invalid_arg ("bad partition spec: " ^ spec))
+  | Rows, `Grid s -> Partition.grid_rows g ~rows:s ~cols:s
+  | Rows, `Lbg lb -> lb.Lower_bound_graph.parts
+  | Rows, _ -> misfit "rows needs a grid, torus or lbg graph"
+  | Whole, _ -> Partition.whole g
+  | Singletons, _ -> Partition.singletons g
+  | Voronoi k, _ ->
+      if k > Graph.n g then
+        misfit (Printf.sprintf "more cells than the graph's %d nodes" (Graph.n g))
+      else Partition.voronoi g (Rng.create (seed + 1)) ~parts:k
+
+(* Spec parsers raise on non-numeric fields ([int_of_string]); every
+   converter turns that into a usage error naming the option. *)
+let conv_of ~docv parse print =
+  let parser s =
+    match parse s with
+    | Ok v -> Ok v
+    | Error e -> Error (`Msg e)
+    | exception Failure _ -> Error (`Msg (Printf.sprintf "malformed %s %S" docv s))
+  in
+  Arg.conv ~docv (parser, print)
 
 let family_conv =
-  let parser s =
-    match parse_family s with Ok f -> Ok f | Error e -> Error (`Msg e)
-  in
-  let printer ppf _ = Format.fprintf ppf "<family>" in
-  Arg.conv ~docv:"FAMILY" (parser, printer)
+  conv_of ~docv:"FAMILY" parse_family (fun ppf _ -> Format.fprintf ppf "<family>")
+
+let parts_conv =
+  conv_of ~docv:"PARTS" parse_parts (fun ppf p ->
+      Format.pp_print_string ppf (parts_to_string p))
+
+(* Every --domains shares this: a shard count below 1 is a usage error,
+   never a run. *)
+let positive_int =
+  conv_of ~docv:"N"
+    (fun s ->
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ -> Error (Printf.sprintf "expected a positive integer, got %S" s))
+    Format.pp_print_int
 
 (* Exit code 2 is reserved for malformed inputs (bad fault plan, bad
-   policy spec) so scripts can tell "fix your file" from "the run went
-   wrong" (1). JSON syntax errors carry Util.Json's line/column. *)
+   policy spec, a partition the graph cannot carry) so scripts can tell
+   "fix your file" from "the run went wrong" (1); a malformed option
+   value is cmdliner's usage error (124). JSON syntax errors carry
+   Util.Json's line/column. *)
 let load_plan_or_die fpath =
   match Fault.load_plan fpath with
   | Ok plan -> plan
@@ -156,7 +204,7 @@ let graph_arg =
 
 let parts_arg =
   let doc = "Partition spec: rows | voronoi:K | whole | singletons." in
-  Arg.(value & opt string "voronoi:8" & info [ "parts"; "p" ] ~docv:"PARTS" ~doc)
+  Arg.(value & opt parts_conv (Voronoi 8) & info [ "parts"; "p" ] ~docv:"PARTS" ~doc)
 
 let seed_arg =
   let doc = "Random seed." in
@@ -164,12 +212,12 @@ let seed_arg =
 
 let domains_arg =
   let doc =
-    "Shard the enforced-simulator runs across $(docv) OCaml domains \
-     (Simulator_par). Every observable — results, stats, traces — is \
-     identical at any value; see README \"Running in parallel\" for when \
-     sharding actually helps."
+    "Shard the enforced-simulator runs across $(docv) OCaml domains; one \
+     domain runs a single shard on the calling domain. Every observable — \
+     results, stats, traces — is identical at any value; see README \
+     \"Running in parallel\" for when sharding actually helps."
   in
-  Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 1 & info [ "domains" ] ~docv:"N" ~doc)
 
 let sketch_arg =
   let doc =
@@ -185,12 +233,13 @@ let mode_of_sketch = Option.map (fun b -> Trace.Profile.Sketch b)
 
 let par_profile_arg =
   let doc =
-    "Profile the sharded simulator's parallel execution and write the \
+    "Profile the simulator's execution per domain and write the \
      lcs-par-profile/1 JSON report (per-domain step/deliver/barrier-wait \
      times, cross-shard traffic matrix, round-by-round imbalance ratio, \
-     speedup-loss decomposition) to $(docv). Attaching the profiler never \
-     changes any observable; it composes with --spans, whose Perfetto \
-     export then carries one track per domain."
+     speedup-loss decomposition) to $(docv); at --domains 1 it is the \
+     single-shard baseline timeline. Attaching the profiler never changes \
+     any observable; it composes with --spans, whose Perfetto export then \
+     carries one track per domain."
   in
   Arg.(value & opt (some string) None
        & info [ "par-profile" ] ~docv:"PATH" ~doc)
@@ -724,17 +773,10 @@ let mst_cmd =
   let run family seed mode trace spans policy domains par_profile =
     let g, _shape = build_family seed family in
     let w = Weights.random_distinct (Rng.create (seed + 3)) g in
-    (* With domains <= 1 the engine uses the packet router, which the
-       sharded simulator never runs — the collector then records nothing
-       (the report says so rather than the flag failing silently). *)
+    (* With domains <= 1 the engine uses the packet router, which never
+       runs on the simulator — the collector then records nothing (the
+       report says so rather than the flag failing silently). *)
     let pp = make_par_profile par_profile in
-    let mode =
-      match mode with
-      | "thm31" -> Boruvka_engine.Thm31
-      | "baseline" -> Boruvka_engine.Bfs_baseline
-      | "induced" -> Boruvka_engine.Induced_only
-      | other -> invalid_arg ("unknown mode " ^ other)
-    in
     let obs = if trace <> None || spans <> None then Some (Obs.create ()) else None in
     let stream =
       match trace with
@@ -828,8 +870,16 @@ let mst_cmd =
     0
   in
   let mode_arg =
-    Arg.(value & opt string "thm31" & info [ "mode" ] ~docv:"MODE"
-           ~doc:"thm31 | baseline | induced")
+    Arg.(value
+         & opt
+             (enum
+                [
+                  ("thm31", Boruvka_engine.Thm31);
+                  ("baseline", Boruvka_engine.Bfs_baseline);
+                  ("induced", Boruvka_engine.Induced_only);
+                ])
+             Boruvka_engine.Thm31
+         & info [ "mode" ] ~docv:"MODE" ~doc:"thm31 | baseline | induced")
   in
   let trace_arg =
     Arg.(value & opt (some string) None
@@ -858,18 +908,18 @@ let export_cmd =
     let g, shape = build_family seed family in
     let contents =
       match format with
-      | "edges" -> Graph_io.to_edge_list g
-      | "dot" ->
+      | `Edges -> Graph_io.to_edge_list g
+      | `Dot ->
           let partition =
             match parts with
             | None -> None
             | Some spec -> Some (build_partition seed g shape spec)
           in
           Graph_io.to_dot ?partition g
-      | "shortcut-dot" ->
+      | `Shortcut_dot ->
           (* Render the boosted Theorem 3.1 shortcut: part colors plus the
              H_i edges drawn heavy, shaded by how many parts share them. *)
-          let spec = match parts with Some s -> s | None -> "voronoi:8" in
+          let spec = Option.value parts ~default:(Voronoi 8) in
           let partition = build_partition seed g shape spec in
           let tree = Bfs.tree g ~root:0 in
           let sc = (Boost.full partition ~tree).Boost.shortcut in
@@ -881,7 +931,6 @@ let export_cmd =
                   (Printf.sprintf "color=red, penwidth=%d, label=\"%d\""
                      (min 5 (1 + load.(e)))
                      load.(e)))
-      | other -> invalid_arg ("unknown format " ^ other)
     in
     (match path with
     | None -> print_string contents
@@ -891,14 +940,15 @@ let export_cmd =
     0
   in
   let format_arg =
-    Arg.(value & opt string "edges"
+    Arg.(value
+         & opt (enum [ ("edges", `Edges); ("dot", `Dot); ("shortcut-dot", `Shortcut_dot) ]) `Edges
          & info [ "format" ] ~docv:"FMT" ~doc:"edges | dot | shortcut-dot")
   in
   let out_arg =
     Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"PATH" ~doc:"output file")
   in
   let parts_opt =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some parts_conv) None
          & info [ "parts"; "p" ] ~docv:"PARTS" ~doc:"color parts in dot output")
   in
   Cmd.v
@@ -1078,7 +1128,7 @@ let chaos_cmd =
           let family =
             match parse_family spec with
             | Ok f -> f
-            | Error e ->
+            | Error e | exception Failure e ->
                 Printf.eprintf "lcs: bad --graph %s: %s\n" spec e;
                 exit 2
           in
@@ -1148,7 +1198,7 @@ let chaos_cmd =
              ~doc:"graph family to subject to the campaign (repeatable)")
   in
   let parts_arg =
-    Arg.(value & opt string "voronoi:6"
+    Arg.(value & opt parts_conv (Voronoi 6)
          & info [ "parts"; "p" ] ~docv:"PARTS"
              ~doc:"partition spec applied to every --graph")
   in
@@ -1244,11 +1294,7 @@ let parse_gen_family s =
   | _ -> ( match parse_family s with Ok f -> Ok (Gfamily f) | Error e -> Error e)
 
 let gen_family_conv =
-  let parser s =
-    match parse_gen_family s with Ok f -> Ok f | Error e -> Error (`Msg e)
-  in
-  let printer ppf _ = Format.fprintf ppf "<family>" in
-  Arg.conv ~docv:"FAMILY" (parser, printer)
+  conv_of ~docv:"FAMILY" parse_gen_family (fun ppf _ -> Format.fprintf ppf "<family>")
 
 let build_gen_family seed = function
   | Ggrid (r, c) -> Generators.grid ~rows:r ~cols:c
@@ -1381,7 +1427,7 @@ let bcast_cmd =
       | _ -> None
     in
     let _states, p =
-      Simulator_par.run_profiled ~domains ?mode ?flight ?tracer g program
+      Simulator.run_profiled ~domains ?mode ?flight ?tracer g program
     in
     let stats = p.Simulator.base in
     let profile = p.Simulator.profile in
@@ -1503,6 +1549,8 @@ let top_cmd =
                 (match s.Trace.Flight.top with
                 | (e, w) :: _ -> Printf.sprintf "%d (%d w)" e w
                 | [] -> "-")
+                (* the end-of-run snapshot, and streams written before
+                   every run had shards, carry no queue depths *)
                 (if s.Trace.Flight.queues = [||] then "-"
                  else
                    String.concat " "
@@ -1553,7 +1601,7 @@ let top_cmd =
 
 (* --- shards subcommand ------------------------------------------------------ *)
 
-(* Static shard diagnostics: the contiguous node ranges Simulator_par
+(* Static shard diagnostics: the contiguous node ranges the simulator
    would hand each domain, their port (directed-edge endpoint) counts,
    and the resulting static imbalance ratio — the load-balance picture
    *before* a run, to compare against the measured per-round imbalance a
@@ -1563,7 +1611,7 @@ let shards_cmd =
     let g =
       match parse_gen_family graph with
       | Ok f -> build_gen_family seed f
-      | Error e ->
+      | Error e | exception Failure e ->
           if Sys.file_exists graph then load_graph graph
           else begin
             Printf.eprintf
@@ -1572,7 +1620,7 @@ let shards_cmd =
             exit 2
           end
     in
-    let bounds = Simulator_par.shard_bounds ~domains g in
+    let bounds = Simulator.shard_bounds ~domains g in
     let d = Array.length bounds - 1 in
     let ports_of s =
       let acc = ref 0 in
@@ -1619,7 +1667,7 @@ let shards_cmd =
         total_ports;
       Printf.printf "domains: %d%s (clamp [1, min n %d])\n" d
         (if d <> domains then Printf.sprintf " (requested %d)" domains else "")
-        Simulator_par.max_domains;
+        Simulator.max_domains;
       Array.iteri
         (fun sh p ->
           Printf.printf "shard %d: nodes %d..%d (%d nodes, %d ports, %.1f%% of traffic endpoints)\n"
@@ -1643,7 +1691,7 @@ let shards_cmd =
                    (.bin or text edge list)")
   in
   let domains_arg =
-    Arg.(value & opt int (Simulator_par.recommended ())
+    Arg.(value & opt positive_int (Simulator.recommended ())
          & info [ "domains" ] ~docv:"N"
              ~doc:"shard count to plan for (defaults to the recommended \
                    domain count of this machine; clamped like the \

@@ -153,19 +153,11 @@ let open_stream g ~command ~protocol ~seed path =
 
 (* Streaming tracing harness: the congestion profile plus the
    line-delimited sink — no in-memory recorder, so resident memory stays
-   O(1) in the event count. [every > 0] additionally tees a flight
-   observer that writes a snapshot line at that round cadence. *)
-let stream_tracing ?mode ?(every = 0) g ~command ~protocol ~seed path =
+   O(1) in the event count. *)
+let stream_tracing ?mode g ~command ~protocol ~seed path =
   let sink = open_stream g ~command ~protocol ~seed path in
   let profile = Trace.Profile.create ?mode ~edges:(Graph.m g) () in
-  let tracers =
-    [ Trace.Profile.tracer profile; Trace.Stream.tracer sink ]
-    @
-    if every > 0 then
-      [ Trace.Flight.observer ~every profile (Trace.Stream.snapshot sink) ]
-    else []
-  in
-  (sink, profile, Trace.tee tracers)
+  (sink, profile, Trace.tee [ Trace.Profile.tracer profile; Trace.Stream.tracer sink ])
 
 (* Close a sink after one final snapshot, so `lcs top` always has the
    end-of-run vital signs even when no cadence was requested. *)

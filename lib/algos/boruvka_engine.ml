@@ -86,7 +86,7 @@ let run ?obs ?tracer ?(seed = 7) ?(mode = Thm31) ?(domains = 1) ?par_profile g
     Obs.gauge obs "boruvka.congestion" (float_of_int congestion);
     (* The minimum aggregation is the phase's simulated workhorse. With
        [domains > 1] it runs as a genuine CONGEST program on the sharded
-       simulator (Sim_aggregate over Simulator_par) instead of the packet
+       simulator (Sim_aggregate over Simulator) instead of the packet
        router; both engines return the exact per-part minima, so the MST
        is identical — only the round/message accounting reflects the
        engine that ran. The identity broadcast below stays on the packet

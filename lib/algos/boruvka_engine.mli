@@ -59,12 +59,12 @@ val run :
 
     [domains] (default 1) switches each phase's minimum aggregation from
     the packet router to a genuine CONGEST run on the sharded simulator
-    ({!Lcs_partwise.Sim_aggregate} over {!Lcs_congest.Simulator_par} with
+    ({!Lcs_partwise.Sim_aggregate} over {!Lcs_congest.Simulator} with
     that many domains). Both engines return the exact per-part minima, so
     the merges — and therefore the MST — are identical; the [pa_rounds] /
     [pa_messages] accounting reflects whichever engine ran. The
     fragment-identity broadcast stays on the packet router.
 
     [par_profile] attaches a wall-clock collector to every simulated
-    aggregation ({!Lcs_congest.Simulator_par.run_outcome}); it records
+    aggregation ({!Lcs_congest.Simulator.run_outcome}); it records
     nothing when [domains <= 1], where the packet router runs instead. *)

@@ -28,7 +28,7 @@ val boruvka :
     span tree (mst → boruvka → boruvka.phase → pa → pa.epoch); [?tracer]
     observes the underlying packet-router runs. [domains] (default 1)
     runs each phase's minimum aggregation as a CONGEST program on the
-    sharded simulator ({!Lcs_congest.Simulator_par} via
+    sharded simulator ({!Lcs_congest.Simulator} via
     {!Lcs_partwise.Sim_aggregate}) instead of the packet router; the MST
     is identical, the accounting reflects the simulated engine.
     [par_profile] attaches a wall-clock collector to those simulated

@@ -17,7 +17,7 @@
     writes only its own slots during a phase, rows are committed by the
     main domain at the barrier — and no simulator decision ever reads a
     recorded time, so attaching a collector cannot perturb the
-    byte-identical determinism contract of {!Simulator_par}. The
+    byte-identical determinism contract of {!Simulator}. The
     instrumentation-off path in the simulator is a [None] branch that
     allocates nothing (gated by [bench_diff] via the [par_obs_off]
     baseline row).
@@ -34,10 +34,10 @@ val schema : string
 (** ["lcs-par-profile/1"] — the [to_json] schema tag. *)
 
 val create : unit -> t
-(** Fresh collector. Sized for up to {!Simulator_par.max_domains}
+(** Fresh collector. Sized for up to {!Simulator.max_domains}
     shards; the exported views cover only the shards actually used. *)
 
-(** {1 Recording — called by {!Simulator_par} only}
+(** {1 Recording — called by {!Simulator} only}
 
     The calls below are the simulator-facing recording surface. They
     are exposed so the bench and test layers can drive the collector

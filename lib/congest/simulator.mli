@@ -13,7 +13,48 @@
     Nodes are identified by graph vertex ids and address messages by {e
     port} (index into their adjacency list), matching the model's
     port-numbering convention; the context also exposes neighbor ids (the
-    customary KT1 assumption). *)
+    customary KT1 assumption).
+
+    {b Execution.} A run is split into [domains] contiguous node shards
+    balanced by port count (see {!shard_bounds}); each round, every
+    shard delivers its inboxes and runs its [on_round] steps, shard 0 on
+    the calling domain and the others on OCaml 5 worker domains, with a
+    barrier at the round boundary. One domain is simply one shard: no
+    domain is spawned. Cross-shard messages travel through
+    per-(source, destination) shard outboxes — each cell has exactly one
+    writer and one reader, separated by the barrier, so the hot path
+    takes no locks. The message plane runs on flat preallocated arrays
+    (the graph's CSR port layout, int-array word budgets cleared via
+    touched-slot lists, reusable inbox buffers); a fault-free
+    steady-state round allocates only the inbox lists the [on_round] API
+    requires.
+
+    {b Determinism contract.} For every program, graph, seed and fault
+    plan, a run is observationally {e identical} at every domain count:
+    final states, {!stats}, the full trace event order, {!Trace.Cause}
+    id assignment, and fault verdicts all match byte for byte. Untraced
+    fault-free runs get this from shard contiguity alone (draining
+    outboxes in source-shard order reproduces the ascending-sender send
+    order); traced or faulty runs buffer sends in parallel and replay
+    them on the calling domain at the barrier, drawing ids, verdicts and
+    events in one global sequence. The retained reference core
+    {!Simulator_ref} is the oracle: the differential suite proves this
+    core matches it at every swept domain count. See the "parallelism"
+    documentation page for the full execution model and its ownership
+    rules.
+
+    {b When sharding helps.} On large graphs with fault-free, untraced
+    runs — the capacity workload. Tracing or fault injection serializes
+    the verdict/id/event step at the barrier, and tiny graphs are
+    dominated by barrier latency; both are better run with
+    [domains = 1].
+
+    Runs that raise ([Bandwidth_exceeded], or an exception escaping
+    [on_round]) raise the exception of the smallest offending node of
+    the round, with every send, trace event and fault verdict of the
+    smaller nodes' steps already drawn — exactly where a node-by-node
+    execution stops. Steps of higher-id nodes in the same round may have
+    run in parallel; their effects are discarded with the run. *)
 
 type ctx = {
   node : int;  (** this node's id *)
@@ -71,35 +112,29 @@ exception Round_limit of int
     {!run_outcome} to recover the partial states and statistics instead of
     unwinding past them. *)
 
-(** The CSR port layout both array-backed cores run on — shared
-    infrastructure for this core and the sharded {!Simulator_par}, not
-    part of the stable user API. Slot [port_offset.(v) + p] describes
-    port [p] of node [v]; [port_reverse] holds the local port index at
-    the neighbor that leads back, so delivering a message is one array
-    read. The offset/neighbor/edge planes are the graph's own
-    Bigarray-backed CSR arrays ({!Lcs_graph.Graph.csr_offsets} etc.),
-    shared by reference rather than re-derived; only [port_reverse] is
-    built here. *)
-module Csr : sig
-  type t = {
-    port_offset : Lcs_util.Intvec.t;
-        (** length [n+1]; prefix sums of degrees *)
-    port_neighbor : Lcs_util.Intvec.t;
-    port_edge : Lcs_util.Intvec.t;
-    port_reverse : Lcs_util.Intvec.t;
-  }
+val max_domains : int
+(** The shard-count ceiling (32). {!recommended}, {!shard_bounds} and
+    the run entry points all clamp to it. *)
 
-  val build : Lcs_graph.Graph.t -> t
+val recommended : unit -> int
+(** A sensible default domain count for this machine:
+    [Domain.recommended_domain_count], clamped to
+    [\[1, max_domains\]]. *)
 
-  val contexts : t -> int -> ctx array
-  (** The per-node program contexts for nodes [0..n-1]. *)
-end
+val shard_bounds : domains:int -> Lcs_graph.Graph.t -> int array
+(** The contiguous shard boundaries a run uses: [domains + 1] entries
+    (after clamping — see {!run_outcome}), shard [s] owning nodes
+    [bounds.(s) .. bounds.(s+1) - 1]. Balanced by port count, read off
+    the graph's CSR row offsets, so dense regions spread across domains.
+    Exposed for tests and diagnostics. *)
 
 val run_outcome :
+  ?domains:int ->
   ?bandwidth:int ->
   ?max_rounds:int ->
   ?tracer:Trace.tracer ->
   ?faults:Fault.t ->
+  ?par_profile:Par_profile.t ->
   Lcs_graph.Graph.t ->
   ('state, 'msg) program ->
   'state run_result
@@ -107,20 +142,28 @@ val run_outcome :
     partial states and statistics rather than raising {!Round_limit}. *)
 
 val run :
+  ?domains:int ->
   ?bandwidth:int ->
   ?max_rounds:int ->
   ?tracer:Trace.tracer ->
   ?faults:Fault.t ->
+  ?par_profile:Par_profile.t ->
   Lcs_graph.Graph.t ->
   ('state, 'msg) program ->
   'state array * stats
 (** Runs the program to completion. [bandwidth] defaults to 1 word;
     [max_rounds] defaults to [100_000]. Returns each node's final state and
-    the round/message accounting. [tracer] (default absent) receives every
-    {!Trace.event} of the run — round boundaries, each message with its
-    host edge id, node halts, per-round bandwidth high-water marks; when
-    absent the run pays one branch per message and allocates nothing, so
-    tracing never perturbs what it observes.
+    the round/message accounting.
+
+    [domains] (default 1) is the shard count, clamped to
+    [\[1, min n max_domains\]]; [domains < 1] raises [Invalid_argument].
+    Every observable is identical at any value.
+
+    [tracer] (default absent) receives every {!Trace.event} of the run —
+    round boundaries, each message with its host edge id, node halts,
+    per-round bandwidth high-water marks; when absent the run pays one
+    branch per message and allocates nothing, so tracing never perturbs
+    what it observes.
 
     [faults] (default absent) subjects the network to a compiled
     {!Fault.t}: transmissions may be dropped, duplicated or delayed, links
@@ -132,23 +175,43 @@ val run :
     bypass bandwidth accounting — a dropped transmission still consumed
     its slot on the wire.
 
-    The message plane runs on flat preallocated arrays (a CSR port layout
-    built once from the graph, int-array word budgets cleared via a
-    touched-slot list, reusable inbox buffers); a fault-free steady-state
-    round allocates only the inbox lists the [on_round] API requires. The
-    retained reference core {!Simulator_ref} preserves the historical
-    implementation; the test suite proves the two produce identical
-    statistics, traces and outcomes. *)
+    [par_profile] attaches a wall-clock collector (see {!Par_profile}):
+    per-domain step / deliver / barrier-wait times, message counts and
+    the cross-shard traffic matrix, recorded per round. Attaching one
+    never changes any observable — timing is recorded per domain and
+    merged at the barrier, never read by the simulator. *)
 
 val run_profiled :
+  ?domains:int ->
   ?bandwidth:int ->
   ?max_rounds:int ->
+  ?mode:Trace.Profile.mode ->
+  ?flight:int * (Trace.Flight.snapshot -> unit) ->
   ?tracer:Trace.tracer ->
   ?faults:Fault.t ->
+  ?par_profile:Par_profile.t ->
   Lcs_graph.Graph.t ->
   ('state, 'msg) program ->
   'state array * profiled_stats
 (** {!run} with a {!Trace.Profile} collector attached: the extended stats
     carry the per-edge / per-round congestion profile alongside the four
-    aggregates (the profile's [total_words] equals [base.words]). An
-    additional [tracer] is teed in after the profile collector. *)
+    aggregates (the profile's [total_words] equals [base.words]).
+
+    Profile aggregation — unlike event tracing — is order-insensitive, so
+    a profile-only run (no [?tracer], no [?faults]) keeps the parallel
+    fast path: every domain feeds its own {!Trace.Profile} shard through
+    the event-free recording entry points and the shards merge at the
+    end (and at each flight snapshot). In [Exact] mode the merged
+    profile is byte-identical to a collector fed the run's event stream,
+    at every domain count — the differential suite pins this against
+    {!Simulator_ref}. With a [?tracer] or [?faults] the run serializes at
+    the barrier and the profile collects through the event stream; an
+    additional [tracer] is teed in after the profile collector.
+
+    [mode] selects the profile's accounting mode exactly as
+    {!Trace.Profile.create} does (auto-selecting [Sketch] above
+    {!Trace.Profile.sketch_threshold} edges when omitted).
+
+    [flight = (every, emit)] emits a {!Trace.Flight.snapshot} at each
+    [every]-th round barrier, with one pending-delivery queue depth per
+    shard. *)

@@ -52,7 +52,7 @@ let words = function Join _ | Child | Height _ | Gheight _ -> 1
 (* [idx] is the inbox position of the message being absorbed, threaded as
    a plain argument so [absorb] stays a static closure with no shared
    scratch: a module-level ref would race under the sharded core
-   (Simulator_par activates nodes of different shards concurrently), and
+   (the simulator activates nodes of different shards concurrently), and
    a per-activation [ref] would put three words on the minor heap for
    every activation of every untraced run. *)
 let absorb st idx (port, msg) =
@@ -187,7 +187,7 @@ let parents_of_states g states =
 let run ?domains ?max_rounds ?tracer ?par_profile g ~root =
   let program = make_program ~root in
   let states, stats =
-    Simulator_par.run ?domains ?max_rounds ?tracer ?par_profile g program
+    Simulator.run ?domains ?max_rounds ?tracer ?par_profile g program
   in
   let parent, parent_edge = parents_of_states g states in
   let tree = Rooted_tree.create ~root ~parent ~parent_edge in
@@ -216,8 +216,7 @@ let run_outcome ?domains ?max_rounds ?tracer ?faults ?par_profile g ~root =
   let program = make_program ~root in
   let states, out_of_rounds, stats =
     match
-      Simulator_par.run_outcome ?domains ~max_rounds ?tracer ?faults ?par_profile g
-        program
+      Simulator.run_outcome ?domains ~max_rounds ?tracer ?faults ?par_profile g program
     with
     | Simulator.Finished (states, stats) -> (states, false, stats)
     | Simulator.Out_of_rounds (states, p) -> (states, true, p.Simulator.partial_stats)

@@ -20,10 +20,9 @@ val run :
 (** [run g ~root] is [(tree, height, stats)]. On a disconnected graph some
     node never joins and the simulation raises {!Simulator.Round_limit}.
     [tracer] is forwarded to the simulator. [domains] (default 1) shards
-    the simulation across that many OCaml domains via {!Simulator_par};
+    the simulation across that many OCaml domains (see {!Simulator.run});
     every observable is identical at any value. [par_profile] attaches a
-    wall-clock collector to the sharded simulator (see
-    {!Simulator_par.run_outcome}). *)
+    wall-clock collector to the simulator (see {!Simulator.run}). *)
 
 (** {1 Fault-tolerant entry point} *)
 

@@ -41,14 +41,13 @@ let tee tracers event = List.iter (fun t -> t event) tracers
 (* Ambient per-run state shared by the message sources (the simulator
    cores and the standalone part-wise routers). The state is {e
    domain-local} (one record per OCaml 5 domain, reached through a single
-   [Domain.DLS] key): the serial cores and the routers live entirely on
-   one domain and behave exactly as before, while the sharded core
-   ([Simulator_par]) gives every worker domain its own activation state —
-   each worker brackets its own nodes with [activate]/[take]/[deactivate]
-   and never touches another worker's declarations. Only the id [counter]
-   of the domain that called [start_run] is ever drawn from ([fresh_id]
-   is reserved to the merge step, which runs on one domain), so ids stay
-   a single per-run monotone sequence. When the run is untraced [enabled]
+   [Domain.DLS] key): the reference core and the routers live entirely on
+   one domain, while every domain of a sharded [Simulator] run brackets
+   its own nodes with [activate]/[take]/[deactivate] and never touches
+   another domain's declarations. Only the id [counter] of the domain
+   that called [start_run] is ever drawn from ([fresh_id] is reserved to
+   the merge step, which runs on one domain), so ids stay a single
+   per-run monotone sequence. When the run is untraced [enabled]
    stays false and every entry point is one DLS load and a branch — the
    untraced hot path allocates nothing here. *)
 module Cause = struct
@@ -758,7 +757,7 @@ module Flight = struct
     messages : int;  (* cumulative *)
     halted : int;  (* nodes halted so far *)
     top : (int * int) list;  (* current heavy hitters, (edge, words) *)
-    queues : int array;  (* per-domain pending deliveries; [||] when serial *)
+    queues : int array;  (* pending deliveries per shard at the barrier *)
   }
 
   let to_json s =
@@ -824,15 +823,6 @@ module Flight = struct
       top = Profile.top_edges ~k p;
       queues;
     }
-
-  (* Serial-side channel: tee this after the profile's own tracer so a
-     snapshot taken at [Round_end] sees that round's sends. *)
-  let observer ~every ?(k = 10) p emit : tracer =
-   fun ev ->
-    match ev with
-    | Round_end { round; _ } when every > 0 && round mod every = 0 ->
-        emit (of_profile ~k ~round p)
-    | _ -> ()
 end
 
 (* --- Streaming sink / reader --------------------------------------------- *)

@@ -101,14 +101,14 @@ val event_of_json : Lcs_util.Json.t -> (event, string) result
     branch, no allocation) when the current run is untraced; guard any
     argument construction with {!enabled}.
 
-    The state is {e domain-local} ([Domain.DLS]): on the serial cores and
-    the standalone routers nothing changes, while under the sharded core
-    ({!Simulator_par}) every worker domain brackets its own activations
-    independently. Ids remain one per-run monotone sequence because
-    {!fresh_id} is only ever drawn on the domain that called
-    {!start_run} — the sharded core assigns ids at its deterministic
-    shard-merge step, never inside a worker (see the "parallelism" doc
-    page for the full execution model).
+    The state is {e domain-local} ([Domain.DLS]): the reference core and
+    the standalone routers run on one domain, while every domain of a
+    sharded {!Simulator} run brackets its own activations independently.
+    Ids remain one per-run monotone sequence because {!fresh_id} is only
+    ever drawn on the domain that called {!start_run} — the simulator
+    assigns ids at its deterministic shard-merge step, never inside a
+    worker (see the "parallelism" doc page for the full execution
+    model).
 
     The remaining functions are the source-side half of the contract and
     are only meant for simulator cores and router engines: {!start_run}
@@ -316,9 +316,8 @@ end
     cumulative words and messages, halt count, current heavy hitters,
     per-domain queue depths) is emitted; streamed to disk these cost a
     line per sample however long the run, and [lcs_cli top] renders them
-    post hoc. The serial cores emit snapshots through {!observer}; the
-    sharded core fills in per-domain queue depths at its round
-    barrier. *)
+    post hoc. {!Simulator.run_profiled} emits them at its round barrier,
+    with one queue depth per shard. *)
 module Flight : sig
   type snapshot = {
     round : int;
@@ -327,12 +326,8 @@ module Flight : sig
     halted : int;  (** nodes halted so far *)
     top : (int * int) list;  (** current heavy hitters as [(edge, words)] *)
     queues : int array;
-        (** pending deliveries per domain at the snapshot round's barrier.
-            Filled on every sharded run — parallel {e and} serialized
-            (traced / faulty). The one remaining empty ([[||]]) case is a
-            serial-core source: a one-domain run without a wall-clock
-            collector (or the plain {!Simulator}), which has no shards to
-            report. *)
+        (** pending deliveries per shard at the snapshot round's barrier,
+            one entry per shard of the run *)
   }
 
   val to_json : snapshot -> Lcs_util.Json.t
@@ -341,13 +336,9 @@ module Flight : sig
   val of_json : Lcs_util.Json.t -> (snapshot, string) result
 
   val of_profile : ?k:int -> ?queues:int array -> round:int -> Profile.t -> snapshot
-  (** Read the vital signs out of a live profile; [k] (default 10) bounds
-      the heavy-hitter list. *)
-
-  val observer : every:int -> ?k:int -> Profile.t -> (snapshot -> unit) -> tracer
-  (** Emit a snapshot of [p] at every [every]-th [Round_end]. Tee this
-      {e after} the profile's own tracer so the snapshot sees the round
-      it closes. *)
+  (** Read the vital signs out of a profile; [k] (default 10) bounds the
+      heavy-hitter list. [queues] defaults to empty: a snapshot read off
+      a profile outside any round barrier has no queue depths. *)
 end
 
 (** Line-delimited streaming of traces to disk (schema

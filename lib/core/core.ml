@@ -37,7 +37,6 @@ module Graph_io = Lcs_graph.Graph_io
 (* CONGEST simulator *)
 module Simulator = Lcs_congest.Simulator
 module Simulator_ref = Lcs_congest.Simulator_ref
-module Simulator_par = Lcs_congest.Simulator_par
 module Par_profile = Lcs_congest.Par_profile
 module Trace = Lcs_congest.Trace
 module Fault = Lcs_congest.Fault

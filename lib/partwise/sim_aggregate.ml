@@ -3,7 +3,6 @@ module Partition = Lcs_graph.Partition
 module Shortcut = Lcs_shortcut.Shortcut
 module Quality = Lcs_shortcut.Quality
 module Simulator = Lcs_congest.Simulator
-module Simulator_par = Lcs_congest.Simulator_par
 module Trace = Lcs_congest.Trace
 module Rng = Lcs_util.Rng
 module Pqueue = Lcs_util.Pqueue
@@ -174,7 +173,7 @@ let minimum ?budget ?domains ?obs ?tracer ?par_profile rng shortcut ~values =
   let profile, tracer = Pa_obs.profiled obs tracer ~edges:(Graph.m host) in
   Obs.enter obs "pa.run";
   let states, stats =
-    Simulator_par.run ?domains ~max_rounds:(budget + 8) ?tracer ?par_profile host
+    Simulator.run ?domains ~max_rounds:(budget + 8) ?tracer ?par_profile host
       program
   in
   Pa_obs.record_epochs obs profile ~max_delay:sched.max_delay
@@ -264,13 +263,13 @@ let minimum_outcome ?budget ?domains ?max_rounds ?obs ?tracer ?faults ?par_profi
   let states, retransmissions, unresponsive, out_of_rounds, ostats =
     if reliable then
       extract
-        (Simulator_par.run_outcome ?domains ~max_rounds ?tracer ?faults ?par_profile
+        (Simulator.run_outcome ?domains ~max_rounds ?tracer ?faults ?par_profile
            host
            (Reliable.wrap ?config program))
         Reliable.inner_states Reliable.retransmissions Reliable.dead_links
     else
       extract
-        (Simulator_par.run_outcome ?domains ~max_rounds ?tracer ?faults ?par_profile
+        (Simulator.run_outcome ?domains ~max_rounds ?tracer ?faults ?par_profile
            host program)
         Fun.id
         (fun _ -> 0)

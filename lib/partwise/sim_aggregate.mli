@@ -44,10 +44,10 @@ val minimum :
     profile is how E7-style experiments see the congestion {e
     distribution} rather than just the maximum. [domains] (default 1)
     shards the simulation across that many OCaml domains
-    ({!Lcs_congest.Simulator_par}); all observables — minima, rounds,
+    ({!Lcs_congest.Simulator}); all observables — minima, rounds,
     stats, trace — are identical at any value. [par_profile] attaches
-    a wall-clock collector to the sharded simulator
-    ({!Lcs_congest.Simulator_par.run_outcome}): per-domain timelines,
+    a wall-clock collector to the simulator
+    ({!Lcs_congest.Simulator.run_outcome}): per-domain timelines,
     barrier waits and the cross-shard traffic matrix, without touching
     any observable. [?obs] opens a ["pa"]
     span with ["pa.setup"] / ["pa.run"] children, cuts the run into

@@ -209,7 +209,7 @@ let detection_wave_outcome ?(seed = 1) ?domains ?max_rounds ?tracer ?faults ?par
     }
   in
   let result =
-    Lcs_congest.Simulator_par.run_outcome ?domains ?max_rounds ?tracer ?faults
+    Lcs_congest.Simulator.run_outcome ?domains ?max_rounds ?tracer ?faults
       ?par_profile host
       program
   in

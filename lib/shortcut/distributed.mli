@@ -64,7 +64,7 @@ val detection_wave :
     {!Lcs_congest.Simulator.Round_limit} exactly as a fault-free stall
     would — use {!construct_outcome} for graceful degradation).
     [domains] (default 1) shards the wave's simulation across that many
-    OCaml domains ({!Lcs_congest.Simulator_par}); observables are
+    OCaml domains ({!Lcs_congest.Simulator.run_outcome}); observables are
     identical at any value. *)
 
 val construct :

@@ -184,7 +184,9 @@ module Space_saving = struct
        rather than the other way round. [add] keeps [into.total] honest;
        the extra [err] preserves the one-sided bound: for a key present in
        both, count = est1 + est2 and err = err1 + err2 still bracket the
-       combined truth. *)
+       combined truth. The source's own displacements carry over, so a
+       merge of inexact sketches never reports itself exact. *)
+    into.evictions <- into.evictions + src.evictions;
     List.iter
       (fun (key, est, err) ->
         add into key est;

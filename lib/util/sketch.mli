@@ -48,7 +48,8 @@ module Space_saving : sig
   (** Sum of all weights ever added (exact). *)
 
   val evictions : t -> int
-  (** Number of displacements so far; [0] means the sketch is exact. *)
+  (** Number of displacements so far, including those of every sketch
+      merged in ({!merge_into}); [0] means the sketch is exact. *)
 
   val add : t -> int -> int -> unit
   (** [add t key w] folds weight [w >= 0] of [key] into the sketch.
@@ -75,9 +76,10 @@ module Space_saving : sig
 
   val merge_into : into:t -> t -> unit
   (** Fold every entry of the source into [into] (heaviest first),
-      accumulating overcounts, evicting through [into]'s normal path.
-      When no eviction ever happened in either sketch or during the
-      merge, the result is exact and independent of merge order; in
+      accumulating overcounts and the source's {!evictions}, evicting
+      through [into]'s normal path. When no eviction ever happened in
+      either sketch or during the merge, the result is exact and
+      independent of merge order; in
       general the one-sided bound survives with [err] widened by the
       source's uncertainty and {!threshold} of the source added to the
       untracked-key bound. *)

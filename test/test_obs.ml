@@ -303,7 +303,9 @@ let ss_bounds_hold =
 
 (* Merging keeps the bracket: the lower bound est - err <= truth survives
    verbatim, the upper bound weakens by at most the source sketches'
-   pre-merge thresholds (mass their untracked keys left behind). *)
+   pre-merge thresholds (mass their untracked keys left behind). The
+   sources' evictions carry over, so a merge of inexact sketches never
+   reports itself exact. *)
 let ss_merge_sound =
   QCheck.Test.make ~name:"space-saving: merge keeps its error bracket"
     ~count:200
@@ -313,10 +315,12 @@ let ss_merge_sound =
       List.iter (fun (k, w) -> Ss.add a k w) s1;
       List.iter (fun (k, w) -> Ss.add b k w) s2;
       let slack = Ss.threshold a + Ss.threshold b in
+      let evictions = Ss.evictions a + Ss.evictions b in
       Ss.merge_into ~into:a b;
       let tbl = exact_counts (s1 @ s2) in
       let total = List.fold_left (fun acc (_, w) -> acc + w) 0 (s1 @ s2) in
       Ss.total a = total
+      && Ss.evictions a >= evictions
       && List.for_all
            (fun (k, est, err) ->
              let truth = Option.value ~default:0 (Hashtbl.find_opt tbl k) in

@@ -431,7 +431,7 @@ let prop_merge_empty_is_identity =
                compare (a.round, a.node) (b.round, b.node))
              plan.Fault.crashes)
 
-(* --- CLI contract: malformed plans exit 2 -------------------------------- *)
+(* --- CLI contract: malformed input is rejected, never a crash ----------- *)
 
 let read_file path =
   let ic = open_in path in
@@ -440,25 +440,57 @@ let read_file path =
   close_in ic;
   s
 
-let cli_rejects_malformed_plan () =
+(* Each row is (argv, exit code, stderr substring). A malformed option
+   value is a usage error naming the option (cmdliner's 124); a
+   well-formed spec that does not fit the input — a broken fault plan, a
+   partition the graph's shape cannot carry — exits 2 with a message. No
+   row may reach the uncaught-exception exit (125). [PLAN] stands for a
+   fault plan with a JSON syntax error. *)
+let cli_rejects_malformed_input () =
   let bad = Filename.temp_file "lcs_bad_plan" ".json" in
   let oc = open_out bad in
   output_string oc {|{ "schema": "lcs-fault-plan/1", "default": { "drop": 0.5, }|};
   close_out oc;
-  let err = Filename.temp_file "lcs_bad_plan" ".err" in
-  let status =
-    Sys.command
-      (Printf.sprintf
-         "%s pa --graph grid:4 --parts rows --faults %s > /dev/null 2> %s"
-         (Filename.quote (from_test_dir "../bin/lcs_cli.exe"))
-         (Filename.quote bad) (Filename.quote err))
+  let err = Filename.temp_file "lcs_cli" ".err" in
+  let rows =
+    [
+      ("pa --graph grid:4 --parts rows --faults PLAN", 2, "line 1");
+      ("pa --graph grid:4 --parts rows --faults PLAN", 2, "column");
+      ("pa --graph grid:4 --domains 0 --trace /dev/null", 124, "--domains");
+      ("shortcut --graph grid:4 --domains 0 --par-profile /dev/null", 124, "--domains");
+      ("bcast --family grid:4 --domains 0", 124, "--domains");
+      ("mst --graph grid:4 --domains=0", 124, "--domains");
+      ("shards grid:4 --domains 0", 124, "--domains");
+      ("mst --graph grid:4 --mode bogus", 124, "--mode");
+      ("pa --graph grid:4 --parts bogus", 124, "--parts");
+      ("pa --graph grid:4 --parts voronoi:x", 124, "--parts");
+      ("pa --graph grid:x", 124, "--graph");
+      ("shards grid:x", 2, "grid:x");
+      ("chaos --graph grid:x", 2, "--graph grid:x");
+      ("export --graph grid:4 --format bogus", 124, "--format");
+      ("pa --graph ktree:3,50 --parts rows", 2, "--parts rows");
+      ("pa --graph grid:4 --parts voronoi:99", 2, "--parts voronoi:99");
+    ]
   in
-  let msg = read_file err in
+  List.iter
+    (fun (argv, code, sub) ->
+      let args =
+        String.split_on_char ' ' argv
+        |> List.map (fun a -> Filename.quote (if a = "PLAN" then bad else a))
+      in
+      let status =
+        Sys.command
+          (Printf.sprintf "%s %s > /dev/null 2> %s"
+             (Filename.quote (from_test_dir "../bin/lcs_cli.exe"))
+             (String.concat " " args) (Filename.quote err))
+      in
+      let msg = read_file err in
+      check Alcotest.int (argv ^ ": exit code") code status;
+      check Alcotest.bool (Printf.sprintf "%s: stderr mentions %S" argv sub) true
+        (contains ~sub msg))
+    rows;
   Sys.remove bad;
-  Sys.remove err;
-  check Alcotest.int "exit code 2" 2 status;
-  check Alcotest.bool "stderr carries the position" true
-    (contains ~sub:"line 1" msg && contains ~sub:"column" msg)
+  Sys.remove err
 
 let props =
   List.map QCheck_alcotest.to_alcotest
@@ -480,6 +512,6 @@ let suite =
     case "fault algebra: scale identity/zero/cap" `Quick scale_identity_and_zero;
     case "fault algebra: merge composes" `Quick merge_composes;
     case "fault algebra: clip bounds" `Quick clip_bounds;
-    case "cli: malformed plan exits 2" `Quick cli_rejects_malformed_plan;
+    case "cli: malformed input is rejected" `Quick cli_rejects_malformed_input;
   ]
   @ props

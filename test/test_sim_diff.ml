@@ -1,17 +1,16 @@
-(* Differential equivalence of the CSR simulator core (Simulator) and the
-   sharded multicore core (Simulator_par) against the retained reference
-   implementation (Simulator_ref).
+(* Differential equivalence of the production simulator core (Simulator)
+   against the retained reference implementation (Simulator_ref), the
+   oracle every expected value here comes from.
 
-   All cores must be observationally indistinguishable: identical final
-   states, statistics, trace event sequences and fault counters on the
-   same graph / program / fault plan — fault-free, faulty, traced,
-   untraced, finished and Out_of_rounds alike, and for the sharded core
-   at every domain count (the determinism contract of
-   doc/parallelism.mld). The programs, graphs and plans here are
-   qcheck-generated; the program family below is a deterministic "gossip"
-   whose sends, sizes and halting rounds are all hash-derived from the
-   node's accumulated view, so any divergence in delivery order or
-   content snowballs into different states.
+   The core must be observationally indistinguishable from the oracle:
+   identical final states, statistics, trace event sequences and fault
+   counters on the same graph / program / fault plan — fault-free, faulty,
+   traced, untraced, finished and Out_of_rounds alike, at every domain
+   count (the determinism contract of doc/parallelism.mld). The programs,
+   graphs and plans here are qcheck-generated; the program family below
+   is a deterministic "gossip" whose sends, sizes and halting rounds are
+   all hash-derived from the node's accumulated view, so any divergence
+   in delivery order or content snowballs into different states.
 
    Setting LCS_DOMAINS=<d> adds one more domain count to the sweep — CI
    uses it to run the whole tier under a second shard geometry. *)
@@ -111,15 +110,14 @@ let gen_plan seed ~n ~m =
 
 (* --- runners ------------------------------------------------------------ *)
 
-type core = Csr | Ref | Par of int
+(* The oracle, or the production core on [d] shards. *)
+type core = Ref | Sim of int
 
 let run_core core ?bandwidth ?max_rounds ?tracer ?faults g program =
   match core with
-  | Csr -> Simulator.run_outcome ?bandwidth ?max_rounds ?tracer ?faults g program
   | Ref -> Simulator_ref.run_outcome ?bandwidth ?max_rounds ?tracer ?faults g program
-  | Par d ->
-      Simulator_par.run_outcome ~domains:d ?bandwidth ?max_rounds ?tracer ?faults g
-        program
+  | Sim d ->
+      Simulator.run_outcome ~domains:d ?bandwidth ?max_rounds ?tracer ?faults g program
 
 (* Run one core with a recorder attached and a fresh injector; return
    everything observable. *)
@@ -130,8 +128,8 @@ let observe core ?bandwidth ?max_rounds ?plan g program =
   let result = run_core core ?bandwidth ?max_rounds ~tracer ?faults g program in
   (result, Trace.Recorder.events recorder, Option.map Fault.counts faults)
 
-(* The same, with no tracer attached — the sharded core takes a different
-   (fully parallel) path for untraced fault-free runs, so the untraced
+(* The same, with no tracer attached — the core takes a different (fully
+   parallel) path for untraced fault-free runs, so the untraced
    observables need their own comparison. *)
 let observe_untraced core ?bandwidth ?max_rounds ?plan g program =
   let faults = Option.map (fun p -> Fault.compile p) plan in
@@ -150,10 +148,10 @@ let same_observation (ra, ea, ca) (rb, eb, cb) =
 
 let cores_agree ?bandwidth ?max_rounds ?plan g program =
   same_observation
-    (observe Csr ?bandwidth ?max_rounds ?plan g program)
+    (observe (Sim 1) ?bandwidth ?max_rounds ?plan g program)
     (observe Ref ?bandwidth ?max_rounds ?plan g program)
 
-(* Domain counts the sharded core is swept over; LCS_DOMAINS adds one. *)
+(* Multi-shard domain counts the core is swept over; LCS_DOMAINS adds one. *)
 let domain_counts =
   let base = [ 2; 3; 4 ] in
   match Sys.getenv_opt "LCS_DOMAINS" with
@@ -163,20 +161,21 @@ let domain_counts =
       | Some d when d >= 1 && not (List.mem d base) -> base @ [ d ]
       | _ -> base)
 
-(* The sharded core at every swept domain count must reproduce the oracle
-   byte for byte: traced observables (events, ids, fault counters) AND
-   the untraced run, which exercises the lock-free parallel fast path. *)
+(* The core at one shard and at every swept domain count must reproduce
+   the oracle byte for byte: traced observables (events, ids, fault
+   counters) AND the untraced run, which exercises the lock-free parallel
+   fast path. *)
 let sharded_agrees ?bandwidth ?max_rounds ?plan g program =
   let oracle = observe Ref ?bandwidth ?max_rounds ?plan g program in
   let oracle_untraced = observe_untraced Ref ?bandwidth ?max_rounds ?plan g program in
   List.for_all
     (fun d ->
-      same_observation (observe (Par d) ?bandwidth ?max_rounds ?plan g program) oracle
+      same_observation (observe (Sim d) ?bandwidth ?max_rounds ?plan g program) oracle
       &&
-      let r, c = observe_untraced (Par d) ?bandwidth ?max_rounds ?plan g program in
+      let r, c = observe_untraced (Sim d) ?bandwidth ?max_rounds ?plan g program in
       let ro, co = oracle_untraced in
       same_result r ro && c = co)
-    domain_counts
+    (1 :: domain_counts)
 
 (* --- properties --------------------------------------------------------- *)
 
@@ -189,11 +188,11 @@ let diff_fault_free =
       let program = gossip ~pseed:(mix seed 5) ~bw in
       cores_agree ~bandwidth:bw g program
       &&
-      (* tracing must not perturb what it observes: an untraced run of the
-         CSR core reports the same stats as the traced one *)
+      (* tracing must not perturb what it observes: an untraced one-shard
+         run reports the same stats as the traced one *)
       match
         ( Simulator.run_outcome ~bandwidth:bw g program,
-          observe Csr ~bandwidth:bw g program )
+          observe (Sim 1) ~bandwidth:bw g program )
       with
       | Simulator.Finished (_, s1), (Simulator.Finished (_, s2), _, _) -> s1 = s2
       | _ -> false)
@@ -246,7 +245,7 @@ let diff_sharded_out_of_rounds =
       sharded_agrees ~max_rounds:2 ?plan g (gossip ~pseed:(mix seed 37) ~bw:1))
 
 (* Bipartite construction whose every edge joins the low and the high half
-   of the id range: under the sharded core's contiguous shard assignment
+   of the id range: under the core's contiguous shard assignment
    essentially all traffic crosses a shard boundary, stressing the
    cross-shard outbox plane rather than the shard-local common case. *)
 let cross_shard_graph seed ~n =
@@ -282,7 +281,9 @@ let diff_sharded_cross_shard =
 
 (* --- deterministic cases ------------------------------------------------ *)
 
-(* Both cores reject an over-budget send with the same exception payload. *)
+(* The core rejects an over-budget send with the oracle's exception
+   payload, at one shard and at two, on the parallel fast path (untraced)
+   and on the serialized replay path (traced). *)
 let bandwidth_parity () =
   let g = Generators.path 2 in
   let program =
@@ -304,21 +305,85 @@ let bandwidth_parity () =
     with Simulator.Bandwidth_exceeded { node; port; round; words; limit } ->
       Some (node, port, round, words, limit)
   in
-  let a = catch (fun g p -> Simulator.run g p) in
-  let b = catch (fun g p -> Simulator_ref.run g p) in
-  check Alcotest.bool "both raise" true (a <> None && a = b);
-  (* The sharded core raises the identical payload — both on the parallel
-     fast path (untraced) and on the serialized replay path (traced). *)
-  let c = catch (fun g p -> Simulator_par.run ~domains:2 g p) in
-  check Alcotest.bool "sharded raises (fast path)" true (a = c);
-  let d =
-    catch (fun g p -> Simulator_par.run ~domains:2 ~tracer:(fun _ -> ()) g p)
+  let oracle = catch (fun g p -> Simulator_ref.run g p) in
+  check Alcotest.bool "oracle raises" true (oracle <> None);
+  List.iter
+    (fun domains ->
+      let fast = catch (fun g p -> Simulator.run ~domains g p) in
+      check Alcotest.bool
+        (Printf.sprintf "raises (fast path), domains=%d" domains)
+        true (fast = oracle);
+      let replay = catch (fun g p -> Simulator.run ~domains ~tracer:ignore g p) in
+      check Alcotest.bool
+        (Printf.sprintf "raises (replay path), domains=%d" domains)
+        true (replay = oracle))
+    [ 1; 2 ]
+
+(* An exception escaping one node's step surfaces exactly as in the
+   oracle's node-by-node execution: the same exception, after the same
+   trace events and fault verdicts for the smaller nodes' sends of that
+   round — at one shard and across shards, fault-free and lossy. *)
+let step_exception_parity () =
+  let g = Generators.path 8 in
+  let program ~bad =
+    {
+      Simulator.init = (fun ctx -> (ctx.Simulator.node, 0));
+      on_round =
+        (fun _ (id, r) ~inbox ->
+          ignore inbox;
+          let r = r + 1 in
+          if id = bad && r = 2 then failwith "boom";
+          ((id, r), [ (0, r) ]));
+      is_halted = (fun (_, r) -> r >= 4);
+      msg_words = (fun _ -> 1);
+    }
   in
-  check Alcotest.bool "sharded raises (replay path)" true (a = d)
+  let lossy =
+    {
+      Fault.seed = 5;
+      default = { Fault.reliable_edge with drop = 0.3 };
+      edges = [];
+      crashes = [];
+    }
+  in
+  let observe_raise core ?tracer ?plan p =
+    let faults = Option.map (fun p -> Fault.compile p) plan in
+    let raised =
+      match run_core core ?tracer ?faults g p with
+      | _ -> None
+      | exception Failure m -> Some m
+    in
+    (raised, Option.map Fault.counts faults)
+  in
+  let observe_traced core ?plan p =
+    let recorder = Trace.Recorder.create () in
+    let raised = observe_raise core ~tracer:(Trace.Recorder.tracer recorder) ?plan p in
+    (raised, Trace.Recorder.events recorder)
+  in
+  List.iter
+    (fun bad ->
+      List.iter
+        (fun (label, plan) ->
+          let p = program ~bad in
+          let oracle = observe_traced Ref ?plan p in
+          check Alcotest.bool "oracle raises" true (fst (fst oracle) = Some "boom");
+          List.iter
+            (fun d ->
+              check Alcotest.bool
+                (Printf.sprintf "traced %s, node %d raises, domains=%d" label bad d)
+                true
+                (observe_traced (Sim d) ?plan p = oracle);
+              check Alcotest.bool
+                (Printf.sprintf "untraced %s, node %d raises, domains=%d" label bad d)
+                true
+                (observe_raise (Sim d) ?plan p = observe_raise Ref ?plan p))
+            (1 :: domain_counts))
+        [ ("fault-free", None); ("lossy", Some lossy) ])
+    [ 2; 5 ]
 
 (* A crash purges the delayed deliveries already in flight toward the dead
    node: they surface as Drop events at the crash round and count as
-   to_crashed, identically on both cores. *)
+   to_crashed, identically on the core and the oracle. *)
 let crash_purges_delayed () =
   let g = Generators.path 3 in
   (* Node 1 pushes one word toward node 2 every round; all traffic takes 2
@@ -354,7 +419,7 @@ let crash_purges_delayed () =
       crashes = [ { Fault.node = 2; round = 2 } ];
     }
   in
-  let ((_, events, counts) as obs_a) = observe Csr ~plan g program in
+  let ((_, events, counts) as obs_a) = observe (Sim 1) ~plan g program in
   let obs_b = observe Ref ~plan g program in
   check Alcotest.bool "cores agree" true (same_observation obs_a obs_b);
   let purged =
@@ -372,68 +437,99 @@ let crash_purges_delayed () =
          node. *)
       check Alcotest.bool "to_crashed counts the purge" true (c.Fault.to_crashed >= 4)
 
-(* The acceptance property of the sharded core, verbatim: the per-edge
-   trace profile of a run is byte-identical (as serialized JSON) across
-   --domains 1/2/4 — fault-free and under a fault plan. *)
+(* The per-edge trace profile of a run is byte-identical (as serialized
+   JSON) at --domains 1/2/4 to the profile the oracle feeds through
+   [Trace.Profile.tracer] — fault-free and under a fault plan. *)
 let profile_bytes_across_domains () =
   let g = random_connected_graph 4242 ~n:24 ~extra:12 in
+  let program = gossip ~pseed:4711 ~bw:2 in
   let check_case name ?plan () =
-    let profile_json d =
+    let profile_json run =
       let profile = Trace.Profile.create ~edges:(Graph.m g) () in
       let tracer = Trace.Profile.tracer profile in
       let faults = Option.map (fun p -> Fault.compile p) plan in
-      ignore
-        (Simulator_par.run_outcome ~domains:d ~bandwidth:2 ~tracer ?faults g
-           (gossip ~pseed:4711 ~bw:2));
+      ignore (run ~tracer faults);
       Json.to_string (Trace.Profile.to_json profile)
     in
-    let base = profile_json 1 in
+    let oracle =
+      profile_json (fun ~tracer faults ->
+          Simulator_ref.run_outcome ~bandwidth:2 ~tracer ?faults g program)
+    in
     List.iter
       (fun d ->
-        check Alcotest.string (Printf.sprintf "%s profile, domains=%d" name d) base
-          (profile_json d))
-      [ 2; 4 ]
+        check Alcotest.string (Printf.sprintf "%s profile, domains=%d" name d) oracle
+          (profile_json (fun ~tracer faults ->
+               Simulator.run_outcome ~domains:d ~bandwidth:2 ~tracer ?faults g program)))
+      [ 1; 2; 4 ]
   in
   check_case "fault-free" ();
   check_case "faulty" ~plan:(gen_plan 4242 ~n:24 ~m:(Graph.m g)) ()
 
-(* The sharded profiled entry point: per-domain profile shards merged at
-   the round barrier must reproduce the single-domain run exactly —
-   byte-identical profile JSON, identical states, and identical flight
-   snapshots (modulo the per-domain queue column, whose width is the
-   domain count by construction). *)
+(* The profiled entry point: per-domain profile shards merged at the round
+   barrier must reproduce the oracle's profile exactly — byte-identical
+   profile JSON, identical states, and flight snapshots whose vitals match
+   the oracle's profile at the same rounds. Each snapshot carries one
+   queue depth per shard, and the depths sum to the deliveries pending at
+   that barrier — the messages sent in the snapshot round, which do not
+   depend on sharding. *)
 let run_profiled_parallel_bytes () =
   let g = random_connected_graph 777 ~n:32 ~extra:20 in
-  let run d =
-    let snaps = ref [] in
-    let states, stats =
-      Simulator_par.run_profiled ~domains:d ~bandwidth:2
-        ~flight:(2, fun s -> snaps := s :: !snaps)
-        g
-        (gossip ~pseed:97 ~bw:2)
-    in
-    let vitals =
-      List.rev_map
-        (fun s ->
-          Trace.Flight.
-            (s.round, s.words, s.messages, s.halted, s.top))
-        !snaps
-    in
-    (states, Json.to_string (Trace.Profile.to_json stats.Simulator.profile), vitals, d)
+  let program = gossip ~pseed:97 ~bw:2 in
+  let every = 2 in
+  let vitals (s : Trace.Flight.snapshot) =
+    Trace.Flight.(s.round, s.words, s.messages, s.halted, s.top)
   in
-  let base_states, base_json, base_vitals, _ = run 1 in
+  let oracle_profile = Trace.Profile.create ~edges:(Graph.m g) () in
+  let oracle_snaps = ref [] and sent = Hashtbl.create 16 in
+  let tracer ev =
+    Trace.Profile.tracer oracle_profile ev;
+    match ev with
+    | Trace.Send { round; _ } ->
+        Hashtbl.replace sent round (1 + Option.value ~default:0 (Hashtbl.find_opt sent round))
+    | Trace.Round_end { round; _ } when round mod every = 0 ->
+        oracle_snaps := Trace.Flight.of_profile ~round oracle_profile :: !oracle_snaps
+    | _ -> ()
+  in
+  let oracle_states, _ = Simulator_ref.run ~bandwidth:2 ~tracer g program in
+  let oracle_json = Json.to_string (Trace.Profile.to_json oracle_profile) in
+  let oracle_vitals = List.rev_map vitals !oracle_snaps in
   List.iter
     (fun d ->
-      let states, json, vitals, _ = run d in
+      let snaps = ref [] in
+      let states, stats =
+        Simulator.run_profiled ~domains:d ~bandwidth:2
+          ~flight:(every, fun s -> snaps := s :: !snaps)
+          g program
+      in
+      let snaps = List.rev !snaps in
       check Alcotest.bool (Printf.sprintf "states equal, domains=%d" d) true
-        (states = base_states);
-      check Alcotest.string (Printf.sprintf "profile bytes, domains=%d" d)
-        base_json json;
-      check Alcotest.bool (Printf.sprintf "flight vitals equal, domains=%d" d)
-        true
-        (vitals = base_vitals))
-    [ 2; 4 ];
-  check Alcotest.bool "flight recorder actually fired" true (base_vitals <> [])
+        (states = oracle_states);
+      check Alcotest.string (Printf.sprintf "profile bytes, domains=%d" d) oracle_json
+        (Json.to_string (Trace.Profile.to_json stats.Simulator.profile));
+      check Alcotest.bool (Printf.sprintf "flight vitals equal, domains=%d" d) true
+        (List.map vitals snaps = oracle_vitals);
+      List.iter
+        (fun (s : Trace.Flight.snapshot) ->
+          let r = s.Trace.Flight.round in
+          check Alcotest.int
+            (Printf.sprintf "one queue per shard, round %d, domains=%d" r d)
+            d (Array.length s.Trace.Flight.queues);
+          check Alcotest.int
+            (Printf.sprintf "queue sum = pending deliveries, round %d, domains=%d" r d)
+            (Option.value ~default:0 (Hashtbl.find_opt sent r))
+            (Array.fold_left ( + ) 0 s.Trace.Flight.queues))
+        snaps)
+    [ 1; 2; 4 ];
+  check Alcotest.bool "flight recorder actually fired" true (oracle_vitals <> []);
+  (* A single shard merges losslessly in Sketch mode too — eviction tally
+     included — so a one-domain sketched profile equals the oracle's. *)
+  let mode = Trace.Profile.Sketch 4 in
+  let sketched = Trace.Profile.create ~mode ~edges:(Graph.m g) () in
+  ignore (Simulator_ref.run ~bandwidth:2 ~tracer:(Trace.Profile.tracer sketched) g program);
+  let _, stats = Simulator.run_profiled ~bandwidth:2 ~mode g program in
+  check Alcotest.string "sketched profile bytes, domains=1"
+    (Json.to_string (Trace.Profile.to_json sketched))
+    (Json.to_string (Trace.Profile.to_json stats.Simulator.profile))
 
 (* Crash-at-round of a node whose pending delayed deliveries originate in
    a DIFFERENT shard: for each swept domain count, the sender sits just
@@ -467,7 +563,7 @@ let cross_shard_crash_purge () =
   in
   List.iter
     (fun d ->
-      let bounds = Simulator_par.shard_bounds ~domains:d g in
+      let bounds = Simulator.shard_bounds ~domains:d g in
       let boundary = bounds.(1) in
       check Alcotest.bool
         (Printf.sprintf "shard boundary interior, domains=%d" d)
@@ -483,7 +579,7 @@ let cross_shard_crash_purge () =
           crashes = [ { Fault.node = sender + 1; round = 2 } ];
         }
       in
-      let ((_, events, _) as obs_par) = observe (Par d) ~plan g program in
+      let ((_, events, _) as obs_par) = observe (Sim d) ~plan g program in
       let obs_ref = observe Ref ~plan g program in
       check Alcotest.bool
         (Printf.sprintf "sharded = reference, domains=%d" d)
@@ -505,13 +601,11 @@ let cross_shard_crash_purge () =
 (* --- parallel-execution profiler --------------------------------------- *)
 
 (* Attaching a Par_profile collector must be invisible to every simulator
-   observable — the instrumented-vs-uninstrumented sweep of the
-   observability PR's acceptance criteria. At each swept domain count
-   (including 1, where the collector forces the sharded core so the
-   single-shard baseline timeline exists), fault-free and under a fault
-   plan, traced and untraced: identical results, identical trace event
-   sequences, byte-identical Exact-mode congestion profiles, identical
-   fault counters. *)
+   observable. At one domain (the single-shard baseline timeline) and at
+   each swept domain count, fault-free and under a fault plan, traced and
+   untraced: identical results, identical trace event sequences,
+   byte-identical Exact-mode congestion profiles, identical fault
+   counters. *)
 let par_profile_transparent () =
   let g = random_connected_graph 1312 ~n:28 ~extra:16 in
   let program = gossip ~pseed:2029 ~bw:2 in
@@ -525,8 +619,8 @@ let par_profile_transparent () =
     let faults = Option.map (fun p -> Fault.compile p) plan in
     let par_profile = if pp then Some (Par_profile.create ()) else None in
     let result =
-      Simulator_par.run_outcome ~domains:d ~bandwidth:2 ~tracer ?faults
-        ?par_profile g program
+      Simulator.run_outcome ~domains:d ~bandwidth:2 ~tracer ?faults ?par_profile g
+        program
     in
     ( result,
       Trace.Recorder.events recorder,
@@ -536,8 +630,7 @@ let par_profile_transparent () =
   in
   let untraced ~pp d =
     let par_profile = if pp then Some (Par_profile.create ()) else None in
-    (Simulator_par.run_outcome ~domains:d ~bandwidth:2 ?par_profile g program,
-     par_profile)
+    (Simulator.run_outcome ~domains:d ~bandwidth:2 ?par_profile g program, par_profile)
   in
   List.iter
     (fun d ->
@@ -595,8 +688,8 @@ let traffic_matrix_reconciles =
           let faults = Option.map (fun p -> Fault.compile p) plan in
           let stats =
             match
-              Simulator_par.run_outcome ~domains:d ~bandwidth:bw ?faults
-                ~par_profile:pp g program
+              Simulator.run_outcome ~domains:d ~bandwidth:bw ?faults ~par_profile:pp g
+                program
             with
             | Simulator.Finished (_, stats) -> stats
             | Simulator.Out_of_rounds _ -> assert false
@@ -621,24 +714,21 @@ let traffic_matrix_reconciles =
                totals tw)
         domain_counts)
 
-(* Satellite of the same PR: the shard-count clamp is one documented
-   constant. [recommended] and [shard_bounds] agree on [max_domains] —
-   the historical [1,8] vs [1,32] split is gone. *)
+(* The shard-count clamp is one documented constant: [recommended] and
+   [shard_bounds] agree on [max_domains]. *)
 let clamp_unified () =
-  check Alcotest.int "max_domains is the documented ceiling" 32
-    Simulator_par.max_domains;
-  let r = Simulator_par.recommended () in
+  check Alcotest.int "max_domains is the documented ceiling" 32 Simulator.max_domains;
+  let r = Simulator.recommended () in
   check Alcotest.bool "recommended within [1, max_domains]" true
-    (r >= 1 && r <= Simulator_par.max_domains);
+    (r >= 1 && r <= Simulator.max_domains);
   let g = Generators.grid ~rows:8 ~cols:8 in
   (* Requests beyond the ceiling clamp to it (n = 64 > 32 here, so the
      node count is not the binding constraint). *)
-  let bounds = Simulator_par.shard_bounds ~domains:1000 g in
-  check Alcotest.int "shard_bounds clamps to max_domains"
-    Simulator_par.max_domains
+  let bounds = Simulator.shard_bounds ~domains:1000 g in
+  check Alcotest.int "shard_bounds clamps to max_domains" Simulator.max_domains
     (Array.length bounds - 1);
   let tiny = Generators.path 3 in
-  let tb = Simulator_par.shard_bounds ~domains:1000 tiny in
+  let tb = Simulator.shard_bounds ~domains:1000 tiny in
   check Alcotest.int "node count still binds below the ceiling" 3
     (Array.length tb - 1)
 
@@ -647,7 +737,7 @@ let clamp_unified () =
    boundary. *)
 let cross_shard_graph_is_cross () =
   let g = cross_shard_graph 7 ~n:16 in
-  let bounds = Simulator_par.shard_bounds ~domains:2 g in
+  let bounds = Simulator.shard_bounds ~domains:2 g in
   let owner v = if v < bounds.(1) then 0 else 1 in
   let crossing = ref 0 and total = ref 0 in
   Graph.iter_edges g (fun _ u v ->
@@ -673,6 +763,7 @@ let props =
 let suite =
   [
     case "bandwidth exception parity" `Quick bandwidth_parity;
+    case "step exception parity" `Quick step_exception_parity;
     case "crash purges delayed deliveries" `Quick crash_purges_delayed;
     case "profile bytes identical across domains" `Quick profile_bytes_across_domains;
     case "run_profiled shards merge bit-exactly" `Quick run_profiled_parallel_bytes;
