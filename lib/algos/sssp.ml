@@ -18,9 +18,9 @@ let bfs g ~src =
 
 type bf_state = {
   dist : int;
-  clock : int;
   announce : bool;  (** improved last round; must announce *)
   last_improved : int;
+  finished : bool;
 }
 
 let bellman_ford ?hop_bound weights ~src =
@@ -39,24 +39,24 @@ let bellman_ford ?hop_bound weights ~src =
           let is_src = ctx.Simulator.node = src in
           {
             dist = (if is_src then 0 else max_int);
-            clock = 0;
             announce = is_src;
             last_improved = 0;
+            finished = false;
           });
       on_round =
         (fun ctx st ~inbox ->
-          let st = { st with clock = st.clock + 1 } in
+          let round = Simulator.round ctx in
           let st =
             List.fold_left
               (fun st (port, d) ->
                 let e = ctx.Simulator.neighbor_edges.(port) in
                 let candidate = d + Weights.get weights e in
                 if candidate < st.dist then
-                  { st with dist = candidate; announce = true; last_improved = st.clock }
+                  { st with dist = candidate; announce = true; last_improved = round }
                 else st)
               st inbox
           in
-          if st.clock > budget then (st, [])
+          if round > budget then ({ st with finished = true }, [])
           else if st.announce && st.dist < max_int then begin
             let out =
               List.init (Array.length ctx.Simulator.neighbors) (fun port -> (port, st.dist))
@@ -65,7 +65,9 @@ let bellman_ford ?hop_bound weights ~src =
           end
           else (st, []))
       ;
-      is_halted = (fun st -> st.clock > budget);
+      is_halted = (fun st -> st.finished);
+      (* Only an improvement needs announcing; otherwise wake to halt. *)
+      wake = (fun st -> if st.announce then Simulator.every_round else budget + 1);
       msg_words = (fun _ -> 1);
     }
   in

@@ -26,6 +26,12 @@ let program info ~value =
         | _ -> (st, []))
     ;
     is_halted = (fun st -> st.sent);
+    (* Only a node holding the value has anything to do without mail. *)
+    wake =
+      (fun st ->
+        match st.value with
+        | Some _ when not st.sent -> Simulator.every_round
+        | _ -> max_int);
     msg_words = (fun _ -> 1);
   }
 

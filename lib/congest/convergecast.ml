@@ -33,6 +33,9 @@ let run ?tracer g info ~values ~combine =
           else (st, []))
       ;
       is_halted = (fun st -> st.sent);
+      (* Leaves fire at once; an inner node waits for its children. *)
+      wake =
+        (fun st -> if st.waiting = 0 && not st.sent then Simulator.every_round else max_int);
       msg_words = (fun _ -> 1);
     }
   in
@@ -113,6 +116,8 @@ let outcome_program info ~values ~combine =
     (* A node that has forwarded may still be probing? No: waiting = 0
        means every child reported or was excluded, so no probes remain. *)
     is_halted = (fun st -> st.o_sent);
+    (* The probe timer keeps its own clock. *)
+    wake = (fun _ -> Simulator.every_round);
     msg_words = (fun _ -> 1);
   }
   |> fun program -> (program, is_child)

@@ -1,28 +1,28 @@
 module Graph = Lcs_graph.Graph
 
-type state = { best : int; clock : int; announce : bool; budget : int }
+type state = { best : int; announce : bool; budget : int; finished : bool }
 
 let make_program ~budget =
   {
     Simulator.init =
-      (fun ctx ->
-        { best = ctx.Simulator.node; clock = 0; announce = true; budget });
+      (fun ctx -> { best = ctx.Simulator.node; announce = true; budget; finished = false });
     on_round =
       (fun ctx st ~inbox ->
-        let st = { st with clock = st.clock + 1 } in
         let st =
           List.fold_left
             (fun st (_port, id) ->
               if id > st.best then { st with best = id; announce = true } else st)
             st inbox
         in
-        if st.clock > st.budget then (st, [])
+        if Simulator.round ctx > st.budget then ({ st with finished = true }, [])
         else if st.announce then
           ( { st with announce = false },
             List.init (Array.length ctx.Simulator.neighbors) (fun p -> (p, st.best)) )
         else (st, []))
     ;
-    is_halted = (fun st -> st.clock > st.budget);
+    is_halted = (fun st -> st.finished);
+    (* A quiet node only has to wake to halt after the budget. *)
+    wake = (fun st -> if st.announce then Simulator.every_round else st.budget + 1);
     msg_words = (fun _ -> 1);
   }
 

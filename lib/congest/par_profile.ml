@@ -18,6 +18,7 @@ type totals = {
   barrier_s : float;
   messages : int;
   words : int;
+  activations : int;
 }
 
 type decomposition = {
@@ -39,6 +40,7 @@ type row = {
   r_deliver : float array;
   r_msgs : int array;
   r_words : int array;
+  r_acts : int array;
 }
 
 type t = {
@@ -59,12 +61,14 @@ type t = {
   mutable cur_deliver : float array;
   mutable rnd_msgs : int array;
   mutable rnd_words : int array;
+  mutable rnd_acts : int array;
   (* accumulators *)
   mutable tot_step : float array;
   mutable tot_deliver : float array;
   mutable tot_barrier : float array;
   mutable tot_msgs : int array;
   mutable tot_words : int array;
+  mutable tot_acts : int array;
   mutable serial_total : float;
   mutable tm : int array array;  (* traffic: messages, [src].(dst) *)
   mutable tw : int array array;  (* traffic: words *)
@@ -89,11 +93,13 @@ let create () =
     cur_deliver = [||];
     rnd_msgs = [||];
     rnd_words = [||];
+    rnd_acts = [||];
     tot_step = [||];
     tot_deliver = [||];
     tot_barrier = [||];
     tot_msgs = [||];
     tot_words = [||];
+    tot_acts = [||];
     serial_total = 0.0;
     tm = [||];
     tw = [||];
@@ -125,8 +131,10 @@ let grow t d =
     t.tot_barrier <- gf t.tot_barrier;
     t.rnd_msgs <- gi t.rnd_msgs;
     t.rnd_words <- gi t.rnd_words;
+    t.rnd_acts <- gi t.rnd_acts;
     t.tot_msgs <- gi t.tot_msgs;
     t.tot_words <- gi t.tot_words;
+    t.tot_acts <- gi t.tot_acts;
     t.tm <- gm t.tm;
     t.tw <- gm t.tw;
     t.cap <- d
@@ -149,11 +157,13 @@ let round_start t =
   t.serial_cur <- 0.0;
   for s = 0 to t.active - 1 do
     t.cur_step.(s) <- 0.0;
-    t.cur_deliver.(s) <- 0.0
+    t.cur_deliver.(s) <- 0.0;
+    t.rnd_acts.(s) <- 0
   done
 
 let set_step t ~shard v = t.cur_step.(shard) <- v
 let set_deliver t ~shard v = t.cur_deliver.(shard) <- v
+let set_activations t ~shard k = t.rnd_acts.(shard) <- k
 
 let end_step t =
   let n = now () in
@@ -175,6 +185,7 @@ let commit_round t ~round =
   let deliver = Array.sub t.cur_deliver 0 a in
   let msgs = Array.sub t.rnd_msgs 0 a in
   let words = Array.sub t.rnd_words 0 a in
+  let acts = Array.sub t.rnd_acts 0 a in
   for s = 0 to a - 1 do
     t.tot_step.(s) <- t.tot_step.(s) +. step.(s);
     t.tot_deliver.(s) <- t.tot_deliver.(s) +. deliver.(s);
@@ -184,6 +195,7 @@ let commit_round t ~round =
       +. Float.max 0.0 (t.deliver_wall -. deliver.(s));
     t.tot_msgs.(s) <- t.tot_msgs.(s) + msgs.(s);
     t.tot_words.(s) <- t.tot_words.(s) + words.(s);
+    t.tot_acts.(s) <- t.tot_acts.(s) + acts.(s);
     t.rnd_msgs.(s) <- 0;
     t.rnd_words.(s) <- 0
   done;
@@ -199,6 +211,7 @@ let commit_round t ~round =
       r_deliver = deliver;
       r_msgs = msgs;
       r_words = words;
+      r_acts = acts;
     }
     :: t.rows_rev;
   t.nrounds <- t.nrounds + 1
@@ -219,6 +232,7 @@ let totals t =
         barrier_s = t.tot_barrier.(s);
         messages = t.tot_msgs.(s);
         words = t.tot_words.(s);
+        activations = t.tot_acts.(s);
       })
 
 let copy_matrix t m = Array.init t.active (fun i -> Array.sub m.(i) 0 t.active)
@@ -301,6 +315,7 @@ let to_json t =
                ("barrier_s", Json.Float tot.barrier_s);
                ("messages", Json.Int tot.messages);
                ("words", Json.Int tot.words);
+               ("activations", Json.Int tot.activations);
              ])
          (totals t))
   in
@@ -382,6 +397,7 @@ let chrome_events ?t0 t =
                  round_arg;
                  ("messages", Json.Int r.r_msgs.(s));
                  ("words", Json.Int r.r_words.(s));
+                 ("activations", Json.Int r.r_acts.(s));
                ]);
         let wait = r.r_step_wall -. r.r_step.(s) in
         if wait > 0.0 then

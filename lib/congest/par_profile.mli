@@ -62,6 +62,10 @@ val set_step : t -> shard:int -> float -> unit
 val set_deliver : t -> shard:int -> float -> unit
 (** Shard [shard]'s drain-job duration this round. *)
 
+val set_activations : t -> shard:int -> int -> unit
+(** How many nodes shard [shard] stepped this round (written by that
+    shard's own domain; single-writer). *)
+
 val end_step : t -> unit
 (** Main domain, after the compute barrier: captures the phase wall. *)
 
@@ -92,7 +96,9 @@ val domains : t -> int
     first run. *)
 
 val rounds : t -> int
-(** Committed rounds, summed across runs. *)
+(** Committed rounds, summed across runs. Rounds the simulator
+    fast-forwarded (no node due, no message in flight) ran no phase and
+    commit no row. *)
 
 val runs : t -> int
 val wall_s : t -> float
@@ -104,6 +110,10 @@ type totals = {
   barrier_s : float;  (** measured: phase wall minus own job, summed *)
   messages : int;
   words : int;
+  activations : int;
+      (** nodes actually stepped: a sleeping node (see
+          {!Simulator.program}'s [wake]) or a fast-forwarded round adds
+          nothing *)
 }
 
 val totals : t -> totals array
@@ -140,8 +150,8 @@ val round_imbalance : t -> float array
 
 val to_json : t -> Lcs_util.Json.t
 (** The [lcs-par-profile/1] report: schema, domains, rounds, runs,
-    wall, per-domain totals, traffic matrices, overall and per-round
-    imbalance, decomposition. *)
+    wall, per-domain totals (activations included), traffic matrices,
+    overall and per-round imbalance, decomposition. *)
 
 val chrome_events : ?t0:float -> t -> Lcs_util.Json.t list
 (** Chrome trace-event objects: one Perfetto track per domain (pid 0,

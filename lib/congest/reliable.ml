@@ -190,6 +190,8 @@ let wrap ?(config = default_config) ?on_dead (inner : ('s, 'm) Simulator.program
     Simulator.init;
     on_round;
     is_halted = (fun s -> s.done_);
+    (* Retransmission timers and the linger count run on every round. *)
+    wake = (fun _ -> Simulator.every_round);
     msg_words =
       (fun f -> match f.data with Some (_, m) -> inner.msg_words m | None -> 1);
   }

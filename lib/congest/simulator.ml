@@ -50,7 +50,10 @@ type ctx = {
   node : int;
   neighbors : int array;
   neighbor_edges : int array;
+  clock : int ref;
 }
+
+let round ctx = !(ctx.clock)
 
 type 'msg outbox = (int * 'msg) list
 
@@ -58,8 +61,12 @@ type ('state, 'msg) program = {
   init : ctx -> 'state;
   on_round : ctx -> 'state -> inbox:(int * 'msg) list -> 'state * 'msg outbox;
   is_halted : 'state -> bool;
+  wake : 'state -> int;
   msg_words : 'msg -> int;
 }
+
+(* Round 0 precedes every round, so a node whose hint is 0 is always due. *)
+let every_round = 0
 
 type stats = {
   rounds : int;
@@ -123,7 +130,7 @@ module Csr = struct
     done;
     { port_offset; port_neighbor; port_edge; port_reverse }
 
-  let contexts csr n =
+  let contexts csr n clock =
     Array.init n (fun v ->
         let off = Intvec.get csr.port_offset v in
         let len = Intvec.get csr.port_offset (v + 1) - off in
@@ -131,6 +138,7 @@ module Csr = struct
           node = v;
           neighbors = Intvec.sub_array csr.port_neighbor ~pos:off ~len;
           neighbor_edges = Intvec.sub_array csr.port_edge ~pos:off ~len;
+          clock;
         })
 end
 
@@ -274,7 +282,11 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
   if bandwidth < 1 then invalid_arg "Simulator.run: bandwidth";
   let n = Graph.n g in
   let csr = Csr.build g in
-  let ctxs = Csr.contexts csr n in
+  (* The round every context reads: written once per round on the calling
+     domain before the compute phase, read by the steps after the phase
+     barrier. *)
+  let clock = ref 0 in
+  let ctxs = Csr.contexts csr n clock in
   let bounds = shard_bounds ~domains g in
   let d = Array.length bounds - 1 in
   let owner = Array.make (max 1 n) 0 in
@@ -295,6 +307,9 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
   let states = Array.map program.init ctxs in
   let halted = Array.map program.is_halted states in
   let live = ref (Array.fold_left (fun acc h -> if h then acc else acc + 1) 0 halted) in
+  (* Each node's wake hint: the round from which it steps even with an
+     empty inbox. Refreshed after every step, by the node's own shard. *)
+  let wake = Array.map program.wake states in
   (* Inboxes as parallel (port, payload) buffers, double-buffered: [cur_*]
      is read this round, [nxt_*] collects deliveries for the next; the
      references swap at the round boundary. Capacity hints of [degree v]
@@ -358,6 +373,10 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
   let words_s = Array.make d 0 in
   let maxload_s = Array.make d 0 in
   let live_delta = Array.make d 0 in
+  (* Per shard, written by its own domain once per round: the nodes it
+     stepped, and the smallest wake hint among its live nodes. *)
+  let stepped_s = Array.make d 0 in
+  let next_wake_s = Array.make d max_int in
   (* Per-shard touched budget slots, so the end-of-round clear is
      O(messages), not O(ports). The serialized path clears through shard
      0's list only. *)
@@ -448,40 +467,48 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
         send_fast s v base rest
   in
   let phase_compute_fast s =
-    try
-      for v = bounds.(s) to bounds.(s + 1) - 1 do
-        fail_node.(s) <- v;
-        let ports_v = (!cur_ports).(v) and msgs_v = (!cur_msgs).(v) in
-        if not halted.(v) then begin
-          let inbox = build_inbox ports_v msgs_v (Vec.length ports_v - 1) [] in
-          Vec.clear ports_v;
-          Vec.clear msgs_v;
-          let state, outbox = program.on_round ctxs.(v) states.(v) ~inbox in
-          states.(v) <- state;
-          send_fast s v (Intvec.get csr.port_offset v) outbox;
-          if program.is_halted state then begin
-            halted.(v) <- true;
-            live_delta.(s) <- live_delta.(s) - 1;
-            if profiled then Trace.Profile.record_halt shards.(s) ~round:!rounds
-          end
-        end
-        else begin
-          Vec.clear ports_v;
-          Vec.clear msgs_v
-        end
-      done;
-      for i = 0 to ntouched.(s) - 1 do
-        budget.(touched_s.(s).(i)) <- 0
-      done;
-      ntouched.(s) <- 0;
-      if profiled then begin
-        (* Close the round on this shard: its local bandwidth high-water
-           mark; the shard merge's [set_max] recovers the global one. *)
-        Trace.Profile.record_round shards.(s) ~round:!rounds
-          ~max_edge_load:roundmax_s.(s);
-        roundmax_s.(s) <- 0
-      end
-    with exn -> fail.(s) <- Some (fail_node.(s), exn)
+    let r = !rounds in
+    let stepped = ref 0 and next = ref max_int in
+    (try
+       for v = bounds.(s) to bounds.(s + 1) - 1 do
+         let ports_v = (!cur_ports).(v) and msgs_v = (!cur_msgs).(v) in
+         if not halted.(v) then begin
+           if Vec.length ports_v > 0 || wake.(v) <= r then begin
+             fail_node.(s) <- v;
+             incr stepped;
+             let inbox = build_inbox ports_v msgs_v (Vec.length ports_v - 1) [] in
+             Vec.clear ports_v;
+             Vec.clear msgs_v;
+             let state, outbox = program.on_round ctxs.(v) states.(v) ~inbox in
+             states.(v) <- state;
+             send_fast s v (Intvec.get csr.port_offset v) outbox;
+             if program.is_halted state then begin
+               halted.(v) <- true;
+               live_delta.(s) <- live_delta.(s) - 1;
+               if profiled then Trace.Profile.record_halt shards.(s) ~round:r
+             end
+             else wake.(v) <- program.wake state
+           end;
+           if (not halted.(v)) && wake.(v) < !next then next := wake.(v)
+         end
+         else if Vec.length ports_v > 0 then begin
+           Vec.clear ports_v;
+           Vec.clear msgs_v
+         end
+       done;
+       for i = 0 to ntouched.(s) - 1 do
+         budget.(touched_s.(s).(i)) <- 0
+       done;
+       ntouched.(s) <- 0;
+       if profiled then begin
+         (* Close the round on this shard: its local bandwidth high-water
+            mark; the shard merge's [set_max] recovers the global one. *)
+         Trace.Profile.record_round shards.(s) ~round:r ~max_edge_load:roundmax_s.(s);
+         roundmax_s.(s) <- 0
+       end
+     with exn -> fail.(s) <- Some (fail_node.(s), exn));
+    stepped_s.(s) <- !stepped;
+    next_wake_s.(s) <- !next
   in
   let phase_drain t =
     (* Drain in source-shard order: shards are contiguous ascending id
@@ -526,36 +553,44 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
         buffer_sends s rest (k + 1)
   in
   let phase_compute_slow s =
-    try
-      for v = bounds.(s) to bounds.(s + 1) - 1 do
-        fail_node.(s) <- v;
-        let ports_v = (!cur_ports).(v) and msgs_v = (!cur_msgs).(v) in
-        if not (halted.(v) || crashed.(v)) then begin
-          let inbox = build_inbox ports_v msgs_v (Vec.length ports_v - 1) [] in
-          Vec.clear ports_v;
-          Vec.clear msgs_v;
-          if traced then begin
-            let ids_v = (!cur_ids).(v) in
-            Trace.Cause.activate (Vec.to_array ids_v);
-            Vec.clear ids_v
-          end;
-          let state, outbox = program.on_round ctxs.(v) states.(v) ~inbox in
-          states.(v) <- state;
-          let k = buffer_sends s outbox 0 in
-          if traced then Trace.Cause.deactivate ();
-          let halts = program.is_halted state in
-          if halts then halted.(v) <- true;
-          Vec.push act_node.(s) v;
-          Vec.push act_sends.(s) k;
-          Vec.push act_halt.(s) (if halts then 1 else 0)
-        end
-        else begin
-          Vec.clear ports_v;
-          Vec.clear msgs_v;
-          if traced then Vec.clear (!cur_ids).(v)
-        end
-      done
-    with exn -> fail.(s) <- Some (fail_node.(s), exn)
+    let r = !rounds in
+    let stepped = ref 0 and next = ref max_int in
+    (try
+       for v = bounds.(s) to bounds.(s + 1) - 1 do
+         let ports_v = (!cur_ports).(v) and msgs_v = (!cur_msgs).(v) in
+         if halted.(v) || crashed.(v) then begin
+           Vec.clear ports_v;
+           Vec.clear msgs_v;
+           if traced then Vec.clear (!cur_ids).(v)
+         end
+         else begin
+           if Vec.length ports_v > 0 || wake.(v) <= r then begin
+             fail_node.(s) <- v;
+             incr stepped;
+             let inbox = build_inbox ports_v msgs_v (Vec.length ports_v - 1) [] in
+             Vec.clear ports_v;
+             Vec.clear msgs_v;
+             if traced then begin
+               let ids_v = (!cur_ids).(v) in
+               Trace.Cause.activate (Vec.to_array ids_v);
+               Vec.clear ids_v
+             end;
+             let state, outbox = program.on_round ctxs.(v) states.(v) ~inbox in
+             states.(v) <- state;
+             let k = buffer_sends s outbox 0 in
+             if traced then Trace.Cause.deactivate ();
+             let halts = program.is_halted state in
+             if halts then halted.(v) <- true else wake.(v) <- program.wake state;
+             Vec.push act_node.(s) v;
+             Vec.push act_sends.(s) k;
+             Vec.push act_halt.(s) (if halts then 1 else 0)
+           end;
+           if (not halted.(v)) && wake.(v) < !next then next := wake.(v)
+         end
+       done
+     with exn -> fail.(s) <- Some (fail_node.(s), exn));
+    stepped_s.(s) <- !stepped;
+    next_wake_s.(s) <- !next
   in
   (* Replay one buffered send on the calling domain, with the causal
      declaration read from the buffer. Ids, verdicts and trace events are
@@ -791,7 +826,8 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
         fun s ->
           let t0 = Par_profile.now () in
           compute_job s;
-          Par_profile.set_step pp ~shard:s (Par_profile.now () -. t0)
+          Par_profile.set_step pp ~shard:s (Par_profile.now () -. t0);
+          Par_profile.set_activations pp ~shard:s stepped_s.(s)
   in
   let drain_job =
     match par_profile with
@@ -802,16 +838,64 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
           phase_drain s;
           Par_profile.set_deliver pp ~shard:s (Par_profile.now () -. t0)
   in
+  (* Flight snapshot at the barrier: read each domain's pending-delivery
+     depth off the inboxes the swap just made current (all empty after an
+     idle round). On the fast path the heavy hitters and vitals come from
+     merging the per-domain shards into a throwaway profile; on the
+     serialized path the caller's profile (fed through the tracer tee) has
+     already closed this round. *)
+  let snapshot ~idle =
+    match flight with
+    | Some (every, emit) when every > 0 && !rounds mod every = 0 ->
+        let queues = Array.make d 0 in
+        if not idle then
+          for s = 0 to d - 1 do
+            let depth = ref 0 in
+            for v = bounds.(s) to bounds.(s + 1) - 1 do
+              depth := !depth + Vec.length (!cur_ports).(v)
+            done;
+            queues.(s) <- !depth
+          done;
+        let p = if profiled then merged_shards () else Option.get final_profile in
+        emit (Trace.Flight.of_profile ~queues ~round:!rounds p)
+    | _ -> ()
+  in
+  (* A round in which no node is due and no message is in flight: nothing
+     steps, but every observer still sees it open and close. *)
+  let idle_round () =
+    incr rounds;
+    (match tracer with
+    | None -> ()
+    | Some t -> t (Trace.Round_start { round = !rounds; live = !live }));
+    if profiled then Trace.Profile.record_round shards.(0) ~round:!rounds ~max_edge_load:0;
+    (match tracer with
+    | None -> ()
+    | Some t -> t (Trace.Round_end { round = !rounds; max_edge_load = 0 }));
+    snapshot ~idle:true
+  in
+  let observed =
+    traced || profiled || match flight with Some (every, _) -> every > 0 | None -> false
+  in
+  let sent_total () = Array.fold_left ( + ) !messages messages_s in
   let crew = make_crew d in
   let handles = Array.init (d - 1) (fun i -> Domain.spawn (worker crew (i + 1) ~traced)) in
   Fun.protect ~finally:(fun () -> shutdown crew handles) @@ fun () ->
   (match par_profile with None -> () | Some pp -> Par_profile.begin_run pp ~domains:d);
-  (* Every live node steps every round: a node with an empty inbox may
-     still act on its own clock, and only [is_halted] says it will not. *)
+  (* A live node steps when a message reaches it or its wake hint comes
+     due; a step before then with an empty inbox is, by the hint's
+     contract, a no-op, so skipping it changes nothing observable. A
+     fault-free round that sends nothing leaves no message in flight, so
+     no node steps before the earliest hint: the loop fast-forwards to it
+     (capped at [max_rounds]), still opening and closing each skipped
+     round for the tracer, the profile and the flight recorder. Fault
+     plans keep the loop round by round, because the delayed ring and the
+     crash schedule act on rounds of their own. *)
   while !live > 0 && not !out_of_rounds do
     if !rounds >= max_rounds then out_of_rounds := true
     else begin
       incr rounds;
+      clock := !rounds;
+      let sent_before = sent_total () in
       if serialized then begin
         (match tracer with
         | None -> ()
@@ -889,28 +973,21 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
       (match tracer with
       | None -> ()
       | Some t -> t (Trace.Round_end { round = !rounds; max_edge_load = !round_max }));
-      (match flight with
-      | Some (every, emit) when every > 0 && !rounds mod every = 0 ->
-          (* Flight snapshot at the barrier: read each domain's
-             pending-delivery depth off the inboxes the swap just made
-             current. On the fast path the heavy hitters and vitals come
-             from merging the per-domain shards into a throwaway profile;
-             on the serialized path the caller's profile (fed through the
-             tracer tee) has already closed this round. *)
-          let queues = Array.make d 0 in
-          for s = 0 to d - 1 do
-            let depth = ref 0 in
-            for v = bounds.(s) to bounds.(s + 1) - 1 do
-              depth := !depth + Vec.length (!cur_ports).(v)
-            done;
-            queues.(s) <- !depth
-          done;
-          let p = if profiled then merged_shards () else Option.get final_profile in
-          emit (Trace.Flight.of_profile ~queues ~round:!rounds p)
-      | _ -> ());
-      match par_profile with
+      snapshot ~idle:false;
+      (match par_profile with
       | None -> ()
-      | Some pp -> Par_profile.commit_round pp ~round:!rounds
+      | Some pp -> Par_profile.commit_round pp ~round:!rounds);
+      if faults = None && !live > 0 && sent_total () = sent_before then begin
+        let next = Array.fold_left min max_int next_wake_s in
+        if next > !rounds + 1 then begin
+          let last = min (next - 1) max_rounds in
+          if observed then
+            while !rounds < last do
+              idle_round ()
+            done
+          else if last > !rounds then rounds := last
+        end
+      end
     end
   done;
   (match par_profile with None -> () | Some pp -> Par_profile.end_run pp);

@@ -3,7 +3,10 @@
     The network is an undirected graph; computation proceeds in synchronous
     rounds. In each round every non-halted node reads the messages delivered
     to it, updates its local state, and emits at most [bandwidth] words per
-    incident edge (per direction). Messages sent in round [r] are delivered
+    incident edge (per direction). A node whose program declares it asleep
+    (see [wake] in {!program}) is not stepped until a message reaches it
+    or its wake round comes: by the hint's contract that step would have
+    done nothing, so the model's semantics are unchanged. Messages sent in round [r] are delivered
     at the start of round [r+1]. A word models the CONGEST model's
     [O(log n)]-bit message; the default [bandwidth = 1] is the standard
     model, and exceeding it raises {!Bandwidth_exceeded} — bounds claimed by
@@ -17,9 +20,19 @@
 
     {b Execution.} A run is split into [domains] contiguous node shards
     balanced by port count (see {!shard_bounds}); each round, every
-    shard delivers its inboxes and runs its [on_round] steps, shard 0 on
-    the calling domain and the others on OCaml 5 worker domains, with a
-    barrier at the round boundary. One domain is simply one shard: no
+    shard delivers its inboxes and runs the [on_round] steps of its live
+    nodes that are due — a non-empty inbox, or a wake hint at or before
+    the round — shard 0 on the calling domain and the others on OCaml 5
+    worker domains, with a barrier at the round boundary. A fault-free
+    round that sends no message leaves nothing in flight, so no node
+    steps before the earliest wake hint: the loop fast-forwards to that
+    round (capped at [max_rounds]). Skipped rounds still count in
+    {!stats}, still emit their [Round_start]/[Round_end] events and
+    {!Trace.Profile} rows, and still get any flight snapshot due; runs
+    with a fault plan advance round by round, because delayed deliveries
+    and crashes act on rounds of their own, but still skip sleeping
+    nodes. A run therefore pays for messages and due timers, not for
+    nodes × rounds. One domain is simply one shard: no
     domain is spawned. Cross-shard messages travel through
     per-(source, destination) shard outboxes — each cell has exactly one
     writer and one reader, separated by the barrier, so the hot path
@@ -60,7 +73,17 @@ type ctx = {
   node : int;  (** this node's id *)
   neighbors : int array;  (** neighbor ids in port order *)
   neighbor_edges : int array;  (** host edge ids in port order *)
+  clock : int ref;
+      (** The run's current round: one cell shared by every context of the
+          run, written by the simulator once per round before any node
+          steps. Read it through {!round}; programs must not write it. *)
 }
+
+val round : ctx -> int
+(** The current round during [on_round] (the first round is 1); 0 during
+    [init]. Programs keep no clock of their own: a sleeping node's local
+    counter would fall behind, while this one is always the global
+    round. *)
 
 type 'msg outbox = (int * 'msg) list
 (** [(port, payload)] pairs. *)
@@ -73,10 +96,30 @@ type ('state, 'msg) program = {
   is_halted : 'state -> bool;
       (** A halted node no longer runs [on_round]; late messages to it are
           dropped. The simulation stops when every node is halted. *)
+  wake : 'state -> int;
+      (** The wake hint: the first round at which the node must step even
+          with an empty inbox, read after [init] and after every step.
+          {!every_round} (or any round already reached) means "step me
+          every round"; [max_int] means "step me only when a message
+          arrives". The node is stepped in round [r] iff it is live and
+          its inbox is non-empty or [wake state <= r].
+
+          {b Contract.} The hint must be honest: stepping the node in a
+          round [r < wake state] with an empty inbox must send nothing,
+          must not halt, and must leave the state unchanged, so skipping
+          the step is unobservable. {!Simulator_ref} steps every node
+          every round regardless and raises [Invalid_argument] when such a
+          step sends or halts; the differential suite compares final
+          states. Must not allocate — it runs after every step. *)
   msg_words : 'msg -> int;
       (** Size accounting: how many O(log n)-bit words the payload needs.
           Must be at least 1. *)
 }
+
+val every_round : int
+(** The wake hint of a node that must step in every round (0, which
+    precedes every round). Protocols that act on timers they do not
+    expose, such as {!Reliable.wrap}'s retransmissions, use it. *)
 
 type stats = {
   rounds : int;

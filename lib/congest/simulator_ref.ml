@@ -6,7 +6,15 @@
    the equivalence tests and the allocation benchmarks to compare against.
 
    Behavioral fixes that change observable semantics must land here and in
-   simulator.ml together; the differential suite enforces the lockstep. *)
+   simulator.ml together; the differential suite enforces the lockstep.
+
+   Wake hints are deliberately NOT honoured here: this core steps every
+   live node in every round, as it always has, and instead checks each
+   hint — a node stepped while its hint says it is asleep, with an empty
+   inbox, must send nothing and must not halt. An oracle that skipped
+   sleeping nodes could not catch a dishonest hint; this one turns the
+   differential suite into a proof that the production core's skipping
+   (and fast-forwarding) is unobservable. *)
 
 module Graph = Lcs_graph.Graph
 
@@ -14,12 +22,14 @@ type ctx = Simulator.ctx = {
   node : int;
   neighbors : int array;
   neighbor_edges : int array;
+  clock : int ref;
 }
 
 type ('state, 'msg) program = ('state, 'msg) Simulator.program = {
   init : ctx -> 'state;
   on_round : ctx -> 'state -> inbox:(int * 'msg) list -> 'state * (int * 'msg) list;
   is_halted : 'state -> bool;
+  wake : 'state -> int;
   msg_words : 'msg -> int;
 }
 
@@ -40,12 +50,13 @@ type 'state run_result = 'state Simulator.run_result =
   | Finished of 'state array * stats
   | Out_of_rounds of 'state array * partial
 
-let make_ctx g v =
+let make_ctx g clock v =
   let adj = Graph.adj_list g v in
   {
     node = v;
     neighbors = Array.of_list (List.map fst adj);
     neighbor_edges = Array.of_list (List.map snd adj);
+    clock;
   }
 
 (* reverse_ports.(v).(p) is the port at neighbor [w = neighbors.(p)] that
@@ -67,7 +78,9 @@ let reverse_ports ctxs =
 let run_outcome ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?faults g program =
   if bandwidth < 1 then invalid_arg "Simulator.run: bandwidth";
   let n = Graph.n g in
-  let ctxs = Array.init n (make_ctx g) in
+  (* The shared round cell, kept in lockstep with the production core. *)
+  let clock = ref 0 in
+  let ctxs = Array.init n (make_ctx g clock) in
   let rev = reverse_ports ctxs in
   (* The run owns the ambient Cause state: ids restart at 1 and are drawn
      in trace-event order, which both cores emit identically. *)
@@ -120,13 +133,13 @@ let run_outcome ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?faults g progr
      pays one branch per message and nothing else. *)
   let round_max = ref 0 in
   let out_of_rounds = ref false in
-  (* A node with an empty inbox whose last round produced no messages would
-     never change state again only if its program is quiescent; we cannot
-     know that, so we keep stepping until is_halted. *)
+  (* Every live node steps every round, whatever its wake hint says; a
+     step the hint declared asleep is checked instead (see the header). *)
   while !live > 0 && not !out_of_rounds do
     if !rounds >= max_rounds then out_of_rounds := true
     else begin
       incr rounds;
+      clock := !rounds;
       (match tracer with
       | None -> ()
       | Some t ->
@@ -166,6 +179,7 @@ let run_outcome ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?faults g progr
         if not (halted.(v) || crashed.(v)) then begin
           let inbox_r = inboxes.(v) in
           inboxes.(v) <- [];
+          let asleep = inbox_r = [] && program.wake states.(v) > !rounds in
           let inbox = List.rev_map (fun (p, _, m) -> (p, m)) inbox_r in
           (match tracer with
           | None -> ()
@@ -182,6 +196,13 @@ let run_outcome ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?faults g progr
                 inbox_r;
               Trace.Cause.activate ids);
           let state, outbox = program.on_round ctxs.(v) states.(v) ~inbox in
+          if asleep && (outbox <> [] || program.is_halted state) then
+            invalid_arg
+              (Printf.sprintf
+                 "Simulator_ref: dishonest wake hint: node %d %s in round %d while asleep"
+                 v
+                 (if outbox <> [] then "sent" else "halted")
+                 !rounds);
           states.(v) <- state;
           List.iter
             (fun (port, msg) ->

@@ -12,7 +12,14 @@
 
     Semantic changes are applied to {e both} cores in lockstep (e.g. the
     crash-time purge of pending delayed deliveries) — this module is a
-    mirror, not a museum piece. Do not use it outside tests and
+    mirror, not a museum piece. It keeps {!Simulator.round} in lockstep
+    too, but is deliberately {e hint-oblivious}: it steps every live node
+    in every round, ignoring [wake], and checks each hint instead — a
+    node stepped in a round before its wake round with an empty inbox
+    must send nothing and must not halt, or the run raises
+    [Invalid_argument]. Together with the differential comparison of
+    final states, this proves the production core's sleeping nodes and
+    fast-forwarded rounds unobservable. Do not use it outside tests and
     benchmarks; it allocates per round and per message. *)
 
 val run_outcome :

@@ -16,7 +16,6 @@ type phase =
   | Finished
 
 type state = {
-  clock : int;
   phase : phase;
   dist : int;
   parent_port : int;
@@ -25,7 +24,7 @@ type state = {
   heights_needed : int;
   best_height : int;
   global_height : int;
-  announce_clock : int;
+  announce_clock : int;  (** the round this node announced *)
   join_cause : int;
       (** causal id of the adopted Join message (0 when untraced or at the
           root) — the announce-clock timer fires two rounds later, so the
@@ -34,7 +33,6 @@ type state = {
 
 let initial is_root _ctx =
   {
-    clock = 0;
     phase = (if is_root then Announce else Idle);
     dist = (if is_root then 0 else -1);
     parent_port = -1;
@@ -91,7 +89,7 @@ let rec absorb_all st idx = function
   | entry :: rest -> absorb_all (absorb st idx entry) (idx + 1) rest
 
 let on_round ctx state ~inbox =
-  let state = { state with clock = state.clock + 1 } in
+  let round = Simulator.round ctx in
   (* 1. Absorb messages. *)
   let state = absorb_all state 0 inbox in
   (* 2. Act according to phase. *)
@@ -110,12 +108,12 @@ let on_round ctx state ~inbox =
         if port <> state.parent_port then out := (port, Join state.dist) :: !out
       done;
       if state.parent_port >= 0 then out := (state.parent_port, Child) :: !out;
-      ({ state with phase = Collect; announce_clock = state.clock }, !out)
+      ({ state with phase = Collect; announce_clock = round }, !out)
   | Collect ->
       (* Children's Child messages arrive exactly two rounds after our
          announcement: they hear us in round announce+1 and notify in round
          announce+2. *)
-      if state.clock >= state.announce_clock + 2 then begin
+      if round >= state.announce_clock + 2 then begin
         let nchildren = List.length state.children in
         if nchildren = 0 then
           if state.parent_port < 0 then
@@ -161,11 +159,20 @@ let on_round ctx state ~inbox =
       else (state, [])
   | Finished -> (state, [])
 
+(* Only an announcement and the Child-collection timer act without mail;
+   every other phase waits for a message. *)
+let wake st =
+  match st.phase with
+  | Announce -> Simulator.every_round
+  | Collect -> st.announce_clock + 2
+  | Idle | Gather | Wait_height | Finished -> max_int
+
 let make_program ~root =
   {
     Simulator.init = (fun ctx -> initial (ctx.Simulator.node = root) ctx);
     on_round;
     is_halted = (fun st -> st.phase = Finished);
+    wake;
     msg_words = words;
   }
 

@@ -205,6 +205,14 @@ let detection_wave_outcome ?(seed = 1) ?domains ?max_rounds ?tracer ?faults ?par
       Simulator.init;
       on_round;
       is_halted = (fun st -> st.phase = Done);
+      (* A collecting node with reports outstanding waits for them; a node
+         ready to decide, or streaming, sends every round until done. *)
+      wake =
+        (fun st ->
+          match st.phase with
+          | Collecting when st.pending > 0 -> max_int
+          | Collecting | Streaming -> Simulator.every_round
+          | Done -> max_int);
       msg_words = (fun _ -> 1);
     }
   in

@@ -46,6 +46,7 @@ let ping_pong_program target =
             else (st, []))
     ;
     is_halted = (fun st -> st.done_);
+    wake = (fun _ -> Simulator.every_round);
     msg_words = (fun _ -> 1);
   }
 
@@ -71,6 +72,7 @@ let simulator_enforces_bandwidth () =
           else (true, []))
       ;
       is_halted = (fun st -> st);
+      wake = (fun _ -> Simulator.every_round);
       msg_words = (fun _ -> 1);
     }
   in
@@ -92,6 +94,7 @@ let simulator_allows_wider_bandwidth () =
           else (true, []))
       ;
       is_halted = (fun st -> st);
+      wake = (fun _ -> Simulator.every_round);
       msg_words = (fun _ -> 1);
     }
   in
@@ -111,6 +114,7 @@ let simulator_rejects_oversized_message () =
           else (true, []))
       ;
       is_halted = (fun st -> st);
+      wake = (fun _ -> Simulator.every_round);
       msg_words = (fun _ -> 2);
     }
   in
@@ -128,6 +132,7 @@ let simulator_round_limit () =
       Simulator.init = (fun _ -> ());
       on_round = (fun _ () ~inbox -> ignore inbox; ((), []));
       is_halted = (fun () -> false);
+      wake = (fun _ -> Simulator.every_round);
       msg_words = (fun _ -> 1);
     }
   in

@@ -136,6 +136,7 @@ let flood_program ~rounds =
         let out = List.init degree (fun p -> (p, st.best)) in
         (st, if st.clock >= rounds then [] else out));
     is_halted = (fun st -> st.clock >= rounds);
+    wake = (fun _ -> Simulator.every_round);
     msg_words = (fun _ -> 1);
   }
 
@@ -184,6 +185,7 @@ let out_of_rounds_keeps_partial_state () =
       Simulator.init = (fun _ctx -> 0);
       on_round = (fun _ctx st ~inbox:_ -> (st + 1, []));
       is_halted = (fun _ -> false);
+      wake = (fun _ -> Simulator.every_round);
       msg_words = (fun _ -> 1);
     }
   in

@@ -76,6 +76,7 @@ let gossip ~pseed ~bw =
         in
         ({ acc; round; stop = st.stop }, outbox));
     is_halted = (fun st -> st.round >= st.stop);
+    wake = (fun _ -> Simulator.every_round);
     msg_words = (fun m -> 1 + (m mod bw));
   }
 
@@ -295,6 +296,7 @@ let bandwidth_parity () =
           if ctx.Simulator.node = 0 && not st then (true, [ (0, 1); (0, 2) ])
           else (true, []));
       is_halted = (fun st -> st);
+      wake = (fun _ -> Simulator.every_round);
       msg_words = (fun _ -> 1);
     }
   in
@@ -335,6 +337,7 @@ let step_exception_parity () =
           if id = bad && r = 2 then failwith "boom";
           ((id, r), [ (0, r) ]));
       is_halted = (fun (_, r) -> r >= 4);
+      wake = (fun _ -> Simulator.every_round);
       msg_words = (fun _ -> 1);
     }
   in
@@ -408,6 +411,7 @@ let crash_purges_delayed () =
           in
           ((id, r), outbox));
       is_halted = (fun (_, r) -> r >= 6);
+      wake = (fun _ -> Simulator.every_round);
       msg_words = (fun _ -> 1);
     }
   in
@@ -558,6 +562,7 @@ let cross_shard_crash_purge () =
           in
           ((id, r), outbox));
       is_halted = (fun (_, r) -> r >= 6);
+      wake = (fun _ -> Simulator.every_round);
       msg_words = (fun _ -> 1);
     }
   in

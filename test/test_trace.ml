@@ -114,6 +114,7 @@ let run_profiled_direct () =
           if ctx.Simulator.node = 0 && not sent then (true, [ (0, ()) ]) else (true, []))
       ;
       is_halted = (fun sent -> sent);
+      wake = (fun _ -> Simulator.every_round);
       msg_words = (fun () -> 1);
     }
   in
