@@ -1,13 +1,18 @@
 (** Graph diameter (hop metric).
 
-    Exact computation BFSes from every vertex and is used for the small
-    graphs of the unit tests; [estimate] uses the iterated double-sweep
-    heuristic plus an eccentricity upper bound and is what the experiment
-    harnesses use on large inputs. All functions raise [Invalid_argument] on
-    disconnected graphs. *)
+    [exact] prunes an all-pairs search with eccentricity bounds; [estimate]
+    uses the iterated double-sweep heuristic plus an eccentricity upper
+    bound and is what the experiment harnesses use on large inputs. All
+    functions raise [Invalid_argument] on disconnected graphs. *)
 
 val exact : Graph.t -> int
-(** O(n·m); intended for graphs up to a few thousand vertices. *)
+(** The largest eccentricity, computed by eccentricity-bound pruning
+    (BoundingDiameters): each BFS bounds every vertex's eccentricity, and
+    vertices whose upper bound cannot exceed the best eccentricity found
+    need no BFS of their own. The result equals the all-pairs definition;
+    the cost is a few BFS runs on the sparse, tree-like graphs of this
+    repository and O(n·m) in the worst case. One distance array and one
+    queue serve every BFS. *)
 
 type bounds = { lower : int; upper : int }
 

@@ -23,6 +23,12 @@ val congestion : Shortcut.t -> int
 
 val edge_load : Shortcut.t -> int array
 
+val part_subgraph : Shortcut.t -> int -> Lcs_graph.Graph.t
+(** [G[P_i] + H_i] as a standalone graph: the members of part [i] and
+    every endpoint of an [H_i] edge, renumbered from 0, with the host
+    edges internal to [P_i] plus [H_i]. Its diameter is the part's
+    dilation. *)
+
 val part_dilation : ?exact_limit:int -> Shortcut.t -> int -> int
 (** Diameter of [G[P_i] + H_i]. Exact when that subgraph has at most
     [exact_limit] (default 4096) vertices, otherwise a double-sweep lower

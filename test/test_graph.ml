@@ -214,6 +214,54 @@ let diameter_estimate_tree =
       let b = Diameter.estimate g in
       b.Diameter.lower = Diameter.exact g)
 
+(* The all-pairs definition, one BFS per vertex: the reference the pruned
+   [Diameter.exact] must reproduce. *)
+let all_pairs_diameter g =
+  let best = ref 0 in
+  for v = 0 to Graph.n g - 1 do
+    best := max !best (Bfs.eccentricity g v)
+  done;
+  !best
+
+let diameter_exact_is_all_pairs =
+  QCheck.Test.make ~name:"pruned exact diameter = all-pairs definition" ~count:120
+    QCheck.(triple (int_bound 100_000) (int_range 1 70) (int_bound 6))
+    (fun (seed, n, shape) ->
+      let rng = Rng.create seed in
+      let g =
+        match shape with
+        | 0 -> Generators.random_tree rng ~n
+        | 1 -> Generators.erdos_renyi_connected rng ~n ~p:(3. /. float_of_int (max 1 n))
+        | 2 -> Generators.grid ~rows:(1 + (n mod 7)) ~cols:(1 + (n / 7))
+        | 3 -> Generators.k_tree rng ~k:(1 + (seed mod 4)) ~n:(max 6 n)
+        | 4 -> Generators.caterpillar ~spine:(1 + (n mod 12)) ~legs:(n mod 4)
+        | 5 -> Generators.lollipop ~clique:(2 + (n mod 6)) ~tail:(n / 4)
+        | _ -> Generators.preferential_attachment rng ~n:(max 4 n) ~m0:2
+      in
+      Diameter.exact g = all_pairs_diameter g)
+
+(* The same on the graphs dilation is measured on: every part subgraph
+   G[P_i] + H_i of boosted shortcuts on grid and k-tree hosts. *)
+let diameter_exact_on_part_subgraphs =
+  QCheck.Test.make ~name:"pruned exact diameter = all-pairs on part subgraphs" ~count:20
+    QCheck.(pair (int_bound 100_000) QCheck.bool)
+    (fun (seed, grid) ->
+      let rng = Rng.create seed in
+      let g, parts =
+        if grid then
+          let g = Generators.grid ~rows:9 ~cols:9 in
+          (g, Partition.voronoi g rng ~parts:(2 + (seed mod 7)))
+        else
+          let g = Generators.k_tree rng ~k:3 ~n:90 in
+          (g, Partition.voronoi g rng ~parts:(2 + (seed mod 9)))
+      in
+      let sc = (Boost.full parts ~tree:(Bfs.tree g ~root:0)).Boost.shortcut in
+      List.for_all
+        (fun i ->
+          let sub = Quality.part_subgraph sc i in
+          Diameter.exact sub = all_pairs_diameter sub)
+        (List.init (Shortcut.k sc) Fun.id))
+
 let diameter_cycle () =
   let g = Generators.cycle 12 in
   check Alcotest.int "cycle diameter" 6 (Diameter.exact g);
@@ -660,6 +708,8 @@ let props =
     [
       bfs_tree_depths_match;
       diameter_estimate_tree;
+      diameter_exact_is_all_pairs;
+      diameter_exact_on_part_subgraphs;
       tree_bottom_up_order;
       partition_voronoi_covers;
       partition_random_blobs;
