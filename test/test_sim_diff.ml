@@ -80,6 +80,58 @@ let gossip ~pseed ~bw =
     msg_words = (fun m -> 1 + (m mod bw));
   }
 
+(* --- the sleepy gossip family -------------------------------------------- *)
+
+type sstate = { sacc : int; wake_at : int; stop : int; finished : bool }
+
+(* Gossip with honest wake hints: a node acts only when mail arrives or
+   its hash-chosen timer comes due, and a step before its wake round with
+   an empty inbox returns the state untouched and sends nothing. Timers
+   sleep up to [nap] rounds, a node may choose to listen only (its hint is
+   then its halting round), and fanouts are often zero, so stretches pass
+   with no node due and no message in flight — the rounds the core
+   fast-forwards. Halting rounds lie in [1..horizon]; every hint is at
+   most the halting round, so every node wakes to halt. *)
+let sleepy ~pseed ~bw ~nap ~horizon =
+  {
+    Simulator.init =
+      (fun ctx ->
+        let v = ctx.Simulator.node in
+        let stop = 1 + (mix pseed (v + 13) mod horizon) in
+        {
+          sacc = mix pseed v;
+          wake_at = min stop (1 + (mix pseed (v + 7) mod nap));
+          stop;
+          finished = false;
+        });
+    on_round =
+      (fun ctx st ~inbox ->
+        let round = Simulator.round ctx in
+        if inbox = [] && round < st.wake_at then (st, [])
+        else
+          let acc =
+            mix (List.fold_left (fun a (p, m) -> mix a (mix (p + 1) m)) st.sacc inbox) round
+          in
+          if round >= st.stop then ({ st with sacc = acc; finished = true }, [])
+          else
+            let deg = Array.length ctx.Simulator.neighbors in
+            let outbox =
+              if deg = 0 then []
+              else
+                let fanout = (mix acc 3 mod (min deg 3 + 2)) - 1 in
+                let start = mix acc 31 mod deg in
+                List.init (max 0 fanout) (fun i -> ((start + i) mod deg, mix acc (i + 977)))
+            in
+            let wake_at =
+              if mix acc 57 mod 4 = 0 then st.stop
+              else min st.stop (round + 1 + (mix acc 91 mod nap))
+            in
+            ({ st with sacc = acc; wake_at }, outbox));
+    is_halted = (fun st -> st.finished);
+    wake = (fun st -> st.wake_at);
+    msg_words = (fun m -> 1 + (m mod bw));
+  }
+
 (* --- generated fault plans --------------------------------------------- *)
 
 let gen_plan seed ~n ~m =
@@ -244,6 +296,38 @@ let diff_sharded_out_of_rounds =
       let g = random_connected_graph seed ~n ~extra:(n / 3) in
       let plan = if with_faults then Some (gen_plan seed ~n ~m:(Graph.m g)) else None in
       sharded_agrees ~max_rounds:2 ?plan g (gossip ~pseed:(mix seed 37) ~bw:1))
+
+(* Sleeping nodes and fast-forwarded rounds must be unobservable: the
+   oracle steps every node every round (checking each hint) while the core
+   skips, at every domain count, traced and untraced. *)
+let diff_sleepy_fault_free =
+  QCheck.Test.make ~name:"sharded = reference (sleepy gossip, fault-free)" ~count:60
+    QCheck.(triple (int_bound 100_000) (int_range 2 20) (int_bound 2))
+    (fun (seed, n, bw_sel) ->
+      let g = random_connected_graph seed ~n ~extra:(n / 2) in
+      let bw = 1 + bw_sel in
+      sharded_agrees ~bandwidth:bw g (sleepy ~pseed:(mix seed 61) ~bw ~nap:12 ~horizon:40))
+
+let diff_sleepy_faulty =
+  QCheck.Test.make ~name:"sharded = reference (sleepy gossip, fault plans)" ~count:60
+    QCheck.(triple (int_bound 100_000) (int_range 2 18) (int_bound 1))
+    (fun (seed, n, bw_sel) ->
+      let g = random_connected_graph seed ~n ~extra:(n / 2) in
+      let plan = gen_plan seed ~n ~m:(Graph.m g) in
+      let bw = 1 + bw_sel in
+      sharded_agrees ~bandwidth:bw ~plan g
+        (sleepy ~pseed:(mix seed 67) ~bw ~nap:12 ~horizon:40))
+
+let diff_sleepy_out_of_rounds =
+  QCheck.Test.make ~name:"sharded = reference (sleepy gossip, Out_of_rounds)" ~count:40
+    QCheck.(quad (int_bound 100_000) (int_range 2 14) QCheck.bool (int_range 1 50))
+    (fun (seed, n, with_faults, max_rounds) ->
+      let g = random_connected_graph seed ~n ~extra:(n / 3) in
+      let plan = if with_faults then Some (gen_plan seed ~n ~m:(Graph.m g)) else None in
+      (* Halting rounds up to 80 against a ceiling of at most 50: partial
+         outcomes, often with the ceiling inside a skipped stretch. *)
+      sharded_agrees ~max_rounds ?plan g
+        (sleepy ~pseed:(mix seed 71) ~bw:1 ~nap:20 ~horizon:80))
 
 (* Bipartite construction whose every edge joins the low and the high half
    of the id range: under the core's contiguous shard assignment
@@ -603,6 +687,180 @@ let cross_shard_crash_purge () =
         true purged)
     domain_counts
 
+(* --- sleeping nodes and skipped rounds ---------------------------------- *)
+
+type nap_state = { me : int; seen : int; fired : int; done_ : bool }
+
+(* Every node sleeps through long stretches: three timers per node (rounds
+   4-6, 22-23 and 52) each send one word on port 0, a delivery is only
+   absorbed, and every node halts at round 64. Rounds 8-21, 25-51 and
+   54-63 have no node due and nothing in flight. *)
+let napping =
+  let stop = 64 in
+  let wake_of st =
+    match st.fired with
+    | 0 -> 4 + (st.me mod 3)
+    | 1 -> 22 + (st.me mod 2)
+    | 2 -> 52
+    | _ -> stop
+  in
+  {
+    Simulator.init = (fun ctx -> { me = ctx.Simulator.node; seen = 0; fired = 0; done_ = false });
+    on_round =
+      (fun ctx st ~inbox ->
+        let round = Simulator.round ctx in
+        if inbox = [] && round < wake_of st then (st, [])
+        else
+          let seen = List.fold_left (fun a (p, m) -> mix a (mix p m)) st.seen inbox in
+          if round >= stop then ({ st with seen; done_ = true }, [])
+          else if round >= wake_of st then
+            ( { st with seen; fired = st.fired + 1 },
+              if Array.length ctx.Simulator.neighbors = 0 then [] else [ (0, mix st.me round) ] )
+          else ({ st with seen }, []));
+    is_halted = (fun st -> st.done_);
+    wake = wake_of;
+    msg_words = (fun _ -> 1);
+  }
+
+(* A ceiling inside a skipped stretch: the traced run (events and
+   Exact-mode profile bytes), the untraced run, and a profiled run with
+   flight snapshots must all reproduce the oracle — the partial payload
+   included — at every domain count. The finished run's profile and
+   snapshots must match too, and the collector must show the skipping:
+   far fewer activations than live node-rounds, and fewer committed
+   rounds than simulated ones. *)
+let skipped_rounds_observed () =
+  let g = Generators.grid ~rows:4 ~cols:5 in
+  let n = Graph.n g in
+  let ceiling = 40 and every = 5 in
+  let traced run =
+    let recorder = Trace.Recorder.create () in
+    let profile = Trace.Profile.create ~mode:Trace.Profile.Exact ~edges:(Graph.m g) () in
+    let tracer = Trace.tee [ Trace.Recorder.tracer recorder; Trace.Profile.tracer profile ] in
+    let result = run ~tracer in
+    (result, Trace.Recorder.events recorder, Json.to_string (Trace.Profile.to_json profile))
+  in
+  let vitals (s : Trace.Flight.snapshot) =
+    Trace.Flight.(s.round, s.words, s.messages, s.halted, s.top)
+  in
+  (* The oracle's snapshots: its profile at every [every]-th Round_end. *)
+  let oracle_flight ?max_rounds () =
+    let profile = Trace.Profile.create ~mode:Trace.Profile.Exact ~edges:(Graph.m g) () in
+    let snaps = ref [] in
+    let tracer ev =
+      Trace.Profile.tracer profile ev;
+      match ev with
+      | Trace.Round_end { round; _ } when round mod every = 0 ->
+          snaps := vitals (Trace.Flight.of_profile ~round profile) :: !snaps
+      | _ -> ()
+    in
+    ignore (Simulator_ref.run_outcome ?max_rounds ~tracer g napping);
+    (List.rev !snaps, Json.to_string (Trace.Profile.to_json profile))
+  in
+  let oracle_result, oracle_events, oracle_profile =
+    traced (fun ~tracer -> Simulator_ref.run_outcome ~max_rounds:ceiling ~tracer g napping)
+  in
+  (match oracle_result with
+  | Simulator.Out_of_rounds (_, p) ->
+      check Alcotest.int "ceiling reached" ceiling p.Simulator.partial_stats.Simulator.rounds
+  | Simulator.Finished _ -> Alcotest.fail "expected Out_of_rounds");
+  check Alcotest.bool "skipped rounds still traced" true
+    (List.exists (function Trace.Round_start { round = 30; _ } -> true | _ -> false) oracle_events);
+  let oracle_snaps, _ = oracle_flight ~max_rounds:ceiling () in
+  let full_snaps, full_profile = oracle_flight () in
+  List.iter
+    (fun d ->
+      let label what = Printf.sprintf "%s, domains=%d" what d in
+      let r, e, p =
+        traced (fun ~tracer ->
+            Simulator.run_outcome ~domains:d ~max_rounds:ceiling ~tracer g napping)
+      in
+      check Alcotest.bool (label "traced partial payload") true (same_result r oracle_result);
+      check Alcotest.bool (label "events") true (e = oracle_events);
+      check Alcotest.string (label "profile bytes") oracle_profile p;
+      check Alcotest.bool (label "untraced partial payload") true
+        (same_result (Simulator.run_outcome ~domains:d ~max_rounds:ceiling g napping) oracle_result);
+      let snaps = ref [] in
+      (match
+         Simulator.run_profiled ~domains:d ~max_rounds:ceiling
+           ~flight:(every, fun s -> snaps := s :: !snaps)
+           g napping
+       with
+      | _ -> Alcotest.fail "expected Round_limit"
+      | exception Simulator.Round_limit r -> check Alcotest.int (label "Round_limit") ceiling r);
+      let snaps = List.rev !snaps in
+      check Alcotest.bool (label "flight vitals (Out_of_rounds)") true
+        (List.map vitals snaps = oracle_snaps);
+      List.iter
+        (fun (s : Trace.Flight.snapshot) ->
+          check Alcotest.int (label "one queue per shard") d (Array.length s.Trace.Flight.queues))
+        snaps;
+      let snaps = ref [] in
+      let _, stats =
+        Simulator.run_profiled ~domains:d ~mode:Trace.Profile.Exact
+          ~flight:(every, fun s -> snaps := s :: !snaps)
+          g napping
+      in
+      check Alcotest.string (label "finished profile bytes") full_profile
+        (Json.to_string (Trace.Profile.to_json stats.Simulator.profile));
+      check Alcotest.bool (label "flight vitals (finished)") true
+        (List.rev_map vitals !snaps = full_snaps);
+      let pp = Par_profile.create () in
+      let _, stats = Simulator.run ~domains:d ~par_profile:pp g napping in
+      let acts =
+        Array.fold_left
+          (fun a (t : Par_profile.totals) -> a + t.Par_profile.activations)
+          0 (Par_profile.totals pp)
+      in
+      check Alcotest.int (label "rounds") 64 stats.Simulator.rounds;
+      check Alcotest.bool (label "activations far below live node-rounds") true
+        (acts < n * stats.Simulator.rounds / 4);
+      check Alcotest.bool (label "idle rounds not committed") true
+        (Par_profile.rounds pp < stats.Simulator.rounds))
+    (1 :: domain_counts)
+
+(* A hint that lies is caught by the oracle, which steps every node every
+   round: node 0 claims to wait for mail yet sends on a timer, and another
+   program's nodes halt while asleep. The core, which trusts hints, never
+   steps such nodes — which is why the oracle must check. *)
+let dishonest_hint_rejected () =
+  let g = Generators.path 3 in
+  let sends_asleep =
+    {
+      Simulator.init = (fun _ -> 0);
+      on_round =
+        (fun ctx st ~inbox:_ ->
+          if ctx.Simulator.node = 0 && Simulator.round ctx = 2 then (st + 1, [ (0, 7) ])
+          else (st, []));
+      is_halted = (fun st -> st > 5);
+      wake = (fun _ -> max_int);
+      msg_words = (fun _ -> 1);
+    }
+  in
+  let halts_asleep =
+    {
+      Simulator.init = (fun _ -> false);
+      on_round = (fun ctx _ ~inbox:_ -> (Simulator.round ctx >= 3, []));
+      is_halted = Fun.id;
+      wake = (fun _ -> max_int);
+      msg_words = (fun _ -> 1);
+    }
+  in
+  let raises p =
+    match Simulator_ref.run_outcome ~max_rounds:10 g p with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check Alcotest.bool "oracle rejects a send while asleep" true (raises sends_asleep);
+  check Alcotest.bool "oracle rejects a halt while asleep" true (raises halts_asleep);
+  match Simulator.run_outcome ~max_rounds:10 g sends_asleep with
+  | Simulator.Out_of_rounds (_, p) ->
+      check Alcotest.int "core skipped to the ceiling" 10
+        p.Simulator.partial_stats.Simulator.rounds;
+      check Alcotest.int "core never stepped the liar" 0
+        p.Simulator.partial_stats.Simulator.messages
+  | Simulator.Finished _ -> Alcotest.fail "expected Out_of_rounds"
+
 (* --- parallel-execution profiler --------------------------------------- *)
 
 (* Attaching a Par_profile collector must be invisible to every simulator
@@ -762,6 +1020,9 @@ let props =
       diff_sharded_faulty;
       diff_sharded_out_of_rounds;
       diff_sharded_cross_shard;
+      diff_sleepy_fault_free;
+      diff_sleepy_faulty;
+      diff_sleepy_out_of_rounds;
       traffic_matrix_reconciles;
     ]
 
@@ -776,5 +1037,7 @@ let suite =
     case "par_profile attach is observable-transparent" `Quick par_profile_transparent;
     case "domain-count clamp is one constant" `Quick clamp_unified;
     case "cross-shard generator sanity" `Quick cross_shard_graph_is_cross;
+    case "skipped rounds are observed like stepped ones" `Quick skipped_rounds_observed;
+    case "a dishonest wake hint is rejected" `Quick dishonest_hint_rejected;
   ]
   @ props
