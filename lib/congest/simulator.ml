@@ -250,6 +250,77 @@ let shutdown crew handles =
   Mutex.unlock crew.mutex;
   Array.iter Domain.join handles
 
+(* --- the wake schedule ------------------------------------------------------ *)
+
+(* The nodes one shard must visit in one round, each listed once (the run's
+   [mark] array dedupes), so the buffer never outgrows the shard. *)
+type due = { buf : int array; mutable len : int }
+
+(* In-place ascending heapsort of [a.(0 .. len-1)]. *)
+let sort_prefix a len =
+  let rec sift i n =
+    let l = (2 * i) + 1 in
+    if l < n then begin
+      let c = if l + 1 < n && a.(l + 1) > a.(l) then l + 1 else l in
+      if a.(c) > a.(i) then begin
+        let t = a.(i) in
+        a.(i) <- a.(c);
+        a.(c) <- t;
+        sift c n
+      end
+    end
+  in
+  for i = (len / 2) - 1 downto 0 do
+    sift i len
+  done;
+  for e = len - 1 downto 1 do
+    let t = a.(0) in
+    a.(0) <- a.(e);
+    a.(e) <- t;
+    sift 0 e
+  done
+
+(* One shard's armed wake-ups: a binary min-heap of (round, node) pairs in
+   two parallel buffers. An entry is live while it matches the node's
+   [armed] round; superseded entries are dropped when they surface. *)
+type timers = { t_at : int Vec.t; t_node : int Vec.t }
+
+let timers_top t = if Vec.length t.t_at = 0 then max_int else Vec.get t.t_at 0
+
+let timers_push t ~at ~node =
+  Vec.push t.t_at at;
+  Vec.push t.t_node node;
+  let i = ref (Vec.length t.t_at - 1) in
+  while !i > 0 && at < Vec.get t.t_at ((!i - 1) / 2) do
+    let p = (!i - 1) / 2 in
+    Vec.set t.t_at !i (Vec.get t.t_at p);
+    Vec.set t.t_node !i (Vec.get t.t_node p);
+    i := p
+  done;
+  Vec.set t.t_at !i at;
+  Vec.set t.t_node !i node
+
+let timers_pop t =
+  let last = Vec.length t.t_at - 1 in
+  let at = Vec.get t.t_at last and node = Vec.get t.t_node last in
+  Vec.truncate t.t_at last;
+  Vec.truncate t.t_node last;
+  if last > 0 then begin
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      let c = if l + 1 < last && Vec.get t.t_at (l + 1) < Vec.get t.t_at l then l + 1 else l in
+      if c < last && Vec.get t.t_at c < at then begin
+        Vec.set t.t_at !i (Vec.get t.t_at c);
+        Vec.set t.t_node !i (Vec.get t.t_node c);
+        i := c
+      end
+      else sifting := false
+    done;
+    Vec.set t.t_at !i at;
+    Vec.set t.t_node !i node
+  end
+
 (* --- the run --------------------------------------------------------------- *)
 
 (* Materialize the (port, msg) inbox list the program API expects, in
@@ -310,6 +381,42 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
   (* Each node's wake hint: the round from which it steps even with an
      empty inbox. Refreshed after every step, by the node's own shard. *)
   let wake = Array.map program.wake states in
+  (* The wake schedule, so a round costs the nodes it steps, not n.
+     [mark.(v) = r] iff [v] is listed to visit in round [r], in its
+     shard's [!due] (this round) or [!due_next] (the next), swapped at the
+     round boundary like the inboxes. A node is listed when mail reaches
+     it, when a step leaves its hint due next round, or when its armed
+     wake-up in its shard's [timers] fires; [armed.(v)] is the round of
+     that wake-up (max_int when none). Each shard's lists and heap are
+     written by its own domain during its phases, and by the calling
+     domain only between barriers. *)
+  let mark = Array.make (max 1 n) (-1) in
+  let due_lists () =
+    Array.init d (fun s -> { buf = Array.make (max 1 (bounds.(s + 1) - bounds.(s))) 0; len = 0 })
+  in
+  let due = ref (due_lists ()) and due_next = ref (due_lists ()) in
+  let timers = Array.init d (fun _ -> { t_at = Vec.create (); t_node = Vec.create () }) in
+  let armed = Array.make (max 1 n) max_int in
+  let enlist l v r =
+    if mark.(v) <> r then begin
+      mark.(v) <- r;
+      l.buf.(l.len) <- v;
+      l.len <- l.len + 1
+    end
+  in
+  let arm s v at =
+    timers_push timers.(s) ~at ~node:v;
+    armed.(v) <- at
+  in
+  (* Record [v]'s hint [w] after its step in round [r] ([init] is round 0). *)
+  let reschedule s v r w =
+    wake.(v) <- w;
+    if w <= r + 1 then enlist (if r = 0 then !due else !due_next).(s) v (r + 1)
+    else if w < armed.(v) then arm s v w
+  in
+  for v = 0 to n - 1 do
+    if not halted.(v) then reschedule owner.(v) v 0 wake.(v)
+  done;
   (* Inboxes as parallel (port, payload) buffers, double-buffered: [cur_*]
      is read this round, [nxt_*] collects deliveries for the next; the
      references swap at the round boundary. Capacity hints of [degree v]
@@ -374,9 +481,8 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
   let maxload_s = Array.make d 0 in
   let live_delta = Array.make d 0 in
   (* Per shard, written by its own domain once per round: the nodes it
-     stepped, and the smallest wake hint among its live nodes. *)
+     stepped. *)
   let stepped_s = Array.make d 0 in
-  let next_wake_s = Array.make d max_int in
   (* Per-shard touched budget slots, so the end-of-round clear is
      O(messages), not O(ports). The serialized path clears through shard
      0's list only. *)
@@ -466,59 +572,116 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
         Vec.push cell.ob_msg msg;
         send_fast s v base rest
   in
+  (* Move shard [s]'s wake-ups due by round [r] into its list for [r]. *)
+  let release s r =
+    let tm = timers.(s) and l = (!due).(s) in
+    while timers_top tm <= r do
+      let v = Vec.get tm.t_node 0 and at = Vec.get tm.t_at 0 in
+      timers_pop tm;
+      if armed.(v) = at then begin
+        armed.(v) <- max_int;
+        if not (halted.(v) || crashed.(v)) then
+          if wake.(v) <= r then enlist l v r else if wake.(v) < max_int then arm s v wake.(v)
+      end
+    done
+  in
+  (* The earliest round shard [s] has a wake-up armed for, after dropping
+     superseded entries and re-arming those whose hint moved later. *)
+  let rec next_wake s =
+    let tm = timers.(s) in
+    let at = timers_top tm in
+    if at = max_int then max_int
+    else begin
+      let v = Vec.get tm.t_node 0 in
+      if armed.(v) <> at || halted.(v) || crashed.(v) then begin
+        if armed.(v) = at then armed.(v) <- max_int;
+        timers_pop tm;
+        next_wake s
+      end
+      else if wake.(v) > at then begin
+        timers_pop tm;
+        armed.(v) <- max_int;
+        if wake.(v) < max_int then arm s v wake.(v);
+        next_wake s
+      end
+      else at
+    end
+  in
+  (* Visit shard [s]'s listed nodes of round [r] in ascending id order —
+     scanning the marks when most of the shard is listed, sorting the list
+     otherwise — and return how many [step] actually stepped. *)
+  let visit s r step =
+    release s r;
+    let l = (!due).(s) in
+    let stepped = ref 0 in
+    if 8 * l.len >= bounds.(s + 1) - bounds.(s) then
+      for v = bounds.(s) to bounds.(s + 1) - 1 do
+        if mark.(v) = r && step s v r then incr stepped
+      done
+    else begin
+      sort_prefix l.buf l.len;
+      for i = 0 to l.len - 1 do
+        if step s l.buf.(i) r then incr stepped
+      done
+    end;
+    l.len <- 0;
+    !stepped
+  in
+  (* Step listed node [v] if it is due — mail waiting, or its hint at or
+     before [r] — and say whether it stepped; a halted node's mail is
+     dropped instead. *)
+  let step_fast s v r =
+    let ports_v = (!cur_ports).(v) and msgs_v = (!cur_msgs).(v) in
+    if halted.(v) then begin
+      Vec.clear ports_v;
+      Vec.clear msgs_v;
+      false
+    end
+    else if Vec.length ports_v = 0 && wake.(v) > r then false
+    else begin
+      fail_node.(s) <- v;
+      let inbox = build_inbox ports_v msgs_v (Vec.length ports_v - 1) [] in
+      Vec.clear ports_v;
+      Vec.clear msgs_v;
+      let state, outbox = program.on_round ctxs.(v) states.(v) ~inbox in
+      states.(v) <- state;
+      send_fast s v (Intvec.get csr.port_offset v) outbox;
+      if program.is_halted state then begin
+        halted.(v) <- true;
+        live_delta.(s) <- live_delta.(s) - 1;
+        if profiled then Trace.Profile.record_halt shards.(s) ~round:r
+      end
+      else reschedule s v r (program.wake state);
+      true
+    end
+  in
   let phase_compute_fast s =
     let r = !rounds in
-    let stepped = ref 0 and next = ref max_int in
-    (try
-       for v = bounds.(s) to bounds.(s + 1) - 1 do
-         let ports_v = (!cur_ports).(v) and msgs_v = (!cur_msgs).(v) in
-         if not halted.(v) then begin
-           if Vec.length ports_v > 0 || wake.(v) <= r then begin
-             fail_node.(s) <- v;
-             incr stepped;
-             let inbox = build_inbox ports_v msgs_v (Vec.length ports_v - 1) [] in
-             Vec.clear ports_v;
-             Vec.clear msgs_v;
-             let state, outbox = program.on_round ctxs.(v) states.(v) ~inbox in
-             states.(v) <- state;
-             send_fast s v (Intvec.get csr.port_offset v) outbox;
-             if program.is_halted state then begin
-               halted.(v) <- true;
-               live_delta.(s) <- live_delta.(s) - 1;
-               if profiled then Trace.Profile.record_halt shards.(s) ~round:r
-             end
-             else wake.(v) <- program.wake state
-           end;
-           if (not halted.(v)) && wake.(v) < !next then next := wake.(v)
-         end
-         else if Vec.length ports_v > 0 then begin
-           Vec.clear ports_v;
-           Vec.clear msgs_v
-         end
-       done;
-       for i = 0 to ntouched.(s) - 1 do
-         budget.(touched_s.(s).(i)) <- 0
-       done;
-       ntouched.(s) <- 0;
-       if profiled then begin
-         (* Close the round on this shard: its local bandwidth high-water
-            mark; the shard merge's [set_max] recovers the global one. *)
-         Trace.Profile.record_round shards.(s) ~round:r ~max_edge_load:roundmax_s.(s);
-         roundmax_s.(s) <- 0
-       end
-     with exn -> fail.(s) <- Some (fail_node.(s), exn));
-    stepped_s.(s) <- !stepped;
-    next_wake_s.(s) <- !next
+    try
+      stepped_s.(s) <- visit s r step_fast;
+      for i = 0 to ntouched.(s) - 1 do
+        budget.(touched_s.(s).(i)) <- 0
+      done;
+      ntouched.(s) <- 0;
+      if profiled then begin
+        (* Close the round on this shard: its local bandwidth high-water
+           mark; the shard merge's [set_max] recovers the global one. *)
+        Trace.Profile.record_round shards.(s) ~round:r ~max_edge_load:roundmax_s.(s);
+        roundmax_s.(s) <- 0
+      end
+    with exn -> fail.(s) <- Some (fail_node.(s), exn)
   in
   let phase_drain t =
     (* Drain in source-shard order: shards are contiguous ascending id
        ranges, so this concatenation IS the ascending-sender send order. *)
+    let next = (!due_next).(t) and r = !rounds + 1 in
     for s = 0 to d - 1 do
       let cell = out.(s).(t) in
       for i = 0 to Vec.length cell.ob_dst - 1 do
         let w = Vec.get cell.ob_dst i in
         Vec.push (!nxt_ports).(w) (Vec.get cell.ob_port i);
-        Vec.push (!nxt_msgs).(w) (Vec.get cell.ob_msg i)
+        Vec.push (!nxt_msgs).(w) (Vec.get cell.ob_msg i);
+        enlist next w r
       done;
       Vec.clear cell.ob_dst;
       Vec.clear cell.ob_port;
@@ -552,45 +715,40 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
         end;
         buffer_sends s rest (k + 1)
   in
+  let step_slow s v r =
+    let ports_v = (!cur_ports).(v) and msgs_v = (!cur_msgs).(v) in
+    if halted.(v) || crashed.(v) then begin
+      Vec.clear ports_v;
+      Vec.clear msgs_v;
+      if traced then Vec.clear (!cur_ids).(v);
+      false
+    end
+    else if Vec.length ports_v = 0 && wake.(v) > r then false
+    else begin
+      fail_node.(s) <- v;
+      let inbox = build_inbox ports_v msgs_v (Vec.length ports_v - 1) [] in
+      Vec.clear ports_v;
+      Vec.clear msgs_v;
+      if traced then begin
+        let ids_v = (!cur_ids).(v) in
+        Trace.Cause.activate (Vec.to_array ids_v);
+        Vec.clear ids_v
+      end;
+      let state, outbox = program.on_round ctxs.(v) states.(v) ~inbox in
+      states.(v) <- state;
+      let k = buffer_sends s outbox 0 in
+      if traced then Trace.Cause.deactivate ();
+      let halts = program.is_halted state in
+      if halts then halted.(v) <- true else reschedule s v r (program.wake state);
+      Vec.push act_node.(s) v;
+      Vec.push act_sends.(s) k;
+      Vec.push act_halt.(s) (if halts then 1 else 0);
+      true
+    end
+  in
   let phase_compute_slow s =
-    let r = !rounds in
-    let stepped = ref 0 and next = ref max_int in
-    (try
-       for v = bounds.(s) to bounds.(s + 1) - 1 do
-         let ports_v = (!cur_ports).(v) and msgs_v = (!cur_msgs).(v) in
-         if halted.(v) || crashed.(v) then begin
-           Vec.clear ports_v;
-           Vec.clear msgs_v;
-           if traced then Vec.clear (!cur_ids).(v)
-         end
-         else begin
-           if Vec.length ports_v > 0 || wake.(v) <= r then begin
-             fail_node.(s) <- v;
-             incr stepped;
-             let inbox = build_inbox ports_v msgs_v (Vec.length ports_v - 1) [] in
-             Vec.clear ports_v;
-             Vec.clear msgs_v;
-             if traced then begin
-               let ids_v = (!cur_ids).(v) in
-               Trace.Cause.activate (Vec.to_array ids_v);
-               Vec.clear ids_v
-             end;
-             let state, outbox = program.on_round ctxs.(v) states.(v) ~inbox in
-             states.(v) <- state;
-             let k = buffer_sends s outbox 0 in
-             if traced then Trace.Cause.deactivate ();
-             let halts = program.is_halted state in
-             if halts then halted.(v) <- true else wake.(v) <- program.wake state;
-             Vec.push act_node.(s) v;
-             Vec.push act_sends.(s) k;
-             Vec.push act_halt.(s) (if halts then 1 else 0)
-           end;
-           if (not halted.(v)) && wake.(v) < !next then next := wake.(v)
-         end
-       done
-     with exn -> fail.(s) <- Some (fail_node.(s), exn));
-    stepped_s.(s) <- !stepped;
-    next_wake_s.(s) <- !next
+    try stepped_s.(s) <- visit s !rounds step_slow
+    with exn -> fail.(s) <- Some (fail_node.(s), exn)
   in
   (* Replay one buffered send on the calling domain, with the causal
      declaration read from the buffer. Ids, verdicts and trace events are
@@ -644,7 +802,8 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
                  });
             Vec.push (!nxt_ids).(w) id);
         Vec.push (!nxt_ports).(w) back;
-        Vec.push (!nxt_msgs).(w) msg
+        Vec.push (!nxt_msgs).(w) msg;
+        enlist (!due_next).(owner.(w)) w (!rounds + 1)
     | Some inj ->
         (* The transmission consumed its slot on the wire either way (the
            budget above); what the network then does to it is the
@@ -723,7 +882,8 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
                     | None -> ()
                     | Some _ -> Vec.push (!nxt_ids).(w) id);
                     Vec.push (!nxt_ports).(w) back;
-                    Vec.push (!nxt_msgs).(w) msg
+                    Vec.push (!nxt_msgs).(w) msg;
+                    enlist (!due_next).(owner.(w)) w (!rounds + 1)
                   end
                   else
                     let at = !rounds + 1 + delay in
@@ -876,7 +1036,6 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
   let observed =
     traced || profiled || match flight with Some (every, _) -> every > 0 | None -> false
   in
-  let sent_total () = Array.fold_left ( + ) !messages messages_s in
   let crew = make_crew d in
   let handles = Array.init (d - 1) (fun i -> Domain.spawn (worker crew (i + 1) ~traced)) in
   Fun.protect ~finally:(fun () -> shutdown crew handles) @@ fun () ->
@@ -895,7 +1054,6 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
     else begin
       incr rounds;
       clock := !rounds;
-      let sent_before = sent_total () in
       if serialized then begin
         (match tracer with
         | None -> ()
@@ -930,6 +1088,7 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
                 if not (halted.(p.p_dst) || crashed.(p.p_dst)) then begin
                   Vec.push (!cur_ports).(p.p_dst) p.p_port;
                   Vec.push (!cur_msgs).(p.p_dst) p.p_msg;
+                  enlist (!due).(owner.(p.p_dst)) p.p_dst !rounds;
                   match tracer with
                   | None -> ()
                   | Some _ -> Vec.push (!cur_ids).(p.p_dst) p.p_id
@@ -970,6 +1129,9 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
         cur_ids := !nxt_ids;
         nxt_ids := ti
       end;
+      let td = !due in
+      due := !due_next;
+      due_next := td;
       (match tracer with
       | None -> ()
       | Some t -> t (Trace.Round_end { round = !rounds; max_edge_load = !round_max }));
@@ -977,8 +1139,15 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
       (match par_profile with
       | None -> ()
       | Some pp -> Par_profile.commit_round pp ~round:!rounds);
-      if faults = None && !live > 0 && sent_total () = sent_before then begin
-        let next = Array.fold_left min max_int next_wake_s in
+      (* Nothing listed for the next round means nothing was sent and no
+         hint is due then: skip to the earliest armed wake-up. *)
+      if faults = None && !live > 0 && Array.for_all (fun l -> l.len = 0) !due then begin
+        let next = ref max_int in
+        for s = 0 to d - 1 do
+          let w = next_wake s in
+          if w < !next then next := w
+        done;
+        let next = !next in
         if next > !rounds + 1 then begin
           let last = min (next - 1) max_rounds in
           if observed then
