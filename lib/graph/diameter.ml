@@ -1,3 +1,5 @@
+module Intvec = Lcs_util.Intvec
+
 (* Exact diameter by eccentricity-bound pruning (BoundingDiameters,
    Takes & Kosters 2011). A BFS from [v] yields ecc(v) and, by the
    triangle inequality, bounds every [w]:
@@ -14,6 +16,8 @@
 let exact g =
   let n = Graph.n g in
   if n = 0 then invalid_arg "Diameter.exact: empty graph";
+  let off = Graph.csr_offsets g and nbr = Graph.csr_neighbors g in
+  let degree = Array.init n (Graph.degree g) in
   let dist = Array.make n (-1) and queue = Array.make n 0 in
   let lo = Array.make n 0 and hi = Array.make n max_int in
   let is_open = Array.make n true in
@@ -25,12 +29,15 @@ let exact g =
     while !head < !tail do
       let v = queue.(!head) in
       incr head;
-      Graph.iter_adj g v (fun w _e ->
-          if dist.(w) < 0 then begin
-            dist.(w) <- dist.(v) + 1;
-            queue.(!tail) <- w;
-            incr tail
-          end)
+      let dv = dist.(v) + 1 in
+      for slot = Intvec.unsafe_get off v to Intvec.unsafe_get off (v + 1) - 1 do
+        let w = Intvec.unsafe_get nbr slot in
+        if dist.(w) < 0 then begin
+          dist.(w) <- dv;
+          queue.(!tail) <- w;
+          incr tail
+        end
+      done
     done;
     if !tail < n then invalid_arg "Diameter.exact: graph is disconnected";
     (* BFS order is by distance: the last vertex queued is the farthest. *)
@@ -45,7 +52,7 @@ let exact g =
           b < 0
           ||
           let kw = if high then hi.(w) else -lo.(w) and kb = if high then hi.(b) else -lo.(b) in
-          kw > kb || (kw = kb && Graph.degree g w > Graph.degree g b)
+          kw > kb || (kw = kb && degree.(w) > degree.(b))
         then best := w
     done;
     !best
@@ -61,8 +68,9 @@ let exact g =
     for w = 0 to n - 1 do
       if is_open.(w) then begin
         let d = dist.(w) in
-        lo.(w) <- max lo.(w) (max d (e - d));
-        hi.(w) <- min hi.(w) (e + d);
+        let l = if d > e - d then d else e - d and h = e + d in
+        if l > lo.(w) then lo.(w) <- l;
+        if h < hi.(w) then hi.(w) <- h;
         if hi.(w) <= !diameter then is_open.(w) <- false else incr remaining
       end
     done

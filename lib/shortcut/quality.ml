@@ -2,6 +2,7 @@ module Graph = Lcs_graph.Graph
 module Partition = Lcs_graph.Partition
 module Diameter = Lcs_graph.Diameter
 module Union_find = Lcs_graph.Union_find
+module Intvec = Lcs_util.Intvec
 
 type report = {
   congestion : int;
@@ -25,31 +26,41 @@ let edge_load sc =
 let congestion sc = Array.fold_left max 0 (edge_load sc)
 
 (* The subgraph G[P_i] + H_i as an explicit graph. Vertices: P_i plus every
-   endpoint of an H_i edge; edges: host edges internal to P_i plus H_i. *)
-let part_subgraph sc i =
+   endpoint of an H_i edge, members first; edges: host edges internal to P_i
+   plus H_i. The host-sized renumbering tables live in a scratch record
+   that a measurement shares across its parts: [local] maps a host vertex
+   to its id in the part being built (-1 outside it) and is reset after
+   each part, and [taken] stamps the host edges the current part already
+   took. *)
+type scratch = { local : int array; taken : int array; mutable stamp : int }
+
+let scratch host =
+  { local = Array.make (Graph.n host) (-1); taken = Array.make (Graph.m host) (-1); stamp = 0 }
+
+let subgraph_in scratch sc i =
   let host = Shortcut.graph sc in
   let partition = Shortcut.partition sc in
-  let members = Partition.members partition i in
-  let renumber = Hashtbl.create (2 * Array.length members) in
-  let fresh = ref 0 in
+  let order = Lcs_util.Vec.create () in
   let intern v =
-    match Hashtbl.find_opt renumber v with
-    | Some id -> id
-    | None ->
-        let id = !fresh in
-        incr fresh;
-        Hashtbl.add renumber v id;
-        id
+    if scratch.local.(v) < 0 then begin
+      scratch.local.(v) <- Lcs_util.Vec.length order;
+      Lcs_util.Vec.push order v
+    end;
+    scratch.local.(v)
   in
-  Array.iter (fun v -> ignore (intern v)) members;
-  let edge_seen = Hashtbl.create 64 in
-  let edge_list = ref [] in
+  scratch.stamp <- scratch.stamp + 1;
+  let us = Intvec.create () and vs = Intvec.create () in
   let add_edge e u v =
-    if not (Hashtbl.mem edge_seen e) then begin
-      Hashtbl.add edge_seen e ();
-      edge_list := (intern u, intern v) :: !edge_list
+    if scratch.taken.(e) <> scratch.stamp then begin
+      scratch.taken.(e) <- scratch.stamp;
+      let b = intern v in
+      let a = intern u in
+      Intvec.push us (min a b);
+      Intvec.push vs (max a b)
     end
   in
+  let members = Partition.members partition i in
+  Array.iter (fun v -> ignore (intern v)) members;
   Array.iter
     (fun v ->
       Graph.iter_adj host v (fun w e ->
@@ -60,17 +71,24 @@ let part_subgraph sc i =
       let u, v = Graph.edge_endpoints host e in
       add_edge e u v)
     (Shortcut.edges_array sc i);
-  Graph.create ~n:!fresh (List.rev !edge_list)
+  Lcs_util.Vec.iter (fun v -> scratch.local.(v) <- -1) order;
+  Graph.of_endpoints ~what:"Quality.part_subgraph" ~n:(Lcs_util.Vec.length order)
+    (Intvec.freeze us) (Intvec.freeze vs)
 
-let part_dilation ?(exact_limit = 4096) sc i =
-  let sub = part_subgraph sc i in
-  Diameter.of_graph ~exact_limit sub
+let part_subgraph sc i = subgraph_in (scratch (Shortcut.graph sc)) sc i
+
+let dilation_in ?(exact_limit = 4096) scratch sc i =
+  Diameter.of_graph ~exact_limit (subgraph_in scratch sc i)
+
+let part_dilation ?exact_limit sc i =
+  dilation_in ?exact_limit (scratch (Shortcut.graph sc)) sc i
 
 let dilation ?exact_limit sc =
+  let scratch = scratch (Shortcut.graph sc) in
   let best = ref 0 in
   for i = 0 to Shortcut.k sc - 1 do
     if Shortcut.is_covered sc i then begin
-      let d = part_dilation ?exact_limit sc i in
+      let d = dilation_in ?exact_limit scratch sc i in
       if d > !best then best := d
     end
   done;
@@ -174,10 +192,11 @@ let measure ?exact_limit sc =
   let per_part_dilation = Array.make k (-1) in
   let per_part_blocks = Array.make k (-1) in
   let covered = ref 0 in
+  let scratch = scratch (Shortcut.graph sc) in
   for i = 0 to k - 1 do
     if Shortcut.is_covered sc i then begin
       incr covered;
-      per_part_dilation.(i) <- part_dilation ?exact_limit sc i;
+      per_part_dilation.(i) <- dilation_in ?exact_limit scratch sc i;
       per_part_blocks.(i) <- part_blocks sc i
     end
   done;
