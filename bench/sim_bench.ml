@@ -365,14 +365,17 @@ let curve name run =
         let pp = Par_profile.create () in
         ignore (run ~par_profile:pp d);
         let dec = Par_profile.decomposition pp in
+        let sum f = Array.fold_left (fun acc t -> acc + f t) 0 (Par_profile.totals pp) in
         Printf.printf
           "scaling/%-16s %d domains  %8.2f ms  speedup %5.2fx  imbalance \
-           %4.2f  barrier %5.1f%%\n%!"
+           %4.2f  barrier %5.1f%%  messages %d  activations %d\n%!"
           name d (s *. 1e3) speedup
           (Par_profile.imbalance pp)
           (100.
           *. dec.Par_profile.d_barrier_s
-          /. Float.max 1e-9 dec.Par_profile.d_wall_s);
+          /. Float.max 1e-9 dec.Par_profile.d_wall_s)
+          (sum (fun t -> t.Par_profile.messages))
+          (sum (fun t -> t.Par_profile.activations));
         (d, s, speedup, pp))
       scaling_counts
   in
@@ -411,6 +414,7 @@ let curve name run =
                                                +. t.Par_profile.deliver_s) );
                                  ("barrier_s", Json.Float t.Par_profile.barrier_s);
                                  ("messages", Json.Int t.Par_profile.messages);
+                                 ("activations", Json.Int t.Par_profile.activations);
                                  ("words", Json.Int t.Par_profile.words);
                                ])
                            totals)) );

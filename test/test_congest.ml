@@ -232,6 +232,75 @@ let props =
   List.map QCheck_alcotest.to_alcotest
     [ sync_bfs_matches_bfs; convergecast_min; leader_election_on_random ]
 
+(* --- activations ------------------------------------------------------- *)
+
+(* The core steps a node only when it receives a message, sends one, or
+   wakes for at most one timer or halt of its own per run, so the nodes it
+   steps are at most 2·messages + 2n — against n × rounds live
+   node-rounds when every node stepped every round. Checked through the
+   Par_profile activation counts for sync BFS, part-wise aggregation and
+   the Thm 1.5 detection wave, on a grid and a k-tree, at one and two
+   domains. *)
+let activations_bounded_by_messages () =
+  let hosts =
+    let grid =
+      let g = Generators.grid ~rows:12 ~cols:12 in
+      ("grid12", g, Partition.grid_rows g ~rows:12 ~cols:12)
+    in
+    let ktree =
+      let rng = Rng.create 3 in
+      let g = Generators.k_tree rng ~k:4 ~n:150 in
+      ("ktree4_150", g, Partition.voronoi g rng ~parts:10)
+    in
+    [ grid; ktree ]
+  in
+  List.iter
+    (fun (name, g, parts) ->
+      let n = Graph.n g in
+      let tree = Bfs.tree g ~root:0 in
+      let sc = (Boost.full parts ~tree).Boost.shortcut in
+      let values = Array.init n (fun v -> (v * 37) mod 101) in
+      let info = Tree_info.of_tree g tree in
+      List.iter
+        (fun domains ->
+          let measured label run =
+            let pp = Par_profile.create () in
+            let stats = run pp in
+            let acts =
+              Array.fold_left
+                (fun a (t : Par_profile.totals) -> a + t.Par_profile.activations)
+                0 (Par_profile.totals pp)
+            in
+            let msgs = stats.Simulator.messages and rounds = stats.Simulator.rounds in
+            let label = Printf.sprintf "%s on %s, domains=%d" label name domains in
+            check Alcotest.bool
+              (Printf.sprintf "%s: %d activations <= 2*%d messages + 2n" label acts msgs)
+              true
+              (acts <= (2 * msgs) + (2 * n));
+            check Alcotest.bool
+              (Printf.sprintf "%s: fewer activations than live node-rounds" label)
+              true
+              (acts < n * rounds)
+          in
+          measured "sync bfs" (fun pp ->
+              let _, _, stats = Sync_bfs.run ~domains ~par_profile:pp g ~root:0 in
+              stats);
+          measured "part-wise aggregation" (fun pp ->
+              (Sim_aggregate.minimum ~domains ~par_profile:pp (Rng.create 5) sc ~values)
+                .Sim_aggregate.stats);
+          List.iter
+            (fun (vname, variant) ->
+              measured ("detection wave, " ^ vname) (fun pp ->
+                  snd
+                    (Distributed.detection_wave ~domains ~par_profile:pp ~variant
+                       ~threshold:4 parts info)))
+            [
+              ("randomized", Distributed.Randomized { repetitions = 8 });
+              ("deterministic", Distributed.Deterministic);
+            ])
+        [ 1; 2 ])
+    hosts
+
 let suite =
   [
     case "simulator: ping pong" `Quick simulator_ping_pong;
@@ -246,5 +315,6 @@ let suite =
     case "broadcast: delivers" `Quick broadcast_delivers;
     case "convergecast: sums" `Quick convergecast_sums;
     case "leader election: grid" `Quick leader_election_elects_max;
+    case "activations <= 2 messages + 2n" `Quick activations_bounded_by_messages;
   ]
   @ props
