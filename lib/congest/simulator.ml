@@ -10,6 +10,15 @@
    domain, during the drain phase), with the phase barrier between them —
    so the hot path takes no locks at all.
 
+   Only due nodes step. A node is due in a round when mail reaches it or
+   its program's wake hint comes due; each shard lists its due nodes and
+   keeps its armed wake-ups in a small heap, so a round costs the nodes it
+   steps rather than the node count. A fault-free round that sends nothing
+   fast-forwards the loop to the earliest armed wake-up, replaying only
+   the round boundaries that observers see. The hint's contract makes the
+   skipping unobservable; Simulator_ref, which still steps every node every
+   round, checks that contract.
+
    The message plane lives on flat, preallocated arrays: the graph's own
    CSR port layout (every per-message lookup — destination, host edge id,
    return port — is one int-array read), per-port word budgets in one int
@@ -25,8 +34,8 @@
    assignment, fault verdict order — is byte-identical at every domain
    count. Two facts make that cheap:
 
-   - Shards are CONTIGUOUS id ranges and every domain walks its nodes in
-     ascending order, so draining the outbox cells in source-shard order
+   - Shards are CONTIGUOUS id ranges and every domain steps its due nodes
+     in ascending order, so draining the outbox cells in source-shard order
      reproduces the ascending-sender send order at every inbox.
    - Traced or faulty runs never consume shared sequential state (the id
      counter, the fault injector's random stream, the tracer callback)
@@ -378,9 +387,9 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
   let states = Array.map program.init ctxs in
   let halted = Array.map program.is_halted states in
   let live = ref (Array.fold_left (fun acc h -> if h then acc else acc + 1) 0 halted) in
-  (* Each node's wake hint: the round from which it steps even with an
-     empty inbox. Refreshed after every step, by the node's own shard. *)
-  let wake = Array.map program.wake states in
+  (* A node's wake hint: the round from which it steps even with an empty
+     inbox. Read off its current state, by its own shard. *)
+  let wake v = program.wake states.(v) in
   (* The wake schedule, so a round costs the nodes it steps, not n.
      [mark.(v) = r] iff [v] is listed to visit in round [r], in its
      shard's [!due] (this round) or [!due_next] (the next), swapped at the
@@ -408,14 +417,14 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
     timers_push timers.(s) ~at ~node:v;
     armed.(v) <- at
   in
-  (* Record [v]'s hint [w] after its step in round [r] ([init] is round 0). *)
+  (* Schedule [v] by its hint [w] after its step in round [r] ([init] is
+     round 0). *)
   let reschedule s v r w =
-    wake.(v) <- w;
     if w <= r + 1 then enlist (if r = 0 then !due else !due_next).(s) v (r + 1)
     else if w < armed.(v) then arm s v w
   in
   for v = 0 to n - 1 do
-    if not halted.(v) then reschedule owner.(v) v 0 wake.(v)
+    if not halted.(v) then reschedule owner.(v) v 0 (wake v)
   done;
   (* Inboxes as parallel (port, payload) buffers, double-buffered: [cur_*]
      is read this round, [nxt_*] collects deliveries for the next; the
@@ -581,7 +590,8 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
       if armed.(v) = at then begin
         armed.(v) <- max_int;
         if not (halted.(v) || crashed.(v)) then
-          if wake.(v) <= r then enlist l v r else if wake.(v) < max_int then arm s v wake.(v)
+          let w = wake v in
+          if w <= r then enlist l v r else if w < max_int then arm s v w
       end
     done
   in
@@ -598,10 +608,10 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
         timers_pop tm;
         next_wake s
       end
-      else if wake.(v) > at then begin
+      else if wake v > at then begin
         timers_pop tm;
         armed.(v) <- max_int;
-        if wake.(v) < max_int then arm s v wake.(v);
+        if wake v < max_int then arm s v (wake v);
         next_wake s
       end
       else at
@@ -637,7 +647,7 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
       Vec.clear msgs_v;
       false
     end
-    else if Vec.length ports_v = 0 && wake.(v) > r then false
+    else if Vec.length ports_v = 0 && wake v > r then false
     else begin
       fail_node.(s) <- v;
       let inbox = build_inbox ports_v msgs_v (Vec.length ports_v - 1) [] in
@@ -723,7 +733,7 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
       if traced then Vec.clear (!cur_ids).(v);
       false
     end
-    else if Vec.length ports_v = 0 && wake.(v) > r then false
+    else if Vec.length ports_v = 0 && wake v > r then false
     else begin
       fail_node.(s) <- v;
       let inbox = build_inbox ports_v msgs_v (Vec.length ports_v - 1) [] in
