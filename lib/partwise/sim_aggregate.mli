@@ -1,14 +1,24 @@
 (** Part-wise aggregation as a genuine {!Lcs_congest.Simulator} program.
 
     The dedicated {!Packet_router} simulates the flooding at the packet
-    level for speed; this module runs the {e same} protocol as a CONGEST
-    node program under the simulator's enforced 1-word bandwidth — every
-    node multiplexes the parts it serves over its links, choosing each
-    round's message per port by the random-delay priority. It exists to
-    validate the router (the tests compare both engines' answers and check
-    the round counts agree within a small factor) and to demonstrate the
-    full pipeline — BFS, detection waves, aggregation — living inside one
-    enforced model.
+    level; this module runs the {e same} protocol as a CONGEST node
+    program under the simulator's enforced 1-word bandwidth — every node
+    multiplexes the parts it serves over its links, choosing each round's
+    message per port by the random-delay priority. It is the engine
+    behind [Mst.boruvka ~domains] (at more than one domain) and the
+    pipeline benchmark, it cross-checks the router (the tests compare both
+    engines' answers and check the round counts agree within a small
+    factor), and it shows the full pipeline — BFS, detection waves,
+    aggregation — living inside one enforced model.
+
+    Cost follows the messages, not nodes × rounds: the per-node state
+    lives in flat arrays built once per run (the parts each node serves
+    and their ports, one unboxed heap of (delay, FIFO sequence)-keyed
+    words per port), a stepped node allocates only the inbox/outbox lists
+    the simulator API requires, and a node whose port queues are empty
+    sleeps until mail arrives or its halting round comes (its
+    {!Lcs_congest.Simulator.program} wake hint), so the rounds after
+    convergence are fast-forwarded.
 
     A message carries (part, value): two machine integers, each O(log n)
     bits, i.e. one CONGEST word. Termination: nodes run for a caller-given
