@@ -38,7 +38,9 @@ open Core
    forwarding lists are precomputed (a routing-table pattern), and the
    state is an immediate int, so the measured loop is the simulator core
    plus only the inbox lists its API mandates. States: 0 = waiting,
-   1 = has the token, 2 = forwarded and halted. *)
+   1 = has the token, 2 = forwarded and halted. Every node stays due every
+   round ([every_round]) rather than sleeping until the token arrives, so
+   the domain-scaling curve keeps measuring the same per-round work. *)
 let flood_program g ~root =
   let outboxes =
     Array.init (Graph.n g) (fun v ->

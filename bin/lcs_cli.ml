@@ -1390,7 +1390,8 @@ let graph_cmd =
 (* Graph flood: the root's token reaches every node, each node forwards on
    every port exactly once — 2m messages in eccentricity(root)+1 rounds,
    the simulator's canonical full-graph workload (the macro-bench runs
-   the same program). States: 0 waiting, 1 has the token, 2 halted. *)
+   the same program, and like it keeps every node due every round).
+   States: 0 waiting, 1 has the token, 2 halted. *)
 let flood_program g ~root =
   let outboxes =
     Array.init (Graph.n g) (fun v ->

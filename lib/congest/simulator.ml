@@ -417,14 +417,13 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
     timers_push timers.(s) ~at ~node:v;
     armed.(v) <- at
   in
-  (* Schedule [v] by its hint [w] after its step in round [r] ([init] is
-     round 0). *)
-  let reschedule s v r w =
-    if w <= r + 1 then enlist (if r = 0 then !due else !due_next).(s) v (r + 1)
-    else if w < armed.(v) then arm s v w
+  (* Schedule shard [s]'s node [v] by its hint [w], as of round [r]: into
+     [next], the list for round [r + 1], or onto the heap. *)
+  let reschedule next s v r w =
+    if w <= r + 1 then enlist next v (r + 1) else if w < armed.(v) then arm s v w
   in
   for v = 0 to n - 1 do
-    if not halted.(v) then reschedule owner.(v) v 0 (wake v)
+    if not halted.(v) then reschedule (!due).(owner.(v)) owner.(v) v 0 (wake v)
   done;
   (* Inboxes as parallel (port, payload) buffers, double-buffered: [cur_*]
      is read this round, [nxt_*] collects deliveries for the next; the
@@ -608,13 +607,15 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
         timers_pop tm;
         next_wake s
       end
-      else if wake v > at then begin
-        timers_pop tm;
-        armed.(v) <- max_int;
-        if wake v < max_int then arm s v (wake v);
-        next_wake s
-      end
-      else at
+      else
+        let w = wake v in
+        if w > at then begin
+          timers_pop tm;
+          armed.(v) <- max_int;
+          if w < max_int then arm s v w;
+          next_wake s
+        end
+        else at
     end
   in
   (* Visit shard [s]'s listed nodes of round [r] in ascending id order —
@@ -661,7 +662,7 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
         live_delta.(s) <- live_delta.(s) - 1;
         if profiled then Trace.Profile.record_halt shards.(s) ~round:r
       end
-      else reschedule s v r (program.wake state);
+      else reschedule (!due_next).(s) s v r (program.wake state);
       true
     end
   in
@@ -749,7 +750,8 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
       let k = buffer_sends s outbox 0 in
       if traced then Trace.Cause.deactivate ();
       let halts = program.is_halted state in
-      if halts then halted.(v) <- true else reschedule s v r (program.wake state);
+      if halts then halted.(v) <- true
+      else reschedule (!due_next).(s) s v r (program.wake state);
       Vec.push act_node.(s) v;
       Vec.push act_sends.(s) k;
       Vec.push act_halt.(s) (if halts then 1 else 0);
@@ -1164,7 +1166,7 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
             while !rounds < last do
               idle_round ()
             done
-          else if last > !rounds then rounds := last
+          else rounds := last
         end
       end
     end

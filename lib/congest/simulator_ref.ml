@@ -9,12 +9,12 @@
    simulator.ml together; the differential suite enforces the lockstep.
 
    Wake hints are deliberately NOT honoured here: this core steps every
-   live node in every round, as it always has, and instead checks each
-   hint — a node stepped while its hint says it is asleep, with an empty
-   inbox, must send nothing and must not halt. An oracle that skipped
-   sleeping nodes could not catch a dishonest hint; this one turns the
-   differential suite into a proof that the production core's skipping
-   (and fast-forwarding) is unobservable. *)
+   live node in every round and instead checks each hint — a node stepped
+   while its hint says it is asleep, with an empty inbox, must send nothing
+   and must not halt. An oracle that skipped sleeping nodes could not catch
+   a dishonest hint; this one turns the differential suite into a proof
+   that the production core's skipping (and fast-forwarding) is
+   unobservable. *)
 
 module Graph = Lcs_graph.Graph
 

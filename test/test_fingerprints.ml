@@ -2,11 +2,11 @@
    CONGEST simulator, on three small hosts, at one and two domains. Each
    fingerprint pins the run's statistics, a digest of its result and a
    digest of its traced event stream (every event serialized as in the
-   trace schema). The expected values were recorded on a simulator that
-   stepped every live node in every round; a core that skips sleeping
-   nodes or idle rounds must reproduce them exactly. An untraced run of
-   the same case must reproduce the stats and result digest too, so both
-   the parallel fast path and the serialized replay path are pinned. *)
+   trace schema). The expected values are those of a simulator that steps
+   every live node in every round, so a core that skips sleeping nodes or
+   idle rounds must reproduce them exactly. An untraced run of the same
+   case must reproduce the stats and result digest too, so both the
+   parallel fast path and the serialized replay path are pinned. *)
 
 open Core
 
