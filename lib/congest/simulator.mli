@@ -6,12 +6,12 @@
     incident edge (per direction). A node whose program declares it asleep
     (see [wake] in {!program}) is not stepped until a message reaches it
     or its wake round comes: by the hint's contract that step would have
-    done nothing, so the model's semantics are unchanged. Messages sent in round [r] are delivered
-    at the start of round [r+1]. A word models the CONGEST model's
-    [O(log n)]-bit message; the default [bandwidth = 1] is the standard
-    model, and exceeding it raises {!Bandwidth_exceeded} — bounds claimed by
-    the protocols in this repository are therefore machine-enforced rather
-    than assumed.
+    done nothing, so the model's semantics are unchanged. Messages sent in
+    round [r] are delivered at the start of round [r+1]. A word models the
+    CONGEST model's [O(log n)]-bit message; the default [bandwidth = 1] is
+    the standard model, and exceeding it raises {!Bandwidth_exceeded} —
+    bounds claimed by the protocols in this repository are therefore
+    machine-enforced rather than assumed.
 
     Nodes are identified by graph vertex ids and address messages by {e
     port} (index into their adjacency list), matching the model's
@@ -32,11 +32,10 @@
     with a fault plan advance round by round, because delayed deliveries
     and crashes act on rounds of their own, but still skip sleeping
     nodes. A run therefore pays for messages and due timers, not for
-    nodes × rounds. One domain is simply one shard: no
-    domain is spawned. Cross-shard messages travel through
-    per-(source, destination) shard outboxes — each cell has exactly one
-    writer and one reader, separated by the barrier, so the hot path
-    takes no locks. The message plane runs on flat preallocated arrays
+    nodes × rounds. One domain is simply one shard: no domain is spawned.
+    Cross-shard messages travel through per-(source, destination) shard
+    outboxes — each cell has exactly one writer and one reader, separated
+    by the barrier, so the hot path takes no locks. The message plane runs on flat preallocated arrays
     (the graph's CSR port layout, int-array word budgets cleared via
     touched-slot lists, reusable inbox buffers); a fault-free
     steady-state round allocates only the inbox lists the [on_round] API
@@ -98,7 +97,7 @@ type ('state, 'msg) program = {
           dropped. The simulation stops when every node is halted. *)
   wake : 'state -> int;
       (** The wake hint: the first round at which the node must step even
-          with an empty inbox, read after [init] and after every step.
+          with an empty inbox, as a function of its current state.
           {!every_round} (or any round already reached) means "step me
           every round"; [max_int] means "step me only when a message
           arrives". The node is stepped in round [r] iff it is live and
@@ -110,7 +109,8 @@ type ('state, 'msg) program = {
           the step is unobservable. {!Simulator_ref} steps every node
           every round regardless and raises [Invalid_argument] when such a
           step sends or halts; the differential suite compares final
-          states. Must not allocate — it runs after every step. *)
+          states. It must be cheap and must not allocate: the core
+          evaluates it after every step. *)
   msg_words : 'msg -> int;
       (** Size accounting: how many O(log n)-bit words the payload needs.
           Must be at least 1. *)
