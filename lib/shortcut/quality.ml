@@ -3,6 +3,7 @@ module Partition = Lcs_graph.Partition
 module Diameter = Lcs_graph.Diameter
 module Union_find = Lcs_graph.Union_find
 module Intvec = Lcs_util.Intvec
+module Vec = Lcs_util.Vec
 
 type report = {
   congestion : int;
@@ -40,11 +41,11 @@ let scratch host =
 let subgraph_in scratch sc i =
   let host = Shortcut.graph sc in
   let partition = Shortcut.partition sc in
-  let order = Lcs_util.Vec.create () in
+  let order = Vec.create () in
   let intern v =
     if scratch.local.(v) < 0 then begin
-      scratch.local.(v) <- Lcs_util.Vec.length order;
-      Lcs_util.Vec.push order v
+      scratch.local.(v) <- Vec.length order;
+      Vec.push order v
     end;
     scratch.local.(v)
   in
@@ -71,8 +72,8 @@ let subgraph_in scratch sc i =
       let u, v = Graph.edge_endpoints host e in
       add_edge e u v)
     (Shortcut.edges_array sc i);
-  Lcs_util.Vec.iter (fun v -> scratch.local.(v) <- -1) order;
-  Graph.of_endpoints ~what:"Quality.part_subgraph" ~n:(Lcs_util.Vec.length order)
+  Vec.iter (fun v -> scratch.local.(v) <- -1) order;
+  Graph.of_endpoints ~what:"Quality.part_subgraph" ~n:(Vec.length order)
     (Intvec.freeze us) (Intvec.freeze vs)
 
 let part_subgraph sc i = subgraph_in (scratch (Shortcut.graph sc)) sc i
