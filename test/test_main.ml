@@ -5,7 +5,7 @@ let () =
       ("graph", Test_graph.suite);
       ("congest", Test_congest.suite);
       ("sim-diff", Test_sim_diff.suite);
-      ("fingerprints", Test_fingerprints.suite);
+      ("fingerprint", Test_fingerprints.suite);
       ("trace", Test_trace.suite);
       ("causal", Test_causal.suite);
       ("obs", Test_obs.suite);
