@@ -90,10 +90,10 @@ let port_towards host x w =
   search 0 (Intvec.get off (x + 1) - base)
 
 (* The serve entries and routes of every node, without per-node tables:
-   triples (node, part, port) are generated part by part — port -1 marks a
-   member, who serves its part even when isolated in S_i — and a stable
-   counting sort by node then leaves each node's triples grouped by
-   ascending part. *)
+   triples (node, part, port) are generated part by part from
+   [Quality.iter_part_edges] — port -1 marks a member, who serves its part
+   even when isolated in S_i — and a stable counting sort by node then
+   leaves each node's triples grouped by ascending part. *)
 let build_routes host partition shortcut =
   let n = Graph.n host and k = Shortcut.k shortcut in
   let t_node = Vec.create () and t_part = Vec.create () and t_port = Vec.create () in
@@ -102,26 +102,13 @@ let build_routes host partition shortcut =
     Vec.push t_part i;
     Vec.push t_port p
   in
-  let mark = Array.make (Graph.m host) (-1) in
+  let marks = Quality.edge_marks host in
   for i = 0 to k - 1 do
-    let add_edge e u w =
-      if mark.(e) <> i then begin
-        mark.(e) <- i;
+    Quality.iter_part_edges marks shortcut i
+      ~member:(fun v -> triple v i (-1))
+      ~edge:(fun _ u w ->
         triple u i (port_towards host u w);
-        triple w i (port_towards host w u)
-      end
-    in
-    Array.iter
-      (fun v ->
-        triple v i (-1);
-        Graph.iter_adj host v (fun w e ->
-            if v < w && Partition.part_of partition w = i then add_edge e v w))
-      (Partition.members partition i);
-    Array.iter
-      (fun e ->
-        let u, w = Graph.edge_endpoints host e in
-        add_edge e u w)
-      (Shortcut.edges_array shortcut i)
+        triple w i (port_towards host w u))
   done;
   let total = Vec.length t_node in
   let start = Array.make (n + 1) 0 in

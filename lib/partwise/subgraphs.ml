@@ -1,46 +1,31 @@
-module Graph = Lcs_graph.Graph
-module Partition = Lcs_graph.Partition
 module Shortcut = Lcs_shortcut.Shortcut
+module Quality = Lcs_shortcut.Quality
 
 type t = {
   shortcut : Shortcut.t;
   adjacency : (int, (int * int) list) Hashtbl.t array;
 }
 
-let build shortcut i =
-  let host = Shortcut.graph shortcut in
-  let partition = Shortcut.partition shortcut in
+let build marks shortcut i =
   let adj : (int, (int * int) list) Hashtbl.t = Hashtbl.create 64 in
-  let seen = Hashtbl.create 64 in
-  let add_edge e u v =
-    if not (Hashtbl.mem seen e) then begin
-      Hashtbl.add seen e ();
-      let push a b =
-        let old = match Hashtbl.find_opt adj a with Some l -> l | None -> [] in
-        Hashtbl.replace adj a ((e, b) :: old)
-      in
-      push u v;
-      push v u
-    end
+  let push e a b =
+    let old = match Hashtbl.find_opt adj a with Some l -> l | None -> [] in
+    Hashtbl.replace adj a ((e, b) :: old)
   in
-  Array.iter
-    (fun v ->
+  Quality.iter_part_edges marks shortcut i
+    ~member:(fun v ->
       (* Members always appear, even when isolated in S_i. *)
-      if not (Hashtbl.mem adj v) then Hashtbl.replace adj v [];
-      Graph.iter_adj host v (fun w e ->
-          if v < w && Partition.part_of partition w = i then add_edge e v w))
-    (Partition.members partition i);
-  Array.iter
-    (fun e ->
-      let u, v = Graph.edge_endpoints host e in
-      add_edge e u v)
-    (Shortcut.edges_array shortcut i);
+      if not (Hashtbl.mem adj v) then Hashtbl.replace adj v [])
+    ~edge:(fun e u v ->
+      push e u v;
+      push e v u);
   adj
 
 let of_shortcut shortcut =
+  let marks = Quality.edge_marks (Shortcut.graph shortcut) in
   {
     shortcut;
-    adjacency = Array.init (Shortcut.k shortcut) (build shortcut);
+    adjacency = Array.init (Shortcut.k shortcut) (build marks shortcut);
   }
 
 let adjacency t i = t.adjacency.(i)

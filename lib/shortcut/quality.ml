@@ -26,21 +26,44 @@ let edge_load sc =
 
 let congestion sc = Array.fold_left max 0 (edge_load sc)
 
-(* The subgraph G[P_i] + H_i as an explicit graph. Vertices: P_i plus every
-   endpoint of an H_i edge, members first; edges: host edges internal to P_i
-   plus H_i. The host-sized renumbering tables live in a scratch record
-   that a measurement shares across its parts: [local] maps a host vertex
-   to its id in the part being built (-1 outside it) and is reset after
-   each part, and [taken] stamps the host edges the current part already
-   took. *)
-type scratch = { local : int array; taken : int array; mutable stamp : int }
+(* [taken] stamps the host edges the current part already reported; one
+   set of marks serves every part of a shortcut, one part at a time. *)
+type edge_marks = { taken : int array; mutable stamp : int }
 
-let scratch host =
-  { local = Array.make (Graph.n host) (-1); taken = Array.make (Graph.m host) (-1); stamp = 0 }
+let edge_marks host = { taken = Array.make (Graph.m host) (-1); stamp = 0 }
 
-let subgraph_in scratch sc i =
+let iter_part_edges marks sc i ~member ~edge =
   let host = Shortcut.graph sc in
   let partition = Shortcut.partition sc in
+  marks.stamp <- marks.stamp + 1;
+  let add e u v =
+    if marks.taken.(e) <> marks.stamp then begin
+      marks.taken.(e) <- marks.stamp;
+      edge e u v
+    end
+  in
+  Array.iter
+    (fun v ->
+      member v;
+      Graph.iter_adj host v (fun w e ->
+          if v < w && Partition.part_of partition w = i then add e v w))
+    (Partition.members partition i);
+  Array.iter
+    (fun e ->
+      let u, v = Graph.edge_endpoints host e in
+      add e u v)
+    (Shortcut.edges_array sc i)
+
+(* The subgraph G[P_i] + H_i as an explicit graph, vertices renumbered
+   members first. The host-sized tables live in a scratch record that a
+   measurement shares across its parts: [local] maps a host vertex to its
+   id in the part being built (-1 outside it) and is reset after each
+   part. *)
+type scratch = { local : int array; marks : edge_marks }
+
+let scratch host = { local = Array.make (Graph.n host) (-1); marks = edge_marks host }
+
+let subgraph_in scratch sc i =
   let order = Vec.create () in
   let intern v =
     if scratch.local.(v) < 0 then begin
@@ -49,29 +72,13 @@ let subgraph_in scratch sc i =
     end;
     scratch.local.(v)
   in
-  scratch.stamp <- scratch.stamp + 1;
   let us = Intvec.create () and vs = Intvec.create () in
-  let add_edge e u v =
-    if scratch.taken.(e) <> scratch.stamp then begin
-      scratch.taken.(e) <- scratch.stamp;
+  Array.iter (fun v -> ignore (intern v)) (Partition.members (Shortcut.partition sc) i);
+  iter_part_edges scratch.marks sc i ~member:ignore ~edge:(fun _ u v ->
       let b = intern v in
       let a = intern u in
       Intvec.push us (min a b);
-      Intvec.push vs (max a b)
-    end
-  in
-  let members = Partition.members partition i in
-  Array.iter (fun v -> ignore (intern v)) members;
-  Array.iter
-    (fun v ->
-      Graph.iter_adj host v (fun w e ->
-          if v < w && Partition.part_of partition w = i then add_edge e v w))
-    members;
-  Array.iter
-    (fun e ->
-      let u, v = Graph.edge_endpoints host e in
-      add_edge e u v)
-    (Shortcut.edges_array sc i);
+      Intvec.push vs (max a b));
   Vec.iter (fun v -> scratch.local.(v) <- -1) order;
   Graph.of_endpoints ~what:"Quality.part_subgraph" ~n:(Vec.length order)
     (Intvec.freeze us) (Intvec.freeze vs)

@@ -23,6 +23,28 @@ val congestion : Shortcut.t -> int
 
 val edge_load : Shortcut.t -> int array
 
+type edge_marks
+(** Host-edge marks that dedupe one part's edges at a time; one set serves
+    every part of a shortcut. *)
+
+val edge_marks : Lcs_graph.Graph.t -> edge_marks
+(** Fresh marks for a host graph. *)
+
+val iter_part_edges :
+  edge_marks ->
+  Shortcut.t ->
+  int ->
+  member:(int -> unit) ->
+  edge:(int -> int -> int -> unit) ->
+  unit
+(** [iter_part_edges marks sc i ~member ~edge] enumerates the subgraph
+    [S_i = G[P_i] + H_i], the one place that decides its edges: for each
+    member [v] of [P_i], in {!Lcs_graph.Partition.members} order, [member v]
+    and then [edge e v w] for every host edge [e] from [v] to a member
+    [w > v]; then [edge e u w] for every edge of [H_i]. Each edge id is
+    reported once, the first time it is met; an isolated member still
+    gets its [member] call. *)
+
 val part_subgraph : Shortcut.t -> int -> Lcs_graph.Graph.t
 (** [G[P_i] + H_i] as a standalone graph: the members of part [i] and
     every endpoint of an [H_i] edge, renumbered from 0, with the host
