@@ -11,13 +11,13 @@
    so the hot path takes no locks at all.
 
    Only due nodes step. A node is due in a round when mail reaches it or
-   its program's wake hint comes due; each shard lists its due nodes and
-   keeps its armed wake-ups in a small heap, so a round costs the nodes it
-   steps rather than the node count. A fault-free round that sends nothing
-   fast-forwards the loop to the earliest armed wake-up, replaying only
-   the round boundaries that observers see. The hint's contract makes the
-   skipping unobservable; Simulator_ref, which still steps every node every
-   round, checks that contract.
+   its program's wake hint comes due; a shard checks each of its nodes
+   for that and steps only the due ones. A fault-free round that sends
+   nothing fast-forwards the loop to the earliest wake hint, replaying
+   only the round boundaries that observers see, so idle rounds cost
+   nothing. The hint's contract makes the skipping unobservable;
+   Simulator_ref, which still steps every node every round, checks that
+   contract.
 
    The message plane lives on flat, preallocated arrays: the graph's own
    CSR port layout (every per-message lookup — destination, host edge id,
@@ -34,8 +34,8 @@
    assignment, fault verdict order — is byte-identical at every domain
    count. Two facts make that cheap:
 
-   - Shards are CONTIGUOUS id ranges and every domain steps its due nodes
-     in ascending order, so draining the outbox cells in source-shard order
+   - Shards are CONTIGUOUS id ranges and every domain steps its nodes in
+     ascending order, so draining the outbox cells in source-shard order
      reproduces the ascending-sender send order at every inbox.
    - Traced or faulty runs never consume shared sequential state (the id
      counter, the fault injector's random stream, the tracer callback)
@@ -55,14 +55,20 @@ module Graph = Lcs_graph.Graph
 module Vec = Lcs_util.Vec
 module Intvec = Lcs_util.Intvec
 
+type round_cell = int ref
+
 type ctx = {
   node : int;
   neighbors : int array;
   neighbor_edges : int array;
-  clock : int ref;
+  clock : round_cell;
 }
 
 let round ctx = !(ctx.clock)
+
+let round_cell () =
+  let cell = ref 0 in
+  (cell, fun r -> cell := r)
 
 type 'msg outbox = (int * 'msg) list
 
@@ -259,77 +265,6 @@ let shutdown crew handles =
   Mutex.unlock crew.mutex;
   Array.iter Domain.join handles
 
-(* --- the wake schedule ------------------------------------------------------ *)
-
-(* The nodes one shard must visit in one round, each listed once (the run's
-   [mark] array dedupes), so the buffer never outgrows the shard. *)
-type due = { buf : int array; mutable len : int }
-
-(* In-place ascending heapsort of [a.(0 .. len-1)]. *)
-let sort_prefix a len =
-  let rec sift i n =
-    let l = (2 * i) + 1 in
-    if l < n then begin
-      let c = if l + 1 < n && a.(l + 1) > a.(l) then l + 1 else l in
-      if a.(c) > a.(i) then begin
-        let t = a.(i) in
-        a.(i) <- a.(c);
-        a.(c) <- t;
-        sift c n
-      end
-    end
-  in
-  for i = (len / 2) - 1 downto 0 do
-    sift i len
-  done;
-  for e = len - 1 downto 1 do
-    let t = a.(0) in
-    a.(0) <- a.(e);
-    a.(e) <- t;
-    sift 0 e
-  done
-
-(* One shard's armed wake-ups: a binary min-heap of (round, node) pairs in
-   two parallel buffers. An entry is live while it matches the node's
-   [armed] round; superseded entries are dropped when they surface. *)
-type timers = { t_at : int Vec.t; t_node : int Vec.t }
-
-let timers_top t = if Vec.length t.t_at = 0 then max_int else Vec.get t.t_at 0
-
-let timers_push t ~at ~node =
-  Vec.push t.t_at at;
-  Vec.push t.t_node node;
-  let i = ref (Vec.length t.t_at - 1) in
-  while !i > 0 && at < Vec.get t.t_at ((!i - 1) / 2) do
-    let p = (!i - 1) / 2 in
-    Vec.set t.t_at !i (Vec.get t.t_at p);
-    Vec.set t.t_node !i (Vec.get t.t_node p);
-    i := p
-  done;
-  Vec.set t.t_at !i at;
-  Vec.set t.t_node !i node
-
-let timers_pop t =
-  let last = Vec.length t.t_at - 1 in
-  let at = Vec.get t.t_at last and node = Vec.get t.t_node last in
-  Vec.truncate t.t_at last;
-  Vec.truncate t.t_node last;
-  if last > 0 then begin
-    let i = ref 0 and sifting = ref true in
-    while !sifting do
-      let l = (2 * !i) + 1 in
-      let c = if l + 1 < last && Vec.get t.t_at (l + 1) < Vec.get t.t_at l then l + 1 else l in
-      if c < last && Vec.get t.t_at c < at then begin
-        Vec.set t.t_at !i (Vec.get t.t_at c);
-        Vec.set t.t_node !i (Vec.get t.t_node c);
-        i := c
-      end
-      else sifting := false
-    done;
-    Vec.set t.t_at !i at;
-    Vec.set t.t_node !i node
-  end
-
 (* --- the run --------------------------------------------------------------- *)
 
 (* Materialize the (port, msg) inbox list the program API expects, in
@@ -387,44 +322,6 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
   let states = Array.map program.init ctxs in
   let halted = Array.map program.is_halted states in
   let live = ref (Array.fold_left (fun acc h -> if h then acc else acc + 1) 0 halted) in
-  (* A node's wake hint: the round from which it steps even with an empty
-     inbox. Read off its current state, by its own shard. *)
-  let wake v = program.wake states.(v) in
-  (* The wake schedule, so a round costs the nodes it steps, not n.
-     [mark.(v) = r] iff [v] is listed to visit in round [r], in its
-     shard's [!due] (this round) or [!due_next] (the next), swapped at the
-     round boundary like the inboxes. A node is listed when mail reaches
-     it, when a step leaves its hint due next round, or when its armed
-     wake-up in its shard's [timers] fires; [armed.(v)] is the round of
-     that wake-up (max_int when none). Each shard's lists and heap are
-     written by its own domain during its phases, and by the calling
-     domain only between barriers. *)
-  let mark = Array.make (max 1 n) (-1) in
-  let due_lists () =
-    Array.init d (fun s -> { buf = Array.make (max 1 (bounds.(s + 1) - bounds.(s))) 0; len = 0 })
-  in
-  let due = ref (due_lists ()) and due_next = ref (due_lists ()) in
-  let timers = Array.init d (fun _ -> { t_at = Vec.create (); t_node = Vec.create () }) in
-  let armed = Array.make (max 1 n) max_int in
-  let enlist l v r =
-    if mark.(v) <> r then begin
-      mark.(v) <- r;
-      l.buf.(l.len) <- v;
-      l.len <- l.len + 1
-    end
-  in
-  let arm s v at =
-    timers_push timers.(s) ~at ~node:v;
-    armed.(v) <- at
-  in
-  (* Schedule shard [s]'s node [v] by its hint [w], as of round [r]: into
-     [next], the list for round [r + 1], or onto the heap. *)
-  let reschedule next s v r w =
-    if w <= r + 1 then enlist next v (r + 1) else if w < armed.(v) then arm s v w
-  in
-  for v = 0 to n - 1 do
-    if not halted.(v) then reschedule (!due).(owner.(v)) owner.(v) v 0 (wake v)
-  done;
   (* Inboxes as parallel (port, payload) buffers, double-buffered: [cur_*]
      is read this round, [nxt_*] collects deliveries for the next; the
      references swap at the round boundary. Capacity hints of [degree v]
@@ -580,119 +477,28 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
         Vec.push cell.ob_msg msg;
         send_fast s v base rest
   in
-  (* Move shard [s]'s wake-ups due by round [r] into its list for [r]. *)
-  let release s r =
-    let tm = timers.(s) and l = (!due).(s) in
-    while timers_top tm <= r do
-      let v = Vec.get tm.t_node 0 and at = Vec.get tm.t_at 0 in
-      timers_pop tm;
-      if armed.(v) = at then begin
-        armed.(v) <- max_int;
-        if not (halted.(v) || crashed.(v)) then
-          let w = wake v in
-          if w <= r then enlist l v r else if w < max_int then arm s v w
-      end
-    done
-  in
-  (* The earliest round shard [s] has a wake-up armed for, after dropping
-     superseded entries and re-arming those whose hint moved later. *)
-  let rec next_wake s =
-    let tm = timers.(s) in
-    let at = timers_top tm in
-    if at = max_int then max_int
-    else begin
-      let v = Vec.get tm.t_node 0 in
-      if armed.(v) <> at || halted.(v) || crashed.(v) then begin
-        if armed.(v) = at then armed.(v) <- max_int;
-        timers_pop tm;
-        next_wake s
-      end
-      else
-        let w = wake v in
-        if w > at then begin
-          timers_pop tm;
-          armed.(v) <- max_int;
-          if w < max_int then arm s v w;
-          next_wake s
-        end
-        else at
+  let step_fast s v r ports_v msgs_v =
+    let inbox = build_inbox ports_v msgs_v (Vec.length ports_v - 1) [] in
+    Vec.clear ports_v;
+    Vec.clear msgs_v;
+    let state, outbox = program.on_round ctxs.(v) states.(v) ~inbox in
+    states.(v) <- state;
+    send_fast s v (Intvec.get csr.port_offset v) outbox;
+    if program.is_halted state then begin
+      halted.(v) <- true;
+      live_delta.(s) <- live_delta.(s) - 1;
+      if profiled then Trace.Profile.record_halt shards.(s) ~round:r
     end
-  in
-  (* Visit shard [s]'s listed nodes of round [r] in ascending id order —
-     scanning the marks when most of the shard is listed, sorting the list
-     otherwise — and return how many [step] actually stepped. *)
-  let visit s r step =
-    release s r;
-    let l = (!due).(s) in
-    let stepped = ref 0 in
-    if 8 * l.len >= bounds.(s + 1) - bounds.(s) then
-      for v = bounds.(s) to bounds.(s + 1) - 1 do
-        if mark.(v) = r && step s v r then incr stepped
-      done
-    else begin
-      sort_prefix l.buf l.len;
-      for i = 0 to l.len - 1 do
-        if step s l.buf.(i) r then incr stepped
-      done
-    end;
-    l.len <- 0;
-    !stepped
-  in
-  (* Step listed node [v] if it is due — mail waiting, or its hint at or
-     before [r] — and say whether it stepped; a halted node's mail is
-     dropped instead. *)
-  let step_fast s v r =
-    let ports_v = (!cur_ports).(v) and msgs_v = (!cur_msgs).(v) in
-    if halted.(v) then begin
-      Vec.clear ports_v;
-      Vec.clear msgs_v;
-      false
-    end
-    else if Vec.length ports_v = 0 && wake v > r then false
-    else begin
-      fail_node.(s) <- v;
-      let inbox = build_inbox ports_v msgs_v (Vec.length ports_v - 1) [] in
-      Vec.clear ports_v;
-      Vec.clear msgs_v;
-      let state, outbox = program.on_round ctxs.(v) states.(v) ~inbox in
-      states.(v) <- state;
-      send_fast s v (Intvec.get csr.port_offset v) outbox;
-      if program.is_halted state then begin
-        halted.(v) <- true;
-        live_delta.(s) <- live_delta.(s) - 1;
-        if profiled then Trace.Profile.record_halt shards.(s) ~round:r
-      end
-      else reschedule (!due_next).(s) s v r (program.wake state);
-      true
-    end
-  in
-  let phase_compute_fast s =
-    let r = !rounds in
-    try
-      stepped_s.(s) <- visit s r step_fast;
-      for i = 0 to ntouched.(s) - 1 do
-        budget.(touched_s.(s).(i)) <- 0
-      done;
-      ntouched.(s) <- 0;
-      if profiled then begin
-        (* Close the round on this shard: its local bandwidth high-water
-           mark; the shard merge's [set_max] recovers the global one. *)
-        Trace.Profile.record_round shards.(s) ~round:r ~max_edge_load:roundmax_s.(s);
-        roundmax_s.(s) <- 0
-      end
-    with exn -> fail.(s) <- Some (fail_node.(s), exn)
   in
   let phase_drain t =
     (* Drain in source-shard order: shards are contiguous ascending id
        ranges, so this concatenation IS the ascending-sender send order. *)
-    let next = (!due_next).(t) and r = !rounds + 1 in
     for s = 0 to d - 1 do
       let cell = out.(s).(t) in
       for i = 0 to Vec.length cell.ob_dst - 1 do
         let w = Vec.get cell.ob_dst i in
         Vec.push (!nxt_ports).(w) (Vec.get cell.ob_port i);
-        Vec.push (!nxt_msgs).(w) (Vec.get cell.ob_msg i);
-        enlist next w r
+        Vec.push (!nxt_msgs).(w) (Vec.get cell.ob_msg i)
       done;
       Vec.clear cell.ob_dst;
       Vec.clear cell.ob_port;
@@ -726,40 +532,68 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
         end;
         buffer_sends s rest (k + 1)
   in
-  let step_slow s v r =
-    let ports_v = (!cur_ports).(v) and msgs_v = (!cur_msgs).(v) in
-    if halted.(v) || crashed.(v) then begin
-      Vec.clear ports_v;
-      Vec.clear msgs_v;
-      if traced then Vec.clear (!cur_ids).(v);
-      false
-    end
-    else if Vec.length ports_v = 0 && wake v > r then false
-    else begin
-      fail_node.(s) <- v;
-      let inbox = build_inbox ports_v msgs_v (Vec.length ports_v - 1) [] in
-      Vec.clear ports_v;
-      Vec.clear msgs_v;
-      if traced then begin
-        let ids_v = (!cur_ids).(v) in
-        Trace.Cause.activate (Vec.to_array ids_v);
-        Vec.clear ids_v
-      end;
-      let state, outbox = program.on_round ctxs.(v) states.(v) ~inbox in
-      states.(v) <- state;
-      let k = buffer_sends s outbox 0 in
-      if traced then Trace.Cause.deactivate ();
-      let halts = program.is_halted state in
-      if halts then halted.(v) <- true
-      else reschedule (!due_next).(s) s v r (program.wake state);
-      Vec.push act_node.(s) v;
-      Vec.push act_sends.(s) k;
-      Vec.push act_halt.(s) (if halts then 1 else 0);
-      true
-    end
+  let step_slow s v ports_v msgs_v =
+    let inbox = build_inbox ports_v msgs_v (Vec.length ports_v - 1) [] in
+    Vec.clear ports_v;
+    Vec.clear msgs_v;
+    if traced then begin
+      let ids_v = (!cur_ids).(v) in
+      Trace.Cause.activate (Vec.to_array ids_v);
+      Vec.clear ids_v
+    end;
+    let state, outbox = program.on_round ctxs.(v) states.(v) ~inbox in
+    states.(v) <- state;
+    let k = buffer_sends s outbox 0 in
+    if traced then Trace.Cause.deactivate ();
+    let halts = program.is_halted state in
+    if halts then halted.(v) <- true;
+    Vec.push act_node.(s) v;
+    Vec.push act_sends.(s) k;
+    Vec.push act_halt.(s) (if halts then 1 else 0)
+  in
+  (* --- the compute phase, both paths ------------------------------------- *)
+  (* Visit shard [s]'s nodes in ascending order in round [r]: step the due
+     ones — live, with mail waiting or the wake hint at or before [r] —
+     and drop the late mail of halted (or crashed) ones. Returns how many
+     stepped. *)
+  let visit s r =
+    let ports = !cur_ports and stepped = ref 0 in
+    for v = bounds.(s) to bounds.(s + 1) - 1 do
+      let ports_v = ports.(v) in
+      if halted.(v) then begin
+        if Vec.length ports_v > 0 then begin
+          Vec.clear ports_v;
+          Vec.clear (!cur_msgs).(v);
+          if traced then Vec.clear (!cur_ids).(v)
+        end
+      end
+      else if Vec.length ports_v > 0 || program.wake states.(v) <= r then begin
+        fail_node.(s) <- v;
+        if serialized then step_slow s v ports_v (!cur_msgs).(v)
+        else step_fast s v r ports_v (!cur_msgs).(v);
+        incr stepped
+      end
+    done;
+    !stepped
+  in
+  let phase_compute_fast s =
+    let r = !rounds in
+    try
+      stepped_s.(s) <- visit s r;
+      for i = 0 to ntouched.(s) - 1 do
+        budget.(touched_s.(s).(i)) <- 0
+      done;
+      ntouched.(s) <- 0;
+      if profiled then begin
+        (* Close the round on this shard: its local bandwidth high-water
+           mark; the shard merge's [set_max] recovers the global one. *)
+        Trace.Profile.record_round shards.(s) ~round:r ~max_edge_load:roundmax_s.(s);
+        roundmax_s.(s) <- 0
+      end
+    with exn -> fail.(s) <- Some (fail_node.(s), exn)
   in
   let phase_compute_slow s =
-    try stepped_s.(s) <- visit s !rounds step_slow
+    try stepped_s.(s) <- visit s !rounds
     with exn -> fail.(s) <- Some (fail_node.(s), exn)
   in
   (* Replay one buffered send on the calling domain, with the causal
@@ -814,8 +648,7 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
                  });
             Vec.push (!nxt_ids).(w) id);
         Vec.push (!nxt_ports).(w) back;
-        Vec.push (!nxt_msgs).(w) msg;
-        enlist (!due_next).(owner.(w)) w (!rounds + 1)
+        Vec.push (!nxt_msgs).(w) msg
     | Some inj ->
         (* The transmission consumed its slot on the wire either way (the
            budget above); what the network then does to it is the
@@ -894,8 +727,7 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
                     | None -> ()
                     | Some _ -> Vec.push (!nxt_ids).(w) id);
                     Vec.push (!nxt_ports).(w) back;
-                    Vec.push (!nxt_msgs).(w) msg;
-                    enlist (!due_next).(owner.(w)) w (!rounds + 1)
+                    Vec.push (!nxt_msgs).(w) msg
                   end
                   else
                     let at = !rounds + 1 + delay in
@@ -1048,14 +880,39 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
   let observed =
     traced || profiled || match flight with Some (every, _) -> every > 0 | None -> false
   in
+  (* Messages sent so far in the run. *)
+  let sent () =
+    if serialized then !messages
+    else begin
+      let total = ref 0 in
+      for s = 0 to d - 1 do
+        total := !total + messages_s.(s)
+      done;
+      !total
+    end
+  in
+  (* The earliest wake hint of a live node, after round [r]; the scan
+     stops at the first node due by [r + 1], since no skip is possible
+     then. *)
+  let next_due r =
+    let rec scan v earliest =
+      if v = n || earliest <= r + 1 then earliest
+      else if halted.(v) then scan (v + 1) earliest
+      else
+        let w = program.wake states.(v) in
+        scan (v + 1) (if w < earliest then w else earliest)
+    in
+    scan 0 max_int
+  in
   let crew = make_crew d in
   let handles = Array.init (d - 1) (fun i -> Domain.spawn (worker crew (i + 1) ~traced)) in
   Fun.protect ~finally:(fun () -> shutdown crew handles) @@ fun () ->
   (match par_profile with None -> () | Some pp -> Par_profile.begin_run pp ~domains:d);
-  (* A live node steps when a message reaches it or its wake hint comes
-     due; a step before then with an empty inbox is, by the hint's
-     contract, a no-op, so skipping it changes nothing observable. A
-     fault-free round that sends nothing leaves no message in flight, so
+  (* Each shard scans its nodes every round it runs, but steps only the
+     due ones: a live node with mail waiting or its wake hint at or
+     before the round. A step before then with an empty inbox is, by the
+     hint's contract, a no-op, so skipping it changes nothing observable.
+     A fault-free round that sends nothing leaves no message in flight, so
      no node steps before the earliest hint: the loop fast-forwards to it
      (capped at [max_rounds]), still opening and closing each skipped
      round for the tracer, the profile and the flight recorder. Fault
@@ -1066,6 +923,7 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
     else begin
       incr rounds;
       clock := !rounds;
+      let sent_before = sent () in
       if serialized then begin
         (match tracer with
         | None -> ()
@@ -1076,12 +934,14 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
         | None -> ()
         | Some inj ->
             (* Crashes fire at the start of the round: the node neither
-               steps nor receives from now on. *)
+               steps nor receives from now on, so the scan treats it as
+               halted too. *)
             List.iter
               (fun v ->
                 if v >= 0 && v < n && not crashed.(v) then begin
                   crashed.(v) <- true;
                   if not halted.(v) then decr live;
+                  halted.(v) <- true;
                   Vec.clear (!cur_ports).(v);
                   Vec.clear (!cur_msgs).(v);
                   (match tracer with
@@ -1097,10 +957,9 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
             let slot = ring.(!rounds mod ring_span) in
             Vec.iter
               (fun p ->
-                if not (halted.(p.p_dst) || crashed.(p.p_dst)) then begin
+                if not halted.(p.p_dst) then begin
                   Vec.push (!cur_ports).(p.p_dst) p.p_port;
                   Vec.push (!cur_msgs).(p.p_dst) p.p_msg;
-                  enlist (!due).(owner.(p.p_dst)) p.p_dst !rounds;
                   match tracer with
                   | None -> ()
                   | Some _ -> Vec.push (!cur_ids).(p.p_dst) p.p_id
@@ -1141,9 +1000,6 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
         cur_ids := !nxt_ids;
         nxt_ids := ti
       end;
-      let td = !due in
-      due := !due_next;
-      due_next := td;
       (match tracer with
       | None -> ()
       | Some t -> t (Trace.Round_end { round = !rounds; max_edge_load = !round_max }));
@@ -1151,15 +1007,10 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
       (match par_profile with
       | None -> ()
       | Some pp -> Par_profile.commit_round pp ~round:!rounds);
-      (* Nothing listed for the next round means nothing was sent and no
-         hint is due then: skip to the earliest armed wake-up. *)
-      if faults = None && !live > 0 && Array.for_all (fun l -> l.len = 0) !due then begin
-        let next = ref max_int in
-        for s = 0 to d - 1 do
-          let w = next_wake s in
-          if w < !next then next := w
-        done;
-        let next = !next in
+      (* A fault-free round that sent nothing leaves nothing in flight, so
+         no node is due before the earliest wake hint: skip to it. *)
+      if faults = None && !live > 0 && sent () = sent_before then begin
+        let next = next_due !rounds in
         if next > !rounds + 1 then begin
           let last = min (next - 1) max_rounds in
           if observed then
@@ -1189,7 +1040,7 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
   if !out_of_rounds then begin
     let unhalted = ref [] in
     for v = n - 1 downto 0 do
-      if not (halted.(v) || crashed.(v)) then unhalted := v :: !unhalted
+      if not halted.(v) then unhalted := v :: !unhalted
     done;
     let crashed_nodes =
       match faults with None -> [] | Some inj -> Fault.crashed_nodes inj

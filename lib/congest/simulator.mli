@@ -20,26 +20,28 @@
 
     {b Execution.} A run is split into [domains] contiguous node shards
     balanced by port count (see {!shard_bounds}); each round, every
-    shard delivers its inboxes and runs the [on_round] steps of its live
-    nodes that are due — a non-empty inbox, or a wake hint at or before
-    the round — shard 0 on the calling domain and the others on OCaml 5
-    worker domains, with a barrier at the round boundary. A fault-free
-    round that sends no message leaves nothing in flight, so no node
-    steps before the earliest wake hint: the loop fast-forwards to that
-    round (capped at [max_rounds]). Skipped rounds still count in
-    {!stats}, still emit their [Round_start]/[Round_end] events and
-    {!Trace.Profile} rows, and still get any flight snapshot due; runs
-    with a fault plan advance round by round, because delayed deliveries
-    and crashes act on rounds of their own, but still skip sleeping
-    nodes. A run therefore pays for messages and due timers, not for
-    nodes × rounds. One domain is simply one shard: no domain is spawned.
-    Cross-shard messages travel through per-(source, destination) shard
-    outboxes — each cell has exactly one writer and one reader, separated
-    by the barrier, so the hot path takes no locks. The message plane runs on flat preallocated arrays
-    (the graph's CSR port layout, int-array word budgets cleared via
-    touched-slot lists, reusable inbox buffers); a fault-free
-    steady-state round allocates only the inbox lists the [on_round] API
-    requires.
+    shard delivers its inboxes, checks each of its nodes and runs the
+    [on_round] steps of the live ones that are due — a non-empty inbox,
+    or a wake hint at or before the round — shard 0 on the calling
+    domain and the others on OCaml 5 worker domains, with a barrier at
+    the round boundary. A fault-free round that sends no message leaves
+    nothing in flight, so no node steps before the earliest wake hint:
+    the loop fast-forwards to that round (capped at [max_rounds]).
+    Skipped rounds still count in {!stats}, still emit their
+    [Round_start]/[Round_end] events and {!Trace.Profile} rows, and still
+    get any flight snapshot due; runs with a fault plan advance round by
+    round, because delayed deliveries and crashes act on rounds of their
+    own, but still skip sleeping nodes. A run therefore pays for
+    messages, due timers and one allocation-free check per node in the
+    rounds it runs, not for [on_round] calls of nodes × rounds. One
+    domain is simply one shard: no domain is spawned. Cross-shard
+    messages travel through per-(source, destination) shard outboxes —
+    each cell has exactly one writer and one reader, separated by the
+    barrier, so the hot path takes no locks. The message plane runs on
+    flat preallocated arrays (the graph's CSR port layout, int-array
+    word budgets cleared via touched-slot lists, reusable inbox buffers);
+    a fault-free steady-state round allocates only the inbox lists the
+    [on_round] API requires.
 
     {b Determinism contract.} For every program, graph, seed and fault
     plan, a run is observationally {e identical} at every domain count:
@@ -68,14 +70,17 @@
     execution stops. Steps of higher-id nodes in the same round may have
     run in parallel; their effects are discarded with the run. *)
 
+type round_cell
+(** The run's current round: one cell shared by every context of a run,
+    advanced by the simulator once per round before any node steps.
+    Abstract, so only the core that created it can write it; programs
+    read it through {!round}. *)
+
 type ctx = {
   node : int;  (** this node's id *)
   neighbors : int array;  (** neighbor ids in port order *)
   neighbor_edges : int array;  (** host edge ids in port order *)
-  clock : int ref;
-      (** The run's current round: one cell shared by every context of the
-          run, written by the simulator once per round before any node
-          steps. Read it through {!round}; programs must not write it. *)
+  clock : round_cell;  (** the run's round; read it with {!round} *)
 }
 
 val round : ctx -> int
@@ -83,6 +88,11 @@ val round : ctx -> int
     [init]. Programs keep no clock of their own: a sleeping node's local
     counter would fall behind, while this one is always the global
     round. *)
+
+val round_cell : unit -> round_cell * (int -> unit)
+(** A fresh cell at round 0 and the function that advances it, for a
+    core that builds its own contexts ({!Simulator_ref}). A program sees
+    a cell only through its [ctx], never its writer. *)
 
 type 'msg outbox = (int * 'msg) list
 (** [(port, payload)] pairs. *)
@@ -110,7 +120,8 @@ type ('state, 'msg) program = {
           every round regardless and raises [Invalid_argument] when such a
           step sends or halts; the differential suite compares final
           states. It must be cheap and must not allocate: the core
-          evaluates it after every step. *)
+          evaluates it for every live node with an empty inbox in each
+          round it runs, and again when it looks for a round to skip to. *)
   msg_words : 'msg -> int;
       (** Size accounting: how many O(log n)-bit words the payload needs.
           Must be at least 1. *)

@@ -22,7 +22,7 @@ type ctx = Simulator.ctx = {
   node : int;
   neighbors : int array;
   neighbor_edges : int array;
-  clock : int ref;
+  clock : Simulator.round_cell;
 }
 
 type ('state, 'msg) program = ('state, 'msg) Simulator.program = {
@@ -79,7 +79,7 @@ let run_outcome ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?faults g progr
   if bandwidth < 1 then invalid_arg "Simulator.run: bandwidth";
   let n = Graph.n g in
   (* The shared round cell, kept in lockstep with the production core. *)
-  let clock = ref 0 in
+  let clock, set_round = Simulator.round_cell () in
   let ctxs = Array.init n (make_ctx g clock) in
   let rev = reverse_ports ctxs in
   (* The run owns the ambient Cause state: ids restart at 1 and are drawn
@@ -139,7 +139,7 @@ let run_outcome ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?faults g progr
     if !rounds >= max_rounds then out_of_rounds := true
     else begin
       incr rounds;
-      clock := !rounds;
+      set_round !rounds;
       (match tracer with
       | None -> ()
       | Some t ->
