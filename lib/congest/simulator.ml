@@ -477,18 +477,49 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
         Vec.push cell.ob_msg msg;
         send_fast s v base rest
   in
-  let step_fast s v r ports_v msgs_v =
-    let inbox = build_inbox ports_v msgs_v (Vec.length ports_v - 1) [] in
-    Vec.clear ports_v;
-    Vec.clear msgs_v;
-    let state, outbox = program.on_round ctxs.(v) states.(v) ~inbox in
-    states.(v) <- state;
-    send_fast s v (Intvec.get csr.port_offset v) outbox;
-    if program.is_halted state then begin
-      halted.(v) <- true;
-      live_delta.(s) <- live_delta.(s) - 1;
-      if profiled then Trace.Profile.record_halt shards.(s) ~round:r
-    end
+  (* Step shard [s]'s due nodes of this round in ascending order — live,
+     with mail waiting or the wake hint at or before the round — and drop
+     the late mail of halted ones. *)
+  let phase_compute_fast s =
+    let r = !rounds and ports = !cur_ports and msgs = !cur_msgs in
+    try
+      let stepped = ref 0 in
+      for v = bounds.(s) to bounds.(s + 1) - 1 do
+        let ports_v = ports.(v) and msgs_v = msgs.(v) in
+        if halted.(v) then begin
+          if Vec.length ports_v > 0 then begin
+            Vec.clear ports_v;
+            Vec.clear msgs_v
+          end
+        end
+        else if Vec.length ports_v > 0 || program.wake states.(v) <= r then begin
+          fail_node.(s) <- v;
+          incr stepped;
+          let inbox = build_inbox ports_v msgs_v (Vec.length ports_v - 1) [] in
+          Vec.clear ports_v;
+          Vec.clear msgs_v;
+          let state, outbox = program.on_round ctxs.(v) states.(v) ~inbox in
+          states.(v) <- state;
+          send_fast s v (Intvec.get csr.port_offset v) outbox;
+          if program.is_halted state then begin
+            halted.(v) <- true;
+            live_delta.(s) <- live_delta.(s) - 1;
+            if profiled then Trace.Profile.record_halt shards.(s) ~round:r
+          end
+        end
+      done;
+      stepped_s.(s) <- !stepped;
+      for i = 0 to ntouched.(s) - 1 do
+        budget.(touched_s.(s).(i)) <- 0
+      done;
+      ntouched.(s) <- 0;
+      if profiled then begin
+        (* Close the round on this shard: its local bandwidth high-water
+           mark; the shard merge's [set_max] recovers the global one. *)
+        Trace.Profile.record_round shards.(s) ~round:r ~max_edge_load:roundmax_s.(s);
+        roundmax_s.(s) <- 0
+      end
+    with exn -> fail.(s) <- Some (fail_node.(s), exn)
   in
   let phase_drain t =
     (* Drain in source-shard order: shards are contiguous ascending id
@@ -532,68 +563,44 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
         end;
         buffer_sends s rest (k + 1)
   in
-  let step_slow s v ports_v msgs_v =
-    let inbox = build_inbox ports_v msgs_v (Vec.length ports_v - 1) [] in
-    Vec.clear ports_v;
-    Vec.clear msgs_v;
-    if traced then begin
-      let ids_v = (!cur_ids).(v) in
-      Trace.Cause.activate (Vec.to_array ids_v);
-      Vec.clear ids_v
-    end;
-    let state, outbox = program.on_round ctxs.(v) states.(v) ~inbox in
-    states.(v) <- state;
-    let k = buffer_sends s outbox 0 in
-    if traced then Trace.Cause.deactivate ();
-    let halts = program.is_halted state in
-    if halts then halted.(v) <- true;
-    Vec.push act_node.(s) v;
-    Vec.push act_sends.(s) k;
-    Vec.push act_halt.(s) (if halts then 1 else 0)
-  in
-  (* --- the compute phase, both paths ------------------------------------- *)
-  (* Visit shard [s]'s nodes in ascending order in round [r]: step the due
-     ones — live, with mail waiting or the wake hint at or before [r] —
-     and drop the late mail of halted (or crashed) ones. Returns how many
-     stepped. *)
-  let visit s r =
-    let ports = !cur_ports and stepped = ref 0 in
-    for v = bounds.(s) to bounds.(s + 1) - 1 do
-      let ports_v = ports.(v) in
-      if halted.(v) then begin
-        if Vec.length ports_v > 0 then begin
-          Vec.clear ports_v;
-          Vec.clear (!cur_msgs).(v);
-          if traced then Vec.clear (!cur_ids).(v)
-        end
-      end
-      else if Vec.length ports_v > 0 || program.wake states.(v) <= r then begin
-        fail_node.(s) <- v;
-        if serialized then step_slow s v ports_v (!cur_msgs).(v)
-        else step_fast s v r ports_v (!cur_msgs).(v);
-        incr stepped
-      end
-    done;
-    !stepped
-  in
-  let phase_compute_fast s =
-    let r = !rounds in
-    try
-      stepped_s.(s) <- visit s r;
-      for i = 0 to ntouched.(s) - 1 do
-        budget.(touched_s.(s).(i)) <- 0
-      done;
-      ntouched.(s) <- 0;
-      if profiled then begin
-        (* Close the round on this shard: its local bandwidth high-water
-           mark; the shard merge's [set_max] recovers the global one. *)
-        Trace.Profile.record_round shards.(s) ~round:r ~max_edge_load:roundmax_s.(s);
-        roundmax_s.(s) <- 0
-      end
-    with exn -> fail.(s) <- Some (fail_node.(s), exn)
-  in
+  (* The serialized twin of [phase_compute_fast]: the same due nodes, in
+     the same order, with their sends buffered for the replay. *)
   let phase_compute_slow s =
-    try stepped_s.(s) <- visit s !rounds
+    let r = !rounds and ports = !cur_ports and msgs = !cur_msgs in
+    try
+      let stepped = ref 0 in
+      for v = bounds.(s) to bounds.(s + 1) - 1 do
+        let ports_v = ports.(v) and msgs_v = msgs.(v) in
+        if halted.(v) then begin
+          if Vec.length ports_v > 0 then begin
+            Vec.clear ports_v;
+            Vec.clear msgs_v;
+            if traced then Vec.clear (!cur_ids).(v)
+          end
+        end
+        else if Vec.length ports_v > 0 || program.wake states.(v) <= r then begin
+          fail_node.(s) <- v;
+          incr stepped;
+          let inbox = build_inbox ports_v msgs_v (Vec.length ports_v - 1) [] in
+          Vec.clear ports_v;
+          Vec.clear msgs_v;
+          if traced then begin
+            let ids_v = (!cur_ids).(v) in
+            Trace.Cause.activate (Vec.to_array ids_v);
+            Vec.clear ids_v
+          end;
+          let state, outbox = program.on_round ctxs.(v) states.(v) ~inbox in
+          states.(v) <- state;
+          let k = buffer_sends s outbox 0 in
+          if traced then Trace.Cause.deactivate ();
+          let halts = program.is_halted state in
+          if halts then halted.(v) <- true;
+          Vec.push act_node.(s) v;
+          Vec.push act_sends.(s) k;
+          Vec.push act_halt.(s) (if halts then 1 else 0)
+        end
+      done;
+      stepped_s.(s) <- !stepped
     with exn -> fail.(s) <- Some (fail_node.(s), exn)
   in
   (* Replay one buffered send on the calling domain, with the causal
