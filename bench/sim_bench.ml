@@ -39,7 +39,7 @@ open Core
    state is an immediate int, so the measured loop is the simulator core
    plus only the inbox lists its API mandates. States: 0 = waiting,
    1 = has the token, 2 = forwarded and halted. Every node stays due every
-   round ([every_round]) rather than sleeping until the token arrives, so
+   round ([Simulator.always]) rather than sleeping until the token arrives, so
    the domain-scaling curve keeps measuring the same per-round work. *)
 let flood_program g ~root =
   let outboxes =
@@ -53,7 +53,7 @@ let flood_program g ~root =
         let st = if st = 0 && inbox <> [] then 1 else st in
         if st = 1 then (2, outboxes.(ctx.Simulator.node)) else (st, []));
     is_halted = (fun st -> st = 2);
-    wake = (fun _ -> Simulator.every_round);
+    wake = Simulator.always;
     msg_words = (fun _ -> 1);
   }
 

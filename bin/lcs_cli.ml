@@ -1404,7 +1404,7 @@ let flood_program g ~root =
         let st = if st = 0 && inbox <> [] then 1 else st in
         if st = 1 then (2, outboxes.(ctx.Simulator.node)) else (st, []));
     is_halted = (fun st -> st = 2);
-    wake = (fun _ -> Simulator.every_round);
+    wake = Simulator.always;
     msg_words = (fun _ -> 1);
   }
 

@@ -117,7 +117,7 @@ let outcome_program info ~values ~combine =
        means every child reported or was excluded, so no probes remain. *)
     is_halted = (fun st -> st.o_sent);
     (* The probe timer keeps its own clock. *)
-    wake = (fun _ -> Simulator.every_round);
+    wake = Simulator.always;
     msg_words = (fun _ -> 1);
   }
   |> fun program -> (program, is_child)

@@ -191,7 +191,7 @@ let wrap ?(config = default_config) ?on_dead (inner : ('s, 'm) Simulator.program
     on_round;
     is_halted = (fun s -> s.done_);
     (* Retransmission timers and the linger count run on every round. *)
-    wake = (fun _ -> Simulator.every_round);
+    wake = Simulator.always;
     msg_words =
       (fun f -> match f.data with Some (_, m) -> inner.msg_words m | None -> 1);
   }

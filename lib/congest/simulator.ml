@@ -83,6 +83,10 @@ type ('state, 'msg) program = {
 (* Round 0 precedes every round, so a node whose hint is 0 is always due. *)
 let every_round = 0
 
+(* The hint of a program whose nodes never sleep. The core recognises this
+   very closure and skips the per-node hint call for such programs. *)
+let always _ = every_round
+
 type stats = {
   rounds : int;
   messages : int;
@@ -322,6 +326,9 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
   let states = Array.map program.init ctxs in
   let halted = Array.map program.is_halted states in
   let live = ref (Array.fold_left (fun acc h -> if h then acc else acc + 1) 0 halted) in
+  (* Every live node of a program whose hint is [always] is due every
+     round, so the compute loops need not ask. *)
+  let always_due = program.wake == always in
   (* Inboxes as parallel (port, payload) buffers, double-buffered: [cur_*]
      is read this round, [nxt_*] collects deliveries for the next; the
      references swap at the round boundary. Capacity hints of [degree v]
@@ -492,7 +499,7 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
             Vec.clear msgs_v
           end
         end
-        else if Vec.length ports_v > 0 || program.wake states.(v) <= r then begin
+        else if always_due || Vec.length ports_v > 0 || program.wake states.(v) <= r then begin
           fail_node.(s) <- v;
           incr stepped;
           let inbox = build_inbox ports_v msgs_v (Vec.length ports_v - 1) [] in
@@ -578,7 +585,7 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
             if traced then Vec.clear (!cur_ids).(v)
           end
         end
-        else if Vec.length ports_v > 0 || program.wake states.(v) <= r then begin
+        else if always_due || Vec.length ports_v > 0 || program.wake states.(v) <= r then begin
           fail_node.(s) <- v;
           incr stepped;
           let inbox = build_inbox ports_v msgs_v (Vec.length ports_v - 1) [] in

@@ -128,9 +128,17 @@ type ('state, 'msg) program = {
 }
 
 val every_round : int
-(** The wake hint of a node that must step in every round (0, which
-    precedes every round). Protocols that act on timers they do not
-    expose, such as {!Reliable.wrap}'s retransmissions, use it. *)
+(** The hint value of a node that must step in every round (0, which
+    precedes every round): a state that is due now. *)
+
+val always : 'state -> int
+(** [fun _ -> every_round], the [wake] of a program whose nodes never
+    sleep — protocols that act on timers they do not expose, such as
+    {!Reliable.wrap}'s retransmissions, and floods that step every node.
+    The core recognises this function and skips the per-node hint call
+    for such programs, so they cost what they did before wake hints;
+    any other hint that always returns {!every_round} behaves the same,
+    only slower. *)
 
 type stats = {
   rounds : int;

@@ -76,7 +76,7 @@ let gossip ~pseed ~bw =
         in
         ({ acc; round; stop = st.stop }, outbox));
     is_halted = (fun st -> st.round >= st.stop);
-    wake = (fun _ -> Simulator.every_round);
+    wake = Simulator.always;
     msg_words = (fun m -> 1 + (m mod bw));
   }
 
