@@ -73,8 +73,9 @@ val end_deliver : t -> unit
 (** Main domain, after the drain barrier: captures the phase wall. *)
 
 val add_serial : t -> float -> unit
-(** Serial-replay time spent at the barrier this round (traced / faulty
-    runs only; main domain). *)
+(** Serial time the main domain spent alone this round: the replay at the
+    barrier (traced / faulty runs), and any fast-forward over idle rounds
+    that follows the round. *)
 
 val record_send : t -> src:int -> dst:int -> words:int -> unit
 (** One delivered message of [words] words from shard [src] to shard
@@ -130,7 +131,9 @@ type decomposition = {
   d_parallel_s : float;  (** sum over rounds of the mean shard busy time *)
   d_imbalance_s : float;  (** sum of (max busy - mean busy) *)
   d_barrier_s : float;  (** sum of (phase wall - max busy) *)
-  d_serial_s : float;  (** serial replay at the barrier (traced/faulty) *)
+  d_serial_s : float;
+      (** main-domain-only time: serial replay at the barrier
+          (traced/faulty) and fast-forwards over idle rounds *)
   d_other_s : float;  (** wall minus all of the above: loop bookkeeping *)
 }
 

@@ -918,6 +918,19 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
     in
     scan 0 max_int
   in
+  (* Jump from a round that left nothing in flight to the round before
+     the earliest wake hint, replaying the skipped rounds for observers. *)
+  let fast_forward () =
+    let next = next_due !rounds in
+    if next > !rounds + 1 then begin
+      let last = min (next - 1) max_rounds in
+      if observed then
+        while !rounds < last do
+          idle_round ()
+        done
+      else rounds := last
+    end
+  in
   let crew = make_crew d in
   let handles = Array.init (d - 1) (fun i -> Domain.spawn (worker crew (i + 1) ~traced)) in
   Fun.protect ~finally:(fun () -> shutdown crew handles) @@ fun () ->
@@ -1018,22 +1031,20 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
       | None -> ()
       | Some t -> t (Trace.Round_end { round = !rounds; max_edge_load = !round_max }));
       snapshot ~idle:false;
-      (match par_profile with
-      | None -> ()
-      | Some pp -> Par_profile.commit_round pp ~round:!rounds);
+      let r = !rounds in
       (* A fault-free round that sent nothing leaves nothing in flight, so
-         no node is due before the earliest wake hint: skip to it. *)
+         no node is due before the earliest wake hint: skip to it. The
+         skip is calling-domain work, so a wall-clock collector books it
+         as this round's serial time. *)
       if faults = None && !live > 0 && sent () = sent_before then begin
-        let next = next_due !rounds in
-        if next > !rounds + 1 then begin
-          let last = min (next - 1) max_rounds in
-          if observed then
-            while !rounds < last do
-              idle_round ()
-            done
-          else rounds := last
-        end
-      end
+        match par_profile with
+        | None -> fast_forward ()
+        | Some pp ->
+            let t0 = Par_profile.now () in
+            fast_forward ();
+            Par_profile.add_serial pp (Par_profile.now () -. t0)
+      end;
+      match par_profile with None -> () | Some pp -> Par_profile.commit_round pp ~round:r
     end
   done;
   (match par_profile with None -> () | Some pp -> Par_profile.end_run pp);
