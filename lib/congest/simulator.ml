@@ -34,7 +34,7 @@
    assignment, fault verdict order — is byte-identical at every domain
    count. Two facts make that cheap:
 
-   - Shards are CONTIGUOUS id ranges and every domain steps its nodes in
+   - Shards are CONTIGUOUS id ranges and every domain walks its nodes in
      ascending order, so draining the outbox cells in source-shard order
      reproduces the ascending-sender send order at every inbox.
    - Traced or faulty runs never consume shared sequential state (the id
