@@ -80,7 +80,7 @@ let tests =
         ignore (Distributed.construct ~seed:3 grid12_rows ~root:0)));
     Test.make ~name:"e7_partwise" (Staged.stage (fun () ->
         ignore
-          (Aggregate.minimum (Rng.create 9) grid16_shortcut ~values:grid16_values)));
+          (Sim_aggregate.minimum (Rng.create 9) grid16_shortcut ~values:grid16_values)));
     Test.make ~name:"e8_mst" (Staged.stage (fun () ->
         ignore (Mst.boruvka ~seed:6 grid10_weights)));
     Test.make ~name:"e9_mincut_probe" (Staged.stage (fun () ->
@@ -88,7 +88,7 @@ let tests =
           (Connectivity.components ~seed:12 grid8 ~keep:(fun e -> grid8_kept.(e)))));
     Test.make ~name:"e10_wheel" (Staged.stage (fun () ->
         ignore
-          (Aggregate.minimum (Rng.create 10) wheel256_shortcut
+          (Sim_aggregate.minimum (Rng.create 10) wheel256_shortcut
              ~values:wheel256_values)));
     Test.make ~name:"e11_certificate" (Staged.stage (fun () ->
         ignore (Certificate.best_effort ~max_attempts:8 (Rng.create 13) grid16_failed)));
@@ -101,12 +101,12 @@ let tests =
         ignore (Quality.congestion b.Baseline.shortcut)));
     Test.make ~name:"e14_schedule" (Staged.stage (fun () ->
         ignore
-          (Packet_router.route ~policy:Schedule.Fifo (Rng.create 14) grid16_shortcut
+          (Sim_aggregate.minimum ~policy:Schedule.Fifo (Rng.create 14) grid16_shortcut
              ~values:grid16_values)));
     Test.make ~name:"e15_threshold" (Staged.stage (fun () ->
         ignore (Construct.run grid16_rows ~tree:grid16_tree ~threshold:8 ~block_budget:0)));
     Test.make ~name:"e16_engines" (Staged.stage (fun () ->
-        ignore (Tree_router.sum (Rng.create 16) grid16_shortcut ~values:grid16_values)));
+        ignore (Sim_aggregate.sum (Rng.create 16) grid16_shortcut ~values:grid16_values)));
     Test.make ~name:"e17_sim_pa" (Staged.stage (fun () ->
         ignore
           (Sim_aggregate.minimum (Rng.create 17) grid16_shortcut ~values:grid16_values)));

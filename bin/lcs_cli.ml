@@ -665,68 +665,67 @@ let pa_cmd =
         run_faulty g sc values ~seed ~fpath ~fault_seed ~policy ~trace ~spans
           ~domains ~mode ~pp ~par_profile
     | None ->
-    let out = Aggregate.minimum (Rng.create (seed + 6)) sc ~values in
-    let ok = out.Aggregate.minima = Aggregate.reference_minima sc ~values in
-    Printf.printf "part-wise min aggregation: %d rounds, %d messages, correct=%b\n"
-      out.Aggregate.rounds out.Aggregate.messages ok;
-    let bare = Aggregate.minimum (Rng.create (seed + 6)) (Shortcut.empty partition) ~values in
-    Printf.printf "without shortcuts:          %d rounds, %d messages\n"
-      bare.Aggregate.rounds bare.Aggregate.messages;
     let obs = if trace <> None || spans <> None then Some (Obs.create ()) else None in
-    (if obs <> None || pp <> None then begin
-       (* The traced (or par-profiled) run is the genuine CONGEST execution
-          (Sim_aggregate): every transmission crosses the simulator's
-          enforced 1-word bandwidth and lands in the event stream. A .jsonl
-          target streams that stream to disk line by line instead of
-          recording it. With only --par-profile the run is untraced, so
-          the sharded simulator keeps its fully parallel fast path. *)
-       match trace with
-       | Some path when Report.is_stream path ->
-           let sink, profile, tracer =
-             Report.stream_tracing ?mode g ~command:"pa"
-               ~protocol:"sim_aggregate.minimum" ~seed path
-           in
-           let _sim =
-             Sim_aggregate.minimum ~domains ?obs ~tracer ?par_profile:pp
-               (Rng.create (seed + 7)) sc ~values
-           in
-           Report.finish_stream path sink profile;
-           Report.write_spans ?par:pp spans obs
-       | _ ->
-       let recorder, profile, tracer = Report.tracing ?mode g ~on:(obs <> None) in
-       let sim =
-         Sim_aggregate.minimum ~domains ?obs ?tracer ?par_profile:pp
-           (Rng.create (seed + 7)) sc ~values
-       in
-       (match trace with
-       | None -> ()
-       | Some path ->
-           let recorder = Option.get recorder and profile = Option.get profile in
-           let doc =
-             Report.assemble ~command:"pa" ~protocol:"sim_aggregate.minimum"
-               ~seed ~g
-               ~extra:
-                 [
-                   ("parts", Json.Int (Shortcut.k sc));
-                   ("stats", Report.stats_json sim.Sim_aggregate.stats);
-                   ("completion_round", Json.Int sim.Sim_aggregate.completion_round);
-                   ( "part_traffic",
-                     Quality.traffic_to_json
-                       (Quality.traffic sc
-                          ~edge_words:(Trace.Profile.edge_words profile)) );
-                 ]
-               ~profile ~recorder ?obs ()
-           in
-           Report.write_json path doc ~describe:(fun () ->
-               Printf.printf
-                 "trace: wrote %s (%d events; %d words over %d edges in %d rounds)\n"
-                 path
-                 (Trace.Recorder.length recorder)
-                 (Trace.Profile.total_words profile)
-                 (Trace.Profile.edges_used profile)
-                 (Trace.Profile.rounds profile)));
-       Report.write_spans ?recorder ?par:pp spans obs
-     end);
+    (* One shortcut aggregation, the run --trace, --spans and --par-profile
+       observe: every transmission crosses the simulator's enforced 1-word
+       bandwidth and lands in the event stream. A .jsonl target streams
+       that stream to disk line by line instead of recording it. With only
+       --par-profile the run is untraced, so the sharded simulator keeps
+       its fully parallel fast path. *)
+    let stream =
+      match trace with
+      | Some path when Report.is_stream path ->
+          Some
+            ( path,
+              Report.stream_tracing ?mode g ~command:"pa"
+                ~protocol:"sim_aggregate.minimum" ~seed path )
+      | _ -> None
+    in
+    let recorder, profile, tracer =
+      match stream with
+      | Some (_, (_, p, t)) -> (None, Some p, Some t)
+      | None -> Report.tracing ?mode g ~on:(obs <> None)
+    in
+    let out =
+      Sim_aggregate.minimum ~domains ?obs ?tracer ?par_profile:pp
+        (Rng.create (seed + 7)) sc ~values
+    in
+    let ok = out.Sim_aggregate.minima = Aggregate.reference_minima sc ~values in
+    Printf.printf "part-wise min aggregation: %d rounds, %d messages, correct=%b\n"
+      out.Sim_aggregate.completion_round out.Sim_aggregate.messages ok;
+    let bare =
+      Sim_aggregate.minimum ~domains (Rng.create (seed + 7)) (Shortcut.empty partition)
+        ~values
+    in
+    Printf.printf "without shortcuts:          %d rounds, %d messages\n"
+      bare.Sim_aggregate.completion_round bare.Sim_aggregate.messages;
+    (match (trace, stream) with
+    | _, Some (path, (sink, sprofile, _)) -> Report.finish_stream path sink sprofile
+    | None, None -> ()
+    | Some path, None ->
+        let recorder = Option.get recorder and profile = Option.get profile in
+        let doc =
+          Report.assemble ~command:"pa" ~protocol:"sim_aggregate.minimum" ~seed ~g
+            ~extra:
+              [
+                ("parts", Json.Int (Shortcut.k sc));
+                ("stats", Report.stats_json out.Sim_aggregate.stats);
+                ("completion_round", Json.Int out.Sim_aggregate.completion_round);
+                ( "part_traffic",
+                  Quality.traffic_to_json
+                    (Quality.traffic sc ~edge_words:(Trace.Profile.edge_words profile)) );
+              ]
+            ~profile ~recorder ?obs ()
+        in
+        Report.write_json path doc ~describe:(fun () ->
+            Printf.printf
+              "trace: wrote %s (%d events; %d words over %d edges in %d rounds)\n"
+              path
+              (Trace.Recorder.length recorder)
+              (Trace.Profile.total_words profile)
+              (Trace.Profile.edges_used profile)
+              (Trace.Profile.rounds profile)));
+    Report.write_spans ?recorder ?par:pp spans obs;
     (match pp with None -> () | Some c -> Report.write_par_profile par_profile c);
     0
   in
@@ -773,9 +772,6 @@ let mst_cmd =
   let run family seed mode trace spans policy domains par_profile =
     let g, _shape = build_family seed family in
     let w = Weights.random_distinct (Rng.create (seed + 3)) g in
-    (* With domains <= 1 the engine uses the packet router, which never
-       runs on the simulator — the collector then records nothing (the
-       report says so rather than the flag failing silently). *)
     let pp = make_par_profile par_profile in
     let obs = if trace <> None || spans <> None then Some (Obs.create ()) else None in
     let stream =
@@ -884,7 +880,7 @@ let mst_cmd =
   let trace_arg =
     Arg.(value & opt (some string) None
          & info [ "trace" ] ~docv:"PATH"
-             ~doc:"trace every phase's packet-routed aggregation and write the \
+             ~doc:"trace every phase's simulated aggregation and write the \
                    JSON run report (accounting, per-edge congestion profile, \
                    event stream, spans/metrics/ledger) to $(docv); a .jsonl \
                    suffix instead streams the events line by line \

@@ -34,10 +34,12 @@ let () =
      per-edge bandwidth contention. *)
   let rng = Rng.create 1 in
   let values = Array.init (Graph.n g) (fun _ -> Rng.int rng 1_000_000) in
-  let out = Aggregate.minimum (Rng.create 2) boosted.Boost.shortcut ~values in
-  let ok = out.Aggregate.minima = Aggregate.reference_minima boosted.Boost.shortcut ~values in
+  let out = Sim_aggregate.minimum (Rng.create 2) boosted.Boost.shortcut ~values in
+  let ok =
+    out.Sim_aggregate.minima = Aggregate.reference_minima boosted.Boost.shortcut ~values
+  in
   Printf.printf "part-wise minimum: %d rounds, %d messages, correct = %b\n"
-    out.Aggregate.rounds out.Aggregate.messages ok;
+    out.Sim_aggregate.completion_round out.Sim_aggregate.messages ok;
 
   (* The schedule bound the measurement sits under. *)
   let bound =
@@ -45,11 +47,11 @@ let () =
       ~dilation:(max 1 report.Quality.dilation) ~n:(Graph.n g)
   in
   Printf.printf "schedule bound c + d*log2(n) = %d (measured %d)\n" bound
-    out.Aggregate.rounds;
+    out.Sim_aggregate.completion_round;
   (* Grid rows have internal diameter D/2, so bare intra-part flooding is
      already Theta(D) here — the dramatic gaps appear when parts are much
      deeper than the graph (see wheel_aggregation.exe and
      lower_bound_tour.exe). *)
-  let bare = Aggregate.minimum (Rng.create 2) (Shortcut.empty partition) ~values in
+  let bare = Sim_aggregate.minimum (Rng.create 2) (Shortcut.empty partition) ~values in
   Printf.printf "without shortcuts: %d rounds (rows are shallow; see the wheel example)\n"
-    bare.Aggregate.rounds
+    bare.Sim_aggregate.completion_round

@@ -14,20 +14,20 @@ let run n =
   let values = Array.init n (fun v -> (v * 7919) mod 104729) in
 
   (* Without shortcuts: the rim floods along itself. *)
-  let bare = Aggregate.minimum (Rng.create 1) (Shortcut.empty partition) ~values in
+  let bare = Sim_aggregate.minimum (Rng.create 1) (Shortcut.empty partition) ~values in
 
   (* With Theorem 3.1 shortcuts: the construction hands the rim the hub's
      spokes, collapsing its diameter to 2. *)
   let tree = Bfs.tree g ~root:0 in
   let boosted = Boost.full partition ~tree in
-  let fast = Aggregate.minimum (Rng.create 1) boosted.Boost.shortcut ~values in
+  let fast = Sim_aggregate.minimum (Rng.create 1) boosted.Boost.shortcut ~values in
   let r = Quality.measure boosted.Boost.shortcut in
 
-  assert (bare.Aggregate.minima = fast.Aggregate.minima);
+  assert (bare.Sim_aggregate.minima = fast.Sim_aggregate.minima);
   Printf.printf
     "n=%5d  graph diameter 2, rim diameter %4d | bare PA %4d rounds, shortcut PA %2d rounds (c=%d, d=%d)\n"
-    n (Partition.internal_diameter partition 0) bare.Aggregate.rounds
-    fast.Aggregate.rounds r.Quality.congestion r.Quality.dilation
+    n (Partition.internal_diameter partition 0) bare.Sim_aggregate.completion_round
+    fast.Sim_aggregate.completion_round r.Quality.congestion r.Quality.dilation
 
 let () =
   print_endline "Part-wise aggregation on the wheel (Definition 2.1's cautionary tale):";

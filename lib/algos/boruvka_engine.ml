@@ -6,7 +6,6 @@ module Shortcut = Lcs_shortcut.Shortcut
 module Boost = Lcs_shortcut.Boost
 module Baseline = Lcs_shortcut.Baseline
 module Quality = Lcs_shortcut.Quality
-module Aggregate = Lcs_partwise.Aggregate
 module Sim_aggregate = Lcs_partwise.Sim_aggregate
 module Rng = Lcs_util.Rng
 module Obs = Lcs_obs.Obs
@@ -64,9 +63,17 @@ let run ?obs ?tracer ?(seed = 7) ?(mode = Thm31) ?(domains = 1) ?par_profile g
   Obs.enter obs "boruvka";
   let partition = ref (partition_of_uf g uf) in
   let shortcut = ref (build_shortcut ?obs mode tree !partition) in
+  (* Both aggregations over a shortcut run the same default budget, so it
+     is measured once per shortcut. *)
+  let budget = ref (Sim_aggregate.default_budget !shortcut) in
   let phases = ref 0 in
   let pa_rounds = ref 0 in
   let pa_messages = ref 0 in
+  let account (r : Sim_aggregate.result) =
+    pa_rounds := !pa_rounds + r.Sim_aggregate.completion_round;
+    pa_messages := !pa_messages + r.Sim_aggregate.messages;
+    Obs.observe obs "pa.rounds" (float_of_int r.Sim_aggregate.completion_round)
+  in
   let max_congestion = ref 0 in
   let progress = ref true in
   while !progress do
@@ -84,29 +91,11 @@ let run ?obs ?tracer ?(seed = 7) ?(mode = Thm31) ?(domains = 1) ?par_profile g
     let congestion = Quality.congestion !shortcut in
     if congestion > !max_congestion then max_congestion := congestion;
     Obs.gauge obs "boruvka.congestion" (float_of_int congestion);
-    (* The minimum aggregation is the phase's simulated workhorse. With
-       [domains > 1] it runs as a genuine CONGEST program on the sharded
-       simulator (Sim_aggregate over Simulator) instead of the packet
-       router; both engines return the exact per-part minima, so the MST
-       is identical — only the round/message accounting reflects the
-       engine that ran. The identity broadcast below stays on the packet
-       router either way (it is pure bookkeeping, not the measured
-       aggregation). *)
-    let minima, phase_rounds, phase_messages =
-      if domains > 1 then begin
-        let out =
-          Sim_aggregate.minimum ~domains ?obs ?tracer ?par_profile rng !shortcut ~values
-        in
-        (out.Sim_aggregate.minima, out.Sim_aggregate.rounds, out.Sim_aggregate.messages)
-      end
-      else begin
-        let out = Aggregate.minimum ?obs ?tracer rng !shortcut ~values in
-        (out.Aggregate.minima, out.Aggregate.rounds, out.Aggregate.messages)
-      end
+    let out =
+      Sim_aggregate.minimum ~budget:!budget ~domains ?obs ?tracer ?par_profile rng
+        !shortcut ~values
     in
-    pa_rounds := !pa_rounds + phase_rounds;
-    pa_messages := !pa_messages + phase_messages;
-    Obs.observe obs "pa.rounds" (float_of_int phase_rounds);
+    account out;
     (* Merge along each fragment's winning edge. *)
     let merged_any = ref false in
     Array.iter
@@ -120,7 +109,7 @@ let run ?obs ?tracer ?(seed = 7) ?(mode = Thm31) ?(domains = 1) ?par_profile g
             on_merge e
           end
         end)
-      minima;
+      out.Sim_aggregate.minima;
     if !merged_any then begin
       (* Fragment-identity update: a leader broadcast on the new partition,
          whose shortcut the next phase reuses. *)
@@ -131,12 +120,13 @@ let run ?obs ?tracer ?(seed = 7) ?(mode = Thm31) ?(domains = 1) ?par_profile g
       for v = n - 1 downto 0 do
         leaders.(Partition.part_of partition' v) <- v
       done;
-      let bc = Aggregate.broadcast ?obs ?tracer rng shortcut' ~leaders in
-      pa_rounds := !pa_rounds + bc.Aggregate.rounds;
-      pa_messages := !pa_messages + bc.Aggregate.messages;
-      Obs.observe obs "pa.rounds" (float_of_int bc.Aggregate.rounds);
+      let budget' = Sim_aggregate.default_budget shortcut' in
+      account
+        (Sim_aggregate.broadcast ~budget:budget' ~domains ?obs ?tracer ?par_profile rng
+           shortcut' ~leaders);
       partition := partition';
-      shortcut := shortcut'
+      shortcut := shortcut';
+      budget := budget'
     end
     else progress := false;
     Obs.exit obs

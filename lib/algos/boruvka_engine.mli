@@ -3,7 +3,8 @@
     edges, with every fragment-wide step executed as a measured part-wise
     aggregation over a shortcut.
 
-    Each phase performs two real, packet-routed aggregations:
+    Each phase performs two part-wise aggregations, each a CONGEST run of
+    {!Lcs_partwise.Sim_aggregate} on the simulator:
     + a {e minimum} PA on the current fragment partition delivering every
       fragment its best candidate edge (for MST: the minimum-weight
       outgoing edge of Borůvka's 1926 algorithm);
@@ -23,7 +24,10 @@ type shortcut_mode =
 
 type accounting = {
   phases : int;
-  pa_rounds : int;  (** measured packet-router rounds, summed over phases *)
+  pa_rounds : int;
+      (** completion rounds of the aggregations, summed over phases: by
+          each one's completion round every member of every part holds
+          its aggregate *)
   pa_messages : int;
   max_congestion : int;  (** largest shortcut congestion across phases *)
   final_fragments : int;
@@ -49,7 +53,7 @@ val run :
     in [0, 2^31) and the host must have fewer than 2^31 edges. [mode]
     defaults to [Thm31].
 
-    [?tracer] observes every aggregation's packet-router run through one
+    [?tracer] observes every aggregation's simulator run through one
     sink. [?obs] opens a ["boruvka"] span with one ["boruvka.phase"] child
     per phase — each nesting its shortcut construction
     (["boruvka.shortcut"]) and its aggregations' ["pa"] spans — updates the
@@ -57,14 +61,12 @@ val run :
     ["pa.rounds"] histogram, and closes with a phases-vs-[⌈log₂ n⌉ + 1]
     ledger entry.
 
-    [domains] (default 1) switches each phase's minimum aggregation from
-    the packet router to a genuine CONGEST run on the sharded simulator
-    ({!Lcs_partwise.Sim_aggregate} over {!Lcs_congest.Simulator} with
-    that many domains). Both engines return the exact per-part minima, so
-    the merges — and therefore the MST — are identical; the [pa_rounds] /
-    [pa_messages] accounting reflects whichever engine ran. The
-    fragment-identity broadcast stays on the packet router.
+    [domains] (default 1) shards every aggregation's simulator run across
+    that many OCaml domains ({!Lcs_congest.Simulator}); the merges, the
+    MST and the accounting are identical at any value, only wall time
+    changes. Each shortcut's default round budget
+    ({!Lcs_partwise.Sim_aggregate.default_budget}) is measured once and
+    serves both aggregations over it.
 
-    [par_profile] attaches a wall-clock collector to every simulated
-    aggregation ({!Lcs_congest.Simulator.run_outcome}); it records
-    nothing when [domains <= 1], where the packet router runs instead. *)
+    [par_profile] attaches a wall-clock collector to every aggregation's
+    simulator run ({!Lcs_congest.Simulator.run_outcome}). *)

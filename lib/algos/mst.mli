@@ -26,10 +26,8 @@ val boruvka :
 (** Requires a connected host graph (the result then has [n-1] edges).
     [?obs] wraps the run in an ["mst"] span over {!Boruvka_engine.run}'s
     span tree (mst → boruvka → boruvka.phase → pa → pa.epoch); [?tracer]
-    observes the underlying packet-router runs. [domains] (default 1)
-    runs each phase's minimum aggregation as a CONGEST program on the
-    sharded simulator ({!Lcs_congest.Simulator} via
-    {!Lcs_partwise.Sim_aggregate}) instead of the packet router; the MST
-    is identical, the accounting reflects the simulated engine.
-    [par_profile] attaches a wall-clock collector to those simulated
-    aggregations (it records nothing when [domains <= 1]). *)
+    observes the underlying simulator runs. [domains] (default 1) shards
+    every aggregation's run across that many domains
+    ({!Lcs_congest.Simulator} via {!Lcs_partwise.Sim_aggregate}); the MST
+    and the accounting are the same at any value. [par_profile] attaches
+    a wall-clock collector to those runs. *)

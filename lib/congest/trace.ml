@@ -39,15 +39,14 @@ let tee tracers event = List.iter (fun t -> t event) tracers
 (* --- Causal annotation plane --------------------------------------------- *)
 
 (* Ambient per-run state shared by the message sources (the simulator
-   cores and the standalone part-wise routers). The state is {e
-   domain-local} (one record per OCaml 5 domain, reached through a single
-   [Domain.DLS] key): the reference core and the routers live entirely on
-   one domain, while every domain of a sharded [Simulator] run brackets
-   its own nodes with [activate]/[take]/[deactivate] and never touches
-   another domain's declarations. Only the id [counter] of the domain
-   that called [start_run] is ever drawn from ([fresh_id] is reserved to
-   the merge step, which runs on one domain), so ids stay a single
-   per-run monotone sequence. When the run is untraced [enabled]
+   cores). The state is {e domain-local} (one record per OCaml 5 domain,
+   reached through a single [Domain.DLS] key): the reference core lives
+   entirely on one domain, while every domain of a sharded [Simulator]
+   run brackets its own nodes with [activate]/[take]/[deactivate] and
+   never touches another domain's declarations. Only the id [counter] of
+   the domain that called [start_run] is ever drawn from ([fresh_id] is
+   reserved to the merge step, which runs on one domain), so ids stay a
+   single per-run monotone sequence. When the run is untraced [enabled]
    stays false and every entry point is one DLS load and a branch — the
    untraced hot path allocates nothing here. *)
 module Cause = struct

@@ -82,12 +82,12 @@ val event_of_json : Lcs_util.Json.t -> (event, string) result
 
 (** Causal annotations for in-flight messages.
 
-    The message sources (both simulator cores and the standalone part-wise
-    routers) assign every traced transmission a per-run monotone id and
-    attach the causal metadata declared here. Protocol code — which only
-    sees ports and payloads — can consult {!inbox} for the ids of the
-    messages just delivered to it and declare what its sends were caused
-    by, plus a part id and phase label for attribution:
+    The message sources (the two simulator cores) assign every traced
+    transmission a per-run monotone id and attach the causal metadata
+    declared here. Protocol code — which only sees ports and payloads —
+    can consult {!inbox} for the ids of the messages just delivered to it
+    and declare what its sends were caused by, plus a part id and phase
+    label for attribution:
 
     - {!tag} sets the activation-wide part/phase defaults;
     - {!parents} sets the activation-wide parent set (e.g. an id carried in
@@ -101,9 +101,9 @@ val event_of_json : Lcs_util.Json.t -> (event, string) result
     branch, no allocation) when the current run is untraced; guard any
     argument construction with {!enabled}.
 
-    The state is {e domain-local} ([Domain.DLS]): the reference core and
-    the standalone routers run on one domain, while every domain of a
-    sharded {!Simulator} run brackets its own activations independently.
+    The state is {e domain-local} ([Domain.DLS]): the reference core runs
+    on one domain, while every domain of a sharded {!Simulator} run
+    brackets its own activations independently.
     Ids remain one per-run monotone sequence because {!fresh_id} is only
     ever drawn on the domain that called {!start_run} — the simulator
     assigns ids at its deterministic shard-merge step, never inside a
@@ -111,11 +111,11 @@ val event_of_json : Lcs_util.Json.t -> (event, string) result
     model).
 
     The remaining functions are the source-side half of the contract and
-    are only meant for simulator cores and router engines: {!start_run}
-    resets the id counter at run start, {!fresh_id} draws the next id in
-    trace-event order, {!activate}/{!deactivate} bracket one node
-    activation with its delivered-message ids, and {!take} consumes the
-    declaration for one outgoing message on a port. *)
+    are only meant for simulator cores: {!start_run} resets the id
+    counter at run start, {!fresh_id} draws the next id in trace-event
+    order, {!activate}/{!deactivate} bracket one node activation with its
+    delivered-message ids, and {!take} consumes the declaration for one
+    outgoing message on a port. *)
 module Cause : sig
   val enabled : unit -> bool
   (** Is the current run traced? False outside any traced run. *)
@@ -137,7 +137,7 @@ module Cause : sig
   (** Declare the next send on [port]: queued, consumed FIFO per port.
       [?parents] omitted falls back to the activation default. *)
 
-  (** {2 Source-side (simulator cores and router engines only)} *)
+  (** {2 Source-side (simulator cores only)} *)
 
   val start_run : enabled:bool -> unit
   val fresh_id : unit -> int

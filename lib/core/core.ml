@@ -60,9 +60,6 @@ module Distributed = Lcs_shortcut.Distributed
 
 (* Part-wise aggregation *)
 module Aggregate = Lcs_partwise.Aggregate
-module Packet_router = Lcs_partwise.Packet_router
-module Tree_router = Lcs_partwise.Tree_router
-module Subgraphs = Lcs_partwise.Subgraphs
 module Schedule = Lcs_partwise.Schedule
 module Sim_aggregate = Lcs_partwise.Sim_aggregate
 

@@ -107,9 +107,10 @@ let e8 ?(seed = 8) () =
     table;
     notes =
       [
-        "pa rounds = measured packet-router rounds summed over all Boruvka \
-         phases (two aggregations per phase: MWOE minimum + fragment-id \
-         broadcast).";
+        "pa rounds = completion rounds of the simulated aggregations \
+         (Sim_aggregate) summed over all Boruvka phases (two aggregations \
+         per phase: MWOE minimum + fragment-id broadcast); the same at any \
+         domain count.";
         "'snake' (grid) and 'wheel-ruler' weights follow the ruler \
          sequence, so fragments double in length each phase. On grids the \
          induced subgraph of a snake segment is a solid block, so even \

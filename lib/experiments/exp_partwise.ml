@@ -28,8 +28,8 @@ let e7 ?(seed = 7) () =
         let r = Quality.measure sc in
         let dil = if r.Quality.dilation = 0 then 1 else r.Quality.dilation in
         let bound = Aggregate.bound ~congestion:r.Quality.congestion ~dilation:dil ~n in
-        let out = Aggregate.minimum (Rng.create (seed + (2 * n))) sc ~values in
-        assert (out.Aggregate.minima = Aggregate.reference_minima sc ~values);
+        let out = Sim_aggregate.minimum (Rng.create (seed + (2 * n))) sc ~values in
+        assert (out.Sim_aggregate.minima = Aggregate.reference_minima sc ~values);
         Table.add_row table
           [
             name;
@@ -38,9 +38,11 @@ let e7 ?(seed = 7) () =
             string_of_int r.Quality.congestion;
             string_of_int r.Quality.dilation;
             string_of_int bound;
-            string_of_int out.Aggregate.rounds;
-            fmt (float_of_int out.Aggregate.rounds /. float_of_int (max 1 bound));
-            string_of_int out.Aggregate.messages;
+            string_of_int out.Sim_aggregate.completion_round;
+            fmt
+              (float_of_int out.Sim_aggregate.completion_round
+              /. float_of_int (max 1 bound));
+            string_of_int out.Sim_aggregate.messages;
           ])
       providers
   in
@@ -91,17 +93,21 @@ let e10 ?(seed = 10) () =
       let partition = Partition.of_parts g [ List.init (n - 1) (fun i -> i + 1) ] in
       let tree = Bfs.tree g ~root:0 in
       let values = random_values (Rng.create (seed + n)) n in
-      let bare = Aggregate.minimum (Rng.create seed) (Shortcut.empty partition) ~values in
+      let bare =
+        Sim_aggregate.minimum (Rng.create seed) (Shortcut.empty partition) ~values
+      in
       let sc = (Boost.full partition ~tree).Boost.shortcut in
-      let fast = Aggregate.minimum (Rng.create seed) sc ~values in
-      assert (bare.Aggregate.minima = fast.Aggregate.minima);
+      let fast = Sim_aggregate.minimum (Rng.create seed) sc ~values in
+      assert (bare.Sim_aggregate.minima = fast.Sim_aggregate.minima);
+      let bare = bare.Sim_aggregate.completion_round
+      and fast = fast.Sim_aggregate.completion_round in
       let r = Quality.measure sc in
       Table.add_row table
         [
           string_of_int n;
-          string_of_int bare.Aggregate.rounds;
-          string_of_int fast.Aggregate.rounds;
-          fmt (float_of_int bare.Aggregate.rounds /. float_of_int (max 1 fast.Aggregate.rounds));
+          string_of_int bare;
+          string_of_int fast;
+          fmt (float_of_int bare /. float_of_int (max 1 fast));
           string_of_int r.Quality.congestion;
           string_of_int r.Quality.dilation;
         ])

@@ -1,69 +1,19 @@
-(** The part-wise aggregation problem (Definition 2.1), solved through a
-    shortcut.
+(** The part-wise aggregation problem (Definition 2.1).
 
     Given values [x_v], every node of part [P_i] must learn an aggregate of
-    its part's values — here the minimum (maximum reduces to it by
-    negation; leader-message delivery by flooding the leader's token, which
-    is {!broadcast}). The solution floods each part's aggregate through its
-    shortcut subgraph under the random-delays schedule of
-    {!Packet_router}; with a (c,d)-shortcut it completes in
+    its part's values — the minimum (maximum reduces to it by negation),
+    a leader's token, or a sum. {!Sim_aggregate} solves it through a
+    shortcut as a CONGEST program; with a (c,d)-shortcut it completes in
     [O(c + d·log n)] rounds, which {!bound} makes available for the
-    measured-vs-bound tables. *)
-
-type outcome = {
-  minima : int array;  (** per part *)
-  rounds : int;
-  messages : int;
-  per_part_completion : int array;
-}
-
-val minimum :
-  ?obs:Lcs_obs.Obs.t ->
-  ?bandwidth:int ->
-  ?tracer:Lcs_congest.Trace.tracer ->
-  Lcs_util.Rng.t ->
-  Lcs_shortcut.Shortcut.t ->
-  values:int array ->
-  outcome
-(** Every node of each part learns the part minimum; measured rounds.
-    With [?obs] the run opens a ["pa"] span wrapping ["pa.run"], cuts the
-    traced load curve into ["pa.epoch"] child spans at the random-delay
-    schedule's epoch boundaries ({!Schedule.epochs} with
-    [max_delay = congestion]), and records rounds-vs-[c + d·log n] and
-    per-edge-words-vs-congestion ledger entries — the quality measurement
-    this needs runs only when a collector is installed. *)
-
-val broadcast :
-  ?obs:Lcs_obs.Obs.t ->
-  ?bandwidth:int ->
-  ?tracer:Lcs_congest.Trace.tracer ->
-  Lcs_util.Rng.t ->
-  Lcs_shortcut.Shortcut.t ->
-  leaders:int array ->
-  outcome
-(** Definition 2.1's second form: [leaders.(i)] is a vertex of part [i]
-    whose token must reach the whole part. Implemented as a minimum over
-    values that single out the leader. [minima] then encodes the leaders'
-    tokens. *)
-
-val sum :
-  ?obs:Lcs_obs.Obs.t ->
-  ?bandwidth:int ->
-  ?tracer:Lcs_congest.Trace.tracer ->
-  Lcs_util.Rng.t ->
-  Lcs_shortcut.Shortcut.t ->
-  values:int array ->
-  outcome
-(** Non-idempotent aggregation: every node of each part learns the sum of
-    its part's values, via {!Tree_router} (per-part tree convergecast +
-    broadcast under the shared-capacity schedule). [minima] then holds the
-    sums. *)
+    measured-vs-bound tables. This module states the problem: the bound
+    and the centrally computed answers the engine is checked against. *)
 
 val reference_minima : Lcs_shortcut.Shortcut.t -> values:int array -> int array
-(** Ground truth, computed centrally; the tests compare {!minimum} against
-    this. *)
+(** Ground truth, computed centrally; {!Sim_aggregate.minimum} is checked
+    against this. *)
 
 val reference_sums : Lcs_shortcut.Shortcut.t -> values:int array -> int array
+(** Ground truth for {!Sim_aggregate.sum}. *)
 
 val surviving_minima :
   Lcs_shortcut.Shortcut.t -> values:int array -> crashed:int list -> int array

@@ -1,9 +1,8 @@
-(** Scheduling policies for the shared-edge packet queues — the ablation
-    axis for the random-delays technique [LMR94, Gha15, HHW19].
+(** Scheduling policies for the shared per-port word queues — the
+    ablation axis for the random-delays technique [LMR94, Gha15, HHW19].
 
-    The routers serve each edge-direction queue by ascending priority
-    (FIFO among equals). The policy decides the priority a part's packets
-    carry:
+    {!Sim_aggregate} serves each port queue by ascending priority (FIFO
+    among equals). The policy decides the priority a part's words carry:
 
     - [Random_delay]: a uniform delay in [0, max_delay) per part — the
       technique the paper's O(c + d log n) aggregation bound rests on;
@@ -16,12 +15,12 @@
     [0, max_delay) with [max_delay = Θ(c)] makes every edge's expected
     per-round load O(1 + c/max_delay) = O(1), so with high probability a
     packet waits O(log n) rounds per hop and the whole part-wise
-    aggregation completes in O(c + d log n) rounds [LMR94]. The routers
-    ([Packet_router], [Tree_router]) realize the delays as static
-    priorities rather than literal waiting: serving queues in ascending
-    delay order is equivalent to each part sitting out its delay, but
-    never leaves an edge idle, so measured completion times are at most
-    the scheduled ones. [Fifo] and [Static_order] deliberately break the
+    aggregation completes in O(c + d log n) rounds [LMR94].
+    {!Sim_aggregate} realizes the delays as static priorities rather than
+    literal waiting: serving queues in ascending delay order is
+    equivalent to each part sitting out its delay, but never leaves an
+    edge idle, so measured completion times are at most the scheduled
+    ones. [Fifo] and [Static_order] deliberately break the
     argument's load-spreading step; experiment E14 measures the gap. *)
 
 type policy = Random_delay | Fifo | Static_order

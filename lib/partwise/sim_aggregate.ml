@@ -4,8 +4,6 @@ module Shortcut = Lcs_shortcut.Shortcut
 module Quality = Lcs_shortcut.Quality
 module Simulator = Lcs_congest.Simulator
 module Trace = Lcs_congest.Trace
-module Rng = Lcs_util.Rng
-module Vec = Lcs_util.Vec
 module Intvec = Lcs_util.Intvec
 module Obs = Lcs_obs.Obs
 
@@ -17,31 +15,109 @@ type result = {
   stats : Simulator.stats;
 }
 
-(* The flooding's whole per-node state lives in flat arrays built once by
-   [setup], indexed by node, by (node, served part) entry, or by the
-   host's CSR port slot. A node's step reads and writes only its own
-   entries and slots, so steps of different shards never share a cell.
+(* --- Observability: the "pa" span shape ----------------------------------- *)
+
+(* Schedule parameters of one run. The dilation is measured only when
+   something reads it: the default budget or an installed collector. *)
+type sched = { max_delay : int; congestion : int; dilation : int Lazy.t }
+
+(* Notes on the open "pa" span. *)
+let note_schedule obs ~budget sched =
+  if obs <> None then begin
+    Obs.note obs "budget" (Obs.Int budget);
+    Obs.note obs "congestion" (Obs.Int sched.congestion);
+    Obs.note obs "dilation" (Obs.Int (Lazy.force sched.dilation));
+    Obs.note obs "max_delay" (Obs.Int sched.max_delay)
+  end
+
+(* When a collector is installed, tee an internal profile into the
+   caller's tracer so epochs and the congestion ledger can be derived
+   without asking the caller to profile. *)
+let profiled obs tracer ~edges =
+  match obs with
+  | None -> (None, tracer)
+  | Some _ ->
+      let p = Trace.Profile.create ~edges () in
+      let pt = Trace.Profile.tracer p in
+      let tracer =
+        match tracer with None -> pt | Some t -> Trace.tee [ t; pt ]
+      in
+      (Some p, Some tracer)
+
+(* Emit one "pa.epoch" span per schedule epoch, carrying the window's
+   simulated rounds and traced words. Called while "pa.run" is still open
+   so the epochs nest under it (their wall-clock extent is an artifact —
+   the information is in rounds/words, like the paper's analysis). *)
+let record_epochs obs profile ~max_delay ~rounds =
+  match profile with
+  | None -> ()
+  | Some p ->
+      let curve = Trace.Profile.load_curve p in
+      List.iteri
+        (fun idx (first, last) ->
+          Obs.enter obs "pa.epoch";
+          Obs.note obs "epoch" (Obs.Int idx);
+          Obs.note obs "first_round" (Obs.Int first);
+          Obs.note obs "last_round" (Obs.Int last);
+          let words = ref 0 in
+          for r = first to last do
+            if r - 1 < Array.length curve then words := !words + curve.(r - 1)
+          done;
+          Obs.note obs "words" (Obs.Int !words);
+          Obs.add_rounds obs (last - first + 1);
+          Obs.exit obs)
+        (Schedule.epochs ~max_delay ~rounds)
+
+(* Ledger entries against the open "pa" span: the completion round vs the
+   scheduling bound c + d·log n, and max per-edge traced words vs the
+   shortcut's Def 2.2 congestion (each part crosses an edge O(1) times, so
+   the ratio staying O(1) is exactly the load-spreading claim). *)
+let record_ledger obs profile sched ~n ~observed_rounds =
+  match profile with
+  | None -> ()
+  | Some p ->
+      let predicted =
+        Aggregate.bound ~congestion:sched.congestion
+          ~dilation:(max 1 (Lazy.force sched.dilation)) ~n
+      in
+      Obs.bound obs ~metric:"rounds" ~predicted:(float_of_int predicted)
+        ~observed:(float_of_int observed_rounds);
+      Obs.bound obs ~metric:"congestion"
+        ~predicted:(float_of_int sched.congestion)
+        ~observed:
+          (float_of_int (Array.fold_left max 0 (Trace.Profile.edge_words p)))
+
+(* --- The shared network: routes and port queues ---------------------------- *)
+
+(* Every program's per-node state lives in flat arrays built once by
+   setup, indexed by node, by (node, served part) entry, or by the host's
+   CSR port slot. A node's step reads and writes only its own entries and
+   slots, so steps of different shards never share a cell.
 
    - Entries: node [v] serves the parts whose subgraph [S_i = G[P_i] +
      H_i] contains it (its own part included); its entries are
      [serve_off.(v) .. serve_off.(v+1) - 1], sorted by part, and an
      entry's [route_port]s are the ports of its part's subgraph edges at
-     [v].
-   - Port queues: the words waiting on port slot [q] form a binary heap
-     of [qlen.(q)] records of 4 ints in [queue.(q)] — key, part, value,
+     [v]. *)
+type routes = {
+  slot_off : Intvec.t;  (* the host's CSR row offsets *)
+  edge_port : int array;
+      (* [2e]: edge [e]'s port at its lower endpoint; [2e + 1]: at its
+         higher one *)
+  serve_off : int array;
+  serve_part : int array;
+  own_entry : int array;  (* per node; -1 outside every part *)
+  route_off : int array;
+  route_port : int array;
+}
+
+(* - Port queues: the words waiting on port slot [q] form a binary heap of
+     [qlen.(q)] records of 4 ints in [queue.(q)] — key, part, value,
      causal id. The key packs (delay of the part, FIFO sequence number),
      so equal delays pop in arrival order. The causal id is simulation
      metadata, not wire payload: it names the arrival that queued the
      word (0 for a round-0 self-injection). *)
-type net = {
-  slot_off : Intvec.t;  (* the host's CSR row offsets *)
-  serve_off : int array;
-  serve_part : int array;
-  best : int array;
-  has_best : bool array;
-  own_entry : int array;  (* per node; -1 outside every part *)
-  route_off : int array;
-  route_port : int array;
+type queues = {
   queue : int array array;
   qlen : int array;
   qseq : int array;
@@ -55,8 +131,208 @@ type node_state = {
   mutable finished : bool;
 }
 
-(* Schedule parameters the observability layer needs back from setup. *)
-type sched = { max_delay : int; congestion : int; dilation : int }
+let seq_bits = 32
+
+let default_budget_of ~congestion ~dilation ~n =
+  (4 * Aggregate.bound ~congestion ~dilation:(max 1 dilation) ~n) + 32
+
+let default_budget shortcut =
+  default_budget_of ~congestion:(Quality.congestion shortcut)
+    ~dilation:(Quality.dilation shortcut)
+    ~n:(Graph.n (Shortcut.graph shortcut))
+
+(* The port of edge [e] at its endpoint [x], whose other end is [w], in
+   an [edge_port] table. *)
+let port_at edge_port e x w = edge_port.((2 * e) + if x < w then 0 else 1)
+
+(* The serve entries and routes of every node, without per-node tables.
+   One pass over [Quality.iter_part_edges] counts each node's (part,
+   port) pairs — a member serves its part even when isolated in S_i —
+   and a second places them, part by part, into the node's slice of two
+   flat arrays, so each node's pairs come out grouped by ascending part.
+   An edge's port at either endpoint comes from one walk over the CSR
+   rows. *)
+let build_routes host partition shortcut =
+  let n = Graph.n host and k = Shortcut.k shortcut in
+  let off = Graph.csr_offsets host in
+  let nbr = Graph.csr_neighbors host and eid = Graph.csr_edges host in
+  let edge_port = Array.make (2 * Graph.m host) 0 in
+  for x = 0 to n - 1 do
+    let base = Intvec.get off x in
+    for p = 0 to Intvec.get off (x + 1) - base - 1 do
+      let e = Intvec.get eid (base + p) in
+      edge_port.((2 * e) + if x < Intvec.get nbr (base + p) then 0 else 1) <- p
+    done
+  done;
+  let marks = Quality.edge_marks host in
+  let start = Array.make (n + 1) 0 in
+  for i = 0 to k - 1 do
+    Quality.iter_part_edges marks shortcut i
+      ~member:(fun v -> start.(v + 1) <- start.(v + 1) + 1)
+      ~edge:(fun _ u w ->
+        start.(u + 1) <- start.(u + 1) + 1;
+        start.(w + 1) <- start.(w + 1) + 1)
+  done;
+  for x = 0 to n - 1 do
+    start.(x + 1) <- start.(x + 1) + start.(x)
+  done;
+  let total = start.(n) in
+  let fill = Array.sub start 0 n in
+  let t_part = Array.make total 0 and t_port = Array.make total 0 in
+  let place x i p =
+    let a = fill.(x) in
+    t_part.(a) <- i;
+    t_port.(a) <- p;
+    fill.(x) <- a + 1
+  in
+  for i = 0 to k - 1 do
+    Quality.iter_part_edges marks shortcut i
+      ~member:(fun v -> place v i (-1))
+      ~edge:(fun e u w ->
+        place u i (port_at edge_port e u w);
+        place w i (port_at edge_port e w u))
+  done;
+  let serve_off = Array.make (n + 1) 0 and own_entry = Array.make n (-1) in
+  let serve_part = Array.make total 0 and route_off = Array.make (total + 1) 0 in
+  let route_port = Array.make total 0 in
+  let entries = ref 0 and routes = ref 0 in
+  for x = 0 to n - 1 do
+    serve_off.(x) <- !entries;
+    let own = Partition.part_of partition x in
+    for a = start.(x) to start.(x + 1) - 1 do
+      let i = t_part.(a) in
+      if !entries = serve_off.(x) || serve_part.(!entries - 1) <> i then begin
+        if i = own then own_entry.(x) <- !entries;
+        serve_part.(!entries) <- i;
+        route_off.(!entries) <- !routes;
+        incr entries
+      end;
+      if t_port.(a) >= 0 then begin
+        route_port.(!routes) <- t_port.(a);
+        incr routes
+      end
+    done
+  done;
+  serve_off.(n) <- !entries;
+  route_off.(!entries) <- !routes;
+  {
+    slot_off = off;
+    edge_port;
+    serve_off;
+    serve_part = Array.sub serve_part 0 !entries;
+    own_entry;
+    route_off = Array.sub route_off 0 (!entries + 1);
+    route_port = Array.sub route_port 0 !routes;
+  }
+
+(* The entry of node [v] for [part], by binary search in its sorted row. *)
+let entry_of rt v part =
+  let lo = ref rt.serve_off.(v) and hi = ref rt.serve_off.(v + 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if rt.serve_part.(mid) < part then lo := mid + 1 else hi := mid
+  done;
+  if !lo = rt.serve_off.(v + 1) || rt.serve_part.(!lo) <> part then
+    invalid_arg "Sim_aggregate: word for a part not served here";
+  !lo
+
+let make_queues host ~delay =
+  let slots = 2 * Graph.m host in
+  {
+    queue = Array.make slots [||];
+    qlen = Array.make slots 0;
+    qseq = Array.make slots 0;
+    delay;
+  }
+
+(* Empty node [v]'s port queues, so a program value can run again. *)
+let reset_queues rt qs v =
+  for q = Intvec.get rt.slot_off v to Intvec.get rt.slot_off (v + 1) - 1 do
+    qs.qlen.(q) <- 0;
+    qs.qseq.(q) <- 0
+  done
+
+(* Queue a word for [part] on [st]'s port [port], behind the words of
+   smaller delay and of the same delay queued before it. *)
+let push rt qs st port part value cause =
+  let q = Intvec.get rt.slot_off st.node + port in
+  let seq = qs.qseq.(q) in
+  qs.qseq.(q) <- seq + 1;
+  let key = (qs.delay.(part) lsl seq_bits) lor seq in
+  let len = qs.qlen.(q) in
+  let h =
+    let h = qs.queue.(q) in
+    if 4 * (len + 1) <= Array.length h then h
+    else begin
+      let h' = Array.make (max 16 (2 * Array.length h)) 0 in
+      Array.blit h 0 h' 0 (4 * len);
+      qs.queue.(q) <- h';
+      h'
+    end
+  in
+  let i = ref len in
+  while !i > 0 && key < h.(4 * ((!i - 1) / 2)) do
+    let parent = (!i - 1) / 2 in
+    Array.blit h (4 * parent) h (4 * !i) 4;
+    i := parent
+  done;
+  let at = 4 * !i in
+  h.(at) <- key;
+  h.(at + 1) <- part;
+  h.(at + 2) <- value;
+  h.(at + 3) <- cause;
+  qs.qlen.(q) <- len + 1;
+  st.queued <- st.queued + 1
+
+(* Drop the minimum of a non-empty heap; the caller has read it at 0. *)
+let pop qs q =
+  let h = qs.queue.(q) in
+  let len = qs.qlen.(q) - 1 in
+  qs.qlen.(q) <- len;
+  if len > 0 then begin
+    let last = 4 * len in
+    let key = h.(last) in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      let c =
+        if l + 1 < len && h.(4 * (l + 1)) < h.(4 * l) then l + 1 else l
+      in
+      if c < len && h.(4 * c) < key then begin
+        Array.blit h (4 * c) h (4 * !i) 4;
+        i := c
+      end
+      else sifting := false
+    done;
+    Array.blit h last h (4 * !i) 4
+  end
+
+(* One word per non-empty port queue: the smallest delay, FIFO among
+   equals. [phase node port part] labels a traced word. *)
+let drain rt qs st ~ports ~phase =
+  let traced = Trace.Cause.enabled () in
+  let base = Intvec.get rt.slot_off st.node in
+  let out = ref [] in
+  for port = 0 to ports - 1 do
+    let q = base + port in
+    if qs.qlen.(q) > 0 then begin
+      let h = qs.queue.(q) in
+      let part = h.(1) and value = h.(2) and cause = h.(3) in
+      pop qs q;
+      st.queued <- st.queued - 1;
+      if traced then
+        Trace.Cause.emit ~port
+          ~parents:(if cause > 0 then [ cause ] else [])
+          ~part ~phase:(phase st.node port part) ();
+      out := (port, (part, value)) :: !out
+    end
+  done;
+  !out
+
+(* The causal id of the [idx]-th arrival; 0 when the run is untraced. *)
+let cause_of ids idx = if idx < Array.length ids then ids.(idx) else 0
+
+(* --- Minimum: flooding under the random-delay schedule ---------------------- *)
 
 type setup = {
   program : (node_state, int * int) Simulator.program;
@@ -69,204 +345,43 @@ type setup = {
       (* a part member's best value for its own part, after the run *)
 }
 
-let seq_bits = 32
+let flood_phase _ _ _ = "pa.flood"
 
-(* The default round budget: the Def 2.1 schedule bound, four times over,
-   plus slack. *)
-let default_budget ~congestion ~dilation ~n =
-  (4 * Aggregate.bound ~congestion ~dilation:(max 1 dilation) ~n) + 32
-
-(* Port [p] of [x] whose neighbor is [w]: rows are sorted by neighbor. *)
-let port_towards host x w =
-  let off = Graph.csr_offsets host and nbr = Graph.csr_neighbors host in
-  let base = Intvec.get off x in
-  let rec search lo hi =
-    if lo >= hi then invalid_arg "Sim_aggregate: not a neighbor"
-    else
-      let mid = (lo + hi) / 2 in
-      let y = Intvec.get nbr (base + mid) in
-      if y = w then mid else if y < w then search (mid + 1) hi else search lo mid
-  in
-  search 0 (Intvec.get off (x + 1) - base)
-
-(* The serve entries and routes of every node, without per-node tables:
-   triples (node, part, port) are generated part by part from
-   [Quality.iter_part_edges] — port -1 marks a member, who serves its part
-   even when isolated in S_i — and a stable counting sort by node then
-   leaves each node's triples grouped by ascending part. *)
-let build_routes host partition shortcut =
-  let n = Graph.n host and k = Shortcut.k shortcut in
-  let t_node = Vec.create () and t_part = Vec.create () and t_port = Vec.create () in
-  let triple x i p =
-    Vec.push t_node x;
-    Vec.push t_part i;
-    Vec.push t_port p
-  in
-  let marks = Quality.edge_marks host in
-  for i = 0 to k - 1 do
-    Quality.iter_part_edges marks shortcut i
-      ~member:(fun v -> triple v i (-1))
-      ~edge:(fun _ u w ->
-        triple u i (port_towards host u w);
-        triple w i (port_towards host w u))
-  done;
-  let total = Vec.length t_node in
-  let start = Array.make (n + 1) 0 in
-  Vec.iter (fun x -> start.(x + 1) <- start.(x + 1) + 1) t_node;
-  for x = 0 to n - 1 do
-    start.(x + 1) <- start.(x + 1) + start.(x)
-  done;
-  let fill = Array.sub start 0 n in
-  let order = Array.make total 0 in
-  for t = 0 to total - 1 do
-    let x = Vec.get t_node t in
-    order.(fill.(x)) <- t;
-    fill.(x) <- fill.(x) + 1
-  done;
-  let serve_off = Array.make (n + 1) 0 in
-  let serve_part = Vec.create () and route_off = Vec.create () and route_port = Vec.create () in
-  let own_entry = Array.make n (-1) in
-  for x = 0 to n - 1 do
-    serve_off.(x) <- Vec.length serve_part;
-    let own = Partition.part_of partition x in
-    for a = start.(x) to start.(x + 1) - 1 do
-      let t = order.(a) in
-      let i = Vec.get t_part t in
-      if Vec.length serve_part = serve_off.(x) || Vec.get serve_part (Vec.length serve_part - 1) <> i
-      then begin
-        if i = own then own_entry.(x) <- Vec.length serve_part;
-        Vec.push serve_part i;
-        Vec.push route_off (Vec.length route_port)
-      end;
-      let p = Vec.get t_port t in
-      if p >= 0 then Vec.push route_port p
-    done
-  done;
-  serve_off.(n) <- Vec.length serve_part;
-  Vec.push route_off (Vec.length route_port);
-  ( serve_off,
-    Vec.to_array serve_part,
-    own_entry,
-    Vec.to_array route_off,
-    Vec.to_array route_port )
-
-let setup ?budget ~congestion ~dilation rng shortcut ~values =
+let setup ?budget ?(policy = Schedule.Random_delay) ~congestion ~dilation rng
+    shortcut ~values =
   let host = Shortcut.graph shortcut in
   let partition = Shortcut.partition shortcut in
   let k = Shortcut.k shortcut in
   let n = Graph.n host in
   if Array.length values <> n then invalid_arg "Sim_aggregate.minimum: values";
   let budget =
-    match budget with Some b -> b | None -> default_budget ~congestion ~dilation ~n
+    match budget with
+    | Some b -> b
+    | None -> default_budget_of ~congestion ~dilation:(Lazy.force dilation) ~n
   in
   let max_delay = max 1 congestion in
-  let delay = Array.init k (fun _ -> Rng.int rng max_delay) in
-  let serve_off, serve_part, own_entry, route_off, route_port =
-    build_routes host partition shortcut
-  in
-  let entries = Array.length serve_part in
-  let slots = 2 * Graph.m host in
-  let net =
-    {
-      slot_off = Graph.csr_offsets host;
-      serve_off;
-      serve_part;
-      best = Array.make entries 0;
-      has_best = Array.make entries false;
-      own_entry;
-      route_off;
-      route_port;
-      queue = Array.make slots [||];
-      qlen = Array.make slots 0;
-      qseq = Array.make slots 0;
-      delay;
-    }
-  in
-  (* Heap on port slot [q]: 4 ints per record, keyed by the first. *)
-  let push q key part value cause =
-    let len = net.qlen.(q) in
-    let h =
-      let h = net.queue.(q) in
-      if 4 * (len + 1) <= Array.length h then h
-      else begin
-        let h' = Array.make (max 16 (2 * Array.length h)) 0 in
-        Array.blit h 0 h' 0 (4 * len);
-        net.queue.(q) <- h';
-        h'
-      end
-    in
-    let i = ref len in
-    while !i > 0 && key < h.(4 * ((!i - 1) / 2)) do
-      let parent = (!i - 1) / 2 in
-      Array.blit h (4 * parent) h (4 * !i) 4;
-      i := parent
-    done;
-    let at = 4 * !i in
-    h.(at) <- key;
-    h.(at + 1) <- part;
-    h.(at + 2) <- value;
-    h.(at + 3) <- cause;
-    net.qlen.(q) <- len + 1
-  in
-  (* Drop the minimum of a non-empty heap; the caller has read it at 0. *)
-  let pop q =
-    let h = net.queue.(q) in
-    let len = net.qlen.(q) - 1 in
-    net.qlen.(q) <- len;
-    if len > 0 then begin
-      let last = 4 * len in
-      let key = h.(last) in
-      let i = ref 0 and sifting = ref true in
-      while !sifting do
-        let l = (2 * !i) + 1 in
-        let c =
-          if l + 1 < len && h.(4 * (l + 1)) < h.(4 * l) then l + 1 else l
-        in
-        if c < len && h.(4 * c) < key then begin
-          Array.blit h (4 * c) h (4 * !i) 4;
-          i := c
-        end
-        else sifting := false
-      done;
-      Array.blit h last h (4 * !i) 4
-    end
-  in
+  let rt = build_routes host partition shortcut in
+  let qs = make_queues host ~delay:(Schedule.delays policy rng ~parts:k ~max_delay) in
+  let entries = Array.length rt.serve_part in
+  let best = Array.make entries 0 and has_best = Array.make entries false in
   let enqueue st j value cause ~skip_port =
-    let part = net.serve_part.(j) in
-    let base = Intvec.get net.slot_off st.node in
-    for r = net.route_off.(j) to net.route_off.(j + 1) - 1 do
-      let port = net.route_port.(r) in
-      if port <> skip_port then begin
-        let q = base + port in
-        let seq = net.qseq.(q) in
-        net.qseq.(q) <- seq + 1;
-        push q ((delay.(part) lsl seq_bits) lor seq) part value cause;
-        st.queued <- st.queued + 1
-      end
+    let part = rt.serve_part.(j) in
+    for r = rt.route_off.(j) to rt.route_off.(j + 1) - 1 do
+      let port = rt.route_port.(r) in
+      if port <> skip_port then push rt qs st port part value cause
     done
-  in
-  let entry_of v part =
-    let rec search lo hi =
-      if lo >= hi then invalid_arg "Sim_aggregate: word for a part not served here"
-      else
-        let mid = (lo + hi) / 2 in
-        let i = net.serve_part.(mid) in
-        if i = part then mid else if i < part then search (mid + 1) hi else search lo mid
-    in
-    search net.serve_off.(v) net.serve_off.(v + 1)
   in
   (* Absorb the inbox; [ids] are the arrivals' causal ids, parallel to it
      (empty when the run is untraced, and then every cause is 0). *)
   let rec absorb st round ids idx = function
     | [] -> ()
     | (port, (part, value)) :: rest ->
-        let j = entry_of st.node part in
-        if (not net.has_best.(j)) || value < net.best.(j) then begin
-          net.best.(j) <- value;
-          net.has_best.(j) <- true;
-          let cause = if idx < Array.length ids then ids.(idx) else 0 in
-          enqueue st j value cause ~skip_port:port;
-          if j = net.own_entry.(st.node) then st.last_improved <- round
+        let j = entry_of rt st.node part in
+        if (not has_best.(j)) || value < best.(j) then begin
+          best.(j) <- value;
+          has_best.(j) <- true;
+          enqueue st j value (cause_of ids idx) ~skip_port:port;
+          if j = rt.own_entry.(st.node) then st.last_improved <- round
         end;
         absorb st round ids (idx + 1) rest
   in
@@ -275,19 +390,15 @@ let setup ?budget ~congestion ~dilation rng shortcut ~values =
       Simulator.init =
         (fun ctx ->
           let v = ctx.Simulator.node in
-          (* Reset this node's cells, so the program value can run again. *)
-          for j = net.serve_off.(v) to net.serve_off.(v + 1) - 1 do
-            net.has_best.(j) <- false
+          for j = rt.serve_off.(v) to rt.serve_off.(v + 1) - 1 do
+            has_best.(j) <- false
           done;
-          for q = Intvec.get net.slot_off v to Intvec.get net.slot_off (v + 1) - 1 do
-            net.qlen.(q) <- 0;
-            net.qseq.(q) <- 0
-          done;
+          reset_queues rt qs v;
           let st = { node = v; queued = 0; last_improved = 0; finished = budget < 0 } in
-          let j = net.own_entry.(v) in
+          let j = rt.own_entry.(v) in
           if j >= 0 then begin
-            net.best.(j) <- values.(v);
-            net.has_best.(j) <- true;
+            best.(j) <- values.(v);
+            has_best.(j) <- true;
             enqueue st j values.(v) 0 ~skip_port:(-1)
           end;
           st);
@@ -300,28 +411,10 @@ let setup ?budget ~congestion ~dilation rng shortcut ~values =
             (st, [])
           end
           else if st.queued = 0 then (st, [])
-          else begin
-            (* One word per non-empty port queue: the smallest delay, FIFO
-               among equals. *)
-            let traced = Trace.Cause.enabled () in
-            let base = Intvec.get net.slot_off st.node in
-            let out = ref [] in
-            for port = 0 to Array.length ctx.Simulator.neighbors - 1 do
-              let q = base + port in
-              if net.qlen.(q) > 0 then begin
-                let h = net.queue.(q) in
-                let part = h.(1) and value = h.(2) and cause = h.(3) in
-                pop q;
-                st.queued <- st.queued - 1;
-                if traced then
-                  Trace.Cause.emit ~port
-                    ~parents:(if cause > 0 then [ cause ] else [])
-                    ~part ~phase:"pa.flood" ();
-                out := (port, (part, value)) :: !out
-              end
-            done;
-            (st, !out)
-          end);
+          else
+            ( st,
+              drain rt qs st ~ports:(Array.length ctx.Simulator.neighbors)
+                ~phase:flood_phase ));
       is_halted = (fun st -> st.finished);
       (* Awake while a word waits; otherwise only the halting round is
          due — a step in between, with no mail, would do nothing. *)
@@ -331,8 +424,8 @@ let setup ?budget ~congestion ~dilation rng shortcut ~values =
     }
   in
   let own_best v =
-    let j = net.own_entry.(v) in
-    if j >= 0 && net.has_best.(j) then Some net.best.(j) else None
+    let j = rt.own_entry.(v) in
+    if j >= 0 && has_best.(j) then Some best.(j) else None
   in
   {
     program;
@@ -344,24 +437,25 @@ let setup ?budget ~congestion ~dilation rng shortcut ~values =
     own_best;
   }
 
-let minimum ?budget ?domains ?obs ?tracer ?par_profile rng shortcut ~values =
+let completion states =
+  Array.fold_left (fun acc st -> max acc st.last_improved) 0 states
+
+let minimum ?budget ?policy ?domains ?obs ?tracer ?par_profile rng shortcut ~values =
   Obs.span obs "pa" @@ fun () ->
   let { program; budget; host; partition; sched; own_best; _ } =
     Obs.span obs "pa.setup" (fun () ->
-        setup ?budget ~congestion:(Quality.congestion shortcut)
-          ~dilation:(Quality.dilation shortcut) rng shortcut ~values)
+        setup ?budget ?policy ~congestion:(Quality.congestion shortcut)
+          ~dilation:(lazy (Quality.dilation shortcut))
+          rng shortcut ~values)
   in
-  Obs.note obs "budget" (Obs.Int budget);
-  Obs.note obs "congestion" (Obs.Int sched.congestion);
-  Obs.note obs "dilation" (Obs.Int sched.dilation);
-  Obs.note obs "max_delay" (Obs.Int sched.max_delay);
-  let profile, tracer = Pa_obs.profiled obs tracer ~edges:(Graph.m host) in
+  note_schedule obs ~budget sched;
+  let profile, tracer = profiled obs tracer ~edges:(Graph.m host) in
   Obs.enter obs "pa.run";
   let states, stats =
     Simulator.run ?domains ~max_rounds:(budget + 8) ?tracer ?par_profile host
       program
   in
-  Pa_obs.record_epochs obs profile ~max_delay:sched.max_delay
+  record_epochs obs profile ~max_delay:sched.max_delay
     ~rounds:stats.Simulator.rounds;
   Obs.exit obs;
   let reference = Aggregate.reference_minima shortcut ~values in
@@ -372,18 +466,180 @@ let minimum ?budget ?domains ?obs ?tracer ?par_profile rng shortcut ~values =
       | Some b when b = reference.(part) -> ()
       | _ -> failwith "Sim_aggregate: part did not converge within budget"
   done;
-  let completion_round =
-    Array.fold_left (fun acc st -> max acc st.last_improved) 0 states
-  in
-  Pa_obs.record_ledger obs profile ~congestion:sched.congestion
-    ~predicted_rounds:
-      (Aggregate.bound ~congestion:sched.congestion
-         ~dilation:(max 1 sched.dilation) ~n:(Graph.n host))
-    ~observed_rounds:completion_round;
+  let completion_round = completion states in
+  record_ledger obs profile sched ~n:(Graph.n host) ~observed_rounds:completion_round;
   {
     minima = reference;
     rounds = stats.Simulator.rounds;
     completion_round;
+    messages = stats.Simulator.messages;
+    stats;
+  }
+
+let broadcast ?budget ?domains ?obs ?tracer ?par_profile rng shortcut ~leaders =
+  let partition = Shortcut.partition shortcut in
+  let n = Graph.n (Shortcut.graph shortcut) in
+  if Array.length leaders <> Shortcut.k shortcut then
+    invalid_arg "Sim_aggregate.broadcast: leaders arity";
+  Array.iteri
+    (fun i l ->
+      if l < 0 || l >= n || Partition.part_of partition l <> i then
+        invalid_arg "Sim_aggregate.broadcast: leader not in its part")
+    leaders;
+  (* The leader's token is its vertex id; every other node holds the
+     max-sentinel so the part minimum is exactly the leader's token. *)
+  let values = Array.make n (max_int - 1) in
+  Array.iter (fun l -> values.(l) <- l) leaders;
+  minimum ?budget ?domains ?obs ?tracer ?par_profile rng shortcut ~values
+
+(* --- Sum: convergecast + broadcast over per-part BFS trees ------------------- *)
+
+let sum ?tracer rng shortcut ~values =
+  let host = Shortcut.graph shortcut in
+  let partition = Shortcut.partition shortcut in
+  let k = Shortcut.k shortcut in
+  let n = Graph.n host in
+  if Array.length values <> n then invalid_arg "Sim_aggregate.sum: values";
+  let rt = build_routes host partition shortcut in
+  let qs =
+    make_queues host
+      ~delay:
+        (Schedule.delays Schedule.Random_delay rng ~parts:k
+           ~max_delay:(Quality.congestion shortcut))
+  in
+  let entries = Array.length rt.serve_part in
+  let nbr = Graph.csr_neighbors host and eid = Graph.csr_edges host in
+  (* Each part's tree, fixed here from a BFS of S_i out of its first
+     member: an entry's [parent] is its port towards the tree parent (-1
+     at the root, -2 off the tree), and [is_child] marks the routes that
+     lead to tree children. Helpers of S_i the root cannot reach take no
+     part; an unreachable member means a broken shortcut. The run's cells
+     start here too: per entry, the children yet to report ([waiting]),
+     the running sum, the total once known ([acc], [known]); per node, the
+     tree entries still without their total ([pending]). *)
+  let parent = Array.make entries (-2) in
+  let waiting = Array.make entries 0 in
+  let is_child = Array.make (Array.length rt.route_port) false in
+  let pending = Array.make n 0 in
+  let fifo_node = Array.make (max 1 entries) 0 in
+  let fifo_entry = Array.make (max 1 entries) 0 in
+  let tree_edges = ref 0 in
+  for i = 0 to k - 1 do
+    let members = Partition.members partition i in
+    let root = members.(0) in
+    let head = ref 0 and tail = ref 1 in
+    fifo_node.(0) <- root;
+    fifo_entry.(0) <- rt.own_entry.(root);
+    parent.(rt.own_entry.(root)) <- -1;
+    while !head < !tail do
+      let x = fifo_node.(!head) and j = fifo_entry.(!head) in
+      incr head;
+      pending.(x) <- pending.(x) + 1;
+      let base = Intvec.get rt.slot_off x in
+      for r = rt.route_off.(j) to rt.route_off.(j + 1) - 1 do
+        let slot = base + rt.route_port.(r) in
+        let y = Intvec.get nbr slot in
+        let j' = entry_of rt y i in
+        if parent.(j') = -2 then begin
+          parent.(j') <- port_at rt.edge_port (Intvec.get eid slot) y x;
+          is_child.(r) <- true;
+          waiting.(j) <- waiting.(j) + 1;
+          incr tree_edges;
+          fifo_node.(!tail) <- y;
+          fifo_entry.(!tail) <- j';
+          incr tail
+        end
+      done
+    done;
+    Array.iter
+      (fun v ->
+        if parent.(rt.own_entry.(v)) = -2 then
+          failwith "Sim_aggregate.sum: part subgraph is disconnected")
+      members
+  done;
+  let acc = Array.make entries 0 and known = Array.make entries false in
+  for v = 0 to n - 1 do
+    if rt.own_entry.(v) >= 0 then acc.(rt.own_entry.(v)) <- values.(v)
+  done;
+  let complete st j total cause round =
+    known.(j) <- true;
+    acc.(j) <- total;
+    pending.(st.node) <- pending.(st.node) - 1;
+    if j = rt.own_entry.(st.node) then st.last_improved <- round;
+    for r = rt.route_off.(j) to rt.route_off.(j + 1) - 1 do
+      if is_child.(r) then push rt qs st rt.route_port.(r) rt.serve_part.(j) total cause
+    done
+  in
+  (* Every child has reported: the root knows the total, anyone else
+     passes its subtree's sum up. *)
+  let report st j cause round =
+    if parent.(j) = -1 then complete st j acc.(j) cause round
+    else push rt qs st parent.(j) rt.serve_part.(j) acc.(j) cause
+  in
+  let rec absorb st round ids idx = function
+    | [] -> ()
+    | (port, (part, value)) :: rest ->
+        let j = entry_of rt st.node part in
+        let cause = cause_of ids idx in
+        if port = parent.(j) then complete st j value cause round
+        else begin
+          acc.(j) <- acc.(j) + value;
+          waiting.(j) <- waiting.(j) - 1;
+          if waiting.(j) = 0 then report st j cause round
+        end;
+        absorb st round ids (idx + 1) rest
+  in
+  let phase_at v port part =
+    if port = parent.(entry_of rt v part) then "pa.up" else "pa.down"
+  in
+  let settle st = st.finished <- pending.(st.node) = 0 && st.queued = 0 in
+  let program =
+    {
+      Simulator.init =
+        (fun ctx ->
+          let v = ctx.Simulator.node in
+          let st = { node = v; queued = 0; last_improved = 0; finished = false } in
+          (* Leaves report at once. *)
+          for j = rt.serve_off.(v) to rt.serve_off.(v + 1) - 1 do
+            if parent.(j) <> -2 && waiting.(j) = 0 then report st j 0 0
+          done;
+          settle st;
+          st);
+      on_round =
+        (fun ctx st ~inbox ->
+          absorb st (Simulator.round ctx) (Trace.Cause.inbox ()) 0 inbox;
+          let out =
+            if st.queued = 0 then []
+            else
+              drain rt qs st ~ports:(Array.length ctx.Simulator.neighbors)
+                ~phase:phase_at
+          in
+          settle st;
+          (st, out));
+      is_halted = (fun st -> st.finished);
+      (* Awake while a word waits; otherwise only mail can give it work. *)
+      wake = (fun st -> if st.queued > 0 then Simulator.every_round else max_int);
+      msg_words = (fun _ -> 1);
+    }
+  in
+  (* Every round with a word queued sends one, so the 2·tree_edges words
+     take at most that many rounds. *)
+  let states, stats =
+    Simulator.run ~max_rounds:((2 * !tree_edges) + 8) ?tracer host program
+  in
+  let reference = Aggregate.reference_sums shortcut ~values in
+  for v = 0 to n - 1 do
+    let part = Partition.part_of partition v in
+    if part >= 0 then begin
+      let j = rt.own_entry.(v) in
+      if not (known.(j) && acc.(j) = reference.(part)) then
+        failwith "Sim_aggregate.sum: a member missed its part's total"
+    end
+  done;
+  {
+    minima = reference;
+    rounds = stats.Simulator.rounds;
+    completion_round = completion states;
     messages = stats.Simulator.messages;
     stats;
   }
@@ -410,7 +666,7 @@ let minimum_outcome ?budget ?domains ?max_rounds ?obs ?tracer ?faults ?par_profi
   let { program; budget; host; partition; k; sched; own_best } =
     Obs.span obs "pa.setup" (fun () ->
         let congestion = Quality.congestion shortcut in
-        let dilation = Quality.dilation shortcut in
+        let dilation = lazy (Quality.dilation shortcut) in
         (* The ARQ roughly triples per-hop latency (data + ack round
            trips), so the reliable path gets a proportionally larger round
            budget unless the caller pins one. *)
@@ -420,15 +676,12 @@ let minimum_outcome ?budget ?domains ?max_rounds ?obs ?tracer ?faults ?par_profi
           | None when not reliable -> None
           | None ->
               let n = Graph.n (Shortcut.graph shortcut) in
-              Some (8 * default_budget ~congestion ~dilation ~n)
+              Some (8 * default_budget_of ~congestion ~dilation:(Lazy.force dilation) ~n)
         in
         setup ?budget ~congestion ~dilation rng shortcut ~values)
   in
-  Obs.note obs "budget" (Obs.Int budget);
-  Obs.note obs "congestion" (Obs.Int sched.congestion);
-  Obs.note obs "dilation" (Obs.Int sched.dilation);
-  Obs.note obs "max_delay" (Obs.Int sched.max_delay);
-  let profile, tracer = Pa_obs.profiled obs tracer ~edges:(Graph.m host) in
+  note_schedule obs ~budget sched;
+  let profile, tracer = profiled obs tracer ~edges:(Graph.m host) in
   let max_rounds =
     match max_rounds with
     | Some m -> m
@@ -457,7 +710,7 @@ let minimum_outcome ?budget ?domains ?max_rounds ?obs ?tracer ?faults ?par_profi
         (fun _ -> 0)
         (fun _ -> [])
   in
-  Pa_obs.record_epochs obs profile ~max_delay:sched.max_delay
+  record_epochs obs profile ~max_delay:sched.max_delay
     ~rounds:ostats.Simulator.rounds;
   Obs.exit obs;
   let crashed = match faults with None -> [] | Some inj -> Fault.crashed_nodes inj in
@@ -488,14 +741,8 @@ let minimum_outcome ?budget ?domains ?max_rounds ?obs ?tracer ?faults ?par_profi
   done;
   let diverged = !diverged in
   let affected = List.sort_uniq compare !affected in
-  let completion_round =
-    Array.fold_left (fun acc st -> max acc st.last_improved) 0 states
-  in
-  Pa_obs.record_ledger obs profile ~congestion:sched.congestion
-    ~predicted_rounds:
-      (Aggregate.bound ~congestion:sched.congestion
-         ~dilation:(max 1 sched.dilation) ~n)
-    ~observed_rounds:completion_round;
+  let completion_round = completion states in
+  record_ledger obs profile sched ~n ~observed_rounds:completion_round;
   let report = { minima; diverged; completion_round; ostats; retransmissions } in
   Outcome.classify report
     {

@@ -1,15 +1,18 @@
-(** Part-wise aggregation as a genuine {!Lcs_congest.Simulator} program.
+(** Part-wise aggregation (Definition 2.1) as genuine
+    {!Lcs_congest.Simulator} programs — the one engine behind every
+    aggregation in this repository: the experiments, [Mst.boruvka] and
+    its relatives at every domain count, the CLI and the pipeline
+    benchmark.
 
-    The dedicated {!Packet_router} simulates the flooding at the packet
-    level; this module runs the {e same} protocol as a CONGEST node
-    program under the simulator's enforced 1-word bandwidth — every node
-    multiplexes the parts it serves over its links, choosing each round's
-    message per port by the random-delay priority. It is the engine
-    behind [Mst.boruvka ~domains] (at more than one domain) and the
-    pipeline benchmark, it cross-checks the router (the tests compare both
-    engines' answers and check the round counts agree within a small
-    factor), and it shows the full pipeline — BFS, detection waves,
-    aggregation — living inside one enforced model.
+    Every node multiplexes the parts it serves over its links under the
+    simulator's enforced 1-word bandwidth, choosing each round's word per
+    port by the part's schedule priority (the random delay of
+    {!Schedule}, FIFO among equals). Two programs share that machinery:
+    {!minimum} floods each part's minimum through its shortcut subgraph
+    [S_i = G[P_i] + H_i], and {!sum} convergecasts and broadcasts along a
+    per-part BFS tree of [S_i], so every value counts exactly once. With a
+    (c,d)-shortcut both complete in [O(c + d·log n)] rounds
+    ({!Aggregate.bound}).
 
     Cost follows the messages, not nodes × rounds: the per-node state
     lives in flat arrays built once per run (the parts each node serves
@@ -21,21 +24,33 @@
     convergence are fast-forwarded.
 
     A message carries (part, value): two machine integers, each O(log n)
-    bits, i.e. one CONGEST word. Termination: nodes run for a caller-given
-    round budget (local knowledge cannot detect global quiescence without
-    extra machinery); the measured {e completion round} — when every part
-    member last improved — is returned alongside. *)
+    bits, i.e. one CONGEST word. *)
 
 type result = {
-  minima : int array;  (** per part *)
-  rounds : int;  (** simulator rounds executed (= budget + O(1)) *)
-  completion_round : int;  (** last improvement at any part member *)
+  minima : int array;
+      (** per part: the aggregate every member holds — the minimum for
+          {!minimum}, the leader's token for {!broadcast}, the sum for
+          {!sum} *)
+  rounds : int;
+      (** simulator rounds executed: the budget + O(1) for {!minimum},
+          the round the last node halted for {!sum} *)
+  completion_round : int;
+      (** the round by which every member of every part holds its
+          aggregate — the measured aggregation time *)
   messages : int;
   stats : Lcs_congest.Simulator.stats;
 }
 
+val default_budget : Lcs_shortcut.Shortcut.t -> int
+(** The round budget {!minimum} runs when none is given:
+    [4·(c + d·⌈log₂ n⌉) + 32] with (c,d) measured from the shortcut.
+    Measuring the dilation is the costly part; a caller that runs several
+    aggregations over one shortcut computes this once and passes it as
+    [~budget]. *)
+
 val minimum :
   ?budget:int ->
+  ?policy:Schedule.policy ->
   ?domains:int ->
   ?obs:Lcs_obs.Obs.t ->
   ?tracer:Lcs_congest.Trace.tracer ->
@@ -46,24 +61,62 @@ val minimum :
   result
 (** [minimum rng shortcut ~values]: every part's minimum, computed by
     flooding inside each part's shortcut subgraph under the simulator.
-    [budget] defaults to [4·(c + d·log n) + 32] with (c,d) measured from
-    the shortcut — generous enough for the schedule bound, and the
-    returned [completion_round] shows the real finish time. Raises
-    [Failure] if some part had not converged within the budget. [tracer]
-    observes the underlying {!Lcs_congest.Simulator} run — its per-edge
-    profile is how E7-style experiments see the congestion {e
-    distribution} rather than just the maximum. [domains] (default 1)
-    shards the simulation across that many OCaml domains
-    ({!Lcs_congest.Simulator}); all observables — minima, rounds,
-    stats, trace — are identical at any value. [par_profile] attaches
-    a wall-clock collector to the simulator
-    ({!Lcs_congest.Simulator.run_outcome}): per-domain timelines,
-    barrier waits and the cross-shard traffic matrix, without touching
-    any observable. [?obs] opens a ["pa"]
-    span with ["pa.setup"] / ["pa.run"] children, cuts the run into
-    ["pa.epoch"] spans at the schedule's epoch boundaries
-    ({!Schedule.epochs}), and records rounds-vs-[c + d·log n] (observed =
-    completion round) and per-edge-words-vs-congestion ledger entries. *)
+    Termination: nodes run for a round budget (local knowledge cannot
+    detect global quiescence without extra machinery), by default
+    {!default_budget} — generous enough for the schedule bound — and the
+    returned [completion_round] shows the real finish time. The shortcut's
+    dilation is measured only for the default budget or an [?obs]
+    collector. Raises [Failure] if some part had not converged within the
+    budget. [policy] (default {!Schedule.Random_delay}) sets the parts'
+    priorities, the ablation axis of experiment E14. [tracer] observes
+    the underlying {!Lcs_congest.Simulator} run — its per-edge profile is
+    how E7-style experiments see the congestion {e distribution} rather
+    than just the maximum. [domains] (default 1) shards the simulation
+    across that many OCaml domains ({!Lcs_congest.Simulator}); all
+    observables — minima, rounds, stats, trace — are identical at any
+    value. [par_profile] attaches a wall-clock collector to the simulator
+    ({!Lcs_congest.Simulator.run_outcome}): per-domain timelines, barrier
+    waits and the cross-shard traffic matrix, without touching any
+    observable. [?obs] opens a ["pa"] span with ["pa.setup"] /
+    ["pa.run"] children, cuts the run into ["pa.epoch"] spans at the
+    schedule's epoch boundaries ({!Schedule.epochs}), and records
+    rounds-vs-[c + d·log n] (observed = completion round) and
+    per-edge-words-vs-congestion ledger entries. *)
+
+val broadcast :
+  ?budget:int ->
+  ?domains:int ->
+  ?obs:Lcs_obs.Obs.t ->
+  ?tracer:Lcs_congest.Trace.tracer ->
+  ?par_profile:Lcs_congest.Par_profile.t ->
+  Lcs_util.Rng.t ->
+  Lcs_shortcut.Shortcut.t ->
+  leaders:int array ->
+  result
+(** Definition 2.1's second form: [leaders.(i)] is a vertex of part [i]
+    whose token must reach the whole part. Implemented as a {!minimum}
+    over values that single out the leader, so [minima] holds the
+    leaders' ids. Raises [Invalid_argument] unless there is one leader
+    per part, inside its part. *)
+
+val sum :
+  ?tracer:Lcs_congest.Trace.tracer ->
+  Lcs_util.Rng.t ->
+  Lcs_shortcut.Shortcut.t ->
+  values:int array ->
+  result
+(** Non-idempotent aggregation: every member of each part learns the sum
+    of its part's values (helpers of [S_i] contribute 0). Each part's BFS
+    tree of [S_i] from its first member is fixed at setup; leaves report
+    up, every node passes its subtree's sum to its parent once all its
+    children have reported, and the root's total travels back down. All
+    parts share the links under the random-delay schedule. Each part
+    sends exactly [2·(|S_i| - 1)] words, counting the vertices of [S_i]
+    its root reaches; a node halts once it holds the total of every part
+    it serves and has sent all its words, so the run needs no budget.
+    Raises [Failure] if a member is unreachable from its part's root in
+    [S_i] (a broken shortcut). Traced words carry phase ["pa.up"] or
+    ["pa.down"]. *)
 
 (** {1 Fault-tolerant entry point} *)
 

@@ -1,8 +1,8 @@
 (** Mutable binary min-heap keyed by integer priorities.
 
-    Used by the packet router (priority = random-delay schedule key) and by
-    weighted graph algorithms. Ties are broken by insertion order, which
-    keeps every simulation deterministic under a fixed seed. *)
+    Used by weighted graph algorithms (Dijkstra). Ties are broken by
+    insertion order, which keeps every run deterministic under a fixed
+    seed. *)
 
 type 'a t
 

@@ -15,11 +15,11 @@ let single_vertex_pipeline () =
   check Alcotest.int "covered" 1 result.Construct.selected_count;
   let b = Boost.full p ~tree in
   check Alcotest.int "quality 0" 0 (Quality.measure b.Boost.shortcut).Quality.quality;
-  let out = Aggregate.minimum (Rng.create 1) b.Boost.shortcut ~values:[| 42 |] in
-  check Alcotest.int "PA instant" 0 out.Aggregate.rounds;
-  check Alcotest.int "PA value" 42 out.Aggregate.minima.(0);
-  let s = Aggregate.sum (Rng.create 1) b.Boost.shortcut ~values:[| 42 |] in
-  check Alcotest.int "sum value" 42 s.Aggregate.minima.(0)
+  let out = Sim_aggregate.minimum (Rng.create 1) b.Boost.shortcut ~values:[| 42 |] in
+  check Alcotest.int "PA instant" 0 out.Sim_aggregate.completion_round;
+  check Alcotest.int "PA value" 42 out.Sim_aggregate.minima.(0);
+  let s = Sim_aggregate.sum (Rng.create 1) b.Boost.shortcut ~values:[| 42 |] in
+  check Alcotest.int "sum value" 42 s.Sim_aggregate.minima.(0)
 
 let single_vertex_protocols () =
   let g = Graph.create ~n:1 [] in
@@ -35,8 +35,8 @@ let empty_part_collection () =
   check Alcotest.int "k = 0" 0 (Partition.k p);
   let sc = Shortcut.empty p in
   check Alcotest.int "quality 0" 0 (Quality.measure sc).Quality.quality;
-  let out = Aggregate.minimum (Rng.create 1) sc ~values:[| 1; 2; 3 |] in
-  check Alcotest.int "PA instant" 0 out.Aggregate.rounds;
+  let out = Sim_aggregate.minimum (Rng.create 1) sc ~values:[| 1; 2; 3 |] in
+  check Alcotest.int "PA instant" 0 out.Sim_aggregate.completion_round;
   let result = Construct.run p ~tree:(Bfs.tree g ~root:0) ~threshold:2 ~block_budget:1 in
   check Alcotest.bool "vacuously succeeds" true (Construct.succeeded result)
 

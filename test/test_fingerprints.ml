@@ -4,9 +4,12 @@
    digest of its traced event stream (every event serialized as in the
    trace schema). The expected values are those of a simulator that steps
    every live node in every round, so a core that skips sleeping nodes or
-   idle rounds must reproduce them exactly. An untraced run of the same
-   case must reproduce the stats and result digest too, so both the
-   parallel fast path and the serialized replay path are pinned. *)
+   idle rounds must reproduce them exactly; the sum and mst rows, which
+   came later, were recorded on the sleeping-node core. An untraced run
+   of the same case must reproduce the stats and result digest too, so
+   both the parallel fast path and the serialized replay path are
+   pinned. Borůvka runs at one and two domains and must fingerprint the
+   same at both. *)
 
 open Core
 
@@ -116,10 +119,17 @@ let distributed h ~domains : case_run =
       o.Distributed.threshold o.Distributed.guesses o.Distributed.wave_rounds
       o.Distributed.wave_messages (String.concat ";" edges) )
 
-let mst h : case_run =
+let sum h : case_run =
+  let sc = shortcut_of h and values = values_of h in
+  fun ~tracer ->
+    let r = Sim_aggregate.sum ?tracer (Rng.create 7) sc ~values in
+    ( stats_str r.Sim_aggregate.stats,
+      Printf.sprintf "c%d %s" r.Sim_aggregate.completion_round (ints r.Sim_aggregate.minima) )
+
+let mst h ~domains : case_run =
   let weights = Weights.random_distinct (Rng.create 11) h.g in
   fun ~tracer ->
-    let r = Mst.boruvka ~domains:2 ?tracer weights in
+    let r = Mst.boruvka ~domains ?tracer weights in
     let a = r.Mst.accounting in
     ( Printf.sprintf "p%d r%d m%d" a.Boruvka_engine.phases a.Boruvka_engine.pa_rounds
         a.Boruvka_engine.pa_messages,
@@ -172,7 +182,9 @@ let cases () =
       let tag name = Printf.sprintf "%s/%s" name h.hname in
       per_domain
       @ [
-          (tag "mst_d2", mst h);
+          (tag "mst_d1", mst h ~domains:1);
+          (tag "mst_d2", mst h ~domains:2);
+          (tag "sum", sum h);
           (tag "broadcast", broadcast h);
           (tag "convergecast", convergecast h);
           (tag "leader_election", leader h);
@@ -204,7 +216,9 @@ let expected =
     ("pa_outcome_raw/grid8/d2", "r401 m986 w986 l1 res=99b555039cd9 ev=1f46b855fdc5");
     ("pa_outcome_reliable/grid8/d2", "r3240 m2092 w2092 l1 res=78f3115c0601 ev=ccdaa8f09ee8");
     ("distributed/grid8/d2", "r45 m350 w350 l1 res=fcc09e56e8e4 ev=dd1b97ea982f");
-    ("mst_d2/grid8", "p4 r1814 m2967 res=946427d571c2 ev=3b33713fa3c4");
+    ("mst_d1/grid8", "p4 r43 m3104 res=946427d571c2 ev=acb252c9a845");
+    ("mst_d2/grid8", "p4 r43 m3104 res=946427d571c2 ev=acb252c9a845");
+    ("sum/grid8", "r30 m560 w560 l1 res=782a132e0c87 ev=f50ae596cecd");
     ("broadcast/grid8", "r15 m63 w63 l1 res=ca8af76e4910 ev=a4a2b9f48bb3");
     ("convergecast/grid8", "r15 m63 w63 l1 res=12c7c68e4e25 ev=0e61c0dc7841");
     ("leader_election/grid8", "r65 m1792 w1792 l1 res=03afdbd66e79 ev=6aa7abce9cd0");
@@ -219,7 +233,9 @@ let expected =
     ("pa_outcome_raw/ktree4_120/d2", "r145 m1434 w1434 l1 res=50e884ee9c56 ev=38a0e9d6be3d");
     ("pa_outcome_reliable/ktree4_120/d2", "r1192 m2851 w2851 l1 res=48c4be1d5b21 ev=32ba6124033e");
     ("distributed/ktree4_120/d2", "r12 m1178 w1178 l1 res=f5dc0b4f4781 ev=a828c471a9a0");
-    ("mst_d2/ktree4_120", "p4 r689 m7872 res=ceee5ba94b27 ev=c0fbad2e0886");
+    ("mst_d1/ktree4_120", "p4 r22 m7904 res=ceee5ba94b27 ev=f8bdb6894a69");
+    ("mst_d2/ktree4_120", "p4 r22 m7904 res=ceee5ba94b27 ev=f8bdb6894a69");
+    ("sum/ktree4_120", "r10 m258 w258 l1 res=de79082555a2 ev=8952efab71ec");
     ("broadcast/ktree4_120", "r4 m119 w119 l1 res=0efa3a41a313 ev=0e9c7ae14318");
     ("convergecast/ktree4_120", "r4 m119 w119 l1 res=abe0874cc493 ev=931b6342a57a");
     ("leader_election/ktree4_120", "r121 m2573 w2573 l1 res=07e1cd7dca89 ev=c7f425386200");
@@ -234,7 +250,9 @@ let expected =
     ("pa_outcome_raw/lbg5_11/d2", "r205 m258 w258 l1 res=8b411a8449bf ev=b6343642a38e");
     ("pa_outcome_reliable/lbg5_11/d2", "r1672 m592 w592 l1 res=d6579f5c7c53 ev=8ed3d1e7e069");
     ("distributed/lbg5_11/d2", "r18 m244 w244 l1 res=50e8763e0791 ev=38a389904832");
-    ("mst_d2/lbg5_11", "p5 r1226 m1964 res=e23dbf73ecbb ev=da8272ca6b52");
+    ("mst_d1/lbg5_11", "p5 r45 m1993 res=e23dbf73ecbb ev=c5acbbcdd75c");
+    ("mst_d2/lbg5_11", "p5 r45 m1993 res=e23dbf73ecbb ev=c5acbbcdd75c");
+    ("sum/lbg5_11", "r18 m150 w150 l1 res=7083a49a542a ev=4e0aae81d5b2");
     ("broadcast/lbg5_11", "r6 m51 w51 l1 res=6f3e734e147c ev=be88447ef49f");
     ("convergecast/lbg5_11", "r6 m51 w51 l1 res=35296a4054db ev=b9f53f304582");
     ("leader_election/lbg5_11", "r53 m648 w648 l1 res=2838023a778d ev=74b937a0f337");
@@ -242,14 +260,22 @@ let expected =
   ]
 
 let fingerprints_pinned () =
+  let seen = Hashtbl.create 64 in
   List.iter
     (fun (name, run) ->
       let fp, traced = fingerprint run in
+      Hashtbl.replace seen name fp;
       let want = Option.value ~default:"(unrecorded)" (List.assoc_opt name expected) in
       check Alcotest.string name want fp;
       check
         Alcotest.(pair string string)
         (name ^ " untraced = traced") traced (run ~tracer:None))
-    (cases ())
+    (cases ());
+  (* Borůvka's accounting and trace must not depend on the domain count. *)
+  List.iter
+    (fun h ->
+      let at d = Hashtbl.find seen (Printf.sprintf "mst_d%d/%s" d h.hname) in
+      check Alcotest.string ("mst d1 = d2 on " ^ h.hname) (at 2) (at 1))
+    (Lazy.force hosts)
 
 let suite = [ case "library fingerprints" `Quick fingerprints_pinned ]

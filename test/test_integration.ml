@@ -48,9 +48,9 @@ let distributed_pipeline_end_to_end () =
     else sc
   in
   let values = Array.init (Graph.n g) (fun v -> (v * 131) mod 997) in
-  let out = Aggregate.minimum (Rng.create 11) full ~values in
+  let out = Sim_aggregate.minimum (Rng.create 11) full ~values in
   check Alcotest.bool "PA over distributed shortcut correct" true
-    (out.Aggregate.minima = Aggregate.reference_minima full ~values)
+    (out.Sim_aggregate.minima = Aggregate.reference_minima full ~values)
 
 (* MST on the lower-bound topology: an adversarial-but-structured instance
    exercising shortcut construction on parts that need the top path. *)
@@ -73,12 +73,12 @@ let failure_injection_dropped_shortcut_edges () =
   (* Drop every shortcut edge. *)
   let sabotaged = Shortcut.create partition (Array.make 1 []) in
   let values = Array.init n (fun v -> (v * 7) mod 101) in
-  let good = Aggregate.minimum (Rng.create 3) b.Boost.shortcut ~values in
-  let degraded = Aggregate.minimum (Rng.create 3) sabotaged ~values in
+  let good = Sim_aggregate.minimum (Rng.create 3) b.Boost.shortcut ~values in
+  let degraded = Sim_aggregate.minimum (Rng.create 3) sabotaged ~values in
   check Alcotest.bool "same minima" true
-    (good.Aggregate.minima = degraded.Aggregate.minima);
+    (good.Sim_aggregate.minima = degraded.Sim_aggregate.minima);
   check Alcotest.bool "degraded is slower" true
-    (degraded.Aggregate.rounds >= good.Aggregate.rounds)
+    (degraded.Sim_aggregate.completion_round >= good.Sim_aggregate.completion_round)
 
 (* Corollary 1.4 regime: a graph with a known dense K_r minor; accepted
    delta from the doubling search must be Omega(r) *and* O(r), i.e. the
@@ -105,12 +105,12 @@ let pipeline_on_family name g partition =
     (Shortcut.is_partial b.Boost.shortcut);
   let rng = Rng.create 23 in
   let values = Array.init (Graph.n g) (fun _ -> Rng.int rng 100_000) in
-  let mins = Aggregate.minimum (Rng.create 5) b.Boost.shortcut ~values in
+  let mins = Sim_aggregate.minimum (Rng.create 5) b.Boost.shortcut ~values in
   check Alcotest.bool (name ^ ": min PA") true
-    (mins.Aggregate.minima = Aggregate.reference_minima b.Boost.shortcut ~values);
-  let sums = Aggregate.sum (Rng.create 5) b.Boost.shortcut ~values in
+    (mins.Sim_aggregate.minima = Aggregate.reference_minima b.Boost.shortcut ~values);
+  let sums = Sim_aggregate.sum (Rng.create 5) b.Boost.shortcut ~values in
   check Alcotest.bool (name ^ ": sum PA") true
-    (sums.Aggregate.minima = Aggregate.reference_sums b.Boost.shortcut ~values);
+    (sums.Sim_aggregate.minima = Aggregate.reference_sums b.Boost.shortcut ~values);
   let threshold = max 2 (Rooted_tree.height tree) in
   let tree_d, height, _ = Sync_bfs.run g ~root:0 in
   let info = Tree_info.of_tree g tree_d in

@@ -125,28 +125,26 @@ let run_profiled_direct () =
     (Trace.Profile.total_words extended.Simulator.profile)
 
 let router_tracing_reconciles () =
+  (* The exactly-once sum: every up/down transmission lands in the
+     profile, and tracing changes nothing. *)
   let g, sc = grid_shortcut () in
   let values = Array.init (Graph.n g) (fun v -> (v * 37) mod 251) in
   let profile = Trace.Profile.create ~edges:(Graph.m g) () in
-  let plain = Packet_router.route (Rng.create 11) sc ~values in
+  let plain = Sim_aggregate.sum (Rng.create 12) sc ~values in
   let traced =
-    Packet_router.route ~tracer:(Trace.Profile.tracer profile) (Rng.create 11) sc
-      ~values
+    Sim_aggregate.sum ~tracer:(Trace.Profile.tracer profile) (Rng.create 12) sc ~values
   in
-  check Alcotest.int "same rounds" plain.Packet_router.rounds
-    traced.Packet_router.rounds;
-  check Alcotest.int "same messages" plain.Packet_router.messages
-    traced.Packet_router.messages;
+  check Alcotest.bool "same stats" true
+    (stats_equal plain.Sim_aggregate.stats traced.Sim_aggregate.stats);
+  check Alcotest.int "same completion" plain.Sim_aggregate.completion_round
+    traced.Sim_aggregate.completion_round;
   check Alcotest.int "profile counts every transmission"
-    traced.Packet_router.messages
+    traced.Sim_aggregate.messages
     (Trace.Profile.total_messages profile);
-  check Alcotest.int "profile rounds" traced.Packet_router.rounds
-    (Trace.Profile.rounds profile);
-  (* Tree router too: every Up/Down transmission lands in the profile. *)
-  let tprofile = Trace.Profile.create ~edges:(Graph.m g) () in
-  let tr = Tree_router.sum ~tracer:(Trace.Profile.tracer tprofile) (Rng.create 12) sc ~values in
-  check Alcotest.int "tree router transmissions" tr.Tree_router.messages
-    (Trace.Profile.total_messages tprofile)
+  check Alcotest.int "profile words" traced.Sim_aggregate.stats.Simulator.words
+    (Array.fold_left ( + ) 0 (Trace.Profile.edge_words profile));
+  check Alcotest.int "profile rounds" traced.Sim_aggregate.rounds
+    (Trace.Profile.rounds profile)
 
 let recorder_stream_well_formed () =
   let g = Generators.grid ~rows:5 ~cols:5 in
