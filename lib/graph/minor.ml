@@ -3,11 +3,6 @@ type model = {
   minor_edges : (int * int) list;
 }
 
-let check_branch_connected g vertices index =
-  if not (Components.is_vertex_set_connected g vertices) then
-    invalid_arg
-      (Printf.sprintf "Minor: branch set %d is empty or disconnected" index)
-
 let contract g ~assignment =
   let n = Graph.n g in
   if Array.length assignment <> n then invalid_arg "Minor.contract: length";
@@ -23,10 +18,11 @@ let contract g ~assignment =
   List.iteri (fun fresh original -> Hashtbl.replace used original fresh) sorted;
   let k = Hashtbl.length used in
   let compact = Array.map (fun a -> if a < 0 then -1 else Hashtbl.find used a) assignment in
-  (* Connectivity of each branch set. *)
-  let sets = Array.make k [] in
-  Array.iteri (fun v a -> if a >= 0 then sets.(a) <- v :: sets.(a)) compact;
-  Array.iteri (fun i vs -> check_branch_connected g vs i) sets;
+  (* Every compacted index labels a vertex, so no branch set is empty. *)
+  (match Components.first_disconnected g ~label:compact with
+  | Some i ->
+      invalid_arg (Printf.sprintf "Minor: branch set %d is empty or disconnected" i)
+  | None -> ());
   let builder = Builder.create ~n:k in
   Graph.iter_edges g (fun _e u v ->
       let a = compact.(u) and b = compact.(v) in
@@ -53,12 +49,10 @@ let verify g model =
     model.branch_sets;
   (match !problem with
   | Some _ -> ()
-  | None ->
-      Array.iteri
-        (fun i vs ->
-          if not (Components.is_vertex_set_connected g vs) then
-            fail (Printf.sprintf "branch set %d is disconnected" i))
-        model.branch_sets);
+  | None -> (
+      match Components.first_disconnected g ~label:owner with
+      | Some i -> fail (Printf.sprintf "branch set %d is disconnected" i)
+      | None -> ()));
   (match !problem with
   | Some _ -> ()
   | None ->

@@ -20,8 +20,9 @@ val contract : Graph.t -> assignment:int array -> Graph.t
     or [-1] (vertex deleted). Produces the graph whose vertices are the used
     indices (compacted to a gap-free range in increasing index order) and
     whose edges are host edges between distinct branch sets, deduplicated.
-    Raises [Invalid_argument] if some branch set is disconnected: such an
-    assignment does not define a minor. *)
+    Raises [Invalid_argument] naming the lowest compacted index whose branch
+    set is disconnected: such an assignment does not define a minor. The
+    check is one O(n + m) pass over all branch sets. *)
 
 val density : Graph.t -> float
 (** [|E|/|V|] of a graph (alias of {!Graph.density}, for readability at
@@ -30,7 +31,9 @@ val density : Graph.t -> float
 val verify : Graph.t -> model -> (unit, string) result
 (** Checks that the model is a genuine minor of the host: branch sets
     non-empty, disjoint, each inducing a connected subgraph, and every
-    minor edge witnessed by a host edge between the two branch sets. *)
+    minor edge witnessed by a host edge between the two branch sets. The
+    error names the first problem in that order; connectivity is one
+    O(n + m) pass that reports the lowest disconnected branch set. *)
 
 val model_density : model -> float
 (** [|minor_edges| / |branch sets|]. *)

@@ -4,17 +4,21 @@ type t = {
   parts : int array array;
 }
 
-let check_parts host part_of parts =
-  Array.iteri
-    (fun i members ->
-      if Array.length members = 0 then
-        invalid_arg (Printf.sprintf "Partition: part %d is empty" i);
-      if not (Components.is_vertex_set_connected host (Array.to_list members)) then
-        invalid_arg (Printf.sprintf "Partition: part %d is disconnected" i))
-    parts;
-  ignore part_of
+(* The lowest failing part is reported, as a per-part loop in index order
+   would: an empty part [i] wins unless a lower part is disconnected. *)
+let check_parts host part_of counts =
+  let k = Array.length counts in
+  let empty = ref 0 in
+  while !empty < k && counts.(!empty) > 0 do
+    incr empty
+  done;
+  match Components.first_disconnected host ~label:part_of with
+  | Some i when i < !empty ->
+      invalid_arg (Printf.sprintf "Partition: part %d is disconnected" i)
+  | _ ->
+      if !empty < k then invalid_arg (Printf.sprintf "Partition: part %d is empty" !empty)
 
-let of_assignment ?(validate = true) host part_of =
+let of_assignment host part_of =
   let n = Graph.n host in
   if Array.length part_of <> n then invalid_arg "Partition.of_assignment: length";
   let k = Array.fold_left (fun acc p -> max acc (p + 1)) 0 part_of in
@@ -24,6 +28,7 @@ let of_assignment ?(validate = true) host part_of =
       if p < -1 || p >= k then invalid_arg "Partition.of_assignment: bad index";
       if p >= 0 then counts.(p) <- counts.(p) + 1)
     part_of;
+  check_parts host part_of counts;
   let parts = Array.init k (fun p -> Array.make counts.(p) 0) in
   let cursor = Array.make k 0 in
   for v = 0 to n - 1 do
@@ -33,9 +38,7 @@ let of_assignment ?(validate = true) host part_of =
       cursor.(p) <- cursor.(p) + 1
     end
   done;
-  let t = { host; part_of = Array.copy part_of; parts } in
-  if validate then check_parts host part_of parts;
-  t
+  { host; part_of = Array.copy part_of; parts }
 
 let of_parts host lists =
   let n = Graph.n host in
@@ -118,9 +121,9 @@ let random_blobs host rng ~target_size =
 let singletons host = of_assignment host (Array.init (Graph.n host) (fun v -> v))
 let whole host = of_assignment host (Array.make (Graph.n host) 0)
 
-let grid_rows ?validate host ~rows ~cols =
+let grid_rows host ~rows ~cols =
   if Graph.n host <> rows * cols then invalid_arg "Partition.grid_rows: dimensions";
-  of_assignment ?validate host (Array.init (rows * cols) (fun v -> v / cols))
+  of_assignment host (Array.init (rows * cols) (fun v -> v / cols))
 
 let pp ppf t =
   Format.fprintf ppf "partition(k=%d over %a)" (k t) Graph.pp t.host

@@ -6,14 +6,13 @@
 
 type t
 
-val of_assignment : ?validate:bool -> Graph.t -> int array -> t
+val of_assignment : Graph.t -> int array -> t
 (** [of_assignment g part_of] where [part_of.(v)] is the part index of [v] or
     [-1] for unassigned vertices. Part indices must form a gap-free range
-    [0..k-1]. Raises [Invalid_argument] if any part is empty or induces a
-    disconnected subgraph. [~validate:false] skips the per-part
-    connectivity check — for callers whose parts are connected by
-    construction (e.g. grid rows) on hosts large enough that the check
-    dominates; the structural invariant becomes the caller's promise. *)
+    [0..k-1]. Raises [Invalid_argument] naming the lowest part that is
+    empty or induces a disconnected subgraph. Validation is one
+    O(n + m) pass over all parts ({!Components.first_disconnected}), not a
+    BFS per part, so k singleton parts cost O(n + m) rather than O(k·n). *)
 
 val of_parts : Graph.t -> int list list -> t
 (** From explicit vertex lists; parts must be disjoint. *)
@@ -58,10 +57,9 @@ val singletons : Graph.t -> t
 val whole : Graph.t -> t
 (** One part containing every vertex (host must be connected). *)
 
-val grid_rows : ?validate:bool -> Graph.t -> rows:int -> cols:int -> t
+val grid_rows : Graph.t -> rows:int -> cols:int -> t
 (** For a graph generated by {!Generators.grid} with the same dimensions:
     one part per grid row. Row parts are long thin paths — the classic
-    hard partition for part-wise aggregation. [?validate] as in
-    {!of_assignment}. *)
+    hard partition for part-wise aggregation. *)
 
 val pp : Format.formatter -> t -> unit

@@ -204,7 +204,13 @@ let components_counts () =
     (Components.is_vertex_set_connected g [ 2; 3; 4 ]);
   check Alcotest.bool "disconnected set" false
     (Components.is_vertex_set_connected g [ 0; 2 ]);
-  check Alcotest.bool "empty set" false (Components.is_vertex_set_connected g [])
+  check Alcotest.bool "empty set" false (Components.is_vertex_set_connected g []);
+  let first label = Components.first_disconnected g ~label in
+  let some = Alcotest.(option int) in
+  check some "all classes connected" None (first [| 1; 1; 0; 0; 0; -1 |]);
+  (* Class 2 is caught splitting first, at vertex 2; class 0 only at 5. *)
+  check some "smallest failing class" (Some 0) (first [| 2; 0; 2; 1; 1; 0 |]);
+  check some "unused labels are not reported" None (first [| 3; 3; -1; -1; -1; -1 |])
 
 let diameter_estimate_tree =
   QCheck.Test.make ~name:"double sweep exact on trees" ~count:30
@@ -365,6 +371,28 @@ let partition_rejects_disconnected () =
     (Invalid_argument "Partition: part 0 is disconnected") (fun () ->
       ignore (Partition.of_parts g [ [ 0; 3 ] ]))
 
+let partition_rejects_empty_part () =
+  let g = Generators.path 4 in
+  Alcotest.check_raises "label gap"
+    (Invalid_argument "Partition: part 1 is empty") (fun () ->
+      ignore (Partition.of_assignment g [| 0; 0; 2; 2 |]));
+  Alcotest.check_raises "a lower disconnected part is named first"
+    (Invalid_argument "Partition: part 0 is disconnected") (fun () ->
+      ignore (Partition.of_assignment g [| 0; -1; 0; 2 |]))
+
+(* Validation is one O(n + m) pass: the singleton partition of a 100x100
+   grid (k = n parts) must not pay a graph-sized BFS per part. *)
+let partition_singletons_allocation () =
+  let g = Generators.grid ~rows:100 ~cols:100 in
+  let budget = 32 * (Graph.n g + Graph.m g) in
+  let before = Gc.allocated_bytes () in
+  let p = Partition.singletons g in
+  let bytes = Gc.allocated_bytes () -. before in
+  let words = int_of_float (bytes /. float_of_int (Sys.word_size / 8)) in
+  check Alcotest.int "k" (Graph.n g) (Partition.k p);
+  if words > budget then
+    Alcotest.failf "singletons allocated %d words, over 32·(n + m) = %d" words budget
+
 let partition_rejects_overlap () =
   let g = Generators.path 4 in
   Alcotest.check_raises "overlap"
@@ -446,6 +474,112 @@ let minor_of_components () =
   let assignment = Minor.of_components g ~keep_edge:(fun e -> e <> 2) in
   check Alcotest.bool "same side" true (assignment.(0) = assignment.(2));
   check Alcotest.bool "different sides" true (assignment.(0) <> assignment.(3))
+
+(* --- Validation: one pass against the per-set loop ----------------------- *)
+
+(* A random graph on [n] vertices, often disconnected, with a labelling
+   that leaves some vertices unassigned (-1) and some indices unused. The
+   labels are uniform, or the union-find roots of a random edge subset
+   (components, with gaps), or those components numbered gap-free with a
+   few vertices then dropped — the one shape that is often accepted. *)
+let random_labelling seed ~n =
+  let rng = Rng.create seed in
+  let p = Rng.choose rng [| 0.1; 0.25; 0.5 |] in
+  let b = Builder.create ~n in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if Rng.bernoulli rng p then Builder.add_edge b u v
+    done
+  done;
+  let g = Builder.graph b in
+  let roots () =
+    let keep = Array.init (Graph.m g) (fun _ -> Rng.bernoulli rng 0.7) in
+    Minor.of_components g ~keep_edge:(fun e -> keep.(e))
+  in
+  let label =
+    match Rng.int rng 3 with
+    | 0 -> Array.init n (fun _ -> Rng.int rng 6 - 1)
+    | 1 -> roots ()
+    | _ ->
+        let index = Hashtbl.create 16 in
+        Array.map
+          (fun r ->
+            let i =
+              match Hashtbl.find_opt index r with
+              | Some i -> i
+              | None ->
+                  let i = Hashtbl.length index in
+                  Hashtbl.add index r i;
+                  i
+            in
+            if Rng.bernoulli rng 0.1 then -1 else i)
+          (roots ())
+  in
+  (g, label)
+
+let class_members label i =
+  List.filter (fun v -> label.(v) = i) (List.init (Array.length label) Fun.id)
+
+(* The sets named by a labelling, one per index up to the largest; with
+   [~compact] only the used indices, renumbered in increasing order. *)
+let labelled_sets ~compact label =
+  let used = List.sort_uniq compare (List.filter (fun l -> l >= 0) (Array.to_list label)) in
+  if compact then Array.of_list (List.map (class_members label) used)
+  else
+    let k = Array.fold_left (fun acc l -> max acc (l + 1)) 0 label in
+    Array.init k (class_members label)
+
+let lowest sets p =
+  let rec go i = if i = Array.length sets then None else if p sets.(i) then Some i else go (i + 1) in
+  go 0
+
+let disconnected g vs = vs <> [] && not (Components.is_vertex_set_connected g vs)
+
+(* The per-set loop [Partition.of_assignment] and [Minor.contract] ran: in
+   index order, each set checked for emptiness, then for connectivity. *)
+let oracle_loop g sets ~empty ~split =
+  match lowest sets (fun vs -> vs = [] || disconnected g vs) with
+  | Some i when sets.(i) = [] -> Error (Printf.sprintf empty i)
+  | Some i -> Error (Printf.sprintf split i)
+  | None -> Ok ()
+
+(* [Minor.verify] checks every set for emptiness before any for
+   connectivity. *)
+let oracle_verify g sets =
+  match lowest sets (fun vs -> vs = []) with
+  | Some i -> Error (Printf.sprintf "branch set %d is empty" i)
+  | None -> (
+      match lowest sets (disconnected g) with
+      | Some i -> Error (Printf.sprintf "branch set %d is disconnected" i)
+      | None -> Ok ())
+
+let raised f = match f () with _ -> Ok () | exception Invalid_argument msg -> Error msg
+
+let validation_matches_per_set_loop =
+  QCheck.Test.make ~name:"one-pass validation = per-set BFS loop" ~count:400
+    QCheck.(pair (int_bound 100_000) (int_range 0 14))
+    (fun (seed, n) ->
+      let g, label = random_labelling seed ~n:(max 0 n) in
+      let agree what got want =
+        got = want
+        || QCheck.Test.fail_reportf "%s on labels [%s]: got %s, oracle %s" what
+             (String.concat "; " (Array.to_list (Array.map string_of_int label)))
+             (match got with Ok () -> "Ok" | Error m -> m)
+             (match want with Ok () -> "Ok" | Error m -> m)
+      in
+      let raw = labelled_sets ~compact:false label
+      and compact = labelled_sets ~compact:true label in
+      let verify sets = Minor.verify g { Minor.branch_sets = sets; minor_edges = [] } in
+      agree "Partition.of_assignment"
+        (raised (fun () -> Partition.of_assignment g label))
+        (oracle_loop g raw ~empty:"Partition: part %d is empty"
+           ~split:"Partition: part %d is disconnected")
+      && agree "Minor.contract"
+           (raised (fun () -> Minor.contract g ~assignment:label))
+           (oracle_loop g compact ~empty:"Minor: branch set %d is empty or disconnected"
+              ~split:"Minor: branch set %d is empty or disconnected")
+      && agree "Minor.verify (raw indices)" (verify raw) (oracle_verify g raw)
+      && agree "Minor.verify (compacted)" (verify compact) (oracle_verify g compact))
 
 (* --- Weights ----------------------------------------------------------- *)
 
@@ -715,6 +849,7 @@ let props =
       tree_bottom_up_order;
       partition_voronoi_covers;
       partition_random_blobs;
+      validation_matches_per_set_loop;
       dfs_bridges_match_bruteforce;
       graph_io_roundtrip;
       graph_io_binary_roundtrip;
@@ -755,6 +890,8 @@ let suite =
     case "partition: grid rows" `Quick partition_grid_rows;
     case "partition: rejects disconnected" `Quick partition_rejects_disconnected;
     case "partition: rejects overlap" `Quick partition_rejects_overlap;
+    case "partition: rejects empty part" `Quick partition_rejects_empty_part;
+    case "partition: singletons allocate O(n + m)" `Quick partition_singletons_allocation;
     case "partition: whole/singletons" `Quick partition_whole_and_singletons;
     case "minor: contract grid rows" `Quick minor_contract_grid_rows;
     case "minor: contract deletes" `Quick minor_contract_deletes;
