@@ -6,6 +6,7 @@ let () =
       ("congest", Test_congest.suite);
       ("sim-diff", Test_sim_diff.suite);
       ("fingerprint", Test_fingerprints.suite);
+      ("cli", Test_cli.suite);
       ("trace", Test_trace.suite);
       ("causal", Test_causal.suite);
       ("obs", Test_obs.suite);
