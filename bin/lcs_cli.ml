@@ -244,9 +244,148 @@ let par_profile_arg =
   Arg.(value & opt (some string) None
        & info [ "par-profile" ] ~docv:"PATH" ~doc)
 
-(* One collector per --par-profile run, written at the end; [None] when
-   the flag is absent so the simulator keeps its zero-allocation path. *)
-let make_par_profile = Option.map (fun _path -> Par_profile.create ())
+(* --- the run layer: shortcut, pa and mst -------------------------------- *)
+
+(* Options every protocol run takes. --trace and --spans observe a
+   different run in each command, so each command documents them. *)
+type run_opts = {
+  trace : string option;
+  spans : string option;
+  policy : Supervisor.policy option;
+  domains : int;
+  par_profile : string option;
+}
+
+let run_opts ~trace_doc ~spans_doc =
+  let trace =
+    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"PATH" ~doc:trace_doc)
+  in
+  let spans =
+    Arg.(value & opt (some string) None & info [ "spans" ] ~docv:"PATH" ~doc:spans_doc)
+  in
+  Term.(
+    const (fun trace spans policy domains par_profile ->
+        { trace; spans; policy; domains; par_profile })
+    $ trace $ spans $ policy_term $ domains_arg $ par_profile_arg)
+
+(* --faults PLAN and --fault-seed N, for the commands whose protocol can
+   run under injected faults. The plan is loaded as the options are read,
+   so a malformed one exits 2 before the run opens any output. *)
+type faults = { plan_path : string; plan : Fault.plan; fault_seed : int }
+
+let faults_term =
+  let faults_arg =
+    Arg.(value & opt (some string) None
+         & info [ "faults" ] ~docv:"PLAN"
+             ~doc:"run the command's protocol on the enforced simulator under \
+                   the lcs-fault-plan/1 JSON file $(docv) and report a \
+                   validated complete/degraded outcome; composes with \
+                   --retry/--policy, --trace (fault events appear in the \
+                   stream) and --spans")
+  in
+  let fault_seed_arg =
+    Arg.(value & opt (some int) None
+         & info [ "fault-seed" ] ~docv:"N"
+             ~doc:"override the fault plan's seed (same plan + same seed = \
+                   the identical fault sequence)")
+  in
+  let load path seed =
+    Option.map
+      (fun plan_path ->
+        let plan = load_plan_or_die plan_path in
+        { plan_path; plan; fault_seed = Option.value seed ~default:plan.Fault.seed })
+      path
+  in
+  Term.(const load $ faults_arg $ fault_seed_arg)
+
+(* What a command's body runs under: the collectors attached to the run
+   (each [None] when its option is absent, so the simulator keeps its
+   fast path) and the options the protocol itself takes. *)
+type run = {
+  obs : Obs.t option;
+  tracer : Trace.tracer option;
+  pp : Par_profile.t option;
+  domains : int;
+  policy : Supervisor.policy option;
+}
+
+(* What a body returns: its exit code and, read only when the run writes
+   a JSON report, the command's report fields and the parenthesized
+   summary of its "trace: wrote" line. *)
+type ran = {
+  code : int;
+  fields : Trace.Profile.t -> (string * Json.t) list;
+  summary : Trace.Recorder.t -> Trace.Profile.t -> string;
+}
+
+(* Run [body] observed as [opts] ask: a span collector under --trace or
+   --spans; the in-memory recorder, or the line-delimited sink for a
+   .jsonl --trace; a wall-clock collector under --par-profile. Then write
+   the JSON report or finish the stream, the span tree, and the
+   par-profile, in that order. [mode] selects the profile's accounting
+   (--sketch). *)
+let run_with ?mode opts ~command ~protocol ~seed g body =
+  let meta = Report.run_meta ~command ~protocol ~seed g in
+  let obs = if opts.trace <> None || opts.spans <> None then Some (Obs.create ()) else None in
+  let sink =
+    match opts.trace with
+    | Some path when Report.is_stream path -> Some (Report.open_stream meta path)
+    | _ -> None
+  in
+  let recorder, profile, tracer = Report.tracing ?mode ?sink g ~on:(obs <> None) in
+  let pp = Option.map (fun _ -> Par_profile.create ()) opts.par_profile in
+  let r = body { obs; tracer; pp; domains = opts.domains; policy = opts.policy } in
+  (match (opts.trace, sink, recorder, profile) with
+  | Some path, Some sink, _, Some profile -> Report.finish_stream path sink profile
+  | Some path, None, Some recorder, Some profile ->
+      Report.write_json path
+        (Report.assemble meta ~extra:(r.fields profile) ~profile ~recorder obs)
+        ~describe:(fun () ->
+          Printf.printf "trace: wrote %s (%s)\n" path (r.summary recorder profile))
+  | _ -> ());
+  Report.write_spans ?recorder ?par:pp opts.spans obs;
+  Option.iter (Report.write_par_profile opts.par_profile) pp;
+  r.code
+
+(* One attempt, or the --retry/--policy ladder of them with its trail
+   printed. [attempt knobs ~off] runs one rung; [off], the rung's seed
+   offset, shifts every seed of the run, so a retry is a genuinely
+   different run of the same adversary model. Returns the outcome and,
+   when a ladder ran, its "resilience" report field. *)
+let supervise r ?accept ~fallback attempt =
+  match r.policy with
+  | None -> (attempt None ~off:0, [])
+  | Some policy ->
+      let sup =
+        Supervisor.run ?obs:r.obs ~policy ?accept ~fallback (fun k ->
+            attempt (Some k) ~off:(k.Supervisor.seed - policy.Supervisor.base_seed))
+      in
+      print_trail sup;
+      (sup.Supervisor.outcome, [ ("resilience", Supervisor.to_json sup) ])
+
+(* Report fields and trace summary shared by the runs under faults. *)
+let outcome_fields f o =
+  [
+    ( "outcome",
+      Json.String
+        (match o with Outcome.Complete _ -> "complete" | Outcome.Degraded _ -> "degraded") );
+    ( "degradation",
+      match o with
+      | Outcome.Complete _ -> Json.Null
+      | Outcome.Degraded (_, d) -> Outcome.degradation_to_json d );
+    ("fault_plan", Json.String f.plan_path);
+  ]
+
+let fault_summary recorder profile =
+  Printf.sprintf "%d events, %d fault events" (Trace.Recorder.length recorder)
+    (Trace.Profile.fault_events profile)
+
+let part_traffic sc profile =
+  ( "part_traffic",
+    Quality.traffic_to_json (Quality.traffic sc ~edge_words:(Trace.Profile.edge_words profile)) )
+
+(* The stats of a result no simulator produced (a sequential fallback). *)
+let no_stats = { Simulator.rounds = 0; messages = 0; words = 0; max_edge_load = 0 }
 
 (* --- info subcommand -------------------------------------------------- *)
 
@@ -269,61 +408,104 @@ let info_cmd =
 (* --- shortcut subcommand ------------------------------------------------ *)
 
 let shortcut_cmd =
-  let run_faulty g partition ~seed ~fpath ~fault_seed ~policy ~domains ~pp
-      ~par_profile =
+  let body g partition ~full r =
+    let tree = Bfs.tree g ~root:0 in
+    if full then begin
+      let b = Boost.full ?obs:r.obs partition ~tree in
+      let q = Quality.measure b.Boost.shortcut in
+      Printf.printf "full shortcut after %d boosting iterations (delta=%d):\n"
+        b.Boost.iterations b.Boost.delta_used;
+      Format.printf "  %a@." Quality.pp_report q
+    end
+    else begin
+      let result, delta = Construct.auto ?obs:r.obs partition ~tree in
+      let q = Quality.measure result.Construct.shortcut in
+      Printf.printf
+        "partial shortcut: delta=%d threshold=%d budget=%d covered=%d/%d\n" delta
+        result.Construct.threshold result.Construct.block_budget
+        result.Construct.selected_count (Partition.k partition);
+      Format.printf "  %a@." Quality.pp_report q
+    end;
+    (* The traced (or par-profiled) run is the Theorem 1.5 pipeline on
+       the enforced simulator — that is where shortcut construction has a
+       genuine CONGEST event stream (BFS + detection waves). With only
+       --par-profile the pipeline runs untraced, so the sharded fast path
+       stays fully parallel. *)
+    if r.obs = None && r.pp = None then
+      { code = 0; fields = (fun _ -> []); summary = (fun _ _ -> "") }
+    else begin
+      let o =
+        Distributed.construct ?obs:r.obs ~domains:r.domains ?tracer:r.tracer
+          ?par_profile:r.pp partition ~root:0
+      in
+      Printf.printf
+        "distributed pipeline: delta=%d guesses=%d bfs_rounds=%d wave_rounds=%d\n"
+        o.Distributed.delta o.Distributed.guesses
+        o.Distributed.bfs_stats.Simulator.rounds o.Distributed.wave_rounds;
+      {
+        code = 0;
+        fields =
+          (fun profile ->
+            [
+              ("parts", Json.Int (Partition.k partition));
+              ("delta", Json.Int o.Distributed.delta);
+              ("threshold", Json.Int o.Distributed.threshold);
+              ("covered", Json.Int o.Distributed.result.Construct.selected_count);
+              ("guesses", Json.Int o.Distributed.guesses);
+              ("bfs_stats", Report.stats_json o.Distributed.bfs_stats);
+              ("wave_rounds", Json.Int o.Distributed.wave_rounds);
+              ("wave_messages", Json.Int o.Distributed.wave_messages);
+              part_traffic o.Distributed.result.Construct.shortcut profile;
+            ]);
+        summary =
+          (fun _ profile ->
+            Printf.sprintf "%d words over %d edges in %d rounds"
+              (Trace.Profile.total_words profile)
+              (Trace.Profile.edges_used profile)
+              (Trace.Profile.rounds profile));
+      }
+    end
+  in
+  let faulty g partition ~seed f r =
     (* Theorem 1.5 pipeline under injected faults, optionally supervised.
        The pipeline has no ARQ path, so the ladder's levers here are
        re-seeding (both the pipeline and the injector) and, on
        exhaustion, falling back to the centralized construction — the
        sequential baseline the distributed protocol reproduces. *)
-    let plan = load_plan_or_die fpath in
-    let base_fault_seed =
-      match fault_seed with Some s -> s | None -> plan.Fault.seed
+    Printf.printf "fault plan: %s (injector seed %d)\n" f.plan_path f.fault_seed;
+    let attempt _knobs ~off =
+      Obs.span r.obs "distributed" (fun () ->
+          Distributed.construct_outcome ~seed:(seed + off) ~domains:r.domains
+            ?tracer:r.tracer ?par_profile:r.pp
+            ~faults:(Fault.compile ~seed:(f.fault_seed + off) f.plan)
+            partition ~root:0)
     in
-    let run_attempt ~inj_seed ~pipe_seed =
-      Distributed.construct_outcome ~seed:pipe_seed ~domains ?par_profile:pp
-        ~faults:(Fault.compile ~seed:inj_seed plan)
-        partition ~root:0
-    in
-    Printf.printf "fault plan: %s (injector seed %d)\n" fpath base_fault_seed;
-    let o =
-      match policy with
-      | None -> run_attempt ~inj_seed:base_fault_seed ~pipe_seed:seed
-      | Some policy ->
-          let attempt (k : Supervisor.knobs) =
-            let off = k.Supervisor.seed - policy.Supervisor.base_seed in
-            run_attempt ~inj_seed:(base_fault_seed + off) ~pipe_seed:(seed + off)
-          in
-          let fallback _d =
-            let tree = Bfs.tree g ~root:0 in
-            let result, delta = Construct.auto partition ~tree in
-            let height = Rooted_tree.height tree in
+    let fallback _d =
+      let tree = Bfs.tree g ~root:0 in
+      let result, delta = Construct.auto partition ~tree in
+      let height = Rooted_tree.height tree in
+      {
+        Distributed.constructed =
+          Some
             {
-              Distributed.constructed =
-                Some
-                  {
-                    Distributed.tree;
-                    height;
-                    delta;
-                    threshold = 8 * delta * height;
-                    result;
-                    bfs_stats =
-                      { Simulator.rounds = 0; messages = 0; words = 0; max_edge_load = 0 };
-                    wave_rounds = 0;
-                    wave_messages = 0;
-                    guesses = 0;
-                  };
-              failed_stage = None;
-              unjoined = [];
-              pipeline_rounds = 0;
-              validated = Some true;
-            }
-          in
-          let sup = Supervisor.run ~policy ~fallback attempt in
-          print_trail sup;
-          sup.Supervisor.outcome
+              Distributed.tree;
+              height;
+              delta;
+              threshold = 8 * delta * height;
+              result;
+              bfs_stats = no_stats;
+              wave_rounds = 0;
+              wave_messages = 0;
+              guesses = 0;
+            };
+        failed_stage = None;
+        unjoined = [];
+        pipeline_rounds = 0;
+        validated = Some true;
+      }
     in
-    let r = Outcome.value o in
+    let o, resilience = supervise r ~fallback attempt in
+    let rep = Outcome.value o in
     (match o with
     | Outcome.Complete _ ->
         Printf.printf "distributed pipeline under faults: COMPLETE\n"
@@ -332,250 +514,149 @@ let shortcut_cmd =
           "distributed pipeline under faults: DEGRADED — crashed=%d \
            unjoined=%d%s%s\n"
           (List.length d.Outcome.crashed)
-          (List.length r.Distributed.unjoined)
-          (match r.Distributed.failed_stage with
+          (List.length rep.Distributed.unjoined)
+          (match rep.Distributed.failed_stage with
           | Some s -> Printf.sprintf " failed_stage=%s" s
           | None -> "")
           (if d.Outcome.out_of_rounds then " (round budget exhausted)" else ""));
-    (match r.Distributed.constructed with
+    (match rep.Distributed.constructed with
     | Some c ->
         Printf.printf
           "  constructed: delta=%d threshold=%d covered=%d/%d \
            pipeline_rounds=%d validated=%s\n"
           c.Distributed.delta c.Distributed.threshold
           c.Distributed.result.Construct.selected_count (Partition.k partition)
-          r.Distributed.pipeline_rounds
-          (match r.Distributed.validated with
+          rep.Distributed.pipeline_rounds
+          (match rep.Distributed.validated with
           | Some true -> "yes"
           | Some false -> "NO"
           | None -> "-")
     | None -> Printf.printf "  no shortcut constructed\n");
-    (match pp with None -> () | Some c -> Report.write_par_profile par_profile c);
-    if r.Distributed.validated = Some false then 1 else 0
+    {
+      code = (if rep.Distributed.validated = Some false then 1 else 0);
+      fields =
+        (fun _ ->
+          (("parts", Json.Int (Partition.k partition)) :: outcome_fields f o)
+          @ (("pipeline_rounds", Json.Int rep.Distributed.pipeline_rounds) :: resilience));
+      summary = fault_summary;
+    }
   in
-  let run family parts seed full trace spans faults fault_seed policy domains
-      par_profile =
+  let run family parts seed full faults opts =
     let g, shape = build_family seed family in
     let partition = build_partition seed g shape parts in
-    let pp = make_par_profile par_profile in
-    match faults with
-    | Some fpath ->
-        run_faulty g partition ~seed ~fpath ~fault_seed ~policy ~domains ~pp
-          ~par_profile
-    | None ->
-    let tree = Bfs.tree g ~root:0 in
-    let obs = if trace <> None || spans <> None then Some (Obs.create ()) else None in
-    if full then begin
-      let b = Boost.full ?obs partition ~tree in
-      let r = Quality.measure b.Boost.shortcut in
-      Printf.printf "full shortcut after %d boosting iterations (delta=%d):\n"
-        b.Boost.iterations b.Boost.delta_used;
-      Format.printf "  %a@." Quality.pp_report r
-    end
-    else begin
-      let result, delta = Construct.auto ?obs partition ~tree in
-      let r = Quality.measure result.Construct.shortcut in
-      Printf.printf
-        "partial shortcut: delta=%d threshold=%d budget=%d covered=%d/%d\n" delta
-        result.Construct.threshold result.Construct.block_budget
-        result.Construct.selected_count (Partition.k partition);
-      Format.printf "  %a@." Quality.pp_report r
-    end;
-    (* The traced (or par-profiled) run is the Theorem 1.5 pipeline on
-       the enforced simulator — that is where shortcut construction has a
-       genuine CONGEST event stream (BFS + detection waves). With only
-       --par-profile the pipeline runs untraced, so the sharded fast path
-       stays fully parallel. *)
-    (if obs <> None || pp <> None then begin
-       let stream =
-         match trace with
-         | Some path when Report.is_stream path ->
-             Some
-               ( path,
-                 Report.stream_tracing g ~command:"shortcut"
-                   ~protocol:"distributed.construct" ~seed path )
-         | _ -> None
-       in
-       let recorder, profile, tracer =
-         match stream with
-         | Some (_, (_, p, t)) -> (None, Some p, Some t)
-         | None -> Report.tracing g ~on:(obs <> None)
-       in
-       let o =
-         Distributed.construct ?obs ~domains ?tracer ?par_profile:pp partition
-           ~root:0
-       in
-       Printf.printf
-         "distributed pipeline: delta=%d guesses=%d bfs_rounds=%d wave_rounds=%d\n"
-         o.Distributed.delta o.Distributed.guesses
-         o.Distributed.bfs_stats.Simulator.rounds o.Distributed.wave_rounds;
-       (match (trace, stream) with
-       | _, Some (path, (sink, sprofile, _)) ->
-           Report.finish_stream path sink sprofile
-       | None, None -> ()
-       | Some path, None ->
-           let profile = Option.get profile in
-           let sc = o.Distributed.result.Construct.shortcut in
-           let doc =
-             Report.assemble ~command:"shortcut" ~protocol:"distributed.construct"
-               ~seed ~g
-               ~extra:
-                 [
-                   ("parts", Json.Int (Partition.k partition));
-                   ("delta", Json.Int o.Distributed.delta);
-                   ("threshold", Json.Int o.Distributed.threshold);
-                   ("covered", Json.Int o.Distributed.result.Construct.selected_count);
-                   ("guesses", Json.Int o.Distributed.guesses);
-                   ("bfs_stats", Report.stats_json o.Distributed.bfs_stats);
-                   ("wave_rounds", Json.Int o.Distributed.wave_rounds);
-                   ("wave_messages", Json.Int o.Distributed.wave_messages);
-                   ( "part_traffic",
-                     Quality.traffic_to_json
-                       (Quality.traffic sc
-                          ~edge_words:(Trace.Profile.edge_words profile)) );
-                 ]
-               ~profile ?recorder ?obs ()
-           in
-           Report.write_json path doc ~describe:(fun () ->
-               Printf.printf "trace: wrote %s (%d words over %d edges in %d rounds)\n"
-                 path
-                 (Trace.Profile.total_words profile)
-                 (Trace.Profile.edges_used profile)
-                 (Trace.Profile.rounds profile)));
-       Report.write_spans ?recorder ?par:pp spans obs
-     end);
-    (match pp with None -> () | Some c -> Report.write_par_profile par_profile c);
-    0
+    let protocol, body =
+      match faults with
+      | Some f -> ("distributed.construct_outcome", faulty g partition ~seed f)
+      | None -> ("distributed.construct", body g partition ~full)
+    in
+    run_with opts ~command:"shortcut" ~protocol ~seed g body
   in
   let full_arg =
     Arg.(value & flag & info [ "full" ] ~doc:"boost to a full shortcut (Obs 2.7)")
   in
-  let trace_arg =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"PATH"
-             ~doc:"also run the distributed (Theorem 1.5) pipeline on the \
-                   enforced simulator with tracing on and write the JSON run \
-                   report (stats, per-edge congestion profile, per-part \
-                   traffic, event stream, spans/metrics/ledger) to $(docv); a \
-                   .jsonl suffix instead streams the events line by line \
-                   (lcs-trace-stream/1)")
-  in
-  let spans_arg =
-    Arg.(value & opt (some string) None
-         & info [ "spans" ] ~docv:"PATH"
-             ~doc:"write the construction's span tree as Chrome trace-event \
-                   JSON (Perfetto-loadable) to $(docv)")
-  in
-  let faults_arg =
-    Arg.(value & opt (some string) None
-         & info [ "faults" ] ~docv:"PLAN"
-             ~doc:"run the distributed (Theorem 1.5) pipeline under the \
-                   lcs-fault-plan/1 JSON file $(docv) and report a \
-                   complete/degraded outcome; composes with --retry/--policy")
-  in
-  let fault_seed_arg =
-    Arg.(value & opt (some int) None
-         & info [ "fault-seed" ] ~docv:"N"
-             ~doc:"override the fault plan's seed")
-  in
   Cmd.v
     (Cmd.info "shortcut" ~doc:"construct a Theorem 3.1 shortcut and measure it")
-    Term.(const run $ graph_arg $ parts_arg $ seed_arg $ full_arg $ trace_arg
-          $ spans_arg $ faults_arg $ fault_seed_arg $ policy_term $ domains_arg
-          $ par_profile_arg)
+    Term.(const run $ graph_arg $ parts_arg $ seed_arg $ full_arg $ faults_term
+          $ run_opts
+              ~trace_doc:"also run the distributed (Theorem 1.5) pipeline on the \
+                          enforced simulator with tracing on and write the JSON \
+                          run report (stats, per-edge congestion profile, \
+                          per-part traffic, event stream, spans/metrics/ledger) \
+                          to $(docv); a .jsonl suffix instead streams the events \
+                          line by line (lcs-trace-stream/1)"
+              ~spans_doc:"write the construction's span tree as Chrome \
+                          trace-event JSON (Perfetto-loadable) to $(docv)")
 
 (* --- pa subcommand -------------------------------------------------------- *)
 
 let pa_cmd =
-  let run_faulty g sc values ~seed ~fpath ~fault_seed ~policy ~trace ~spans
-      ~domains ~mode ~pp ~par_profile =
+  let body partition sc values ~seed r =
+    (* One shortcut aggregation, the run --trace, --spans and --par-profile
+       observe: every transmission crosses the simulator's enforced 1-word
+       bandwidth and lands in the event stream. With only --par-profile
+       the run is untraced, so the sharded simulator keeps its fully
+       parallel fast path. *)
+    let out =
+      Sim_aggregate.minimum ~domains:r.domains ?obs:r.obs ?tracer:r.tracer
+        ?par_profile:r.pp (Rng.create (seed + 7)) sc ~values
+    in
+    let ok = out.Sim_aggregate.minima = Aggregate.reference_minima sc ~values in
+    Printf.printf "part-wise min aggregation: %d rounds, %d messages, correct=%b\n"
+      out.Sim_aggregate.completion_round out.Sim_aggregate.messages ok;
+    let bare =
+      Sim_aggregate.minimum ~domains:r.domains (Rng.create (seed + 7))
+        (Shortcut.empty partition) ~values
+    in
+    Printf.printf "without shortcuts:          %d rounds, %d messages\n"
+      bare.Sim_aggregate.completion_round bare.Sim_aggregate.messages;
+    {
+      code = 0;
+      fields =
+        (fun profile ->
+          [
+            ("parts", Json.Int (Shortcut.k sc));
+            ("stats", Report.stats_json out.Sim_aggregate.stats);
+            ("completion_round", Json.Int out.Sim_aggregate.completion_round);
+            part_traffic sc profile;
+          ]);
+      summary =
+        (fun recorder profile ->
+          Printf.sprintf "%d events; %d words over %d edges in %d rounds"
+            (Trace.Recorder.length recorder)
+            (Trace.Profile.total_words profile)
+            (Trace.Profile.edges_used profile)
+            (Trace.Profile.rounds profile));
+    }
+  in
+  let faulty g sc values ~seed f r =
     (* Fault-injection mode: the enforced simulator run (the same protocol
        --trace exercises) under a compiled plan, classified and validated
-       by Sim_aggregate.minimum_outcome instead of asserted correct. The
-       Obs collector runs here too, so --spans composes with --faults.
-       With --retry/--policy the run goes through the resilience
-       supervisor: re-seeded attempts, raw -> reliable escalation, grown
-       budgets, and finally the sequential surviving-minima fallback. *)
-    let plan = load_plan_or_die fpath in
-    let base_fault_seed =
-      match fault_seed with Some s -> s | None -> plan.Fault.seed
-    in
-    let obs = if trace <> None || spans <> None then Some (Obs.create ()) else None in
-    let recorder = Trace.Recorder.create () in
-    let profile = Trace.Profile.create ?mode ~edges:(Graph.m g) () in
-    (* A .jsonl trace target swaps the in-memory recorder for the
-       line-delimited streaming sink: every attempt's events spill to
-       disk as they happen (the analyzer segments multi-attempt files). *)
-    let sink =
-      match trace with
-      | Some path when Report.is_stream path ->
-          Some
-            (Report.open_stream g ~command:"pa"
-               ~protocol:"sim_aggregate.minimum_outcome" ~seed path)
-      | _ -> None
-    in
-    let tracer =
-      if trace = None && spans = None then None
-      else
-        Some
-          (Trace.tee
-             (Trace.Profile.tracer profile
-             ::
-             (match sink with
-             | Some s -> [ Trace.Stream.tracer s ]
-             | None -> [ Trace.Recorder.tracer recorder ])))
+       by Sim_aggregate.minimum_outcome instead of asserted correct. With
+       --retry/--policy the run goes through the resilience supervisor:
+       re-seeded attempts, raw -> reliable escalation, grown budgets, and
+       finally the sequential surviving-minima fallback. *)
+    Printf.printf "fault plan: %s (injector seed %d)\n" f.plan_path f.fault_seed;
+    let bound =
+      lazy
+        (let q = Quality.measure sc in
+         Aggregate.bound ~congestion:q.Quality.congestion
+           ~dilation:(max 1 q.Quality.dilation) ~n:(Graph.n g))
     in
     let last_counts = ref None in
-    let run_attempt ?reliable ?budget ~inj_seed ~sched_seed () =
-      let injector = Fault.compile ~seed:inj_seed plan in
+    let attempt knobs ~off =
+      let reliable, budget =
+        match knobs with
+        | None -> (None, None)
+        | Some k ->
+            ( Some k.Supervisor.reliable,
+              Some
+                ((if k.Supervisor.reliable then 8 else 1)
+                * ((4 * Lazy.force bound) + 32)
+                * k.Supervisor.budget_factor) )
+      in
+      let injector = Fault.compile ~seed:(f.fault_seed + off) f.plan in
       let o =
-        Sim_aggregate.minimum_outcome ~domains ?obs ?tracer ?reliable ?budget
-          ?par_profile:pp ~faults:injector
-          (Rng.create sched_seed)
+        Sim_aggregate.minimum_outcome ~domains:r.domains ?obs:r.obs ?tracer:r.tracer
+          ?reliable ?budget ?par_profile:r.pp ~faults:injector
+          (Rng.create (seed + 7 + off))
           sc ~values
       in
       last_counts := Some (Fault.counts injector);
       o
     in
-    Printf.printf "fault plan: %s (injector seed %d)\n" fpath base_fault_seed;
-    let o, resilience =
-      match policy with
-      | None ->
-          (run_attempt ~inj_seed:base_fault_seed ~sched_seed:(seed + 7) (), None)
-      | Some policy ->
-          let q = Quality.measure sc in
-          let bound =
-            Aggregate.bound ~congestion:q.Quality.congestion
-              ~dilation:(max 1 q.Quality.dilation) ~n:(Graph.n g)
-          in
-          let attempt (k : Supervisor.knobs) =
-            (* knobs.seed offsets both randomness streams, so a retry is a
-               genuinely different run of the same adversary model. *)
-            let off = k.Supervisor.seed - policy.Supervisor.base_seed in
-            let budget =
-              (if k.Supervisor.reliable then 8 else 1)
-              * ((4 * bound) + 32)
-              * k.Supervisor.budget_factor
-            in
-            run_attempt ~reliable:k.Supervisor.reliable ~budget
-              ~inj_seed:(base_fault_seed + off) ~sched_seed:(seed + 7 + off) ()
-          in
-          let fallback (d : Outcome.degradation) =
-            {
-              Sim_aggregate.minima =
-                Aggregate.surviving_minima sc ~values ~crashed:d.Outcome.crashed;
-              diverged = [];
-              completion_round = 0;
-              ostats = { Simulator.rounds = 0; messages = 0; words = 0; max_edge_load = 0 };
-              retransmissions = 0;
-            }
-          in
-          let sup = Supervisor.run ?obs ~policy ~fallback attempt in
-          print_trail sup;
-          (sup.Supervisor.outcome, Some (Supervisor.to_json sup))
+    let fallback (d : Outcome.degradation) =
+      {
+        Sim_aggregate.minima =
+          Aggregate.surviving_minima sc ~values ~crashed:d.Outcome.crashed;
+        diverged = [];
+        completion_round = 0;
+        ostats = no_stats;
+        retransmissions = 0;
+      }
     in
-    let r = Outcome.value o in
-    let stats = r.Sim_aggregate.ostats in
+    let o, resilience = supervise r ~fallback attempt in
+    let rep = Outcome.value o in
+    let stats = rep.Sim_aggregate.ostats in
     (match o with
     | Outcome.Complete _ ->
         Printf.printf
@@ -587,12 +668,12 @@ let pa_cmd =
            dead_links=%d diverged_parts=%d affected_nodes=%d%s\n"
           (List.length d.Outcome.crashed)
           (List.length d.Outcome.unresponsive)
-          (List.length r.Sim_aggregate.diverged)
+          (List.length rep.Sim_aggregate.diverged)
           (List.length d.Outcome.affected)
           (if d.Outcome.out_of_rounds then " (round budget exhausted)" else ""));
     Printf.printf "  %d rounds, %d messages, %d retransmissions\n"
       stats.Simulator.rounds stats.Simulator.messages
-      r.Sim_aggregate.retransmissions;
+      rep.Sim_aggregate.retransmissions;
     let counts =
       (* counts of the last attempt's injector: every attempt compiles a
          fresh stream, so stale counters never leak across retries *)
@@ -607,243 +688,97 @@ let pa_cmd =
        delays=%d crashes=%d\n"
       counts.Fault.drops counts.Fault.link_down_drops counts.Fault.to_crashed
       counts.Fault.duplicates counts.Fault.delays counts.Fault.crashes;
-    (match (trace, sink) with
-    | Some path, Some s -> Report.finish_stream path s profile
-    | None, _ -> ()
-    | Some path, None ->
-        let doc =
-          Report.assemble ~command:"pa" ~protocol:"sim_aggregate.minimum_outcome"
-            ~seed ~g
-            ~extra:
-              ([
-                ("parts", Json.Int (Shortcut.k sc));
-                ( "outcome",
-                  Json.String
-                    (match o with
-                    | Outcome.Complete _ -> "complete"
-                    | Outcome.Degraded _ -> "degraded") );
-                ( "degradation",
-                  match o with
-                  | Outcome.Complete _ -> Json.Null
-                  | Outcome.Degraded (_, d) -> Outcome.degradation_to_json d );
-                ("fault_plan", Json.String fpath);
-                ("fault_counts", Fault.counts_to_json counts);
-                ("stats", Report.stats_json stats);
-                ("completion_round", Json.Int r.Sim_aggregate.completion_round);
-                ("retransmissions", Json.Int r.Sim_aggregate.retransmissions);
-                ( "part_traffic",
-                  Quality.traffic_to_json
-                    (Quality.traffic sc
-                       ~edge_words:(Trace.Profile.edge_words profile)) );
-               ]
-              @
-              match resilience with
-              | None -> []
-              | Some j -> [ ("resilience", j) ])
-            ~profile ~recorder ?obs ()
-        in
-        Report.write_json path doc ~describe:(fun () ->
-            Printf.printf "trace: wrote %s (%d events, %d fault events)\n" path
-              (Trace.Recorder.length recorder)
-              (Trace.Profile.fault_events profile)));
-    Report.write_spans ~recorder ?par:pp spans obs;
-    (match pp with None -> () | Some c -> Report.write_par_profile par_profile c);
-    0
+    {
+      code = 0;
+      fields =
+        (fun profile ->
+          (("parts", Json.Int (Shortcut.k sc)) :: outcome_fields f o)
+          @ [
+              ("fault_counts", Fault.counts_to_json counts);
+              ("stats", Report.stats_json stats);
+              ("completion_round", Json.Int rep.Sim_aggregate.completion_round);
+              ("retransmissions", Json.Int rep.Sim_aggregate.retransmissions);
+              part_traffic sc profile;
+            ]
+          @ resilience);
+      summary = fault_summary;
+    }
   in
-  let run family parts seed trace spans faults fault_seed policy domains sketch
-      par_profile =
+  let run family parts seed faults sketch opts =
     let g, shape = build_family seed family in
     let partition = build_partition seed g shape parts in
     let tree = Bfs.tree g ~root:0 in
     let sc = (Boost.full partition ~tree).Boost.shortcut in
     let rng = Rng.create (seed + 5) in
     let values = Array.init (Graph.n g) (fun _ -> Rng.int rng 1_000_000) in
-    let mode = mode_of_sketch sketch in
-    let pp = make_par_profile par_profile in
-    match faults with
-    | Some fpath ->
-        run_faulty g sc values ~seed ~fpath ~fault_seed ~policy ~trace ~spans
-          ~domains ~mode ~pp ~par_profile
-    | None ->
-    let obs = if trace <> None || spans <> None then Some (Obs.create ()) else None in
-    (* One shortcut aggregation, the run --trace, --spans and --par-profile
-       observe: every transmission crosses the simulator's enforced 1-word
-       bandwidth and lands in the event stream. A .jsonl target streams
-       that stream to disk line by line instead of recording it. With only
-       --par-profile the run is untraced, so the sharded simulator keeps
-       its fully parallel fast path. *)
-    let stream =
-      match trace with
-      | Some path when Report.is_stream path ->
-          Some
-            ( path,
-              Report.stream_tracing ?mode g ~command:"pa"
-                ~protocol:"sim_aggregate.minimum" ~seed path )
-      | _ -> None
+    let protocol, body =
+      match faults with
+      | Some f -> ("sim_aggregate.minimum_outcome", faulty g sc values ~seed f)
+      | None -> ("sim_aggregate.minimum", body partition sc values ~seed)
     in
-    let recorder, profile, tracer =
-      match stream with
-      | Some (_, (_, p, t)) -> (None, Some p, Some t)
-      | None -> Report.tracing ?mode g ~on:(obs <> None)
-    in
-    let out =
-      Sim_aggregate.minimum ~domains ?obs ?tracer ?par_profile:pp
-        (Rng.create (seed + 7)) sc ~values
-    in
-    let ok = out.Sim_aggregate.minima = Aggregate.reference_minima sc ~values in
-    Printf.printf "part-wise min aggregation: %d rounds, %d messages, correct=%b\n"
-      out.Sim_aggregate.completion_round out.Sim_aggregate.messages ok;
-    let bare =
-      Sim_aggregate.minimum ~domains (Rng.create (seed + 7)) (Shortcut.empty partition)
-        ~values
-    in
-    Printf.printf "without shortcuts:          %d rounds, %d messages\n"
-      bare.Sim_aggregate.completion_round bare.Sim_aggregate.messages;
-    (match (trace, stream) with
-    | _, Some (path, (sink, sprofile, _)) -> Report.finish_stream path sink sprofile
-    | None, None -> ()
-    | Some path, None ->
-        let recorder = Option.get recorder and profile = Option.get profile in
-        let doc =
-          Report.assemble ~command:"pa" ~protocol:"sim_aggregate.minimum" ~seed ~g
-            ~extra:
-              [
-                ("parts", Json.Int (Shortcut.k sc));
-                ("stats", Report.stats_json out.Sim_aggregate.stats);
-                ("completion_round", Json.Int out.Sim_aggregate.completion_round);
-                ( "part_traffic",
-                  Quality.traffic_to_json
-                    (Quality.traffic sc ~edge_words:(Trace.Profile.edge_words profile)) );
-              ]
-            ~profile ~recorder ?obs ()
-        in
-        Report.write_json path doc ~describe:(fun () ->
-            Printf.printf
-              "trace: wrote %s (%d events; %d words over %d edges in %d rounds)\n"
-              path
-              (Trace.Recorder.length recorder)
-              (Trace.Profile.total_words profile)
-              (Trace.Profile.edges_used profile)
-              (Trace.Profile.rounds profile)));
-    Report.write_spans ?recorder ?par:pp spans obs;
-    (match pp with None -> () | Some c -> Report.write_par_profile par_profile c);
-    0
-  in
-  let trace_arg =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"PATH"
-             ~doc:"run the aggregation under the enforced simulator with tracing \
-                   on and write the JSON run report (stats, per-edge congestion \
-                   profile, per-part traffic, event stream, \
-                   spans/metrics/ledger) to $(docv); a .jsonl suffix instead \
-                   streams the events line by line (lcs-trace-stream/1, O(1) \
-                   resident memory — see `lcs top' and `lcs analyze')")
-  in
-  let spans_arg =
-    Arg.(value & opt (some string) None
-         & info [ "spans" ] ~docv:"PATH"
-             ~doc:"write the enforced-simulator run's span tree as Chrome \
-                   trace-event JSON (Perfetto-loadable) to $(docv)")
-  in
-  let faults_arg =
-    Arg.(value & opt (some string) None
-         & info [ "faults" ] ~docv:"PLAN"
-             ~doc:"inject faults from the lcs-fault-plan/1 JSON file $(docv): \
-                   the aggregation runs on the enforced simulator under the \
-                   compiled plan and reports a validated complete/degraded \
-                   outcome plus injected-fault counts; composes with --trace \
-                   (fault events appear in the stream) and --spans")
-  in
-  let fault_seed_arg =
-    Arg.(value & opt (some int) None
-         & info [ "fault-seed" ] ~docv:"N"
-             ~doc:"override the fault plan's seed (same plan + same seed = \
-                   the identical fault sequence)")
+    run_with ?mode:(mode_of_sketch sketch) opts ~command:"pa" ~protocol ~seed g body
   in
   Cmd.v
     (Cmd.info "pa" ~doc:"run part-wise aggregation with and without shortcuts")
-    Term.(const run $ graph_arg $ parts_arg $ seed_arg $ trace_arg $ spans_arg
-          $ faults_arg $ fault_seed_arg $ policy_term $ domains_arg $ sketch_arg
-          $ par_profile_arg)
+    Term.(const run $ graph_arg $ parts_arg $ seed_arg $ faults_term $ sketch_arg
+          $ run_opts
+              ~trace_doc:"run the aggregation under the enforced simulator with \
+                          tracing on and write the JSON run report (stats, \
+                          per-edge congestion profile, per-part traffic, event \
+                          stream, spans/metrics/ledger) to $(docv); a .jsonl \
+                          suffix instead streams the events line by line \
+                          (lcs-trace-stream/1, O(1) resident memory — see `lcs \
+                          top' and `lcs analyze')"
+              ~spans_doc:"write the enforced-simulator run's span tree as Chrome \
+                          trace-event JSON (Perfetto-loadable) to $(docv)")
 
 (* --- mst subcommand --------------------------------------------------------- *)
 
 let mst_cmd =
-  let run family seed mode trace spans policy domains par_profile =
+  let run family seed mode opts =
     let g, _shape = build_family seed family in
     let w = Weights.random_distinct (Rng.create (seed + 3)) g in
-    let pp = make_par_profile par_profile in
-    let obs = if trace <> None || spans <> None then Some (Obs.create ()) else None in
-    let stream =
-      match trace with
-      | Some path when Report.is_stream path ->
-          Some
-            ( path,
-              Report.stream_tracing g ~command:"mst"
-                ~protocol:"boruvka_engine.run" ~seed path )
-      | _ -> None
-    in
-    let recorder, profile, tracer =
-      match stream with
-      | Some (_, (_, p, t)) -> (None, Some p, Some t)
-      | None -> Report.tracing g ~on:(obs <> None)
-    in
-    let reference = Kruskal.mst w in
-    let result =
-      match policy with
-      | None ->
-          Mst.boruvka ?obs ?tracer ?par_profile:pp ~seed:(seed + 4) ~mode
-            ~domains w
-      | Some policy ->
-          (* MST has no fault-injection path, so the ladder's lever is
-             re-seeding the engine; acceptance is correctness against
-             Kruskal, and the sequential fallback IS Kruskal — recorded
-             as such, never passed off as a distributed run. *)
-          let attempt (k : Supervisor.knobs) =
-            let off = k.Supervisor.seed - policy.Supervisor.base_seed in
-            Outcome.Complete
-              (Mst.boruvka ?obs ?tracer ?par_profile:pp ~seed:(seed + 4 + off)
-                 ~mode ~domains w)
-          in
-          let accept = function
-            | Outcome.Complete r -> r.Mst.edges = reference
-            | Outcome.Degraded _ -> false
-          in
-          let fallback _d =
-            {
-              Mst.edges = reference;
-              weight = Weights.total w reference;
-              accounting =
-                {
-                  Boruvka_engine.phases = 0;
-                  pa_rounds = 0;
-                  pa_messages = 0;
-                  max_congestion = 0;
-                  final_fragments = 1;
-                };
-            }
-          in
-          let sup = Supervisor.run ?obs ~policy ~accept ~fallback attempt in
-          print_trail sup;
-          Outcome.value sup.Supervisor.outcome
-    in
-    let ok = result.Mst.edges = reference in
-    Printf.printf
-      "MST: weight=%d edges=%d phases=%d pa_rounds=%d correct_vs_kruskal=%b\n"
-      result.Mst.weight
-      (List.length result.Mst.edges)
-      result.Mst.accounting.Boruvka_engine.phases
-      result.Mst.accounting.Boruvka_engine.pa_rounds ok;
-    (match (trace, stream) with
-    | _, Some (path, (sink, sprofile, _)) ->
-        Report.finish_stream path sink sprofile
-    | None, None -> ()
-    | Some path, None ->
-        let recorder = Option.get recorder and profile = Option.get profile in
+    run_with opts ~command:"mst" ~protocol:"boruvka_engine.run" ~seed g (fun r ->
+        let reference = Kruskal.mst w in
+        (* MST has no fault-injection path, so the ladder's lever is
+           re-seeding the engine; acceptance is correctness against
+           Kruskal, and the sequential fallback IS Kruskal — recorded as
+           such, never passed off as a distributed run. *)
+        let attempt _knobs ~off =
+          Outcome.Complete
+            (Mst.boruvka ?obs:r.obs ?tracer:r.tracer ?par_profile:r.pp
+               ~seed:(seed + 4 + off) ~mode ~domains:r.domains w)
+        in
+        let accept = function
+          | Outcome.Complete res -> res.Mst.edges = reference
+          | Outcome.Degraded _ -> false
+        in
+        let fallback _d =
+          {
+            Mst.edges = reference;
+            weight = Weights.total w reference;
+            accounting =
+              {
+                Boruvka_engine.phases = 0;
+                pa_rounds = 0;
+                pa_messages = 0;
+                max_congestion = 0;
+                final_fragments = 1;
+              };
+          }
+        in
+        let result = Outcome.value (fst (supervise r ~accept ~fallback attempt)) in
+        let ok = result.Mst.edges = reference in
         let acc = result.Mst.accounting in
-        let doc =
-          Report.assemble ~command:"mst" ~protocol:"boruvka_engine.run" ~seed ~g
-            ~extra:
+        Printf.printf
+          "MST: weight=%d edges=%d phases=%d pa_rounds=%d correct_vs_kruskal=%b\n"
+          result.Mst.weight
+          (List.length result.Mst.edges)
+          acc.Boruvka_engine.phases acc.Boruvka_engine.pa_rounds ok;
+        {
+          code = 0;
+          fields =
+            (fun _ ->
               [
                 ("weight", Json.Int result.Mst.weight);
                 ("edges", Json.Int (List.length result.Mst.edges));
@@ -852,18 +787,14 @@ let mst_cmd =
                 ("pa_messages", Json.Int acc.Boruvka_engine.pa_messages);
                 ("max_congestion", Json.Int acc.Boruvka_engine.max_congestion);
                 ("correct_vs_kruskal", Json.Bool ok);
-              ]
-            ~profile ~recorder ?obs ()
-        in
-        Report.write_json path doc ~describe:(fun () ->
-            Printf.printf
-              "trace: wrote %s (%d events; %d words over %d edges)\n" path
-              (Trace.Recorder.length recorder)
-              (Trace.Profile.total_words profile)
-              (Trace.Profile.edges_used profile)));
-    Report.write_spans ?recorder ?par:pp spans obs;
-    (match pp with None -> () | Some c -> Report.write_par_profile par_profile c);
-    0
+              ]);
+          summary =
+            (fun recorder profile ->
+              Printf.sprintf "%d events; %d words over %d edges"
+                (Trace.Recorder.length recorder)
+                (Trace.Profile.total_words profile)
+                (Trace.Profile.edges_used profile));
+        })
   in
   let mode_arg =
     Arg.(value
@@ -877,25 +808,17 @@ let mst_cmd =
              Boruvka_engine.Thm31
          & info [ "mode" ] ~docv:"MODE" ~doc:"thm31 | baseline | induced")
   in
-  let trace_arg =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"PATH"
-             ~doc:"trace every phase's simulated aggregation and write the \
-                   JSON run report (accounting, per-edge congestion profile, \
-                   event stream, spans/metrics/ledger) to $(docv); a .jsonl \
-                   suffix instead streams the events line by line \
-                   (lcs-trace-stream/1)")
-  in
-  let spans_arg =
-    Arg.(value & opt (some string) None
-         & info [ "spans" ] ~docv:"PATH"
-             ~doc:"write the run's span tree (mst → boruvka.phase → pa → \
-                   pa.epoch) as Chrome trace-event JSON to $(docv)")
-  in
   Cmd.v
     (Cmd.info "mst" ~doc:"distributed Boruvka MST with measured PA rounds")
-    Term.(const run $ graph_arg $ seed_arg $ mode_arg $ trace_arg $ spans_arg
-          $ policy_term $ domains_arg $ par_profile_arg)
+    Term.(const run $ graph_arg $ seed_arg $ mode_arg
+          $ run_opts
+              ~trace_doc:"trace every phase's simulated aggregation and write the \
+                          JSON run report (accounting, per-edge congestion \
+                          profile, event stream, spans/metrics/ledger) to \
+                          $(docv); a .jsonl suffix instead streams the events \
+                          line by line (lcs-trace-stream/1)"
+              ~spans_doc:"write the run's span tree (mst → boruvka.phase → pa → \
+                          pa.epoch) as Chrome trace-event JSON to $(docv)")
 
 (* --- export subcommand -------------------------------------------------------- *)
 
@@ -1415,8 +1338,9 @@ let bcast_cmd =
       | Some path ->
           Some
             ( path,
-              Report.open_stream g ~command:"bcast" ~protocol:"flood.broadcast"
-                ~seed path )
+              Report.open_stream
+                (Report.run_meta ~command:"bcast" ~protocol:"flood.broadcast" ~seed g)
+                path )
     in
     let tracer = Option.map (fun (_, s) -> Trace.Stream.tracer s) sink in
     let flight =

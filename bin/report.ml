@@ -25,23 +25,20 @@ let obs_fields = function
         ("ledger", Obs.ledger_to_json o);
       ]
 
-let assemble ~command ~protocol ~seed ~g ?(extra = []) ?profile ?recorder ?obs
-    () =
+(* The header every run report and trace stream opens with. *)
+let run_meta ~command ~protocol ~seed g =
+  [
+    ("command", Json.String command);
+    ("protocol", Json.String protocol);
+    ("seed", Json.Int seed);
+    ("n", Json.Int (Graph.n g));
+    ("m", Json.Int (Graph.m g));
+  ]
+
+let assemble meta ~extra ~profile ~recorder obs =
   Json.Obj
-    ([
-       ("command", Json.String command);
-       ("protocol", Json.String protocol);
-       ("seed", Json.Int seed);
-       ("n", Json.Int (Graph.n g));
-       ("m", Json.Int (Graph.m g));
-     ]
-    @ extra
-    @ (match profile with
-      | None -> []
-      | Some p -> [ ("profile", Trace.Profile.to_json p) ])
-    @ (match recorder with
-      | None -> []
-      | Some r -> [ ("events", Trace.Recorder.to_json r) ])
+    (meta @ extra
+    @ [ ("profile", Trace.Profile.to_json profile); ("events", Trace.Recorder.to_json recorder) ]
     @ obs_fields obs)
 
 let write_json path doc ~describe =
@@ -115,19 +112,6 @@ let write_par_profile path pp =
             d.Par_profile.d_barrier_s d.Par_profile.d_serial_s
             d.Par_profile.d_other_s)
 
-(* Tracing harness: a recorder + profile pair tee'd into one tracer, or
-   nothing when the report does not need them. [mode] selects the
-   profile's accounting mode (--sketch). *)
-let tracing ?mode g ~on =
-  if not on then (None, None, None)
-  else
-    let recorder = Trace.Recorder.create () in
-    let profile = Trace.Profile.create ?mode ~edges:(Graph.m g) () in
-    let tracer =
-      Trace.tee [ Trace.Profile.tracer profile; Trace.Recorder.tracer recorder ]
-    in
-    (Some recorder, Some profile, Some tracer)
-
 (* --- streaming traces (--trace FILE.jsonl) ------------------------------ *)
 
 (* Trace output format by extension, mirroring the graph loader's .bin
@@ -135,29 +119,30 @@ let tracing ?mode g ~on =
    (lcs-trace-stream/1), anything else the in-memory JSON run report. *)
 let is_stream path = Filename.check_suffix path ".jsonl"
 
-let run_meta ~command ~protocol ~seed g =
-  [
-    ("command", Json.String command);
-    ("protocol", Json.String protocol);
-    ("seed", Json.Int seed);
-    ("n", Json.Int (Graph.n g));
-    ("m", Json.Int (Graph.m g));
-  ]
-
-let open_stream g ~command ~protocol ~seed path =
-  match Trace.Stream.create ~meta:(run_meta ~command ~protocol ~seed g) path with
+let open_stream meta path =
+  match Trace.Stream.create ~meta path with
   | sink -> sink
   | exception Sys_error msg ->
       Printf.eprintf "lcs: cannot write %s: %s\n" path msg;
       exit 1
 
-(* Streaming tracing harness: the congestion profile plus the
-   line-delimited sink — no in-memory recorder, so resident memory stays
-   O(1) in the event count. *)
-let stream_tracing ?mode g ~command ~protocol ~seed path =
-  let sink = open_stream g ~command ~protocol ~seed path in
-  let profile = Trace.Profile.create ?mode ~edges:(Graph.m g) () in
-  (sink, profile, Trace.tee [ Trace.Profile.tracer profile; Trace.Stream.tracer sink ])
+(* Tracing harness: the congestion profile tee'd with the event sink, or
+   nothing when the run is not traced. The sink is the line-delimited
+   stream when one is given, so resident memory stays O(1) in the event
+   count; otherwise an in-memory recorder, returned for the JSON report.
+   [mode] selects the profile's accounting mode (--sketch). *)
+let tracing ?mode ?sink g ~on =
+  if not on then (None, None, None)
+  else
+    let profile = Trace.Profile.create ?mode ~edges:(Graph.m g) () in
+    let recorder, events =
+      match sink with
+      | Some s -> (None, Trace.Stream.tracer s)
+      | None ->
+          let r = Trace.Recorder.create () in
+          (Some r, Trace.Recorder.tracer r)
+    in
+    (recorder, Some profile, Some (Trace.tee [ Trace.Profile.tracer profile; events ]))
 
 (* Close a sink after one final snapshot, so `lcs top` always has the
    end-of-run vital signs even when no cadence was requested. *)
