@@ -204,6 +204,11 @@ let cases =
     ("shortcut/lbg/stream+spans", ("shortcut" :: lbg) @ words "--trace t.jsonl --spans s.json");
     ( "shortcut/lbg/light_loss+fault-seed",
       ("shortcut" :: lbg) @ light_loss @ words "--fault-seed 3" );
+    ( "shortcut/grid/light_loss+trace+spans",
+      ("shortcut" :: grid) @ light_loss @ words "--trace t.json --spans s.json" );
+    ( "shortcut/ktree/crash_heavy+trace+spans",
+      ("shortcut" :: ktree) @ crash_heavy @ words "--trace t.json --spans s.json" );
+    ("shortcut/lbg/light_loss+stream", ("shortcut" :: lbg) @ light_loss @ words "--trace t.jsonl");
     ("mst/grid", words "mst --graph grid:8");
     ("mst/grid/trace+spans", words "mst --graph grid:8 --trace t.json --spans s.json");
     ("mst/grid/stream+par-profile", words "mst --graph grid:8 --trace t.jsonl --par-profile pp.json");
@@ -239,6 +244,9 @@ let expected =
     ("shortcut/ktree/par-profile+spans", "exit=0 out=30c5c3b09322 pp.json=be428bf4b09a s.json=20db57e5cf85");
     ("shortcut/lbg/stream+spans", "exit=0 out=49ceff46dda6 s.json=bceaf9be6b29 t.jsonl=b0a743f6986f");
     ("shortcut/lbg/light_loss+fault-seed", "exit=0 out=1531f2d98bb4");
+    ("shortcut/grid/light_loss+trace+spans", "exit=0 out=f55e7154106e s.json=0accefd41a2e t.json=a684fe971316");
+    ("shortcut/ktree/crash_heavy+trace+spans", "exit=0 out=1f88282eba1c s.json=20da2e043538 t.json=ab0b3a8a7f48");
+    ("shortcut/lbg/light_loss+stream", "exit=0 out=d4322baab719 t.jsonl=54e034c4b398");
     ("mst/grid", "exit=0 out=5543f01c66ca");
     ("mst/grid/trace+spans", "exit=0 out=82aa405a334d s.json=cd1f2db928a0 t.json=86596b8a1572");
     ("mst/grid/stream+par-profile", "exit=0 out=8a75729f1c0e pp.json=d53dc66d7312 t.jsonl=e8f840d520ab");
