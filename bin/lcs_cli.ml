@@ -52,7 +52,27 @@ let parse_family s =
       | _ -> Error "lbg:DELTA',D'")
   | _ -> Error "unknown family"
 
-let build_family seed family =
+let family_to_string = function
+  | Grid s -> Printf.sprintf "grid:%d" s
+  | Torus s -> Printf.sprintf "torus:%d" s
+  | Wheel n -> Printf.sprintf "wheel:%d" n
+  | Ktree (k, n) -> Printf.sprintf "ktree:%d,%d" k n
+  | Clique (b, s) -> Printf.sprintf "clique:%d,%d" b s
+  | Er (n, p) -> Printf.sprintf "er:%d,%g" n p
+  | Lbg (d, dd) -> Printf.sprintf "lbg:%d,%d" d dd
+
+(* A spec can parse and still lie outside its family's range (grid:0,
+   ktree:4,3, lbg:3,6), and a graph file can be malformed; the library
+   rejects both with Invalid_argument or Failure. That is malformed input
+   (exit 2), reported with the option or file it came from. *)
+let or_bad what build =
+  match build () with
+  | v -> v
+  | exception (Invalid_argument msg | Failure msg) ->
+      Printf.eprintf "lcs: bad %s: %s\n" what msg;
+      exit 2
+
+let family_graph seed family =
   let rng = Rng.create seed in
   match family with
   | Grid s -> (Generators.grid ~rows:s ~cols:s, `Grid s)
@@ -64,6 +84,9 @@ let build_family seed family =
   | Lbg (d, dd) ->
       let lb = Lower_bound_graph.create ~delta':d ~d':dd in
       (lb.Lower_bound_graph.graph, `Lbg lb)
+
+let build_family seed family =
+  or_bad ("--graph " ^ family_to_string family) (fun () -> family_graph seed family)
 
 type parts = Rows | Voronoi of int | Whole | Singletons
 
@@ -114,7 +137,8 @@ let conv_of ~docv parse print =
   Arg.conv ~docv (parser, print)
 
 let family_conv =
-  conv_of ~docv:"FAMILY" parse_family (fun ppf _ -> Format.fprintf ppf "<family>")
+  conv_of ~docv:"FAMILY" parse_family (fun ppf f ->
+      Format.pp_print_string ppf (family_to_string f))
 
 let parts_conv =
   conv_of ~docv:"PARTS" parse_parts (fun ppf p ->
@@ -1212,25 +1236,40 @@ let parse_gen_family s =
       | _ -> Error "pa:N,M0")
   | _ -> ( match parse_family s with Ok f -> Ok (Gfamily f) | Error e -> Error e)
 
-let gen_family_conv =
-  conv_of ~docv:"FAMILY" parse_gen_family (fun ppf _ -> Format.fprintf ppf "<family>")
+let gen_family_to_string = function
+  | Ggrid (r, c) when r = c -> Printf.sprintf "grid:%d" r
+  | Ggrid (r, c) -> Printf.sprintf "grid:%d,%d" r c
+  | Gtree n -> Printf.sprintf "tree:%d" n
+  | Gpa (n, m0) -> Printf.sprintf "pa:%d,%d" n m0
+  | Gfamily f -> family_to_string f
 
-let build_gen_family seed = function
-  | Ggrid (r, c) -> Generators.grid ~rows:r ~cols:c
-  | Gtree n -> Generators.random_tree (Rng.create seed) ~n
-  | Gpa (n, m0) -> Generators.preferential_attachment (Rng.create seed) ~n ~m0
-  | Gfamily f -> fst (build_family seed f)
+let gen_family_conv =
+  conv_of ~docv:"FAMILY" parse_gen_family (fun ppf f ->
+      Format.pp_print_string ppf (gen_family_to_string f))
+
+(* [what] names where the spec came from in an error (default --family). *)
+let build_gen_family ?(what = "--family") seed f =
+  or_bad (what ^ " " ^ gen_family_to_string f) (fun () ->
+      match f with
+      | Ggrid (r, c) -> Generators.grid ~rows:r ~cols:c
+      | Gtree n -> Generators.random_tree (Rng.create seed) ~n
+      | Gpa (n, m0) -> Generators.preferential_attachment (Rng.create seed) ~n ~m0
+      | Gfamily f -> fst (family_graph seed f))
 
 (* File format by extension: .bin is lcs-graph-bin/1, anything else the
    text edge list. *)
 let is_binary_path path = Filename.check_suffix path ".bin"
 
+(* Graph files come from outside the program, so every one is validated
+   in O(n + m) — a corrupt CSR is rejected here, not read out of bounds
+   later. *)
 let load_graph path =
-  if is_binary_path path then Graph_io.read_binary path
-  else begin
-    let ic = open_in_bin path in
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> Graph_io.of_channel ic)
-  end
+  or_bad ("graph file " ^ path) (fun () ->
+      if is_binary_path path then Graph_io.read_binary ~validate:true path
+      else begin
+        let ic = open_in_bin path in
+        Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> Graph_io.of_channel ic)
+      end)
 
 let save_graph path g =
   if is_binary_path path then Graph_io.write_binary path g
@@ -1283,8 +1322,8 @@ let graph_convert_cmd =
 let graph_info_cmd =
   let run path =
     let g = load_graph path in
-    (* Binary files are mmapped, so this stays O(1) reads plus the O(n)
-       degree scan even on multi-gigabyte graphs. *)
+    (* Binary files are mmapped, not read; loading validates the CSR in
+       O(n + m), and the rest is an O(n) degree scan. *)
     Format.printf "%a@." Graph.pp g;
     Printf.printf "format: %s\n" (if is_binary_path path then "binary (lcs-graph-bin/1)" else "text");
     Printf.printf "bytes: %d\n" (Unix.stat path).Unix.st_size;
@@ -1532,7 +1571,7 @@ let shards_cmd =
   let run graph domains seed json =
     let g =
       match parse_gen_family graph with
-      | Ok f -> build_gen_family seed f
+      | Ok f -> build_gen_family ~what:"graph" seed f
       | Error e | exception Failure e ->
           if Sys.file_exists graph then load_graph graph
           else begin

@@ -45,9 +45,12 @@ val read_binary : ?mmap:bool -> ?validate:bool -> string -> Graph.t
 
     Header sanity (magic, sizes vs. file length) is always checked in
     O(1); pass [~validate:true] to additionally run {!Graph.validate}'s
-    full O(n+m) structural check — recommended for untrusted files, since
-    the default trusts the CSR invariants. Raises [Invalid_argument] on a
-    malformed file. *)
+    full O(n+m) structural check. The default trusts the CSR invariants,
+    which is right only for files the program wrote itself with
+    {!write_binary} (a benchmark's own load layer, say): a corrupt row
+    offset is then read as is, out of range. Every file from outside —
+    each one the [lcs] CLI loads — must pass [~validate:true]. Raises
+    [Invalid_argument] on a malformed file. *)
 
 val to_dot : ?partition:Partition.t -> Graph.t -> string
 (** Graphviz [graph { ... }]; when [partition] is given, vertices carry a

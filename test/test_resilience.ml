@@ -440,17 +440,50 @@ let read_file path =
   close_in ic;
   s
 
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
 (* Each row is (argv, exit code, stderr substring). A malformed option
    value is a usage error naming the option (cmdliner's 124); a
    well-formed spec that does not fit the input — a broken fault plan, a
-   partition the graph's shape cannot carry — exits 2 with a message. No
-   row may reach the uncaught-exception exit (125). [PLAN] stands for a
-   fault plan with a JSON syntax error. *)
+   partition the graph's shape cannot carry, a family parameter out of
+   range, a corrupt graph file — exits 2 with a message. No row may reach
+   the uncaught-exception exit (125) or succeed. In argv and substring,
+   [PLAN] stands for a fault plan with a JSON syntax error, [TXT] for an
+   edge list with an endpoint out of range, [TRUNC] for a truncated
+   lcs-graph-bin/1 file, and [OFFSET] for a 4x4 grid's binary file with
+   one row offset set to 10^9. *)
 let cli_rejects_malformed_input () =
-  let bad = Filename.temp_file "lcs_bad_plan" ".json" in
-  let oc = open_out bad in
-  output_string oc {|{ "schema": "lcs-fault-plan/1", "default": { "drop": 0.5, }|};
-  close_out oc;
+  let temp name suffix contents =
+    let path = Filename.temp_file name suffix in
+    write_file path contents;
+    path
+  in
+  let grid_bin =
+    let path = Filename.temp_file "lcs_grid" ".bin" in
+    Graph_io.write_binary path (Generators.grid ~rows:4 ~cols:4);
+    let s = read_file path in
+    Sys.remove path;
+    s
+  in
+  let offset =
+    let b = Bytes.of_string grid_bin in
+    (* header: magic, n, m; then row_off, whose fourth entry goes wild *)
+    Bytes.set_int64_le b (8 * (3 + 3)) 1_000_000_000L;
+    Bytes.to_string b
+  in
+  let files =
+    [
+      ("PLAN", temp "lcs_bad_plan" ".json"
+                 {|{ "schema": "lcs-fault-plan/1", "default": { "drop": 0.5, }|});
+      ("TXT", temp "lcs_bad_graph" ".txt" "3 2\n0 1\n1 7\n");
+      ("TRUNC", temp "lcs_trunc" ".bin" (String.sub grid_bin 0 100));
+      ("OFFSET", temp "lcs_offset" ".bin" offset);
+    ]
+  in
+  let subst a = Option.value ~default:a (List.assoc_opt a files) in
   let err = Filename.temp_file "lcs_cli" ".err" in
   let rows =
     [
@@ -470,14 +503,26 @@ let cli_rejects_malformed_input () =
       ("export --graph grid:4 --format bogus", 124, "--format");
       ("pa --graph ktree:3,50 --parts rows", 2, "--parts rows");
       ("pa --graph grid:4 --parts voronoi:99", 2, "--parts voronoi:99");
+      ("info --graph grid:0", 2, "--graph grid:0");
+      ("info --graph ktree:4,3", 2, "--graph ktree:4,3");
+      ("info --graph lbg:3,6", 2, "--graph lbg:3,6");
+      ("info --graph er:10,0", 2, "--graph er:10,0");
+      ("graph gen --family grid:0 -o /dev/null", 2, "--family grid:0");
+      ("bcast --family tree:0", 2, "--family tree:0");
+      ("shards pa:5,9", 2, "pa:5,9");
+      ("graph info TXT", 2, "TXT");
+      ("graph info TRUNC", 2, "TRUNC");
+      ("graph info OFFSET", 2, "OFFSET");
+      ("shards OFFSET", 2, "OFFSET");
+      ("graph convert OFFSET -o /dev/null", 2, "OFFSET");
     ]
   in
   List.iter
     (fun (argv, code, sub) ->
       let args =
-        String.split_on_char ' ' argv
-        |> List.map (fun a -> Filename.quote (if a = "PLAN" then bad else a))
+        String.split_on_char ' ' argv |> List.map (fun a -> Filename.quote (subst a))
       in
+      let sub = subst sub in
       let status =
         Sys.command
           (Printf.sprintf "%s %s > /dev/null 2> %s"
@@ -489,7 +534,7 @@ let cli_rejects_malformed_input () =
       check Alcotest.bool (Printf.sprintf "%s: stderr mentions %S" argv sub) true
         (contains ~sub msg))
     rows;
-  Sys.remove bad;
+  List.iter (fun (_, path) -> Sys.remove path) files;
   Sys.remove err
 
 let props =
