@@ -196,7 +196,6 @@ let wrap ?(config = default_config) ?on_dead (inner : ('s, 'm) Simulator.program
       (fun f -> match f.data with Some (_, m) -> inner.msg_words m | None -> 1);
   }
 
-let inner_state s = s.inner
 let inner_states states = Array.map (fun s -> s.inner) states
 
 let dead_links states =

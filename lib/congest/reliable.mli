@@ -55,7 +55,6 @@ val wrap :
 
 (** {1 Post-run reporting} *)
 
-val inner_state : ('state, 'msg) state -> 'state
 val inner_states : ('state, 'msg) state array -> 'state array
 
 val dead_links : ('state, 'msg) state array -> (int * int) list

@@ -26,14 +26,6 @@ let labels g =
 let count g = snd (labels g)
 let is_connected g = Graph.n g = 0 || count g = 1
 
-let vertex_sets g =
-  let label, k = labels g in
-  let acc = Array.make k [] in
-  for v = Graph.n g - 1 downto 0 do
-    acc.(label.(v)) <- v :: acc.(label.(v))
-  done;
-  acc
-
 let is_vertex_set_connected g vs =
   match vs with
   | [] -> false

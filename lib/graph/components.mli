@@ -8,9 +8,6 @@ val is_connected : Graph.t -> bool
 
 val count : Graph.t -> int
 
-val vertex_sets : Graph.t -> int list array
-(** Component index to its vertices (ascending). *)
-
 val is_vertex_set_connected : Graph.t -> int list -> bool
 (** Whether the induced subgraph on the given vertices is connected (an
     empty set is not). One BFS with graph-sized scratch per call: checking

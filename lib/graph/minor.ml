@@ -70,11 +70,6 @@ let verify g model =
         model.minor_edges);
   match !problem with Some msg -> Error msg | None -> Ok ()
 
-let model_density model =
-  let k = Array.length model.branch_sets in
-  if k = 0 then 0.
-  else float_of_int (List.length model.minor_edges) /. float_of_int k
-
 let of_components g ~keep_edge =
   let uf = Union_find.create (Graph.n g) in
   Graph.iter_edges g (fun e u v -> if keep_edge e then ignore (Union_find.union uf u v));

@@ -35,9 +35,6 @@ val verify : Graph.t -> model -> (unit, string) result
     error names the first problem in that order; connectivity is one
     O(n + m) pass that reports the lowest disconnected branch set. *)
 
-val model_density : model -> float
-(** [|minor_edges| / |branch sets|]. *)
-
 val of_components : Graph.t -> keep_edge:(int -> bool) -> int array
 (** Assignment mapping each vertex to its connected component in the
     subgraph of edges satisfying [keep_edge]; a convenient way to produce

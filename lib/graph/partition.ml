@@ -73,14 +73,6 @@ let internal_diameter t i =
     members;
   !best
 
-let max_internal_diameter t =
-  let best = ref 0 in
-  for i = 0 to k t - 1 do
-    let d = internal_diameter t i in
-    if d > !best then best := d
-  done;
-  !best
-
 let voronoi host rng ~parts =
   let n = Graph.n host in
   if parts < 1 || parts > n then invalid_arg "Partition.voronoi: parts out of range";

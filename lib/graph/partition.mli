@@ -31,10 +31,6 @@ val size : t -> int -> int
 val graph : t -> Graph.t
 (** The host graph. *)
 
-val max_internal_diameter : t -> int
-(** Max over parts of the diameter of [G[P_i]] — the quantity shortcuts
-    exist to beat. *)
-
 val internal_diameter : t -> int -> int
 (** Diameter of [G[P_i]] for one part. *)
 

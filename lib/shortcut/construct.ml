@@ -232,6 +232,3 @@ let auto ?obs ?(initial_delta = 1) partition ~tree =
     if succeeded r then (r, delta) else search (2 * delta)
   in
   search initial_delta
-
-let default_tree partition =
-  Bfs.tree (Partition.graph partition) ~root:0

@@ -90,6 +90,3 @@ val auto :
     [delta < 2·max(δ(G), initial_delta)], so the returned quality is
     [O(δ(G)·D)]. Always terminates: once [threshold] exceeds [k] no edge
     can be overcongested. *)
-
-val default_tree : Lcs_graph.Partition.t -> Lcs_graph.Rooted_tree.t
-(** A BFS tree of the host rooted at vertex 0 — the customary [T]. *)

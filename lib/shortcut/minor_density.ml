@@ -68,6 +68,4 @@ let greedy_lower rng ?(restarts = 8) ?(steps = max_int) host =
   !best
 
 let planar_upper = 3.
-let treewidth_upper k = float_of_int k
-let genus_upper g = 3. +. sqrt (6. *. float_of_int g)
 let complete_lower r = float_of_int (r - 1) /. 2.

@@ -27,12 +27,5 @@ val greedy_lower : Lcs_util.Rng.t -> ?restarts:int -> ?steps:int -> Lcs_graph.Gr
 val planar_upper : float
 (** [< 3] for every planar graph (Euler). *)
 
-val treewidth_upper : int -> float
-(** [δ(G) <= k] for treewidth-k graphs (Lemma 3.3). *)
-
-val genus_upper : int -> float
-(** [O(√g)]: a genus-g graph has at most [3n + 6g] edges, giving
-    [δ <= 3 + √(6g)] (cf. Lemma 3.3's [O(√g)]). *)
-
 val complete_lower : int -> float
 (** [δ(K_r) = (r-1)/2]. *)

@@ -88,9 +88,6 @@ let part_subgraph sc i = subgraph_in (scratch (Shortcut.graph sc)) sc i
 let dilation_in ?(exact_limit = 4096) scratch sc i =
   Diameter.of_graph ~exact_limit (subgraph_in scratch sc i)
 
-let part_dilation ?exact_limit sc i =
-  dilation_in ?exact_limit (scratch (Shortcut.graph sc)) sc i
-
 let dilation ?exact_limit sc =
   let scratch = scratch (Shortcut.graph sc) in
   let best = ref 0 in

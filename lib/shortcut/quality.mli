@@ -51,12 +51,6 @@ val part_subgraph : Shortcut.t -> int -> Lcs_graph.Graph.t
     edges internal to [P_i] plus [H_i]. Its diameter is the part's
     dilation. *)
 
-val part_dilation : ?exact_limit:int -> Shortcut.t -> int -> int
-(** Diameter of [G[P_i] + H_i]. Exact when that subgraph has at most
-    [exact_limit] (default 4096) vertices, otherwise a double-sweep lower
-    bound. Raises [Invalid_argument] if the subgraph is disconnected —
-    which cannot happen for shortcuts produced by {!Construct}. *)
-
 val dilation : ?exact_limit:int -> Shortcut.t -> int
 (** Max over covered parts. Uncovered parts are skipped: a partial
     shortcut's dilation speaks only for the parts it serves. *)

@@ -78,14 +78,6 @@ let sub_view t ~pos ~len =
     invalid_arg "Intvec.sub_view: range out of bounds";
   { data = Bigarray.Array1.sub t.data pos len; len }
 
-let of_array a =
-  let n = Array.length a in
-  let data = alloc n in
-  for i = 0 to n - 1 do
-    Bigarray.Array1.unsafe_set data i (Array.unsafe_get a i)
-  done;
-  { data; len = n }
-
 let to_array t = Array.init t.len (fun i -> Bigarray.Array1.unsafe_get t.data i)
 
 let sub_array t ~pos ~len =

@@ -58,8 +58,6 @@ val data : t -> payload
 val sub_view : t -> pos:int -> len:int -> t
 (** O(1) view sharing the payload. *)
 
-val of_array : int array -> t
-
 val to_array : t -> int array
 
 val sub_array : t -> pos:int -> len:int -> int array
