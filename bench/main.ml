@@ -1,5 +1,5 @@
 (* Benchmark harness: one Bechamel micro-benchmark per experiment kernel
-   (E1..E13), followed by the full experiment tables — so a single
+   (E1–E18), followed by the full experiment tables (E1–E20) — so a single
    `dune exec bench/main.exe` regenerates every table and figure of the
    reproduction together with the kernels' timing.
 

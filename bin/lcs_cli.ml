@@ -1206,7 +1206,7 @@ let experiment_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc:"experiment id")
   in
   Cmd.v
-    (Cmd.info "experiment" ~doc:"run one experiment table (E1..E13)")
+    (Cmd.info "experiment" ~doc:"run one experiment table (E1–E20)")
     Term.(const run $ id_arg $ seed_arg)
 
 (* --- graph subcommands (files, binary format, streaming generation) ---- *)

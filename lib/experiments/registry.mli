@@ -1,6 +1,6 @@
 (** The experiment registry: every table/figure of the reproduction, by id.
 
-    [all] lists them in order E1..E13; [find] resolves an id
+    [all] lists them in order E1–E20; [find] resolves an id
     case-insensitively. Used by [bin/experiments] and by the bench
     harness. *)
 
