@@ -155,10 +155,11 @@ let positive_int =
     Format.pp_print_int
 
 (* Exit code 2 is reserved for malformed inputs (bad fault plan, bad
-   policy spec, a partition the graph cannot carry) so scripts can tell
-   "fix your file" from "the run went wrong" (1); a malformed option
-   value is cmdliner's usage error (124). JSON syntax errors carry
-   Util.Json's line/column. *)
+   policy spec, a partition the graph cannot carry, a family parameter
+   out of range, a corrupt graph file) so scripts can tell "fix your
+   file" from "the run went wrong" (1); a malformed option value is
+   cmdliner's usage error (124). JSON syntax errors carry Util.Json's
+   line/column. *)
 let load_plan_or_die fpath =
   match Fault.load_plan fpath with
   | Ok plan -> plan
