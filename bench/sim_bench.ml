@@ -314,6 +314,24 @@ let distributed_entries =
         (Lower_bound_graph.create ~delta':5 ~d':30).Lower_bound_graph.parts);
   ]
 
+(* Borůvka MST (Cor 1.6) at one domain: every phase builds a shortcut and
+   runs two part-wise aggregations over it, so the row is the whole
+   per-run set-up — route tables, dilation measurements, simulator hosts —
+   plus the aggregations' messages. Distinct weights fix the phase
+   sequence. *)
+let mst_entries =
+  List.map
+    (fun (name, large, build) ->
+      {
+        name = "mst/" ^ name;
+        large;
+        prepare =
+          (fun () ->
+            let weights = Weights.random_distinct (Rng.create 11) (build ()) in
+            fun () -> ignore (Mst.boruvka ~domains:1 weights));
+      })
+    graph_families
+
 (* --- domain scaling ----------------------------------------------------- *)
 
 (* Wall-clock timing for the scaling curve. [Sys.time] sums CPU seconds
@@ -552,7 +570,7 @@ let run_suite ~quick ~iters =
       bench_rows := (e.name, sample_json s) :: !bench_rows)
     (selected
        (sync_bfs_entries @ partwise_entries @ faulty_entries @ traced_entries
-      @ par_obs_entries @ distributed_entries));
+      @ par_obs_entries @ distributed_entries @ mst_entries));
   ( Json.Obj
       [
         ("schema", Json.String schema);
