@@ -12,15 +12,32 @@ module Intvec = Lcs_util.Intvec
    (it may raise the diameter) and the one with the smallest lower bound
    (a central vertex, which tightens every upper bound); ties go to the
    higher degree, then the lower id. Every BFS reuses one distance array
-   and one queue. *)
-let exact g =
-  let n = Graph.n g in
+   and one queue, held in a scratch that any number of graphs of at most
+   its size can share. *)
+type scratch = {
+  dist : int array;
+  queue : int array;
+  lo : int array;
+  hi : int array;
+  is_open : bool array;
+}
+
+let scratch size =
+  {
+    dist = Array.make size (-1);
+    queue = Array.make size 0;
+    lo = Array.make size 0;
+    hi = Array.make size max_int;
+    is_open = Array.make size true;
+  }
+
+let exact_csr s ~n ~offsets ~neighbors =
   if n = 0 then invalid_arg "Diameter.exact: empty graph";
-  let off = Graph.csr_offsets g and nbr = Graph.csr_neighbors g in
-  let degree = Array.init n (Graph.degree g) in
-  let dist = Array.make n (-1) and queue = Array.make n 0 in
-  let lo = Array.make n 0 and hi = Array.make n max_int in
-  let is_open = Array.make n true in
+  let { dist; queue; lo; hi; is_open } = s in
+  Array.fill lo 0 n 0;
+  Array.fill hi 0 n max_int;
+  Array.fill is_open 0 n true;
+  let degree w = offsets.(w + 1) - offsets.(w) in
   let bfs src =
     Array.fill dist 0 n (-1);
     dist.(src) <- 0;
@@ -30,8 +47,8 @@ let exact g =
       let v = queue.(!head) in
       incr head;
       let dv = dist.(v) + 1 in
-      for slot = Intvec.unsafe_get off v to Intvec.unsafe_get off (v + 1) - 1 do
-        let w = Intvec.unsafe_get nbr slot in
+      for slot = offsets.(v) to offsets.(v + 1) - 1 do
+        let w = neighbors.(slot) in
         if dist.(w) < 0 then begin
           dist.(w) <- dv;
           queue.(!tail) <- w;
@@ -52,7 +69,7 @@ let exact g =
           b < 0
           ||
           let kw = if high then hi.(w) else -lo.(w) and kb = if high then hi.(b) else -lo.(b) in
-          kw > kb || (kw = kb && degree.(w) > degree.(b))
+          kw > kb || (kw = kb && degree w > degree b)
         then best := w
     done;
     !best
@@ -76,6 +93,12 @@ let exact g =
     done
   done;
   !diameter
+
+let exact g =
+  let n = Graph.n g in
+  exact_csr (scratch n) ~n
+    ~offsets:(Intvec.to_array (Graph.csr_offsets g))
+    ~neighbors:(Intvec.to_array (Graph.csr_neighbors g))
 
 type bounds = { lower : int; upper : int }
 

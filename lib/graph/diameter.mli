@@ -14,6 +14,22 @@ val exact : Graph.t -> int
     repository and O(n·m) in the worst case. One distance array and one
     queue serve every BFS. *)
 
+type scratch
+(** The work arrays of {!exact}: a distance array, a queue and the
+    per-vertex eccentricity bounds. *)
+
+val scratch : int -> scratch
+(** [scratch size] serves {!exact_csr} on graphs of at most [size]
+    vertices, any number of times. *)
+
+val exact_csr : scratch -> n:int -> offsets:int array -> neighbors:int array -> int
+(** {!exact} over an adjacency held in plain arrays: vertex [v < n] has
+    the neighbors [neighbors.(offsets.(v)) .. neighbors.(offsets.(v+1) - 1)].
+    The arrays may be longer than the graph needs, so one set can hold
+    every graph of a sequence, as [Quality] does for the subgraphs of a
+    shortcut's parts. Raises [Invalid_argument] exactly as {!exact}
+    does. *)
+
 type bounds = { lower : int; upper : int }
 
 val estimate : ?sweeps:int -> Graph.t -> bounds

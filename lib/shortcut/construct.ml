@@ -176,10 +176,11 @@ let record_quality obs r =
         ~predicted:(float_of_int r.threshold)
         ~observed:(float_of_int (Quality.congestion r.shortcut));
       let max_blocks = ref 0 in
+      let blocks = Quality.part_blocks r.shortcut in
       Array.iteri
         (fun i sel ->
           if sel then begin
-            let b = Quality.part_blocks r.shortcut i in
+            let b = blocks i in
             if b > !max_blocks then max_blocks := b
           end)
         r.selected;

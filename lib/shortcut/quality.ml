@@ -1,9 +1,7 @@
 module Graph = Lcs_graph.Graph
 module Partition = Lcs_graph.Partition
 module Diameter = Lcs_graph.Diameter
-module Union_find = Lcs_graph.Union_find
 module Intvec = Lcs_util.Intvec
-module Vec = Lcs_util.Vec
 
 type report = {
   congestion : int;
@@ -48,45 +46,108 @@ let iter_part_edges marks sc i ~member ~edge =
       Graph.iter_adj host v (fun w e ->
           if v < w && Partition.part_of partition w = i then add e v w))
     (Partition.members partition i);
+  let ends_u, ends_v = Graph.csr_endpoints host in
   Array.iter
-    (fun e ->
-      let u, v = Graph.edge_endpoints host e in
-      add e u v)
+    (fun e -> add e (Intvec.get ends_u e) (Intvec.get ends_v e))
     (Shortcut.edges_array sc i)
 
-(* The subgraph G[P_i] + H_i as an explicit graph, vertices renumbered
-   members first. The host-sized tables live in a scratch record that a
-   measurement shares across its parts: [local] maps a host vertex to its
-   id in the part being built (-1 outside it) and is reset after each
-   part. *)
-type scratch = { local : int array; marks : edge_marks }
+(* The subgraph S_i = G[P_i] + H_i of one part at a time, in host-sized
+   tables that a measurement allocates once and shares across its parts.
+   [local] maps a host vertex to its id in the part being read (-1
+   outside it) and is reset after each part; [order] maps the ids back.
+   Ids go to the members first, then to the other endpoints of the edges
+   as [iter_part_edges] meets them; [ends] holds edge [j] as the id pair
+   at [2j], [2j + 1]. [offsets] and [neighbors] hold the part's adjacency
+   for [Diameter.exact_csr]. *)
+type scratch = {
+  local : int array;
+  order : int array;
+  marks : edge_marks;
+  ends : int array;
+  offsets : int array;
+  neighbors : int array;
+  bounds : Diameter.scratch;
+}
 
-let scratch host = { local = Array.make (Graph.n host) (-1); marks = edge_marks host }
+let scratch host =
+  let n = Graph.n host and m = Graph.m host in
+  {
+    local = Array.make n (-1);
+    order = Array.make n 0;
+    marks = edge_marks host;
+    ends = Array.make (2 * m) 0;
+    offsets = Array.make (n + 2) 0;
+    neighbors = Array.make (2 * m) 0;
+    bounds = Diameter.scratch n;
+  }
 
-let subgraph_in scratch sc i =
-  let order = Vec.create () in
+(* Number part [i]'s subgraph into [s]: its vertex and edge counts. *)
+let load s sc i =
+  let vertices = ref 0 and edges = ref 0 in
   let intern v =
-    if scratch.local.(v) < 0 then begin
-      scratch.local.(v) <- Vec.length order;
-      Vec.push order v
+    if s.local.(v) < 0 then begin
+      s.local.(v) <- !vertices;
+      s.order.(!vertices) <- v;
+      incr vertices
     end;
-    scratch.local.(v)
+    s.local.(v)
   in
-  let us = Intvec.create () and vs = Intvec.create () in
   Array.iter (fun v -> ignore (intern v)) (Partition.members (Shortcut.partition sc) i);
-  iter_part_edges scratch.marks sc i ~member:ignore ~edge:(fun _ u v ->
+  iter_part_edges s.marks sc i ~member:ignore ~edge:(fun _ u v ->
       let b = intern v in
       let a = intern u in
-      Intvec.push us (min a b);
-      Intvec.push vs (max a b));
-  Vec.iter (fun v -> scratch.local.(v) <- -1) order;
-  Graph.of_endpoints ~what:"Quality.part_subgraph" ~n:(Vec.length order)
-    (Intvec.freeze us) (Intvec.freeze vs)
+      s.ends.(2 * !edges) <- a;
+      s.ends.((2 * !edges) + 1) <- b;
+      incr edges);
+  for x = 0 to !vertices - 1 do
+    s.local.(s.order.(x)) <- -1
+  done;
+  (!vertices, !edges)
 
-let part_subgraph sc i = subgraph_in (scratch (Shortcut.graph sc)) sc i
+(* The loaded subgraph as a standalone graph. *)
+let graph_of s ~vertices ~edges =
+  let lo = Intvec.init edges (fun j -> min s.ends.(2 * j) s.ends.((2 * j) + 1)) in
+  let hi = Intvec.init edges (fun j -> max s.ends.(2 * j) s.ends.((2 * j) + 1)) in
+  Graph.of_endpoints ~what:"Quality.part_subgraph" ~n:vertices lo hi
 
-let dilation_in ?(exact_limit = 4096) scratch sc i =
-  Diameter.of_graph ~exact_limit (subgraph_in scratch sc i)
+let part_subgraph sc i =
+  let s = scratch (Shortcut.graph sc) in
+  let vertices, edges = load s sc i in
+  graph_of s ~vertices ~edges
+
+(* The loaded subgraph's adjacency rows: counted into [offsets.(x + 2)],
+   summed so that [offsets.(x + 1)] starts row [x], then filled by
+   advancing [offsets.(x + 1)] to the start of row [x + 1]. *)
+let adjacency s ~vertices ~edges =
+  let off = s.offsets in
+  Array.fill off 0 (vertices + 2) 0;
+  for j = 0 to (2 * edges) - 1 do
+    let x = s.ends.(j) in
+    off.(x + 2) <- off.(x + 2) + 1
+  done;
+  for x = 2 to vertices + 1 do
+    off.(x) <- off.(x) + off.(x - 1)
+  done;
+  let place x y =
+    s.neighbors.(off.(x + 1)) <- y;
+    off.(x + 1) <- off.(x + 1) + 1
+  in
+  for j = 0 to edges - 1 do
+    let a = s.ends.(2 * j) and b = s.ends.((2 * j) + 1) in
+    place a b;
+    place b a
+  done
+
+(* The diameter of part [i]'s subgraph: exact within [exact_limit]
+   vertices, on the shared adjacency; beyond it the double-sweep estimate
+   on the standalone graph, whose numbering its tie-breaks follow. *)
+let dilation_in ?(exact_limit = 4096) s sc i =
+  let vertices, edges = load s sc i in
+  if vertices <= exact_limit then begin
+    adjacency s ~vertices ~edges;
+    Diameter.exact_csr s.bounds ~n:vertices ~offsets:s.offsets ~neighbors:s.neighbors
+  end
+  else (Diameter.estimate (graph_of s ~vertices ~edges)).Diameter.lower
 
 let dilation ?exact_limit sc =
   let scratch = scratch (Shortcut.graph sc) in
@@ -99,24 +160,54 @@ let dilation ?exact_limit sc =
   done;
   !best
 
-let part_blocks sc i =
+(* Partially applied, this allocates one union-find over the host whose
+   entries are -1 outside the part being counted; each part touches only
+   its own vertices and resets them, so counting every part of a shortcut
+   costs O(n + Σ|P_i| + Σ|H_i|), not O(k·n). *)
+let part_blocks sc =
   let host = Shortcut.graph sc in
-  let partition = Shortcut.partition sc in
-  let members = Partition.members partition i in
-  (* Union-find over the involved vertices, joined by H_i edges only. *)
-  let uf = Union_find.create (Graph.n host) in
-  let involved = Hashtbl.create (2 * Array.length members) in
-  Array.iter (fun v -> Hashtbl.replace involved v ()) members;
-  Array.iter
-    (fun e ->
-      let u, v = Graph.edge_endpoints host e in
-      Hashtbl.replace involved u ();
-      Hashtbl.replace involved v ();
-      ignore (Union_find.union uf u v))
-    (Shortcut.edges_array sc i);
-  let roots = Hashtbl.create 16 in
-  Hashtbl.iter (fun v () -> Hashtbl.replace roots (Union_find.find uf v) ()) involved;
-  Hashtbl.length roots
+  let ends_u, ends_v = Graph.csr_endpoints host in
+  let n = Graph.n host in
+  let parent = Array.make n (-1) and rank = Array.make n 0 and touched = Array.make n 0 in
+  let rec root v =
+    let p = parent.(v) in
+    if p = v then v
+    else begin
+      let r = root p in
+      parent.(v) <- r;
+      r
+    end
+  in
+  fun i ->
+    let used = ref 0 and joined = ref 0 in
+    let touch v =
+      if parent.(v) < 0 then begin
+        parent.(v) <- v;
+        touched.(!used) <- v;
+        incr used
+      end
+    in
+    Array.iter touch (Partition.members (Shortcut.partition sc) i);
+    Array.iter
+      (fun e ->
+        let u = Intvec.get ends_u e and v = Intvec.get ends_v e in
+        touch u;
+        touch v;
+        let ru = root u and rv = root v in
+        if ru <> rv then begin
+          incr joined;
+          if rank.(ru) < rank.(rv) then parent.(ru) <- rv
+          else begin
+            parent.(rv) <- ru;
+            if rank.(ru) = rank.(rv) then rank.(ru) <- rank.(ru) + 1
+          end
+        end)
+      (Shortcut.edges_array sc i);
+    for a = 0 to !used - 1 do
+      parent.(touched.(a)) <- -1;
+      rank.(touched.(a)) <- 0
+    done;
+    !used - !joined
 
 type part_traffic = {
   part : int;
@@ -198,11 +289,12 @@ let measure ?exact_limit sc =
   let per_part_blocks = Array.make k (-1) in
   let covered = ref 0 in
   let scratch = scratch (Shortcut.graph sc) in
+  let blocks = part_blocks sc in
   for i = 0 to k - 1 do
     if Shortcut.is_covered sc i then begin
       incr covered;
       per_part_dilation.(i) <- dilation_in ?exact_limit scratch sc i;
-      per_part_blocks.(i) <- part_blocks sc i
+      per_part_blocks.(i) <- blocks i
     end
   done;
   let load = edge_load sc in

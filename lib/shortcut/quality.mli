@@ -53,13 +53,27 @@ val part_subgraph : Shortcut.t -> int -> Lcs_graph.Graph.t
 
 val dilation : ?exact_limit:int -> Shortcut.t -> int
 (** Max over covered parts. Uncovered parts are skipped: a partial
-    shortcut's dilation speaks only for the parts it serves. *)
+    shortcut's dilation speaks only for the parts it serves. A part's
+    value is [Diameter.exact (part_subgraph sc i)] when [S_i] has at most
+    [exact_limit] vertices (default 4096), computed without building that
+    graph: every part's adjacency is laid out in one set of host-sized
+    int arrays, allocated once per call. Larger parts take the
+    double-sweep lower bound ({!Lcs_graph.Diameter.estimate}) of
+    [part_subgraph sc i]. Raises [Invalid_argument] if some covered
+    part's [S_i] is disconnected. *)
 
 val part_blocks : Shortcut.t -> int -> int
 (** Block number of one part: connected components of
-    [(P_i ∪ V(H_i), H_i)]. Meaningful for tree-restricted shortcuts. *)
+    [(P_i ∪ V(H_i), H_i)]. Meaningful for tree-restricted shortcuts.
+    [part_blocks sc] allocates one host-sized union-find; applied to a
+    part it touches only that part's vertices and resets them, so
+    [let blocks = part_blocks sc in] counts every part of [sc] in
+    [O(n + Σ|P_i| + Σ|H_i|)] time. *)
 
 val measure : ?exact_limit:int -> Shortcut.t -> report
+(** Every measurement at once, sharing one set of host-sized tables
+    across the parts: [O(n + m)] words of allocation on top of the
+    report, whatever the number of parts. *)
 
 type part_traffic = {
   part : int;

@@ -95,6 +95,207 @@ let quality_blocks () =
   let sc2 = Shortcut.create p [| [ 0; 4 ]; []; [] |] in
   check Alcotest.int "merged member block" 2 (Quality.part_blocks sc2 0)
 
+(* --- Quality: shared-table measurements against their definitions ------- *)
+
+(* The block number as first written: a host-sized union-find joined by
+   the H_i edges, counting the distinct roots of P_i ∪ V(H_i). *)
+let reference_blocks sc i =
+  let host = Shortcut.graph sc in
+  let uf = Union_find.create (Graph.n host) in
+  let involved = Hashtbl.create 16 in
+  Array.iter
+    (fun v -> Hashtbl.replace involved v ())
+    (Partition.members (Shortcut.partition sc) i);
+  Array.iter
+    (fun e ->
+      let u, v = Graph.edge_endpoints host e in
+      Hashtbl.replace involved u ();
+      Hashtbl.replace involved v ();
+      ignore (Union_find.union uf u v))
+    (Shortcut.edges_array sc i);
+  let roots = Hashtbl.create 16 in
+  Hashtbl.iter (fun v () -> Hashtbl.replace roots (Union_find.find uf v) ()) involved;
+  Hashtbl.length roots
+
+(* S_i = G[P_i] + H_i as a standalone graph, numbered as first written:
+   the members in order, then each new edge's endpoints — the second one
+   named first — over the members' internal edges and then H_i. The
+   double-sweep estimate's tie-breaks follow this numbering. *)
+let reference_subgraph sc i =
+  let host = Shortcut.graph sc and partition = Shortcut.partition sc in
+  let local = Hashtbl.create 16 and next = ref 0 in
+  let intern v =
+    match Hashtbl.find_opt local v with
+    | Some x -> x
+    | None ->
+        let x = !next in
+        Hashtbl.add local v x;
+        incr next;
+        x
+  in
+  let seen = Hashtbl.create 16 and edges = ref [] in
+  let add e u v =
+    if not (Hashtbl.mem seen e) then begin
+      Hashtbl.add seen e ();
+      let b = intern v in
+      let a = intern u in
+      edges := (min a b, max a b) :: !edges
+    end
+  in
+  let members = Partition.members partition i in
+  Array.iter (fun v -> ignore (intern v)) members;
+  Array.iter
+    (fun v ->
+      Graph.iter_adj host v (fun w e ->
+          if v < w && Partition.part_of partition w = i then add e v w))
+    members;
+  Array.iter
+    (fun e ->
+      let u, v = Graph.edge_endpoints host e in
+      add e u v)
+    (Shortcut.edges_array sc i);
+  Graph.create ~n:!next (List.rev !edges)
+
+(* The dilation as first written: each covered part's diameter by
+   [Diameter.of_graph] on its standalone subgraph. *)
+let reference_dilation ?(exact_limit = 4096) sc =
+  let best = ref 0 in
+  for i = 0 to Shortcut.k sc - 1 do
+    if Shortcut.is_covered sc i then
+      best := max !best (Diameter.of_graph ~exact_limit (reference_subgraph sc i))
+  done;
+  !best
+
+let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+(* A random shortcut over a random connected graph: singleton or Voronoi
+   parts, some parts dropped so that their vertices belong to no part,
+   and a random covered set. H_i is empty (a singleton part then has a
+   one-vertex S_i), a random walk from a member (S_i stays connected), or
+   with [~stray] sometimes also one random host edge, which may
+   disconnect S_i. *)
+let random_measured_shortcut seed ~n ~stray =
+  let rng = Rng.create seed in
+  let g = random_connected_graph seed ~n ~extra:(Rng.int rng (n + 1)) in
+  let base =
+    if Rng.bool rng then Array.init n Fun.id
+    else
+      let p = Partition.voronoi g rng ~parts:(1 + Rng.int rng n) in
+      Array.init n (Partition.part_of p)
+  in
+  let k = Array.fold_left max 0 base + 1 in
+  let id = Array.make k (-1) and kept = ref 0 in
+  for p = 0 to k - 1 do
+    if p = 0 || Rng.int rng 4 > 0 then begin
+      id.(p) <- !kept;
+      incr kept
+    end
+  done;
+  let partition = Partition.of_assignment g (Array.map (fun p -> id.(p)) base) in
+  let rec walk v len acc =
+    if len = 0 || Graph.degree g v = 0 then acc
+    else
+      let w, e = Rng.choose rng (Array.of_list (Graph.adj_list g v)) in
+      walk w (len - 1) (e :: acc)
+  in
+  let edge_sets =
+    Array.init !kept (fun i ->
+        let walked =
+          match Rng.int rng 3 with
+          | 0 -> []
+          | _ -> walk (Rng.choose rng (Partition.members partition i)) (Rng.int rng 6) []
+        in
+        if stray && Graph.m g > 0 && Rng.int rng 8 = 0 then Rng.int rng (Graph.m g) :: walked
+        else walked)
+  in
+  let covered = Array.init !kept (fun _ -> Rng.int rng 4 > 0) in
+  Shortcut.create ~covered partition (Array.map (List.sort_uniq compare) edge_sets)
+
+let dilation_matches_definition =
+  QCheck.Test.make ~name:"dilation = max exact diameter of covered S_i" ~count:150
+    QCheck.(triple (int_bound 100_000) (int_range 1 40) (int_range 0 4))
+    (fun (seed, n, small) ->
+      let sc = random_measured_shortcut seed ~n ~stray:(seed mod 3 = 0) in
+      let exact () =
+        let best = ref 0 in
+        for i = 0 to Shortcut.k sc - 1 do
+          if Shortcut.is_covered sc i then
+            best := max !best (Diameter.exact (Quality.part_subgraph sc i))
+        done;
+        !best
+      in
+      let per_part () =
+        let r = Quality.measure sc in
+        Array.init (Shortcut.k sc) (fun i ->
+            if Shortcut.is_covered sc i then
+              Diameter.of_graph ~exact_limit:4096 (reference_subgraph sc i)
+            else -1)
+        = r.Quality.per_part_dilation
+      in
+      let d = outcome (fun () -> Quality.dilation sc) in
+      d = outcome exact
+      && d = outcome (fun () -> reference_dilation sc)
+      && (match d with Ok _ -> per_part () | Error _ -> true)
+      (* A small limit takes the double-sweep estimate on every larger
+         S_i. *)
+      && outcome (fun () -> Quality.dilation ~exact_limit:small sc)
+         = outcome (fun () -> reference_dilation ~exact_limit:small sc))
+
+let dilation_disconnected_part () =
+  let g = Generators.path 5 in
+  let p = Partition.of_parts g [ [ 0 ]; [ 2 ] ] in
+  (* S_0 = {0} + the edge 3-4: three vertices, one stranded. *)
+  let sc = Shortcut.create p [| [ 3 ]; [] |] in
+  Alcotest.check_raises "exact path"
+    (Invalid_argument "Diameter.exact: graph is disconnected") (fun () ->
+      ignore (Quality.dilation sc));
+  Alcotest.check_raises "estimate path" (Invalid_argument "Bfs: graph is disconnected")
+    (fun () -> ignore (Quality.dilation ~exact_limit:2 sc));
+  (* An uncovered part is not measured. *)
+  let partial = Shortcut.create ~covered:[| false; true |] p [| [ 3 ]; [] |] in
+  check Alcotest.int "uncovered skipped" 0 (Quality.dilation partial)
+
+let blocks_match_definition =
+  QCheck.Test.make ~name:"part_blocks = union-find definition" ~count:150
+    QCheck.(pair (int_bound 100_000) (int_range 1 40))
+    (fun (seed, n) ->
+      let sc = random_measured_shortcut seed ~n ~stray:true in
+      let k = Shortcut.k sc in
+      let expected = Array.init k (reference_blocks sc) in
+      (* One staged counter over every part, in a shuffled order: each part
+         must find the shared union-find reset. *)
+      let blocks = Quality.part_blocks sc in
+      let order = Array.init k Fun.id in
+      Rng.shuffle (Rng.create seed) order;
+      Array.for_all (fun i -> blocks i = expected.(i)) order
+      && Array.for_all (fun i -> Quality.part_blocks sc i = expected.(i)) order
+      &&
+      match Quality.measure sc with
+      | r ->
+          r.Quality.per_part_blocks
+          = Array.init k (fun i -> if Shortcut.is_covered sc i then expected.(i) else -1)
+      | exception Invalid_argument _ -> (* a disconnected S_i *) true)
+
+(* Measuring every part of the 100×100 singleton shortcut allocates a
+   constant number of words per host vertex and edge: the tables are
+   shared by the parts, never made per part (10^4 parts, 5.7·10^5 H_i
+   edge occurrences). *)
+let measure_allocation_bound () =
+  let side = 100 in
+  let g = Generators.grid ~rows:side ~cols:side in
+  let singletons = Partition.of_assignment g (Array.init (Graph.n g) Fun.id) in
+  let sc = (Boost.full singletons ~tree:(Bfs.tree g ~root:0)).Boost.shortcut in
+  (* A minor collection brings the allocation counters up to date. *)
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let r = Quality.measure sc in
+  Gc.minor ();
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  let bound = 64 * (Graph.n g + Graph.m g) in
+  check Alcotest.int "dilation" 114 r.Quality.dilation;
+  if words > float_of_int bound then
+    Alcotest.failf "measure allocated %.0f words, above 64·(n + m) = %d" words bound
+
 (* --- Construct: Theorem 3.1 invariants ---------------------------------- *)
 
 let construct_grid_rows () =
@@ -423,6 +624,8 @@ let distributed_deterministic_construct () =
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
+      dilation_matches_definition;
+      blocks_match_definition;
       construct_invariants;
       construct_blame_degree_matches_selection;
       blame_reps_are_minimal_depth;
@@ -439,6 +642,8 @@ let suite =
     case "quality: wheel" `Quick quality_wheel;
     case "quality: congestion counts" `Quick quality_congestion_counts;
     case "quality: blocks" `Quick quality_blocks;
+    case "quality: disconnected S_i" `Quick dilation_disconnected_part;
+    case "quality: measure allocation" `Quick measure_allocation_bound;
     case "construct: grid rows" `Quick construct_grid_rows;
     case "construct: no overcongestion when few parts" `Quick
       construct_no_overcongestion_when_few_parts;
