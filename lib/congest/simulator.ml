@@ -159,7 +159,68 @@ module Csr = struct
           neighbor_edges = Intvec.sub_array csr.port_edge ~pos:off ~len;
           clock;
         })
+
+  (* One growable buffer per node, its capacity hint the node's degree:
+     the single lazy storage allocation of the common bandwidth-1 case. *)
+  let inbox_vecs csr n =
+    Array.init n (fun v ->
+        Vec.create
+          ~capacity:(Intvec.get csr.port_offset (v + 1) - Intvec.get csr.port_offset v)
+          ())
 end
+
+(* --- hosts ---------------------------------------------------------------- *)
+
+(* What a run builds from the graph alone, kept for the next run on it:
+   the CSR port plane with its reverse ports, the contexts and the round
+   cell they share, and the port halves of the double-buffered inboxes
+   (plus their causal-id twins, made by the first traced run). The
+   payload halves stay per run, since their type is the program's. A run
+   clears every buffer here before its first round, so one that raised
+   leaves nothing behind; [running] refuses a second run while one is
+   in progress. *)
+type host = {
+  graph : Graph.t;
+  csr : Csr.t;
+  clock : round_cell;
+  ctxs : ctx array;
+  ports : int Vec.t array * int Vec.t array;
+  mutable ids : (int Vec.t array * int Vec.t array) option;
+  mutable running : bool;
+}
+
+let prepare g =
+  let n = Graph.n g in
+  let csr = Csr.build g in
+  let clock = ref 0 in
+  {
+    graph = g;
+    csr;
+    clock;
+    ctxs = Csr.contexts csr n clock;
+    ports = (Csr.inbox_vecs csr n, Csr.inbox_vecs csr n);
+    ids = None;
+    running = false;
+  }
+
+(* Hand [host]'s buffers to a new run on [g], cleared. *)
+let claim host g ~traced =
+  if host.graph != g then invalid_arg "Simulator.run: host prepared for another graph";
+  if host.running then invalid_arg "Simulator.run: host is already running";
+  host.running <- true;
+  host.clock := 0;
+  let clear (a, b) =
+    Array.iter Vec.clear a;
+    Array.iter Vec.clear b
+  in
+  clear host.ports;
+  match host.ids with
+  | Some ids -> clear ids
+  | None ->
+      if traced then begin
+        let n = Graph.n g in
+        host.ids <- Some (Csr.inbox_vecs host.csr n, Csr.inbox_vecs host.csr n)
+      end
 
 (* --- shards -------------------------------------------------------------- *)
 
@@ -295,17 +356,20 @@ type 'msg pending = {
   p_msg : 'msg;
 }
 
-let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profile g
+let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_profile g
     program =
   if domains < 1 then invalid_arg "Simulator.run: domains";
   if bandwidth < 1 then invalid_arg "Simulator.run: bandwidth";
   let n = Graph.n g in
-  let csr = Csr.build g in
+  let traced = tracer <> None in
+  let host = match host with Some h -> h | None -> prepare g in
+  claim host g ~traced;
+  Fun.protect ~finally:(fun () -> host.running <- false) @@ fun () ->
+  let csr = host.csr and ctxs = host.ctxs in
   (* The round every context reads: written once per round on the calling
      domain before the compute phase, read by the steps after the phase
      barrier. *)
-  let clock = ref 0 in
-  let ctxs = Csr.contexts csr n clock in
+  let clock = host.clock in
   let bounds = shard_bounds ~domains g in
   let d = Array.length bounds - 1 in
   let owner = Array.make (max 1 n) 0 in
@@ -314,7 +378,6 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
       owner.(v) <- s
     done
   done;
-  let traced = tracer <> None in
   (* A tracer or an injector makes the run's observables depend on a
      sequential resource (event order, the id counter, the random verdict
      stream); those runs buffer in parallel and replay serially at the
@@ -331,23 +394,19 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
   let always_due = program.wake == always in
   (* Inboxes as parallel (port, payload) buffers, double-buffered: [cur_*]
      is read this round, [nxt_*] collects deliveries for the next; the
-     references swap at the round boundary. Capacity hints of [degree v]
-     size the single lazy storage allocation for the common bandwidth-1
-     case, and the buffers are cleared, never reallocated. *)
-  let inbox_vecs () =
-    Array.init n (fun v ->
-        Vec.create
-          ~capacity:(Intvec.get csr.port_offset (v + 1) - Intvec.get csr.port_offset v)
-          ())
-  in
-  let cur_ports = ref (inbox_vecs ()) in
-  let cur_msgs : 'msg Vec.t array ref = ref (inbox_vecs ()) in
-  let nxt_ports = ref (inbox_vecs ()) in
-  let nxt_msgs : 'msg Vec.t array ref = ref (inbox_vecs ()) in
+     references swap at the round boundary. The buffers are cleared, never
+     reallocated; the port halves are the host's. *)
+  let cur_ports = ref (fst host.ports) in
+  let cur_msgs : 'msg Vec.t array ref = ref (Csr.inbox_vecs csr n) in
+  let nxt_ports = ref (snd host.ports) in
+  let nxt_msgs : 'msg Vec.t array ref = ref (Csr.inbox_vecs csr n) in
   (* Parallel per-message causal ids, maintained only when traced so the
      untraced path allocates nothing extra. *)
-  let cur_ids : int Vec.t array ref = ref (if traced then inbox_vecs () else [||]) in
-  let nxt_ids : int Vec.t array ref = ref (if traced then inbox_vecs () else [||]) in
+  let cur_ids, nxt_ids =
+    match host.ids with
+    | Some (a, b) when traced -> (ref a, ref b)
+    | _ -> (ref [||], ref [||])
+  in
   let total_ports = Intvec.get csr.port_offset n in
   let budget = Array.make (max 1 total_ports) 0 in
   let crashed = Array.make (max 1 n) false in
@@ -1076,16 +1135,17 @@ let execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?profile ?par_profil
 
 (* --- entry points -------------------------------------------------------- *)
 
-let run_outcome ?(domains = 1) ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?faults
-    ?par_profile g program =
-  execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ?par_profile g program
+let run_outcome ?(domains = 1) ?(bandwidth = 1) ?(max_rounds = 100_000) ?host ?tracer
+    ?faults ?par_profile g program =
+  execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g program
 
 let finished = function
   | Finished (states, stats) -> (states, stats)
   | Out_of_rounds (_, partial) -> raise (Round_limit partial.partial_stats.rounds)
 
-let run ?domains ?bandwidth ?max_rounds ?tracer ?faults ?par_profile g program =
-  finished (run_outcome ?domains ?bandwidth ?max_rounds ?tracer ?faults ?par_profile g program)
+let run ?domains ?bandwidth ?max_rounds ?host ?tracer ?faults ?par_profile g program =
+  finished
+    (run_outcome ?domains ?bandwidth ?max_rounds ?host ?tracer ?faults ?par_profile g program)
 
 let run_profiled ?(domains = 1) ?(bandwidth = 1) ?(max_rounds = 100_000) ?mode ?flight
     ?tracer ?faults ?par_profile g program =

@@ -190,10 +190,33 @@ val shard_bounds : domains:int -> Lcs_graph.Graph.t -> int array
     the graph's CSR row offsets, so dense regions spread across domains.
     Exposed for tests and diagnostics. *)
 
+type host
+(** What a run builds from its graph alone, kept for the runs after it:
+    the CSR port plane with each port's reverse, the per-node contexts
+    and the round cell they share, and the port buffers of the
+    double-buffered inboxes (their causal-id twins too, once a traced
+    run has made them). Payload buffers, shard bounds and owners stay
+    per run: the first depend on the program's message type, the others
+    on [domains]. *)
+
+val prepare : Lcs_graph.Graph.t -> host
+(** [prepare g] builds [g]'s host. Pass it as [?host] to every run on
+    [g] — any programs, domain counts, tracers and fault plans — to pay
+    for the set-up once; a run without [?host] prepares its own.
+
+    {b Contract.} A host serves one graph and one run at a time. A run
+    clears every buffer it reuses and resets the round cell before its
+    first round, so a run that raised ({!Bandwidth_exceeded}, or an
+    exception from [on_round]) leaves nothing behind for the next. The
+    contexts are shared by every run on the host: a program must not
+    keep a context past its run. Using a host changes only cost: every
+    observable equals that of a run on a fresh host. *)
+
 val run_outcome :
   ?domains:int ->
   ?bandwidth:int ->
   ?max_rounds:int ->
+  ?host:host ->
   ?tracer:Trace.tracer ->
   ?faults:Fault.t ->
   ?par_profile:Par_profile.t ->
@@ -207,6 +230,7 @@ val run :
   ?domains:int ->
   ?bandwidth:int ->
   ?max_rounds:int ->
+  ?host:host ->
   ?tracer:Trace.tracer ->
   ?faults:Fault.t ->
   ?par_profile:Par_profile.t ->
@@ -220,6 +244,10 @@ val run :
     [domains] (default 1) is the shard count, clamped to
     [\[1, min n max_domains\]]; [domains < 1] raises [Invalid_argument].
     Every observable is identical at any value.
+
+    [host] (default: one prepared for this run) reuses a {!prepare}d
+    host's set-up. Raises [Invalid_argument] if it was prepared for
+    another graph, or while another run is using it.
 
     [tracer] (default absent) receives every {!Trace.event} of the run —
     round boundaries, each message with its host edge id, node halts,

@@ -1010,6 +1010,104 @@ let cross_shard_graph_is_cross () =
   check Alcotest.bool "most edges cross the shard boundary" true
     (!total > 0 && !crossing * 2 > !total)
 
+(* --- prepared hosts -------------------------------------------------------- *)
+
+(* One run's every observable — the result or the exception it raised,
+   the trace events so far and the fault counters — on [host], or on a
+   host of its own when absent. *)
+let on_host ?host ~domains ~traced ?plan g program =
+  let faults = Option.map (fun p -> Fault.compile p) plan in
+  let recorder = Trace.Recorder.create () in
+  let tracer = if traced then Some (Trace.Recorder.tracer recorder) else None in
+  let result =
+    match Simulator.run_outcome ~domains ~bandwidth:2 ?host ?tracer ?faults g program with
+    | r -> Ok r
+    | exception e -> Error (Printexc.to_string e)
+  in
+  (result, Trace.Recorder.events recorder, Option.map Fault.counts faults)
+
+(* Gossip whose node [bad] breaks the run in round 3, leaving words in
+   flight: it raises, or it overloads its port 0 (three 2-word messages
+   at bandwidth 2). Every node lives to round 5, and [init] checks that
+   the run's round cell starts at 0. *)
+let breaking ~pseed ~bad ~overload =
+  let base = gossip ~pseed ~bw:2 in
+  {
+    base with
+    Simulator.init =
+      (fun ctx ->
+        if Simulator.round ctx <> 0 then failwith "stale round";
+        base.Simulator.init ctx);
+    on_round =
+      (fun ctx st ~inbox ->
+        let st, out = base.Simulator.on_round ctx st ~inbox in
+        if ctx.Simulator.node = bad && Simulator.round ctx = 3 then
+          if overload then (st, [ (0, 1); (0, 3); (0, 5) ]) else failwith "boom"
+        else (st, out));
+    is_halted = (fun st -> st.round >= 5);
+  }
+
+(* Domain counts of the host sweep: one, two and LCS_DOMAINS. *)
+let host_domains =
+  match Sys.getenv_opt "LCS_DOMAINS" with
+  | Some s -> (
+      match int_of_string_opt (String.trim s) with
+      | Some d when d > 2 -> [ 1; 2; d ]
+      | _ -> [ 1; 2 ])
+  | None -> [ 1; 2 ]
+
+(* Runs back to back on one prepared host — two program families, each
+   untraced and traced, fault-free and under a fault plan, at every swept
+   domain count, with a run that raises after each pair — must each equal
+   the same run on a fresh host: states, stats, events with their causal
+   ids, fault counters, and the exception of a run that raises. *)
+let host_reuse_matches_fresh =
+  QCheck.Test.make ~name:"prepared host = fresh host, run after run" ~count:25
+    QCheck.(pair (int_bound 100_000) (int_range 2 16))
+    (fun (seed, n) ->
+      let g = random_connected_graph seed ~n ~extra:(n / 2) in
+      let plan = gen_plan seed ~n ~m:(Graph.m g) in
+      let host = Simulator.prepare g in
+      let same ~domains ~traced ?plan program =
+        on_host ~host ~domains ~traced ?plan g program
+        = on_host ~domains ~traced ?plan g program
+      in
+      List.for_all
+        (fun domains ->
+          List.for_all
+            (fun (traced, plan) ->
+              same ~domains ~traced ?plan (gossip ~pseed:(mix seed 3) ~bw:2)
+              && same ~domains ~traced ?plan
+                   (sleepy ~pseed:(mix seed 5) ~bw:2 ~nap:8 ~horizon:30)
+              && same ~domains ~traced ?plan
+                   (breaking ~pseed:(mix seed 7) ~bad:(seed mod n)
+                      ~overload:(seed mod 2 = 0)))
+            [ (false, None); (true, None); (false, Some plan); (true, Some plan) ])
+        host_domains)
+
+(* A host serves the graph it was prepared for, one run at a time. *)
+let host_misuse_rejected () =
+  let g = Generators.path 4 in
+  let host = Simulator.prepare g in
+  Alcotest.check_raises "another graph"
+    (Invalid_argument "Simulator.run: host prepared for another graph") (fun () ->
+      ignore (Simulator.run ~host (Generators.path 4) (gossip ~pseed:1 ~bw:1)));
+  let nested =
+    {
+      (gossip ~pseed:2 ~bw:1) with
+      Simulator.on_round =
+        (fun _ st ~inbox:_ ->
+          ignore (Simulator.run ~host g (gossip ~pseed:3 ~bw:1));
+          (st, []));
+    }
+  in
+  Alcotest.check_raises "a run inside a run"
+    (Invalid_argument "Simulator.run: host is already running") (fun () ->
+      ignore (Simulator.run ~host g nested));
+  check Alcotest.bool "usable after the refusal" true
+    (on_host ~host ~domains:1 ~traced:true g (gossip ~pseed:4 ~bw:1)
+    = on_host ~domains:1 ~traced:true g (gossip ~pseed:4 ~bw:1))
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1024,6 +1122,7 @@ let props =
       diff_sleepy_faulty;
       diff_sleepy_out_of_rounds;
       traffic_matrix_reconciles;
+      host_reuse_matches_fresh;
     ]
 
 let suite =
@@ -1039,5 +1138,6 @@ let suite =
     case "cross-shard generator sanity" `Quick cross_shard_graph_is_cross;
     case "skipped rounds are observed like stepped ones" `Quick skipped_rounds_observed;
     case "a dishonest wake hint is rejected" `Quick dishonest_hint_rejected;
+    case "a host serves one graph, one run at a time" `Quick host_misuse_rejected;
   ]
   @ props
