@@ -633,7 +633,7 @@ let pa_cmd =
             (Trace.Profile.rounds profile));
     }
   in
-  let faulty g sc values ~seed f r =
+  let faulty sc values ~seed f r =
     (* Fault-injection mode: the enforced simulator run (the same protocol
        --trace exercises) under a compiled plan, classified and validated
        by Sim_aggregate.minimum_outcome instead of asserted correct. With
@@ -641,12 +641,7 @@ let pa_cmd =
        re-seeded attempts, raw -> reliable escalation, grown budgets, and
        finally the sequential surviving-minima fallback. *)
     Printf.printf "fault plan: %s (injector seed %d)\n" f.plan_path f.fault_seed;
-    let bound =
-      lazy
-        (let q = Quality.measure sc in
-         Aggregate.bound ~congestion:q.Quality.congestion
-           ~dilation:(max 1 q.Quality.dilation) ~n:(Graph.n g))
-    in
+    let budget = lazy (Sim_aggregate.budget (Sim_aggregate.prepare sc)) in
     let last_counts = ref None in
     let attempt knobs ~off =
       let reliable, budget =
@@ -656,8 +651,7 @@ let pa_cmd =
             ( Some k.Supervisor.reliable,
               Some
                 ((if k.Supervisor.reliable then 8 else 1)
-                * ((4 * Lazy.force bound) + 32)
-                * k.Supervisor.budget_factor) )
+                * Lazy.force budget * k.Supervisor.budget_factor) )
       in
       let injector = Fault.compile ~seed:(f.fault_seed + off) f.plan in
       let o =
@@ -738,7 +732,7 @@ let pa_cmd =
     let values = Array.init (Graph.n g) (fun _ -> Rng.int rng 1_000_000) in
     let protocol, body =
       match faults with
-      | Some f -> ("sim_aggregate.minimum_outcome", faulty g sc values ~seed f)
+      | Some f -> ("sim_aggregate.minimum_outcome", faulty sc values ~seed f)
       | None -> ("sim_aggregate.minimum", body partition sc values ~seed)
     in
     run_with ?mode:(mode_of_sketch sketch) opts ~command:"pa" ~protocol ~seed g body

@@ -7,6 +7,7 @@ module Boost = Lcs_shortcut.Boost
 module Baseline = Lcs_shortcut.Baseline
 module Quality = Lcs_shortcut.Quality
 module Sim_aggregate = Lcs_partwise.Sim_aggregate
+module Simulator = Lcs_congest.Simulator
 module Rng = Lcs_util.Rng
 module Obs = Lcs_obs.Obs
 
@@ -60,12 +61,16 @@ let run ?obs ?tracer ?(seed = 7) ?(mode = Thm31) ?(domains = 1) ?par_profile g
   let n = Graph.n g in
   let uf = Union_find.create n in
   let tree = Bfs.tree g ~root:0 in
+  (* One simulator host serves every aggregation of the run, and each
+     shortcut is prepared once: its route table and budget serve this
+     phase's minimum and, for every shortcut after the first, the previous
+     phase's leader broadcast. *)
+  let host = Simulator.prepare g in
+  let prepare partition =
+    let shortcut = build_shortcut ?obs mode tree partition in
+    (shortcut, Sim_aggregate.prepare ~host shortcut)
+  in
   Obs.enter obs "boruvka";
-  let partition = ref (partition_of_uf g uf) in
-  let shortcut = ref (build_shortcut ?obs mode tree !partition) in
-  (* Both aggregations over a shortcut run the same default budget, so it
-     is measured once per shortcut. *)
-  let budget = ref (Sim_aggregate.default_budget !shortcut) in
   let phases = ref 0 in
   let pa_rounds = ref 0 in
   let pa_messages = ref 0 in
@@ -75,12 +80,13 @@ let run ?obs ?tracer ?(seed = 7) ?(mode = Thm31) ?(domains = 1) ?par_profile g
     Obs.observe obs "pa.rounds" (float_of_int r.Sim_aggregate.completion_round)
   in
   let max_congestion = ref 0 in
-  let progress = ref true in
-  while !progress do
+  (* A phase never refers to its shortcut after its minimum, so at most
+     one phase's preparation is alive at a time. *)
+  let rec phase partition (shortcut, prepared) =
     incr phases;
     Obs.enter obs "boruvka.phase";
-    Obs.note obs "fragments" (Obs.Int (Partition.k !partition));
-    let fragment_of v = Partition.part_of !partition v in
+    Obs.note obs "fragments" (Obs.Int (Partition.k partition));
+    let fragment_of v = Partition.part_of partition v in
     (* Per-vertex encoded proposals. *)
     let values =
       Array.init n (fun v ->
@@ -88,12 +94,12 @@ let run ?obs ?tracer ?(seed = 7) ?(mode = Thm31) ?(domains = 1) ?par_profile g
           | None -> max_int
           | Some (key, edge) -> encode key edge)
     in
-    let congestion = Quality.congestion !shortcut in
+    let congestion = Quality.congestion shortcut in
     if congestion > !max_congestion then max_congestion := congestion;
     Obs.gauge obs "boruvka.congestion" (float_of_int congestion);
     let out =
-      Sim_aggregate.minimum ~budget:!budget ~domains ?obs ?tracer ?par_profile rng
-        !shortcut ~values
+      Sim_aggregate.minimum ~prepared ~domains ?obs ?tracer ?par_profile rng shortcut
+        ~values
     in
     account out;
     (* Merge along each fragment's winning edge. *)
@@ -114,23 +120,22 @@ let run ?obs ?tracer ?(seed = 7) ?(mode = Thm31) ?(domains = 1) ?par_profile g
       (* Fragment-identity update: a leader broadcast on the new partition,
          whose shortcut the next phase reuses. *)
       let partition' = partition_of_uf g uf in
-      let shortcut' = build_shortcut ?obs mode tree partition' in
+      let ((shortcut', prepared') as next) = prepare partition' in
       let k' = Partition.k partition' in
       let leaders = Array.make k' (-1) in
       for v = n - 1 downto 0 do
         leaders.(Partition.part_of partition' v) <- v
       done;
-      let budget' = Sim_aggregate.default_budget shortcut' in
       account
-        (Sim_aggregate.broadcast ~budget:budget' ~domains ?obs ?tracer ?par_profile rng
+        (Sim_aggregate.broadcast ~prepared:prepared' ~domains ?obs ?tracer ?par_profile rng
            shortcut' ~leaders);
-      partition := partition';
-      shortcut := shortcut';
-      budget := budget'
+      Obs.exit obs;
+      phase partition' next
     end
-    else progress := false;
-    Obs.exit obs
-  done;
+    else Obs.exit obs
+  in
+  let partition = partition_of_uf g uf in
+  phase partition (prepare partition);
   (* Each phase at least halves the fragment count, plus one terminal
      phase that only detects quiescence. *)
   (match obs with

@@ -64,9 +64,16 @@ val run :
     [domains] (default 1) shards every aggregation's simulator run across
     that many OCaml domains ({!Lcs_congest.Simulator}); the merges, the
     MST and the accounting are identical at any value, only wall time
-    changes. Each shortcut's default round budget
-    ({!Lcs_partwise.Sim_aggregate.default_budget}) is measured once and
-    serves both aggregations over it.
+    changes.
+
+    Set-up happens once per shortcut and once per run. Each phase's
+    shortcut is prepared once ({!Lcs_partwise.Sim_aggregate.prepare}):
+    its route table, congestion, dilation and round budget serve both
+    aggregations over it — the previous phase's leader broadcast and this
+    phase's minimum — and only one phase's preparation is alive at a
+    time. One {!Lcs_congest.Simulator.prepare}d host serves every
+    aggregation of the run. Neither changes a result, a round count or a
+    trace event.
 
     [par_profile] attaches a wall-clock collector to every aggregation's
     simulator run ({!Lcs_congest.Simulator.run_outcome}). *)

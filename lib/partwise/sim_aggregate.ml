@@ -17,7 +17,7 @@ type result = {
 
 (* --- Observability: the "pa" span shape ----------------------------------- *)
 
-(* Schedule parameters of one run. The dilation is measured only when
+(* Schedule parameters of a shortcut. The dilation is measured only when
    something reads it: the default budget or an installed collector. *)
 type sched = { max_delay : int; congestion : int; dilation : int Lazy.t }
 
@@ -89,9 +89,10 @@ let record_ledger obs profile sched ~n ~observed_rounds =
 
 (* --- The shared network: routes and port queues ---------------------------- *)
 
-(* Every program's per-node state lives in flat arrays built once by
-   setup, indexed by node, by (node, served part) entry, or by the host's
-   CSR port slot. A node's step reads and writes only its own entries and
+(* Every program's per-node state lives in flat arrays — the routes built
+   once per shortcut by [prepare], the queues once per run by [setup] —
+   indexed by node, by (node, served part) entry, or by the host's CSR
+   port slot. A node's step reads and writes only its own entries and
    slots, so steps of different shards never share a cell.
 
    - Entries: node [v] serves the parts whose subgraph [S_i = G[P_i] +
@@ -132,14 +133,6 @@ type node_state = {
 }
 
 let seq_bits = 32
-
-let default_budget_of ~congestion ~dilation ~n =
-  (4 * Aggregate.bound ~congestion ~dilation:(max 1 dilation) ~n) + 32
-
-let default_budget shortcut =
-  default_budget_of ~congestion:(Quality.congestion shortcut)
-    ~dilation:(Quality.dilation shortcut)
-    ~n:(Graph.n (Shortcut.graph shortcut))
 
 (* The port of edge [e] at its endpoint [x], whose other end is [w], in
    an [edge_port] table. *)
@@ -224,6 +217,39 @@ let build_routes host partition shortcut =
     route_off = Array.sub route_off 0 (!entries + 1);
     route_port = Array.sub route_port 0 !routes;
   }
+
+(* --- Prepared shortcuts ----------------------------------------------------- *)
+
+(* What every aggregation over one shortcut needs before its first round:
+   the route table, the schedule parameters and the default budget
+   4·(c + d·⌈log₂ n⌉) + 32. The dilation is measured only when something
+   reads it: the default budget or an installed collector. *)
+type prepared = {
+  shortcut : Shortcut.t;
+  routes : routes;
+  sched : sched;
+  default_budget : int Lazy.t;
+  host : Simulator.host option;
+}
+
+let prepare ?host shortcut =
+  let g = Shortcut.graph shortcut in
+  let congestion = Quality.congestion shortcut in
+  let dilation = lazy (Quality.dilation shortcut) in
+  {
+    shortcut;
+    routes = build_routes g (Shortcut.partition shortcut) shortcut;
+    sched = { max_delay = max 1 congestion; congestion; dilation };
+    default_budget =
+      lazy
+        ((4
+         * Aggregate.bound ~congestion ~dilation:(max 1 (Lazy.force dilation))
+             ~n:(Graph.n g))
+        + 32);
+    host;
+  }
+
+let budget p = Lazy.force p.default_budget
 
 (* The entry of node [v] for [part], by binary search in its sorted row. *)
 let entry_of rt v part =
@@ -340,28 +366,23 @@ type setup = {
   host : Graph.t;
   partition : Partition.t;
   k : int;
-  sched : sched;
   own_best : int -> int option;
       (* a part member's best value for its own part, after the run *)
 }
 
 let flood_phase _ _ _ = "pa.flood"
 
-let setup ?budget ?(policy = Schedule.Random_delay) ~congestion ~dilation rng
-    shortcut ~values =
-  let host = Shortcut.graph shortcut in
-  let partition = Shortcut.partition shortcut in
-  let k = Shortcut.k shortcut in
+let setup ?(policy = Schedule.Random_delay) ~budget p rng ~values =
+  let host = Shortcut.graph p.shortcut in
+  let partition = Shortcut.partition p.shortcut in
+  let k = Shortcut.k p.shortcut in
   let n = Graph.n host in
   if Array.length values <> n then invalid_arg "Sim_aggregate.minimum: values";
-  let budget =
-    match budget with
-    | Some b -> b
-    | None -> default_budget_of ~congestion ~dilation:(Lazy.force dilation) ~n
+  let rt = p.routes in
+  let qs =
+    make_queues host
+      ~delay:(Schedule.delays policy rng ~parts:k ~max_delay:p.sched.max_delay)
   in
-  let max_delay = max 1 congestion in
-  let rt = build_routes host partition shortcut in
-  let qs = make_queues host ~delay:(Schedule.delays policy rng ~parts:k ~max_delay) in
   let entries = Array.length rt.serve_part in
   let best = Array.make entries 0 and has_best = Array.make entries false in
   let enqueue st j value cause ~skip_port =
@@ -427,32 +448,29 @@ let setup ?budget ?(policy = Schedule.Random_delay) ~congestion ~dilation rng
     let j = rt.own_entry.(v) in
     if j >= 0 && has_best.(j) then Some best.(j) else None
   in
-  {
-    program;
-    budget;
-    host;
-    partition;
-    k;
-    sched = { max_delay; congestion; dilation };
-    own_best;
-  }
+  { program; budget; host; partition; k; own_best }
 
 let completion states =
   Array.fold_left (fun acc st -> max acc st.last_improved) 0 states
 
-let minimum ?budget ?policy ?domains ?obs ?tracer ?par_profile rng shortcut ~values =
+let minimum ?prepared ?policy ?domains ?obs ?tracer ?par_profile rng shortcut ~values =
   Obs.span obs "pa" @@ fun () ->
-  let { program; budget; host; partition; sched; own_best; _ } =
+  let p, { program; budget; host; partition; own_best; _ } =
     Obs.span obs "pa.setup" (fun () ->
-        setup ?budget ?policy ~congestion:(Quality.congestion shortcut)
-          ~dilation:(lazy (Quality.dilation shortcut))
-          rng shortcut ~values)
+        let p =
+          match prepared with
+          | None -> prepare shortcut
+          | Some p when p.shortcut == shortcut -> p
+          | Some _ -> invalid_arg "Sim_aggregate.minimum: prepared for another shortcut"
+        in
+        (p, setup ?policy ~budget:(budget p) p rng ~values))
   in
+  let sched = p.sched in
   note_schedule obs ~budget sched;
   let profile, tracer = profiled obs tracer ~edges:(Graph.m host) in
   Obs.enter obs "pa.run";
   let states, stats =
-    Simulator.run ?domains ~max_rounds:(budget + 8) ?tracer ?par_profile host
+    Simulator.run ?domains ~max_rounds:(budget + 8) ?host:p.host ?tracer ?par_profile host
       program
   in
   record_epochs obs profile ~max_delay:sched.max_delay
@@ -476,7 +494,7 @@ let minimum ?budget ?policy ?domains ?obs ?tracer ?par_profile rng shortcut ~val
     stats;
   }
 
-let broadcast ?budget ?domains ?obs ?tracer ?par_profile rng shortcut ~leaders =
+let broadcast ?prepared ?domains ?obs ?tracer ?par_profile rng shortcut ~leaders =
   let partition = Shortcut.partition shortcut in
   let n = Graph.n (Shortcut.graph shortcut) in
   if Array.length leaders <> Shortcut.k shortcut then
@@ -490,7 +508,7 @@ let broadcast ?budget ?domains ?obs ?tracer ?par_profile rng shortcut ~leaders =
      max-sentinel so the part minimum is exactly the leader's token. *)
   let values = Array.make n (max_int - 1) in
   Array.iter (fun l -> values.(l) <- l) leaders;
-  minimum ?budget ?domains ?obs ?tracer ?par_profile rng shortcut ~values
+  minimum ?prepared ?domains ?obs ?tracer ?par_profile rng shortcut ~values
 
 (* --- Sum: convergecast + broadcast over per-part BFS trees ------------------- *)
 
@@ -500,12 +518,13 @@ let sum ?tracer rng shortcut ~values =
   let k = Shortcut.k shortcut in
   let n = Graph.n host in
   if Array.length values <> n then invalid_arg "Sim_aggregate.sum: values";
-  let rt = build_routes host partition shortcut in
+  let p = prepare shortcut in
+  let rt = p.routes in
   let qs =
     make_queues host
       ~delay:
         (Schedule.delays Schedule.Random_delay rng ~parts:k
-           ~max_delay:(Quality.congestion shortcut))
+           ~max_delay:p.sched.congestion)
   in
   let entries = Array.length rt.serve_part in
   let nbr = Graph.csr_neighbors host and eid = Graph.csr_edges host in
@@ -663,23 +682,22 @@ type report = {
 let minimum_outcome ?budget ?domains ?max_rounds ?obs ?tracer ?faults ?par_profile
     ?(reliable = true) ?config rng shortcut ~values =
   Obs.span obs "pa" @@ fun () ->
-  let { program; budget; host; partition; k; sched; own_best } =
+  let p, { program; budget; host; partition; k; own_best } =
     Obs.span obs "pa.setup" (fun () ->
-        let congestion = Quality.congestion shortcut in
-        let dilation = lazy (Quality.dilation shortcut) in
+        let p = prepare shortcut in
         (* The ARQ roughly triples per-hop latency (data + ack round
            trips), so the reliable path gets a proportionally larger round
            budget unless the caller pins one. *)
         let budget =
           match budget with
-          | Some b -> Some b
-          | None when not reliable -> None
+          | Some b -> b
           | None ->
-              let n = Graph.n (Shortcut.graph shortcut) in
-              Some (8 * default_budget_of ~congestion ~dilation:(Lazy.force dilation) ~n)
+              let default = Lazy.force p.default_budget in
+              if reliable then 8 * default else default
         in
-        setup ?budget ~congestion ~dilation rng shortcut ~values)
+        (p, setup ~budget p rng ~values))
   in
+  let sched = p.sched in
   note_schedule obs ~budget sched;
   let profile, tracer = profiled obs tracer ~edges:(Graph.m host) in
   let max_rounds =

@@ -15,10 +15,11 @@
     ({!Aggregate.bound}).
 
     Cost follows the messages, not nodes × rounds: the per-node state
-    lives in flat arrays built once per run (the parts each node serves
-    and their ports, one unboxed heap of (delay, FIFO sequence)-keyed
-    words per port), a stepped node allocates only the inbox/outbox lists
-    the simulator API requires, and a node whose port queues are empty
+    lives in flat arrays — the route table (the parts each node serves
+    and their ports) built once per shortcut ({!prepare}), one unboxed
+    heap of (delay, FIFO sequence)-keyed words per port built once per
+    run — a stepped node allocates only the inbox/outbox lists the
+    simulator API requires, and a node whose port queues are empty
     sleeps until mail arrives or its halting round comes (its
     {!Lcs_congest.Simulator.program} wake hint), so the rounds after
     convergence are fast-forwarded.
@@ -41,15 +42,34 @@ type result = {
   stats : Lcs_congest.Simulator.stats;
 }
 
-val default_budget : Lcs_shortcut.Shortcut.t -> int
-(** The round budget {!minimum} runs when none is given:
-    [4·(c + d·⌈log₂ n⌉) + 32] with (c,d) measured from the shortcut.
-    Measuring the dilation is the costly part; a caller that runs several
-    aggregations over one shortcut computes this once and passes it as
-    [~budget]. *)
+(** {1 Prepared shortcuts} *)
+
+type prepared
+(** What every aggregation over one shortcut needs before its first
+    round: the route table (each node's served parts and their ports in
+    [S_i]), the congestion, the dilation (measured on first use) and the
+    default round budget — plus, optionally, a prepared simulator host.
+    Immutable once built: any number of runs, of any program, may share
+    it. *)
+
+val prepare : ?host:Lcs_congest.Simulator.host -> Lcs_shortcut.Shortcut.t -> prepared
+(** [prepare shortcut] builds the route table and measures the
+    congestion. A caller that runs several aggregations over one shortcut
+    prepares it once and passes the result as [?prepared]; a call without
+    it prepares its own. [host], prepared for the shortcut's graph, serves
+    every simulator run over this preparation, so a caller that runs over
+    several shortcuts of one graph ({!Lcs_algos.Boruvka_engine}) sets up
+    the simulator once too. *)
+
+val budget : prepared -> int
+(** The round budget {!minimum} runs: [4·(c + d·⌈log₂ n⌉) + 32] with
+    (c,d) measured from the shortcut. Measuring the dilation is the
+    costly part; it happens once per preparation. *)
+
+(** {1 Aggregations} *)
 
 val minimum :
-  ?budget:int ->
+  ?prepared:prepared ->
   ?policy:Schedule.policy ->
   ?domains:int ->
   ?obs:Lcs_obs.Obs.t ->
@@ -62,12 +82,13 @@ val minimum :
 (** [minimum rng shortcut ~values]: every part's minimum, computed by
     flooding inside each part's shortcut subgraph under the simulator.
     Termination: nodes run for a round budget (local knowledge cannot
-    detect global quiescence without extra machinery), by default
-    {!default_budget} — generous enough for the schedule bound — and the
-    returned [completion_round] shows the real finish time. The shortcut's
-    dilation is measured only for the default budget or an [?obs]
-    collector. Raises [Failure] if some part had not converged within the
-    budget. [policy] (default {!Schedule.Random_delay}) sets the parts'
+    detect global quiescence without extra machinery), {!budget} —
+    generous enough for the schedule bound — and the returned
+    [completion_round] shows the real finish time. [prepared] (default:
+    prepared for this call) must come from {!prepare} on this very
+    shortcut, or the call raises [Invalid_argument]; it changes cost,
+    never a result. Raises [Failure] if some part had not converged
+    within the budget. [policy] (default {!Schedule.Random_delay}) sets the parts'
     priorities, the ablation axis of experiment E14. [tracer] observes
     the underlying {!Lcs_congest.Simulator} run — its per-edge profile is
     how E7-style experiments see the congestion {e distribution} rather
@@ -84,7 +105,7 @@ val minimum :
     per-edge-words-vs-congestion ledger entries. *)
 
 val broadcast :
-  ?budget:int ->
+  ?prepared:prepared ->
   ?domains:int ->
   ?obs:Lcs_obs.Obs.t ->
   ?tracer:Lcs_congest.Trace.tracer ->
@@ -97,7 +118,8 @@ val broadcast :
     whose token must reach the whole part. Implemented as a {!minimum}
     over values that single out the leader, so [minima] holds the
     leaders' ids. Raises [Invalid_argument] unless there is one leader
-    per part, inside its part. *)
+    per part, inside its part, or if [prepared] belongs to another
+    shortcut. *)
 
 val sum :
   ?tracer:Lcs_congest.Trace.tracer ->

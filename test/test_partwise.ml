@@ -109,6 +109,45 @@ let broadcast_rejects_foreign_leader () =
     (Invalid_argument "Sim_aggregate.broadcast: leader not in its part") (fun () ->
       ignore (Sim_aggregate.broadcast (Rng.create 1) sc ~leaders:[| 0; 1; 6 |]))
 
+(* A preparation changes cost only: on its own shortcut, with or without
+   a prepared host, at one and two domains, minimum and broadcast return
+   what an unprepared call returns, and the round budget is the one the
+   CLI and the fault-tolerant path use. On another shortcut it is
+   refused. *)
+let prepared_changes_nothing () =
+  let g = Generators.grid ~rows:6 ~cols:6 in
+  let partition = Partition.grid_rows g ~rows:6 ~cols:6 in
+  let sc = (Boost.full partition ~tree:(Bfs.tree g ~root:0)).Boost.shortcut in
+  let values = Array.init (Graph.n g) (fun v -> (v * 37) mod 101) in
+  let leaders = Array.init 6 (fun i -> (i * 6) + (i mod 6)) in
+  let host = Simulator.prepare g in
+  let q = Quality.measure sc in
+  check Alcotest.int "budget"
+    ((4
+     * Aggregate.bound ~congestion:q.Quality.congestion
+         ~dilation:(max 1 q.Quality.dilation) ~n:(Graph.n g))
+    + 32)
+    (Sim_aggregate.budget (Sim_aggregate.prepare sc));
+  List.iter
+    (fun domains ->
+      List.iter
+        (fun prepared ->
+          let mins p = Sim_aggregate.minimum ?prepared:p ~domains (Rng.create 4) sc ~values in
+          let bcast p =
+            Sim_aggregate.broadcast ?prepared:p ~domains (Rng.create 5) sc ~leaders
+          in
+          check Alcotest.bool "minimum" true (mins (Some prepared) = mins None);
+          check Alcotest.bool "broadcast" true (bcast (Some prepared) = bcast None))
+        [ Sim_aggregate.prepare sc; Sim_aggregate.prepare ~host sc ])
+    [ 1; 2 ];
+  let other = Sim_aggregate.prepare (Shortcut.empty partition) in
+  Alcotest.check_raises "another shortcut"
+    (Invalid_argument "Sim_aggregate.minimum: prepared for another shortcut") (fun () ->
+      ignore (Sim_aggregate.minimum ~prepared:other (Rng.create 1) sc ~values));
+  Alcotest.check_raises "another shortcut, broadcast"
+    (Invalid_argument "Sim_aggregate.minimum: prepared for another shortcut") (fun () ->
+      ignore (Sim_aggregate.broadcast ~prepared:other (Rng.create 1) sc ~leaders))
+
 let router_detects_disconnected_subgraph () =
   (* A whole path as one part with no shortcut: the minimum, held by one
      end, must cross every edge of the part itself. *)
@@ -233,6 +272,7 @@ let suite =
     case "wheel speedup (Section 2 example)" `Quick wheel_speedup;
     case "broadcast: leader tokens" `Quick broadcast_delivers_leader_token;
     case "broadcast: rejects foreign leader" `Quick broadcast_rejects_foreign_leader;
+    case "prepared: changes cost only" `Quick prepared_changes_nothing;
     case "router: path completes" `Quick router_detects_disconnected_subgraph;
     case "sim aggregate: wheel" `Quick sim_aggregate_wheel;
     case "tree router: message economy" `Quick tree_router_message_economy;
