@@ -1,9 +1,9 @@
 (* Simulator macro-benchmarks: whole protocol runs through the CONGEST
    core, reported as allocation (the quantity the CSR message plane
-   exists to kill) plus wall time. Four workloads — graph-flood
+   exists to kill) plus wall time. Five workloads — graph-flood
    broadcast, synchronous BFS, part-wise aggregation under the enforced
-   model, and the Theorem 1.5 distributed construction — each on grid /
-   k-tree / lower-bound topologies at two sizes.
+   model, the Theorem 1.5 distributed construction and Borůvka MST —
+   each on grid / k-tree / lower-bound topologies at two sizes.
 
    The broadcast workload additionally runs bit-identically on the
    retained reference core (Simulator_ref), and the report carries the
