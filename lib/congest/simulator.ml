@@ -178,7 +178,7 @@ end
    payload halves stay per run, since their type is the program's. A run
    clears every buffer here before its first round, so one that raised
    leaves nothing behind; [running] refuses a second run while one is
-   in progress. *)
+   in progress, from this domain or another. *)
 type host = {
   graph : Graph.t;
   csr : Csr.t;
@@ -186,7 +186,7 @@ type host = {
   ctxs : ctx array;
   ports : int Vec.t array * int Vec.t array;
   mutable ids : (int Vec.t array * int Vec.t array) option;
-  mutable running : bool;
+  running : bool Atomic.t;
 }
 
 let prepare g =
@@ -200,14 +200,14 @@ let prepare g =
     ctxs = Csr.contexts csr n clock;
     ports = (Csr.inbox_vecs csr n, Csr.inbox_vecs csr n);
     ids = None;
-    running = false;
+    running = Atomic.make false;
   }
 
 (* Hand [host]'s buffers to a new run on [g], cleared. *)
 let claim host g ~traced =
   if host.graph != g then invalid_arg "Simulator.run: host prepared for another graph";
-  if host.running then invalid_arg "Simulator.run: host is already running";
-  host.running <- true;
+  if not (Atomic.compare_and_set host.running false true) then
+    invalid_arg "Simulator.run: host is already running";
   host.clock := 0;
   let clear (a, b) =
     Array.iter Vec.clear a;
@@ -364,7 +364,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
   let traced = tracer <> None in
   let host = match host with Some h -> h | None -> prepare g in
   claim host g ~traced;
-  Fun.protect ~finally:(fun () -> host.running <- false) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Atomic.set host.running false) @@ fun () ->
   let csr = host.csr and ctxs = host.ctxs in
   (* The round every context reads: written once per round on the calling
      domain before the compute phase, read by the steps after the phase
