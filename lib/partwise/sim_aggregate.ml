@@ -220,16 +220,26 @@ let build_routes host partition shortcut =
 
 (* --- Prepared shortcuts ----------------------------------------------------- *)
 
+(* What a flooding run grows: its port queues and each entry's best value
+   so far. [init] resets every cell a node reads, so a finished run's
+   store can serve the next run over the same routes. *)
+type store = { queues : queues; best : int array; has_best : bool array }
+
 (* What every aggregation over one shortcut needs before its first round:
    the route table, the schedule parameters and the default budget
    4·(c + d·⌈log₂ n⌉) + 32. The dilation is measured only when something
-   reads it: the default budget or an installed collector. *)
+   reads it: the default budget or an installed collector. [spare] is a
+   pool of one store: a run takes it, or makes its own when it is empty —
+   as when runs overlap — and a run that finishes puts its store back.
+   It dies with the preparation, so a caller that keeps one preparation
+   alive at a time keeps one shortcut's queues alive at a time. *)
 type prepared = {
   shortcut : Shortcut.t;
   routes : routes;
   sched : sched;
   default_budget : int Lazy.t;
   host : Simulator.host option;
+  spare : store option Atomic.t;
 }
 
 let prepare ?host shortcut =
@@ -247,6 +257,7 @@ let prepare ?host shortcut =
              ~n:(Graph.n g))
         + 32);
     host;
+    spare = Atomic.make None;
   }
 
 let budget p = Lazy.force p.default_budget
@@ -366,6 +377,7 @@ type setup = {
   host : Graph.t;
   partition : Partition.t;
   k : int;
+  store : store;
   own_best : int -> int option;
       (* a part member's best value for its own part, after the run *)
 }
@@ -379,12 +391,19 @@ let setup ?(policy = Schedule.Random_delay) ~budget p rng ~values =
   let n = Graph.n host in
   if Array.length values <> n then invalid_arg "Sim_aggregate.minimum: values";
   let rt = p.routes in
-  let qs =
-    make_queues host
-      ~delay:(Schedule.delays policy rng ~parts:k ~max_delay:p.sched.max_delay)
+  let delay = Schedule.delays policy rng ~parts:k ~max_delay:p.sched.max_delay in
+  let store =
+    match Atomic.exchange p.spare None with
+    | Some s -> { s with queues = { s.queues with delay } }
+    | None ->
+        let entries = Array.length rt.serve_part in
+        {
+          queues = make_queues host ~delay;
+          best = Array.make entries 0;
+          has_best = Array.make entries false;
+        }
   in
-  let entries = Array.length rt.serve_part in
-  let best = Array.make entries 0 and has_best = Array.make entries false in
+  let qs = store.queues and best = store.best and has_best = store.has_best in
   let enqueue st j value cause ~skip_port =
     let part = rt.serve_part.(j) in
     for r = rt.route_off.(j) to rt.route_off.(j + 1) - 1 do
@@ -448,14 +467,14 @@ let setup ?(policy = Schedule.Random_delay) ~budget p rng ~values =
     let j = rt.own_entry.(v) in
     if j >= 0 && has_best.(j) then Some best.(j) else None
   in
-  { program; budget; host; partition; k; own_best }
+  { program; budget; host; partition; k; store; own_best }
 
 let completion states =
   Array.fold_left (fun acc st -> max acc st.last_improved) 0 states
 
 let minimum ?prepared ?policy ?domains ?obs ?tracer ?par_profile rng shortcut ~values =
   Obs.span obs "pa" @@ fun () ->
-  let p, { program; budget; host; partition; own_best; _ } =
+  let p, { program; budget; host; partition; store; own_best; _ } =
     Obs.span obs "pa.setup" (fun () ->
         let p =
           match prepared with
@@ -484,6 +503,7 @@ let minimum ?prepared ?policy ?domains ?obs ?tracer ?par_profile rng shortcut ~v
       | Some b when b = reference.(part) -> ()
       | _ -> failwith "Sim_aggregate: part did not converge within budget"
   done;
+  Atomic.set p.spare (Some store);
   let completion_round = completion states in
   record_ledger obs profile sched ~n:(Graph.n host) ~observed_rounds:completion_round;
   {
@@ -682,7 +702,7 @@ type report = {
 let minimum_outcome ?budget ?domains ?max_rounds ?obs ?tracer ?faults ?par_profile
     ?(reliable = true) ?config rng shortcut ~values =
   Obs.span obs "pa" @@ fun () ->
-  let p, { program; budget; host; partition; k; own_best } =
+  let p, { program; budget; host; partition; k; own_best; _ } =
     Obs.span obs "pa.setup" (fun () ->
         let p = prepare shortcut in
         (* The ARQ roughly triples per-hop latency (data + ack round

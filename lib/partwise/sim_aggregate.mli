@@ -49,8 +49,11 @@ type prepared
     round: the route table (each node's served parts and their ports in
     [S_i]), the congestion, the dilation (measured on first use) and the
     default round budget — plus, optionally, a prepared simulator host.
-    Immutable once built: any number of runs, of any program, may share
-    it. *)
+    Any number of runs may share it, one after another or at once. A
+    finished {!minimum} or {!broadcast} leaves its port queues and
+    per-part best values for the next run over the preparation, which
+    resets them before its first round; a run that finds them taken
+    makes its own. They die with the preparation. *)
 
 val prepare : ?host:Lcs_congest.Simulator.host -> Lcs_shortcut.Shortcut.t -> prepared
 (** [prepare shortcut] builds the route table and measures the

@@ -136,8 +136,10 @@ let prepared_changes_nothing () =
           let bcast p =
             Sim_aggregate.broadcast ?prepared:p ~domains (Rng.create 5) sc ~leaders
           in
+          (* Each run takes the queues the previous one left. *)
           check Alcotest.bool "minimum" true (mins (Some prepared) = mins None);
-          check Alcotest.bool "broadcast" true (bcast (Some prepared) = bcast None))
+          check Alcotest.bool "broadcast" true (bcast (Some prepared) = bcast None);
+          check Alcotest.bool "minimum again" true (mins (Some prepared) = mins None))
         [ Sim_aggregate.prepare sc; Sim_aggregate.prepare ~host sc ])
     [ 1; 2 ];
   let other = Sim_aggregate.prepare (Shortcut.empty partition) in
