@@ -138,13 +138,15 @@ let seq_bits = 32
    an [edge_port] table. *)
 let port_at edge_port e x w = edge_port.((2 * e) + if x < w then 0 else 1)
 
-(* The serve entries and routes of every node, without per-node tables.
-   One pass over [Quality.iter_part_edges] counts each node's (part,
-   port) pairs — a member serves its part even when isolated in S_i —
-   and a second places them, part by part, into the node's slice of two
-   flat arrays, so each node's pairs come out grouped by ascending part.
-   An edge's port at either endpoint comes from one walk over the CSR
-   rows. *)
+(* The serve entries and routes of every node, without per-node tables,
+   written straight into arrays of their exact sizes. Parts are read one
+   at a time, so a node's pairs for one part arrive together and [last]
+   (the part a node last saw) tells a new entry from a repeated one. One
+   pass over [Quality.iter_part_edges] counts each node's entries — a
+   member serves its part even when isolated in S_i — and its ports; a
+   second places them at per-node cursors, so each node's entries come out
+   in ascending part order with their ports in arrival order. An edge's
+   port at either endpoint comes from one walk over the CSR rows. *)
 let build_routes host partition shortcut =
   let n = Graph.n host and k = Shortcut.k shortcut in
   let off = Graph.csr_offsets host in
@@ -158,65 +160,56 @@ let build_routes host partition shortcut =
     done
   done;
   let marks = Quality.edge_marks host in
-  let start = Array.make (n + 1) 0 in
+  let last = Array.make n (-1) in
+  let serve_off = Array.make (n + 1) 0 and route_start = Array.make (n + 1) 0 in
+  let count x i =
+    if last.(x) <> i then begin
+      last.(x) <- i;
+      serve_off.(x + 1) <- serve_off.(x + 1) + 1
+    end
+  in
+  let count_port x = route_start.(x + 1) <- route_start.(x + 1) + 1 in
   for i = 0 to k - 1 do
     Quality.iter_part_edges marks shortcut i
-      ~member:(fun v -> start.(v + 1) <- start.(v + 1) + 1)
+      ~member:(fun v -> count v i)
       ~edge:(fun _ u w ->
-        start.(u + 1) <- start.(u + 1) + 1;
-        start.(w + 1) <- start.(w + 1) + 1)
+        count u i;
+        count w i;
+        count_port u;
+        count_port w)
   done;
   for x = 0 to n - 1 do
-    start.(x + 1) <- start.(x + 1) + start.(x)
+    serve_off.(x + 1) <- serve_off.(x + 1) + serve_off.(x);
+    route_start.(x + 1) <- route_start.(x + 1) + route_start.(x)
   done;
-  let total = start.(n) in
-  let fill = Array.sub start 0 n in
-  let t_part = Array.make total 0 and t_port = Array.make total 0 in
+  let entries = serve_off.(n) and routes = route_start.(n) in
+  let serve_part = Array.make entries 0 and route_off = Array.make (entries + 1) routes in
+  let route_port = Array.make routes 0 and own_entry = Array.make n (-1) in
+  let next_entry = Array.sub serve_off 0 n and next_route = Array.sub route_start 0 n in
+  Array.fill last 0 n (-1);
+  let enter x i =
+    if last.(x) <> i then begin
+      last.(x) <- i;
+      let j = next_entry.(x) in
+      next_entry.(x) <- j + 1;
+      serve_part.(j) <- i;
+      route_off.(j) <- next_route.(x);
+      if i = Partition.part_of partition x then own_entry.(x) <- j
+    end
+  in
   let place x i p =
-    let a = fill.(x) in
-    t_part.(a) <- i;
-    t_port.(a) <- p;
-    fill.(x) <- a + 1
+    enter x i;
+    route_port.(next_route.(x)) <- p;
+    next_route.(x) <- next_route.(x) + 1
   in
   for i = 0 to k - 1 do
     Quality.iter_part_edges marks shortcut i
-      ~member:(fun v -> place v i (-1))
+      ~member:(fun v -> enter v i)
       ~edge:(fun e u w ->
         place u i (port_at edge_port e u w);
         place w i (port_at edge_port e w u))
   done;
-  let serve_off = Array.make (n + 1) 0 and own_entry = Array.make n (-1) in
-  let serve_part = Array.make total 0 and route_off = Array.make (total + 1) 0 in
-  let route_port = Array.make total 0 in
-  let entries = ref 0 and routes = ref 0 in
-  for x = 0 to n - 1 do
-    serve_off.(x) <- !entries;
-    let own = Partition.part_of partition x in
-    for a = start.(x) to start.(x + 1) - 1 do
-      let i = t_part.(a) in
-      if !entries = serve_off.(x) || serve_part.(!entries - 1) <> i then begin
-        if i = own then own_entry.(x) <- !entries;
-        serve_part.(!entries) <- i;
-        route_off.(!entries) <- !routes;
-        incr entries
-      end;
-      if t_port.(a) >= 0 then begin
-        route_port.(!routes) <- t_port.(a);
-        incr routes
-      end
-    done
-  done;
-  serve_off.(n) <- !entries;
-  route_off.(!entries) <- !routes;
-  {
-    slot_off = off;
-    edge_port;
-    serve_off;
-    serve_part = Array.sub serve_part 0 !entries;
-    own_entry;
-    route_off = Array.sub route_off 0 (!entries + 1);
-    route_port = Array.sub route_port 0 !routes;
-  }
+  { slot_off = off; edge_port; serve_off; serve_part; own_entry; route_off; route_port }
 
 (* --- Prepared shortcuts ----------------------------------------------------- *)
 
