@@ -31,7 +31,7 @@ let scratch size =
     is_open = Array.make size true;
   }
 
-let exact_csr s ~n ~offsets ~neighbors =
+let exact_csr ?(beat = -1) s ~n ~offsets ~neighbors =
   if n = 0 then invalid_arg "Diameter.exact: empty graph";
   let { dist; queue; lo; hi; is_open } = s in
   Array.fill lo 0 n 0;
@@ -75,12 +75,16 @@ let exact_csr s ~n ~offsets ~neighbors =
     !best
   in
   let diameter = ref 0 and cap = ref max_int and remaining = ref n and high = ref true in
-  while !remaining > 0 && !diameter < !cap do
+  (* [remaining] counts the open vertices that could still lift the
+     result above [beat]; once [cap <= beat] none can. Sources are picked
+     among all open vertices, so [beat] only ever stops the loop early. *)
+  while !remaining > 0 && !diameter < !cap && !cap > beat do
     let v = select ~high:!high in
     high := not !high;
     let e = bfs v in
     if e > !diameter then diameter := e;
     if 2 * e < !cap then cap := 2 * e;
+    let settled = if !diameter > beat then !diameter else beat in
     remaining := 0;
     for w = 0 to n - 1 do
       if is_open.(w) then begin
@@ -88,7 +92,8 @@ let exact_csr s ~n ~offsets ~neighbors =
         let l = if d > e - d then d else e - d and h = e + d in
         if l > lo.(w) then lo.(w) <- l;
         if h < hi.(w) then hi.(w) <- h;
-        if hi.(w) <= !diameter then is_open.(w) <- false else incr remaining
+        if hi.(w) <= !diameter then is_open.(w) <- false
+        else if hi.(w) > settled then incr remaining
       end
     done
   done;

@@ -22,13 +22,16 @@ val scratch : int -> scratch
 (** [scratch size] serves {!exact_csr} on graphs of at most [size]
     vertices, any number of times. *)
 
-val exact_csr : scratch -> n:int -> offsets:int array -> neighbors:int array -> int
+val exact_csr :
+  ?beat:int -> scratch -> n:int -> offsets:int array -> neighbors:int array -> int
 (** {!exact} over an adjacency held in plain arrays: vertex [v < n] has
     the neighbors [neighbors.(offsets.(v)) .. neighbors.(offsets.(v+1) - 1)].
     The arrays may be longer than the graph needs, so one set can hold
     every graph of a sequence, as [Quality] does for the subgraphs of a
-    shortcut's parts. Raises [Invalid_argument] exactly as {!exact}
-    does. *)
+    shortcut's parts. With [beat], the result is the diameter when that
+    exceeds [beat] and otherwise some value at most [beat], found with
+    fewer BFS runs — what a maximum over many graphs needs. Raises
+    [Invalid_argument] exactly as {!exact} does. *)
 
 type bounds = { lower : int; upper : int }
 

@@ -141,20 +141,22 @@ let adjacency s ~vertices ~edges =
 (* The diameter of part [i]'s subgraph: exact within [exact_limit]
    vertices, on the shared adjacency; beyond it the double-sweep estimate
    on the standalone graph, whose numbering its tie-breaks follow. *)
-let dilation_in ?(exact_limit = 4096) s sc i =
+let dilation_in ?(exact_limit = 4096) ?beat s sc i =
   let vertices, edges = load s sc i in
   if vertices <= exact_limit then begin
     adjacency s ~vertices ~edges;
-    Diameter.exact_csr s.bounds ~n:vertices ~offsets:s.offsets ~neighbors:s.neighbors
+    Diameter.exact_csr ?beat s.bounds ~n:vertices ~offsets:s.offsets ~neighbors:s.neighbors
   end
   else (Diameter.estimate (graph_of s ~vertices ~edges)).Diameter.lower
 
+(* Only the maximum counts, so a part need only be measured exactly when
+   it beats the best part so far. *)
 let dilation ?exact_limit sc =
   let scratch = scratch (Shortcut.graph sc) in
   let best = ref 0 in
   for i = 0 to Shortcut.k sc - 1 do
     if Shortcut.is_covered sc i then begin
-      let d = dilation_in ?exact_limit scratch sc i in
+      let d = dilation_in ?exact_limit ~beat:!best scratch sc i in
       if d > !best then best := d
     end
   done;
