@@ -68,10 +68,10 @@ val run :
 
     Set-up happens once per shortcut and once per run. Each phase's
     shortcut is prepared once ({!Lcs_partwise.Sim_aggregate.prepare}):
-    its route table, congestion, dilation and round budget serve both
-    aggregations over it — the previous phase's leader broadcast and this
-    phase's minimum — and only one phase's preparation is alive at a
-    time. One {!Lcs_congest.Simulator.prepare}d host serves every
+    its route table, congestion, dilation, round budget and port queues
+    serve both aggregations over it — the previous phase's leader
+    broadcast and this phase's minimum — and only one phase's
+    preparation is alive at a time. One {!Lcs_congest.Simulator.prepare}d host serves every
     aggregation of the run. Neither changes a result, a round count or a
     trace event.
 

@@ -16,10 +16,10 @@
 
     Cost follows the messages, not nodes × rounds: the per-node state
     lives in flat arrays — the route table (the parts each node serves
-    and their ports) built once per shortcut ({!prepare}), one unboxed
-    heap of (delay, FIFO sequence)-keyed words per port built once per
-    run — a stepped node allocates only the inbox/outbox lists the
-    simulator API requires, and a node whose port queues are empty
+    and their ports) built once per shortcut ({!prepare}), and one
+    unboxed heap of (delay, FIFO sequence)-keyed words per port that
+    each run over a preparation hands to the next — a stepped node
+    allocates only the inbox/outbox lists the simulator API requires, and a node whose port queues are empty
     sleeps until mail arrives or its halting round comes (its
     {!Lcs_congest.Simulator.program} wake hint), so the rounds after
     convergence are fast-forwarded.
