@@ -90,9 +90,9 @@ let record_ledger obs profile sched ~n ~observed_rounds =
 (* --- The shared network: routes and port queues ---------------------------- *)
 
 (* Every program's per-node state lives in flat arrays — the routes built
-   once per shortcut by [prepare], the queues once per run by [setup] —
-   indexed by node, by (node, served part) entry, or by the host's CSR
-   port slot. A node's step reads and writes only its own entries and
+   once per shortcut by [prepare], the queues by a run's [setup] or taken
+   over from the previous run — indexed by node, by (node, served part)
+   entry, or by the host's CSR port slot. A node's step reads and writes only its own entries and
    slots, so steps of different shards never share a cell.
 
    - Entries: node [v] serves the parts whose subgraph [S_i = G[P_i] +
