@@ -49,11 +49,12 @@ type prepared
     round: the route table (each node's served parts and their ports in
     [S_i]), the congestion, the dilation (measured on first use) and the
     default round budget — plus, optionally, a prepared simulator host.
-    Any number of runs may share it, one after another or at once. A
-    finished {!minimum} or {!broadcast} leaves its port queues and
-    per-part best values for the next run over the preparation, which
-    resets them before its first round; a run that finds them taken
-    makes its own. They die with the preparation. *)
+    Any number of runs may share it one after another, and, when it has
+    no host (a host serves one run at a time), at once. A finished
+    {!minimum} or {!broadcast} leaves its port queues and per-part best
+    values for the next run over the preparation, which resets them
+    before its first round; a run that finds them taken makes its own.
+    They die with the preparation. *)
 
 val prepare : ?host:Lcs_congest.Simulator.host -> Lcs_shortcut.Shortcut.t -> prepared
 (** [prepare shortcut] builds the route table and measures the
@@ -61,8 +62,8 @@ val prepare : ?host:Lcs_congest.Simulator.host -> Lcs_shortcut.Shortcut.t -> pre
     prepares it once and passes the result as [?prepared]; a call without
     it prepares its own. [host], prepared for the shortcut's graph, serves
     every simulator run over this preparation, so a caller that runs over
-    several shortcuts of one graph ({!Lcs_algos.Boruvka_engine}) sets up
-    the simulator once too. *)
+    several shortcuts of one graph, as Borůvka does, sets up the
+    simulator once too. *)
 
 val budget : prepared -> int
 (** The round budget {!minimum} runs: [4·(c + d·⌈log₂ n⌉) + 32] with
