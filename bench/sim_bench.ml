@@ -34,24 +34,25 @@ open Core
 
 (* Graph flood: the root's token reaches every node; each node forwards on
    every port exactly once. 2m messages over eccentricity(root)+1 rounds —
-   the densest per-round traffic the 1-word model allows. The per-node
-   forwarding lists are precomputed (a routing-table pattern), and the
-   state is an immediate int, so the measured loop is the simulator core
-   plus only the inbox lists its API mandates. States: 0 = waiting,
-   1 = has the token, 2 = forwarded and halted. Every node stays due every
-   round ([Simulator.always]) rather than sleeping until the token arrives, so
-   the domain-scaling curve keeps measuring the same per-round work. *)
-let flood_program g ~root =
-  let outboxes =
-    Array.init (Graph.n g) (fun v ->
-        List.init (Graph.degree g v) (fun p -> (p, 1)))
-  in
+   the densest per-round traffic the 1-word model allows. The state and
+   the payload are immediate ints, so the measured loop is the simulator
+   core alone. States: 0 = waiting, 1 = has the token, 2 = forwarded and
+   halted. Every node stays due every round ([Simulator.always]) rather
+   than sleeping until the token arrives, so the domain-scaling curve
+   keeps measuring the same per-round work. *)
+let flood_program ~root =
   {
     Simulator.init = (fun ctx -> if ctx.Simulator.node = root then 1 else 0);
     on_round =
-      (fun ctx st ~inbox ->
-        let st = if st = 0 && inbox <> [] then 1 else st in
-        if st = 1 then (2, outboxes.(ctx.Simulator.node)) else (st, []));
+      (fun ctx st mb ->
+        let st = if st = 0 && Simulator.deliveries mb > 0 then 1 else st in
+        if st = 1 then begin
+          for p = 0 to Array.length ctx.Simulator.neighbors - 1 do
+            Simulator.send mb p 1
+          done;
+          2
+        end
+        else st);
     is_halted = (fun st -> st = 2);
     wake = Simulator.always;
     msg_words = (fun _ -> 1);
@@ -113,7 +114,7 @@ let broadcasts : bcast list =
         bprepare =
           (fun () ->
             let g = build () in
-            let program = flood_program g ~root:0 in
+            let program = flood_program ~root:0 in
             ( (fun () -> ignore (Simulator.run_outcome g program)),
               fun () -> ignore (Simulator_ref.run_outcome g program) ));
       })
@@ -194,7 +195,7 @@ let faulty_entries =
       prepare =
         (fun () ->
           let g = Generators.grid ~rows ~cols:rows in
-          let program = Reliable.wrap (flood_program g ~root:0) in
+          let program = Reliable.wrap (flood_program ~root:0) in
           fun () ->
             ignore
               (Simulator.run_outcome ~max_rounds:20_000
@@ -222,7 +223,7 @@ let traced_entries =
       prepare =
         (fun () ->
           let g = Generators.grid ~rows ~cols:rows in
-          let program = flood_program g ~root:0 in
+          let program = flood_program ~root:0 in
           fun () ->
             let tracer, finish = tracer_of g in
             ignore (Simulator.run ?tracer g program);
@@ -271,7 +272,7 @@ let par_obs_entries =
       prepare =
         (fun () ->
           let g = Generators.grid ~rows:16 ~cols:16 in
-          let program = flood_program g ~root:0 in
+          let program = flood_program ~root:0 in
           fun () ->
             ignore
               (Simulator.run ~domains:2 ?par_profile:(pp_of ()) g program));
@@ -464,7 +465,7 @@ let curve name run =
 let run_scaling () =
   let bcast_run =
     let g = Generators.grid ~rows:120 ~cols:120 in
-    let program = flood_program g ~root:0 in
+    let program = flood_program ~root:0 in
     fun ?par_profile d -> Simulator.run ?par_profile ~domains:d g program
   in
   let pa_run =

@@ -1345,17 +1345,19 @@ let graph_cmd =
    the simulator's canonical full-graph workload (the macro-bench runs
    the same program, and like it keeps every node due every round).
    States: 0 waiting, 1 has the token, 2 halted. *)
-let flood_program g ~root =
-  let outboxes =
-    Array.init (Graph.n g) (fun v ->
-        List.init (Graph.degree g v) (fun p -> (p, 1)))
-  in
+let flood_program ~root =
   {
     Simulator.init = (fun ctx -> if ctx.Simulator.node = root then 1 else 0);
     on_round =
-      (fun ctx st ~inbox ->
-        let st = if st = 0 && inbox <> [] then 1 else st in
-        if st = 1 then (2, outboxes.(ctx.Simulator.node)) else (st, []));
+      (fun ctx st mb ->
+        let st = if st = 0 && Simulator.deliveries mb > 0 then 1 else st in
+        if st = 1 then begin
+          for p = 0 to Array.length ctx.Simulator.neighbors - 1 do
+            Simulator.send mb p 1
+          done;
+          2
+        end
+        else st);
     is_halted = (fun st -> st = 2);
     wake = Simulator.always;
     msg_words = (fun _ -> 1);
@@ -1365,7 +1367,7 @@ let bcast_cmd =
   let run family seed trace every profile_out sketch domains =
     let g = build_gen_family seed family in
     let mode = mode_of_sketch sketch in
-    let program = flood_program g ~root:0 in
+    let program = flood_program ~root:0 in
     let sink =
       match trace with
       | None -> None

@@ -44,26 +44,24 @@ let bellman_ford ?hop_bound weights ~src =
             finished = false;
           });
       on_round =
-        (fun ctx st ~inbox ->
+        (fun ctx st mb ->
           let round = Simulator.round ctx in
-          let st =
-            List.fold_left
-              (fun st (port, d) ->
-                let e = ctx.Simulator.neighbor_edges.(port) in
-                let candidate = d + Weights.get weights e in
-                if candidate < st.dist then
-                  { st with dist = candidate; announce = true; last_improved = round }
-                else st)
-              st inbox
-          in
-          if round > budget then ({ st with finished = true }, [])
+          let st = ref st in
+          for i = 0 to Simulator.deliveries mb - 1 do
+            let e = ctx.Simulator.neighbor_edges.(Simulator.port mb i) in
+            let candidate = Simulator.payload mb i + Weights.get weights e in
+            if candidate < !st.dist then
+              st := { !st with dist = candidate; announce = true; last_improved = round }
+          done;
+          let st = !st in
+          if round > budget then { st with finished = true }
           else if st.announce && st.dist < max_int then begin
-            let out =
-              List.init (Array.length ctx.Simulator.neighbors) (fun port -> (port, st.dist))
-            in
-            ({ st with announce = false }, out)
+            for port = 0 to Array.length ctx.Simulator.neighbors - 1 do
+              Simulator.send mb port st.dist
+            done;
+            { st with announce = false }
           end
-          else (st, []))
+          else st)
       ;
       is_halted = (fun st -> st.finished);
       (* Only an improvement needs announcing; otherwise wake to halt. *)

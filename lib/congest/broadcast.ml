@@ -8,22 +8,23 @@ let program info ~value =
           { value = Some value; sent = false }
         else { value = None; sent = false });
     on_round =
-      (fun ctx st ~inbox ->
+      (fun ctx st mb ->
         let st =
-          List.fold_left
-            (fun st (_port, v) ->
-              match st.value with Some _ -> st | None -> { st with value = Some v })
-            st inbox
+          match st.value with
+          | None when Simulator.deliveries mb > 0 ->
+              { st with value = Some (Simulator.payload mb 0) }
+          | _ -> st
         in
         match st.value with
         | Some v when not st.sent ->
             (* The triggering delivery (if any) arrived this round, so the
                inbox default parents are already exact. *)
             Trace.Cause.tag ~part:(-1) ~phase:"broadcast";
-            let ports = info.Tree_info.nodes.(ctx.Simulator.node).Tree_info.child_ports in
-            ( { st with sent = true },
-              Array.to_list (Array.map (fun p -> (p, v)) ports) )
-        | _ -> (st, []))
+            Array.iter
+              (fun p -> Simulator.send mb p v)
+              info.Tree_info.nodes.(ctx.Simulator.node).Tree_info.child_ports;
+            { st with sent = true }
+        | _ -> st)
     ;
     is_halted = (fun st -> st.sent);
     (* Only a node holding the value has anything to do without mail. *)

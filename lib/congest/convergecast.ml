@@ -13,13 +13,13 @@ let run ?tracer g info ~values ~combine =
             sent = false;
           });
       on_round =
-        (fun ctx st ~inbox ->
-          let st =
-            List.fold_left
-              (fun st (_port, v) ->
-                { st with acc = combine st.acc v; waiting = st.waiting - 1 })
-              st inbox
-          in
+        (fun ctx st mb ->
+          let st = ref st in
+          for i = 0 to Simulator.deliveries mb - 1 do
+            st :=
+              { !st with acc = combine !st.acc (Simulator.payload mb i); waiting = !st.waiting - 1 }
+          done;
+          let st = !st in
           let node = info.Tree_info.nodes.(ctx.Simulator.node) in
           if st.waiting = 0 && not st.sent then begin
             (* The last child contribution arrived this round (leaves fire
@@ -27,10 +27,10 @@ let run ?tracer g info ~values ~combine =
                already exact. *)
             Trace.Cause.tag ~part:(-1) ~phase:"convergecast";
             if node.Tree_info.parent_port >= 0 then
-              ({ st with sent = true }, [ (node.Tree_info.parent_port, st.acc) ])
-            else ({ st with sent = true }, [])
+              Simulator.send mb node.Tree_info.parent_port st.acc;
+            { st with sent = true }
           end
-          else (st, []))
+          else st)
       ;
       is_halted = (fun st -> st.sent);
       (* Leaves fire at once; an inner node waits for its children. *)
@@ -82,36 +82,37 @@ let outcome_program info ~values ~combine =
           o_clock = 0;
         });
     on_round =
-      (fun ctx st ~inbox ->
+      (fun ctx st mb ->
         let v = ctx.Simulator.node in
-        let st = { st with o_clock = st.o_clock + 1 } in
-        let st =
-          List.fold_left
-            (fun st (port, m) ->
-              match m with
-              | Probe -> st
-              | Val x ->
-                  if st.got.(port) || st.excluded.(port) then st
-                  else begin
-                    st.got.(port) <- true;
-                    { st with o_acc = combine st.o_acc x; o_waiting = st.o_waiting - 1 }
-                  end)
-            st inbox
-        in
+        let st = ref { st with o_clock = st.o_clock + 1 } in
+        for i = 0 to Simulator.deliveries mb - 1 do
+          let port = Simulator.port mb i in
+          match Simulator.payload mb i with
+          | Probe -> ()
+          | Val x ->
+              if not (!st.got.(port) || !st.excluded.(port)) then begin
+                !st.got.(port) <- true;
+                st := { !st with o_acc = combine !st.o_acc x; o_waiting = !st.o_waiting - 1 }
+              end
+        done;
+        let st = !st in
         let node = info.Tree_info.nodes.(v) in
-        let out = ref [] in
+        let forward = st.o_waiting = 0 && not st.o_sent in
+        if forward && node.Tree_info.parent_port >= 0 then
+          Simulator.send mb node.Tree_info.parent_port (Val st.o_acc);
         (* Keep probing children that have neither reported nor been
            written off: the probes are what lets the ARQ notice a dead
-           channel on an edge the convergecast itself never uses downward. *)
-        if (st.o_clock - 1) mod probe_interval = 0 then
-          Array.iter
-            (fun p -> if not (st.got.(p) || st.excluded.(p)) then out := (p, Probe) :: !out)
-            node.Tree_info.child_ports;
-        if st.o_waiting = 0 && not st.o_sent then
-          if node.Tree_info.parent_port >= 0 then
-            ({ st with o_sent = true }, (node.Tree_info.parent_port, Val st.o_acc) :: !out)
-          else ({ st with o_sent = true }, !out)
-        else (st, !out))
+           channel on an edge the convergecast itself never uses downward.
+           They follow the report, last child first: the fingerprint
+           suite pins this send order. *)
+        if (st.o_clock - 1) mod probe_interval = 0 then begin
+          let children = node.Tree_info.child_ports in
+          for c = Array.length children - 1 downto 0 do
+            let p = children.(c) in
+            if not (st.got.(p) || st.excluded.(p)) then Simulator.send mb p Probe
+          done
+        end;
+        if forward then { st with o_sent = true } else st)
     ;
     (* A node that has forwarded may still be probing? No: waiting = 0
        means every child reported or was excluded, so no probes remain. *)

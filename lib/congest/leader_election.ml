@@ -7,18 +7,21 @@ let make_program ~budget =
     Simulator.init =
       (fun ctx -> { best = ctx.Simulator.node; announce = true; budget; finished = false });
     on_round =
-      (fun ctx st ~inbox ->
-        let st =
-          List.fold_left
-            (fun st (_port, id) ->
-              if id > st.best then { st with best = id; announce = true } else st)
-            st inbox
-        in
-        if Simulator.round ctx > st.budget then ({ st with finished = true }, [])
-        else if st.announce then
-          ( { st with announce = false },
-            List.init (Array.length ctx.Simulator.neighbors) (fun p -> (p, st.best)) )
-        else (st, []))
+      (fun ctx st mb ->
+        let st = ref st in
+        for i = 0 to Simulator.deliveries mb - 1 do
+          let id = Simulator.payload mb i in
+          if id > !st.best then st := { !st with best = id; announce = true }
+        done;
+        let st = !st in
+        if Simulator.round ctx > st.budget then { st with finished = true }
+        else if st.announce then begin
+          for p = 0 to Array.length ctx.Simulator.neighbors - 1 do
+            Simulator.send mb p st.best
+          done;
+          { st with announce = false }
+        end
+        else st)
     ;
     is_halted = (fun st -> st.finished);
     (* A quiet node only has to wake to halt after the budget. *)

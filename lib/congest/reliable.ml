@@ -35,6 +35,7 @@ type 'msg port_state = {
 type ('state, 'msg) state = {
   mutable inner : 'state;
   mutable inner_halted : bool;
+  box : 'msg Simulator.mailbox;  (* the inner program's *)
   ports : 'msg port_state array;
   neighbors : int array;  (* ctx copy, for post-run reporting *)
   node : int;
@@ -67,6 +68,7 @@ let wrap ?(config = default_config) ?on_dead (inner : ('s, 'm) Simulator.program
     {
       inner = st;
       inner_halted = inner.is_halted st;
+      box = Simulator.mailbox ();
       ports = Array.init (Array.length ctx.Simulator.neighbors) (fun _ -> new_port ());
       neighbors = Array.copy ctx.Simulator.neighbors;
       node = ctx.Simulator.node;
@@ -76,34 +78,35 @@ let wrap ?(config = default_config) ?on_dead (inner : ('s, 'm) Simulator.program
       done_ = false;
     }
   in
-  let on_round ctx s ~inbox =
+  let on_round ctx s mb =
     s.clock <- s.clock + 1;
     (* 1. Absorb incoming frames: match acks against our in-flight bit,
-       deliver fresh data, re-ack stale duplicates. *)
-    let delivered = ref [] in
-    List.iter
-      (fun (port, frame) ->
-        let ps = s.ports.(port) in
-        if not ps.dead then begin
-          (match frame.ack with
-          | Some b when Option.is_some ps.inflight && b = ps.send_bit ->
-              ps.inflight <- None;
-              ps.send_bit <- not ps.send_bit;
-              ps.tries <- 0
-          | _ -> ());
-          match frame.data with
-          | Some (b, m) when b = ps.recv_bit ->
-              delivered := (port, m) :: !delivered;
-              ps.recv_bit <- not ps.recv_bit;
-              ps.ack_due <- Some b
-          | Some (b, _) ->
-              (* duplicate of an already-delivered message: its ack was
-                 lost, so re-ack without re-delivering *)
-              ps.ack_due <- Some b
-          | None -> ()
-        end)
-      inbox;
-    let delivered = List.rev !delivered in
+       deliver fresh data to the inner program's mailbox, re-ack stale
+       duplicates. *)
+    let box = s.box in
+    Simulator.clear box;
+    for i = 0 to Simulator.deliveries mb - 1 do
+      let port = Simulator.port mb i and frame = Simulator.payload mb i in
+      let ps = s.ports.(port) in
+      if not ps.dead then begin
+        (match frame.ack with
+        | Some b when Option.is_some ps.inflight && b = ps.send_bit ->
+            ps.inflight <- None;
+            ps.send_bit <- not ps.send_bit;
+            ps.tries <- 0
+        | _ -> ());
+        match frame.data with
+        | Some (b, m) when b = ps.recv_bit ->
+            Simulator.deliver box port m;
+            ps.recv_bit <- not ps.recv_bit;
+            ps.ack_due <- Some b
+        | Some (b, _) ->
+            (* duplicate of an already-delivered message: its ack was
+               lost, so re-ack without re-delivering *)
+            ps.ack_due <- Some b
+        | None -> ()
+      end
+    done;
     (* 2. Give up on neighbors that never acked max_retries attempts. *)
     let newly_dead = ref [] in
     Array.iteri
@@ -129,17 +132,16 @@ let wrap ?(config = default_config) ?on_dead (inner : ('s, 'm) Simulator.program
     (* 3. Step the wrapped protocol (it sees a slowed-down clock but the
        same happens-before order); its sends queue behind the ARQ. *)
     if not s.inner_halted then begin
-      let st, outbox = inner.on_round ctx s.inner ~inbox:delivered in
+      let st = inner.on_round ctx s.inner box in
       s.inner <- st;
       s.inner_halted <- inner.is_halted st;
-      List.iter
-        (fun (port, m) ->
-          let ps = s.ports.(port) in
-          if not ps.dead then Queue.push m ps.outq)
-        outbox
+      for i = 0 to Simulator.sent box - 1 do
+        let ps = s.ports.(Simulator.sent_port box i) in
+        if not ps.dead then Queue.push (Simulator.sent_payload box i) ps.outq
+      done
     end;
-    (* 4. Compose outgoing frames: at most one per port per round. *)
-    let out = ref [] in
+    (* 4. Compose outgoing frames: at most one per port per round, in
+       port order. *)
     Array.iteri
       (fun port ps ->
         if not ps.dead then begin
@@ -168,7 +170,7 @@ let wrap ?(config = default_config) ?on_dead (inner : ('s, 'm) Simulator.program
           let ack = ps.ack_due in
           ps.ack_due <- None;
           if Option.is_some data || Option.is_some ack then
-            out := (port, { ack; data }) :: !out
+            Simulator.send mb port { ack; data }
         end)
       s.ports;
     (* 5. Quiescence: the inner protocol halted and every channel is dead
@@ -177,14 +179,14 @@ let wrap ?(config = default_config) ?on_dead (inner : ('s, 'm) Simulator.program
        would turn every lost ack into a spurious dead link. *)
     let drained =
       s.inner_halted
-      && inbox = []
+      && Simulator.deliveries mb = 0
       && Array.for_all
            (fun ps -> ps.dead || (Option.is_none ps.inflight && Queue.is_empty ps.outq))
            s.ports
     in
     if drained then s.quiet <- s.quiet + 1 else s.quiet <- 0;
     if drained && s.quiet >= config.linger then s.done_ <- true;
-    (s, List.rev !out)
+    s
   in
   {
     Simulator.init;

@@ -23,10 +23,15 @@
    CSR port layout (every per-message lookup — destination, host edge id,
    return port — is one int-array read), per-port word budgets in one int
    array cleared through touched-slot lists, inboxes as reusable
-   double-buffered port/payload buffers (the only steady-state allocation
-   per delivered message is the (port, msg) list the program API
-   requires), and delayed deliveries (faults only) in a ring keyed by
-   arrival round modulo the plan's maximum delay.
+   double-buffered per-node buffers (ports in int arrays, payloads beside
+   them), and delayed deliveries (faults only) in a ring keyed by arrival
+   round modulo the plan's maximum delay. A program reads its deliveries
+   and queues its sends through one reusable mailbox per shard, which the
+   core points at the stepping node's inbox buffers, so an untraced,
+   fault-free message costs no allocation: the core copies its port and
+   payload from the sender's mailbox straight into the receiver's next
+   inbox when both nodes live in shard 0 (every message at one domain),
+   and through a cross-shard outbox cell otherwise.
 
    Determinism contract (doc/parallelism.mld spells it out; the
    differential suite enforces it against Simulator_ref): every observable
@@ -39,9 +44,9 @@
      reproduces the ascending-sender send order at every inbox.
    - Traced or faulty runs never consume shared sequential state (the id
      counter, the fault injector's random stream, the tracer callback)
-     inside a worker: workers only buffer their nodes' outboxes (plus the
+     inside a worker: workers only buffer their nodes' sends (plus the
      causal declarations, captured from each worker's own domain-local
-     Trace.Cause state in outbox order), and the calling domain replays
+     Trace.Cause state in send order), and the calling domain replays
      the buffered sends in shard order at the barrier — drawing ids, fault
      verdicts and trace events in one global sequence.
 
@@ -70,11 +75,85 @@ let round_cell () =
   let cell = ref 0 in
   (cell, fun r -> cell := r)
 
-type 'msg outbox = (int * 'msg) list
+(* A step's deliveries are the first [in_len] entries of [in_ports] and
+   [in_msgs] — the stepping node's inbox buffers, which the core lends for
+   the step — and its sends the first [out_len] entries of [out_ports] and
+   [out_msgs]. Both payload arrays are made from a message of the run, so
+   no dummy value of the program's type is ever needed; entries past the
+   lengths are stale and never read. *)
+type 'msg mailbox = {
+  mutable in_ports : int array;
+  mutable in_msgs : 'msg array;
+  mutable in_len : int;
+  mutable out_ports : int array;
+  mutable out_msgs : 'msg array;
+  mutable out_len : int;
+}
+
+let mailbox () =
+  { in_ports = [||]; in_msgs = [||]; in_len = 0; out_ports = [||]; out_msgs = [||]; out_len = 0 }
+
+let deliveries mb = mb.in_len
+
+let port mb i =
+  if i < 0 || i >= mb.in_len then invalid_arg "Simulator.port: no such delivery";
+  Array.unsafe_get mb.in_ports i
+
+let payload mb i =
+  if i < 0 || i >= mb.in_len then invalid_arg "Simulator.payload: no such delivery";
+  Array.unsafe_get mb.in_msgs i
+
+(* The capacity a full buffer of [len] entries grows to; [hint] sizes the
+   first allocation. *)
+let grown len ~hint = if len = 0 then max 4 hint else 2 * len
+
+(* [ports] and [msgs] with room for [cap] entries, the first [len] kept;
+   [msg] fills the new payload slots. *)
+let widened ports msgs len cap msg =
+  let ports' = Array.make cap 0 and msgs' = Array.make cap msg in
+  Array.blit ports 0 ports' 0 len;
+  Array.blit msgs 0 msgs' 0 len;
+  (ports', msgs')
+
+let send mb port msg =
+  let k = mb.out_len in
+  if k = Array.length mb.out_ports then begin
+    let ports, msgs = widened mb.out_ports mb.out_msgs k (grown k ~hint:0) msg in
+    mb.out_ports <- ports;
+    mb.out_msgs <- msgs
+  end;
+  Array.unsafe_set mb.out_ports k port;
+  Array.unsafe_set mb.out_msgs k msg;
+  mb.out_len <- k + 1
+
+let deliver mb port msg =
+  let k = mb.in_len in
+  if k = Array.length mb.in_ports then begin
+    let ports, msgs = widened mb.in_ports mb.in_msgs k (grown k ~hint:0) msg in
+    mb.in_ports <- ports;
+    mb.in_msgs <- msgs
+  end;
+  Array.unsafe_set mb.in_ports k port;
+  Array.unsafe_set mb.in_msgs k msg;
+  mb.in_len <- k + 1
+
+let sent mb = mb.out_len
+
+let sent_port mb i =
+  if i < 0 || i >= mb.out_len then invalid_arg "Simulator.sent_port: no such send";
+  Array.unsafe_get mb.out_ports i
+
+let sent_payload mb i =
+  if i < 0 || i >= mb.out_len then invalid_arg "Simulator.sent_payload: no such send";
+  Array.unsafe_get mb.out_msgs i
+
+let clear mb =
+  mb.in_len <- 0;
+  mb.out_len <- 0
 
 type ('state, 'msg) program = {
   init : ctx -> 'state;
-  on_round : ctx -> 'state -> inbox:(int * 'msg) list -> 'state * 'msg outbox;
+  on_round : ctx -> 'state -> 'msg mailbox -> 'state;
   is_halted : 'state -> bool;
   wake : 'state -> int;
   msg_words : 'msg -> int;
@@ -160,32 +239,88 @@ module Csr = struct
           clock;
         })
 
-  (* One growable buffer per node, its capacity hint the node's degree:
-     the single lazy storage allocation of the common bandwidth-1 case. *)
-  let inbox_vecs csr n =
-    Array.init n (fun v ->
-        Vec.create
-          ~capacity:(Intvec.get csr.port_offset (v + 1) - Intvec.get csr.port_offset v)
-          ())
+  let degree csr v =
+    Intvec.unsafe_get csr.port_offset (v + 1) - Intvec.unsafe_get csr.port_offset v
 end
+
+(* --- inboxes ------------------------------------------------------------- *)
+
+(* One half of the double-buffered inboxes: node [v]'s deliveries are the
+   first [len.(v)] entries of [ports.(v)] and [msgs.(v)] (and of [ids.(v)],
+   their causal ids, in traced runs). The int halves are the host's and
+   keep their capacity from run to run; the payload half is the run's,
+   since its type is the program's. A buffer grows on demand, first to the
+   node's degree — all a bandwidth-1 fault-free round can deliver. *)
+type 'msg inboxes = {
+  len : int array;
+  ports : int array array;
+  ids : int array array;  (* [||] when the run is untraced *)
+  msgs : 'msg array array;
+}
+
+let push_inbox csr ib w port msg =
+  let k = Array.unsafe_get ib.len w in
+  let ps = Array.unsafe_get ib.ports w in
+  let ps =
+    if k < Array.length ps then ps
+    else begin
+      let ps' = Array.make (grown k ~hint:(Csr.degree csr w)) 0 in
+      Array.blit ps 0 ps' 0 k;
+      ib.ports.(w) <- ps';
+      ps'
+    end
+  in
+  Array.unsafe_set ps k port;
+  let ms = Array.unsafe_get ib.msgs w in
+  let ms =
+    if k < Array.length ms then ms
+    else begin
+      let ms' = Array.make (Array.length ps) msg in
+      Array.blit ms 0 ms' 0 k;
+      ib.msgs.(w) <- ms';
+      ms'
+    end
+  in
+  Array.unsafe_set ms k msg;
+  Array.unsafe_set ib.len w (k + 1)
+
+(* The causal id of the delivery [push_inbox] makes next at [w]. *)
+let push_id csr ib w id =
+  let k = ib.len.(w) in
+  let a = ib.ids.(w) in
+  let a =
+    if k < Array.length a then a
+    else begin
+      let a' = Array.make (grown k ~hint:(Csr.degree csr w)) 0 in
+      Array.blit a 0 a' 0 k;
+      ib.ids.(w) <- a';
+      a'
+    end
+  in
+  a.(k) <- id
 
 (* --- hosts ---------------------------------------------------------------- *)
 
 (* What a run builds from the graph alone, kept for the next run on it:
    the CSR port plane with its reverse ports, the contexts and the round
-   cell they share, and the port halves of the double-buffered inboxes
-   (plus their causal-id twins, made by the first traced run). The
-   payload halves stay per run, since their type is the program's. A run
-   clears every buffer here before its first round, so one that raised
-   leaves nothing behind; [running] refuses a second run while one is
-   in progress, from this domain or another. *)
+   cell they share, the int halves of the double-buffered inboxes (their
+   causal-id twins too, made by the first traced run), the per-port word
+   budgets and the touched-slot lists that clear them. A run resets the
+   lengths and the budgets before its first round, so one that raised
+   leaves nothing behind; [running] refuses a second run while one is in
+   progress, from this domain or another. *)
 type host = {
   graph : Graph.t;
   csr : Csr.t;
   clock : round_cell;
   ctxs : ctx array;
-  ports : int Vec.t array * int Vec.t array;
-  mutable ids : (int Vec.t array * int Vec.t array) option;
+  lens : int array * int array;
+  ports : int array array * int array array;
+  mutable ids : (int array array * int array array) option;
+  budget : int array;  (* per port slot: words sent on it this round *)
+  touched : int array;
+      (* the budget slots to clear at the round's end; shard [s] lists its
+         slots from its first port slot on, a serialized run from 0 *)
   running : bool Atomic.t;
 }
 
@@ -193,13 +328,17 @@ let prepare g =
   let n = Graph.n g in
   let csr = Csr.build g in
   let clock = ref 0 in
+  let total_ports = Intvec.get csr.port_offset n in
   {
     graph = g;
     csr;
     clock;
     ctxs = Csr.contexts csr n clock;
-    ports = (Csr.inbox_vecs csr n, Csr.inbox_vecs csr n);
+    lens = (Array.make n 0, Array.make n 0);
+    ports = (Array.make n [||], Array.make n [||]);
     ids = None;
+    budget = Array.make (max 1 total_ports) 0;
+    touched = Array.make (max 1 total_ports) 0;
     running = Atomic.make false;
   }
 
@@ -209,18 +348,13 @@ let claim host g ~traced =
   if not (Atomic.compare_and_set host.running false true) then
     invalid_arg "Simulator.run: host is already running";
   host.clock := 0;
-  let clear (a, b) =
-    Array.iter Vec.clear a;
-    Array.iter Vec.clear b
-  in
-  clear host.ports;
-  match host.ids with
-  | Some ids -> clear ids
-  | None ->
-      if traced then begin
-        let n = Graph.n g in
-        host.ids <- Some (Csr.inbox_vecs host.csr n, Csr.inbox_vecs host.csr n)
-      end
+  Array.fill (fst host.lens) 0 (Array.length (fst host.lens)) 0;
+  Array.fill (snd host.lens) 0 (Array.length (snd host.lens)) 0;
+  Array.fill host.budget 0 (Array.length host.budget) 0;
+  if traced && host.ids = None then begin
+    let n = Graph.n g in
+    host.ids <- Some (Array.make n [||], Array.make n [||])
+  end
 
 (* --- shards -------------------------------------------------------------- *)
 
@@ -332,16 +466,30 @@ let shutdown crew handles =
 
 (* --- the run --------------------------------------------------------------- *)
 
-(* Materialize the (port, msg) inbox list the program API expects, in
-   arrival order, from the parallel port/payload buffers. Top-level so the
-   per-node, per-round call allocates only the list itself. *)
-let rec build_inbox ports msgs i acc =
-  if i < 0 then acc
-  else build_inbox ports msgs (i - 1) ((Vec.get ports i, Vec.get msgs i) :: acc)
-
 (* A cross-shard outbox cell: parallel destination/return-port/payload
    buffers, reused across rounds. *)
-type 'msg outcell = { ob_dst : int Vec.t; ob_port : int Vec.t; ob_msg : 'msg Vec.t }
+type 'msg outcell = {
+  mutable ob_dst : int array;
+  mutable ob_port : int array;
+  mutable ob_msg : 'msg array;
+  mutable ob_len : int;
+}
+
+let push_cell cell w back msg =
+  let k = cell.ob_len in
+  if k = Array.length cell.ob_dst then begin
+    let cap = grown k ~hint:0 in
+    let dst = Array.make cap 0 in
+    Array.blit cell.ob_dst 0 dst 0 k;
+    let ports, msgs = widened cell.ob_port cell.ob_msg k cap msg in
+    cell.ob_dst <- dst;
+    cell.ob_port <- ports;
+    cell.ob_msg <- msgs
+  end;
+  Array.unsafe_set cell.ob_dst k w;
+  Array.unsafe_set cell.ob_port k back;
+  Array.unsafe_set cell.ob_msg k msg;
+  cell.ob_len <- k + 1
 
 (* A delivery parked in the delayed ring. Source, edge and size ride along
    so a crash-time purge can report exactly what it discarded; [p_id] is
@@ -392,23 +540,21 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
   (* Every live node of a program whose hint is [always] is due every
      round, so the compute loops need not ask. *)
   let always_due = program.wake == always in
-  (* Inboxes as parallel (port, payload) buffers, double-buffered: [cur_*]
-     is read this round, [nxt_*] collects deliveries for the next; the
-     references swap at the round boundary. The buffers are cleared, never
-     reallocated; the port halves are the host's. *)
-  let cur_ports = ref (fst host.ports) in
-  let cur_msgs : 'msg Vec.t array ref = ref (Csr.inbox_vecs csr n) in
-  let nxt_ports = ref (snd host.ports) in
-  let nxt_msgs : 'msg Vec.t array ref = ref (Csr.inbox_vecs csr n) in
-  (* Parallel per-message causal ids, maintained only when traced so the
-     untraced path allocates nothing extra. *)
-  let cur_ids, nxt_ids =
-    match host.ids with
-    | Some (a, b) when traced -> (ref a, ref b)
-    | _ -> (ref [||], ref [||])
+  (* Double-buffered inboxes: [cur_in] is read this round, [nxt_in]
+     collects deliveries for the next; the references swap at the round
+     boundary. The buffers are emptied by resetting lengths, never
+     reallocated. *)
+  let inboxes (lens, ports) ids =
+    { len = lens; ports; ids; msgs = Array.make n [||] }
   in
-  let total_ports = Intvec.get csr.port_offset n in
-  let budget = Array.make (max 1 total_ports) 0 in
+  let cur_ids, nxt_ids =
+    match host.ids with Some (a, b) when traced -> (a, b) | _ -> ([||], [||])
+  in
+  let cur_in = ref (inboxes (fst host.lens, fst host.ports) cur_ids) in
+  let nxt_in = ref (inboxes (snd host.lens, snd host.ports) nxt_ids) in
+  (* One mailbox per shard, lent to each of its steps in turn. *)
+  let mbs = Array.init d (fun _ -> mailbox ()) in
+  let budget = host.budget and touched = host.touched in
   let crashed = Array.make (max 1 n) false in
   (* Delayed deliveries in a ring keyed by arrival round mod [ring_span].
      A verdict's extra latency is at most plan delay + 1 (reorder) + 1
@@ -439,14 +585,23 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
     in
     scan 0
   in
+  (* Lend node [v]'s inbox to mailbox [mb] for its step and empty it. *)
+  let lend mb (ib : 'msg inboxes) v len =
+    mb.in_ports <- Array.unsafe_get ib.ports v;
+    mb.in_msgs <- Array.unsafe_get ib.msgs v;
+    mb.in_len <- len;
+    Array.unsafe_set ib.len v 0
+  in
   (* --- fast path (untraced, fault-free): parallel end to end ------------ *)
   let out : 'msg outcell array array =
     if serialized then [||]
     else
       Array.init d (fun _ ->
-          Array.init d (fun _ ->
-              { ob_dst = Vec.create (); ob_port = Vec.create (); ob_msg = Vec.create () }))
+          Array.init d (fun _ -> { ob_dst = [||]; ob_port = [||]; ob_msg = [||]; ob_len = 0 }))
   in
+  (* Shard 0's sends to its own nodes skip the cells: the drain appends the
+     cells in source-shard order, so they would come first anyway. *)
+  let local_end = bounds.(1) in
   let messages_s = Array.make d 0 in
   let words_s = Array.make d 0 in
   let maxload_s = Array.make d 0 in
@@ -454,20 +609,11 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
   (* Per shard, written by its own domain once per round: the nodes it
      stepped. *)
   let stepped_s = Array.make d 0 in
-  (* Per-shard touched budget slots, so the end-of-round clear is
-     O(messages), not O(ports). The serialized path clears through shard
-     0's list only. *)
-  let touched_s =
-    Array.init d (fun s ->
-        if serialized && s > 0 then [||]
-        else
-          let ports =
-            if serialized then total_ports
-            else
-              Intvec.get csr.port_offset bounds.(s + 1)
-              - Intvec.get csr.port_offset bounds.(s)
-          in
-          Array.make (max 1 ports) 0)
+  (* Where each shard's touched list starts in the host's: the shard's
+     first port slot, so the lists never overlap; the serialized path
+     clears through shard 0's list only, which may then span every slot. *)
+  let touched_base =
+    Array.init d (fun s -> if serialized then 0 else Intvec.get csr.port_offset bounds.(s))
   in
   let ntouched = Array.make d 0 in
   (* --- per-domain profile shards (profiled, untraced, fault-free) -------- *)
@@ -498,75 +644,68 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
     Array.iter (fun shard -> Trace.Profile.merge_into ~into:acc shard) shards;
     acc
   in
-  (* Send a node's outbox. One recursive function allocated once per run —
-     a per-node closure here would dominate the allocation profile the CSR
-     plane exists to flatten. *)
-  let rec send_fast s v base outbox =
-    match outbox with
-    | [] -> ()
-    | (port, msg) :: rest ->
-        let ctx = ctxs.(v) in
-        if port < 0 || port >= Array.length ctx.neighbors then
-          invalid_arg "Simulator: bad port";
-        let size = program.msg_words msg in
-        if size < 1 then invalid_arg "Simulator: msg_words must be >= 1";
-        let slot = base + port in
-        let prev = budget.(slot) in
-        let used = prev + size in
-        if used > bandwidth then
-          raise
-            (Bandwidth_exceeded
-               { node = v; port; round = !rounds; words = used; limit = bandwidth });
-        if prev = 0 then begin
-          touched_s.(s).(ntouched.(s)) <- slot;
-          ntouched.(s) <- ntouched.(s) + 1
-        end;
-        budget.(slot) <- used;
-        if used > maxload_s.(s) then maxload_s.(s) <- used;
-        messages_s.(s) <- messages_s.(s) + 1;
-        words_s.(s) <- words_s.(s) + size;
-        if profiled then begin
-          Trace.Profile.record_send shards.(s) ~round:!rounds
-            ~edge:(Intvec.unsafe_get csr.port_edge slot)
-            ~words:size;
-          if used > roundmax_s.(s) then roundmax_s.(s) <- used
-        end;
-        (* [slot] is in range: the port check above bounds it within v's
-           row, so the unchecked reads are safe. *)
-        let w = Intvec.unsafe_get csr.port_neighbor slot in
-        (match par_profile with
-        | None -> ()
-        | Some pp -> Par_profile.record_send pp ~src:s ~dst:owner.(w) ~words:size);
-        let cell = out.(s).(owner.(w)) in
-        Vec.push cell.ob_dst w;
-        Vec.push cell.ob_port (Intvec.unsafe_get csr.port_reverse slot);
-        Vec.push cell.ob_msg msg;
-        send_fast s v base rest
+  (* Deliver the sends node [v] queued in [mb] this step, in order, and
+     empty the mailbox's send side. *)
+  let send_fast s v mb =
+    let base = Intvec.unsafe_get csr.port_offset v in
+    let degree = Csr.degree csr v in
+    let nxt = !nxt_in in
+    for i = 0 to mb.out_len - 1 do
+      let port = Array.unsafe_get mb.out_ports i and msg = Array.unsafe_get mb.out_msgs i in
+      if port < 0 || port >= degree then invalid_arg "Simulator: bad port";
+      let size = program.msg_words msg in
+      if size < 1 then invalid_arg "Simulator: msg_words must be >= 1";
+      let slot = base + port in
+      let prev = budget.(slot) in
+      let used = prev + size in
+      if used > bandwidth then
+        raise
+          (Bandwidth_exceeded { node = v; port; round = !rounds; words = used; limit = bandwidth });
+      if prev = 0 then begin
+        touched.(touched_base.(s) + ntouched.(s)) <- slot;
+        ntouched.(s) <- ntouched.(s) + 1
+      end;
+      budget.(slot) <- used;
+      if used > maxload_s.(s) then maxload_s.(s) <- used;
+      messages_s.(s) <- messages_s.(s) + 1;
+      words_s.(s) <- words_s.(s) + size;
+      if profiled then begin
+        Trace.Profile.record_send shards.(s) ~round:!rounds
+          ~edge:(Intvec.unsafe_get csr.port_edge slot)
+          ~words:size;
+        if used > roundmax_s.(s) then roundmax_s.(s) <- used
+      end;
+      (* [slot] is in range: the port check above bounds it within v's
+         row, so the unchecked reads are safe. *)
+      let w = Intvec.unsafe_get csr.port_neighbor slot in
+      let back = Intvec.unsafe_get csr.port_reverse slot in
+      (match par_profile with
+      | None -> ()
+      | Some pp -> Par_profile.record_send pp ~src:s ~dst:owner.(w) ~words:size);
+      if s = 0 && w < local_end then push_inbox csr nxt w back msg
+      else push_cell out.(s).(owner.(w)) w back msg
+    done;
+    mb.out_len <- 0
   in
   (* Step shard [s]'s due nodes of this round in ascending order — live,
      with mail waiting or the wake hint at or before the round — and drop
      the late mail of halted ones. *)
   let phase_compute_fast s =
-    let r = !rounds and ports = !cur_ports and msgs = !cur_msgs in
+    let r = !rounds and cur = !cur_in and mb = mbs.(s) in
     try
       let stepped = ref 0 in
       for v = bounds.(s) to bounds.(s + 1) - 1 do
-        let ports_v = ports.(v) and msgs_v = msgs.(v) in
+        let len = Array.unsafe_get cur.len v in
         if halted.(v) then begin
-          if Vec.length ports_v > 0 then begin
-            Vec.clear ports_v;
-            Vec.clear msgs_v
-          end
+          if len > 0 then cur.len.(v) <- 0
         end
-        else if always_due || Vec.length ports_v > 0 || program.wake states.(v) <= r then begin
+        else if always_due || len > 0 || program.wake states.(v) <= r then begin
           fail_node.(s) <- v;
           incr stepped;
-          let inbox = build_inbox ports_v msgs_v (Vec.length ports_v - 1) [] in
-          Vec.clear ports_v;
-          Vec.clear msgs_v;
-          let state, outbox = program.on_round ctxs.(v) states.(v) ~inbox in
+          lend mb cur v len;
+          let state = program.on_round ctxs.(v) states.(v) mb in
           states.(v) <- state;
-          send_fast s v (Intvec.get csr.port_offset v) outbox;
+          if mb.out_len > 0 then send_fast s v mb;
           if program.is_halted state then begin
             halted.(v) <- true;
             live_delta.(s) <- live_delta.(s) - 1;
@@ -575,8 +714,9 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
         end
       done;
       stepped_s.(s) <- !stepped;
-      for i = 0 to ntouched.(s) - 1 do
-        budget.(touched_s.(s).(i)) <- 0
+      let base = touched_base.(s) in
+      for i = base to base + ntouched.(s) - 1 do
+        budget.(touched.(i)) <- 0
       done;
       ntouched.(s) <- 0;
       if profiled then begin
@@ -590,92 +730,81 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
   let phase_drain t =
     (* Drain in source-shard order: shards are contiguous ascending id
        ranges, so this concatenation IS the ascending-sender send order. *)
+    let nxt = !nxt_in in
     for s = 0 to d - 1 do
       let cell = out.(s).(t) in
-      for i = 0 to Vec.length cell.ob_dst - 1 do
-        let w = Vec.get cell.ob_dst i in
-        Vec.push (!nxt_ports).(w) (Vec.get cell.ob_port i);
-        Vec.push (!nxt_msgs).(w) (Vec.get cell.ob_msg i)
+      for i = 0 to cell.ob_len - 1 do
+        push_inbox csr nxt
+          (Array.unsafe_get cell.ob_dst i)
+          (Array.unsafe_get cell.ob_port i)
+          (Array.unsafe_get cell.ob_msg i)
       done;
-      Vec.clear cell.ob_dst;
-      Vec.clear cell.ob_port;
-      Vec.clear cell.ob_msg
+      cell.ob_len <- 0
     done
   in
   (* --- serialized path (traced and/or faulty): buffer, then replay ------ *)
+  (* A shard's mailbox keeps every send of the round, step after step; the
+     activation records say whose they are. *)
   let act_node = Array.init d (fun _ -> Vec.create ()) in
   let act_sends = Array.init d (fun _ -> Vec.create ()) in
   let act_halt = Array.init d (fun _ -> Vec.create ()) in
-  let snd_port = Array.init d (fun _ -> Vec.create ()) in
-  let snd_msg : 'msg Vec.t array = Array.init d (fun _ -> Vec.create ()) in
   let snd_parents : int list Vec.t array = Array.init d (fun _ -> Vec.create ()) in
   let snd_part = Array.init d (fun _ -> Vec.create ()) in
   let snd_phase : string Vec.t array = Array.init d (fun _ -> Vec.create ()) in
-  let rec buffer_sends s outbox k =
-    match outbox with
-    | [] -> k
-    | (port, msg) :: rest ->
-        Vec.push snd_port.(s) port;
-        Vec.push snd_msg.(s) msg;
-        if traced then begin
-          (* Consume this domain's own causal declarations once per
-             outgoing message, in outbox order, even when the network then
-             drops it — otherwise the per-port FIFO would drift at
-             bandwidth > 1. *)
-          let ps, part, phase = Trace.Cause.take ~port in
-          Vec.push snd_parents.(s) ps;
-          Vec.push snd_part.(s) part;
-          Vec.push snd_phase.(s) phase
-        end;
-        buffer_sends s rest (k + 1)
-  in
   (* The serialized twin of [phase_compute_fast]: the same due nodes, in
-     the same order, with their sends buffered for the replay. *)
+     the same order, with their sends kept for the replay. *)
   let phase_compute_slow s =
-    let r = !rounds and ports = !cur_ports and msgs = !cur_msgs in
+    let r = !rounds and cur = !cur_in and mb = mbs.(s) in
     try
       let stepped = ref 0 in
       for v = bounds.(s) to bounds.(s + 1) - 1 do
-        let ports_v = ports.(v) and msgs_v = msgs.(v) in
+        let len = Array.unsafe_get cur.len v in
         if halted.(v) then begin
-          if Vec.length ports_v > 0 then begin
-            Vec.clear ports_v;
-            Vec.clear msgs_v;
-            if traced then Vec.clear (!cur_ids).(v)
-          end
+          if len > 0 then cur.len.(v) <- 0
         end
-        else if always_due || Vec.length ports_v > 0 || program.wake states.(v) <= r then begin
+        else if always_due || len > 0 || program.wake states.(v) <= r then begin
           fail_node.(s) <- v;
           incr stepped;
-          let inbox = build_inbox ports_v msgs_v (Vec.length ports_v - 1) [] in
-          Vec.clear ports_v;
-          Vec.clear msgs_v;
-          if traced then begin
-            let ids_v = (!cur_ids).(v) in
-            Trace.Cause.activate (Vec.to_array ids_v);
-            Vec.clear ids_v
-          end;
-          let state, outbox = program.on_round ctxs.(v) states.(v) ~inbox in
+          if traced then Trace.Cause.activate (Array.sub cur.ids.(v) 0 len);
+          lend mb cur v len;
+          let first = mb.out_len in
+          let state = program.on_round ctxs.(v) states.(v) mb in
           states.(v) <- state;
-          let k = buffer_sends s outbox 0 in
-          if traced then Trace.Cause.deactivate ();
+          if traced then begin
+            (* Consume this domain's own causal declarations once per
+               send, in send order, even when the network then drops it
+               — otherwise the per-port FIFO would drift at
+               bandwidth > 1. *)
+            for i = first to mb.out_len - 1 do
+              let ps, part, phase = Trace.Cause.take ~port:mb.out_ports.(i) in
+              Vec.push snd_parents.(s) ps;
+              Vec.push snd_part.(s) part;
+              Vec.push snd_phase.(s) phase
+            done;
+            Trace.Cause.deactivate ()
+          end;
           let halts = program.is_halted state in
           if halts then halted.(v) <- true;
           Vec.push act_node.(s) v;
-          Vec.push act_sends.(s) k;
+          Vec.push act_sends.(s) (mb.out_len - first);
           Vec.push act_halt.(s) (if halts then 1 else 0)
         end
       done;
       stepped_s.(s) <- !stepped
     with exn -> fail.(s) <- Some (fail_node.(s), exn)
   in
+  (* Deliver into the next round's inboxes, with the causal id when
+     traced. *)
+  let deliver_next w back id msg =
+    let nxt = !nxt_in in
+    if traced then push_id csr nxt w id;
+    push_inbox csr nxt w back msg
+  in
   (* Replay one buffered send on the calling domain, with the causal
      declaration read from the buffer. Ids, verdicts and trace events are
      drawn here, in shard-merge (= ascending sender) order. *)
   let process_send v port msg ~cparents ~cpart ~cphase =
-    let ctx = ctxs.(v) in
-    if port < 0 || port >= Array.length ctx.neighbors then
-      invalid_arg "Simulator: bad port";
+    if port < 0 || port >= Csr.degree csr v then invalid_arg "Simulator: bad port";
     let size = program.msg_words msg in
     if size < 1 then invalid_arg "Simulator: msg_words must be >= 1";
     let slot = Intvec.get csr.port_offset v + port in
@@ -686,7 +815,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
         (Bandwidth_exceeded
            { node = v; port; round = !rounds; words = used; limit = bandwidth });
     if prev = 0 then begin
-      touched_s.(0).(ntouched.(0)) <- slot;
+      touched.(ntouched.(0)) <- slot;
       ntouched.(0) <- ntouched.(0) + 1
     end;
     budget.(slot) <- used;
@@ -701,27 +830,28 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
         (match par_profile with
         | None -> ()
         | Some pp -> Par_profile.record_send pp ~src:owner.(v) ~dst:owner.(w) ~words:size);
-        (match tracer with
-        | None -> ()
-        | Some t ->
-            if used > !round_max then round_max := used;
-            let id = Trace.Cause.fresh_id () in
-            t
-              (Trace.Send
-                 {
-                   round = !rounds;
-                   src = v;
-                   dst = w;
-                   edge;
-                   words = size;
-                   id;
-                   parents = cparents;
-                   part = cpart;
-                   phase = cphase;
-                 });
-            Vec.push (!nxt_ids).(w) id);
-        Vec.push (!nxt_ports).(w) back;
-        Vec.push (!nxt_msgs).(w) msg
+        let id =
+          match tracer with
+          | None -> 0
+          | Some t ->
+              if used > !round_max then round_max := used;
+              let id = Trace.Cause.fresh_id () in
+              t
+                (Trace.Send
+                   {
+                     round = !rounds;
+                     src = v;
+                     dst = w;
+                     edge;
+                     words = size;
+                     id;
+                     parents = cparents;
+                     part = cpart;
+                     phase = cphase;
+                   });
+              id
+        in
+        deliver_next w back id msg
     | Some inj ->
         (* The transmission consumed its slot on the wire either way (the
            budget above); what the network then does to it is the
@@ -795,13 +925,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
                           t (Trace.Delayed { round = !rounds; src = v; dst = w; edge; delay });
                         id
                   in
-                  if delay = 0 then begin
-                    (match tracer with
-                    | None -> ()
-                    | Some _ -> Vec.push (!nxt_ids).(w) id);
-                    Vec.push (!nxt_ports).(w) back;
-                    Vec.push (!nxt_msgs).(w) msg
-                  end
+                  if delay = 0 then deliver_next w back id msg
                   else
                     let at = !rounds + 1 + delay in
                     Vec.push
@@ -823,6 +947,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
      prefix a node-by-node execution completes before that node. *)
   let replay_round ~until =
     for s = 0 to d - 1 do
+      let mb = mbs.(s) in
       let send_idx = ref 0 in
       for a = 0 to Vec.length act_node.(s) - 1 do
         let v = Vec.get act_node.(s) a in
@@ -835,8 +960,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
                 (Vec.get snd_parents.(s) i, Vec.get snd_part.(s) i, Vec.get snd_phase.(s) i)
               else ([], -1, "")
             in
-            process_send v (Vec.get snd_port.(s) i) (Vec.get snd_msg.(s) i) ~cparents
-              ~cpart ~cphase
+            process_send v mb.out_ports.(i) mb.out_msgs.(i) ~cparents ~cpart ~cphase
           done;
           if Vec.get act_halt.(s) a = 1 then begin
             decr live;
@@ -850,8 +974,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
       Vec.clear act_node.(s);
       Vec.clear act_sends.(s);
       Vec.clear act_halt.(s);
-      Vec.clear snd_port.(s);
-      Vec.clear snd_msg.(s);
+      mb.out_len <- 0;
       if traced then begin
         Vec.clear snd_parents.(s);
         Vec.clear snd_part.(s);
@@ -859,7 +982,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
       end
     done;
     for i = 0 to ntouched.(0) - 1 do
-      budget.(touched_s.(0).(i)) <- 0
+      budget.(touched.(i)) <- 0
     done;
     ntouched.(0) <- 0
   in
@@ -929,7 +1052,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
           for s = 0 to d - 1 do
             let depth = ref 0 in
             for v = bounds.(s) to bounds.(s + 1) - 1 do
-              depth := !depth + Vec.length (!cur_ports).(v)
+              depth := !depth + (!cur_in).len.(v)
             done;
             queues.(s) <- !depth
           done;
@@ -1028,27 +1151,22 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
                   crashed.(v) <- true;
                   if not halted.(v) then decr live;
                   halted.(v) <- true;
-                  Vec.clear (!cur_ports).(v);
-                  Vec.clear (!cur_msgs).(v);
+                  (!cur_in).len.(v) <- 0;
                   (match tracer with
                   | None -> ()
-                  | Some t ->
-                      Vec.clear (!cur_ids).(v);
-                      t (Trace.Crash { round = !rounds; node = v }));
+                  | Some t -> t (Trace.Crash { round = !rounds; node = v }));
                   purge_delayed_to inj v ~round:!rounds
                 end)
               (Fault.crashes_at inj ~round:!rounds);
             (* Deliveries whose extra latency expires this round join the
                inboxes after the synchronous ones. *)
             let slot = ring.(!rounds mod ring_span) in
+            let cur = !cur_in in
             Vec.iter
               (fun p ->
                 if not halted.(p.p_dst) then begin
-                  Vec.push (!cur_ports).(p.p_dst) p.p_port;
-                  Vec.push (!cur_msgs).(p.p_dst) p.p_msg;
-                  match tracer with
-                  | None -> ()
-                  | Some _ -> Vec.push (!cur_ids).(p.p_dst) p.p_id
+                  if traced then push_id csr cur p.p_dst p.p_id;
+                  push_inbox csr cur p.p_dst p.p_port p.p_msg
                 end)
               slot;
             Vec.clear slot
@@ -1075,17 +1193,9 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
         run_phase crew drain_job;
         match par_profile with None -> () | Some pp -> Par_profile.end_deliver pp
       end;
-      let tp = !cur_ports in
-      cur_ports := !nxt_ports;
-      nxt_ports := tp;
-      let tm = !cur_msgs in
-      cur_msgs := !nxt_msgs;
-      nxt_msgs := tm;
-      if traced then begin
-        let ti = !cur_ids in
-        cur_ids := !nxt_ids;
-        nxt_ids := ti
-      end;
+      let swap = !cur_in in
+      cur_in := !nxt_in;
+      nxt_in := swap;
       (match tracer with
       | None -> ()
       | Some t -> t (Trace.Round_end { round = !rounds; max_edge_load = !round_max }));
@@ -1132,6 +1242,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
     Out_of_rounds (states, { partial_stats = stats; unhalted = !unhalted; crashed_nodes })
   end
   else Finished (states, stats)
+
 
 (* --- entry points -------------------------------------------------------- *)
 

@@ -38,10 +38,19 @@
     messages travel through per-(source, destination) shard outboxes —
     each cell has exactly one writer and one reader, separated by the
     barrier, so the hot path takes no locks. The message plane runs on
-    flat preallocated arrays (the graph's CSR port layout, int-array
-    word budgets cleared via touched-slot lists, reusable inbox buffers);
-    a fault-free steady-state round allocates only the inbox lists the
-    [on_round] API requires.
+    flat preallocated arrays: the graph's CSR port layout, int-array
+    word budgets cleared via touched-slot lists, and reusable per-node
+    inbox buffers whose ports are int arrays. A step sees its inbox
+    through a {!mailbox}, one per shard, which the core lends to each
+    due node in turn; a send is queued in the same mailbox and copied
+    after the step straight into the receiver's next inbox when both
+    nodes belong to shard 0 — every message of a one-domain run — and
+    through the outbox cell otherwise. That is safe because the drain
+    appends the cells in source-shard order, so shard 0's sends come
+    first at every inbox either way. An untraced, fault-free run
+    therefore allocates nothing per message beyond what the program
+    itself allocates (such as a tuple payload); only its buffers grow,
+    and only until they reach their high-water marks.
 
     {b Determinism contract.} For every program, graph, seed and fault
     plan, a run is observationally {e identical} at every domain count:
@@ -94,14 +103,63 @@ val round_cell : unit -> round_cell * (int -> unit)
     core that builds its own contexts ({!Simulator_ref}). A program sees
     a cell only through its [ctx], never its writer. *)
 
-type 'msg outbox = (int * 'msg) list
-(** [(port, payload)] pairs. *)
+type 'msg mailbox
+(** One step's view of the network: the messages delivered to the node
+    this round, read by index, and the sends it queues.
+
+    {b Contract.} Like the {!ctx}, a mailbox is valid only during the
+    [on_round] step it is passed to: the core reuses it for the next
+    node's step, so a program must not keep it, or read or send through
+    it, after its step returns. *)
+
+val deliveries : 'msg mailbox -> int
+(** How many messages were delivered to the node this round. *)
+
+val port : 'msg mailbox -> int -> int
+(** [port mb i]: the port the [i]-th delivery arrived on, [0 <= i <
+    deliveries mb], in sending order (ascending sender, then each
+    sender's send order). Raises [Invalid_argument] out of range. *)
+
+val payload : 'msg mailbox -> int -> 'msg
+(** [payload mb i]: the [i]-th delivery's payload. *)
+
+val send : 'msg mailbox -> int -> 'msg -> unit
+(** [send mb port msg] queues [msg] on [port]. The core delivers the
+    step's sends after it returns, in the order they were queued, and
+    checks each there: a port out of range raises [Invalid_argument], and
+    a send over the port's word budget raises {!Bandwidth_exceeded}. *)
+
+(** {2 Stepping a program yourself}
+
+    For a core ({!Simulator_ref}) or a wrapper that steps an inner program
+    ({!Reliable.wrap}): it fills a mailbox of its own with deliveries, runs
+    the step, then reads the queued sends back. A program must not call
+    these on the mailbox its own step receives: the core reads that
+    mailbox's sends back after the step. *)
+
+val mailbox : unit -> 'msg mailbox
+(** An empty mailbox. *)
+
+val deliver : 'msg mailbox -> int -> 'msg -> unit
+(** [deliver mb port msg] appends a delivery. *)
+
+val sent : 'msg mailbox -> int
+(** How many sends are queued. *)
+
+val sent_port : 'msg mailbox -> int -> int
+(** [sent_port mb i]: the port of the [i]-th queued send. *)
+
+val sent_payload : 'msg mailbox -> int -> 'msg
+(** [sent_payload mb i]: the payload of the [i]-th queued send. *)
+
+val clear : 'msg mailbox -> unit
+(** Drop every delivery and every queued send. *)
 
 type ('state, 'msg) program = {
   init : ctx -> 'state;
-  on_round : ctx -> 'state -> inbox:(int * 'msg) list -> 'state * 'msg outbox;
-      (** [inbox] lists [(port, payload)] of messages delivered this round,
-          in sending order. *)
+  on_round : ctx -> 'state -> 'msg mailbox -> 'state;
+      (** One step: read this round's deliveries from the mailbox, queue
+          sends into it, return the new state. *)
   is_halted : 'state -> bool;
       (** A halted node no longer runs [on_round]; late messages to it are
           dropped. The simulation stops when every node is halted. *)
@@ -193,11 +251,12 @@ val shard_bounds : domains:int -> Lcs_graph.Graph.t -> int array
 type host
 (** What a run builds from its graph alone, kept for the runs after it:
     the CSR port plane with each port's reverse, the per-node contexts
-    and the round cell they share, and the port buffers of the
+    and the round cell they share, the port buffers of the
     double-buffered inboxes (their causal-id twins too, once a traced
-    run has made them). Payload buffers, shard bounds and owners stay
-    per run: the first depend on the program's message type, the others
-    on [domains]. *)
+    run has made them), and the per-port word budgets with the
+    touched-slot lists that clear them. Payload buffers, shard bounds
+    and owners stay per run: the first depend on the program's message
+    type, the others on [domains]. *)
 
 val prepare : Lcs_graph.Graph.t -> host
 (** [prepare g] builds [g]'s host. Pass it as [?host] to every run on

@@ -1,9 +1,11 @@
 (* The pre-CSR simulator core, kept as the differential baseline for
    Simulator. The message plane is deliberately the historical one — a
    fresh Hashtbl of (node, port) budget keys every round, cons-cell
-   inboxes with a List.rev per node per round — because the point of this
-   module is to preserve those semantics (and that allocation profile) for
-   the equivalence tests and the allocation benchmarks to compare against.
+   inboxes reversed per node per round — because the point of this module
+   is to preserve those semantics (and that allocation profile) for the
+   equivalence tests and the allocation benchmarks to compare against. It
+   steps the same mailbox-typed programs as Simulator: one mailbox, filled
+   from a node's inbox list before its step and read back after it.
 
    Behavioral fixes that change observable semantics must land here and in
    simulator.ml together; the differential suite enforces the lockstep.
@@ -27,7 +29,7 @@ type ctx = Simulator.ctx = {
 
 type ('state, 'msg) program = ('state, 'msg) Simulator.program = {
   init : ctx -> 'state;
-  on_round : ctx -> 'state -> inbox:(int * 'msg) list -> 'state * (int * 'msg) list;
+  on_round : ctx -> 'state -> 'msg Simulator.mailbox -> 'state;
   is_halted : 'state -> bool;
   wake : 'state -> int;
   msg_words : 'msg -> int;
@@ -133,6 +135,7 @@ let run_outcome ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?faults g progr
      pays one branch per message and nothing else. *)
   let round_max = ref 0 in
   let out_of_rounds = ref false in
+  let mb = Simulator.mailbox () in
   (* Every live node steps every round, whatever its wake hint says; a
      step the hint declared asleep is checked instead (see the header). *)
   while !live > 0 && not !out_of_rounds do
@@ -180,12 +183,13 @@ let run_outcome ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?faults g progr
           let inbox_r = inboxes.(v) in
           inboxes.(v) <- [];
           let asleep = inbox_r = [] && program.wake states.(v) > !rounds in
-          let inbox = List.rev_map (fun (p, _, m) -> (p, m)) inbox_r in
+          Simulator.clear mb;
+          List.iter (fun (p, _, m) -> Simulator.deliver mb p m) (List.rev inbox_r);
           (match tracer with
           | None -> ()
           | Some _ ->
               (* [inbox_r] is newest-first; fill the ids array back-to-front
-                 so it parallels [inbox]'s arrival order. *)
+                 so it parallels the mailbox's arrival order. *)
               let k = List.length inbox_r in
               let ids = Array.make k 0 in
               let i = ref (k - 1) in
@@ -195,17 +199,19 @@ let run_outcome ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?faults g progr
                   decr i)
                 inbox_r;
               Trace.Cause.activate ids);
-          let state, outbox = program.on_round ctxs.(v) states.(v) ~inbox in
-          if asleep && (outbox <> [] || program.is_halted state) then
+          let state = program.on_round ctxs.(v) states.(v) mb in
+          let sends = Simulator.sent mb in
+          if asleep && (sends > 0 || program.is_halted state) then
             invalid_arg
               (Printf.sprintf
                  "Simulator_ref: dishonest wake hint: node %d %s in round %d while asleep"
                  v
-                 (if outbox <> [] then "sent" else "halted")
+                 (if sends > 0 then "sent" else "halted")
                  !rounds);
           states.(v) <- state;
-          List.iter
-            (fun (port, msg) ->
+          for i = 0 to sends - 1 do
+            let port = Simulator.sent_port mb i and msg = Simulator.sent_payload mb i in
+            begin
               let ctx = ctxs.(v) in
               if port < 0 || port >= Array.length ctx.neighbors then
                 invalid_arg "Simulator: bad port";
@@ -224,7 +230,7 @@ let run_outcome ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?faults g progr
               let back = rev.(v).(port) in
               let edge = ctx.neighbor_edges.(port) in
               (* The causal declaration is consumed once per outgoing
-                 message, in outbox order, even when the network then drops
+                 message, in send order, even when the network then drops
                  it — otherwise the per-port FIFO would drift at
                  bandwidth > 1. *)
               let cparents, cpart, cphase =
@@ -344,8 +350,9 @@ let run_outcome ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?faults g progr
                                 ((w, back, id, v, edge, size, msg) :: pending)
                             end)
                           delays
-                  end)
-            outbox;
+                  end
+            end
+          done;
           (match tracer with
           | None -> ()
           | Some _ -> Trace.Cause.deactivate ());

@@ -52,8 +52,10 @@ let words = function Join _ | Child | Height _ | Gheight _ -> 1
    scratch: a module-level ref would race under the sharded core
    (the simulator activates nodes of different shards concurrently), and
    a per-activation [ref] would put three words on the minor heap for
-   every activation of every untraced run. *)
-let absorb st idx (port, msg) =
+   every activation of every untraced run. The duplicate guards compare
+   ports with [List.memq]: ports are ints, so physical equality is their
+   equality, without a polymorphic compare per child. *)
+let absorb st idx port msg =
   match msg with
   | Join d ->
       if st.dist < 0 then
@@ -71,10 +73,10 @@ let absorb st idx (port, msg) =
       (* Idempotent against injected duplicates: registering the same
          port twice would later fan two Gheight copies through one
          port in one round, breaching the bandwidth budget. *)
-      if List.mem port st.children then st
+      if List.memq port st.children then st
       else { st with children = port :: st.children }
   | Height h ->
-      if List.mem port st.reported then st
+      if List.memq port st.reported then st
       else
         {
           st with
@@ -84,18 +86,27 @@ let absorb st idx (port, msg) =
         }
   | Gheight h -> { st with global_height = h }
 
-let rec absorb_all st idx = function
-  | [] -> st
-  | entry :: rest -> absorb_all (absorb st idx entry) (idx + 1) rest
+let rec absorb_all mb st idx =
+  if idx = Simulator.deliveries mb then st
+  else
+    absorb_all mb
+      (absorb st idx (Simulator.port mb idx) (Simulator.payload mb idx))
+      (idx + 1)
 
-let on_round ctx state ~inbox =
+let rec send_each mb msg = function
+  | [] -> ()
+  | port :: rest ->
+      Simulator.send mb port msg;
+      send_each mb msg rest
+
+let on_round ctx state mb =
   let round = Simulator.round ctx in
   (* 1. Absorb messages. *)
-  let state = absorb_all state 0 inbox in
+  let state = absorb_all mb state 0 in
   (* 2. Act according to phase. *)
   let degree = Array.length ctx.Simulator.neighbors in
   match state.phase with
-  | Idle -> (state, [])
+  | Idle -> state
   | Announce ->
       (* The adopted Join arrived this very round, but the inbox may also
          hold announcements we did not adopt — declare the real cause. *)
@@ -103,12 +114,14 @@ let on_round ctx state ~inbox =
         Trace.Cause.tag ~part:(-1) ~phase:"bfs.announce";
         if state.join_cause > 0 then Trace.Cause.parents [ state.join_cause ]
       end;
-      let out = ref [] in
-      for port = 0 to degree - 1 do
-        if port <> state.parent_port then out := (port, Join state.dist) :: !out
+      (* Child to the parent first, then Join on every other port, last
+         port first: the fingerprint suite pins this send order. *)
+      if state.parent_port >= 0 then Simulator.send mb state.parent_port Child;
+      let join = Join state.dist in
+      for port = degree - 1 downto 0 do
+        if port <> state.parent_port then Simulator.send mb port join
       done;
-      if state.parent_port >= 0 then out := (state.parent_port, Child) :: !out;
-      ({ state with phase = Collect; announce_clock = round }, !out)
+      { state with phase = Collect; announce_clock = round }
   | Collect ->
       (* Children's Child messages arrive exactly two rounds after our
          announcement: they hear us in round announce+1 and notify in round
@@ -118,7 +131,7 @@ let on_round ctx state ~inbox =
         if nchildren = 0 then
           if state.parent_port < 0 then
             (* Root with no children: trivial single-node tree. *)
-            ({ state with phase = Finished; global_height = 0 }, [])
+            { state with phase = Finished; global_height = 0 }
           else begin
             (* Timer-gated: caused by the Join adopted two rounds ago, not
                by anything in this round's (empty) inbox. *)
@@ -126,38 +139,35 @@ let on_round ctx state ~inbox =
               Trace.Cause.tag ~part:(-1) ~phase:"bfs.height";
               if state.join_cause > 0 then Trace.Cause.parents [ state.join_cause ]
             end;
-            ( { state with phase = Wait_height },
-              [ (state.parent_port, Height state.dist) ] )
+            Simulator.send mb state.parent_port (Height state.dist);
+            { state with phase = Wait_height }
           end
-        else
-          ( { state with phase = Gather; heights_needed = nchildren;
-              best_height = state.dist },
-            [] )
+        else { state with phase = Gather; heights_needed = nchildren; best_height = state.dist }
       end
-      else (state, [])
+      else state
   | Gather ->
       if state.heights_needed = 0 then
         if state.parent_port < 0 then begin
           (* Root: learned the height; broadcast down. The triggering
              Height messages arrived this round — inbox default is right. *)
           Trace.Cause.tag ~part:(-1) ~phase:"bfs.gheight";
-          ( { state with phase = Finished; global_height = state.best_height },
-            List.map (fun p -> (p, Gheight state.best_height)) state.children )
+          send_each mb (Gheight state.best_height) state.children;
+          { state with phase = Finished; global_height = state.best_height }
         end
         else begin
           Trace.Cause.tag ~part:(-1) ~phase:"bfs.height";
-          ( { state with phase = Wait_height },
-            [ (state.parent_port, Height state.best_height) ] )
+          Simulator.send mb state.parent_port (Height state.best_height);
+          { state with phase = Wait_height }
         end
-      else (state, [])
+      else state
   | Wait_height ->
       if state.global_height >= 0 then begin
         Trace.Cause.tag ~part:(-1) ~phase:"bfs.gheight";
-        ( { state with phase = Finished },
-          List.map (fun p -> (p, Gheight state.global_height)) state.children )
+        send_each mb (Gheight state.global_height) state.children;
+        { state with phase = Finished }
       end
-      else (state, [])
-  | Finished -> (state, [])
+      else state
+  | Finished -> state
 
 (* Only an announcement and the Child-collection timer act without mail;
    every other phase waits for a message. *)

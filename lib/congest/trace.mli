@@ -122,7 +122,8 @@ module Cause : sig
 
   val inbox : unit -> int array
   (** Ids of the messages delivered to the currently activated node, in
-      inbox order (parallel to the [~inbox] list the program receives).
+      arrival order (parallel to the deliveries of the step's
+      {!Simulator.mailbox}).
       [[||]] when untraced. *)
 
   val tag : part:int -> phase:string -> unit
@@ -146,7 +147,7 @@ module Cause : sig
 
   val take : port:int -> int list * int * string
   (** [(parents, part, phase)] for the next transmission on [port]; must be
-      called exactly once per outgoing message, in outbox order. *)
+      called exactly once per outgoing message, in send order. *)
 end
 
 (** Retains the event stream in memory, in order, up to a cap.

@@ -136,7 +136,7 @@ let seq_bits = 32
 
 (* The port of edge [e] at its endpoint [x], whose other end is [w], in
    an [edge_port] table. *)
-let port_at edge_port e x w = edge_port.((2 * e) + if x < w then 0 else 1)
+let port_at edge_port e (x : int) w = edge_port.((2 * e) + if x < w then 0 else 1)
 
 (* The serve entries and routes of every node, without per-node tables,
    written straight into arrays of their exact sizes. Parts are read one
@@ -337,13 +337,13 @@ let pop qs q =
     Array.blit h last h (4 * !i) 4
   end
 
-(* One word per non-empty port queue: the smallest delay, FIFO among
-   equals. [phase node port part] labels a traced word. *)
-let drain rt qs st ~ports ~phase =
+(* Send one word per non-empty port queue: the smallest delay, FIFO among
+   equals. Last port first: the fingerprint suite pins this send order.
+   [phase node port part] labels a traced word. *)
+let drain rt qs st mb ~ports ~phase =
   let traced = Trace.Cause.enabled () in
   let base = Intvec.get rt.slot_off st.node in
-  let out = ref [] in
-  for port = 0 to ports - 1 do
+  for port = ports - 1 downto 0 do
     let q = base + port in
     if qs.qlen.(q) > 0 then begin
       let h = qs.queue.(q) in
@@ -354,10 +354,9 @@ let drain rt qs st ~ports ~phase =
         Trace.Cause.emit ~port
           ~parents:(if cause > 0 then [ cause ] else [])
           ~part ~phase:(phase st.node port part) ();
-      out := (port, (part, value)) :: !out
+      Simulator.send mb port (part, value)
     end
-  done;
-  !out
+  done
 
 (* The causal id of the [idx]-th arrival; 0 when the run is untraced. *)
 let cause_of ids idx = if idx < Array.length ids then ids.(idx) else 0
@@ -404,19 +403,20 @@ let setup ?(policy = Schedule.Random_delay) ~budget p rng ~values =
       if port <> skip_port then push rt qs st port part value cause
     done
   in
-  (* Absorb the inbox; [ids] are the arrivals' causal ids, parallel to it
-     (empty when the run is untraced, and then every cause is 0). *)
-  let rec absorb st round ids idx = function
-    | [] -> ()
-    | (port, (part, value)) :: rest ->
-        let j = entry_of rt st.node part in
-        if (not has_best.(j)) || value < best.(j) then begin
-          best.(j) <- value;
-          has_best.(j) <- true;
-          enqueue st j value (cause_of ids idx) ~skip_port:port;
-          if j = rt.own_entry.(st.node) then st.last_improved <- round
-        end;
-        absorb st round ids (idx + 1) rest
+  (* Absorb the deliveries; [ids] are the arrivals' causal ids, parallel
+     to them (empty when the run is untraced, and then every cause is 0). *)
+  let absorb st round ids mb =
+    for idx = 0 to Simulator.deliveries mb - 1 do
+      let port = Simulator.port mb idx in
+      let part, value = Simulator.payload mb idx in
+      let j = entry_of rt st.node part in
+      if (not has_best.(j)) || value < best.(j) then begin
+        best.(j) <- value;
+        has_best.(j) <- true;
+        enqueue st j value (cause_of ids idx) ~skip_port:port;
+        if j = rt.own_entry.(st.node) then st.last_improved <- round
+      end
+    done
   in
   let program =
     {
@@ -436,18 +436,14 @@ let setup ?(policy = Schedule.Random_delay) ~budget p rng ~values =
           end;
           st);
       on_round =
-        (fun ctx st ~inbox ->
+        (fun ctx st mb ->
           let round = Simulator.round ctx in
-          absorb st round (Trace.Cause.inbox ()) 0 inbox;
-          if round > budget then begin
-            st.finished <- true;
-            (st, [])
-          end
-          else if st.queued = 0 then (st, [])
-          else
-            ( st,
-              drain rt qs st ~ports:(Array.length ctx.Simulator.neighbors)
-                ~phase:flood_phase ));
+          absorb st round (Trace.Cause.inbox ()) mb;
+          if round > budget then st.finished <- true
+          else if st.queued > 0 then
+            drain rt qs st mb ~ports:(Array.length ctx.Simulator.neighbors)
+              ~phase:flood_phase;
+          st);
       is_halted = (fun st -> st.finished);
       (* Awake while a word waits; otherwise only the halting round is
          due — a step in between, with no mail, would do nothing. *)
@@ -608,18 +604,19 @@ let sum ?tracer rng shortcut ~values =
     if parent.(j) = -1 then complete st j acc.(j) cause round
     else push rt qs st parent.(j) rt.serve_part.(j) acc.(j) cause
   in
-  let rec absorb st round ids idx = function
-    | [] -> ()
-    | (port, (part, value)) :: rest ->
-        let j = entry_of rt st.node part in
-        let cause = cause_of ids idx in
-        if port = parent.(j) then complete st j value cause round
-        else begin
-          acc.(j) <- acc.(j) + value;
-          waiting.(j) <- waiting.(j) - 1;
-          if waiting.(j) = 0 then report st j cause round
-        end;
-        absorb st round ids (idx + 1) rest
+  let absorb st round ids mb =
+    for idx = 0 to Simulator.deliveries mb - 1 do
+      let port = Simulator.port mb idx in
+      let part, value = Simulator.payload mb idx in
+      let j = entry_of rt st.node part in
+      let cause = cause_of ids idx in
+      if port = parent.(j) then complete st j value cause round
+      else begin
+        acc.(j) <- acc.(j) + value;
+        waiting.(j) <- waiting.(j) - 1;
+        if waiting.(j) = 0 then report st j cause round
+      end
+    done
   in
   let phase_at v port part =
     if port = parent.(entry_of rt v part) then "pa.up" else "pa.down"
@@ -638,16 +635,12 @@ let sum ?tracer rng shortcut ~values =
           settle st;
           st);
       on_round =
-        (fun ctx st ~inbox ->
-          absorb st (Simulator.round ctx) (Trace.Cause.inbox ()) 0 inbox;
-          let out =
-            if st.queued = 0 then []
-            else
-              drain rt qs st ~ports:(Array.length ctx.Simulator.neighbors)
-                ~phase:phase_at
-          in
+        (fun ctx st mb ->
+          absorb st (Simulator.round ctx) (Trace.Cause.inbox ()) mb;
+          if st.queued > 0 then
+            drain rt qs st mb ~ports:(Array.length ctx.Simulator.neighbors) ~phase:phase_at;
           settle st;
-          (st, out));
+          st);
       is_halted = (fun st -> st.finished);
       (* Awake while a word waits; otherwise only mail can give it work. *)
       wake = (fun st -> if st.queued > 0 then Simulator.every_round else max_int);

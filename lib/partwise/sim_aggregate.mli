@@ -19,7 +19,8 @@
     and their ports) built once per shortcut ({!prepare}), and one
     unboxed heap of (delay, FIFO sequence)-keyed words per port that
     each run over a preparation hands to the next — a stepped node
-    allocates only the inbox/outbox lists the simulator API requires, and a node whose port queues are empty
+    allocates only the (part, value) pair of each word it sends, and a
+    node whose port queues are empty
     sleeps until mail arrives or its halting round comes (its
     {!Lcs_congest.Simulator.program} wake hint), so the rounds after
     convergence are fast-forwarded.

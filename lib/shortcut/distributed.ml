@@ -127,7 +127,30 @@ let detection_wave_outcome ?(seed = 1) ?domains ?max_rounds ?tracer ?faults ?par
         let ids = Hashtbl.fold (fun id () acc -> id :: acc) st.ids [] in
         List.sort compare ids @ [ end_flag ]
   in
-  let on_round ctx st ~inbox =
+  (* Absorb one child report word. *)
+  let absorb st port word =
+    if word = over_flag then { st with pending = st.pending - 1 }
+    else if word = end_flag then { st with pending = st.pending - 1 }
+    else begin
+      match variant with
+      | Randomized { repetitions } ->
+          let r = st.child_count.(port) in
+          (* An injected duplicate can stretch a child's stream past
+             the R expected words; absorbing it would index past
+             [mins]. Corrupted counts still yield a wrong-but-bounded
+             estimate, never a crash. *)
+          if r >= repetitions then st
+          else begin
+            st.child_count.(port) <- r + 1;
+            if word < st.mins.(r) then st.mins.(r) <- word;
+            if r + 1 = repetitions then { st with pending = st.pending - 1 } else st
+          end
+      | Deterministic ->
+          Hashtbl.replace st.ids word ();
+          st
+    end
+  in
+  let on_round ctx st mb =
     let v = ctx.Simulator.node in
     let node = info.Tree_info.nodes.(v) in
     let st =
@@ -141,32 +164,11 @@ let detection_wave_outcome ?(seed = 1) ?domains ?max_rounds ?tracer ?faults ?par
       else st
     in
     (* Absorb child reports. *)
-    let st =
-      List.fold_left
-        (fun st (port, word) ->
-          if word = over_flag then { st with pending = st.pending - 1 }
-          else if word = end_flag then { st with pending = st.pending - 1 }
-          else begin
-            match variant with
-            | Randomized { repetitions } ->
-                let r = st.child_count.(port) in
-                (* An injected duplicate can stretch a child's stream past
-                   the R expected words; absorbing it would index past
-                   [mins]. Corrupted counts still yield a wrong-but-bounded
-                   estimate, never a crash. *)
-                if r >= repetitions then st
-                else begin
-                  st.child_count.(port) <- r + 1;
-                  if word < st.mins.(r) then st.mins.(r) <- word;
-                  if r + 1 = repetitions then { st with pending = st.pending - 1 }
-                  else st
-                end
-            | Deterministic ->
-                Hashtbl.replace st.ids word ();
-                st
-          end)
-        st inbox
-    in
+    let st = ref st in
+    for i = 0 to Simulator.deliveries mb - 1 do
+      st := absorb !st (Simulator.port mb i) (Simulator.payload mb i)
+    done;
+    let st = !st in
     match st.phase with
     | Collecting ->
         (* [<=]: duplicated flag words can push [pending] below zero; the
@@ -180,25 +182,25 @@ let detection_wave_outcome ?(seed = 1) ?domains ?max_rounds ?tracer ?faults ?par
           in
           let st = { st with phase = Streaming; over_sub; queue } in
           match st.queue with
-          | [] -> ({ st with phase = Done }, [])
+          | [] -> { st with phase = Done }
           | w :: rest ->
+              Simulator.send mb node.Tree_info.parent_port w;
               let st = { st with queue = rest } in
-              let st = if rest = [] then { st with phase = Done } else st in
-              (st, [ (node.Tree_info.parent_port, w) ])
+              if rest = [] then { st with phase = Done } else st
         end
-        else (st, [])
+        else st
     | Streaming -> (
         match st.queue with
-        | [] -> ({ st with phase = Done }, [])
+        | [] -> { st with phase = Done }
         | w :: rest ->
             (* Later stream words are queue-drain sends: caused by the
                arrivals that completed collection, not this round's inbox. *)
             if Trace.Cause.enabled () && st.last_cause > 0 then
               Trace.Cause.parents [ st.last_cause ];
+            Simulator.send mb node.Tree_info.parent_port w;
             let st = { st with queue = rest } in
-            let st = if rest = [] then { st with phase = Done } else st in
-            (st, [ (node.Tree_info.parent_port, w) ]))
-    | Done -> (st, [])
+            if rest = [] then { st with phase = Done } else st)
+    | Done -> st
   in
   let program =
     {

@@ -34,7 +34,7 @@ let ping_pong_program target =
     Simulator.init =
       (fun ctx -> { value = (if ctx.Simulator.node = 0 then 0 else -1); done_ = false });
     on_round =
-      (fun ctx st ~inbox ->
+      Lists.step (fun ctx st ~inbox ->
         let received = List.fold_left (fun _ (_p, v) -> Some v) None inbox in
         match received with
         | Some v when v >= target ->
@@ -66,7 +66,7 @@ let simulator_enforces_bandwidth () =
     {
       Simulator.init = (fun _ -> false);
       on_round =
-        (fun ctx st ~inbox ->
+        Lists.step (fun ctx st ~inbox ->
           ignore inbox;
           if ctx.Simulator.node = 0 && not st then (true, [ (0, 1); (0, 2) ])
           else (true, []))
@@ -88,7 +88,7 @@ let simulator_allows_wider_bandwidth () =
     {
       Simulator.init = (fun _ -> false);
       on_round =
-        (fun ctx st ~inbox ->
+        Lists.step (fun ctx st ~inbox ->
           ignore inbox;
           if ctx.Simulator.node = 0 && not st then (true, [ (0, 1); (0, 2) ])
           else (true, []))
@@ -108,7 +108,7 @@ let simulator_rejects_oversized_message () =
     {
       Simulator.init = (fun _ -> false);
       on_round =
-        (fun ctx st ~inbox ->
+        Lists.step (fun ctx st ~inbox ->
           ignore inbox;
           if ctx.Simulator.node = 0 && not st then (true, [ (0, "two words") ])
           else (true, []))
@@ -130,7 +130,7 @@ let simulator_round_limit () =
   let program =
     {
       Simulator.init = (fun _ -> ());
-      on_round = (fun _ () ~inbox -> ignore inbox; ((), []));
+      on_round = Lists.step (fun _ () ~inbox -> ignore inbox; ((), []));
       is_halted = (fun () -> false);
       wake = (fun _ -> Simulator.every_round);
       msg_words = (fun _ -> 1);
@@ -141,6 +141,47 @@ let simulator_round_limit () =
        ignore (Simulator.run ~max_rounds:50 g program);
        false
      with Simulator.Round_limit 50 -> true)
+
+(* Every node sends its step count on every port for [rounds - 1] rounds
+   and checks that each delivery carries the count its own state holds:
+   int state, int payloads, every node due every round. *)
+let chatter ~rounds =
+  {
+    Simulator.init = (fun _ -> 0);
+    on_round =
+      (fun ctx st mb ->
+        for i = 0 to Simulator.deliveries mb - 1 do
+          if Simulator.payload mb i <> st then failwith "chatter: stale payload"
+        done;
+        let st = st + 1 in
+        if st < rounds then
+          for p = 0 to Array.length ctx.Simulator.neighbors - 1 do
+            Simulator.send mb p st
+          done;
+        st);
+    is_halted = (fun st -> st >= rounds);
+    wake = Simulator.always;
+    msg_words = (fun _ -> 1);
+  }
+
+(* An untraced, fault-free run at one domain on a prepared host allocates
+   nothing per message once its buffers have grown: the second run's
+   minor words stay under one word per delivered message plus O(n + m)
+   for the run's own arrays. A (port, payload) list costs at least 12
+   words per message. *)
+let simulator_message_plane_allocation () =
+  let g = Generators.grid ~rows:16 ~cols:16 in
+  let host = Simulator.prepare g in
+  let program = chatter ~rounds:40 in
+  ignore (Simulator.run ~host g program);
+  let before = Gc.minor_words () in
+  let _, stats = Simulator.run ~host g program in
+  let words = Gc.minor_words () -. before in
+  check Alcotest.int "messages" (39 * 2 * Graph.m g) stats.Simulator.messages;
+  let bound = stats.Simulator.messages + (16 * (Graph.n g + Graph.m g)) in
+  if words > float_of_int bound then
+    Alcotest.failf "%.0f minor words for %d messages (bound %d)" words
+      stats.Simulator.messages bound
 
 (* --- Sync_bfs ----------------------------------------------------------- *)
 
@@ -316,5 +357,6 @@ let suite =
     case "convergecast: sums" `Quick convergecast_sums;
     case "leader election: grid" `Quick leader_election_elects_max;
     case "activations <= 2 messages + 2n" `Quick activations_bounded_by_messages;
+    case "simulator: no allocation per message" `Quick simulator_message_plane_allocation;
   ]
   @ props

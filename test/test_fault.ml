@@ -129,7 +129,7 @@ let flood_program ~rounds =
   {
     Simulator.init = (fun ctx -> { best = ctx.Simulator.node; clock = 0 });
     on_round =
-      (fun ctx st ~inbox ->
+      Lists.step (fun ctx st ~inbox ->
         let best = List.fold_left (fun b (_p, v) -> max b v) st.best inbox in
         let st = { best; clock = st.clock + 1 } in
         let degree = Array.length ctx.Simulator.neighbors in
@@ -183,7 +183,7 @@ let out_of_rounds_keeps_partial_state () =
   let never_halts =
     {
       Simulator.init = (fun _ctx -> 0);
-      on_round = (fun _ctx st ~inbox:_ -> (st + 1, []));
+      on_round = Lists.step (fun _ctx st ~inbox:_ -> (st + 1, []));
       is_halted = (fun _ -> false);
       wake = (fun _ -> Simulator.every_round);
       msg_words = (fun _ -> 1);

@@ -50,6 +50,19 @@ type gstate = { acc : int; round : int; stop : int }
    distinct ports (at most one message per port per round, each of at most
    [bw] words, so the bandwidth budget is respected by construction) and
    halts at a hash-chosen round in [1..10]. *)
+let gossip_step ctx st ~inbox =
+  let acc = List.fold_left (fun a (p, m) -> mix a (mix (p + 1) m)) st.acc inbox in
+  let round = st.round + 1 in
+  let deg = Array.length ctx.Simulator.neighbors in
+  let outbox =
+    if deg = 0 then []
+    else
+      let fanout = mix acc round mod (min deg 3 + 1) in
+      let start = mix acc (round + 31) mod deg in
+      List.init fanout (fun i -> ((start + i) mod deg, mix acc (i + 977)))
+  in
+  ({ acc; round; stop = st.stop }, outbox)
+
 let gossip ~pseed ~bw =
   {
     Simulator.init =
@@ -59,22 +72,7 @@ let gossip ~pseed ~bw =
           round = 0;
           stop = 1 + (mix pseed (ctx.Simulator.node + 13) mod 10);
         });
-    on_round =
-      (fun ctx st ~inbox ->
-        let acc =
-          List.fold_left (fun a (p, m) -> mix a (mix (p + 1) m)) st.acc inbox
-        in
-        let round = st.round + 1 in
-        let deg = Array.length ctx.Simulator.neighbors in
-        let outbox =
-          if deg = 0 then []
-          else
-            let fanout = mix acc round mod (min deg 3 + 1) in
-            let start = mix acc (round + 31) mod deg in
-            List.init fanout (fun i ->
-                ((start + i) mod deg, mix acc (i + 977)))
-        in
-        ({ acc; round; stop = st.stop }, outbox));
+    on_round = Lists.step gossip_step;
     is_halted = (fun st -> st.round >= st.stop);
     wake = Simulator.always;
     msg_words = (fun m -> 1 + (m mod bw));
@@ -105,7 +103,7 @@ let sleepy ~pseed ~bw ~nap ~horizon =
           finished = false;
         });
     on_round =
-      (fun ctx st ~inbox ->
+      Lists.step (fun ctx st ~inbox ->
         let round = Simulator.round ctx in
         if inbox = [] && round < st.wake_at then (st, [])
         else
@@ -375,7 +373,7 @@ let bandwidth_parity () =
     {
       Simulator.init = (fun _ -> false);
       on_round =
-        (fun ctx st ~inbox ->
+        Lists.step (fun ctx st ~inbox ->
           ignore inbox;
           if ctx.Simulator.node = 0 && not st then (true, [ (0, 1); (0, 2) ])
           else (true, []));
@@ -415,7 +413,7 @@ let step_exception_parity () =
     {
       Simulator.init = (fun ctx -> (ctx.Simulator.node, 0));
       on_round =
-        (fun _ (id, r) ~inbox ->
+        Lists.step (fun _ (id, r) ~inbox ->
           ignore inbox;
           let r = r + 1 in
           if id = bad && r = 2 then failwith "boom";
@@ -480,7 +478,7 @@ let crash_purges_delayed () =
     {
       Simulator.init = (fun ctx -> (ctx.Simulator.node, 0));
       on_round =
-        (fun ctx (id, r) ~inbox ->
+        Lists.step (fun ctx (id, r) ~inbox ->
           ignore inbox;
           let r = r + 1 in
           let outbox =
@@ -632,7 +630,7 @@ let cross_shard_crash_purge () =
     {
       Simulator.init = (fun ctx -> (ctx.Simulator.node, 0));
       on_round =
-        (fun ctx (id, r) ~inbox ->
+        Lists.step (fun ctx (id, r) ~inbox ->
           ignore inbox;
           let r = r + 1 in
           let outbox =
@@ -707,7 +705,7 @@ let napping =
   {
     Simulator.init = (fun ctx -> { me = ctx.Simulator.node; seen = 0; fired = 0; done_ = false });
     on_round =
-      (fun ctx st ~inbox ->
+      Lists.step (fun ctx st ~inbox ->
         let round = Simulator.round ctx in
         if inbox = [] && round < wake_of st then (st, [])
         else
@@ -829,7 +827,7 @@ let dishonest_hint_rejected () =
     {
       Simulator.init = (fun _ -> 0);
       on_round =
-        (fun ctx st ~inbox:_ ->
+        Lists.step (fun ctx st ~inbox:_ ->
           if ctx.Simulator.node = 0 && Simulator.round ctx = 2 then (st + 1, [ (0, 7) ])
           else (st, []));
       is_halted = (fun st -> st > 5);
@@ -840,7 +838,7 @@ let dishonest_hint_rejected () =
   let halts_asleep =
     {
       Simulator.init = (fun _ -> false);
-      on_round = (fun ctx _ ~inbox:_ -> (Simulator.round ctx >= 3, []));
+      on_round = Lists.step (fun ctx _ ~inbox:_ -> (Simulator.round ctx >= 3, []));
       is_halted = Fun.id;
       wake = (fun _ -> max_int);
       msg_words = (fun _ -> 1);
@@ -1039,8 +1037,8 @@ let breaking ~pseed ~bad ~overload =
         if Simulator.round ctx <> 0 then failwith "stale round";
         base.Simulator.init ctx);
     on_round =
-      (fun ctx st ~inbox ->
-        let st, out = base.Simulator.on_round ctx st ~inbox in
+      Lists.step (fun ctx st ~inbox ->
+        let st, out = gossip_step ctx st ~inbox in
         if ctx.Simulator.node = bad && Simulator.round ctx = 3 then
           if overload then (st, [ (0, 1); (0, 3); (0, 5) ]) else failwith "boom"
         else (st, out));
@@ -1096,7 +1094,7 @@ let host_misuse_rejected () =
     {
       (gossip ~pseed:2 ~bw:1) with
       Simulator.on_round =
-        (fun _ st ~inbox:_ ->
+        Lists.step (fun _ st ~inbox:_ ->
           ignore (Simulator.run ~host g (gossip ~pseed:3 ~bw:1));
           (st, []));
     }

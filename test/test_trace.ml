@@ -109,7 +109,7 @@ let run_profiled_direct () =
     {
       Simulator.init = (fun _ctx -> false);
       on_round =
-        (fun ctx sent ~inbox ->
+        Lists.step (fun ctx sent ~inbox ->
           ignore inbox;
           if ctx.Simulator.node = 0 && not sent then (true, [ (0, ()) ]) else (true, []))
       ;
