@@ -9,14 +9,14 @@ type result = {
 
 let components ?seed ?mode g ~keep =
   let uf = Union_find.create (Graph.n g) in
-  let candidate ~fragment_of v =
-    let best = ref None in
+  (* The smallest kept edge leaving the fragment; fragments and edges are
+     ints, so every comparison here is an int comparison. *)
+  let candidate ~(fragment_of : int -> int) v =
+    let home = fragment_of v in
+    let best = ref (-1) in
     Graph.iter_adj g v (fun w e ->
-        if keep e && fragment_of w <> fragment_of v then
-          match !best with
-          | Some e' when e' <= e -> ()
-          | _ -> best := Some e);
-    match !best with None -> None | Some e -> Some (0, e)
+        if keep e && fragment_of w <> home && (!best < 0 || e < !best) then best := e);
+    if !best < 0 then None else Some (0, !best)
   in
   let accounting =
     Boruvka_engine.run ?seed ?mode g ~candidate ~on_merge:(fun e ->
