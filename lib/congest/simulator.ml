@@ -552,8 +552,10 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
   in
   let cur_in = ref (inboxes (fst host.lens, fst host.ports) cur_ids) in
   let nxt_in = ref (inboxes (snd host.lens, snd host.ports) nxt_ids) in
-  (* One mailbox per shard, lent to each of its steps in turn. *)
-  let mbs = Array.init d (fun _ -> mailbox ()) in
+  (* One mailbox per shard, lent to each of its steps in turn. Each domain
+     makes its own before the first round (below), so two shards'
+     mailboxes never share a cache line that both write on every send. *)
+  let mbs = Array.make d (mailbox ()) in
   let budget = host.budget and touched = host.touched in
   let crashed = Array.make (max 1 n) false in
   (* Delayed deliveries in a ring keyed by arrival round mod [ring_span].
@@ -578,7 +580,6 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
      ranges, so the first failed shard holds the smallest failing node —
      exactly where a node-by-node execution would have stopped. *)
   let fail : (int * exn) option array = Array.make d None in
-  let fail_node = Array.make d 0 in
   let first_failure () =
     let rec scan s =
       if s = d then None else match fail.(s) with None -> scan (s + 1) | f -> f
@@ -645,11 +646,15 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
     acc
   in
   (* Deliver the sends node [v] queued in [mb] this step, in order, and
-     empty the mailbox's send side. *)
+     empty the mailbox's send side. The shard's counters are read once and
+     written back once per step: they share cache lines with the other
+     shards' counters. *)
   let send_fast s v mb =
     let base = Intvec.unsafe_get csr.port_offset v in
     let degree = Csr.degree csr v in
     let nxt = !nxt_in in
+    let tbase = touched_base.(s) in
+    let nt = ref ntouched.(s) and load = ref maxload_s.(s) and sent_words = ref 0 in
     for i = 0 to mb.out_len - 1 do
       let port = Array.unsafe_get mb.out_ports i and msg = Array.unsafe_get mb.out_msgs i in
       if port < 0 || port >= degree then invalid_arg "Simulator: bad port";
@@ -662,13 +667,12 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
         raise
           (Bandwidth_exceeded { node = v; port; round = !rounds; words = used; limit = bandwidth });
       if prev = 0 then begin
-        touched.(touched_base.(s) + ntouched.(s)) <- slot;
-        ntouched.(s) <- ntouched.(s) + 1
+        touched.(tbase + !nt) <- slot;
+        incr nt
       end;
       budget.(slot) <- used;
-      if used > maxload_s.(s) then maxload_s.(s) <- used;
-      messages_s.(s) <- messages_s.(s) + 1;
-      words_s.(s) <- words_s.(s) + size;
+      if used > !load then load := used;
+      sent_words := !sent_words + size;
       if profiled then begin
         Trace.Profile.record_send shards.(s) ~round:!rounds
           ~edge:(Intvec.unsafe_get csr.port_edge slot)
@@ -685,6 +689,10 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
       if s = 0 && w < local_end then push_inbox csr nxt w back msg
       else push_cell out.(s).(owner.(w)) w back msg
     done;
+    ntouched.(s) <- !nt;
+    maxload_s.(s) <- !load;
+    messages_s.(s) <- messages_s.(s) + mb.out_len;
+    words_s.(s) <- words_s.(s) + !sent_words;
     mb.out_len <- 0
   in
   (* Step shard [s]'s due nodes of this round in ascending order — live,
@@ -692,6 +700,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
      the late mail of halted ones. *)
   let phase_compute_fast s =
     let r = !rounds and cur = !cur_in and mb = mbs.(s) in
+    let stepping = ref 0 in
     try
       let stepped = ref 0 in
       for v = bounds.(s) to bounds.(s + 1) - 1 do
@@ -700,7 +709,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
           if len > 0 then cur.len.(v) <- 0
         end
         else if always_due || len > 0 || program.wake states.(v) <= r then begin
-          fail_node.(s) <- v;
+          stepping := v;
           incr stepped;
           lend mb cur v len;
           let state = program.on_round ctxs.(v) states.(v) mb in
@@ -725,7 +734,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
         Trace.Profile.record_round shards.(s) ~round:r ~max_edge_load:roundmax_s.(s);
         roundmax_s.(s) <- 0
       end
-    with exn -> fail.(s) <- Some (fail_node.(s), exn)
+    with exn -> fail.(s) <- Some (!stepping, exn)
   in
   let phase_drain t =
     (* Drain in source-shard order: shards are contiguous ascending id
@@ -755,6 +764,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
      the same order, with their sends kept for the replay. *)
   let phase_compute_slow s =
     let r = !rounds and cur = !cur_in and mb = mbs.(s) in
+    let stepping = ref 0 in
     try
       let stepped = ref 0 in
       for v = bounds.(s) to bounds.(s + 1) - 1 do
@@ -763,7 +773,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
           if len > 0 then cur.len.(v) <- 0
         end
         else if always_due || len > 0 || program.wake states.(v) <= r then begin
-          fail_node.(s) <- v;
+          stepping := v;
           incr stepped;
           if traced then Trace.Cause.activate (Array.sub cur.ids.(v) 0 len);
           lend mb cur v len;
@@ -791,7 +801,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
         end
       done;
       stepped_s.(s) <- !stepped
-    with exn -> fail.(s) <- Some (fail_node.(s), exn)
+    with exn -> fail.(s) <- Some (!stepping, exn)
   in
   (* Deliver into the next round's inboxes, with the causal id when
      traced. *)
@@ -1116,6 +1126,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
   let crew = make_crew d in
   let handles = Array.init (d - 1) (fun i -> Domain.spawn (worker crew (i + 1) ~traced)) in
   Fun.protect ~finally:(fun () -> shutdown crew handles) @@ fun () ->
+  run_phase crew (fun s -> mbs.(s) <- mailbox ());
   (match par_profile with None -> () | Some pp -> Par_profile.begin_run pp ~domains:d);
   (* Each shard scans its nodes every round it runs, but steps only the
      due ones: a live node with mail waiting or its wake hint at or
