@@ -113,11 +113,13 @@ type routes = {
 }
 
 (* - Port queues: the words waiting on port slot [q] form a binary heap of
-     [qlen.(q)] records of 4 ints in [queue.(q)] — key, part, value,
+     [qlen.(q)] records of 4 ints in [queue.(q)] — key, part, datum,
      causal id. The key packs (delay of the part, FIFO sequence number),
-     so equal delays pop in arrival order. The causal id is simulation
-     metadata, not wire payload: it names the arrival that queued the
-     word (0 for a round-0 self-injection). *)
+     so equal delays pop in arrival order. The datum is what the program
+     makes its word from: the origin, for a minimum, and the partial or
+     total sum, for a sum. The causal id is simulation metadata, not wire
+     payload: it names the arrival that queued the word (0 for a round-0
+     self-injection). *)
 type queues = {
   queue : int array array;
   qlen : int array;
@@ -282,9 +284,18 @@ let reset_queues rt qs v =
     qs.qseq.(q) <- 0
   done
 
+(* Copy heap record [src] over record [dst] (offsets into [h]). Four int
+   stores: [Array.blit] is a C call that pays the write barrier per word
+   once the heap lives in the major heap. *)
+let move (h : int array) ~src ~dst =
+  h.(dst) <- h.(src);
+  h.(dst + 1) <- h.(src + 1);
+  h.(dst + 2) <- h.(src + 2);
+  h.(dst + 3) <- h.(src + 3)
+
 (* Queue a word for [part] on [st]'s port [port], behind the words of
    smaller delay and of the same delay queued before it. *)
-let push rt qs st port part value cause =
+let push rt qs st port part datum cause =
   let q = Intvec.get rt.slot_off st.node + port in
   let seq = qs.qseq.(q) in
   qs.qseq.(q) <- seq + 1;
@@ -303,13 +314,13 @@ let push rt qs st port part value cause =
   let i = ref len in
   while !i > 0 && key < h.(4 * ((!i - 1) / 2)) do
     let parent = (!i - 1) / 2 in
-    Array.blit h (4 * parent) h (4 * !i) 4;
+    move h ~src:(4 * parent) ~dst:(4 * !i);
     i := parent
   done;
   let at = 4 * !i in
   h.(at) <- key;
   h.(at + 1) <- part;
-  h.(at + 2) <- value;
+  h.(at + 2) <- datum;
   h.(at + 3) <- cause;
   qs.qlen.(q) <- len + 1;
   st.queued <- st.queued + 1
@@ -329,32 +340,33 @@ let pop qs q =
         if l + 1 < len && h.(4 * (l + 1)) < h.(4 * l) then l + 1 else l
       in
       if c < len && h.(4 * c) < key then begin
-        Array.blit h (4 * c) h (4 * !i) 4;
+        move h ~src:(4 * c) ~dst:(4 * !i);
         i := c
       end
       else sifting := false
     done;
-    Array.blit h last h (4 * !i) 4
+    move h ~src:last ~dst:(4 * !i)
   end
 
 (* Send one word per non-empty port queue: the smallest delay, FIFO among
    equals. Last port first: the fingerprint suite pins this send order.
-   [phase node port part] labels a traced word. *)
-let drain rt qs st mb ~ports ~phase =
+   [word part datum] makes the payload; [phase node port part] labels a
+   traced word. *)
+let drain rt qs st mb ~ports ~phase ~word =
   let traced = Trace.Cause.enabled () in
   let base = Intvec.get rt.slot_off st.node in
   for port = ports - 1 downto 0 do
     let q = base + port in
     if qs.qlen.(q) > 0 then begin
       let h = qs.queue.(q) in
-      let part = h.(1) and value = h.(2) and cause = h.(3) in
+      let part = h.(1) and datum = h.(2) and cause = h.(3) in
       pop qs q;
       st.queued <- st.queued - 1;
       if traced then
         Trace.Cause.emit ~port
           ~parents:(if cause > 0 then [ cause ] else [])
           ~part ~phase:(phase st.node port part) ();
-      Simulator.send mb port (part, value)
+      Simulator.send mb port (word part datum)
     end
   done
 
@@ -363,8 +375,19 @@ let cause_of ids idx = if idx < Array.length ids then ids.(idx) else 0
 
 (* --- Minimum: flooding under the random-delay schedule ---------------------- *)
 
+(* b = ⌈log₂ n⌉, the width of a minimum word's origin field (see the
+   interface's "Words"). With n < 2^31, [(part lsl b) lor origin] fits
+   in 62 bits. *)
+let origin_bits n =
+  if n >= 1 lsl 31 then invalid_arg "Sim_aggregate.minimum: n >= 2^31";
+  let b = ref 0 in
+  while 1 lsl !b < n do
+    incr b
+  done;
+  !b
+
 type setup = {
-  program : (node_state, int * int) Simulator.program;
+  program : (node_state, int) Simulator.program;
   budget : int;
   host : Graph.t;
   partition : Partition.t;
@@ -396,11 +419,14 @@ let setup ?(policy = Schedule.Random_delay) ~budget p rng ~values =
         }
   in
   let qs = store.queues and best = store.best and has_best = store.has_best in
-  let enqueue st j value cause ~skip_port =
+  let bits = origin_bits n in
+  let mask = (1 lsl bits) - 1 in
+  let word part origin = (part lsl bits) lor origin in
+  let enqueue st j origin cause ~skip_port =
     let part = rt.serve_part.(j) in
     for r = rt.route_off.(j) to rt.route_off.(j + 1) - 1 do
       let port = rt.route_port.(r) in
-      if port <> skip_port then push rt qs st port part value cause
+      if port <> skip_port then push rt qs st port part origin cause
     done
   in
   (* Absorb the deliveries; [ids] are the arrivals' causal ids, parallel
@@ -408,12 +434,14 @@ let setup ?(policy = Schedule.Random_delay) ~budget p rng ~values =
   let absorb st round ids mb =
     for idx = 0 to Simulator.deliveries mb - 1 do
       let port = Simulator.port mb idx in
-      let part, value = Simulator.payload mb idx in
-      let j = entry_of rt st.node part in
+      let w = Simulator.payload mb idx in
+      let origin = w land mask in
+      let value = values.(origin) in
+      let j = entry_of rt st.node (w lsr bits) in
       if (not has_best.(j)) || value < best.(j) then begin
         best.(j) <- value;
         has_best.(j) <- true;
-        enqueue st j value (cause_of ids idx) ~skip_port:port;
+        enqueue st j origin (cause_of ids idx) ~skip_port:port;
         if j = rt.own_entry.(st.node) then st.last_improved <- round
       end
     done
@@ -432,7 +460,7 @@ let setup ?(policy = Schedule.Random_delay) ~budget p rng ~values =
           if j >= 0 then begin
             best.(j) <- values.(v);
             has_best.(j) <- true;
-            enqueue st j values.(v) 0 ~skip_port:(-1)
+            enqueue st j v 0 ~skip_port:(-1)
           end;
           st);
       on_round =
@@ -442,13 +470,13 @@ let setup ?(policy = Schedule.Random_delay) ~budget p rng ~values =
           if round > budget then st.finished <- true
           else if st.queued > 0 then
             drain rt qs st mb ~ports:(Array.length ctx.Simulator.neighbors)
-              ~phase:flood_phase;
+              ~phase:flood_phase ~word;
           st);
       is_halted = (fun st -> st.finished);
       (* Awake while a word waits; otherwise only the halting round is
          due — a step in between, with no mail, would do nothing. *)
       wake = (fun st -> if st.queued > 0 then Simulator.every_round else budget + 1);
-      (* (part, value): two O(log n)-bit fields = one CONGEST word. *)
+      (* (part, origin): two ⌈log₂ n⌉-bit fields = one CONGEST word. *)
       msg_words = (fun _ -> 1);
     }
   in
@@ -638,7 +666,8 @@ let sum ?tracer rng shortcut ~values =
         (fun ctx st mb ->
           absorb st (Simulator.round ctx) (Trace.Cause.inbox ()) mb;
           if st.queued > 0 then
-            drain rt qs st mb ~ports:(Array.length ctx.Simulator.neighbors) ~phase:phase_at;
+            drain rt qs st mb ~ports:(Array.length ctx.Simulator.neighbors) ~phase:phase_at
+              ~word:(fun part sum -> (part, sum));
           settle st;
           st);
       is_halted = (fun st -> st.finished);

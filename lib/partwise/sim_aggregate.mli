@@ -18,15 +18,25 @@
     lives in flat arrays — the route table (the parts each node serves
     and their ports) built once per shortcut ({!prepare}), and one
     unboxed heap of (delay, FIFO sequence)-keyed words per port that
-    each run over a preparation hands to the next — a stepped node
-    allocates only the (part, value) pair of each word it sends, and a
+    each run over a preparation hands to the next — a stepped node of
+    {!minimum} allocates nothing per word it sends, and a
     node whose port queues are empty
     sleeps until mail arrives or its halting round comes (its
     {!Lcs_congest.Simulator.program} wake hint), so the rounds after
     convergence are fast-forwarded.
 
-    A message carries (part, value): two machine integers, each O(log n)
-    bits, i.e. one CONGEST word. *)
+    {b Words.} A {!minimum} word is one immediate int,
+    [(part lsl b) lor origin] with [b = ⌈log₂ n⌉], where [origin] is the
+    member whose input value the word forwards: two ⌈log₂ n⌉-bit fields,
+    one CONGEST word. This is the simulator's encoding of the model's
+    (part, value) word, and it is exact for a minimum: a node forwards
+    only a value that improves on the best it holds, and every value in
+    flight is some member's input, so the receiver reads
+    [values.(origin)] and compares exactly the value a (part, value)
+    word would carry. Rounds, messages, traces and answers are those of
+    the (part, value) flood, and no word is a heap block. {!sum}'s words
+    carry partial sums, which are no member's input, so they stay
+    (part, value) pairs. *)
 
 type result = {
   minima : int array;
@@ -92,8 +102,9 @@ val minimum :
     [completion_round] shows the real finish time. [prepared] (default:
     prepared for this call) must come from {!prepare} on this very
     shortcut, or the call raises [Invalid_argument]; it changes cost,
-    never a result. Raises [Failure] if some part had not converged
-    within the budget. [policy] (default {!Schedule.Random_delay}) sets the parts'
+    never a result. Raises [Invalid_argument] if the graph has 2{^31}
+    nodes or more, which the word layout cannot address, and [Failure]
+    if some part had not converged within the budget. [policy] (default {!Schedule.Random_delay}) sets the parts'
     priorities, the ablation axis of experiment E14. [tracer] observes
     the underlying {!Lcs_congest.Simulator} run — its per-edge profile is
     how E7-style experiments see the congestion {e distribution} rather

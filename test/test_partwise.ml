@@ -150,6 +150,79 @@ let prepared_changes_nothing () =
     (Invalid_argument "Sim_aggregate.minimum: prepared for another shortcut") (fun () ->
       ignore (Sim_aggregate.broadcast ~prepared:other (Rng.create 1) sc ~leaders))
 
+(* A minimum's word is one immediate int, so a second run over one
+   preparation, on a prepared host, allocates less than one minor word per
+   message beyond O(n + m) for the run's own arrays. A (part, value) pair
+   per word costs three. *)
+let minimum_word_allocation () =
+  let g = Generators.grid ~rows:16 ~cols:16 in
+  let partition = Partition.grid_rows g ~rows:16 ~cols:16 in
+  let sc = (Boost.full partition ~tree:(Bfs.tree g ~root:0)).Boost.shortcut in
+  let prepared = Sim_aggregate.prepare ~host:(Simulator.prepare g) sc in
+  let values = Array.init (Graph.n g) (fun v -> (v * 37) mod 1009) in
+  ignore (Sim_aggregate.minimum ~prepared (Rng.create 3) sc ~values);
+  let before = Gc.minor_words () in
+  let out = Sim_aggregate.minimum ~prepared (Rng.create 3) sc ~values in
+  let words = Gc.minor_words () -. before in
+  let messages = out.Sim_aggregate.messages in
+  let bound = messages + (16 * (Graph.n g + Graph.m g)) in
+  if words > float_of_int bound then
+    Alcotest.failf "%.0f minor words for %d messages (bound %d)" words messages bound
+
+let light_loss =
+  lazy
+    (match
+       Fault.load_plan
+         (Filename.concat (Filename.dirname Sys.executable_name) "../plans/light_loss.json")
+     with
+    | Ok p -> p
+    | Error e -> failwith e)
+
+(* A word names the member whose value it forwards, so the flood must stay
+   exact on any values: [min_int], [max_int], negatives and ties, on
+   singleton partitions (k = n: part ids fill their bit field) and on
+   Voronoi parts, at one and two domains, for both forms of Definition 2.1,
+   and through the ARQ under plans/light_loss.json. *)
+let extreme_values =
+  QCheck.Test.make ~name:"PA exact on extreme values and ties" ~count:20
+    QCheck.(quad (int_bound 1000) (int_range 2 40) (int_range 1 8) bool)
+    (fun (seed, n, parts, singletons) ->
+      let g = random_connected_graph seed ~n ~extra:(n / 3) in
+      let partition =
+        if singletons then Partition.singletons g
+        else Partition.voronoi g (Rng.create (seed + 3)) ~parts:(min parts n)
+      in
+      let sc = (Boost.full partition ~tree:(Bfs.tree g ~root:0)).Boost.shortcut in
+      let rng = Rng.create (seed + 7) in
+      let extremes = [| min_int; max_int; min_int + 1; max_int - 1; -1; 0 |] in
+      let values =
+        Array.init n (fun _ ->
+            if Rng.int rng 2 = 0 then extremes.(Rng.int rng (Array.length extremes))
+            else Rng.int rng 5 - 2)
+      in
+      let expected = Aggregate.reference_minima sc ~values in
+      let leaders =
+        Array.init (Partition.k partition) (fun i ->
+            let members = Partition.members partition i in
+            members.(Rng.int rng (Array.length members)))
+      in
+      let exact domains =
+        let mins = Sim_aggregate.minimum ~domains (Rng.create (seed + 9)) sc ~values in
+        let bcast = Sim_aggregate.broadcast ~domains (Rng.create (seed + 9)) sc ~leaders in
+        mins.Sim_aggregate.minima = expected && bcast.Sim_aggregate.minima = leaders
+      in
+      let through_arq =
+        match
+          Sim_aggregate.minimum_outcome
+            ~faults:(Fault.compile (Lazy.force light_loss))
+            (Rng.create (seed + 11)) sc ~values
+        with
+        | Outcome.Complete r ->
+            r.Sim_aggregate.minima = expected && r.Sim_aggregate.diverged = []
+        | Outcome.Degraded _ -> false
+      in
+      exact 1 && exact 2 && through_arq)
+
 let router_detects_disconnected_subgraph () =
   (* A whole path as one part with no shortcut: the minimum, held by one
      end, must cross every edge of the part itself. *)
@@ -267,6 +340,7 @@ let props =
       rounds_within_schedule_bound;
       sum_aggregation_correct;
       sum_with_empty_shortcut;
+      extreme_values;
     ]
 
 let suite =
@@ -275,6 +349,7 @@ let suite =
     case "broadcast: leader tokens" `Quick broadcast_delivers_leader_token;
     case "broadcast: rejects foreign leader" `Quick broadcast_rejects_foreign_leader;
     case "prepared: changes cost only" `Quick prepared_changes_nothing;
+    case "minimum: words allocate nothing" `Quick minimum_word_allocation;
     case "router: path completes" `Quick router_detects_disconnected_subgraph;
     case "sim aggregate: wheel" `Quick sim_aggregate_wheel;
     case "tree router: message economy" `Quick tree_router_message_economy;
