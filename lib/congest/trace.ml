@@ -51,7 +51,11 @@ let tee tracers event = List.iter (fun t -> t event) tracers
    untraced hot path allocates nothing here. *)
 module Cause = struct
   (* One pending per-port declaration, queued by [emit] and consumed FIFO
-     per port by [take]. *)
+     per port by [take]. An activation's declarations, in emission order,
+     are [overrides] followed by the reverse of [emitted]: [emit] conses
+     onto [emitted], and [take] moves it onto the end of [overrides] only
+     when no declaration of [overrides] has its port, so k emits and k
+     takes cost O(k) cells when the takes come in emission order. *)
   type override = {
     o_port : int;
     o_parents : int list option;
@@ -69,6 +73,7 @@ module Cause = struct
     mutable act_part : int;
     mutable act_phase : string;
     mutable overrides : override list;
+    mutable emitted : override list;  (* newest first *)
   }
 
   let key =
@@ -83,6 +88,7 @@ module Cause = struct
           act_part = -1;
           act_phase = "";
           overrides = [];
+          emitted = [];
         })
 
   let state () = Domain.DLS.get key
@@ -94,7 +100,8 @@ module Cause = struct
     s.act_parents <- None;
     s.act_part <- -1;
     s.act_phase <- "";
-    s.overrides <- []
+    s.overrides <- [];
+    s.emitted <- []
 
   let start_run ~enabled =
     let s = state () in
@@ -131,9 +138,8 @@ module Cause = struct
   let emit ~port ?parents ~part ~phase () =
     let s = state () in
     if s.enabled_flag then
-      s.overrides <-
-        s.overrides
-        @ [ { o_port = port; o_parents = parents; o_part = part; o_phase = phase } ]
+      s.emitted <-
+        { o_port = port; o_parents = parents; o_part = part; o_phase = phase } :: s.emitted
 
   (* Default parents: every message delivered to the sender this
      activation — the sound Lamport-style over-approximation when the
@@ -157,7 +163,15 @@ module Cause = struct
           Some o
       | o :: rest -> pick (o :: acc) rest
     in
-    match pick [] s.overrides with
+    let found =
+      match pick [] s.overrides with
+      | None when s.emitted <> [] ->
+          s.overrides <- s.overrides @ List.rev s.emitted;
+          s.emitted <- [];
+          pick [] s.overrides
+      | found -> found
+    in
+    match found with
     | Some o ->
         let ps =
           match o.o_parents with Some ps -> ps | None -> default_parents s

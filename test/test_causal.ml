@@ -380,9 +380,93 @@ let traffic_excludes_dropped_words () =
   check Alcotest.bool "attributed words exclude the dropped 5" true
     (attributed <= 2.0 +. 1e-9)
 
+(* --- Per-port send declarations (Trace.Cause.emit / take) ----------------- *)
+
+(* An activation with inbox ids [ids] and default labels (9, "dflt"), as a
+   core opens one before stepping a traced node. *)
+let open_activation ids =
+  Trace.Cause.start_run ~enabled:true;
+  Trace.Cause.activate ids;
+  Trace.Cause.tag ~part:9 ~phase:"dflt"
+
+let close_activation () =
+  Trace.Cause.deactivate ();
+  Trace.Cause.start_run ~enabled:false
+
+(* A node that declares k sends, as Sim_aggregate's drain does for each
+   non-empty port, and a core that takes them in send order: O(k) cells,
+   where appending each declaration to a list costs O(k^2) (1.5 M words
+   at k = 1,000). *)
+let declarations_linear () =
+  let k = 1_000 and parents = [ 7 ] in
+  open_activation [||];
+  let before = Gc.minor_words () in
+  for port = 0 to k - 1 do
+    Trace.Cause.emit ~port ~parents ~part:port ~phase:"pa.flood" ()
+  done;
+  for port = 0 to k - 1 do
+    let ps, part, _ = Trace.Cause.take ~port in
+    if ps != parents || part <> port then Alcotest.failf "take %d: wrong declaration" port
+  done;
+  let words = Gc.minor_words () -. before in
+  close_activation ();
+  if words > float_of_int (64 * k) then
+    Alcotest.failf "%.0f minor words for %d declarations (bound %d)" words k (64 * k)
+
+(* The single-list version [take] used to read: declarations appended in
+   emission order, the first one on the taken port consumed. *)
+module Listed = struct
+  type decl = { port : int; parents : int list option; part : int; phase : string }
+
+  let decls = ref []
+
+  let emit ~port ?parents ~part ~phase () =
+    decls := !decls @ [ { port; parents; part; phase } ]
+
+  let take ~default ~port =
+    let rec pick acc = function
+      | [] -> None
+      | d :: rest when d.port = port ->
+          decls := List.rev_append acc rest;
+          Some d
+      | d :: rest -> pick (d :: acc) rest
+    in
+    match pick [] !decls with
+    | Some d -> ((match d.parents with Some ps -> ps | None -> default), d.part, d.phase)
+    | None -> (default, 9, "dflt")
+end
+
+(* Random emit/take interleavings over a few ports: every take returns the
+   (parents, part, phase) triple of the list version. An op (kind, port,
+   part) emits when kind < 5 — with the activation's default parents when
+   kind = 0 — and takes otherwise. *)
+let declarations_match_list =
+  QCheck.Test.make ~name:"Cause.take = list version on random interleavings" ~count:200
+    QCheck.(list (triple (int_bound 9) (int_bound 3) (int_bound 5)))
+    (fun ops ->
+      let ids = [| 3; 1; 4 |] in
+      let default = Array.to_list ids in
+      open_activation ids;
+      Listed.decls := [];
+      let triples =
+        List.filter_map
+          (fun (kind, port, part) ->
+            let phase = "p" ^ string_of_int part in
+            if kind < 5 then begin
+              let parents = if kind = 0 then None else Some [ kind; part ] in
+              Trace.Cause.emit ~port ?parents ~part ~phase ();
+              Listed.emit ~port ?parents ~part ~phase ();
+              None
+            end
+            else Some (Trace.Cause.take ~port, Listed.take ~default ~port))
+          ops
+      in
+      close_activation ();
+      List.for_all (fun (got, expected) -> got = expected) triples)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
-    [ causal_invariants_pa; causal_invariants_bfs ]
+    [ causal_invariants_pa; causal_invariants_bfs; declarations_match_list ]
 
 let suite =
   [
@@ -401,5 +485,6 @@ let suite =
       traffic_unused_edges_not_attributed;
     case "traffic: dropped words not attributed" `Quick
       traffic_excludes_dropped_words;
+    case "declarations: k emits and takes in O(k) words" `Quick declarations_linear;
   ]
   @ props
