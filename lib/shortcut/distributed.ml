@@ -74,15 +74,24 @@ let end_flag = min_int + 1
 
 type phase = Collecting | Streaming | Done
 
+(* What a node merges its children's reports into. *)
+type sketch =
+  | Mins of { mins : int array; counts : int array }
+      (* randomized: running minima, length R, and the data words
+         received per port *)
+  | Ids of (int, unit) Hashtbl.t  (* deterministic: distinct part ids *)
+
 type wave_state = {
-  phase : phase;
-  pending : int;  (* children that have not finished reporting *)
-  child_count : int array;  (* data words received, per port *)
-  mins : int array;  (* randomized: running minima, length R *)
-  ids : (int, unit) Hashtbl.t;  (* deterministic: distinct part ids *)
-  over_sub : bool;  (* decision for this node's parent edge *)
-  queue : int list;  (* words left to stream upward *)
-  last_cause : int;
+  mutable phase : phase;
+  mutable pending : int;  (* children that have not finished reporting *)
+  sketch : sketch;
+  mutable over_sub : bool;  (* decision for this node's parent edge *)
+  mutable stream : int array;
+      (* the words to stream upward, fixed at the decision: the minima
+         are copied then, because a duplicated word may still reach
+         [mins] while the stream drains *)
+  mutable sent : int;  (* words of [stream] sent so far *)
+  mutable last_cause : int;
       (* causal id of the latest delivery (0 when untraced): the stream
          drains over several rounds, so later sends must link back to the
          arrivals that completed the collection *)
@@ -93,114 +102,108 @@ let detection_wave_outcome ?(seed = 1) ?domains ?max_rounds ?tracer ?faults ?par
     ~threshold partition info =
   if threshold < 1 then invalid_arg "Distributed.detection_wave: threshold";
   let host = Partition.graph partition in
-  let repetitions = match variant with Randomized { repetitions } -> repetitions | Deterministic -> 0 in
   let init ctx =
     let v = ctx.Simulator.node in
     let node = info.Tree_info.nodes.(v) in
     let part = Partition.part_of partition v in
-    let mins =
-      Array.init repetitions (fun r ->
-          if part >= 0 then part_hash ~seed ~part ~rep:r else hash_empty)
+    let sketch =
+      match variant with
+      | Randomized { repetitions } ->
+          Mins
+            {
+              mins =
+                Array.init repetitions (fun r ->
+                    if part >= 0 then part_hash ~seed ~part ~rep:r else hash_empty);
+              counts = Array.make (Array.length ctx.Simulator.neighbors) 0;
+            }
+      | Deterministic ->
+          let ids = Hashtbl.create 8 in
+          if part >= 0 then Hashtbl.replace ids part ();
+          Ids ids
     in
-    let ids = Hashtbl.create 8 in
-    if variant = Deterministic && part >= 0 then Hashtbl.replace ids part ();
     {
       phase = Collecting;
       pending = Array.length node.Tree_info.child_ports;
-      child_count = Array.make (Array.length ctx.Simulator.neighbors) 0;
-      mins;
-      ids;
+      sketch;
       over_sub = false;
-      queue = [];
+      stream = [||];
+      sent = 0;
       last_cause = 0;
     }
   in
   let decide st =
-    match variant with
-    | Randomized _ -> estimate_count st.mins >= float_of_int threshold
-    | Deterministic -> Hashtbl.length st.ids >= threshold
+    match st.sketch with
+    | Mins { mins; _ } -> estimate_count mins >= float_of_int threshold
+    | Ids ids -> Hashtbl.length ids >= threshold
   in
   let payload st =
-    match variant with
-    | Randomized _ -> Array.to_list st.mins
-    | Deterministic ->
-        let ids = Hashtbl.fold (fun id () acc -> id :: acc) st.ids [] in
-        List.sort compare ids @ [ end_flag ]
+    match st.sketch with
+    | Mins { mins; _ } -> Array.copy mins
+    | Ids ids ->
+        let ids = Array.of_seq (Hashtbl.to_seq_keys ids) in
+        Array.sort Int.compare ids;
+        Array.append ids [| end_flag |]
   in
   (* Absorb one child report word. *)
   let absorb st port word =
-    if word = over_flag then { st with pending = st.pending - 1 }
-    else if word = end_flag then { st with pending = st.pending - 1 }
+    if word = over_flag || word = end_flag then st.pending <- st.pending - 1
     else begin
-      match variant with
-      | Randomized { repetitions } ->
-          let r = st.child_count.(port) in
+      match st.sketch with
+      | Mins { mins; counts } ->
+          let r = counts.(port) in
           (* An injected duplicate can stretch a child's stream past
              the R expected words; absorbing it would index past
              [mins]. Corrupted counts still yield a wrong-but-bounded
              estimate, never a crash. *)
-          if r >= repetitions then st
-          else begin
-            st.child_count.(port) <- r + 1;
-            if word < st.mins.(r) then st.mins.(r) <- word;
-            if r + 1 = repetitions then { st with pending = st.pending - 1 } else st
+          if r < Array.length mins then begin
+            counts.(port) <- r + 1;
+            if word < mins.(r) then mins.(r) <- word;
+            if r + 1 = Array.length mins then st.pending <- st.pending - 1
           end
-      | Deterministic ->
-          Hashtbl.replace st.ids word ();
-          st
+      | Ids ids -> Hashtbl.replace ids word ()
     end
+  in
+  (* Send the next stream word; the last one ends the node's wave. *)
+  let stream_next st mb port =
+    if st.sent < Array.length st.stream then begin
+      Simulator.send mb port st.stream.(st.sent);
+      st.sent <- st.sent + 1
+    end;
+    if st.sent = Array.length st.stream then st.phase <- Done
   in
   let on_round ctx st mb =
     let v = ctx.Simulator.node in
     let node = info.Tree_info.nodes.(v) in
-    let st =
-      if Trace.Cause.enabled () then begin
-        Trace.Cause.tag ~part:(Partition.part_of partition v) ~phase:"wave.stream";
-        let ids = Trace.Cause.inbox () in
-        if Array.length ids > 0 then
-          { st with last_cause = Array.fold_left max st.last_cause ids }
-        else st
-      end
-      else st
-    in
+    if Trace.Cause.enabled () then begin
+      Trace.Cause.tag ~part:(Partition.part_of partition v) ~phase:"wave.stream";
+      st.last_cause <- Array.fold_left max st.last_cause (Trace.Cause.inbox ())
+    end;
     (* Absorb child reports. *)
-    let st = ref st in
     for i = 0 to Simulator.deliveries mb - 1 do
-      st := absorb !st (Simulator.port mb i) (Simulator.payload mb i)
+      absorb st (Simulator.port mb i) (Simulator.payload mb i)
     done;
-    let st = !st in
-    match st.phase with
+    let port = node.Tree_info.parent_port in
+    (match st.phase with
     | Collecting ->
         (* [<=]: duplicated flag words can push [pending] below zero; the
            node must still decide rather than wait forever. *)
         if st.pending <= 0 then begin
-          let over_sub = node.Tree_info.parent_port >= 0 && decide st in
-          let queue =
-            if node.Tree_info.parent_port < 0 then []
-            else if over_sub then [ over_flag ]
-            else payload st
-          in
-          let st = { st with phase = Streaming; over_sub; queue } in
-          match st.queue with
-          | [] -> { st with phase = Done }
-          | w :: rest ->
-              Simulator.send mb node.Tree_info.parent_port w;
-              let st = { st with queue = rest } in
-              if rest = [] then { st with phase = Done } else st
+          st.over_sub <- port >= 0 && decide st;
+          if port < 0 then st.phase <- Done
+          else begin
+            st.phase <- Streaming;
+            st.stream <- (if st.over_sub then [| over_flag |] else payload st);
+            stream_next st mb port
+          end
         end
-        else st
-    | Streaming -> (
-        match st.queue with
-        | [] -> { st with phase = Done }
-        | w :: rest ->
-            (* Later stream words are queue-drain sends: caused by the
-               arrivals that completed collection, not this round's inbox. *)
-            if Trace.Cause.enabled () && st.last_cause > 0 then
-              Trace.Cause.parents [ st.last_cause ];
-            Simulator.send mb node.Tree_info.parent_port w;
-            let st = { st with queue = rest } in
-            if rest = [] then { st with phase = Done } else st)
-    | Done -> st
+    | Streaming ->
+        (* Later stream words are queue-drain sends: caused by the
+           arrivals that completed collection, not this round's inbox. *)
+        if Trace.Cause.enabled () && st.last_cause > 0 then
+          Trace.Cause.parents [ st.last_cause ];
+        stream_next st mb port
+    | Done -> ());
+    st
   in
   let program =
     {
