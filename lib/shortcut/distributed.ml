@@ -163,12 +163,12 @@ let detection_wave_outcome ?(seed = 1) ?domains ?max_rounds ?tracer ?faults ?par
       | Ids ids -> Hashtbl.replace ids word ()
     end
   in
-  (* Send the next stream word; the last one ends the node's wave. *)
+  (* Send the next stream word; the last one ends the node's wave. A
+     stream is never empty: it is the flag, the ids and the end flag, or
+     R minima (with R = 0 the estimate is infinite, so the node is over). *)
   let stream_next st mb port =
-    if st.sent < Array.length st.stream then begin
-      Simulator.send mb port st.stream.(st.sent);
-      st.sent <- st.sent + 1
-    end;
+    Simulator.send mb port st.stream.(st.sent);
+    st.sent <- st.sent + 1;
     if st.sent = Array.length st.stream then st.phase <- Done
   in
   let on_round ctx st mb =
