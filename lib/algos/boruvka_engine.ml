@@ -5,7 +5,6 @@ module Bfs = Lcs_graph.Bfs
 module Shortcut = Lcs_shortcut.Shortcut
 module Boost = Lcs_shortcut.Boost
 module Baseline = Lcs_shortcut.Baseline
-module Quality = Lcs_shortcut.Quality
 module Sim_aggregate = Lcs_partwise.Sim_aggregate
 module Simulator = Lcs_congest.Simulator
 module Rng = Lcs_util.Rng
@@ -94,7 +93,7 @@ let run ?obs ?tracer ?(seed = 7) ?(mode = Thm31) ?(domains = 1) ?par_profile g
           | None -> max_int
           | Some (key, edge) -> encode key edge)
     in
-    let congestion = Quality.congestion shortcut in
+    let congestion = Sim_aggregate.congestion prepared in
     if congestion > !max_congestion then max_congestion := congestion;
     Obs.gauge obs "boruvka.congestion" (float_of_int congestion);
     let out =

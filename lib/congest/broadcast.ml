@@ -53,12 +53,8 @@ type report = {
   retransmissions : int;
 }
 
-let run_outcome ?max_rounds ?tracer ?faults ?(reliable = true) ?config g info ~value =
-  let max_rounds =
-    match max_rounds with
-    | Some m -> m
-    | None -> 1_024 + (32 * (info.Tree_info.height + 1))
-  in
+let run_outcome ?tracer ?faults ?(reliable = true) ?config g info ~value =
+  let max_rounds = 1_024 + (32 * (info.Tree_info.height + 1)) in
   let inner = program info ~value in
   let extract result of_states retrans_of dead_of =
     match result with

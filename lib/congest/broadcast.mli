@@ -21,7 +21,6 @@ type report = {
 }
 
 val run_outcome :
-  ?max_rounds:int ->
   ?tracer:Trace.tracer ->
   ?faults:Fault.t ->
   ?reliable:bool ->
@@ -37,7 +36,7 @@ val run_outcome :
     [Complete] guarantees every node holds the root's value; [Degraded]
     lists exactly the nodes that do not ([unreached] = the degradation's
     [affected]) — every value that {e is} present equals the root's, which
-    this function checks rather than assumes. [max_rounds] defaults to
-    [1024 + 32·(height + 1)]; note a run with unreached nodes always
-    spends the full budget, since an unreached node cannot locally decide
+    this function checks rather than assumes. The run gets
+    [1024 + 32·(height + 1)] rounds; note a run with unreached nodes
+    always spends them all, since an unreached node cannot locally decide
     to stop waiting. *)

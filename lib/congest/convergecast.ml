@@ -132,13 +132,8 @@ type report = {
   retransmissions : int;
 }
 
-let run_outcome ?max_rounds ?tracer ?faults ?(reliable = true) ?config g info ~values
-    ~combine =
-  let max_rounds =
-    match max_rounds with
-    | Some m -> m
-    | None -> 1_024 + (32 * (info.Tree_info.height + 1))
-  in
+let run_outcome ?tracer ?faults g info ~values ~combine =
+  let max_rounds = 1_024 + (32 * (info.Tree_info.height + 1)) in
   let program, is_child = outcome_program info ~values ~combine in
   let on_dead ctx st ~port =
     (* Channel to a child died: stop waiting for that subtree. *)
@@ -149,26 +144,16 @@ let run_outcome ?max_rounds ?tracer ?faults ?(reliable = true) ?config g info ~v
     end
     else st
   in
-  let extract result of_states retrans_of dead_of =
-    match result with
-    | Simulator.Finished (states, stats) ->
-        (of_states states, retrans_of states, dead_of states, false, stats)
-    | Simulator.Out_of_rounds (states, p) ->
-        (of_states states, retrans_of states, dead_of states, true, p.Simulator.partial_stats)
+  let states, out_of_rounds, rstats =
+    match
+      Simulator.run_outcome ~max_rounds ?tracer ?faults g (Reliable.wrap ~on_dead program)
+    with
+    | Simulator.Finished (states, stats) -> (states, false, stats)
+    | Simulator.Out_of_rounds (states, p) -> (states, true, p.Simulator.partial_stats)
   in
-  let states, retransmissions, unresponsive, out_of_rounds, rstats =
-    if reliable then
-      extract
-        (Simulator.run_outcome ~max_rounds ?tracer ?faults g
-           (Reliable.wrap ?config ~on_dead program))
-        Reliable.inner_states Reliable.retransmissions Reliable.dead_links
-    else
-      extract
-        (Simulator.run_outcome ~max_rounds ?tracer ?faults g program)
-        Fun.id
-        (fun _ -> 0)
-        (fun _ -> [])
-  in
+  let retransmissions = Reliable.retransmissions states in
+  let unresponsive = Reliable.dead_links states in
+  let states = Reliable.inner_states states in
   let root = info.Tree_info.root in
   let n = Array.length states in
   (* A node's value reached the root iff every child→parent hop on its

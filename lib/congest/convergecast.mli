@@ -31,11 +31,8 @@ type report = {
 }
 
 val run_outcome :
-  ?max_rounds:int ->
   ?tracer:Trace.tracer ->
   ?faults:Fault.t ->
-  ?reliable:bool ->
-  ?config:Reliable.config ->
   Lcs_graph.Graph.t ->
   Tree_info.t ->
   values:int array ->
@@ -43,13 +40,14 @@ val run_outcome :
   report Outcome.t
 (** Convergecast under injected faults. The outcome-mode protocol differs
     from {!run} in one respect: parents periodically probe children that
-    have not reported, so the {!Reliable} transport (on by default) can
-    detect a crashed child — ARQ dead-link detection fires only on the
+    have not reported, so the {!Reliable} transport (default
+    configuration), which the protocol always runs over, can detect a
+    crashed child — ARQ dead-link detection fires only on the
     sender side, and plain convergecast never sends downward. When a
     child's channel dies the parent stops waiting and forwards the
     partial combine of the subtrees that did report. [Complete]
     guarantees [total] is the full combine; [Degraded] names exactly the
     [excluded] nodes and still validates [total] against a sequential
     recomputation over [included] — a failed validation marks every node
-    affected rather than returning a silently wrong aggregate.
-    [max_rounds] defaults as in {!Broadcast.run_outcome}. *)
+    affected rather than returning a silently wrong aggregate. The run
+    gets [1024 + 32·(height + 1)] rounds, as {!Broadcast.run_outcome}. *)

@@ -49,10 +49,11 @@ type report = {
   stats : Simulator.stats;
 }
 
-let run_outcome ?diameter_bound ?tracer ?faults g =
+let run_outcome ?tracer ?faults g =
   let n = Graph.n g in
   if n = 0 then invalid_arg "Leader_election.run_outcome: empty graph";
-  let budget = (match diameter_bound with Some d -> d | None -> n - 1) + 1 in
+  (* The always-safe diameter bound n - 1, plus one round. *)
+  let budget = n in
   (* Flooding is idempotent-max, so duplicates and reordering are already
      harmless; the protocol runs raw and only loss within the round budget
      (or a crash) can leave survivors disagreeing — which the validator

@@ -27,7 +27,6 @@ type report = {
 }
 
 val run_outcome :
-  ?diameter_bound:int ->
   ?tracer:Trace.tracer ->
   ?faults:Fault.t ->
   Lcs_graph.Graph.t ->
@@ -36,5 +35,6 @@ val run_outcome :
     duplication and reordering are harmless by construction; loss within
     the round budget or a crash can leave survivors split, which is
     reported ([dissenters] = the degradation's [affected]) instead of the
-    fault-free entry point's [failwith]. A [Complete] outcome means every
-    node survived and unanimously elected the maximum id. *)
+    fault-free entry point's [failwith]. The diameter bound is the
+    always-safe [n - 1]. A [Complete] outcome means every node survived
+    and unanimously elected the maximum id. *)

@@ -810,9 +810,73 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
     if traced then push_id csr nxt w id;
     push_inbox csr nxt w back msg
   in
+  (* Deliver the copies of one send the verdict lets through, one per
+     delay: the first is the send itself, the others its duplicates. *)
+  let rec deliver_copies v w back edge size msg cparents cpart cphase ~first = function
+    | [] -> ()
+    | delay :: rest ->
+        incr messages;
+        words := !words + size;
+        (match par_profile with
+        | None -> ()
+        | Some pp -> Par_profile.record_send pp ~src:owner.(v) ~dst:owner.(w) ~words:size);
+        let id =
+          match tracer with
+          | None -> 0
+          | Some t ->
+              let id = Trace.Cause.fresh_id () in
+              if first then
+                t
+                  (Trace.Send
+                     {
+                       round = !rounds;
+                       src = v;
+                       dst = w;
+                       edge;
+                       words = size;
+                       id;
+                       parents = cparents;
+                       part = cpart;
+                       phase = cphase;
+                     })
+              else
+                t
+                  (Trace.Duplicate
+                     {
+                       round = !rounds;
+                       src = v;
+                       dst = w;
+                       edge;
+                       words = size;
+                       id;
+                       parents = cparents;
+                       part = cpart;
+                       phase = cphase;
+                     });
+              if delay > 0 then
+                t (Trace.Delayed { round = !rounds; src = v; dst = w; edge; delay });
+              id
+        in
+        (if delay = 0 then deliver_next w back id msg
+         else
+           let at = !rounds + 1 + delay in
+           Vec.push
+             ring.(at mod ring_span)
+             {
+               p_dst = w;
+               p_port = back;
+               p_id = id;
+               p_src = v;
+               p_edge = edge;
+               p_words = size;
+               p_msg = msg;
+             });
+        deliver_copies v w back edge size msg cparents cpart cphase ~first:false rest
+  in
   (* Replay one buffered send on the calling domain, with the causal
      declaration read from the buffer. Ids, verdicts and trace events are
-     drawn here, in shard-merge (= ascending sender) order. *)
+     drawn here, in shard-merge (= ascending sender) order. Without a plan
+     every send gets the verdict [Deliver [0]]: one copy, on time. *)
   let process_send v port msg ~cparents ~cpart ~cphase =
     if port < 0 || port >= Csr.degree csr v then invalid_arg "Simulator: bad port";
     let size = program.msg_words msg in
@@ -830,127 +894,32 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
     end;
     budget.(slot) <- used;
     if used > !max_edge_load then max_edge_load := used;
+    (* The transmission consumed its slot on the wire whatever the
+       network then does to it: the round's traced high-water mark counts
+       it too. *)
+    if used > !round_max then round_max := used;
     let w = Intvec.unsafe_get csr.port_neighbor slot in
     let back = Intvec.unsafe_get csr.port_reverse slot in
     let edge = Intvec.unsafe_get csr.port_edge slot in
     match faults with
-    | None ->
-        incr messages;
-        words := !words + size;
-        (match par_profile with
+    | Some inj when crashed.(w) -> (
+        Fault.note_to_crashed inj;
+        match tracer with
         | None -> ()
-        | Some pp -> Par_profile.record_send pp ~src:owner.(v) ~dst:owner.(w) ~words:size);
-        let id =
-          match tracer with
-          | None -> 0
-          | Some t ->
-              if used > !round_max then round_max := used;
-              let id = Trace.Cause.fresh_id () in
-              t
-                (Trace.Send
-                   {
-                     round = !rounds;
-                     src = v;
-                     dst = w;
-                     edge;
-                     words = size;
-                     id;
-                     parents = cparents;
-                     part = cpart;
-                     phase = cphase;
-                   });
-              id
+        | Some t -> t (Trace.Drop { round = !rounds; src = v; dst = w; edge; words = size }))
+    | _ -> (
+        let verdict =
+          match faults with
+          | None -> Fault.Deliver [ 0 ]
+          | Some inj -> Fault.transmission inj ~round:!rounds ~edge
         in
-        deliver_next w back id msg
-    | Some inj ->
-        (* The transmission consumed its slot on the wire either way (the
-           budget above); what the network then does to it is the
-           injector's verdict. *)
-        if crashed.(w) then begin
-          Fault.note_to_crashed inj;
-          match tracer with
-          | None -> ()
-          | Some t ->
-              if used > !round_max then round_max := used;
-              t (Trace.Drop { round = !rounds; src = v; dst = w; edge; words = size })
-        end
-        else begin
-          match Fault.transmission inj ~round:!rounds ~edge with
-          | Fault.Lose Fault.Random_loss -> (
-              match tracer with
-              | None -> ()
-              | Some t ->
-                  if used > !round_max then round_max := used;
-                  t (Trace.Drop { round = !rounds; src = v; dst = w; edge; words = size }))
-          | Fault.Lose Fault.Link_is_down -> (
-              match tracer with
-              | None -> ()
-              | Some t ->
-                  if used > !round_max then round_max := used;
-                  t (Trace.Link_down { round = !rounds; edge }))
-          | Fault.Deliver delays ->
-              List.iteri
-                (fun i delay ->
-                  incr messages;
-                  words := !words + size;
-                  (match par_profile with
-                  | None -> ()
-                  | Some pp ->
-                      Par_profile.record_send pp ~src:owner.(v) ~dst:owner.(w) ~words:size);
-                  let id =
-                    match tracer with
-                    | None -> 0
-                    | Some t ->
-                        if used > !round_max then round_max := used;
-                        let id = Trace.Cause.fresh_id () in
-                        if i = 0 then
-                          t
-                            (Trace.Send
-                               {
-                                 round = !rounds;
-                                 src = v;
-                                 dst = w;
-                                 edge;
-                                 words = size;
-                                 id;
-                                 parents = cparents;
-                                 part = cpart;
-                                 phase = cphase;
-                               })
-                        else
-                          t
-                            (Trace.Duplicate
-                               {
-                                 round = !rounds;
-                                 src = v;
-                                 dst = w;
-                                 edge;
-                                 words = size;
-                                 id;
-                                 parents = cparents;
-                                 part = cpart;
-                                 phase = cphase;
-                               });
-                        if delay > 0 then
-                          t (Trace.Delayed { round = !rounds; src = v; dst = w; edge; delay });
-                        id
-                  in
-                  if delay = 0 then deliver_next w back id msg
-                  else
-                    let at = !rounds + 1 + delay in
-                    Vec.push
-                      ring.(at mod ring_span)
-                      {
-                        p_dst = w;
-                        p_port = back;
-                        p_id = id;
-                        p_src = v;
-                        p_edge = edge;
-                        p_words = size;
-                        p_msg = msg;
-                      })
-                delays
-        end
+        match (verdict, tracer) with
+        | Fault.Deliver delays, _ ->
+            deliver_copies v w back edge size msg cparents cpart cphase ~first:true delays
+        | Fault.Lose _, None -> ()
+        | Fault.Lose Fault.Random_loss, Some t ->
+            t (Trace.Drop { round = !rounds; src = v; dst = w; edge; words = size })
+        | Fault.Lose Fault.Link_is_down, Some t -> t (Trace.Link_down { round = !rounds; edge }))
   in
   (* Replay the round's buffered activations of nodes below [until] — all
      of them, unless some node's step raised, in which case exactly the

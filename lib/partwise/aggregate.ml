@@ -17,13 +17,17 @@ let fold_parts shortcut ~values combine identity =
 let reference_minima shortcut ~values = fold_parts shortcut ~values min max_int
 let reference_sums shortcut ~values = fold_parts shortcut ~values ( + ) 0
 
+(* Without crashes this is [reference_minima], with no mask to build. *)
 let surviving_minima shortcut ~values ~crashed =
-  let partition = Shortcut.partition shortcut in
-  let n = Graph.n (Shortcut.graph shortcut) in
-  let dead = Array.make n false in
-  List.iter (fun v -> if v >= 0 && v < n then dead.(v) <- true) crashed;
-  Array.init (Shortcut.k shortcut) (fun i ->
-      Array.fold_left
-        (fun acc v -> if dead.(v) then acc else min acc values.(v))
-        max_int
-        (Partition.members partition i))
+  if crashed = [] then reference_minima shortcut ~values
+  else begin
+    let partition = Shortcut.partition shortcut in
+    let n = Graph.n (Shortcut.graph shortcut) in
+    let dead = Array.make n false in
+    List.iter (fun v -> if v >= 0 && v < n then dead.(v) <- true) crashed;
+    Array.init (Shortcut.k shortcut) (fun i ->
+        Array.fold_left
+          (fun acc v -> if dead.(v) then acc else min acc values.(v))
+          max_int
+          (Partition.members partition i))
+  end

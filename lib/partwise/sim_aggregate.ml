@@ -256,6 +256,7 @@ let prepare ?host shortcut =
   }
 
 let budget p = Lazy.force p.default_budget
+let congestion p = p.sched.congestion
 
 (* The entry of node [v] for [part], by binary search in its sorted row. *)
 let entry_of rt v part =
@@ -393,8 +394,9 @@ type setup = {
   partition : Partition.t;
   k : int;
   store : store;
-  own_best : int -> int option;
-      (* a part member's best value for its own part, after the run *)
+  holds : int -> int -> bool;
+      (* whether a part member's best value for its own part is the given
+         one, after the run *)
 }
 
 let flood_phase _ _ _ = "pa.flood"
@@ -480,18 +482,38 @@ let setup ?(policy = Schedule.Random_delay) ~budget p rng ~values =
       msg_words = (fun _ -> 1);
     }
   in
-  let own_best v =
+  let holds v x =
     let j = rt.own_entry.(v) in
-    if j >= 0 && has_best.(j) then Some best.(j) else None
+    j >= 0 && has_best.(j) && best.(j) = x
   in
-  { program; budget; host; partition; k; store; own_best }
+  { program; budget; host; partition; k; store; holds }
 
 let completion states =
   Array.fold_left (fun acc st -> max acc st.last_improved) 0 states
 
-let minimum ?prepared ?policy ?domains ?obs ?tracer ?par_profile rng shortcut ~values =
+(* --- The one minimum run ---------------------------------------------------- *)
+
+module Fault = Lcs_congest.Fault
+module Reliable = Lcs_congest.Reliable
+module Outcome = Lcs_congest.Outcome
+
+type report = {
+  minima : int array;
+      (** per part: the minimum over its surviving members' values — the
+          reference a degraded run is held to *)
+  diverged : int list;  (** parts with a surviving member disagreeing *)
+  completion_round : int;
+  ostats : Simulator.stats;
+  retransmissions : int;
+}
+
+(* The run behind {!minimum}, {!broadcast} and {!minimum_outcome}: set-up,
+   the flood (raw or over the ARQ, with or without a plan), epochs, the
+   validation of every surviving member and the ledger. *)
+let run_minimum ?prepared ?policy ?budget ?domains ?obs ?tracer ?faults ?par_profile
+    ~reliable rng shortcut ~values =
   Obs.span obs "pa" @@ fun () ->
-  let p, { program; budget; host; partition; store; own_best; _ } =
+  let p, { program; budget; host; partition; k; store; holds } =
     Obs.span obs "pa.setup" (fun () ->
         let p =
           match prepared with
@@ -499,37 +521,99 @@ let minimum ?prepared ?policy ?domains ?obs ?tracer ?par_profile rng shortcut ~v
           | Some p when p.shortcut == shortcut -> p
           | Some _ -> invalid_arg "Sim_aggregate.minimum: prepared for another shortcut"
         in
-        (p, setup ?policy ~budget:(budget p) p rng ~values))
+        (* The ARQ roughly triples per-hop latency (data + ack round
+           trips), so the reliable path gets a proportionally larger round
+           budget unless the caller pins one. *)
+        let budget =
+          match budget with
+          | Some b -> b
+          | None -> (if reliable then 8 else 1) * Lazy.force p.default_budget
+        in
+        (p, setup ?policy ~budget p rng ~values))
   in
   let sched = p.sched in
   note_schedule obs ~budget sched;
   let profile, tracer = profiled obs tracer ~edges:(Graph.m host) in
   Obs.enter obs "pa.run";
-  let states, stats =
-    Simulator.run ?domains ~max_rounds:(budget + 8) ?host:p.host ?tracer ?par_profile host
-      program
+  let extract result of_states retrans_of dead_of =
+    match result with
+    | Simulator.Finished (states, stats) ->
+        (of_states states, retrans_of states, dead_of states, false, stats)
+    | Simulator.Out_of_rounds (states, p) ->
+        (of_states states, retrans_of states, dead_of states, true, p.Simulator.partial_stats)
   in
-  record_epochs obs profile ~max_delay:sched.max_delay
-    ~rounds:stats.Simulator.rounds;
+  let states, retransmissions, unresponsive, out_of_rounds, ostats =
+    if reliable then
+      extract
+        (Simulator.run_outcome ?domains ~max_rounds:(budget + 512) ?host:p.host ?tracer
+           ?faults ?par_profile host (Reliable.wrap program))
+        Reliable.inner_states Reliable.retransmissions Reliable.dead_links
+    else
+      extract
+        (Simulator.run_outcome ?domains ~max_rounds:(budget + 8) ?host:p.host ?tracer
+           ?faults ?par_profile host program)
+        Fun.id
+        (fun _ -> 0)
+        (fun _ -> [])
+  in
+  record_epochs obs profile ~max_delay:sched.max_delay ~rounds:ostats.Simulator.rounds;
   Obs.exit obs;
-  let reference = Aggregate.reference_minima shortcut ~values in
-  for v = 0 to Graph.n host - 1 do
-    let part = Partition.part_of partition v in
-    if part >= 0 then
-      match own_best v with
-      | Some b when b = reference.(part) -> ()
-      | _ -> failwith "Sim_aggregate: part did not converge within budget"
+  let crashed = match faults with None -> [] | Some inj -> Fault.crashed_nodes inj in
+  let n = Graph.n host in
+  (* Crashed members owe nothing; the mask is built only when some node
+     crashed. *)
+  let dead = Array.make (if crashed = [] then 0 else n) false in
+  List.iter (fun v -> if v >= 0 && v < n then dead.(v) <- true) crashed;
+  let survives v = Array.length dead = 0 || not dead.(v) in
+  let minima = Aggregate.surviving_minima shortcut ~values ~crashed in
+  (* Per-part validation: every surviving member must hold exactly the
+     surviving minimum — anything else (missing or stale) marks the part
+     diverged and its surviving members affected. Never a silent wrong
+     answer. *)
+  let diverged = ref [] in
+  let affected = ref [] in
+  for i = k - 1 downto 0 do
+    let members = Partition.members partition i in
+    let bad = ref false in
+    for x = 0 to Array.length members - 1 do
+      let v = members.(x) in
+      if survives v && not (holds v minima.(i)) then bad := true
+    done;
+    if !bad then begin
+      diverged := i :: !diverged;
+      for x = 0 to Array.length members - 1 do
+        let v = members.(x) in
+        if survives v then affected := v :: !affected
+      done
+    end
   done;
   Atomic.set p.spare (Some store);
   let completion_round = completion states in
-  record_ledger obs profile sched ~n:(Graph.n host) ~observed_rounds:completion_round;
-  {
-    minima = reference;
-    rounds = stats.Simulator.rounds;
-    completion_round;
-    messages = stats.Simulator.messages;
-    stats;
-  }
+  record_ledger obs profile sched ~n ~observed_rounds:completion_round;
+  Outcome.classify
+    { minima; diverged = !diverged; completion_round; ostats; retransmissions }
+    {
+      Outcome.crashed;
+      unresponsive;
+      affected = List.sort_uniq compare !affected;
+      out_of_rounds;
+      rounds = ostats.Simulator.rounds;
+    }
+
+let minimum ?prepared ?policy ?domains ?obs ?tracer ?par_profile rng shortcut ~values =
+  match
+    run_minimum ?prepared ?policy ?domains ?obs ?tracer ?par_profile ~reliable:false rng
+      shortcut ~values
+  with
+  | Outcome.Degraded _ -> failwith "Sim_aggregate: part did not converge within budget"
+  | Outcome.Complete r ->
+      {
+        minima = r.minima;
+        rounds = r.ostats.Simulator.rounds;
+        completion_round = r.completion_round;
+        messages = r.ostats.Simulator.messages;
+        stats = r.ostats;
+      }
 
 let broadcast ?prepared ?domains ?obs ?tracer ?par_profile rng shortcut ~leaders =
   let partition = Shortcut.partition shortcut in
@@ -700,108 +784,7 @@ let sum ?tracer rng shortcut ~values =
 
 (* --- Fault-tolerant entry point ------------------------------------------ *)
 
-module Fault = Lcs_congest.Fault
-module Reliable = Lcs_congest.Reliable
-module Outcome = Lcs_congest.Outcome
-
-type report = {
-  minima : int array;
-      (** per part: the minimum over its surviving members' values — the
-          reference a degraded run is held to *)
-  diverged : int list;  (** parts with a surviving member disagreeing *)
-  completion_round : int;
-  ostats : Simulator.stats;
-  retransmissions : int;
-}
-
-let minimum_outcome ?budget ?domains ?max_rounds ?obs ?tracer ?faults ?par_profile
-    ?(reliable = true) ?config rng shortcut ~values =
-  Obs.span obs "pa" @@ fun () ->
-  let p, { program; budget; host; partition; k; own_best; _ } =
-    Obs.span obs "pa.setup" (fun () ->
-        let p = prepare shortcut in
-        (* The ARQ roughly triples per-hop latency (data + ack round
-           trips), so the reliable path gets a proportionally larger round
-           budget unless the caller pins one. *)
-        let budget =
-          match budget with
-          | Some b -> b
-          | None ->
-              let default = Lazy.force p.default_budget in
-              if reliable then 8 * default else default
-        in
-        (p, setup ~budget p rng ~values))
-  in
-  let sched = p.sched in
-  note_schedule obs ~budget sched;
-  let profile, tracer = profiled obs tracer ~edges:(Graph.m host) in
-  let max_rounds =
-    match max_rounds with
-    | Some m -> m
-    | None -> if reliable then budget + 512 else budget + 8
-  in
-  Obs.enter obs "pa.run";
-  let extract result of_states retrans_of dead_of =
-    match result with
-    | Simulator.Finished (states, stats) ->
-        (of_states states, retrans_of states, dead_of states, false, stats)
-    | Simulator.Out_of_rounds (states, p) ->
-        (of_states states, retrans_of states, dead_of states, true, p.Simulator.partial_stats)
-  in
-  let states, retransmissions, unresponsive, out_of_rounds, ostats =
-    if reliable then
-      extract
-        (Simulator.run_outcome ?domains ~max_rounds ?tracer ?faults ?par_profile
-           host
-           (Reliable.wrap ?config program))
-        Reliable.inner_states Reliable.retransmissions Reliable.dead_links
-    else
-      extract
-        (Simulator.run_outcome ?domains ~max_rounds ?tracer ?faults ?par_profile
-           host program)
-        Fun.id
-        (fun _ -> 0)
-        (fun _ -> [])
-  in
-  record_epochs obs profile ~max_delay:sched.max_delay
-    ~rounds:ostats.Simulator.rounds;
-  Obs.exit obs;
-  let crashed = match faults with None -> [] | Some inj -> Fault.crashed_nodes inj in
-  let n = Graph.n host in
-  let dead = Array.make n false in
-  List.iter (fun v -> if v >= 0 && v < n then dead.(v) <- true) crashed;
-  let minima = Aggregate.surviving_minima shortcut ~values ~crashed in
-  (* Per-part validation: every surviving member must hold exactly the
-     surviving minimum — anything else (missing or stale) marks the part
-     diverged and its surviving members affected. Never a silent wrong
-     answer, never the fault-free path's [failwith]. *)
-  let diverged = ref [] in
-  let affected = ref [] in
-  for i = k - 1 downto 0 do
-    let members = Lcs_graph.Partition.members partition i in
-    let bad = ref false in
-    Array.iter
-      (fun v ->
-        if not dead.(v) then
-          match own_best v with
-          | Some b when b = minima.(i) -> ()
-          | _ -> bad := true)
-      members;
-    if !bad then begin
-      diverged := i :: !diverged;
-      Array.iter (fun v -> if not dead.(v) then affected := v :: !affected) members
-    end
-  done;
-  let diverged = !diverged in
-  let affected = List.sort_uniq compare !affected in
-  let completion_round = completion states in
-  record_ledger obs profile sched ~n ~observed_rounds:completion_round;
-  let report = { minima; diverged; completion_round; ostats; retransmissions } in
-  Outcome.classify report
-    {
-      Outcome.crashed;
-      unresponsive;
-      affected;
-      out_of_rounds;
-      rounds = ostats.Simulator.rounds;
-    }
+let minimum_outcome ?budget ?domains ?obs ?tracer ?faults ?par_profile ?(reliable = true)
+    rng shortcut ~values =
+  run_minimum ?budget ?domains ?obs ?tracer ?faults ?par_profile ~reliable rng shortcut
+    ~values

@@ -81,6 +81,10 @@ val budget : prepared -> int
     (c,d) measured from the shortcut. Measuring the dilation is the
     costly part; it happens once per preparation. *)
 
+val congestion : prepared -> int
+(** The shortcut's congestion [c] (Definition 2.2), measured by
+    {!prepare}. *)
+
 (** {1 Aggregations} *)
 
 val minimum :
@@ -95,7 +99,9 @@ val minimum :
   values:int array ->
   result
 (** [minimum rng shortcut ~values]: every part's minimum, computed by
-    flooding inside each part's shortcut subgraph under the simulator.
+    flooding inside each part's shortcut subgraph under the simulator —
+    {!minimum_outcome}'s raw run ([reliable = false]) without a fault
+    plan, whose [Complete] report it returns.
     Termination: nodes run for a round budget (local knowledge cannot
     detect global quiescence without extra machinery), {!budget} —
     generous enough for the schedule bound — and the returned
@@ -104,7 +110,8 @@ val minimum :
     shortcut, or the call raises [Invalid_argument]; it changes cost,
     never a result. Raises [Invalid_argument] if the graph has 2{^31}
     nodes or more, which the word layout cannot address, and [Failure]
-    if some part had not converged within the budget. [policy] (default {!Schedule.Random_delay}) sets the parts'
+    if some part had not converged within the budget (the outcome is
+    [Degraded]). [policy] (default {!Schedule.Random_delay}) sets the parts'
     priorities, the ablation axis of experiment E14. [tracer] observes
     the underlying {!Lcs_congest.Simulator} run — its per-edge profile is
     how E7-style experiments see the congestion {e distribution} rather
@@ -174,27 +181,28 @@ type report = {
 val minimum_outcome :
   ?budget:int ->
   ?domains:int ->
-  ?max_rounds:int ->
   ?obs:Lcs_obs.Obs.t ->
   ?tracer:Lcs_congest.Trace.tracer ->
   ?faults:Lcs_congest.Fault.t ->
   ?par_profile:Lcs_congest.Par_profile.t ->
   ?reliable:bool ->
-  ?config:Lcs_congest.Reliable.config ->
   Lcs_util.Rng.t ->
   Lcs_shortcut.Shortcut.t ->
   values:int array ->
   report Lcs_congest.Outcome.t
-(** {!minimum} under injected faults, degrading gracefully instead of
-    raising [Failure]. [reliable] (default true) runs the flooding over
-    the {!Lcs_congest.Reliable} ARQ with an 8× round budget (the ARQ
-    costs a data/ack round trip per hop); raw mode keeps {!minimum}'s
-    budget and relies on min-flooding's natural idempotence (duplicates
-    and reordering are harmless; only loss and crashes bite). The
-    validator checks, part by part, that every surviving member holds
-    exactly the surviving minimum; failing parts are listed in [diverged]
-    and their surviving members become the degradation's [affected].
-    [Complete] therefore coincides with {!minimum}'s fault-free
-    postcondition when no faults were injected. [?obs] opens the same
-    ["pa"]/["pa.setup"]/["pa.run"]/["pa.epoch"] span shape and ledger
-    entries as {!minimum}, so faulty runs report spans too. *)
+(** The flood under injected faults, degrading gracefully instead of
+    raising [Failure]; {!minimum} is this run, raw and without a plan.
+    [reliable] (default true) runs the flooding over the
+    {!Lcs_congest.Reliable} ARQ (default configuration) with an 8× round
+    budget (the ARQ costs a data/ack round trip per hop) and [budget +
+    512] simulator rounds; raw mode keeps {!minimum}'s budget and
+    [budget + 8] rounds, and relies on min-flooding's natural idempotence
+    (duplicates and reordering are harmless; only loss and crashes bite).
+    [budget] pins the round budget. The validator checks, part by part,
+    that every surviving member holds exactly the surviving minimum;
+    failing parts are listed in [diverged] and their surviving members
+    become the degradation's [affected]. [Complete] therefore coincides
+    with {!minimum}'s fault-free postcondition when no faults were
+    injected. [?obs] opens the same ["pa"]/["pa.setup"]/["pa.run"]/
+    ["pa.epoch"] span shape and ledger entries as {!minimum}, so faulty
+    runs report spans too. *)

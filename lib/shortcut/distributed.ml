@@ -263,84 +263,7 @@ let detection_wave ?seed ?domains ?max_rounds ?tracer ?faults ?par_profile ~vari
   | Ok (over, stats) -> (over, stats)
   | Error (_pending, partial) -> raise (Simulator.Round_limit partial.Simulator.rounds)
 
-(* --- Full pipeline ------------------------------------------------------- *)
-
-let construct ?obs ?(seed = 1) ?variant ?(max_rounds = 2_000_000)
-    ?(initial_delta = 1) ?domains ?tracer ?par_profile partition ~root =
-  let host = Partition.graph partition in
-  let variant =
-    match variant with
-    | Some v -> v
-    | None -> Randomized { repetitions = default_repetitions host }
-  in
-  Obs.span obs "distributed" (fun () ->
-      let tree, height, bfs_stats =
-        Obs.span obs "distributed.bfs" (fun () ->
-            let tree, height, stats =
-              Sync_bfs.run ?domains ~max_rounds ?tracer ?par_profile host ~root
-            in
-            Obs.add_rounds obs stats.Simulator.rounds;
-            Obs.note obs "height" (Obs.Int height);
-            (tree, height, stats))
-      in
-      let info = Tree_info.of_tree host tree in
-      let d = max 1 height in
-      let payload =
-        match variant with
-        | Randomized { repetitions } -> repetitions
-        | Deterministic -> 0 (* threshold-dependent; noted per wave *)
-      in
-      let wave_rounds = ref 0 in
-      let wave_messages = ref 0 in
-      let guesses = ref 0 in
-      let rec search delta =
-        incr guesses;
-        let threshold = 8 * delta * d in
-        let over, stats =
-          Obs.span obs "distributed.wave" (fun () ->
-              Obs.note obs "delta" (Obs.Int delta);
-              Obs.note obs "threshold" (Obs.Int threshold);
-              let over, stats =
-                detection_wave ~seed:(seed + !guesses) ?domains ~max_rounds ?tracer
-                  ?par_profile
-                  ~variant ~threshold partition info
-              in
-              Obs.add_rounds obs stats.Simulator.rounds;
-              (* A wave buffers up the tree then streams its payload:
-                 O(D + payload) rounds (payload = threshold + 1 words per
-                 deterministic report). *)
-              let per_wave =
-                if payload > 0 then payload else threshold + 1
-              in
-              Obs.bound obs ~metric:"rounds"
-                ~predicted:(float_of_int (d + per_wave + 8))
-                ~observed:(float_of_int stats.Simulator.rounds);
-              (over, stats))
-        in
-        wave_rounds := !wave_rounds + stats.Simulator.rounds;
-        wave_messages := !wave_messages + stats.Simulator.messages;
-        let result =
-          Construct.with_fixed_overcongested ?obs partition ~tree ~over ~threshold
-            ~block_budget:(8 * delta)
-        in
-        if Construct.succeeded result then (result, delta, threshold)
-        else search (2 * delta)
-      in
-      let result, delta, threshold = search initial_delta in
-      Obs.note obs "guesses" (Obs.Int !guesses);
-      {
-        tree;
-        height;
-        delta;
-        threshold;
-        result;
-        bfs_stats;
-        wave_rounds = !wave_rounds;
-        wave_messages = !wave_messages;
-        guesses = !guesses;
-      })
-
-(* --- Fault-tolerant pipeline --------------------------------------------- *)
+(* --- The pipeline ---------------------------------------------------------- *)
 
 module Fault = Lcs_congest.Fault
 module Outcome_t = Lcs_congest.Outcome
@@ -355,27 +278,26 @@ type report = {
           construction's for the same threshold *)
 }
 
-let construct_outcome ?(seed = 1) ?variant ?(max_rounds = 2_000_000) ?(initial_delta = 1)
-    ?domains ?tracer ?faults ?par_profile partition ~root =
+(* The one pipeline behind both entry points: the BFS, then the δ-doubling
+   wave search, each stage under its own round cap. A crashed node never
+   halts, so a degraded stage always spends its whole budget: the caps are
+   generous for the fault-free case, not a pipeline-wide ceiling. [Error]
+   carries the report and degradation of the stage that stopped short. *)
+let pipeline ?obs ~seed ~variant ?domains ?tracer ?faults ?par_profile partition ~root =
   let host = Partition.graph partition in
-  let variant =
-    match variant with
-    | Some v -> v
-    | None -> Randomized { repetitions = default_repetitions host }
+  Obs.span obs "distributed" @@ fun () ->
+  let bfs =
+    Obs.span obs "distributed.bfs" (fun () ->
+        (* [run_outcome]'s default cap, 4n + 64. *)
+        let o = Sync_bfs.run_outcome ?domains ?tracer ?faults ?par_profile host ~root in
+        let b = Outcome_t.value o in
+        Obs.add_rounds obs b.Sync_bfs.stats.Simulator.rounds;
+        Obs.note obs "height" (Obs.Int b.Sync_bfs.height);
+        o)
   in
-  let crashed () =
-    match faults with None -> [] | Some inj -> Fault.crashed_nodes inj
-  in
-  (* Per-stage round caps: a crashed node never halts, so a degraded
-     stage always spends its whole budget — the budget must be "generous
-     for the fault-free case", not the pipeline-wide 2M ceiling. *)
-  let bfs_cap = min max_rounds ((4 * Graph.n host) + 64) in
-  match
-    Sync_bfs.run_outcome ?domains ~max_rounds:bfs_cap ?tracer ?faults ?par_profile host
-      ~root
-  with
-  | Lcs_congest.Outcome.Degraded (b, d) ->
-      Outcome_t.Degraded
+  match bfs with
+  | Outcome_t.Degraded (b, d) ->
+      Error
         ( {
             constructed = None;
             failed_stage = Some "bfs";
@@ -384,12 +306,9 @@ let construct_outcome ?(seed = 1) ?variant ?(max_rounds = 2_000_000) ?(initial_d
             validated = None;
           },
           d )
-  | Lcs_congest.Outcome.Complete b ->
-      let tree =
-        match b.Sync_bfs.tree with Some t -> t | None -> assert false
-      in
-      let height = b.Sync_bfs.height in
-      let bfs_stats = b.Sync_bfs.stats in
+  | Outcome_t.Complete b -> (
+      let tree = match b.Sync_bfs.tree with Some t -> t | None -> assert false in
+      let height = b.Sync_bfs.height and bfs_stats = b.Sync_bfs.stats in
       let info = Tree_info.of_tree host tree in
       let d = max 1 height in
       let wave_rounds = ref 0 in
@@ -398,97 +317,136 @@ let construct_outcome ?(seed = 1) ?variant ?(max_rounds = 2_000_000) ?(initial_d
       let rec search delta =
         incr guesses;
         let threshold = 8 * delta * d in
+        (* Words per report: R minima, or at most threshold + 1 ids. *)
         let payload =
           match variant with
           | Randomized { repetitions } -> repetitions
           | Deterministic -> threshold + 1
         in
-        let wave_cap = min max_rounds (256 + (8 * d * max payload 4)) in
-        match
-          detection_wave_outcome ~seed:(seed + !guesses) ?domains ~max_rounds:wave_cap
-            ?par_profile
-            ?tracer ?faults ~variant ~threshold partition info
-        with
+        let wave =
+          Obs.span obs "distributed.wave" (fun () ->
+              Obs.note obs "delta" (Obs.Int delta);
+              Obs.note obs "threshold" (Obs.Int threshold);
+              let wave =
+                detection_wave_outcome ~seed:(seed + !guesses) ?domains
+                  ~max_rounds:(256 + (8 * d * max payload 4))
+                  ?tracer ?faults ?par_profile ~variant ~threshold partition info
+              in
+              (match wave with
+              | Ok (_, stats) ->
+                  Obs.add_rounds obs stats.Simulator.rounds;
+                  (* A wave buffers up the tree then streams its payload:
+                     O(D + payload) rounds. *)
+                  Obs.bound obs ~metric:"rounds"
+                    ~predicted:(float_of_int (d + payload + 8))
+                    ~observed:(float_of_int stats.Simulator.rounds)
+              | Error _ -> ());
+              wave)
+        in
+        match wave with
         | Error (pending, partial) ->
             wave_rounds := !wave_rounds + partial.Simulator.rounds;
             Error pending
-        | Ok (over, stats) -> (
+        | Ok (over, stats) ->
             wave_rounds := !wave_rounds + stats.Simulator.rounds;
             wave_messages := !wave_messages + stats.Simulator.messages;
             let result =
-              Construct.with_fixed_overcongested partition ~tree ~over ~threshold
+              Construct.with_fixed_overcongested ?obs partition ~tree ~over ~threshold
                 ~block_budget:(8 * delta)
             in
             if Construct.succeeded result then Ok (over, result, delta, threshold)
-            else search (2 * delta))
+            else search (2 * delta)
       in
-      (match search initial_delta with
+      let searched = search 1 in
+      let rounds = bfs_stats.Simulator.rounds + !wave_rounds in
+      match searched with
       | Error pending ->
-          Outcome_t.Degraded
+          Error
             ( {
                 constructed = None;
                 failed_stage = Some "wave";
                 unjoined = [];
-                pipeline_rounds = bfs_stats.Simulator.rounds + !wave_rounds;
+                pipeline_rounds = rounds;
                 validated = None;
               },
               {
-                Outcome_t.crashed = crashed ();
+                Outcome_t.crashed =
+                  (match faults with None -> [] | Some inj -> Fault.crashed_nodes inj);
                 unresponsive = [];
                 affected = pending;
                 out_of_rounds = true;
-                rounds = bfs_stats.Simulator.rounds + !wave_rounds;
+                rounds;
               } )
       | Ok (over, result, delta, threshold) ->
-          let validated =
-            match variant with
-            | Randomized _ -> None
-            | Deterministic ->
-                let central =
-                  Construct.run partition ~tree ~threshold ~block_budget:(8 * delta)
-                in
-                let m = Graph.m host in
-                let same = ref true in
-                for e = 0 to m - 1 do
-                  if Bitset.mem over e <> Bitset.mem central.Construct.overcongested e
-                  then same := false
-                done;
-                Some !same
-          in
-          let constructed =
-            {
-              tree;
-              height;
-              delta;
-              threshold;
-              result;
-              bfs_stats;
-              wave_rounds = !wave_rounds;
-              wave_messages = !wave_messages;
-              guesses = !guesses;
-            }
-          in
-          let rounds = bfs_stats.Simulator.rounds + !wave_rounds in
-          let report =
-            {
-              constructed = Some constructed;
-              failed_stage = None;
-              unjoined = [];
-              pipeline_rounds = rounds;
-              validated;
-            }
-          in
-          let deg =
-            {
-              Outcome_t.crashed = crashed ();
-              unresponsive = [];
-              affected = [];
-              out_of_rounds = false;
-              rounds;
-            }
-          in
-          (* A failed validation degrades the outcome even though no node
-             is individually damaged: the constructed O itself is wrong. *)
-          if Outcome_t.is_clean deg && validated <> Some false then
-            Outcome_t.Complete report
-          else Outcome_t.Degraded (report, deg))
+          Obs.note obs "guesses" (Obs.Int !guesses);
+          Ok
+            ( over,
+              {
+                tree;
+                height;
+                delta;
+                threshold;
+                result;
+                bfs_stats;
+                wave_rounds = !wave_rounds;
+                wave_messages = !wave_messages;
+                guesses = !guesses;
+              } ))
+
+let variant_or_default host = function
+  | Some v -> v
+  | None -> Randomized { repetitions = default_repetitions host }
+
+let construct ?obs ?(seed = 1) ?variant ?domains ?tracer ?par_profile partition ~root =
+  let variant = variant_or_default (Partition.graph partition) variant in
+  match pipeline ?obs ~seed ~variant ?domains ?tracer ?par_profile partition ~root with
+  | Ok (_, constructed) -> constructed
+  | Error (_, d) -> raise (Simulator.Round_limit d.Outcome_t.rounds)
+
+let construct_outcome ?(seed = 1) ?variant ?domains ?tracer ?faults ?par_profile partition
+    ~root =
+  let host = Partition.graph partition in
+  let variant = variant_or_default host variant in
+  match pipeline ~seed ~variant ?domains ?tracer ?faults ?par_profile partition ~root with
+  | Error (report, d) -> Outcome_t.Degraded (report, d)
+  | Ok (over, constructed) ->
+      let validated =
+        match variant with
+        | Randomized _ -> None
+        | Deterministic ->
+            let central =
+              Construct.run partition ~tree:constructed.tree
+                ~threshold:constructed.threshold ~block_budget:(8 * constructed.delta)
+            in
+            let m = Graph.m host in
+            let same = ref true in
+            for e = 0 to m - 1 do
+              if Bitset.mem over e <> Bitset.mem central.Construct.overcongested e then
+                same := false
+            done;
+            Some !same
+      in
+      let rounds = constructed.bfs_stats.Simulator.rounds + constructed.wave_rounds in
+      let report =
+        {
+          constructed = Some constructed;
+          failed_stage = None;
+          unjoined = [];
+          pipeline_rounds = rounds;
+          validated;
+        }
+      in
+      let deg =
+        {
+          Outcome_t.crashed =
+            (match faults with None -> [] | Some inj -> Fault.crashed_nodes inj);
+          unresponsive = [];
+          affected = [];
+          out_of_rounds = false;
+          rounds;
+        }
+      in
+      (* A failed validation degrades the outcome even though no node
+         is individually damaged: the constructed O itself is wrong. *)
+      if Outcome_t.is_clean deg && validated <> Some false then Outcome_t.Complete report
+      else Outcome_t.Degraded (report, deg)

@@ -71,19 +71,24 @@ val construct :
   ?obs:Lcs_obs.Obs.t ->
   ?seed:int ->
   ?variant:variant ->
-  ?max_rounds:int ->
-  ?initial_delta:int ->
   ?domains:int ->
   ?tracer:Lcs_congest.Trace.tracer ->
   ?par_profile:Lcs_congest.Par_profile.t ->
   Lcs_graph.Partition.t ->
   root:int ->
   outcome
-(** Full pipeline. [variant] defaults to [Randomized] with
-    {!default_repetitions}; [seed] (default 1) drives the hash functions;
-    [max_rounds] bounds each simulator run (default 2_000_000). [tracer]
-    observes every stage — the BFS and each detection wave feed the same
-    sink, so one profile covers the whole construction. [?obs] opens a
+(** Full pipeline: {!construct_outcome}'s pipeline run without a fault
+    plan. [variant] defaults to [Randomized] with {!default_repetitions};
+    [seed] (default 1) drives the hash functions; δ starts at 1. Each
+    stage runs under its own round cap: [4n + 64] for the BFS and
+    [256 + 8·d·max(payload, 4)] for each wave, [d = max 1 height] and
+    [payload] the words of one report ([R] randomized, [threshold + 1]
+    deterministic), several times what a fault-free stage takes. When a
+    stage does not finish within its cap, as the BFS on a disconnected
+    host, [construct] raises {!Lcs_congest.Simulator.Round_limit} with the
+    rounds the pipeline ran. [tracer] observes every stage — the BFS and
+    each detection wave feed the same sink, so one profile covers the
+    whole construction. [?obs] opens a
     ["distributed"] span with one ["distributed.bfs"] child and one
     ["distributed.wave"] child per δ guess (each carrying its simulated
     rounds and a rounds-vs-[O(D + payload)] ledger entry), the accepted
@@ -111,8 +116,6 @@ type report = {
 val construct_outcome :
   ?seed:int ->
   ?variant:variant ->
-  ?max_rounds:int ->
-  ?initial_delta:int ->
   ?domains:int ->
   ?tracer:Lcs_congest.Trace.tracer ->
   ?faults:Lcs_congest.Fault.t ->
@@ -120,11 +123,13 @@ val construct_outcome :
   Lcs_graph.Partition.t ->
   root:int ->
   report Lcs_congest.Outcome.t
-(** {!construct} under injected faults, degrading stage by stage instead
-    of raising. The BFS and wave stages run with per-stage round caps
-    (generous for the fault-free case), so a crashed node fails a stage
-    in bounded time rather than exhausting [max_rounds]. The shared
-    [faults] injector spans all stages sequentially; each stage numbers
-    its rounds from 1, so a scheduled crash round fires in {e every}
-    stage that reaches it (a node crashed in one stage is crashed again,
-    not resurrected, in the next). *)
+(** The pipeline under injected faults, degrading stage by stage instead
+    of raising; {!construct} is this pipeline without a plan, so a
+    [Complete] outcome without [faults] holds exactly what {!construct}
+    returns. The per-stage round caps ({!construct}) bound a stage that a
+    crashed node keeps from finishing. The shared [faults] injector spans
+    all stages sequentially; each stage numbers its rounds from 1, so a
+    scheduled crash round fires in {e every} stage that reaches it (a
+    node crashed in one stage is crashed again, not resurrected, in the
+    next). With [Deterministic], the accepted wave's [O] is checked
+    against the centralized construction's ([validated]). *)

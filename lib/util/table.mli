@@ -1,7 +1,7 @@
 (** Aligned ASCII table rendering for experiment reports.
 
     All experiment harnesses print through this module so that the output of
-    [bin/experiments] and [bench/main.exe] is uniform and diffable. *)
+    [bin/experiments] and [lcs experiment] is uniform and diffable. *)
 
 type align = Left | Right
 

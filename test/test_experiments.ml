@@ -1,6 +1,6 @@
 (* Smoke tests for the experiment registry: ids, lookup, and a fast
    end-to-end table generation. The heavyweight sweeps run from
-   bin/experiments and bench/main; here we only pin the harness contract. *)
+   bin/experiments; here we only pin the harness contract. *)
 
 let check = Alcotest.check
 let case = Alcotest.test_case

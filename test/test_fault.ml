@@ -438,6 +438,116 @@ let minimum_outcome_survives_crash () =
       check Alcotest.bool "no surviving member diverged" true
         (r.Sim_aggregate.diverged = [])
 
+(* Without a plan, each outcome entry point must be its fault-free twin:
+   the same answer, the same measured costs and the same traced events,
+   on small grids, k-trees and lower-bound graphs. *)
+let small_host ~family ~seed =
+  match family with
+  | 0 ->
+      let rows = 3 + (seed mod 5) and cols = 3 + (seed / 5 mod 5) in
+      let g = Generators.grid ~rows ~cols in
+      (g, Partition.grid_rows g ~rows ~cols)
+  | 1 ->
+      let rng = Rng.create seed in
+      let g = Generators.k_tree rng ~k:(2 + (seed mod 3)) ~n:(20 + (seed mod 50)) in
+      (g, Partition.voronoi g rng ~parts:(2 + (seed mod 7)))
+  | _ ->
+      let lb =
+        if seed mod 2 = 0 then Lower_bound_graph.create ~delta':5 ~d':11
+        else Lower_bound_graph.create ~delta':6 ~d':14
+      in
+      (lb.Lower_bound_graph.graph, lb.Lower_bound_graph.parts)
+
+(* [run] untraced, then traced: both results and the events' digest. *)
+let untraced_and_traced run =
+  let buf = Buffer.create 4096 in
+  let tracer ev =
+    Buffer.add_string buf (Json.to_string (Trace.event_to_json ev));
+    Buffer.add_char buf '\n'
+  in
+  let untraced = run None in
+  let traced = run (Some tracer) in
+  (untraced, traced, Digest.string (Buffer.contents buf))
+
+let same_construction g (a : Distributed.outcome) (b : Distributed.outcome) =
+  let sa = a.Distributed.result.Construct.shortcut
+  and sb = b.Distributed.result.Construct.shortcut in
+  List.for_all
+    (fun v -> Rooted_tree.parent a.Distributed.tree v = Rooted_tree.parent b.Distributed.tree v)
+    (List.init (Graph.n g) Fun.id)
+  && a.Distributed.height = b.Distributed.height
+  && a.Distributed.delta = b.Distributed.delta
+  && a.Distributed.threshold = b.Distributed.threshold
+  && a.Distributed.guesses = b.Distributed.guesses
+  && a.Distributed.wave_rounds = b.Distributed.wave_rounds
+  && a.Distributed.wave_messages = b.Distributed.wave_messages
+  && a.Distributed.bfs_stats = b.Distributed.bfs_stats
+  && Shortcut.k sa = Shortcut.k sb
+  && List.for_all
+       (fun i -> Shortcut.edges_array sa i = Shortcut.edges_array sb i)
+       (List.init (Shortcut.k sa) Fun.id)
+
+let prop_planless_outcome_is_the_plain_run =
+  QCheck.Test.make ~name:"no plan: outcome entry points equal the plain ones" ~count:12
+    QCheck.(pair (int_bound 2) (int_bound 10_000))
+    (fun (family, seed) ->
+      let g, partition = small_host ~family ~seed in
+      let construct_matches variant =
+        let p0, p1, plain_events =
+          untraced_and_traced (fun tracer ->
+              Distributed.construct ~seed ~variant ?tracer partition ~root:0)
+        in
+        let o0, o1, outcome_events =
+          untraced_and_traced (fun tracer ->
+              Distributed.construct_outcome ~seed ~variant ?tracer partition ~root:0)
+        in
+        let matches plain = function
+          | Outcome.Degraded _ -> false
+          | Outcome.Complete r -> (
+              r.Distributed.failed_stage = None
+              && r.Distributed.unjoined = []
+              && r.Distributed.pipeline_rounds
+                 = plain.Distributed.bfs_stats.Simulator.rounds + plain.Distributed.wave_rounds
+              && r.Distributed.validated
+                 = (match variant with
+                   | Distributed.Deterministic -> Some true
+                   | Distributed.Randomized _ -> None)
+              &&
+              match r.Distributed.constructed with
+              | None -> false
+              | Some c -> same_construction g plain c)
+        in
+        matches p0 o0 && matches p1 o1 && plain_events = outcome_events
+      in
+      let minimum_matches () =
+        let tree = Bfs.tree g ~root:0 in
+        let sc = (Boost.full partition ~tree).Boost.shortcut in
+        let vrng = Rng.create (seed + 1) in
+        let values = Array.init (Graph.n g) (fun _ -> Rng.int vrng 1_000) in
+        let p0, p1, plain_events =
+          untraced_and_traced (fun tracer ->
+              Sim_aggregate.minimum ?tracer (Rng.create seed) sc ~values)
+        in
+        let o0, o1, outcome_events =
+          untraced_and_traced (fun tracer ->
+              Sim_aggregate.minimum_outcome ~reliable:false ?tracer (Rng.create seed) sc
+                ~values)
+        in
+        let matches (plain : Sim_aggregate.result) = function
+          | Outcome.Degraded _ -> false
+          | Outcome.Complete (r : Sim_aggregate.report) ->
+              r.Sim_aggregate.minima = plain.Sim_aggregate.minima
+              && r.Sim_aggregate.diverged = []
+              && r.Sim_aggregate.completion_round = plain.Sim_aggregate.completion_round
+              && r.Sim_aggregate.ostats = plain.Sim_aggregate.stats
+              && r.Sim_aggregate.retransmissions = 0
+        in
+        matches p0 o0 && matches p1 o1 && plain_events = outcome_events
+      in
+      construct_matches (Distributed.Randomized { repetitions = Distributed.default_repetitions g })
+      && construct_matches Distributed.Deterministic
+      && minimum_matches ())
+
 (* --- Hardened JSON parser ------------------------------------------------ *)
 
 let contains ~sub s =
@@ -558,6 +668,7 @@ let props =
       prop_fault_free_byte_identical;
       prop_backoff_schedule_is_the_threshold;
       prop_clean_finish_is_quiesced;
+      prop_planless_outcome_is_the_plain_run;
     ]
 
 let suite =
