@@ -641,22 +641,15 @@ let pa_cmd =
        re-seeded attempts, raw -> reliable escalation, grown budgets, and
        finally the sequential surviving-minima fallback. *)
     Printf.printf "fault plan: %s (injector seed %d)\n" f.plan_path f.fault_seed;
-    let budget = lazy (Sim_aggregate.budget (Sim_aggregate.prepare sc)) in
+    let prepared = Sim_aggregate.prepare sc in
     let last_counts = ref None in
     let attempt knobs ~off =
-      let reliable, budget =
-        match knobs with
-        | None -> (None, None)
-        | Some k ->
-            ( Some k.Supervisor.reliable,
-              Some
-                ((if k.Supervisor.reliable then 8 else 1)
-                * Lazy.force budget * k.Supervisor.budget_factor) )
-      in
+      let reliable = Option.map (fun k -> k.Supervisor.reliable) knobs
+      and budget_factor = Option.map (fun k -> k.Supervisor.budget_factor) knobs in
       let injector = Fault.compile ~seed:(f.fault_seed + off) f.plan in
       let o =
-        Sim_aggregate.minimum_outcome ~domains:r.domains ?obs:r.obs ?tracer:r.tracer
-          ?reliable ?budget ?par_profile:r.pp ~faults:injector
+        Sim_aggregate.minimum_outcome ~prepared ~domains:r.domains ?obs:r.obs
+          ?tracer:r.tracer ?reliable ?budget_factor ?par_profile:r.pp ~faults:injector
           (Rng.create (seed + 7 + off))
           sc ~values
       in

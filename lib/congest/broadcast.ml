@@ -36,16 +36,6 @@ let program info ~value =
     msg_words = (fun _ -> 1);
   }
 
-let run ?tracer g info ~value =
-  let program = program info ~value in
-  let states, stats = Simulator.run ?tracer g program in
-  let values =
-    Array.map
-      (fun st -> match st.value with Some v -> v | None -> invalid_arg "Broadcast: unreached")
-      states
-  in
-  (values, stats)
-
 type report = {
   values : int option array;
   unreached : int list;
@@ -56,25 +46,22 @@ type report = {
 let run_outcome ?tracer ?faults ?(reliable = true) ?config g info ~value =
   let max_rounds = 1_024 + (32 * (info.Tree_info.height + 1)) in
   let inner = program info ~value in
-  let extract result of_states retrans_of dead_of =
-    match result with
-    | Simulator.Finished (states, stats) ->
-        (of_states states, retrans_of states, dead_of states, false, stats)
-    | Simulator.Out_of_rounds (states, p) ->
-        (of_states states, retrans_of states, dead_of states, true, p.Simulator.partial_stats)
-  in
-  let inner_states, retransmissions, unresponsive, out_of_rounds, stats =
+  let inner_states, retransmissions, unresponsive, stats, degradation =
     if reliable then
-      let wrapped = Reliable.wrap ?config inner in
-      extract
-        (Simulator.run_outcome ~max_rounds ?tracer ?faults g wrapped)
-        Reliable.inner_states Reliable.retransmissions Reliable.dead_links
+      let states, stats, d =
+        Simulator.settle ?faults
+          (Simulator.run_outcome ~max_rounds ?tracer ?faults g (Reliable.wrap ?config inner))
+      in
+      ( Reliable.inner_states states,
+        Reliable.retransmissions states,
+        Reliable.dead_links states,
+        stats,
+        d )
     else
-      extract
-        (Simulator.run_outcome ~max_rounds ?tracer ?faults g inner)
-        Fun.id
-        (fun _ -> 0)
-        (fun _ -> [])
+      let states, stats, d =
+        Simulator.settle ?faults (Simulator.run_outcome ~max_rounds ?tracer ?faults g inner)
+      in
+      (states, 0, [], stats, d)
   in
   let values = Array.map (fun st -> st.value) inner_states in
   (* A node is affected if it never got the value — or, should a value
@@ -88,13 +75,11 @@ let run_outcome ?tracer ?faults ?(reliable = true) ?config g info ~value =
       | Some _ | None -> affected := v :: !affected)
     values;
   let affected = List.rev !affected in
-  let crashed = match faults with None -> [] | Some inj -> Fault.crashed_nodes inj in
-  let report = { values; unreached = affected; stats; retransmissions } in
-  Outcome.classify report
-    {
-      Outcome.crashed;
-      unresponsive;
-      affected;
-      out_of_rounds;
-      rounds = stats.Simulator.rounds;
-    }
+  Outcome.classify
+    { values; unreached = affected; stats; retransmissions }
+    { degradation with Outcome.unresponsive; affected }
+
+let run ?tracer g info ~value =
+  match run_outcome ?tracer ~reliable:false g info ~value with
+  | Outcome.Complete r -> (Array.map Option.get r.values, r.stats)
+  | Outcome.Degraded (_, d) -> raise (Simulator.Round_limit d.Outcome.rounds)

@@ -2,17 +2,6 @@
 
     One word per tree edge; [height + 1] rounds. *)
 
-val run :
-  ?tracer:Trace.tracer ->
-  Lcs_graph.Graph.t ->
-  Tree_info.t ->
-  value:int ->
-  int array * Simulator.stats
-(** [run g info ~value] returns each node's received value and the
-    measured stats. [tracer] is forwarded to {!Simulator.run}. *)
-
-(** {1 Fault-tolerant entry point} *)
-
 type report = {
   values : int option array;  (** [None] at nodes the value never reached *)
   unreached : int list;  (** nodes without the (correct) value, ascending *)
@@ -39,4 +28,17 @@ val run_outcome :
     this function checks rather than assumes. The run gets
     [1024 + 32·(height + 1)] rounds; note a run with unreached nodes
     always spends them all, since an unreached node cannot locally decide
-    to stop waiting. *)
+    to stop waiting. [tracer] is forwarded to
+    {!Simulator.run_outcome}. *)
+
+val run :
+  ?tracer:Trace.tracer ->
+  Lcs_graph.Graph.t ->
+  Tree_info.t ->
+  value:int ->
+  int array * Simulator.stats
+(** [run g info ~value] returns each node's received value and the
+    measured stats: {!run_outcome} raw ([reliable = false]) and without a
+    fault plan. If the tree misses a node, that node waits for the value
+    until the [1024 + 32·(height + 1)] rounds are spent, and the run
+    raises {!Simulator.Round_limit}. *)

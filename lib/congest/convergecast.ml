@@ -144,12 +144,9 @@ let run_outcome ?tracer ?faults g info ~values ~combine =
     end
     else st
   in
-  let states, out_of_rounds, rstats =
-    match
-      Simulator.run_outcome ~max_rounds ?tracer ?faults g (Reliable.wrap ~on_dead program)
-    with
-    | Simulator.Finished (states, stats) -> (states, false, stats)
-    | Simulator.Out_of_rounds (states, p) -> (states, true, p.Simulator.partial_stats)
+  let states, rstats, degradation =
+    Simulator.settle ?faults
+      (Simulator.run_outcome ~max_rounds ?tracer ?faults g (Reliable.wrap ~on_dead program))
   in
   let retransmissions = Reliable.retransmissions states in
   let unresponsive = Reliable.dead_links states in
@@ -183,14 +180,7 @@ let run_outcome ?tracer ?faults g info ~values ~combine =
   in
   let total = states.(root).o_acc in
   let validated = total = expected in
-  let crashed = match faults with None -> [] | Some inj -> Fault.crashed_nodes inj in
   let affected = if validated then excluded else List.init n Fun.id in
-  let report = { total; included; excluded; validated; rstats; retransmissions } in
-  Outcome.classify report
-    {
-      Outcome.crashed;
-      unresponsive;
-      affected;
-      out_of_rounds;
-      rounds = rstats.Simulator.rounds;
-    }
+  Outcome.classify
+    { total; included; excluded; validated; rstats; retransmissions }
+    { degradation with Outcome.unresponsive; affected }

@@ -12,7 +12,14 @@ val run :
   combine:(int -> int -> int) ->
   int * Simulator.stats
 (** [run g info ~values ~combine] returns the combined value at the root
-    and the measured stats. [tracer] is forwarded to {!Simulator.run}. *)
+    and the measured stats. [tracer] is forwarded to {!Simulator.run}.
+
+    This raw program stays beside {!run_outcome}, which is not it run
+    without a plan: the outcome program also sends probes down the tree,
+    which exist only so that the ARQ it runs over can detect a dead
+    child, and they cost messages and rounds. A fault-free count on a
+    tree in one word per tree edge and [height + 1] rounds — such as
+    Theorem 1.5's success test, run in the model — is this program. *)
 
 (** {1 Fault-tolerant entry point} *)
 

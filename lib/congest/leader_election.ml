@@ -29,44 +29,25 @@ let make_program ~budget =
     msg_words = (fun _ -> 1);
   }
 
-let run ?diameter_bound ?tracer g =
-  let n = Graph.n g in
-  if n = 0 then invalid_arg "Leader_election.run: empty graph";
-  let budget = (match diameter_bound with Some d -> d | None -> n - 1) + 1 in
-  let program = make_program ~budget in
-  let states, stats = Simulator.run ?tracer g program in
-  let leader = states.(0).best in
-  Array.iter
-    (fun st -> if st.best <> leader then failwith "Leader_election: disagreement")
-    states;
-  (leader, stats)
-
-(* --- Fault-tolerant entry point ------------------------------------------ *)
-
 type report = {
   leader : int;  (** the winning candidate among survivors *)
   dissenters : int list;  (** surviving nodes holding a different id *)
   stats : Simulator.stats;
 }
 
-let run_outcome ?tracer ?faults g =
+(* The one election behind both entry points. Flooding is idempotent-max,
+   so duplicates and reordering are already harmless; the protocol runs
+   raw and only loss within the round budget (or a crash) can leave
+   survivors disagreeing, which the validator reports. *)
+let elect ~budget ?tracer ?faults g =
   let n = Graph.n g in
-  if n = 0 then invalid_arg "Leader_election.run_outcome: empty graph";
-  (* The always-safe diameter bound n - 1, plus one round. *)
-  let budget = n in
-  (* Flooding is idempotent-max, so duplicates and reordering are already
-     harmless; the protocol runs raw and only loss within the round budget
-     (or a crash) can leave survivors disagreeing — which the validator
-     detects instead of the fault-free path's [failwith]. *)
-  let program = make_program ~budget in
-  let states, out_of_rounds, stats =
-    match Simulator.run_outcome ?tracer ?faults g program with
-    | Simulator.Finished (states, stats) -> (states, false, stats)
-    | Simulator.Out_of_rounds (states, p) -> (states, true, p.Simulator.partial_stats)
+  if n = 0 then invalid_arg "Leader_election: empty graph";
+  let states, stats, degradation =
+    Simulator.settle ?faults
+      (Simulator.run_outcome ?tracer ?faults g (make_program ~budget))
   in
-  let crashed = match faults with None -> [] | Some inj -> Fault.crashed_nodes inj in
   let is_crashed = Array.make n false in
-  List.iter (fun v -> if v < n then is_crashed.(v) <- true) crashed;
+  List.iter (fun v -> if v < n then is_crashed.(v) <- true) degradation.Outcome.crashed;
   (* Majority candidate among survivors, ties to the larger id. *)
   let tally = Hashtbl.create 8 in
   Array.iteri
@@ -88,12 +69,16 @@ let run_outcome ?tracer ?faults g =
     if (not is_crashed.(v)) && states.(v).best <> leader then dissenters := v :: !dissenters
   done;
   let dissenters = !dissenters in
-  let report = { leader; dissenters; stats } in
-  Outcome.classify report
-    {
-      Outcome.crashed;
-      unresponsive = [];
-      affected = dissenters;
-      out_of_rounds;
-      rounds = stats.Simulator.rounds;
-    }
+  Outcome.classify { leader; dissenters; stats }
+    { degradation with Outcome.affected = dissenters }
+
+let run ?diameter_bound ?tracer g =
+  let bound = match diameter_bound with Some d -> d | None -> Graph.n g - 1 in
+  match elect ~budget:(bound + 1) ?tracer g with
+  | Outcome.Complete r -> (r.leader, r.stats)
+  | Outcome.Degraded (_, { Outcome.out_of_rounds = true; rounds; _ }) ->
+      raise (Simulator.Round_limit rounds)
+  | Outcome.Degraded _ -> failwith "Leader_election: disagreement"
+
+(* The always-safe diameter bound n - 1, plus one round. *)
+let run_outcome ?tracer ?faults g = elect ~budget:(Graph.n g) ?tracer ?faults g

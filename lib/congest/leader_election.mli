@@ -7,24 +7,27 @@
     practice [O(m)]-ish. Used to pick the BFS root distributedly instead
     of hard-wiring vertex 0. *)
 
-val run :
-  ?diameter_bound:int ->
-  ?tracer:Trace.tracer ->
-  Lcs_graph.Graph.t ->
-  int * Simulator.stats
-(** [run g] returns the elected leader (= max vertex id, which every node
-    agrees on — asserted) and the stats. [diameter_bound] defaults to
-    [n - 1], the always-safe bound; pass the actual diameter for honest
-    O(D) rounds. [tracer] is forwarded to {!Simulator.run}. *)
-
-(** {1 Fault-tolerant entry point} *)
-
 type report = {
   leader : int;  (** the majority candidate among surviving nodes *)
   dissenters : int list;
       (** surviving nodes that ended on a different candidate, ascending *)
   stats : Simulator.stats;
 }
+
+val run :
+  ?diameter_bound:int ->
+  ?tracer:Trace.tracer ->
+  Lcs_graph.Graph.t ->
+  int * Simulator.stats
+(** [run g] returns the elected leader (= max vertex id, which every node
+    agrees on) and the stats. It is {!run_outcome}'s election without a
+    fault plan, under a round budget of [diameter_bound + 1];
+    [diameter_bound] defaults to [n - 1], the always-safe bound (and
+    {!run_outcome}'s), so pass the actual diameter for honest O(D)
+    rounds. Raises [Failure] when some node ends on another id (the bound
+    was too small), {!Simulator.Round_limit} if the budget outlasts the
+    simulator's default [max_rounds], and [Invalid_argument] on an empty
+    graph. [tracer] is forwarded to {!Simulator.run_outcome}. *)
 
 val run_outcome :
   ?tracer:Trace.tracer ->
@@ -34,7 +37,7 @@ val run_outcome :
 (** Max-id flooding under injected faults. Flooding is idempotent, so
     duplication and reordering are harmless by construction; loss within
     the round budget or a crash can leave survivors split, which is
-    reported ([dissenters] = the degradation's [affected]) instead of the
-    fault-free entry point's [failwith]. The diameter bound is the
-    always-safe [n - 1]. A [Complete] outcome means every node survived
-    and unanimously elected the maximum id. *)
+    reported ([dissenters] = the degradation's [affected]) instead of
+    {!run}'s [Failure]. The diameter bound is the always-safe [n - 1]. A
+    [Complete] outcome means every node survived and unanimously elected
+    the maximum id. *)

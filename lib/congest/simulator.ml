@@ -1238,6 +1238,15 @@ let run ?domains ?bandwidth ?max_rounds ?host ?tracer ?faults ?par_profile g pro
   finished
     (run_outcome ?domains ?bandwidth ?max_rounds ?host ?tracer ?faults ?par_profile g program)
 
+let settle ?faults result =
+  let states, stats, out_of_rounds =
+    match result with
+    | Finished (states, stats) -> (states, stats, false)
+    | Out_of_rounds (states, partial) -> (states, partial.partial_stats, true)
+  in
+  let crashed = match faults with None -> [] | Some inj -> Fault.crashed_nodes inj in
+  (states, stats, { Outcome.no_degradation with crashed; out_of_rounds; rounds = stats.rounds })
+
 let run_profiled ?(domains = 1) ?(bandwidth = 1) ?(max_rounds = 100_000) ?mode ?flight
     ?tracer ?faults ?par_profile g program =
   let profile = Trace.Profile.create ?mode ~edges:(Graph.m g) () in

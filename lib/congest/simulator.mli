@@ -330,6 +330,15 @@ val run :
     never changes any observable — timing is recorded per domain and
     merged at the barrier, never read by the simulator. *)
 
+val settle :
+  ?faults:Fault.t -> 'state run_result -> 'state array * stats * Outcome.degradation
+(** [settle ?faults result] ends an outcome run: its final states (as of
+    the limit, when it ran out of rounds), its statistics, and the
+    degradation its end implies — [crashed] from [faults]' injector
+    (empty without one), [out_of_rounds] and [rounds]. [affected] and
+    [unresponsive] are empty: they are the protocol validator's to fill.
+    Pass the injector the run used. *)
+
 val run_profiled :
   ?domains:int ->
   ?bandwidth:int ->

@@ -201,17 +201,7 @@ let parents_of_states g states =
     states;
   (parent, parent_edge)
 
-let run ?domains ?max_rounds ?tracer ?par_profile g ~root =
-  let program = make_program ~root in
-  let states, stats =
-    Simulator.run ?domains ?max_rounds ?tracer ?par_profile g program
-  in
-  let parent, parent_edge = parents_of_states g states in
-  let tree = Rooted_tree.create ~root ~parent ~parent_edge in
-  let height = states.(root).global_height in
-  (tree, height, stats)
-
-(* --- Fault-tolerant entry point ------------------------------------------ *)
+(* --- Entry points ---------------------------------------------------------- *)
 
 type report = {
   tree : Rooted_tree.t option;  (** [Some] only when every node joined *)
@@ -222,23 +212,17 @@ type report = {
   stats : Simulator.stats;
 }
 
-let run_outcome ?domains ?max_rounds ?tracer ?faults ?par_profile g ~root =
+let run_outcome ?domains ?tracer ?faults ?par_profile g ~root =
   (* The wave protocol counts exact round offsets (Child notifications
      arrive announce+2), so it cannot ride on the Reliable ARQ, which
      stretches the clock: it runs raw, and any injected loss degrades the
      result honestly instead of corrupting it. *)
-  let max_rounds =
-    match max_rounds with Some m -> m | None -> (4 * Graph.n g) + 64
-  in
-  let program = make_program ~root in
-  let states, out_of_rounds, stats =
-    match
-      Simulator.run_outcome ?domains ~max_rounds ?tracer ?faults ?par_profile g program
-    with
-    | Simulator.Finished (states, stats) -> (states, false, stats)
-    | Simulator.Out_of_rounds (states, p) -> (states, true, p.Simulator.partial_stats)
-  in
   let n = Graph.n g in
+  let states, stats, degradation =
+    Simulator.settle ?faults
+      (Simulator.run_outcome ?domains ~max_rounds:((4 * n) + 64) ?tracer ?faults
+         ?par_profile g (make_program ~root))
+  in
   let parent, parent_edge = parents_of_states g states in
   let dist = Array.map (fun (st : state) -> st.dist) states in
   let unjoined = ref [] in
@@ -265,14 +249,12 @@ let run_outcome ?domains ?max_rounds ?tracer ?faults ?par_profile g ~root =
     else None
   in
   let height = states.(root).global_height in
-  let crashed = match faults with None -> [] | Some inj -> Fault.crashed_nodes inj in
   let affected = List.sort_uniq compare (unjoined @ invalid) in
-  let report = { tree; parent; dist; height; unjoined; stats } in
-  Outcome.classify report
-    {
-      Outcome.crashed;
-      unresponsive = [];
-      affected;
-      out_of_rounds;
-      rounds = stats.Simulator.rounds;
-    }
+  Outcome.classify
+    { tree; parent; dist; height; unjoined; stats }
+    { degradation with Outcome.affected }
+
+let run ?domains ?tracer ?par_profile g ~root =
+  match run_outcome ?domains ?tracer ?par_profile g ~root with
+  | Outcome.Complete { tree = Some tree; height; stats; _ } -> (tree, height, stats)
+  | o -> raise (Simulator.Round_limit (Outcome.value o).stats.Simulator.rounds)

@@ -899,10 +899,59 @@ module Stream = struct
         | Some (Json.String s) -> Error ("unexpected stream schema " ^ s)
         | _ -> Error "line is neither an event, a snapshot nor a stream header")
 
+  (* What the events read so far allow of the next one: node ids below
+     [n] and edge ids below [m] (each -1, unchecked, until the header
+     gives it), and no round before the run's latest. *)
+  type bounds = { mutable n : int; mutable m : int; mutable round : int }
+
+  exception Out_of_bounds of string
+
+  let check_event b ev =
+    let fail fmt = Printf.ksprintf (fun msg -> raise (Out_of_bounds msg)) fmt in
+    let bounded field v bound =
+      if v < 0 then fail "negative %s %d" field v
+      else if bound >= 0 && v >= bound then fail "%s %d not below the header's %d" field v bound
+    in
+    let node field v = bounded field v b.n and edge e = bounded "edge" e b.m in
+    let round =
+      match ev with
+      | Round_start { round; _ } | Round_end { round; _ } -> round
+      | Send { round; src; dst; edge = e; words; _ }
+      | Duplicate { round; src; dst; edge = e; words; _ }
+      | Drop { round; src; dst; edge = e; words } ->
+          node "src" src;
+          node "dst" dst;
+          edge e;
+          if words < 0 then fail "negative words %d" words;
+          round
+      | Delayed { round; src; dst; edge = e; _ } ->
+          node "src" src;
+          node "dst" dst;
+          edge e;
+          round
+      | Link_down { round; edge = e } ->
+          edge e;
+          round
+      | Halt { round; node = v } | Crash { round; node = v } ->
+          node "node" v;
+          round
+    in
+    if round < 1 then fail "round %d below 1" round;
+    (* A run opens with its round-1 [Round_start] — where [Analyze] cuts
+       a stream into runs — and its rounds never decrease after it. *)
+    (match ev with Round_start { round = 1; _ } -> b.round <- 1 | _ -> ());
+    if round < b.round then fail "round %d after round %d" round b.round;
+    b.round <- round
+
+  let header_bound j key =
+    match Json.member key j with Some (Json.Int v) -> v | _ -> -1
+
   (* One line at a time — memory stays O(longest line) however large the
      file. The fold stops at the first malformed line and reports its
      number; a trailing partial line (a run killed mid-write) therefore
-     surfaces as an error rather than silent truncation. *)
+     surfaces as an error rather than silent truncation. So does an event
+     outside the bounds [check_event] keeps, which collectors would
+     otherwise index out of range. *)
   let fold path ~init ~f =
     match open_in_bin path with
     | exception Sys_error msg -> Error msg
@@ -911,6 +960,8 @@ module Stream = struct
           ~finally:(fun () -> close_in_noerr ic)
           (fun () ->
             let lineno = ref 0 in
+            let b = { n = -1; m = -1; round = 0 } in
+            let located e = Error (Printf.sprintf "line %d: %s" !lineno e) in
             let rec loop acc =
               match input_line ic with
               | exception End_of_file -> Ok acc
@@ -919,12 +970,17 @@ module Stream = struct
                   loop acc
               | line -> (
                   incr lineno;
-                  match Json.of_string line with
-                  | Error e -> Error (Printf.sprintf "line %d: %s" !lineno e)
-                  | Ok j -> (
-                      match parse_line j with
-                      | Error e -> Error (Printf.sprintf "line %d: %s" !lineno e)
-                      | Ok l -> loop (f acc l)))
+                  match Result.bind (Json.of_string line) parse_line with
+                  | Error e -> located e
+                  | Ok (Event ev as l) -> (
+                      match check_event b ev with
+                      | () -> loop (f acc l)
+                      | exception Out_of_bounds e -> located e)
+                  | Ok (Meta j as l) ->
+                      b.n <- header_bound j "n";
+                      b.m <- header_bound j "m";
+                      loop (f acc l)
+                  | Ok l -> loop (f acc l))
             in
             loop init)
 

@@ -393,7 +393,13 @@ module Stream : sig
   val fold : string -> init:'a -> f:('a -> line -> 'a) -> ('a, string) result
   (** Fold over a streamed file line by line — memory stays O(longest
       line). Stops at the first malformed line with its line number, so a
-      file cut off mid-write surfaces as an [Error], not silence. *)
+      file cut off mid-write surfaces as an [Error], not silence. An event
+      is malformed, and [f] never sees it, when its round is below 1 or
+      below an earlier event's in the same run (a run begins at a
+      [Round_start] of round 1), when a node field ([src], [dst], [node])
+      is negative or at least the header's [n], when an [edge] is negative
+      or at least the header's [m], or when [words] is negative. A bound
+      the header does not carry is not checked. *)
 
   val replay :
     ?on_meta:(Lcs_util.Json.t -> unit) ->

@@ -493,7 +493,6 @@ let completion states =
 
 (* --- The one minimum run ---------------------------------------------------- *)
 
-module Fault = Lcs_congest.Fault
 module Reliable = Lcs_congest.Reliable
 module Outcome = Lcs_congest.Outcome
 
@@ -510,8 +509,8 @@ type report = {
 (* The run behind {!minimum}, {!broadcast} and {!minimum_outcome}: set-up,
    the flood (raw or over the ARQ, with or without a plan), epochs, the
    validation of every surviving member and the ledger. *)
-let run_minimum ?prepared ?policy ?budget ?domains ?obs ?tracer ?faults ?par_profile
-    ~reliable rng shortcut ~values =
+let run_minimum ?prepared ?policy ?(budget_factor = 1) ?domains ?obs ?tracer ?faults
+    ?par_profile ~reliable rng shortcut ~values =
   Obs.span obs "pa" @@ fun () ->
   let p, { program; budget; host; partition; k; store; holds } =
     Obs.span obs "pa.setup" (fun () ->
@@ -523,11 +522,9 @@ let run_minimum ?prepared ?policy ?budget ?domains ?obs ?tracer ?faults ?par_pro
         in
         (* The ARQ roughly triples per-hop latency (data + ack round
            trips), so the reliable path gets a proportionally larger round
-           budget unless the caller pins one. *)
+           budget. *)
         let budget =
-          match budget with
-          | Some b -> b
-          | None -> (if reliable then 8 else 1) * Lazy.force p.default_budget
+          (if reliable then 8 else 1) * budget_factor * Lazy.force p.default_budget
         in
         (p, setup ?policy ~budget p rng ~values))
   in
@@ -535,30 +532,29 @@ let run_minimum ?prepared ?policy ?budget ?domains ?obs ?tracer ?faults ?par_pro
   note_schedule obs ~budget sched;
   let profile, tracer = profiled obs tracer ~edges:(Graph.m host) in
   Obs.enter obs "pa.run";
-  let extract result of_states retrans_of dead_of =
-    match result with
-    | Simulator.Finished (states, stats) ->
-        (of_states states, retrans_of states, dead_of states, false, stats)
-    | Simulator.Out_of_rounds (states, p) ->
-        (of_states states, retrans_of states, dead_of states, true, p.Simulator.partial_stats)
-  in
-  let states, retransmissions, unresponsive, out_of_rounds, ostats =
+  let states, retransmissions, unresponsive, ostats, degradation =
     if reliable then
-      extract
-        (Simulator.run_outcome ?domains ~max_rounds:(budget + 512) ?host:p.host ?tracer
-           ?faults ?par_profile host (Reliable.wrap program))
-        Reliable.inner_states Reliable.retransmissions Reliable.dead_links
+      let states, stats, d =
+        Simulator.settle ?faults
+          (Simulator.run_outcome ?domains ~max_rounds:(budget + 512) ?host:p.host ?tracer
+             ?faults ?par_profile host (Reliable.wrap program))
+      in
+      ( Reliable.inner_states states,
+        Reliable.retransmissions states,
+        Reliable.dead_links states,
+        stats,
+        d )
     else
-      extract
-        (Simulator.run_outcome ?domains ~max_rounds:(budget + 8) ?host:p.host ?tracer
-           ?faults ?par_profile host program)
-        Fun.id
-        (fun _ -> 0)
-        (fun _ -> [])
+      let states, stats, d =
+        Simulator.settle ?faults
+          (Simulator.run_outcome ?domains ~max_rounds:(budget + 8) ?host:p.host ?tracer
+             ?faults ?par_profile host program)
+      in
+      (states, 0, [], stats, d)
   in
   record_epochs obs profile ~max_delay:sched.max_delay ~rounds:ostats.Simulator.rounds;
   Obs.exit obs;
-  let crashed = match faults with None -> [] | Some inj -> Fault.crashed_nodes inj in
+  let crashed = degradation.Outcome.crashed in
   let n = Graph.n host in
   (* Crashed members owe nothing; the mask is built only when some node
      crashed. *)
@@ -592,13 +588,7 @@ let run_minimum ?prepared ?policy ?budget ?domains ?obs ?tracer ?faults ?par_pro
   record_ledger obs profile sched ~n ~observed_rounds:completion_round;
   Outcome.classify
     { minima; diverged = !diverged; completion_round; ostats; retransmissions }
-    {
-      Outcome.crashed;
-      unresponsive;
-      affected = List.sort_uniq compare !affected;
-      out_of_rounds;
-      rounds = ostats.Simulator.rounds;
-    }
+    { degradation with Outcome.unresponsive; affected = List.sort_uniq compare !affected }
 
 let minimum ?prepared ?policy ?domains ?obs ?tracer ?par_profile rng shortcut ~values =
   match
@@ -784,7 +774,7 @@ let sum ?tracer rng shortcut ~values =
 
 (* --- Fault-tolerant entry point ------------------------------------------ *)
 
-let minimum_outcome ?budget ?domains ?obs ?tracer ?faults ?par_profile ?(reliable = true)
-    rng shortcut ~values =
-  run_minimum ?budget ?domains ?obs ?tracer ?faults ?par_profile ~reliable rng shortcut
-    ~values
+let minimum_outcome ?prepared ?budget_factor ?domains ?obs ?tracer ?faults ?par_profile
+    ?(reliable = true) rng shortcut ~values =
+  run_minimum ?prepared ?budget_factor ?domains ?obs ?tracer ?faults ?par_profile ~reliable
+    rng shortcut ~values

@@ -62,10 +62,10 @@ type prepared
     default round budget — plus, optionally, a prepared simulator host.
     Any number of runs may share it one after another, and, when it has
     no host (a host serves one run at a time), at once. A finished
-    {!minimum} or {!broadcast} leaves its port queues and per-part best
-    values for the next run over the preparation, which resets them
-    before its first round; a run that finds them taken makes its own.
-    They die with the preparation. *)
+    {!minimum}, {!broadcast} or {!minimum_outcome} leaves its port queues
+    and per-part best values for the next run over the preparation, which
+    resets them before its first round; a run that finds them taken makes
+    its own. They die with the preparation. *)
 
 val prepare : ?host:Lcs_congest.Simulator.host -> Lcs_shortcut.Shortcut.t -> prepared
 (** [prepare shortcut] builds the route table and measures the
@@ -179,7 +179,8 @@ type report = {
 }
 
 val minimum_outcome :
-  ?budget:int ->
+  ?prepared:prepared ->
+  ?budget_factor:int ->
   ?domains:int ->
   ?obs:Lcs_obs.Obs.t ->
   ?tracer:Lcs_congest.Trace.tracer ->
@@ -198,7 +199,14 @@ val minimum_outcome :
     512] simulator rounds; raw mode keeps {!minimum}'s budget and
     [budget + 8] rounds, and relies on min-flooding's natural idempotence
     (duplicates and reordering are harmless; only loss and crashes bite).
-    [budget] pins the round budget. The validator checks, part by part,
+    [budget_factor] (default 1) multiplies that round budget, so a run
+    gets [(8 if reliable else 1) · budget_factor ·] {!budget}: the
+    resilience supervisor's grown budgets. [prepared] (default: prepared
+    for this call) must come from {!prepare} on this very shortcut, as
+    for {!minimum}: a caller that runs several attempts over one
+    shortcut — a retry ladder, a chaos campaign's cells — prepares it
+    once, and the outcome, report and statistics equal those over a
+    fresh preparation. The validator checks, part by part,
     that every surviving member holds exactly the surviving minimum;
     failing parts are listed in [diverged] and their surviving members
     become the degradation's [affected]. [Complete] therefore coincides

@@ -27,13 +27,14 @@ type subject = { name : string; run : plan:Fault.plan -> seed:int -> verdict }
 let pa_subject ?(reliable = false) ~name ~graph ~partition () =
   let tree = Bfs.tree graph ~root:0 in
   let sc = (Boost.full partition ~tree).Boost.shortcut in
+  let prepared = Sim_aggregate.prepare sc in
   let n = Graph.n graph and m = Graph.m graph in
   let run ~plan ~seed =
     let plan = Fault.clip ~nodes:n ~edges:m plan in
     let vrng = Rng.create (seed + 5) in
     let values = Array.init n (fun _ -> Rng.int vrng 1_000_000) in
     match
-      Sim_aggregate.minimum_outcome ~reliable
+      Sim_aggregate.minimum_outcome ~prepared ~reliable
         ~faults:(Fault.compile ~seed plan)
         (Rng.create (seed + 7))
         sc ~values

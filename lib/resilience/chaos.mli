@@ -53,7 +53,8 @@ val pa_subject :
   unit ->
   subject
 (** Part-wise aggregation over a Theorem 3.1 shortcut on [graph] as a
-    chaos subject. The shortcut is built once; each run clips the plan
+    chaos subject. The shortcut is built and prepared
+    ({!Lcs_partwise.Sim_aggregate.prepare}) once; each run clips the plan
     to the graph ({!Lcs_congest.Fault.clip}), draws values and schedule
     randomness from [seed], executes
     {!Lcs_partwise.Sim_aggregate.minimum_outcome} with the compiled

@@ -252,14 +252,8 @@ let detection_wave_outcome ?(seed = 1) ?domains ?max_rounds ?tracer ?faults ?par
       in
       Error (pending, p.Simulator.partial_stats)
 
-let detection_wave ?seed ?domains ?max_rounds ?tracer ?faults ?par_profile ~variant
-    ~threshold
-    partition info =
-  match
-    detection_wave_outcome ?seed ?domains ?max_rounds ?tracer ?faults ?par_profile
-      ~variant
-      ~threshold partition info
-  with
+let detection_wave ?domains ?par_profile ~variant ~threshold partition info =
+  match detection_wave_outcome ?domains ?par_profile ~variant ~threshold partition info with
   | Ok (over, stats) -> (over, stats)
   | Error (_pending, partial) -> raise (Simulator.Round_limit partial.Simulator.rounds)
 

@@ -44,28 +44,23 @@ val default_repetitions : Lcs_graph.Graph.t -> int
 (** [max 8 (4·⌈log₂ n⌉)]. *)
 
 val detection_wave :
-  ?seed:int ->
   ?domains:int ->
-  ?max_rounds:int ->
-  ?tracer:Lcs_congest.Trace.tracer ->
-  ?faults:Lcs_congest.Fault.t ->
   ?par_profile:Lcs_congest.Par_profile.t ->
   variant:variant ->
   threshold:int ->
   Lcs_graph.Partition.t ->
   Lcs_congest.Tree_info.t ->
   Lcs_util.Bitset.t * Lcs_congest.Simulator.stats
-(** One bottom-up wave at a fixed congestion threshold; returns the
-    overcongested edge set it determined and the measured stats. With
-    [Deterministic] the returned set equals the centralized construction's
-    [O] for the same threshold (a property the test suite checks).
-    [tracer] observes the wave's simulator run; [faults] subjects it to a
-    compiled fault plan (a wave that cannot finish raises
-    {!Lcs_congest.Simulator.Round_limit} exactly as a fault-free stall
-    would — use {!construct_outcome} for graceful degradation).
-    [domains] (default 1) shards the wave's simulation across that many
-    OCaml domains ({!Lcs_congest.Simulator.run_outcome}); observables are
-    identical at any value. *)
+(** One bottom-up wave at a fixed congestion threshold, without a fault
+    plan and with hash seed 1; returns the overcongested edge set it
+    determined and the measured stats. With [Deterministic] the returned
+    set equals the centralized construction's [O] for the same threshold
+    (a property the test suite checks). A wave that does not finish
+    within the simulator's default [max_rounds] raises
+    {!Lcs_congest.Simulator.Round_limit}. [domains] (default 1) shards
+    the wave's simulation across that many OCaml domains
+    ({!Lcs_congest.Simulator.run_outcome}); observables are identical at
+    any value. [par_profile] attaches a wall-clock collector to it. *)
 
 val construct :
   ?obs:Lcs_obs.Obs.t ->

@@ -438,6 +438,34 @@ let minimum_outcome_survives_crash () =
       check Alcotest.bool "no surviving member diverged" true
         (r.Sim_aggregate.diverged = [])
 
+(* A preparation that has served other runs — planless and planned, raw
+   and reliable — changes only cost: every later run over it returns the
+   outcome, report and statistics of a run over a fresh preparation. *)
+let minimum_outcome_reuses_a_preparation () =
+  let g = Generators.grid ~rows:8 ~cols:8 in
+  let partition = Partition.grid_rows g ~rows:8 ~cols:8 in
+  let sc = (Boost.full partition ~tree:(Bfs.tree g ~root:0)).Boost.shortcut in
+  let values = Array.init (Graph.n g) (fun v -> ((v * 7919) + 13) mod 1009) in
+  let prepared = Sim_aggregate.prepare sc in
+  ignore (Sim_aggregate.minimum ~prepared (Rng.create 1) sc ~values:(Array.map (( - ) 0) values));
+  List.iter
+    (fun name ->
+      let path = Filename.concat (Filename.dirname Sys.executable_name) ("../plans/" ^ name) in
+      let plan = match Fault.load_plan path with Ok p -> p | Error e -> Alcotest.fail e in
+      List.iter
+        (fun reliable ->
+          let run ?prepared () =
+            Sim_aggregate.minimum_outcome ?prepared ~faults:(Fault.compile plan) ~reliable
+              (Rng.create 5) sc ~values
+          in
+          let fresh = run () in
+          check Alcotest.bool
+            (Printf.sprintf "%s, reliable=%b: reused = fresh" name reliable)
+            true
+            (run ~prepared () = fresh))
+        [ false; true ])
+    [ "light_loss.json"; "crash_heavy.json" ]
+
 (* Without a plan, each outcome entry point must be its fault-free twin:
    the same answer, the same measured costs and the same traced events,
    on small grids, k-trees and lower-bound graphs. *)
@@ -544,9 +572,70 @@ let prop_planless_outcome_is_the_plain_run =
         in
         matches p0 o0 && matches p1 o1 && plain_events = outcome_events
       in
+      let n = Graph.n g in
+      let bfs_matches () =
+        let p0, p1, plain_events =
+          untraced_and_traced (fun tracer -> Sync_bfs.run ?tracer g ~root:0)
+        in
+        let o0, o1, outcome_events =
+          untraced_and_traced (fun tracer -> Sync_bfs.run_outcome ?tracer g ~root:0)
+        in
+        let matches (tree, height, stats) = function
+          | Outcome.Degraded _ -> false
+          | Outcome.Complete (r : Sync_bfs.report) -> (
+              r.Sync_bfs.height = height
+              && r.Sync_bfs.stats = stats
+              && r.Sync_bfs.unjoined = []
+              &&
+              match r.Sync_bfs.tree with
+              | None -> false
+              | Some t ->
+                  List.for_all
+                    (fun v -> Rooted_tree.parent t v = Rooted_tree.parent tree v)
+                    (List.init n Fun.id))
+        in
+        matches p0 o0 && matches p1 o1 && plain_events = outcome_events
+      in
+      let election_matches () =
+        let p0, p1, plain_events =
+          untraced_and_traced (fun tracer -> Leader_election.run ?tracer g)
+        in
+        let o0, o1, outcome_events =
+          untraced_and_traced (fun tracer -> Leader_election.run_outcome ?tracer g)
+        in
+        let matches (leader, stats) = function
+          | Outcome.Degraded _ -> false
+          | Outcome.Complete (r : Leader_election.report) ->
+              r.Leader_election.leader = leader
+              && r.Leader_election.dissenters = []
+              && r.Leader_election.stats = stats
+        in
+        matches p0 o0 && matches p1 o1 && plain_events = outcome_events
+      in
+      let broadcast_matches () =
+        let info = Tree_info.of_tree g (Bfs.tree g ~root:0) in
+        let value = 1 + (seed mod 997) in
+        let p0, p1, plain_events =
+          untraced_and_traced (fun tracer -> Broadcast.run ?tracer g info ~value)
+        in
+        let o0, o1, outcome_events =
+          untraced_and_traced (fun tracer ->
+              Broadcast.run_outcome ~reliable:false ?tracer g info ~value)
+        in
+        let matches (values, stats) = function
+          | Outcome.Degraded _ -> false
+          | Outcome.Complete (r : Broadcast.report) ->
+              r.Broadcast.values = Array.map Option.some values
+              && r.Broadcast.unreached = []
+              && r.Broadcast.stats = stats
+              && r.Broadcast.retransmissions = 0
+        in
+        matches p0 o0 && matches p1 o1 && plain_events = outcome_events
+      in
       construct_matches (Distributed.Randomized { repetitions = Distributed.default_repetitions g })
       && construct_matches Distributed.Deterministic
-      && minimum_matches ())
+      && minimum_matches () && bfs_matches () && election_matches ()
+      && broadcast_matches ())
 
 (* --- Hardened JSON parser ------------------------------------------------ *)
 
@@ -691,6 +780,8 @@ let suite =
     case "construct: fault-free complete" `Quick construct_outcome_faultfree_is_complete;
     case "construct: root crash degrades" `Quick construct_outcome_root_crash_degrades;
     case "partwise: minimum survives crash" `Quick minimum_outcome_survives_crash;
+    case "partwise: a reused preparation changes no outcome" `Quick
+      minimum_outcome_reuses_a_preparation;
     case "json: errors carry position" `Quick json_errors_carry_position;
     case "json: depth bounded" `Quick json_depth_is_bounded;
   ]

@@ -374,6 +374,81 @@ let stream_roundtrip () =
         (Json.to_string (Trace.Profile.to_json profile))
         (Json.to_string (Trace.Profile.to_json rebuilt)))
 
+(* Readers index arrays with an event's round, nodes and edge, so a
+   stream event outside its header's bounds, below round 1 or before an
+   earlier round of its run must stop the fold with its line number. A
+   stream of two runs, each opening at round 1, stays valid. *)
+let stream_rejects_out_of_range_events () =
+  let g = Generators.grid ~rows:4 ~cols:4 in
+  let partition = Partition.grid_rows g ~rows:4 ~cols:4 in
+  let sc = (Boost.full partition ~tree:(Bfs.tree g ~root:0)).Boost.shortcut in
+  let values = Array.init (Graph.n g) (fun v -> (v * 7) mod 11) in
+  let path = Filename.temp_file "lcs_stream" ".jsonl" in
+  let bad = Filename.temp_file "lcs_stream_bad" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ path; bad ])
+    (fun () ->
+      let sink =
+        Trace.Stream.create
+          ~meta:[ ("n", Json.Int (Graph.n g)); ("m", Json.Int (Graph.m g)) ]
+          path
+      in
+      let tracer = Trace.Stream.tracer sink in
+      ignore (Sync_bfs.run ~tracer g ~root:0);
+      ignore (Sim_aggregate.minimum ~tracer (Rng.create 3) sc ~values);
+      Trace.Stream.close sink;
+      let read p = Trace.Stream.fold p ~init:0 ~f:(fun k _ -> k + 1) in
+      (match read path with
+      | Ok lines -> check Alcotest.int "every line read" (Trace.Stream.events_written sink + 1) lines
+      | Error e -> Alcotest.fail ("two-run stream: " ^ e));
+      let lines =
+        Array.of_list
+          (String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all))
+      in
+      let field key line =
+        match Json.of_string line with
+        | Ok j -> Json.member key j
+        | Error e -> Alcotest.fail e
+      in
+      let first_line p =
+        let rec go i = if p lines.(i) then i else go (i + 1) in
+        go 0
+      in
+      let is_send line = field "t" line = Some (Json.String "send") in
+      let expect_error ~at key value =
+        let mutated =
+          match Json.of_string lines.(at) with
+          | Ok (Json.Obj fields) ->
+              Json.to_string ~minify:true
+                (Json.Obj
+                   (List.map (fun (k, v) -> if k = key then (k, Json.Int value) else (k, v)) fields))
+          | _ -> Alcotest.fail "event line is not an object"
+        in
+        Out_channel.with_open_bin bad (fun oc ->
+            output_string oc
+              (String.concat "\n" (Array.to_list (Array.mapi (fun i l -> if i = at then mutated else l) lines))));
+        let label = Printf.sprintf "%s = %d" key value in
+        match read bad with
+        | Ok _ -> Alcotest.failf "%s: accepted" label
+        | Error e ->
+            let prefix = Printf.sprintf "line %d: " (at + 1) in
+            check Alcotest.bool (label ^ ": located error") true
+              (String.length e > String.length prefix
+              && String.sub e 0 (String.length prefix) = prefix)
+      in
+      let send = first_line is_send in
+      List.iter
+        (fun (key, value) -> expect_error ~at:send key value)
+        [
+          ("round", -1); ("round", 0); ("edge", -1); ("src", -1);
+          ("dst", Graph.n g); ("edge", 999); ("words", -5);
+        ];
+      (* A send of round 2 moved back to round 1 inside the same run. *)
+      expect_error
+        ~at:(first_line (fun l -> is_send l && field "round" l = Some (Json.Int 2)))
+        "round" 1)
+
 let profile_sketch_mode () =
   (* Same event stream through both accounting modes: with the budget
      above the distinct-edge count the sketch is exact, so every exported
@@ -471,6 +546,7 @@ let suite =
     case "recorder stream well-formed" `Quick recorder_stream_well_formed;
     case "recorder cap drops and marks" `Quick recorder_cap_drops;
     case "stream sink round-trips" `Quick stream_roundtrip;
+    case "stream rejects out-of-range events" `Quick stream_rejects_out_of_range_events;
     case "profile sketch mode" `Quick profile_sketch_mode;
     case "histogram bucket widths" `Quick histogram_bucket_widths;
     case "json value round-trip" `Quick json_value_roundtrip;
