@@ -1071,17 +1071,11 @@ let chaos_cmd =
               ~graph:g ~partition ()
           in
           let plans =
-            (* default adversaries when no --plan is given: the two canned
+            (* E20's adversaries when no --plan is given: the two canned
                profiles plus a computed cut-severing partition plan (the
                plans/partition_heavy.json idea, adapted to this graph) *)
             if named_plans <> [] then named_plans
-            else
-              [
-                ("light_loss", Lcs_experiments.Exp_faults.light_loss_plan ~seed:7);
-                ( "crash_heavy",
-                  Lcs_experiments.Exp_faults.crash_heavy_plan ~seed:11 ~n:(Graph.n g) );
-                ("partition", Lcs_experiments.Exp_chaos.partition_plan ~g ~seed:23);
-              ]
+            else Lcs_experiments.Exp_chaos.default_plans g
           in
           Chaos.campaign ~intensities ~seeds ~search_iters:iters ~shrink ~plans
             ~subjects:[ subject ] ())
@@ -1377,27 +1371,30 @@ let bcast_cmd =
       | Some (_, s) when every > 0 -> Some (every, Trace.Stream.snapshot s)
       | _ -> None
     in
-    let _states, p =
-      Simulator.run_profiled ~domains ?mode ?flight ?tracer g program
+    (* A plain flood pays for no collector: the profile rides only on a
+       run whose stream or profile is written. *)
+    let stats, profile =
+      if trace = None && profile_out = None then (snd (Simulator.run ~domains g program), None)
+      else
+        let _states, p = Simulator.run_profiled ~domains ?mode ?flight ?tracer g program in
+        (p.Simulator.base, Some p.Simulator.profile)
     in
-    let stats = p.Simulator.base in
-    let profile = p.Simulator.profile in
     Printf.printf
       "broadcast: n=%d m=%d — %d rounds, %d messages, %d words, max edge \
        load %d\n"
       (Graph.n g) (Graph.m g) stats.Simulator.rounds stats.Simulator.messages
       stats.Simulator.words stats.Simulator.max_edge_load;
-    (match sink with
+    (match profile with
     | None -> ()
-    | Some (path, s) -> Report.finish_stream path s profile);
-    (match profile_out with
-    | None -> ()
-    | Some out ->
-        Report.write_json out (Trace.Profile.to_json profile)
-          ~describe:(fun () ->
-            Printf.printf "profile: wrote %s (%d words over %d edges)\n" out
-              (Trace.Profile.total_words profile)
-              (Trace.Profile.edges_used profile)));
+    | Some profile -> (
+        Option.iter (fun (path, s) -> Report.finish_stream path s profile) sink;
+        match profile_out with
+        | None -> ()
+        | Some out ->
+            Report.write_json out (Trace.Profile.to_json profile) ~describe:(fun () ->
+                Printf.printf "profile: wrote %s (%d words over %d edges)\n" out
+                  (Trace.Profile.total_words profile)
+                  (Trace.Profile.edges_used profile))));
     0
   in
   let family_arg =
@@ -1443,37 +1440,36 @@ let top_cmd =
   let run path k profile_out =
     (* One pass over the streamed file: remember the header, tabulate the
        flight snapshots, and rebuild the congestion profile by replaying
-       every event line into a fresh collector. *)
+       every event line into a collector sized by the header's edge count.
+       Without that count the fold cannot bound edge ids, so a stream
+       lacking it is refused rather than sized by the ids it carries. *)
     let header = ref [] in
     let snaps = ref [] in
     let profile = ref None in
-    let feed = ref (fun (_ : Trace.event) -> ()) in
-    let ensure_profile edges =
-      if !profile = None then begin
-        let p = Trace.Profile.create ~edges () in
-        profile := Some p;
-        feed := Trace.Profile.tracer p
-      end
-    in
+    let exception No_edge_count in
     let result =
-      Trace.Stream.fold path ~init:0 ~f:(fun events line ->
-          match line with
-          | Trace.Stream.Meta (Json.Obj fields as m) ->
-              header := fields;
-              ensure_profile
+      try
+        Trace.Stream.fold path ~init:0 ~f:(fun events line ->
+            match line with
+            | Trace.Stream.Meta m ->
+                (match m with Json.Obj fields -> header := fields | _ -> ());
                 (match Json.member "m" m with
-                | Some (Json.Int edges) -> edges
-                | _ -> 0);
-              events
-          | Trace.Stream.Meta _ -> events
-          | Trace.Stream.Event ev ->
-              ensure_profile 0;
-              !feed ev;
-              events + 1
-          | Trace.Stream.Snapshot s ->
-              snaps := s :: !snaps;
-              events
-          | Trace.Stream.Truncated _ -> events)
+                | Some (Json.Int edges) ->
+                    if Option.is_none !profile then
+                      profile := Some (Trace.Profile.create ~edges ())
+                | _ -> raise No_edge_count);
+                events
+            | Trace.Stream.Event ev -> (
+                match !profile with
+                | Some p ->
+                    Trace.Profile.tracer p ev;
+                    events + 1
+                | None -> raise No_edge_count)
+            | Trace.Stream.Snapshot s ->
+                snaps := s :: !snaps;
+                events
+            | Trace.Stream.Truncated _ -> events)
+      with No_edge_count -> Error "stream header has no \"m\" (edge count) field"
     in
     match result with
     | Error msg ->

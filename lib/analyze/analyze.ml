@@ -327,19 +327,25 @@ let events_of_json doc =
   match arr with
   | Error _ as e -> e
   | Ok (Json.List items) ->
-      let rec go acc = function
+      (* A report object carries the run's [n] and [m], which bound the
+         events' ids exactly as a stream header does. *)
+      let check = Trace.checker ~meta:doc () in
+      let rec go i acc = function
         | [] -> Ok (List.rev acc)
         (* A capped recorder ends its stream with a {"t":"truncated",
            "dropped":N} marker — metadata, not an event; skip it. *)
         | item :: rest
           when Json.member "t" item = Some (Json.String "truncated") ->
-            go acc rest
+            go (i + 1) acc rest
         | item :: rest -> (
-            match Trace.event_of_json item with
-            | Ok ev -> go (ev :: acc) rest
-            | Error e -> Error e)
+            match
+              Result.bind (Trace.event_of_json item) (fun ev ->
+                  Result.map (fun () -> ev) (check ev))
+            with
+            | Ok ev -> go (i + 1) (ev :: acc) rest
+            | Error e -> Error (Printf.sprintf "events[%d]: %s" i e))
       in
-      go [] items
+      go 0 [] items
   | Ok _ -> Error "expected a trace report object or an event array"
 
 let of_json doc =

@@ -91,8 +91,11 @@ val of_events : Lcs_congest.Trace.event list -> run list
 
 val of_json : Lcs_util.Json.t -> (run list, string) result
 (** Accepts a run-report object carrying an ["events"] array (what
-    [lcs_cli pa --trace] writes) or a bare event array. Lenient towards
-    v1 traces — they parse, but yield an empty critical path. *)
+    [lcs_cli pa --trace] writes) or a bare event array. Every event must
+    pass {!Lcs_congest.Trace.checker} under the report's ["n"] and ["m"]
+    (unbounded for a bare array); the first that does not is an [Error]
+    naming its index in the array. Lenient towards v1 traces — they
+    parse, but yield an empty critical path. *)
 
 val run_to_json : run -> Lcs_util.Json.t
 

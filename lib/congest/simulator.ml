@@ -504,7 +504,7 @@ type 'msg pending = {
   p_msg : 'msg;
 }
 
-let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_profile g
+let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?flight ?par_profile g
     program =
   if domains < 1 then invalid_arg "Simulator.run: domains";
   if bandwidth < 1 then invalid_arg "Simulator.run: bandwidth";
@@ -617,34 +617,6 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
     Array.init d (fun s -> if serialized then 0 else Intvec.get csr.port_offset bounds.(s))
   in
   let ntouched = Array.make d 0 in
-  (* --- per-domain profile shards (profiled, untraced, fault-free) -------- *)
-  (* Profile aggregation is order-insensitive (sums, maxima, mergeable
-     sketches), so unlike event tracing it needs no serial replay: each
-     domain feeds its own shard through the event-free recording entry
-     points and the shards merge — at flight-snapshot barriers and once at
-     the end — into the caller's profile. Exact-mode merges are
-     bit-identical to a collector fed the event stream, at every domain
-     count. *)
-  let profiled = profile <> None && not serialized in
-  let final_profile, flight =
-    match profile with Some (p, f) -> (Some p, f) | None -> (None, None)
-  in
-  let shard_mode =
-    match final_profile with
-    | Some p -> Trace.Profile.mode p
-    | None -> Trace.Profile.Exact
-  in
-  let shards =
-    if profiled then
-      Array.init d (fun _ -> Trace.Profile.create ~mode:shard_mode ~edges:(Graph.m g) ())
-    else [||]
-  in
-  let roundmax_s = Array.make d 0 in
-  let merged_shards () =
-    let acc = Trace.Profile.create ~mode:shard_mode ~edges:(Graph.m g) () in
-    Array.iter (fun shard -> Trace.Profile.merge_into ~into:acc shard) shards;
-    acc
-  in
   (* Deliver the sends node [v] queued in [mb] this step, in order, and
      empty the mailbox's send side. The shard's counters are read once and
      written back once per step: they share cache lines with the other
@@ -673,12 +645,6 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
       budget.(slot) <- used;
       if used > !load then load := used;
       sent_words := !sent_words + size;
-      if profiled then begin
-        Trace.Profile.record_send shards.(s) ~round:!rounds
-          ~edge:(Intvec.unsafe_get csr.port_edge slot)
-          ~words:size;
-        if used > roundmax_s.(s) then roundmax_s.(s) <- used
-      end;
       (* [slot] is in range: the port check above bounds it within v's
          row, so the unchecked reads are safe. *)
       let w = Intvec.unsafe_get csr.port_neighbor slot in
@@ -717,8 +683,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
           if mb.out_len > 0 then send_fast s v mb;
           if program.is_halted state then begin
             halted.(v) <- true;
-            live_delta.(s) <- live_delta.(s) - 1;
-            if profiled then Trace.Profile.record_halt shards.(s) ~round:r
+            live_delta.(s) <- live_delta.(s) - 1
           end
         end
       done;
@@ -727,13 +692,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
       for i = base to base + ntouched.(s) - 1 do
         budget.(touched.(i)) <- 0
       done;
-      ntouched.(s) <- 0;
-      if profiled then begin
-        (* Close the round on this shard: its local bandwidth high-water
-           mark; the shard merge's [set_max] recovers the global one. *)
-        Trace.Profile.record_round shards.(s) ~round:r ~max_edge_load:roundmax_s.(s);
-        roundmax_s.(s) <- 0
-      end
+      ntouched.(s) <- 0
     with exn -> fail.(s) <- Some (!stepping, exn)
   in
   let phase_drain t =
@@ -1017,12 +976,9 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
           phase_drain s;
           Par_profile.set_deliver pp ~shard:s (Par_profile.now () -. t0)
   in
-  (* Flight snapshot at the barrier: read each domain's pending-delivery
-     depth off the inboxes the swap just made current (all empty after an
-     idle round). On the fast path the heavy hitters and vitals come from
-     merging the per-domain shards into a throwaway profile; on the
-     serialized path the caller's profile (fed through the tracer tee) has
-     already closed this round. *)
+  (* Flight snapshot at the barrier, after the round's [Round_end]: read
+     each domain's pending-delivery depth off the inboxes the swap just
+     made current (all empty after an idle round). *)
   let snapshot ~idle =
     match flight with
     | Some (every, emit) when every > 0 && !rounds mod every = 0 ->
@@ -1035,8 +991,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
             done;
             queues.(s) <- !depth
           done;
-        let p = if profiled then merged_shards () else Option.get final_profile in
-        emit (Trace.Flight.of_profile ~queues ~round:!rounds p)
+        emit ~queues ~round:!rounds
     | _ -> ()
   in
   (* A round in which no node is due and no message is in flight: nothing
@@ -1045,16 +1000,12 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
     incr rounds;
     (match tracer with
     | None -> ()
-    | Some t -> t (Trace.Round_start { round = !rounds; live = !live }));
-    if profiled then Trace.Profile.record_round shards.(0) ~round:!rounds ~max_edge_load:0;
-    (match tracer with
-    | None -> ()
-    | Some t -> t (Trace.Round_end { round = !rounds; max_edge_load = 0 }));
+    | Some t ->
+        t (Trace.Round_start { round = !rounds; live = !live });
+        t (Trace.Round_end { round = !rounds; max_edge_load = 0 }));
     snapshot ~idle:true
   in
-  let observed =
-    traced || profiled || match flight with Some (every, _) -> every > 0 | None -> false
-  in
+  let observed = traced || match flight with Some (every, _) -> every > 0 | None -> false in
   (* Messages sent so far in the run. *)
   let sent () =
     if serialized then !messages
@@ -1204,10 +1155,6 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?profile ?par_
       if maxload_s.(s) > !max_edge_load then max_edge_load := maxload_s.(s)
     done
   end;
-  (match final_profile with
-  | Some p when profiled ->
-      Array.iter (fun shard -> Trace.Profile.merge_into ~into:p shard) shards
-  | _ -> ());
   let stats =
     { rounds = !rounds; messages = !messages; words = !words; max_edge_load = !max_edge_load }
   in
@@ -1250,20 +1197,18 @@ let settle ?faults result =
 let run_profiled ?(domains = 1) ?(bandwidth = 1) ?(max_rounds = 100_000) ?mode ?flight
     ?tracer ?faults ?par_profile g program =
   let profile = Trace.Profile.create ?mode ~edges:(Graph.m g) () in
-  (* A profile-only run has no event order to reproduce, so it keeps the
-     parallel fast path with per-domain profile shards. An external tracer
-     or a fault plan serializes the observables (see the determinism
-     contract above), and the profile then collects through the tracer
-     tee, ahead of the caller's tracer. *)
-  let tracer =
-    match (tracer, faults) with
-    | None, None -> None
-    | None, Some _ -> Some (Trace.Profile.tracer profile)
-    | Some t, _ -> Some (Trace.tee [ Trace.Profile.tracer profile; t ])
+  (* The profile is one fold of the run's event stream, ahead of the
+     caller's tracer, so it is the same at every domain count. *)
+  let collect = Trace.Profile.tracer profile in
+  let tracer = match tracer with None -> collect | Some t -> Trace.tee [ collect; t ] in
+  let flight =
+    Option.map
+      (fun (every, emit) ->
+        (every, fun ~queues ~round -> emit (Trace.Flight.of_profile ~queues ~round profile)))
+      flight
   in
   let states, base =
     finished
-      (execute ~domains ~bandwidth ~max_rounds ?tracer ?faults ~profile:(profile, flight)
-         ?par_profile g program)
+      (execute ~domains ~bandwidth ~max_rounds ~tracer ?faults ?flight ?par_profile g program)
   in
   (states, { base; profile })

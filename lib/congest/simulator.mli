@@ -67,8 +67,9 @@
     rules.
 
     {b When sharding helps.} On large graphs with fault-free, untraced
-    runs — the capacity workload. Tracing or fault injection serializes
-    the verdict/id/event step at the barrier, and tiny graphs are
+    runs — the capacity workload. Tracing (which includes
+    {!run_profiled}) or fault injection serializes the verdict/id/event
+    step at the barrier, and tiny graphs are
     dominated by barrier latency; both are better run with
     [domains = 1].
 
@@ -355,16 +356,11 @@ val run_profiled :
     carry the per-edge / per-round congestion profile alongside the four
     aggregates (the profile's [total_words] equals [base.words]).
 
-    Profile aggregation — unlike event tracing — is order-insensitive, so
-    a profile-only run (no [?tracer], no [?faults]) keeps the parallel
-    fast path: every domain feeds its own {!Trace.Profile} shard through
-    the event-free recording entry points and the shards merge at the
-    end (and at each flight snapshot). In [Exact] mode the merged
-    profile is byte-identical to a collector fed the run's event stream,
-    at every domain count — the differential suite pins this against
-    {!Simulator_ref}. With a [?tracer] or [?faults] the run serializes at
-    the barrier and the profile collects through the event stream; an
-    additional [tracer] is teed in after the profile collector.
+    The profile is fed through the tracer: {!Trace.Profile.tracer} folds
+    the run's event stream, teed in ahead of any [tracer] given. A
+    profiled run is therefore a traced run — it replays its sends at the
+    barrier like any other — and its profile is the same at every domain
+    count, in either mode.
 
     [mode] selects the profile's accounting mode exactly as
     {!Trace.Profile.create} does (auto-selecting [Sketch] above

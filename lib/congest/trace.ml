@@ -343,6 +343,53 @@ let event_of_json j =
   | Some (Json.String other) -> Error ("unknown event kind " ^ other)
   | _ -> Error "event object has no \"t\" field"
 
+(* What the events read so far allow of the next one: node ids below the
+   metadata's [n] and edge ids below its [m] (unchecked when absent), and
+   no round before the run's latest. *)
+let checker ?(meta = Json.Null) () =
+  let bound key = match Json.member key meta with Some (Json.Int v) -> v | _ -> -1 in
+  let n = bound "n" and m = bound "m" in
+  let latest = ref 0 in
+  let exception Out_of_bounds of string in
+  let fail fmt = Printf.ksprintf (fun msg -> raise (Out_of_bounds msg)) fmt in
+  let bounded field v name bound =
+    if v < 0 then fail "negative %s %d" field v
+    else if bound >= 0 && v >= bound then fail "%s %d not below %s = %d" field v name bound
+  in
+  let node field v = bounded field v "n" n and edge e = bounded "edge" e "m" m in
+  let check ev =
+    let round =
+      match ev with
+      | Round_start { round; _ } | Round_end { round; _ } -> round
+      | Send { round; src; dst; edge = e; words; _ }
+      | Duplicate { round; src; dst; edge = e; words; _ }
+      | Drop { round; src; dst; edge = e; words } ->
+          node "src" src;
+          node "dst" dst;
+          edge e;
+          if words < 0 then fail "negative words %d" words;
+          round
+      | Delayed { round; src; dst; edge = e; _ } ->
+          node "src" src;
+          node "dst" dst;
+          edge e;
+          round
+      | Link_down { round; edge = e } ->
+          edge e;
+          round
+      | Halt { round; node = v } | Crash { round; node = v } ->
+          node "node" v;
+          round
+    in
+    if round < 1 then fail "round %d below 1" round;
+    (* A run opens with its round-1 [Round_start] — where [Analyze] cuts
+       a stream into runs — and its rounds never decrease after it. *)
+    (match ev with Round_start { round = 1; _ } -> latest := 1 | _ -> ());
+    if round < !latest then fail "round %d after round %d" round !latest;
+    latest := round
+  in
+  fun ev -> match check ev with () -> Ok () | exception Out_of_bounds e -> Error e
+
 (* --- growable int array -------------------------------------------------- *)
 
 (* Stdlib Dynarray arrives in OCaml 5.2; this is the minimal int-only
@@ -373,7 +420,6 @@ module Ibuf = struct
     if v > b.data.(i) then b.data.(i) <- v
 
   let get b i = if i < b.len then b.data.(i) else 0
-  let len b = b.len
   let to_array b = Array.sub b.data 0 b.len
 end
 
@@ -509,43 +555,29 @@ module Profile = struct
     | Exact_acc _ -> Exact
     | Sketch_acc { ss; _ } -> Sketch (Sketch.Space_saving.capacity ss)
 
-  let account p edge words =
-    match p.acc with
+  (* A transmission that crosses the wire and is delivered: a Send, or a
+     Duplicate, whose extra copy counts as traffic exactly like a Send. *)
+  let carry p ~round ~edge ~words =
+    (match p.acc with
     | Exact_acc b -> Ibuf.add b edge words
-    | Sketch_acc { ss; _ } -> Sketch.Space_saving.add ss edge words
-
-  (* The event-free recording entry points: what the tracer does for
-     [Send]/[Halt]/[Round_end], callable without materializing an event —
-     the sharded simulator's per-domain shards go through these so its
-     profiled fast path allocates nothing per message. *)
-  let record_send p ~round ~edge ~words =
-    account p edge words;
+    | Sketch_acc { ss; _ } -> Sketch.Space_saving.add ss edge words);
     Ibuf.add p.round_words (round - 1) words;
     p.total_words <- p.total_words + words;
     p.total_messages <- p.total_messages + 1;
     if round > p.rounds then p.rounds <- round
 
-  let record_halt p ~round = Ibuf.add p.halt_rounds (round - 1) 1
-
-  let record_round p ~round ~max_edge_load =
-    Ibuf.set_max p.round_max (round - 1) max_edge_load;
-    if round > p.rounds then p.rounds <- round
-
   let tracer p = function
     | Round_start { round; _ } -> if round > p.rounds then p.rounds <- round
-    | Send { round; edge; words; _ } -> record_send p ~round ~edge ~words
-    | Halt { round; _ } -> record_halt p ~round
-    | Round_end { round; max_edge_load } -> record_round p ~round ~max_edge_load
-    (* A duplicated copy crosses the wire and is delivered, so it counts as
-       traffic exactly like a Send; the other fault events are bookkeeping
-       about words that did NOT flow (or nodes that died). *)
-    | Duplicate { round; edge; words; _ } ->
-        account p edge words;
-        Ibuf.add p.round_words (round - 1) words;
-        p.total_words <- p.total_words + words;
-        p.total_messages <- p.total_messages + 1;
-        p.duplicated <- p.duplicated + 1;
+    | Send { round; edge; words; _ } -> carry p ~round ~edge ~words
+    | Halt { round; _ } -> Ibuf.add p.halt_rounds (round - 1) 1
+    | Round_end { round; max_edge_load } ->
+        Ibuf.set_max p.round_max (round - 1) max_edge_load;
         if round > p.rounds then p.rounds <- round
+    | Duplicate { round; edge; words; _ } ->
+        carry p ~round ~edge ~words;
+        p.duplicated <- p.duplicated + 1
+    (* The other fault events are bookkeeping about words that did NOT
+       flow (or nodes that died). *)
     | Drop _ -> p.dropped <- p.dropped + 1
     | Link_down _ -> p.link_down_drops <- p.link_down_drops + 1
     | Delayed _ -> p.delayed <- p.delayed + 1
@@ -645,37 +677,6 @@ module Profile = struct
             words;
           List.init nbuckets (fun b -> ((b * width) + 1, (b + 1) * width, counts.(b)))
         end
-
-  (* Shard combination for the parallel simulator: every aggregate is a
-     sum, a max or a bucket-wise merge, so the result is independent of
-     how events were split across shards — bit-for-bit in Exact mode, up
-     to the documented sketch merge bounds in Sketch mode. *)
-  let merge_into ~into src =
-    (match (into.acc, src.acc) with
-    | Exact_acc a, Exact_acc b ->
-        if Ibuf.len b > 0 then Ibuf.ensure a (Ibuf.len b - 1);
-        Array.iteri (fun i w -> if w <> 0 then Ibuf.add a i w) (Ibuf.to_array b)
-    | Sketch_acc a, Sketch_acc b ->
-        Sketch.Space_saving.merge_into ~into:a.ss b.ss;
-        Sketch.Quantile.merge_into ~into:a.evicted b.evicted
-    | _ -> invalid_arg "Trace.Profile.merge_into: mode mismatch");
-    if Ibuf.len src.round_words > 0 then
-      Ibuf.ensure into.round_words (Ibuf.len src.round_words - 1);
-    Array.iteri
-      (fun i w -> if w <> 0 then Ibuf.add into.round_words i w)
-      (Ibuf.to_array src.round_words);
-    Array.iteri (fun i v -> Ibuf.set_max into.round_max i v) (Ibuf.to_array src.round_max);
-    Array.iteri
-      (fun i c -> if c <> 0 then Ibuf.add into.halt_rounds i c)
-      (Ibuf.to_array src.halt_rounds);
-    if src.rounds > into.rounds then into.rounds <- src.rounds;
-    into.total_words <- into.total_words + src.total_words;
-    into.total_messages <- into.total_messages + src.total_messages;
-    into.dropped <- into.dropped + src.dropped;
-    into.link_down_drops <- into.link_down_drops + src.link_down_drops;
-    into.duplicated <- into.duplicated + src.duplicated;
-    into.delayed <- into.delayed + src.delayed;
-    into.crashed <- into.crashed + src.crashed
 
   let to_json ?(top_k = 10) p =
     let pair (a, b) = Json.List [ Json.Int a; Json.Int b ] in
@@ -899,59 +900,12 @@ module Stream = struct
         | Some (Json.String s) -> Error ("unexpected stream schema " ^ s)
         | _ -> Error "line is neither an event, a snapshot nor a stream header")
 
-  (* What the events read so far allow of the next one: node ids below
-     [n] and edge ids below [m] (each -1, unchecked, until the header
-     gives it), and no round before the run's latest. *)
-  type bounds = { mutable n : int; mutable m : int; mutable round : int }
-
-  exception Out_of_bounds of string
-
-  let check_event b ev =
-    let fail fmt = Printf.ksprintf (fun msg -> raise (Out_of_bounds msg)) fmt in
-    let bounded field v bound =
-      if v < 0 then fail "negative %s %d" field v
-      else if bound >= 0 && v >= bound then fail "%s %d not below the header's %d" field v bound
-    in
-    let node field v = bounded field v b.n and edge e = bounded "edge" e b.m in
-    let round =
-      match ev with
-      | Round_start { round; _ } | Round_end { round; _ } -> round
-      | Send { round; src; dst; edge = e; words; _ }
-      | Duplicate { round; src; dst; edge = e; words; _ }
-      | Drop { round; src; dst; edge = e; words } ->
-          node "src" src;
-          node "dst" dst;
-          edge e;
-          if words < 0 then fail "negative words %d" words;
-          round
-      | Delayed { round; src; dst; edge = e; _ } ->
-          node "src" src;
-          node "dst" dst;
-          edge e;
-          round
-      | Link_down { round; edge = e } ->
-          edge e;
-          round
-      | Halt { round; node = v } | Crash { round; node = v } ->
-          node "node" v;
-          round
-    in
-    if round < 1 then fail "round %d below 1" round;
-    (* A run opens with its round-1 [Round_start] — where [Analyze] cuts
-       a stream into runs — and its rounds never decrease after it. *)
-    (match ev with Round_start { round = 1; _ } -> b.round <- 1 | _ -> ());
-    if round < b.round then fail "round %d after round %d" round b.round;
-    b.round <- round
-
-  let header_bound j key =
-    match Json.member key j with Some (Json.Int v) -> v | _ -> -1
-
   (* One line at a time — memory stays O(longest line) however large the
      file. The fold stops at the first malformed line and reports its
      number; a trailing partial line (a run killed mid-write) therefore
      surfaces as an error rather than silent truncation. So does an event
-     outside the bounds [check_event] keeps, which collectors would
-     otherwise index out of range. *)
+     outside the bounds [checker] keeps, which collectors would otherwise
+     index out of range. *)
   let fold path ~init ~f =
     match open_in_bin path with
     | exception Sys_error msg -> Error msg
@@ -960,7 +914,7 @@ module Stream = struct
           ~finally:(fun () -> close_in_noerr ic)
           (fun () ->
             let lineno = ref 0 in
-            let b = { n = -1; m = -1; round = 0 } in
+            let check = ref (checker ()) in
             let located e = Error (Printf.sprintf "line %d: %s" !lineno e) in
             let rec loop acc =
               match input_line ic with
@@ -973,12 +927,9 @@ module Stream = struct
                   match Result.bind (Json.of_string line) parse_line with
                   | Error e -> located e
                   | Ok (Event ev as l) -> (
-                      match check_event b ev with
-                      | () -> loop (f acc l)
-                      | exception Out_of_bounds e -> located e)
+                      match !check ev with Ok () -> loop (f acc l) | Error e -> located e)
                   | Ok (Meta j as l) ->
-                      b.n <- header_bound j "n";
-                      b.m <- header_bound j "m";
+                      check := checker ~meta:j ();
                       loop (f acc l)
                   | Ok l -> loop (f acc l))
             in

@@ -80,6 +80,18 @@ val event_of_json : Lcs_util.Json.t -> (event, string) result
     Lenient towards v1 traces: missing causal fields default to [id = 0],
     [parents = []], [part = -1], [phase = ""]. *)
 
+val checker : ?meta:Lcs_util.Json.t -> unit -> event -> (unit, string) result
+(** [checker ?meta ()] checks one event sequence read from a file, in
+    order. An event is rejected, with the reason, when its round is below
+    1 or below an earlier event's in the same run (a run begins at a
+    [Round_start] of round 1), when a node field ([src], [dst], [node])
+    is negative or at least [meta]'s ["n"], when an [edge] is negative or
+    at least [meta]'s ["m"], or when [words] is negative. [meta] is the
+    run's metadata object — a {!Stream} header or a run report; a bound
+    it does not carry is not checked. {!Stream.fold} and the analyzer's
+    JSON reader both check through it, so collectors never index out of
+    range. *)
+
 (** Causal annotations for in-flight messages.
 
     The message sources (the two simulator cores) assign every traced
@@ -219,17 +231,6 @@ module Profile : sig
 
   val tracer : t -> tracer
 
-  (** {2 Event-free recording}
-
-      What {!tracer} does for the three hot event kinds, callable without
-      materializing an event — the sharded simulator's per-domain shards
-      feed through these so profiled parallel runs allocate nothing per
-      message. *)
-
-  val record_send : t -> round:int -> edge:int -> words:int -> unit
-  val record_halt : t -> round:int -> unit
-  val record_round : t -> round:int -> max_edge_load:int -> unit
-
   val rounds : t -> int
   val total_words : t -> int
   (** Equals the [words] field of the traced run's {!Simulator.stats} —
@@ -274,14 +275,6 @@ module Profile : sig
 
   val halts : t -> int
   (** Total nodes observed halting. *)
-
-  val merge_into : into:t -> t -> unit
-  (** Fold [src]'s aggregates into [into]: sums, maxima and sketch
-      merges, so combining per-domain shards in any grouping yields the
-      same profile as one collector fed the whole run — bit-for-bit in
-      [Exact] mode, within the documented merge bounds in [Sketch] mode.
-      Both profiles must have the same mode (raises [Invalid_argument]
-      otherwise). *)
 
   val dropped : t -> int
   (** Transmissions lost to injected faults (random loss + down links). *)
@@ -394,12 +387,8 @@ module Stream : sig
   (** Fold over a streamed file line by line — memory stays O(longest
       line). Stops at the first malformed line with its line number, so a
       file cut off mid-write surfaces as an [Error], not silence. An event
-      is malformed, and [f] never sees it, when its round is below 1 or
-      below an earlier event's in the same run (a run begins at a
-      [Round_start] of round 1), when a node field ([src], [dst], [node])
-      is negative or at least the header's [n], when an [edge] is negative
-      or at least the header's [m], or when [words] is negative. A bound
-      the header does not carry is not checked. *)
+      that {!checker} rejects under the header is malformed too, and [f]
+      never sees it. *)
 
   val replay :
     ?on_meta:(Lcs_util.Json.t -> unit) ->

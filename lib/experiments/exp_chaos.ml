@@ -28,6 +28,13 @@ let partition_plan ~g ~seed =
         !cut;
   }
 
+let default_plans g =
+  [
+    ("light_loss", Exp_faults.light_loss_plan ~seed:7);
+    ("crash_heavy", Exp_faults.crash_heavy_plan ~seed:11 ~n:(Graph.n g));
+    ("partition", partition_plan ~g ~seed:23);
+  ]
+
 let sweep_cell pt =
   (* "cc" / "dF" ...: one letter per seed, uppercase = failure *)
   String.concat ""
@@ -78,16 +85,8 @@ let e20 ?(seed = 1) () =
   let campaigns =
     List.map
       (fun (subject, g) ->
-        let n = Graph.n g in
-        let plans =
-          [
-            ("light_loss", Exp_faults.light_loss_plan ~seed:7);
-            ("crash_heavy", Exp_faults.crash_heavy_plan ~seed:11 ~n);
-            ("partition", partition_plan ~g ~seed:23);
-          ]
-        in
-        Chaos.campaign ~intensities ~seeds ~search_iters:4 ~shrink:true ~plans
-          ~subjects:[ subject ] ())
+        Chaos.campaign ~intensities ~seeds ~search_iters:4 ~shrink:true
+          ~plans:(default_plans g) ~subjects:[ subject ] ())
       subjects_plans
   in
   List.iter

@@ -7,9 +7,11 @@
     delta-debugs the first failing cell down to a minimal reproducing
     plan ({!Core.Chaos}). *)
 
-val partition_plan : g:Core.Graph.t -> seed:int -> Core.Fault.plan
-(** Link-down intervals on every edge crossing the [{v < n/2}] cut
-    (rounds 4–12), plus 1% background drop — a graph-agnostic temporary
-    partition. *)
+val default_plans : Core.Graph.t -> (string * Core.Fault.plan) list
+(** E20's named adversaries for a graph, which [lcs chaos] also runs when
+    no [--plan] is given: ["light_loss"] (seed 7), ["crash_heavy"] (seed
+    11) and ["partition"] (seed 23). The last takes down every edge
+    crossing the [{v < n/2}] cut for rounds 4–12 over a 1% background
+    drop — a graph-agnostic temporary partition. *)
 
 val e20 : ?seed:int -> unit -> Exp_types.outcome

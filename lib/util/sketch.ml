@@ -178,23 +178,6 @@ module Space_saving = struct
     if Hashtbl.length t.tbl < t.cap || t.hlen = 0 then 0 else (peek_min t).count
 
   let max_overcount t = Hashtbl.fold (fun _ e m -> max m e.err) t.tbl 0
-
-  let merge_into ~into src =
-    (* Heaviest first, so source heavy hitters displace light entries
-       rather than the other way round. [add] keeps [into.total] honest;
-       the extra [err] preserves the one-sided bound: for a key present in
-       both, count = est1 + est2 and err = err1 + err2 still bracket the
-       combined truth. The source's own displacements carry over, so a
-       merge of inexact sketches never reports itself exact. *)
-    into.evictions <- into.evictions + src.evictions;
-    List.iter
-      (fun (key, est, err) ->
-        add into key est;
-        if err > 0 then
-          match Hashtbl.find_opt into.tbl key with
-          | Some e -> e.err <- e.err + err
-          | None -> ())
-      (entries src)
 end
 
 module Quantile = struct

@@ -17,9 +17,7 @@
       within a configurable relative accuracy using pure integer
       bucketing — no libm, so results are bit-stable across platforms.
 
-    Both are mergeable, which is what lets every domain of the sharded
-    simulator feed its own local sketch and combine them at the round
-    barrier. All operations are single-threaded; share nothing, merge. *)
+    All operations are single-threaded. *)
 
 (** Heavy hitters over a weighted stream of integer keys.
 
@@ -48,8 +46,7 @@ module Space_saving : sig
   (** Sum of all weights ever added (exact). *)
 
   val evictions : t -> int
-  (** Number of displacements so far, including those of every sketch
-      merged in ({!merge_into}); [0] means the sketch is exact. *)
+  (** Number of displacements so far; [0] means the sketch is exact. *)
 
   val add : t -> int -> int -> unit
   (** [add t key w] folds weight [w >= 0] of [key] into the sketch.
@@ -73,16 +70,6 @@ module Space_saving : sig
   (** Largest [err] over tracked entries — the sketch-wide bound on how
       far any reported estimate can exceed the truth. At most
       [total t / capacity t]. *)
-
-  val merge_into : into:t -> t -> unit
-  (** Fold every entry of the source into [into] (heaviest first),
-      accumulating overcounts and the source's {!evictions}, evicting
-      through [into]'s normal path. When no eviction ever happened in
-      either sketch or during the merge, the result is exact and
-      independent of merge order; in
-      general the one-sided bound survives with [err] widened by the
-      source's uncertainty and {!threshold} of the source added to the
-      untracked-key bound. *)
 end
 
 (** Relative-accuracy summary of a stream of non-negative integers, for
@@ -131,5 +118,5 @@ module Quantile : sig
   (** Bucket-wise sum. Both sketches must have the same {!accuracy}
       (raises [Invalid_argument] otherwise). Merging is exact: the merged
       summary is indistinguishable from one fed the concatenated
-      streams — this is what makes per-domain shards safe. *)
+      streams. *)
 end

@@ -220,6 +220,7 @@ let cases =
     ("mst/lbg/par-profile", words "mst --graph lbg:5,11 --par-profile pp.json");
     ( "bcast/grid16/stream",
       words "bcast --family grid:16 --trace t.jsonl --every 8 --profile-out p.json" );
+    ("bcast/grid16/sketch+profile", words "bcast --family grid:16 --sketch 8 --profile-out p.json");
   ]
 
 let expected =
@@ -256,6 +257,7 @@ let expected =
     ("mst/lbg/baseline+trace+spans", "exit=0 out=26ac82e4eb29 s.json=57203c2854d9 t.json=2bde896b1505");
     ("mst/lbg/par-profile", "exit=0 out=aca3d9b9aa72 pp.json=ca90d19f33c4");
     ("bcast/grid16/stream", "exit=0 out=482fa0a5437a p.json=f72e86d70b0e t.jsonl=10c5de4f165a");
+    ("bcast/grid16/sketch+profile", "exit=0 out=524a3698c2a6 p.json=dea09df59715");
   ]
 
 (* Domain counts every case is repeated at; LCS_DOMAINS adds one. *)

@@ -301,32 +301,6 @@ let ss_bounds_hold =
            (fun k truth ok -> ok && (truth * cap <= total || tracked k))
            tbl true)
 
-(* Merging keeps the bracket: the lower bound est - err <= truth survives
-   verbatim, the upper bound weakens by at most the source sketches'
-   pre-merge thresholds (mass their untracked keys left behind). The
-   sources' evictions carry over, so a merge of inexact sketches never
-   reports itself exact. *)
-let ss_merge_sound =
-  QCheck.Test.make ~name:"space-saving: merge keeps its error bracket"
-    ~count:200
-    QCheck.(pair stream_gen stream_gen)
-    (fun (s1, s2) ->
-      let a = Ss.create 8 and b = Ss.create 8 in
-      List.iter (fun (k, w) -> Ss.add a k w) s1;
-      List.iter (fun (k, w) -> Ss.add b k w) s2;
-      let slack = Ss.threshold a + Ss.threshold b in
-      let evictions = Ss.evictions a + Ss.evictions b in
-      Ss.merge_into ~into:a b;
-      let tbl = exact_counts (s1 @ s2) in
-      let total = List.fold_left (fun acc (_, w) -> acc + w) 0 (s1 @ s2) in
-      Ss.total a = total
-      && Ss.evictions a >= evictions
-      && List.for_all
-           (fun (k, est, err) ->
-             let truth = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
-             est - err <= truth && truth <= est + slack)
-           (Ss.entries a))
-
 let qn_values_gen = QCheck.(list_of_size Gen.(int_range 1 200) (int_range 0 2_000_000))
 
 (* Quantile estimates land in the bucket holding the true ranked value, so
@@ -381,7 +355,6 @@ let props =
       percentiles_monotone;
       ss_exact_under_budget;
       ss_bounds_hold;
-      ss_merge_sound;
       qn_relative_error;
       qn_merge_exact;
     ]

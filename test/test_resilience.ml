@@ -449,12 +449,14 @@ let write_file path s =
    value is a usage error naming the option (cmdliner's 124); a
    well-formed spec that does not fit the input — a broken fault plan, a
    partition the graph's shape cannot carry, a family parameter out of
-   range, a corrupt graph file — exits 2 with a message. No row may reach
-   the uncaught-exception exit (125) or succeed. In argv and substring,
-   [PLAN] stands for a fault plan with a JSON syntax error, [TXT] for an
-   edge list with an endpoint out of range, [TRUNC] for a truncated
-   lcs-graph-bin/1 file, and [OFFSET] for a 4x4 grid's binary file with
-   one row offset set to 10^9. *)
+   range, a corrupt graph file — exits 2 with a message; a trace that
+   cannot be read exits 1. No row may reach the uncaught-exception exit
+   (125) or succeed. In argv and substring, [PLAN] stands for a fault
+   plan with a JSON syntax error, [TXT] for an edge list with an endpoint
+   out of range, [TRUNC] for a truncated lcs-graph-bin/1 file, [OFFSET]
+   for a 4x4 grid's binary file with one row offset set to 10^9, and
+   [NOM] for a trace stream whose header lacks "n" and "m" and whose
+   send has edge id 10^7. *)
 let cli_rejects_malformed_input () =
   let temp name suffix contents =
     let path = Filename.temp_file name suffix in
@@ -476,6 +478,14 @@ let cli_rejects_malformed_input () =
   in
   let files =
     [
+      ( "NOM",
+        temp "lcs_no_m" ".jsonl"
+          (String.concat "\n"
+             [
+               {|{"schema":"lcs-trace-stream/1","command":"bfs"}|};
+               {|{"t":"round_start","round":1,"live":16}|};
+               {|{"t":"send","round":1,"src":0,"dst":1,"edge":10000000,"words":1,"id":1,"parents":[]}|};
+             ]) );
       ("PLAN", temp "lcs_bad_plan" ".json"
                  {|{ "schema": "lcs-fault-plan/1", "default": { "drop": 0.5, }|});
       ("TXT", temp "lcs_bad_graph" ".txt" "3 2\n0 1\n1 7\n");
@@ -515,6 +525,7 @@ let cli_rejects_malformed_input () =
       ("graph info OFFSET", 2, "OFFSET");
       ("shards OFFSET", 2, "OFFSET");
       ("graph convert OFFSET -o /dev/null", 2, "OFFSET");
+      ("top NOM", 1, "\"m\"");
     ]
   in
   List.iter

@@ -449,6 +449,41 @@ let stream_rejects_out_of_range_events () =
         ~at:(first_line (fun l -> is_send l && field "round" l = Some (Json.Int 2)))
         "round" 1)
 
+(* A JSON run report is checked as a stream is: the report's "n" and "m"
+   bound its events, and the first event out of range is refused with its
+   index in the "events" array. *)
+let report_rejects_out_of_range_events () =
+  let g = Generators.grid ~rows:4 ~cols:4 in
+  let recorder = Trace.Recorder.create () in
+  ignore (Sync_bfs.run ~tracer:(Trace.Recorder.tracer recorder) g ~root:0);
+  let events = match Trace.Recorder.to_json recorder with Json.List l -> l | _ -> [] in
+  let report events =
+    Json.Obj
+      [ ("n", Json.Int (Graph.n g)); ("m", Json.Int (Graph.m g)); ("events", Json.List events) ]
+  in
+  (match Analyze.of_json (report events) with
+  | Ok runs -> check Alcotest.int "unedited report analyzes" 1 (List.length runs)
+  | Error e -> Alcotest.fail ("unedited report: " ^ e));
+  let rec first_send i = function
+    | ev :: rest -> if Json.member "t" ev = Some (Json.String "send") then i else first_send (i + 1) rest
+    | [] -> Alcotest.fail "no send event"
+  in
+  let send = first_send 0 events in
+  List.iter
+    (fun (key, value) ->
+      let edit = function
+        | Json.Obj fields ->
+            Json.Obj (List.map (fun (k, v) -> if k = key then (k, Json.Int value) else (k, v)) fields)
+        | ev -> ev
+      in
+      let label = Printf.sprintf "%s = %d" key value in
+      match Analyze.of_json (report (List.mapi (fun i ev -> if i = send then edit ev else ev) events)) with
+      | Ok _ -> Alcotest.failf "%s: accepted" label
+      | Error e ->
+          check Alcotest.bool (label ^ ": names the event") true
+            (String.starts_with ~prefix:(Printf.sprintf "events[%d]: " send) e))
+    [ ("round", -1); ("edge", -1); ("src", 99); ("words", -5) ]
+
 let profile_sketch_mode () =
   (* Same event stream through both accounting modes: with the budget
      above the distinct-edge count the sketch is exact, so every exported
@@ -547,6 +582,7 @@ let suite =
     case "recorder cap drops and marks" `Quick recorder_cap_drops;
     case "stream sink round-trips" `Quick stream_roundtrip;
     case "stream rejects out-of-range events" `Quick stream_rejects_out_of_range_events;
+    case "report rejects out-of-range events" `Quick report_rejects_out_of_range_events;
     case "profile sketch mode" `Quick profile_sketch_mode;
     case "histogram bucket widths" `Quick histogram_bucket_widths;
     case "json value round-trip" `Quick json_value_roundtrip;
