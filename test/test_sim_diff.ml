@@ -1135,7 +1135,7 @@ let suite =
     case "step exception parity" `Quick step_exception_parity;
     case "crash purges delayed deliveries" `Quick crash_purges_delayed;
     case "profile bytes identical across domains" `Quick profile_bytes_across_domains;
-    case "run_profiled = stream fold, any domains" `Quick run_profiled_parallel_bytes;
+    case "run_profiled = fold, any domain count" `Quick run_profiled_parallel_bytes;
     case "cross-shard crash purges foreign deliveries" `Quick cross_shard_crash_purge;
     case "par_profile attach is observable-transparent" `Quick par_profile_transparent;
     case "domain-count clamp is one constant" `Quick clamp_unified;
