@@ -154,6 +154,15 @@ let positive_int =
       | _ -> Error (Printf.sprintf "expected a positive integer, got %S" s))
     Format.pp_print_int
 
+(* A period where 0 means "never": a negative one is a usage error. *)
+let nonneg_int =
+  conv_of ~docv:"N"
+    (fun s ->
+      match int_of_string_opt s with
+      | Some n when n >= 0 -> Ok n
+      | _ -> Error (Printf.sprintf "expected a non-negative integer, got %S" s))
+    Format.pp_print_int
+
 (* Exit code 2 is reserved for malformed inputs (bad fault plan, bad
    policy spec, a partition the graph cannot carry, a family parameter
    out of range, a corrupt graph file) so scripts can tell "fix your
@@ -1352,6 +1361,13 @@ let flood_program ~root =
 
 let bcast_cmd =
   let run family seed trace every profile_out sketch domains =
+    (* Snapshots are lines of the trace stream: without one they would
+       silently go nowhere. *)
+    if every > 0 && trace = None then begin
+      prerr_endline
+        "lcs: --every needs --trace: flight-recorder snapshots are lines of the trace stream";
+      exit 2
+    end;
     let g = build_gen_family seed family in
     let mode = mode_of_sketch sketch in
     let program = flood_program ~root:0 in
@@ -1413,12 +1429,12 @@ let bcast_cmd =
                    however long the run")
   in
   let every_arg =
-    Arg.(value & opt int 0
+    Arg.(value & opt nonneg_int 0
          & info [ "every" ] ~docv:"N"
-             ~doc:"with --trace, also write a flight-recorder snapshot line \
-                   (round, cumulative words, heavy hitters, halt count, \
-                   per-domain queue depths) every $(docv) rounds; the final \
-                   snapshot is always written")
+             ~doc:"with --trace, which it needs, also write a flight-recorder \
+                   snapshot line (round, cumulative words, heavy hitters, \
+                   halt count, per-domain queue depths) every $(docv) rounds; \
+                   the final snapshot is always written")
   in
   let profile_out_arg =
     Arg.(value & opt (some string) None

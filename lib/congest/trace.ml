@@ -263,8 +263,8 @@ let event_of_json j =
         | None -> Error (Printf.sprintf "missing field %S" key))
   in
   let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
-  (* v1 traces carry no causal fields; default them so old files still
-     parse (the analyzer then reports the missing ids explicitly). *)
+  (* v1 traces carry no causal fields; default them so old events still
+     parse ([checker] then refuses a send whose id is 0). *)
   let causal () =
     let* id = int ~default:0 "id" in
     let* part = int ~default:(-1) "part" in
@@ -344,8 +344,9 @@ let event_of_json j =
   | _ -> Error "event object has no \"t\" field"
 
 (* What the events read so far allow of the next one: node ids below the
-   metadata's [n] and edge ids below its [m] (unchecked when absent), and
-   no round before the run's latest. *)
+   metadata's [n] and edge ids below its [m] (unchecked when absent), no
+   round before the run's latest, and a message id of at least 1 whose
+   parents are earlier ids. *)
 let checker ?(meta = Json.Null) () =
   let bound key = match Json.member key meta with Some (Json.Int v) -> v | _ -> -1 in
   let n = bound "n" and m = bound "m" in
@@ -381,6 +382,13 @@ let checker ?(meta = Json.Null) () =
           node "node" v;
           round
     in
+    (match ev with
+    | Send { id; parents; _ } | Duplicate { id; parents; _ } ->
+        if id < 1 then fail "id %d below 1" id;
+        List.iter
+          (fun p -> if p < 1 || p >= id then fail "parent %d of id %d is not an earlier id" p id)
+          parents
+    | _ -> ());
     if round < 1 then fail "round %d below 1" round;
     (* A run opens with its round-1 [Round_start] — where [Analyze] cuts
        a stream into runs — and its rounds never decrease after it. *)

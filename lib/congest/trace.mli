@@ -78,7 +78,8 @@ val event_to_json : event -> Lcs_util.Json.t
 val event_of_json : Lcs_util.Json.t -> (event, string) result
 (** Inverse of {!event_to_json} — the offline analyzer's entry point.
     Lenient towards v1 traces: missing causal fields default to [id = 0],
-    [parents = []], [part = -1], [phase = ""]. *)
+    [parents = []], [part = -1], [phase = ""]. {!checker} refuses a send
+    with id 0, so a file read through it must carry v2 ids. *)
 
 val checker : ?meta:Lcs_util.Json.t -> unit -> event -> (unit, string) result
 (** [checker ?meta ()] checks one event sequence read from a file, in
@@ -86,7 +87,9 @@ val checker : ?meta:Lcs_util.Json.t -> unit -> event -> (unit, string) result
     1 or below an earlier event's in the same run (a run begins at a
     [Round_start] of round 1), when a node field ([src], [dst], [node])
     is negative or at least [meta]'s ["n"], when an [edge] is negative or
-    at least [meta]'s ["m"], or when [words] is negative. [meta] is the
+    at least [meta]'s ["m"], when [words] is negative, or when a [Send]
+    or [Duplicate] has an [id] below 1 or a parent that is not an earlier
+    id (below 1, or at least its own [id]). [meta] is the
     run's metadata object — a {!Stream} header or a run report; a bound
     it does not carry is not checked. {!Stream.fold} and the analyzer's
     JSON reader both check through it, so collectors never index out of

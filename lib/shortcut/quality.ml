@@ -141,25 +141,62 @@ let adjacency s ~vertices ~edges =
 (* The diameter of part [i]'s subgraph: exact within [exact_limit]
    vertices, on the shared adjacency; beyond it the double-sweep estimate
    on the standalone graph, whose numbering its tie-breaks follow. *)
-let dilation_in ?(exact_limit = 4096) ?beat s sc i =
+let dilation_in ?(exact_limit = 4096) s sc i =
   let vertices, edges = load s sc i in
   if vertices <= exact_limit then begin
     adjacency s ~vertices ~edges;
-    Diameter.exact_csr ?beat s.bounds ~n:vertices ~offsets:s.offsets ~neighbors:s.neighbors
+    Diameter.exact_csr s.bounds ~n:vertices ~offsets:s.offsets ~neighbors:s.neighbors
   end
   else (Diameter.estimate (graph_of s ~vertices ~edges)).Diameter.lower
 
-(* Only the maximum counts, so a part need only be measured exactly when
-   it beats the best part so far. *)
-let dilation ?exact_limit sc =
-  let scratch = scratch (Shortcut.graph sc) in
-  let best = ref 0 in
+(* Only the maximum counts, so it is found in two passes. The first, in
+   index order, bounds every covered part by a double sweep while it is
+   loaded (so the first disconnected part raises) and keeps the largest
+   lower bound; a part whose upper bound cannot beat that bound is done.
+   The second takes the parts whose upper bound still beats the best
+   value so far, largest upper bound first, and measures each exactly
+   only while it can beat that value. It reloads such a part unless its
+   adjacency is still the one [s] holds, as a one-part shortcut's is. *)
+let dilation ?(exact_limit = 4096) sc =
+  let s = scratch (Shortcut.graph sc) in
+  let best = ref 0 and pending = ref [] and laid = ref (-1) and laid_n = ref 0 in
+  let lay i ~vertices ~edges =
+    adjacency s ~vertices ~edges;
+    laid := i;
+    laid_n := vertices
+  in
   for i = 0 to Shortcut.k sc - 1 do
     if Shortcut.is_covered sc i then begin
-      let d = dilation_in ?exact_limit ~beat:!best scratch sc i in
-      if d > !best then best := d
+      let vertices, edges = load s sc i in
+      if vertices <= exact_limit then begin
+        lay i ~vertices ~edges;
+        let b =
+          Diameter.sweep_csr ~beat:!best s.bounds ~n:vertices ~offsets:s.offsets
+            ~neighbors:s.neighbors
+        in
+        if b.Diameter.lower > !best then best := b.Diameter.lower;
+        if b.Diameter.upper > !best then pending := (b.Diameter.upper, i) :: !pending
+      end
+      else
+        let d = (Diameter.estimate (graph_of s ~vertices ~edges)).Diameter.lower in
+        if d > !best then best := d
     end
   done;
+  let largest_first (u, _) (v, _) = compare v u in
+  List.iter
+    (fun (upper, i) ->
+      if upper > !best then begin
+        if !laid <> i then begin
+          let vertices, edges = load s sc i in
+          lay i ~vertices ~edges
+        end;
+        let d =
+          Diameter.exact_csr ~beat:!best s.bounds ~n:!laid_n ~offsets:s.offsets
+            ~neighbors:s.neighbors
+        in
+        if d > !best then best := d
+      end)
+    (List.stable_sort largest_first (List.rev !pending));
   !best
 
 (* Partially applied, this allocates one union-find over the host whose

@@ -59,8 +59,14 @@ val dilation : ?exact_limit:int -> Shortcut.t -> int
     graph: every part's adjacency is laid out in one set of host-sized
     int arrays, allocated once per call. Larger parts take the
     double-sweep lower bound ({!Lcs_graph.Diameter.estimate}) of
-    [part_subgraph sc i]. Raises [Invalid_argument] if some covered
-    part's [S_i] is disconnected. *)
+    [part_subgraph sc i]. Only the maximum is exact, and it takes two
+    passes. The first, in index order, bounds each part by
+    {!Lcs_graph.Diameter.sweep_csr} (skipping its second BFS when the
+    first cannot beat the largest lower bound so far). The second measures
+    exactly, largest upper bound first, only the parts whose upper bound
+    still beats the best value so far, each only while it can beat it.
+    Raises [Invalid_argument] for the first covered part, in index order,
+    whose [S_i] is disconnected. *)
 
 val part_blocks : Shortcut.t -> int -> int
 (** Block number of one part: connected components of

@@ -519,6 +519,8 @@ let cli_rejects_malformed_input () =
       ("info --graph er:10,0", 2, "--graph er:10,0");
       ("graph gen --family grid:0 -o /dev/null", 2, "--family grid:0");
       ("bcast --family tree:0", 2, "--family tree:0");
+      ("bcast --family grid:4 --every 2", 2, "--every");
+      ("bcast --family grid:4 --every=-3 --trace /dev/null", 124, "--every");
       ("shards pa:5,9", 2, "pa:5,9");
       ("graph info TXT", 2, "TXT");
       ("graph info TRUNC", 2, "TRUNC");

@@ -255,6 +255,155 @@ let dilation_disconnected_part () =
   let partial = Shortcut.create ~covered:[| false; true |] p [| [ 3 ]; [] |] in
   check Alcotest.int "uncovered skipped" 0 (Quality.dilation partial)
 
+(* On the diamond K4 - e, a double sweep from a degree-3 vertex meets
+   eccentricity 1 twice, yet the two degree-2 vertices are 2 apart: only
+   the exact pass finds the dilation. *)
+let dilation_beyond_double_sweep () =
+  let g = Graph.create ~n:4 [ (0, 1); (0, 2); (0, 3); (1, 3); (2, 3) ] in
+  let n = Graph.n g in
+  let sweep =
+    Diameter.sweep_csr (Diameter.scratch n) ~n
+      ~offsets:(Intvec.to_array (Graph.csr_offsets g))
+      ~neighbors:(Intvec.to_array (Graph.csr_neighbors g))
+  in
+  check Alcotest.int "sweep falls short" 1 sweep.Diameter.lower;
+  let sc = Shortcut.empty (Partition.whole g) in
+  check Alcotest.int "dilation" 2 (Quality.dilation sc);
+  check (Alcotest.array Alcotest.int) "per part" [| 2 |] (Quality.measure sc).Quality.per_part_dilation
+
+(* The all-pairs definition of a diameter, one BFS per vertex. *)
+let all_pairs_diameter g =
+  let best = ref 0 in
+  for v = 0 to Graph.n g - 1 do
+    best := max !best (Bfs.eccentricity g v)
+  done;
+  !best
+
+(* A host of small diameter under a random relabeling: a random k-tree
+   (k = 3–6, n = 150–400) or a grid of side 8–16. *)
+let relabeled_host rng ~grid =
+  let g =
+    if grid then
+      let side = 8 + Rng.int rng 9 in
+      Generators.grid ~rows:side ~cols:side
+    else Generators.k_tree rng ~k:(3 + Rng.int rng 4) ~n:(150 + Rng.int rng 251)
+  in
+  let n = Graph.n g in
+  let label = Rng.permutation rng n in
+  Graph.create ~n (Array.to_list (Array.map (fun (u, v) -> (label.(u), label.(v))) (Graph.edges g)))
+
+(* Part 0 is the ball of [radius] around a vertex of highest degree, part
+   1 a shortest path of G minus the ball, two hops longer than the ball
+   is wide: an induced path, so a large part of small diameter comes
+   before a small part of larger diameter. Other vertices are in no
+   part. With [~swap] the two part ids trade places. *)
+let ball_then_path g ~radius ~swap =
+  let n = Graph.n g in
+  let c = ref 0 in
+  for v = 1 to n - 1 do
+    if Graph.degree g v > Graph.degree g !c then c := v
+  done;
+  let near = Bfs.distances g ~src:!c in
+  let ball, path = if swap then (1, 0) else (0, 1) in
+  let part = Array.map (fun d -> if d <= radius then ball else -1) near in
+  let outside v = near.(v) > radius in
+  (* The path starts at the vertex [w] of G minus the ball farthest from
+     [far], a vertex farthest from the ball's center, and walks back
+     toward [far]. *)
+  let far = ref 0 in
+  Array.iteri (fun v dv -> if dv > near.(!far) then far := v) near;
+  if outside !far then begin
+    let d = Bfs.distances_filtered g ~src:!far ~allow:outside in
+    let w = ref !far in
+    Array.iteri (fun v dv -> if dv > d.(!w) then w := v) d;
+    let rec walk v hops =
+      part.(v) <- path;
+      if hops > 0 && d.(v) > 0 then
+        match List.find_opt (fun (x, _) -> d.(x) = d.(v) - 1) (Graph.adj_list g v) with
+        | Some (x, _) -> walk x (hops - 1)
+        | None -> ()
+    in
+    walk !w ((2 * radius) + 2)
+  end;
+  (* A ball that swallows the host leaves one part, numbered 0. *)
+  if not (Array.mem path part) then Array.iteri (fun v p -> if p >= 0 then part.(v) <- 0) part;
+  Partition.of_assignment g part
+
+let dilation_exact_on_low_diameter_hosts =
+  QCheck.Test.make ~name:"dilation = all-pairs max on k-trees and relabeled grids" ~count:24
+    QCheck.(pair (int_bound 100_000) (int_bound 5))
+    (fun (seed, shape) ->
+      let rng = Rng.create seed in
+      let g = relabeled_host rng ~grid:(shape mod 2 = 0) in
+      let partition =
+        match shape / 2 with
+        | 0 -> Partition.whole g
+        | 1 -> Partition.voronoi g rng ~parts:(2 + Rng.int rng 12)
+        | _ -> ball_then_path g ~radius:(if shape mod 2 = 0 then 3 else 1) ~swap:false
+      in
+      let tree = Bfs.tree g ~root:(Rng.int rng (Graph.n g)) in
+      let boosted = (Boost.full partition ~tree).Boost.shortcut in
+      let exact sc =
+        let per_part =
+          Array.init (Shortcut.k sc) (fun i ->
+              if Shortcut.is_covered sc i then all_pairs_diameter (Quality.part_subgraph sc i)
+              else -1)
+        in
+        Quality.dilation sc = Array.fold_left max 0 per_part
+        && (Quality.measure sc).Quality.per_part_dilation = per_part
+      in
+      exact boosted && (shape / 2 < 2 || exact (Shortcut.empty partition)))
+
+(* Two covered parts whose S_i each gain a stray host edge away from
+   them, so both are disconnected: the first part's error is raised, with
+   the message its measurement path gives. A limit between the two
+   subgraph sizes sends them down different paths, which tells the parts
+   apart. *)
+let dilation_first_disconnected_part =
+  QCheck.Test.make ~name:"dilation raises for the first disconnected part" ~count:12
+    QCheck.(pair (int_bound 100_000) bool)
+    (fun (seed, swap) ->
+      let rng = Rng.create seed in
+      let grid = seed mod 2 = 0 in
+      let g = relabeled_host rng ~grid in
+      let partition = ball_then_path g ~radius:(if grid then 3 else 1) ~swap in
+      let boosted = (Boost.full partition ~tree:(Bfs.tree g ~root:0)).Boost.shortcut in
+      let k = Shortcut.k boosted in
+      let size i = Graph.n (Quality.part_subgraph boosted i) in
+      (* The first host edge with no endpoint in S_i. *)
+      let stray i =
+        let inside = Array.make (Graph.n g) false in
+        Array.iter (fun v -> inside.(v) <- true) (Partition.members partition i);
+        Array.iter
+          (fun e ->
+            let u, v = Graph.edge_endpoints g e in
+            inside.(u) <- true;
+            inside.(v) <- true)
+          (Shortcut.edges_array boosted i);
+        let rec find e =
+          if e = Graph.m g then QCheck.assume_fail ()
+          else
+            let u, v = Graph.edge_endpoints g e in
+            if inside.(u) || inside.(v) then find (e + 1) else e
+        in
+        find 0
+      in
+      QCheck.assume (k = 2 && size 0 <> size 1);
+      let sc =
+        Shortcut.create partition
+          (Array.init k (fun i -> List.sort_uniq compare (stray i :: Shortcut.edges boosted i)))
+      in
+      let limit = min (size 0) (size 1) + 2 in
+      let message ~limit =
+        if size 0 + 2 <= limit then "Diameter.exact: graph is disconnected"
+        else "Bfs: graph is disconnected"
+      in
+      let raises f msg = match f () with _ -> false | exception Invalid_argument m -> m = msg in
+      raises (fun () -> Quality.dilation sc) (message ~limit:4096)
+      && raises (fun () -> Quality.measure sc) (message ~limit:4096)
+      && raises (fun () -> Quality.dilation ~exact_limit:limit sc) (message ~limit)
+      && raises (fun () -> Quality.measure ~exact_limit:limit sc) (message ~limit))
+
 let blocks_match_definition =
   QCheck.Test.make ~name:"part_blocks = union-find definition" ~count:150
     QCheck.(pair (int_bound 100_000) (int_range 1 40))
@@ -625,6 +774,8 @@ let props =
   List.map QCheck_alcotest.to_alcotest
     [
       dilation_matches_definition;
+      dilation_exact_on_low_diameter_hosts;
+      dilation_first_disconnected_part;
       blocks_match_definition;
       construct_invariants;
       construct_blame_degree_matches_selection;
@@ -643,6 +794,7 @@ let suite =
     case "quality: congestion counts" `Quick quality_congestion_counts;
     case "quality: blocks" `Quick quality_blocks;
     case "quality: disconnected S_i" `Quick dilation_disconnected_part;
+    case "quality: dilation beyond the double sweep" `Quick dilation_beyond_double_sweep;
     case "quality: measure allocation" `Quick measure_allocation_bound;
     case "construct: grid rows" `Quick construct_grid_rows;
     case "construct: no overcongestion when few parts" `Quick

@@ -374,10 +374,12 @@ let stream_roundtrip () =
         (Json.to_string (Trace.Profile.to_json profile))
         (Json.to_string (Trace.Profile.to_json rebuilt)))
 
-(* Readers index arrays with an event's round, nodes and edge, so a
-   stream event outside its header's bounds, below round 1 or before an
-   earlier round of its run must stop the fold with its line number. A
-   stream of two runs, each opening at round 1, stays valid. *)
+(* Readers index arrays with an event's round, nodes and edge, and walk
+   a message's parents back to earlier ids, so a stream event outside its
+   header's bounds, below round 1, before an earlier round of its run, or
+   with an id below 1 or a parent that is not an earlier id must stop the
+   fold with its line number. A stream of two runs, each opening at round
+   1, stays valid. *)
 let stream_rejects_out_of_range_events () =
   let g = Generators.grid ~rows:4 ~cols:4 in
   let partition = Partition.grid_rows g ~rows:4 ~cols:4 in
@@ -421,14 +423,13 @@ let stream_rejects_out_of_range_events () =
           match Json.of_string lines.(at) with
           | Ok (Json.Obj fields) ->
               Json.to_string ~minify:true
-                (Json.Obj
-                   (List.map (fun (k, v) -> if k = key then (k, Json.Int value) else (k, v)) fields))
+                (Json.Obj (List.map (fun (k, v) -> if k = key then (k, value) else (k, v)) fields))
           | _ -> Alcotest.fail "event line is not an object"
         in
         Out_channel.with_open_bin bad (fun oc ->
             output_string oc
               (String.concat "\n" (Array.to_list (Array.mapi (fun i l -> if i = at then mutated else l) lines))));
-        let label = Printf.sprintf "%s = %d" key value in
+        let label = Printf.sprintf "%s = %s" key (Json.to_string ~minify:true value) in
         match read bad with
         | Ok _ -> Alcotest.failf "%s: accepted" label
         | Error e ->
@@ -438,16 +439,20 @@ let stream_rejects_out_of_range_events () =
               && String.sub e 0 (String.length prefix) = prefix)
       in
       let send = first_line is_send in
+      let id = Option.get (field "id" lines.(send)) in
       List.iter
         (fun (key, value) -> expect_error ~at:send key value)
-        [
-          ("round", -1); ("round", 0); ("edge", -1); ("src", -1);
-          ("dst", Graph.n g); ("edge", 999); ("words", -5);
-        ];
+        (List.map
+           (fun (key, v) -> (key, Json.Int v))
+           [
+             ("round", -1); ("round", 0); ("edge", -1); ("src", -1);
+             ("dst", Graph.n g); ("edge", 999); ("words", -5); ("id", 0);
+           ]
+        @ [ ("parents", Json.List [ Json.Int 0 ]); ("parents", Json.List [ id ]) ]);
       (* A send of round 2 moved back to round 1 inside the same run. *)
       expect_error
         ~at:(first_line (fun l -> is_send l && field "round" l = Some (Json.Int 2)))
-        "round" 1)
+        "round" (Json.Int 1))
 
 (* A JSON run report is checked as a stream is: the report's "n" and "m"
    bound its events, and the first event out of range is refused with its
@@ -469,20 +474,23 @@ let report_rejects_out_of_range_events () =
     | [] -> Alcotest.fail "no send event"
   in
   let send = first_send 0 events in
+  let id = Option.get (Json.member "id" (List.nth events send)) in
   List.iter
     (fun (key, value) ->
       let edit = function
-        | Json.Obj fields ->
-            Json.Obj (List.map (fun (k, v) -> if k = key then (k, Json.Int value) else (k, v)) fields)
+        | Json.Obj fields -> Json.Obj (List.map (fun (k, v) -> if k = key then (k, value) else (k, v)) fields)
         | ev -> ev
       in
-      let label = Printf.sprintf "%s = %d" key value in
+      let label = Printf.sprintf "%s = %s" key (Json.to_string ~minify:true value) in
       match Analyze.of_json (report (List.mapi (fun i ev -> if i = send then edit ev else ev) events)) with
       | Ok _ -> Alcotest.failf "%s: accepted" label
       | Error e ->
           check Alcotest.bool (label ^ ": names the event") true
             (String.starts_with ~prefix:(Printf.sprintf "events[%d]: " send) e))
-    [ ("round", -1); ("edge", -1); ("src", 99); ("words", -5) ]
+    (List.map
+       (fun (key, v) -> (key, Json.Int v))
+       [ ("round", -1); ("edge", -1); ("src", 99); ("words", -5); ("id", 0) ]
+    @ [ ("parents", Json.List [ Json.Int 0 ]); ("parents", Json.List [ id ]) ])
 
 let profile_sketch_mode () =
   (* Same event stream through both accounting modes: with the budget
