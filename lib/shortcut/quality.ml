@@ -40,11 +40,17 @@ let iter_part_edges marks sc i ~member ~edge =
       edge e u v
     end
   in
+  (* The rows are read in place, as [Graph.iter_adj] would walk them,
+     so that no closure is made per member. *)
+  let offsets = Graph.csr_offsets host and nbrs = Graph.csr_neighbors host in
+  let eids = Graph.csr_edges host in
   Array.iter
     (fun v ->
       member v;
-      Graph.iter_adj host v (fun w e ->
-          if v < w && Partition.part_of partition w = i then add e v w))
+      for slot = Intvec.get offsets v to Intvec.get offsets (v + 1) - 1 do
+        let w = Intvec.get nbrs slot in
+        if v < w && Partition.part_of partition w = i then add (Intvec.get eids slot) v w
+      done)
     (Partition.members partition i);
   let ends_u, ends_v = Graph.csr_endpoints host in
   Array.iter
