@@ -19,7 +19,7 @@ let program info ~value =
         | Some v when not st.sent ->
             (* The triggering delivery (if any) arrived this round, so the
                inbox default parents are already exact. *)
-            Trace.Cause.tag ~part:(-1) ~phase:"broadcast";
+            Simulator.tag mb ~part:(-1) ~phase:"broadcast";
             Array.iter
               (fun p -> Simulator.send mb p v)
               info.Tree_info.nodes.(ctx.Simulator.node).Tree_info.child_ports;

@@ -25,7 +25,7 @@ let run ?tracer g info ~values ~combine =
             (* The last child contribution arrived this round (leaves fire
                with an empty inbox), so the inbox default parents are
                already exact. *)
-            Trace.Cause.tag ~part:(-1) ~phase:"convergecast";
+            Simulator.tag mb ~part:(-1) ~phase:"convergecast";
             if node.Tree_info.parent_port >= 0 then
               Simulator.send mb node.Tree_info.parent_port st.acc;
             { st with sent = true }

@@ -20,10 +20,19 @@ type 'msg frame = {
   data : (bool * 'msg) option;  (* (sequence bit, payload) *)
 }
 
+(* An inner send's causal declaration, resolved when the inner step
+   returns. The frame that carries the message carries it, on every
+   transmission. *)
+type decl = { parents : int list; part : int; phase : string }
+
+let untagged = { parents = []; part = -1; phase = "" }
+
 type 'msg port_state = {
   outq : 'msg Queue.t;
+  decls : decl Queue.t;  (* parallel to [outq] in traced runs, else empty *)
   mutable send_bit : bool;
   mutable inflight : 'msg option;
+  mutable inflight_decl : decl;
   mutable sent_at : int;
   mutable rto : int;
   mutable tries : int;
@@ -48,8 +57,10 @@ type ('state, 'msg) state = {
 let new_port () =
   {
     outq = Queue.create ();
+    decls = Queue.create ();
     send_bit = false;
     inflight = None;
+    inflight_decl = untagged;
     sent_at = 0;
     rto = 0;
     tries = 0;
@@ -81,10 +92,11 @@ let wrap ?(config = default_config) ?on_dead (inner : ('s, 'm) Simulator.program
   let on_round ctx s mb =
     s.clock <- s.clock + 1;
     (* 1. Absorb incoming frames: match acks against our in-flight bit,
-       deliver fresh data to the inner program's mailbox, re-ack stale
-       duplicates. *)
+       deliver fresh data to the inner program's mailbox with the id of
+       the frame that carried it, re-ack stale duplicates. *)
     let box = s.box in
-    Simulator.clear box;
+    let traced = Simulator.traced mb in
+    Simulator.clear box ~traced;
     for i = 0 to Simulator.deliveries mb - 1 do
       let port = Simulator.port mb i and frame = Simulator.payload mb i in
       let ps = s.ports.(port) in
@@ -97,7 +109,7 @@ let wrap ?(config = default_config) ?on_dead (inner : ('s, 'm) Simulator.program
         | _ -> ());
         match frame.data with
         | Some (b, m) when b = ps.recv_bit ->
-            Simulator.deliver box port m;
+            Simulator.deliver box ~cause:(Simulator.cause mb i) port m;
             ps.recv_bit <- not ps.recv_bit;
             ps.ack_due <- Some b
         | Some (b, _) ->
@@ -120,6 +132,7 @@ let wrap ?(config = default_config) ?on_dead (inner : ('s, 'm) Simulator.program
           ps.dead <- true;
           ps.inflight <- None;
           Queue.clear ps.outq;
+          Queue.clear ps.decls;
           newly_dead := port :: !newly_dead
         end)
       s.ports;
@@ -137,11 +150,23 @@ let wrap ?(config = default_config) ?on_dead (inner : ('s, 'm) Simulator.program
       s.inner_halted <- inner.is_halted st;
       for i = 0 to Simulator.sent box - 1 do
         let ps = s.ports.(Simulator.sent_port box i) in
-        if not ps.dead then Queue.push (Simulator.sent_payload box i) ps.outq
+        if not ps.dead then begin
+          Queue.push (Simulator.sent_payload box i) ps.outq;
+          if traced then
+            Queue.push
+              {
+                parents = Simulator.sent_parents box i;
+                part = Simulator.sent_part box i;
+                phase = Simulator.sent_phase box i;
+              }
+              ps.decls
+        end
       done
     end;
     (* 4. Compose outgoing frames: at most one per port per round, in
-       port order. *)
+       port order. A data frame carries its message's declaration; an
+       ack-only frame is the step's own, untagged, caused by every frame
+       it received. *)
     Array.iteri
       (fun port ps ->
         if not ps.dead then begin
@@ -151,6 +176,7 @@ let wrap ?(config = default_config) ?on_dead (inner : ('s, 'm) Simulator.program
                 if Queue.is_empty ps.outq then None
                 else begin
                   let m = Queue.pop ps.outq in
+                  if traced then ps.inflight_decl <- Queue.pop ps.decls;
                   ps.inflight <- Some m;
                   ps.sent_at <- s.clock;
                   ps.tries <- 1;
@@ -169,8 +195,12 @@ let wrap ?(config = default_config) ?on_dead (inner : ('s, 'm) Simulator.program
           in
           let ack = ps.ack_due in
           ps.ack_due <- None;
-          if Option.is_some data || Option.is_some ack then
-            Simulator.send mb port { ack; data }
+          match (data, ack) with
+          | None, None -> ()
+          | Some _, _ when traced ->
+              let d = ps.inflight_decl in
+              Simulator.emit mb port ~parents:d.parents ~part:d.part ~phase:d.phase { ack; data }
+          | _ -> Simulator.send mb port { ack; data }
         end)
       s.ports;
     (* 5. Quiescence: the inner protocol halted and every channel is dead

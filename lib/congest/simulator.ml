@@ -35,20 +35,20 @@
 
    Determinism contract (doc/parallelism.mld spells it out; the
    differential suite enforces it against Simulator_ref): every observable
-   — final states, statistics, trace event order, Trace.Cause id
-   assignment, fault verdict order — is byte-identical at every domain
-   count. Two facts make that cheap:
+   — final states, statistics, trace event order, message ids and their
+   causal declarations, fault verdict order — is byte-identical at every
+   domain count. Two facts make that cheap:
 
    - Shards are CONTIGUOUS id ranges and every domain walks its nodes in
      ascending order, so draining the outbox cells in source-shard order
      reproduces the ascending-sender send order at every inbox.
    - Traced or faulty runs never consume shared sequential state (the id
      counter, the fault injector's random stream, the tracer callback)
-     inside a worker: workers only buffer their nodes' sends (plus the
-     causal declarations, captured from each worker's own domain-local
-     Trace.Cause state in send order), and the calling domain replays
-     the buffered sends in shard order at the barrier — drawing ids, fault
-     verdicts and trace events in one global sequence.
+     inside a worker: workers only buffer their nodes' sends in their
+     shard's mailbox (with each send's causal declaration, settled when
+     its step returns), and the calling domain replays the buffered sends
+     in shard order at the barrier — drawing ids, fault verdicts and trace
+     events in one global sequence.
 
    The flip side, documented rather than hidden: with a tracer or a fault
    plan attached, only the protocol steps parallelize (verdicts, ids and
@@ -75,23 +75,63 @@ let round_cell () =
   let cell = ref 0 in
   (cell, fun r -> cell := r)
 
+(* What a traced send declares of its cause: nothing (the step's tag and
+   parents apply), its part and phase (the step's parents apply), or all
+   three. *)
+type declared = Nothing | Tag | Tag_and_parents
+
 (* A step's deliveries are the first [in_len] entries of [in_ports] and
    [in_msgs] — the stepping node's inbox buffers, which the core lends for
-   the step — and its sends the first [out_len] entries of [out_ports] and
-   [out_msgs]. Both payload arrays are made from a message of the run, so
-   no dummy value of the program's type is ever needed; entries past the
-   lengths are stale and never read. *)
+   the step — and, in a traced run, of [in_ids], their causal ids. Its
+   sends are the first [out_len] entries of [out_ports] and [out_msgs]. Both
+   payload arrays are made from a message of the run, so no dummy value of
+   the program's type is ever needed; entries past the lengths are stale
+   and never read.
+
+   A traced step also carries its causal declarations: the step's tag and
+   parents ([None]: every delivery's id), and per send a [declared] mark
+   with the declared part, phase and parents beside it. Only [emit] sets a
+   mark, so [send] stays untouched; the arrays grow when [emit] or a
+   reader needs them, and whoever reads a step's sends resets their marks
+   before the slots serve another step. *)
 type 'msg mailbox = {
   mutable in_ports : int array;
   mutable in_msgs : 'msg array;
+  mutable in_ids : int array;
   mutable in_len : int;
   mutable out_ports : int array;
   mutable out_msgs : 'msg array;
   mutable out_len : int;
+  mutable traced : bool;
+  mutable step_part : int;
+  mutable step_phase : string;
+  mutable step_parents : int list option;
+  mutable declared : declared array;
+  mutable decl_part : int array;
+  mutable decl_phase : string array;
+  mutable decl_parents : int list array;
 }
 
-let mailbox () =
-  { in_ports = [||]; in_msgs = [||]; in_len = 0; out_ports = [||]; out_msgs = [||]; out_len = 0 }
+let make_mailbox ~traced =
+  {
+    in_ports = [||];
+    in_msgs = [||];
+    in_ids = [||];
+    in_len = 0;
+    out_ports = [||];
+    out_msgs = [||];
+    out_len = 0;
+    traced;
+    step_part = -1;
+    step_phase = "";
+    step_parents = None;
+    declared = [||];
+    decl_part = [||];
+    decl_phase = [||];
+    decl_parents = [||];
+  }
+
+let mailbox () = make_mailbox ~traced:false
 
 let deliveries mb = mb.in_len
 
@@ -102,6 +142,12 @@ let port mb i =
 let payload mb i =
   if i < 0 || i >= mb.in_len then invalid_arg "Simulator.payload: no such delivery";
   Array.unsafe_get mb.in_msgs i
+
+let traced mb = mb.traced
+
+let cause mb i =
+  if i < 0 || i >= mb.in_len then invalid_arg "Simulator.cause: no such delivery";
+  if mb.traced then Array.unsafe_get mb.in_ids i else 0
 
 (* The capacity a full buffer of [len] entries grows to; [hint] sizes the
    first allocation. *)
@@ -126,7 +172,56 @@ let send mb port msg =
   Array.unsafe_set mb.out_msgs k msg;
   mb.out_len <- k + 1
 
-let deliver mb port msg =
+(* Room for the declarations of the first [len] sends. *)
+let reserve mb len =
+  let cap = Array.length mb.declared in
+  if len > cap then begin
+    let cap' = max len (grown cap ~hint:0) in
+    let extend a fill =
+      let a' = Array.make cap' fill in
+      Array.blit a 0 a' 0 cap;
+      a'
+    in
+    mb.declared <- extend mb.declared Nothing;
+    mb.decl_part <- extend mb.decl_part (-1);
+    mb.decl_phase <- extend mb.decl_phase "";
+    mb.decl_parents <- extend mb.decl_parents []
+  end
+
+let tag mb ~part ~phase =
+  if mb.traced then begin
+    mb.step_part <- part;
+    mb.step_phase <- phase
+  end
+
+let parents mb ps = if mb.traced then mb.step_parents <- Some ps
+
+let emit mb port ?parents ~part ~phase msg =
+  send mb port msg;
+  if mb.traced then begin
+    let k = mb.out_len - 1 in
+    reserve mb (k + 1);
+    mb.decl_part.(k) <- part;
+    mb.decl_phase.(k) <- phase;
+    match parents with
+    | None -> mb.declared.(k) <- Tag
+    | Some ps ->
+        mb.declared.(k) <- Tag_and_parents;
+        mb.decl_parents.(k) <- ps
+  end
+
+(* The step's default parents: those it declared, or else every delivery's
+   id, listed once per step. *)
+let step_parents mb =
+  match mb.step_parents with
+  | Some ps -> ps
+  | None ->
+      let rec listed i acc = if i < 0 then acc else listed (i - 1) (mb.in_ids.(i) :: acc) in
+      let ps = if mb.traced then listed (mb.in_len - 1) [] else [] in
+      mb.step_parents <- Some ps;
+      ps
+
+let deliver mb ~cause port msg =
   let k = mb.in_len in
   if k = Array.length mb.in_ports then begin
     let ports, msgs = widened mb.in_ports mb.in_msgs k (grown k ~hint:0) msg in
@@ -135,6 +230,14 @@ let deliver mb port msg =
   end;
   Array.unsafe_set mb.in_ports k port;
   Array.unsafe_set mb.in_msgs k msg;
+  if mb.traced then begin
+    if k >= Array.length mb.in_ids then begin
+      let ids = Array.make (Array.length mb.in_ports) 0 in
+      Array.blit mb.in_ids 0 ids 0 k;
+      mb.in_ids <- ids
+    end;
+    mb.in_ids.(k) <- cause
+  end;
   mb.in_len <- k + 1
 
 let sent mb = mb.out_len
@@ -147,9 +250,62 @@ let sent_payload mb i =
   if i < 0 || i >= mb.out_len then invalid_arg "Simulator.sent_payload: no such send";
   Array.unsafe_get mb.out_msgs i
 
-let clear mb =
+let declared_at fn mb i =
+  if i < 0 || i >= mb.out_len then invalid_arg (fn ^ ": no such send");
+  if i < Array.length mb.declared then mb.declared.(i) else Nothing
+
+let sent_part mb i =
+  match declared_at "Simulator.sent_part" mb i with
+  | Nothing -> mb.step_part
+  | Tag | Tag_and_parents -> mb.decl_part.(i)
+
+let sent_phase mb i =
+  match declared_at "Simulator.sent_phase" mb i with
+  | Nothing -> mb.step_phase
+  | Tag | Tag_and_parents -> mb.decl_phase.(i)
+
+let sent_parents mb i =
+  match declared_at "Simulator.sent_parents" mb i with
+  | Tag_and_parents -> mb.decl_parents.(i)
+  | Nothing | Tag -> step_parents mb
+
+let reset_step mb =
+  mb.step_part <- -1;
+  mb.step_phase <- "";
+  mb.step_parents <- None
+
+(* Forget the declarations of the step that queued the sends, so the next
+   step starts from none. *)
+let forget_declarations mb =
+  for i = 0 to min mb.out_len (Array.length mb.declared) - 1 do
+    mb.declared.(i) <- Nothing
+  done;
+  reset_step mb
+
+let clear mb ~traced =
+  forget_declarations mb;
+  mb.traced <- traced;
   mb.in_len <- 0;
   mb.out_len <- 0
+
+(* Write the declarations of the sends [first, out_len) that a traced step
+   just queued into the [decl_] arrays, resolved against the step's tag
+   and parents, and clear the marks and the step's defaults for the next
+   step on the same mailbox. The core's replay then reads each send's
+   declaration by its index. *)
+let settle_declarations mb ~first =
+  reserve mb mb.out_len;
+  for i = first to mb.out_len - 1 do
+    (match mb.declared.(i) with
+    | Nothing ->
+        mb.decl_part.(i) <- mb.step_part;
+        mb.decl_phase.(i) <- mb.step_phase;
+        mb.decl_parents.(i) <- step_parents mb
+    | Tag -> mb.decl_parents.(i) <- step_parents mb
+    | Tag_and_parents -> ());
+    mb.declared.(i) <- Nothing
+  done;
+  reset_step mb
 
 type ('state, 'msg) program = {
   init : ctx -> 'state;
@@ -415,11 +571,7 @@ let make_crew size =
     stop = false;
   }
 
-let worker crew shard ~traced () =
-  (* Give this domain its own (domain-local) causal state: protocols
-     consult Trace.Cause during on_round, and each worker brackets its own
-     activations. The worker never draws ids — see the replay step. *)
-  Trace.Cause.start_run ~enabled:traced;
+let worker crew shard () =
   let seen = ref 0 in
   let running = ref true in
   while !running do
@@ -531,9 +683,9 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?flight ?par_p
      stream); those runs buffer in parallel and replay serially at the
      barrier. *)
   let serialized = traced || faults <> None in
-  (* The run owns the ambient Cause state: ids restart at 1 and are drawn
-     in trace-event order. *)
-  Trace.Cause.start_run ~enabled:traced;
+  (* The run's message ids: drawn from 1 in trace-event order, on the
+     calling domain only. *)
+  let last_id = ref 0 in
   let states = Array.map program.init ctxs in
   let halted = Array.map program.is_halted states in
   let live = ref (Array.fold_left (fun acc h -> if h then acc else acc + 1) 0 halted) in
@@ -711,14 +863,12 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?flight ?par_p
     done
   in
   (* --- serialized path (traced and/or faulty): buffer, then replay ------ *)
-  (* A shard's mailbox keeps every send of the round, step after step; the
-     activation records say whose they are. *)
+  (* A shard's mailbox keeps every send of the round, step after step, with
+     its causal declaration when traced; the activation records say whose
+     they are. *)
   let act_node = Array.init d (fun _ -> Vec.create ()) in
   let act_sends = Array.init d (fun _ -> Vec.create ()) in
   let act_halt = Array.init d (fun _ -> Vec.create ()) in
-  let snd_parents : int list Vec.t array = Array.init d (fun _ -> Vec.create ()) in
-  let snd_part = Array.init d (fun _ -> Vec.create ()) in
-  let snd_phase : string Vec.t array = Array.init d (fun _ -> Vec.create ()) in
   (* The serialized twin of [phase_compute_fast]: the same due nodes, in
      the same order, with their sends kept for the replay. *)
   let phase_compute_slow s =
@@ -734,24 +884,12 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?flight ?par_p
         else if always_due || len > 0 || program.wake states.(v) <= r then begin
           stepping := v;
           incr stepped;
-          if traced then Trace.Cause.activate (Array.sub cur.ids.(v) 0 len);
+          if traced then mb.in_ids <- Array.unsafe_get cur.ids v;
           lend mb cur v len;
           let first = mb.out_len in
           let state = program.on_round ctxs.(v) states.(v) mb in
           states.(v) <- state;
-          if traced then begin
-            (* Consume this domain's own causal declarations once per
-               send, in send order, even when the network then drops it
-               — otherwise the per-port FIFO would drift at
-               bandwidth > 1. *)
-            for i = first to mb.out_len - 1 do
-              let ps, part, phase = Trace.Cause.take ~port:mb.out_ports.(i) in
-              Vec.push snd_parents.(s) ps;
-              Vec.push snd_part.(s) part;
-              Vec.push snd_phase.(s) phase
-            done;
-            Trace.Cause.deactivate ()
-          end;
+          if traced then settle_declarations mb ~first;
           let halts = program.is_halted state in
           if halts then halted.(v) <- true;
           Vec.push act_node.(s) v;
@@ -769,9 +907,10 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?flight ?par_p
     if traced then push_id csr nxt w id;
     push_inbox csr nxt w back msg
   in
-  (* Deliver the copies of one send the verdict lets through, one per
-     delay: the first is the send itself, the others its duplicates. *)
-  let rec deliver_copies v w back edge size msg cparents cpart cphase ~first = function
+  (* Deliver the copies of send [i] of mailbox [mb] that the verdict lets
+     through, one per delay: the first is the send itself, the others its
+     duplicates. A traced copy carries the send's settled declaration. *)
+  let rec deliver_copies mb i v w back edge size msg ~first = function
     | [] -> ()
     | delay :: rest ->
         incr messages;
@@ -783,35 +922,18 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?flight ?par_p
           match tracer with
           | None -> 0
           | Some t ->
-              let id = Trace.Cause.fresh_id () in
+              incr last_id;
+              let id = !last_id in
+              let parents = mb.decl_parents.(i) and part = mb.decl_part.(i) in
+              let phase = mb.decl_phase.(i) and round = !rounds in
               if first then
                 t
                   (Trace.Send
-                     {
-                       round = !rounds;
-                       src = v;
-                       dst = w;
-                       edge;
-                       words = size;
-                       id;
-                       parents = cparents;
-                       part = cpart;
-                       phase = cphase;
-                     })
+                     { round; src = v; dst = w; edge; words = size; id; parents; part; phase })
               else
                 t
                   (Trace.Duplicate
-                     {
-                       round = !rounds;
-                       src = v;
-                       dst = w;
-                       edge;
-                       words = size;
-                       id;
-                       parents = cparents;
-                       part = cpart;
-                       phase = cphase;
-                     });
+                     { round; src = v; dst = w; edge; words = size; id; parents; part; phase });
               if delay > 0 then
                 t (Trace.Delayed { round = !rounds; src = v; dst = w; edge; delay });
               id
@@ -830,13 +952,14 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?flight ?par_p
                p_words = size;
                p_msg = msg;
              });
-        deliver_copies v w back edge size msg cparents cpart cphase ~first:false rest
+        deliver_copies mb i v w back edge size msg ~first:false rest
   in
-  (* Replay one buffered send on the calling domain, with the causal
-     declaration read from the buffer. Ids, verdicts and trace events are
-     drawn here, in shard-merge (= ascending sender) order. Without a plan
-     every send gets the verdict [Deliver [0]]: one copy, on time. *)
-  let process_send v port msg ~cparents ~cpart ~cphase =
+  (* Replay send [i] of mailbox [mb], node [v]'s, on the calling domain.
+     Ids, verdicts and trace events are drawn here, in shard-merge (=
+     ascending sender) order. Without a plan every send gets the verdict
+     [Deliver [0]]: one copy, on time. *)
+  let process_send mb i v =
+    let port = mb.out_ports.(i) and msg = mb.out_msgs.(i) in
     if port < 0 || port >= Csr.degree csr v then invalid_arg "Simulator: bad port";
     let size = program.msg_words msg in
     if size < 1 then invalid_arg "Simulator: msg_words must be >= 1";
@@ -874,7 +997,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?flight ?par_p
         in
         match (verdict, tracer) with
         | Fault.Deliver delays, _ ->
-            deliver_copies v w back edge size msg cparents cpart cphase ~first:true delays
+            deliver_copies mb i v w back edge size msg ~first:true delays
         | Fault.Lose _, None -> ()
         | Fault.Lose Fault.Random_loss, Some t ->
             t (Trace.Drop { round = !rounds; src = v; dst = w; edge; words = size })
@@ -891,14 +1014,8 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?flight ?par_p
         let v = Vec.get act_node.(s) a in
         let k = Vec.get act_sends.(s) a in
         if v < until then begin
-          for j = 0 to k - 1 do
-            let i = !send_idx + j in
-            let cparents, cpart, cphase =
-              if traced then
-                (Vec.get snd_parents.(s) i, Vec.get snd_part.(s) i, Vec.get snd_phase.(s) i)
-              else ([], -1, "")
-            in
-            process_send v mb.out_ports.(i) mb.out_msgs.(i) ~cparents ~cpart ~cphase
+          for i = !send_idx to !send_idx + k - 1 do
+            process_send mb i v
           done;
           if Vec.get act_halt.(s) a = 1 then begin
             decr live;
@@ -912,12 +1029,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?flight ?par_p
       Vec.clear act_node.(s);
       Vec.clear act_sends.(s);
       Vec.clear act_halt.(s);
-      mb.out_len <- 0;
-      if traced then begin
-        Vec.clear snd_parents.(s);
-        Vec.clear snd_part.(s);
-        Vec.clear snd_phase.(s)
-      end
+      mb.out_len <- 0
     done;
     for i = 0 to ntouched.(0) - 1 do
       budget.(touched.(i)) <- 0
@@ -1044,9 +1156,9 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?flight ?par_p
     end
   in
   let crew = make_crew d in
-  let handles = Array.init (d - 1) (fun i -> Domain.spawn (worker crew (i + 1) ~traced)) in
+  let handles = Array.init (d - 1) (fun i -> Domain.spawn (worker crew (i + 1))) in
   Fun.protect ~finally:(fun () -> shutdown crew handles) @@ fun () ->
-  run_phase crew (fun s -> mbs.(s) <- mailbox ());
+  run_phase crew (fun s -> mbs.(s) <- make_mailbox ~traced);
   (match par_profile with None -> () | Some pp -> Par_profile.begin_run pp ~domains:d);
   (* Each shard scans its nodes every round it runs, but steps only the
      due ones: a live node with mail waiting or its wake hint at or

@@ -54,8 +54,9 @@
 
     {b Determinism contract.} For every program, graph, seed and fault
     plan, a run is observationally {e identical} at every domain count:
-    final states, {!stats}, the full trace event order, {!Trace.Cause}
-    id assignment, and fault verdicts all match byte for byte. Untraced
+    final states, {!stats}, the full trace event order, message ids and
+    their causal declarations, and fault verdicts all match byte for
+    byte. Untraced
     fault-free runs get this from shard contiguity alone (draining
     outboxes in source-shard order reproduces the ascending-sender send
     order); traced or faulty runs buffer sends in parallel and replay
@@ -130,19 +131,69 @@ val send : 'msg mailbox -> int -> 'msg -> unit
     checks each there: a port out of range raises [Invalid_argument], and
     a send over the port's word budget raises {!Bandwidth_exceeded}. *)
 
+(** {2 Causes}
+
+    In a traced run the core gives every transmission a message id, one
+    per-run sequence from 1 in trace-event order, and each [Send] event
+    names its causal [parents] and, when the protocol says so, its source
+    [part] and [phase] (see {!Trace.event}). A step reads the id of each
+    delivery with {!cause} and declares what its sends were caused by
+    through the mailbox:
+
+    - {!tag} sets the step's part and phase, for every send it queues;
+    - {!parents} sets the step's parents, replacing the default: the ids
+      of every message delivered to the node this step;
+    - {!emit} queues one send with a declaration of its own, overriding
+      the step's.
+
+    The step's tag and parents apply to its sends whenever it sets them,
+    before or after queuing them. A declaration travels with its send, so
+    a wrapper that re-sends the payload later ({!Reliable.wrap}) can carry
+    it along. In an untraced run {!cause} reads 0 and the declarations are
+    no-ops (one branch, no allocation), and {!emit} is {!send}; guard any
+    argument construction with {!traced}. *)
+
+val traced : 'msg mailbox -> bool
+(** Is this step part of a traced run? *)
+
+val cause : 'msg mailbox -> int -> int
+(** [cause mb i]: the message id of the [i]-th delivery, for a send it
+    causes to name among its parents; 0 in an untraced run. Raises
+    [Invalid_argument] out of range. *)
+
+val tag : 'msg mailbox -> part:int -> phase:string -> unit
+(** The step's part and phase: every send it queues with {!send} carries
+    them ([-1] and [""], untagged, by default). *)
+
+val parents : 'msg mailbox -> int list -> unit
+(** The step's parent ids, replacing the default of every delivery's id —
+    say, an id kept in protocol state since the message that triggers a
+    timer-gated send arrived, rounds earlier. *)
+
+val emit :
+  'msg mailbox -> int -> ?parents:int list -> part:int -> phase:string -> 'msg -> unit
+(** [emit mb port ?parents ~part ~phase msg] is [send mb port msg] with a
+    declaration of its own: [part] and [phase], and [parents] in place of
+    the step's when given. *)
+
 (** {2 Stepping a program yourself}
 
     For a core ({!Simulator_ref}) or a wrapper that steps an inner program
     ({!Reliable.wrap}): it fills a mailbox of its own with deliveries, runs
-    the step, then reads the queued sends back. A program must not call
-    these on the mailbox its own step receives: the core reads that
-    mailbox's sends back after the step. *)
+    the step, then reads the queued sends back with their declarations. A
+    program must not call these on the mailbox its own step receives: the
+    core reads that mailbox's sends back after the step. *)
 
 val mailbox : unit -> 'msg mailbox
-(** An empty mailbox. *)
+(** An empty mailbox of an untraced step; {!clear} opens each step. *)
 
-val deliver : 'msg mailbox -> int -> 'msg -> unit
-(** [deliver mb port msg] appends a delivery. *)
+val clear : 'msg mailbox -> traced:bool -> unit
+(** [clear mb ~traced] drops every delivery, every queued send and every
+    declaration, and opens a step of a traced run or not. *)
+
+val deliver : 'msg mailbox -> cause:int -> int -> 'msg -> unit
+(** [deliver mb ~cause port msg] appends a delivery whose message id is
+    [cause] (read back by {!cause} when the step is traced). *)
 
 val sent : 'msg mailbox -> int
 (** How many sends are queued. *)
@@ -153,8 +204,19 @@ val sent_port : 'msg mailbox -> int -> int
 val sent_payload : 'msg mailbox -> int -> 'msg
 (** [sent_payload mb i]: the payload of the [i]-th queued send. *)
 
-val clear : 'msg mailbox -> unit
-(** Drop every delivery and every queued send. *)
+val sent_parents : 'msg mailbox -> int -> int list
+(** [sent_parents mb i]: the parents of the [i]-th queued send — its own
+    declaration's, or else the step's. Read them once the step has
+    returned, as a core does: the step's declarations apply to all of its
+    sends. [[]] in an untraced step. *)
+
+val sent_part : 'msg mailbox -> int -> int
+(** [sent_part mb i]: the part of the [i]-th queued send, declared by
+    {!emit} or {!tag}; [-1] when untagged. *)
+
+val sent_phase : 'msg mailbox -> int -> string
+(** [sent_phase mb i]: the phase of the [i]-th queued send; [""] when
+    untagged. *)
 
 type ('state, 'msg) program = {
   init : ctx -> 'state;

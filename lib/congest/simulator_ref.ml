@@ -84,9 +84,14 @@ let run_outcome ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?faults g progr
   let clock, set_round = Simulator.round_cell () in
   let ctxs = Array.init n (make_ctx g clock) in
   let rev = reverse_ports ctxs in
-  (* The run owns the ambient Cause state: ids restart at 1 and are drawn
-     in trace-event order, which both cores emit identically. *)
-  Trace.Cause.start_run ~enabled:(tracer <> None);
+  let traced = tracer <> None in
+  (* The run's message ids, drawn from 1 in trace-event order, which both
+     cores emit identically. *)
+  let last_id = ref 0 in
+  let fresh_id () =
+    incr last_id;
+    !last_id
+  in
   let states = Array.map program.init ctxs in
   let halted = Array.map program.is_halted states in
   let live = ref (Array.fold_left (fun acc h -> if h then acc else acc + 1) 0 halted) in
@@ -183,22 +188,8 @@ let run_outcome ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?faults g progr
           let inbox_r = inboxes.(v) in
           inboxes.(v) <- [];
           let asleep = inbox_r = [] && program.wake states.(v) > !rounds in
-          Simulator.clear mb;
-          List.iter (fun (p, _, m) -> Simulator.deliver mb p m) (List.rev inbox_r);
-          (match tracer with
-          | None -> ()
-          | Some _ ->
-              (* [inbox_r] is newest-first; fill the ids array back-to-front
-                 so it parallels the mailbox's arrival order. *)
-              let k = List.length inbox_r in
-              let ids = Array.make k 0 in
-              let i = ref (k - 1) in
-              List.iter
-                (fun (_, id, _) ->
-                  ids.(!i) <- id;
-                  decr i)
-                inbox_r;
-              Trace.Cause.activate ids);
+          Simulator.clear mb ~traced;
+          List.iter (fun (p, id, m) -> Simulator.deliver mb ~cause:id p m) (List.rev inbox_r);
           let state = program.on_round ctxs.(v) states.(v) mb in
           let sends = Simulator.sent mb in
           if asleep && (sends > 0 || program.is_halted state) then
@@ -229,14 +220,17 @@ let run_outcome ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?faults g progr
               let w = ctx.neighbors.(port) in
               let back = rev.(v).(port) in
               let edge = ctx.neighbor_edges.(port) in
-              (* The causal declaration is consumed once per outgoing
-                 message, in send order, even when the network then drops
-                 it — otherwise the per-port FIFO would drift at
-                 bandwidth > 1. *)
-              let cparents, cpart, cphase =
-                match tracer with
-                | None -> ([], -1, "")
-                | Some _ -> Trace.Cause.take ~port
+              (* The send's event, with its declaration read by index: a
+                 [Send], or a [Duplicate] for an extra copy. *)
+              let event ~copy id =
+                let parents = Simulator.sent_parents mb i and part = Simulator.sent_part mb i in
+                let phase = Simulator.sent_phase mb i and round = !rounds in
+                if copy then
+                  Trace.Duplicate
+                    { round; src = v; dst = w; edge; words = size; id; parents; part; phase }
+                else
+                  Trace.Send
+                    { round; src = v; dst = w; edge; words = size; id; parents; part; phase }
               in
               match faults with
               | None ->
@@ -247,20 +241,8 @@ let run_outcome ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?faults g progr
                     | None -> 0
                     | Some t ->
                         if used > !round_max then round_max := used;
-                        let id = Trace.Cause.fresh_id () in
-                        t
-                          (Trace.Send
-                             {
-                               round = !rounds;
-                               src = v;
-                               dst = w;
-                               edge;
-                               words = size;
-                               id;
-                               parents = cparents;
-                               part = cpart;
-                               phase = cphase;
-                             });
+                        let id = fresh_id () in
+                        t (event ~copy:false id);
                         id
                   in
                   next_inboxes.(w) <- (back, id, msg) :: next_inboxes.(w)
@@ -294,7 +276,7 @@ let run_outcome ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?faults g progr
                             t (Trace.Link_down { round = !rounds; edge }))
                     | Fault.Deliver delays ->
                         List.iteri
-                          (fun i delay ->
+                          (fun copy delay ->
                             incr messages;
                             words := !words + size;
                             let id =
@@ -302,35 +284,8 @@ let run_outcome ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?faults g progr
                               | None -> 0
                               | Some t ->
                                   if used > !round_max then round_max := used;
-                                  let id = Trace.Cause.fresh_id () in
-                                  if i = 0 then
-                                    t
-                                      (Trace.Send
-                                         {
-                                           round = !rounds;
-                                           src = v;
-                                           dst = w;
-                                           edge;
-                                           words = size;
-                                           id;
-                                           parents = cparents;
-                                           part = cpart;
-                                           phase = cphase;
-                                         })
-                                  else
-                                    t
-                                      (Trace.Duplicate
-                                         {
-                                           round = !rounds;
-                                           src = v;
-                                           dst = w;
-                                           edge;
-                                           words = size;
-                                           id;
-                                           parents = cparents;
-                                           part = cpart;
-                                           phase = cphase;
-                                         });
+                                  let id = fresh_id () in
+                                  t (event ~copy:(copy > 0) id);
                                   if delay > 0 then
                                     t
                                       (Trace.Delayed
@@ -353,9 +308,6 @@ let run_outcome ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?faults g progr
                   end
             end
           done;
-          (match tracer with
-          | None -> ()
-          | Some _ -> Trace.Cause.deactivate ());
           if program.is_halted state then begin
             halted.(v) <- true;
             decr live;

@@ -55,7 +55,7 @@ let words = function Join _ | Child | Height _ | Gheight _ -> 1
    every activation of every untraced run. The duplicate guards compare
    ports with [List.memq]: ports are ints, so physical equality is their
    equality, without a polymorphic compare per child. *)
-let absorb st idx port msg =
+let absorb mb st idx port msg =
   match msg with
   | Join d ->
       if st.dist < 0 then
@@ -64,9 +64,7 @@ let absorb st idx port msg =
           dist = d + 1;
           parent_port = port;
           phase = Announce;
-          join_cause =
-            (let ids = Trace.Cause.inbox () in
-             if idx < Array.length ids then ids.(idx) else 0);
+          join_cause = Simulator.cause mb idx;
         }
       else st
   | Child ->
@@ -90,7 +88,7 @@ let rec absorb_all mb st idx =
   if idx = Simulator.deliveries mb then st
   else
     absorb_all mb
-      (absorb st idx (Simulator.port mb idx) (Simulator.payload mb idx))
+      (absorb mb st idx (Simulator.port mb idx) (Simulator.payload mb idx))
       (idx + 1)
 
 let rec send_each mb msg = function
@@ -110,9 +108,9 @@ let on_round ctx state mb =
   | Announce ->
       (* The adopted Join arrived this very round, but the inbox may also
          hold announcements we did not adopt — declare the real cause. *)
-      if Trace.Cause.enabled () then begin
-        Trace.Cause.tag ~part:(-1) ~phase:"bfs.announce";
-        if state.join_cause > 0 then Trace.Cause.parents [ state.join_cause ]
+      if Simulator.traced mb then begin
+        Simulator.tag mb ~part:(-1) ~phase:"bfs.announce";
+        if state.join_cause > 0 then Simulator.parents mb [ state.join_cause ]
       end;
       (* Child to the parent first, then Join on every other port, last
          port first: the fingerprint suite pins this send order. *)
@@ -135,9 +133,9 @@ let on_round ctx state mb =
           else begin
             (* Timer-gated: caused by the Join adopted two rounds ago, not
                by anything in this round's (empty) inbox. *)
-            if Trace.Cause.enabled () then begin
-              Trace.Cause.tag ~part:(-1) ~phase:"bfs.height";
-              if state.join_cause > 0 then Trace.Cause.parents [ state.join_cause ]
+            if Simulator.traced mb then begin
+              Simulator.tag mb ~part:(-1) ~phase:"bfs.height";
+              if state.join_cause > 0 then Simulator.parents mb [ state.join_cause ]
             end;
             Simulator.send mb state.parent_port (Height state.dist);
             { state with phase = Wait_height }
@@ -150,19 +148,19 @@ let on_round ctx state mb =
         if state.parent_port < 0 then begin
           (* Root: learned the height; broadcast down. The triggering
              Height messages arrived this round — inbox default is right. *)
-          Trace.Cause.tag ~part:(-1) ~phase:"bfs.gheight";
+          Simulator.tag mb ~part:(-1) ~phase:"bfs.gheight";
           send_each mb (Gheight state.best_height) state.children;
           { state with phase = Finished; global_height = state.best_height }
         end
         else begin
-          Trace.Cause.tag ~part:(-1) ~phase:"bfs.height";
+          Simulator.tag mb ~part:(-1) ~phase:"bfs.height";
           Simulator.send mb state.parent_port (Height state.best_height);
           { state with phase = Wait_height }
         end
       else state
   | Wait_height ->
       if state.global_height >= 0 then begin
-        Trace.Cause.tag ~part:(-1) ~phase:"bfs.gheight";
+        Simulator.tag mb ~part:(-1) ~phase:"bfs.gheight";
         send_each mb (Gheight state.global_height) state.children;
         { state with phase = Finished }
       end

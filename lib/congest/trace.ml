@@ -36,150 +36,6 @@ type tracer = event -> unit
 
 let tee tracers event = List.iter (fun t -> t event) tracers
 
-(* --- Causal annotation plane --------------------------------------------- *)
-
-(* Ambient per-run state shared by the message sources (the simulator
-   cores). The state is {e domain-local} (one record per OCaml 5 domain,
-   reached through a single [Domain.DLS] key): the reference core lives
-   entirely on one domain, while every domain of a sharded [Simulator]
-   run brackets its own nodes with [activate]/[take]/[deactivate] and
-   never touches another domain's declarations. Only the id [counter] of
-   the domain that called [start_run] is ever drawn from ([fresh_id] is
-   reserved to the merge step, which runs on one domain), so ids stay a
-   single per-run monotone sequence. When the run is untraced [enabled]
-   stays false and every entry point is one DLS load and a branch — the
-   untraced hot path allocates nothing here. *)
-module Cause = struct
-  (* One pending per-port declaration, queued by [emit] and consumed FIFO
-     per port by [take]. An activation's declarations, in emission order,
-     are [overrides] followed by the reverse of [emitted]: [emit] conses
-     onto [emitted], and [take] moves it onto the end of [overrides] only
-     when no declaration of [overrides] has its port, so k emits and k
-     takes cost O(k) cells when the takes come in emission order. *)
-  type override = {
-    o_port : int;
-    o_parents : int list option;
-    o_part : int;
-    o_phase : string;
-  }
-
-  type state = {
-    mutable enabled_flag : bool;
-    mutable counter : int;
-    mutable cur_inbox : int array;
-    mutable cur_inbox_list : int list;
-    mutable inbox_listed : bool;
-    mutable act_parents : int list option;
-    mutable act_part : int;
-    mutable act_phase : string;
-    mutable overrides : override list;
-    mutable emitted : override list;  (* newest first *)
-  }
-
-  let key =
-    Domain.DLS.new_key (fun () ->
-        {
-          enabled_flag = false;
-          counter = 0;
-          cur_inbox = [||];
-          cur_inbox_list = [];
-          inbox_listed = false;
-          act_parents = None;
-          act_part = -1;
-          act_phase = "";
-          overrides = [];
-          emitted = [];
-        })
-
-  let state () = Domain.DLS.get key
-
-  let clear_activation s =
-    s.cur_inbox <- [||];
-    s.cur_inbox_list <- [];
-    s.inbox_listed <- false;
-    s.act_parents <- None;
-    s.act_part <- -1;
-    s.act_phase <- "";
-    s.overrides <- [];
-    s.emitted <- []
-
-  let start_run ~enabled =
-    let s = state () in
-    s.enabled_flag <- enabled;
-    s.counter <- 0;
-    clear_activation s
-
-  let enabled () = (state ()).enabled_flag
-
-  let fresh_id () =
-    let s = state () in
-    s.counter <- s.counter + 1;
-    s.counter
-
-  let activate ids =
-    let s = state () in
-    clear_activation s;
-    s.cur_inbox <- ids
-
-  let deactivate () = clear_activation (state ())
-  let inbox () = (state ()).cur_inbox
-
-  let tag ~part ~phase =
-    let s = state () in
-    if s.enabled_flag then begin
-      s.act_part <- part;
-      s.act_phase <- phase
-    end
-
-  let parents ps =
-    let s = state () in
-    if s.enabled_flag then s.act_parents <- Some ps
-
-  let emit ~port ?parents ~part ~phase () =
-    let s = state () in
-    if s.enabled_flag then
-      s.emitted <-
-        { o_port = port; o_parents = parents; o_part = part; o_phase = phase } :: s.emitted
-
-  (* Default parents: every message delivered to the sender this
-     activation — the sound Lamport-style over-approximation when the
-     protocol declares nothing finer. Listed lazily, once per activation. *)
-  let default_parents s =
-    match s.act_parents with
-    | Some ps -> ps
-    | None ->
-        if not s.inbox_listed then begin
-          s.cur_inbox_list <- Array.to_list s.cur_inbox;
-          s.inbox_listed <- true
-        end;
-        s.cur_inbox_list
-
-  let take ~port =
-    let s = state () in
-    let rec pick acc = function
-      | [] -> None
-      | o :: rest when o.o_port = port ->
-          s.overrides <- List.rev_append acc rest;
-          Some o
-      | o :: rest -> pick (o :: acc) rest
-    in
-    let found =
-      match pick [] s.overrides with
-      | None when s.emitted <> [] ->
-          s.overrides <- s.overrides @ List.rev s.emitted;
-          s.emitted <- [];
-          pick [] s.overrides
-      | found -> found
-    in
-    match found with
-    | Some o ->
-        let ps =
-          match o.o_parents with Some ps -> ps | None -> default_parents s
-        in
-        (ps, o.o_part, o.o_phase)
-    | None -> (default_parents s, s.act_part, s.act_phase)
-end
-
 (* Schema v2: send/duplicate events carry a per-run monotone [id], the
    causal [parents] ids, and — only when set — the source's [part] and
    [phase] labels. All other kinds keep the v1 shape. *)

@@ -29,9 +29,10 @@ type event =
           (** per-run monotone message id, starting at 1; [0] only in
               hand-built events from sources that do not assign ids *)
       parents : int list;
-          (** ids of the received messages this send was caused by — the
-              {!Cause} declaration, or every message delivered to [src]
-              this round when nothing finer was declared *)
+          (** ids of the received messages this send was caused by — as
+              the sending step declared them through its
+              {!Simulator.mailbox}, or every message delivered to [src]
+              in that step when nothing finer was declared *)
       part : int;  (** source part id; [-1] when untagged *)
       phase : string;  (** protocol phase label; [""] when untagged *)
     }
@@ -94,76 +95,6 @@ val checker : ?meta:Lcs_util.Json.t -> unit -> event -> (unit, string) result
     it does not carry is not checked. {!Stream.fold} and the analyzer's
     JSON reader both check through it, so collectors never index out of
     range. *)
-
-(** Causal annotations for in-flight messages.
-
-    The message sources (the two simulator cores) assign every traced
-    transmission a per-run monotone id and attach the causal metadata
-    declared here. Protocol code — which only sees ports and payloads —
-    can consult {!inbox} for the ids of the messages just delivered to it
-    and declare what its sends were caused by, plus a part id and phase
-    label for attribution:
-
-    - {!tag} sets the activation-wide part/phase defaults;
-    - {!parents} sets the activation-wide parent set (e.g. an id carried in
-      protocol state when the triggering message arrived rounds earlier);
-    - {!emit} queues a declaration for the next send on one specific port
-      (consumed FIFO per port), overriding the activation defaults.
-
-    When nothing is declared, a send's parents default to every message
-    delivered to the sender in the same activation — sound for synchronous
-    protocols, merely less precise. All calls are no-ops (one load and a
-    branch, no allocation) when the current run is untraced; guard any
-    argument construction with {!enabled}.
-
-    The state is {e domain-local} ([Domain.DLS]): the reference core runs
-    on one domain, while every domain of a sharded {!Simulator} run
-    brackets its own activations independently.
-    Ids remain one per-run monotone sequence because {!fresh_id} is only
-    ever drawn on the domain that called {!start_run} — the simulator
-    assigns ids at its deterministic shard-merge step, never inside a
-    worker (see the "parallelism" doc page for the full execution
-    model).
-
-    The remaining functions are the source-side half of the contract and
-    are only meant for simulator cores: {!start_run} resets the id
-    counter at run start, {!fresh_id} draws the next id in trace-event
-    order, {!activate}/{!deactivate} bracket one node activation with its
-    delivered-message ids, and {!take} consumes the declaration for one
-    outgoing message on a port. *)
-module Cause : sig
-  val enabled : unit -> bool
-  (** Is the current run traced? False outside any traced run. *)
-
-  val inbox : unit -> int array
-  (** Ids of the messages delivered to the currently activated node, in
-      arrival order (parallel to the deliveries of the step's
-      {!Simulator.mailbox}).
-      [[||]] when untraced. *)
-
-  val tag : part:int -> phase:string -> unit
-  (** Default part/phase for every send of this activation. *)
-
-  val parents : int list -> unit
-  (** Default parent ids for every send of this activation, replacing the
-      all-of-inbox default. *)
-
-  val emit :
-    port:int -> ?parents:int list -> part:int -> phase:string -> unit -> unit
-  (** Declare the next send on [port]: queued, consumed FIFO per port.
-      [?parents] omitted falls back to the activation default. *)
-
-  (** {2 Source-side (simulator cores only)} *)
-
-  val start_run : enabled:bool -> unit
-  val fresh_id : unit -> int
-  val activate : int array -> unit
-  val deactivate : unit -> unit
-
-  val take : port:int -> int list * int * string
-  (** [(parents, part, phase)] for the next transmission on [port]; must be
-      called exactly once per outgoing message, in send order. *)
-end
 
 (** Retains the event stream in memory, in order, up to a cap.
 

@@ -354,7 +354,7 @@ let pop qs q =
    [word part datum] makes the payload; [phase node port part] labels a
    traced word. *)
 let drain rt qs st mb ~ports ~phase ~word =
-  let traced = Trace.Cause.enabled () in
+  let traced = Simulator.traced mb in
   let base = Intvec.get rt.slot_off st.node in
   for port = ports - 1 downto 0 do
     let q = base + port in
@@ -364,15 +364,12 @@ let drain rt qs st mb ~ports ~phase ~word =
       pop qs q;
       st.queued <- st.queued - 1;
       if traced then
-        Trace.Cause.emit ~port
+        Simulator.emit mb port
           ~parents:(if cause > 0 then [ cause ] else [])
-          ~part ~phase:(phase st.node port part) ();
-      Simulator.send mb port (word part datum)
+          ~part ~phase:(phase st.node port part) (word part datum)
+      else Simulator.send mb port (word part datum)
     end
   done
-
-(* The causal id of the [idx]-th arrival; 0 when the run is untraced. *)
-let cause_of ids idx = if idx < Array.length ids then ids.(idx) else 0
 
 (* --- Minimum: flooding under the random-delay schedule ---------------------- *)
 
@@ -431,9 +428,9 @@ let setup ?(policy = Schedule.Random_delay) ~budget p rng ~values =
       if port <> skip_port then push rt qs st port part origin cause
     done
   in
-  (* Absorb the deliveries; [ids] are the arrivals' causal ids, parallel
-     to them (empty when the run is untraced, and then every cause is 0). *)
-  let absorb st round ids mb =
+  (* Absorb the deliveries, each word queued with its arrival's causal id
+     (0 when the run is untraced). *)
+  let absorb st round mb =
     for idx = 0 to Simulator.deliveries mb - 1 do
       let port = Simulator.port mb idx in
       let w = Simulator.payload mb idx in
@@ -443,7 +440,7 @@ let setup ?(policy = Schedule.Random_delay) ~budget p rng ~values =
       if (not has_best.(j)) || value < best.(j) then begin
         best.(j) <- value;
         has_best.(j) <- true;
-        enqueue st j origin (cause_of ids idx) ~skip_port:port;
+        enqueue st j origin (Simulator.cause mb idx) ~skip_port:port;
         if j = rt.own_entry.(st.node) then st.last_improved <- round
       end
     done
@@ -468,7 +465,7 @@ let setup ?(policy = Schedule.Random_delay) ~budget p rng ~values =
       on_round =
         (fun ctx st mb ->
           let round = Simulator.round ctx in
-          absorb st round (Trace.Cause.inbox ()) mb;
+          absorb st round mb;
           if round > budget then st.finished <- true
           else if st.queued > 0 then
             drain rt qs st mb ~ports:(Array.length ctx.Simulator.neighbors)
@@ -706,12 +703,12 @@ let sum ?tracer rng shortcut ~values =
     if parent.(j) = -1 then complete st j acc.(j) cause round
     else push rt qs st parent.(j) rt.serve_part.(j) acc.(j) cause
   in
-  let absorb st round ids mb =
+  let absorb st round mb =
     for idx = 0 to Simulator.deliveries mb - 1 do
       let port = Simulator.port mb idx in
       let part, value = Simulator.payload mb idx in
       let j = entry_of rt st.node part in
-      let cause = cause_of ids idx in
+      let cause = Simulator.cause mb idx in
       if port = parent.(j) then complete st j value cause round
       else begin
         acc.(j) <- acc.(j) + value;
@@ -738,7 +735,7 @@ let sum ?tracer rng shortcut ~values =
           st);
       on_round =
         (fun ctx st mb ->
-          absorb st (Simulator.round ctx) (Trace.Cause.inbox ()) mb;
+          absorb st (Simulator.round ctx) mb;
           if st.queued > 0 then
             drain rt qs st mb ~ports:(Array.length ctx.Simulator.neighbors) ~phase:phase_at
               ~word:(fun part sum -> (part, sum));

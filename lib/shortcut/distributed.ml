@@ -174,9 +174,11 @@ let detection_wave_outcome ?(seed = 1) ?domains ?max_rounds ?tracer ?faults ?par
   let on_round ctx st mb =
     let v = ctx.Simulator.node in
     let node = info.Tree_info.nodes.(v) in
-    if Trace.Cause.enabled () then begin
-      Trace.Cause.tag ~part:(Partition.part_of partition v) ~phase:"wave.stream";
-      st.last_cause <- Array.fold_left max st.last_cause (Trace.Cause.inbox ())
+    if Simulator.traced mb then begin
+      Simulator.tag mb ~part:(Partition.part_of partition v) ~phase:"wave.stream";
+      for i = 0 to Simulator.deliveries mb - 1 do
+        st.last_cause <- max st.last_cause (Simulator.cause mb i)
+      done
     end;
     (* Absorb child reports. *)
     for i = 0 to Simulator.deliveries mb - 1 do
@@ -199,8 +201,8 @@ let detection_wave_outcome ?(seed = 1) ?domains ?max_rounds ?tracer ?faults ?par
     | Streaming ->
         (* Later stream words are queue-drain sends: caused by the
            arrivals that completed collection, not this round's inbox. *)
-        if Trace.Cause.enabled () && st.last_cause > 0 then
-          Trace.Cause.parents [ st.last_cause ];
+        if Simulator.traced mb && st.last_cause > 0 then
+          Simulator.parents mb [ st.last_cause ];
         stream_next st mb port
     | Done -> ());
     st

@@ -380,93 +380,95 @@ let traffic_excludes_dropped_words () =
   check Alcotest.bool "attributed words exclude the dropped 5" true
     (attributed <= 2.0 +. 1e-9)
 
-(* --- Per-port send declarations (Trace.Cause.emit / take) ----------------- *)
+(* --- ARQ frames carry their inner causes ----------------------------------- *)
 
-(* An activation with inbox ids [ids] and default labels (9, "dflt"), as a
-   core opens one before stepping a traced node. *)
-let open_activation ids =
-  Trace.Cause.start_run ~enabled:true;
-  Trace.Cause.activate ids;
-  Trace.Cause.tag ~part:9 ~phase:"dflt"
+(* An inner program under [Reliable.wrap]: node [v] emits one word per
+   entry [(round, neighbor, part)] of [sends.(v)], declared with [part],
+   and keeps the cause of every delivery it reads, newest first. Every
+   node's inner program stays live through round 12. *)
+type arq_state = { last : int; read : int list }
 
-let close_activation () =
-  Trace.Cause.deactivate ();
-  Trace.Cause.start_run ~enabled:false
+let arq_inner sends =
+  {
+    Simulator.init = (fun _ -> { last = 0; read = [] });
+    on_round =
+      (fun ctx st mb ->
+        let r = Simulator.round ctx in
+        let read = ref st.read in
+        for i = 0 to Simulator.deliveries mb - 1 do
+          read := Simulator.cause mb i :: !read
+        done;
+        List.iter
+          (fun (at, w, part) ->
+            if at = r then
+              Array.iteri
+                (fun port u -> if u = w then Simulator.emit mb port ~part ~phase:"arq" part)
+                ctx.Simulator.neighbors)
+          sends.(ctx.Simulator.node);
+        { last = r; read = !read });
+    is_halted = (fun st -> st.last >= 12);
+    wake = Simulator.always;
+    msg_words = (fun _ -> 1);
+  }
 
-(* A node that declares k sends, as Sim_aggregate's drain does for each
-   non-empty port, and a core that takes them in send order: O(k) cells,
-   where appending each declaration to a list costs O(k^2) (1.5 M words
-   at k = 1,000). *)
-let declarations_linear () =
-  let k = 1_000 and parents = [ 7 ] in
-  open_activation [||];
-  let before = Gc.minor_words () in
-  for port = 0 to k - 1 do
-    Trace.Cause.emit ~port ~parents ~part:port ~phase:"pa.flood" ()
-  done;
-  for port = 0 to k - 1 do
-    let ps, part, _ = Trace.Cause.take ~port in
-    if ps != parents || part <> port then Alcotest.failf "take %d: wrong declaration" port
-  done;
-  let words = Gc.minor_words () -. before in
-  close_activation ();
-  if words > float_of_int (64 * k) then
-    Alcotest.failf "%.0f minor words for %d declarations (bound %d)" words k (64 * k)
+(* The events and final inner states of a traced run of the wrapped
+   program, under [plan] if given, on the reference core or on the core at
+   [d] domains. *)
+let arq_run ?plan ~core g sends =
+  let recorder = Trace.Recorder.create () in
+  let tracer = Trace.Recorder.tracer recorder in
+  let faults = Option.map Fault.compile plan in
+  let program = Reliable.wrap (arq_inner sends) in
+  let states, _ =
+    match core with
+    | None -> Simulator_ref.run ~tracer ?faults g program
+    | Some domains -> Simulator.run ~domains ~tracer ?faults g program
+  in
+  (Trace.Recorder.events recorder, Reliable.inner_states states)
 
-(* The single-list version [take] used to read: declarations appended in
-   emission order, the first one on the taken port consumed. *)
-module Listed = struct
-  type decl = { port : int; parents : int list option; part : int; phase : string }
-
-  let decls = ref []
-
-  let emit ~port ?parents ~part ~phase () =
-    decls := !decls @ [ { port; parents; part; phase } ]
-
-  let take ~default ~port =
-    let rec pick acc = function
-      | [] -> None
-      | d :: rest when d.port = port ->
-          decls := List.rev_append acc rest;
-          Some d
-      | d :: rest -> pick (d :: acc) rest
-    in
-    match pick [] !decls with
-    | Some d -> ((match d.parents with Some ps -> ps | None -> default), d.part, d.phase)
-    | None -> (default, 9, "dflt")
-end
-
-(* Random emit/take interleavings over a few ports: every take returns the
-   (parents, part, phase) triple of the list version. An op (kind, port,
-   part) emits when kind < 5 — with the activation's default parents when
-   kind = 0 — and takes otherwise. *)
-let declarations_match_list =
-  QCheck.Test.make ~name:"Cause.take = list version on random interleavings" ~count:200
-    QCheck.(list (triple (int_bound 9) (int_bound 3) (int_bound 5)))
-    (fun ops ->
-      let ids = [| 3; 1; 4 |] in
-      let default = Array.to_list ids in
-      open_activation ids;
-      Listed.decls := [];
-      let triples =
-        List.filter_map
-          (fun (kind, port, part) ->
-            let phase = "p" ^ string_of_int part in
-            if kind < 5 then begin
-              let parents = if kind = 0 then None else Some [ kind; part ] in
-              Trace.Cause.emit ~port ?parents ~part ~phase ();
-              Listed.emit ~port ?parents ~part ~phase ();
-              None
-            end
-            else Some (Trace.Cause.take ~port, Listed.take ~default ~port))
-          ops
-      in
-      close_activation ();
-      List.for_all (fun (got, expected) -> got = expected) triples)
+(* (a) On the path 0-1, node 0 sends word r in round r, declared with part
+   r: the ARQ holds words 2 and 3 until the previous one is acked, and the
+   frame that carries each word carries its part — also when the link is
+   down in round 1 and word 1 goes out again in round 5. (b) On the path
+   0-1-2, node 1 sends to node 0 in round 1 (frame id 1); in round 2 node
+   0's ack-only frame (id 2) and node 2's data frame (id 3) leave for node
+   1, whose inner program then reads one delivery, caused by frame 3. *)
+let arq_frames_carry_causes () =
+  let down_in_round_1 =
+    {
+      Fault.empty with
+      Fault.edges = [ (0, { Fault.reliable_edge with Fault.down = [ (1, 1) ] }) ];
+    }
+  in
+  List.iter
+    (fun (label, core) ->
+      List.iter
+        (fun (how, plan) ->
+          let events, _ =
+            arq_run ?plan ~core (Generators.path 2)
+              [| [ (1, 1, 1); (2, 1, 2); (3, 1, 3) ]; [] |]
+          in
+          let data_parts =
+            List.filter_map
+              (function Trace.Send { src = 0; part; _ } -> Some part | _ -> None)
+              events
+          in
+          check (Alcotest.list Alcotest.int)
+            (Printf.sprintf "%s, %s: data frames' parts" label how)
+            [ 1; 2; 3 ] data_parts;
+          check Alcotest.bool
+            (Printf.sprintf "%s, %s: word 1 lost in round 1" label how)
+            (plan <> None)
+            (List.mem (Trace.Link_down { round = 1; edge = 0 }) events))
+        [ ("fault-free", None); ("link down in round 1", Some down_in_round_1) ];
+      let _, inner = arq_run ~core (Generators.path 3) [| []; [ (1, 0, 7) ]; [ (2, 1, 8) ] |] in
+      check (Alcotest.list Alcotest.int) (label ^ ": node 1 reads its data frame's id") [ 3 ]
+        inner.(1).read)
+    [ ("reference", None); ("1 domain", Some 1); ("2 domains", Some 2) ]
 
 let props =
   List.map QCheck_alcotest.to_alcotest
-    [ causal_invariants_pa; causal_invariants_bfs; declarations_match_list ]
+    [ causal_invariants_pa; causal_invariants_bfs ]
 
 let suite =
   [
@@ -485,6 +487,6 @@ let suite =
       traffic_unused_edges_not_attributed;
     case "traffic: dropped words not attributed" `Quick
       traffic_excludes_dropped_words;
-    case "declarations: k emits and takes in O(k) words" `Quick declarations_linear;
+    case "ARQ frames carry their inner causes" `Quick arq_frames_carry_causes;
   ]
   @ props

@@ -130,6 +130,73 @@ let sleepy ~pseed ~bw ~nap ~horizon =
     msg_words = (fun m -> 1 + (m mod bw));
   }
 
+(* --- the declaring gossip family ------------------------------------------ *)
+
+(* Gossip that declares its causes, so the cores' parents, parts and
+   phases are compared too. Each step mixes the ids of its deliveries
+   into the state (0 in an untraced run) and picks, by hash, one of:
+   plain sends; plain sends under a step tag and parents (some deliveries'
+   ids), set after the sends on odd rounds; sends declared one by one,
+   with or without parents; or, at bandwidth 2 and up, two declared
+   one-word sends on one port. *)
+let declaring ~pseed ~bw =
+  {
+    Simulator.init =
+      (fun ctx ->
+        let v = ctx.Simulator.node in
+        (mix pseed v, 0, 1 + (mix pseed (v + 13) mod 10)));
+    on_round =
+      (fun ctx (acc, round, stop) mb ->
+        let acc = ref acc in
+        for i = 0 to Simulator.deliveries mb - 1 do
+          acc :=
+            mix !acc
+              (mix (Simulator.port mb i + 1) (Simulator.payload mb i + Simulator.cause mb i))
+        done;
+        let acc = !acc and round = round + 1 in
+        let deg = Array.length ctx.Simulator.neighbors in
+        let start = if deg = 0 then 0 else mix acc (round + 31) mod deg in
+        let fanout = if deg = 0 then 0 else mix acc round mod (min deg 3 + 1) in
+        let declare () =
+          Simulator.tag mb ~part:(mix acc 5 mod 7) ~phase:(Printf.sprintf "step%d" (round mod 3));
+          if mix acc 9 mod 2 = 0 then
+            Simulator.parents mb
+              (List.filter_map
+                 (fun i -> if i mod 2 = 0 then Some (Simulator.cause mb i) else None)
+                 (List.init (Simulator.deliveries mb) Fun.id))
+        in
+        let plain () =
+          for i = 0 to fanout - 1 do
+            Simulator.send mb ((start + i) mod deg) (mix acc (i + 977))
+          done
+        in
+        (match mix acc 73 mod 4 with
+        | 0 -> plain ()
+        | 1 ->
+            if round mod 2 = 0 then declare ();
+            plain ();
+            if round mod 2 = 1 then declare ()
+        | 2 ->
+            for i = 0 to fanout - 1 do
+              let port = (start + i) mod deg and part = mix acc (i + 3) mod 5 in
+              let parents =
+                if i mod 2 = 0 || Simulator.deliveries mb = 0 then None
+                else Some [ Simulator.cause mb (i mod Simulator.deliveries mb) ]
+              in
+              Simulator.emit mb port ?parents ~part ~phase:"emit" (mix acc (i + 977))
+            done
+        | _ ->
+            if deg > 0 && bw >= 2 then begin
+              Simulator.emit mb start ~part:1 ~phase:"first" (bw * mix acc 1);
+              Simulator.emit mb start ~parents:[] ~part:2 ~phase:"second" (bw * mix acc 2)
+            end
+            else plain ());
+        (acc, round, stop));
+    is_halted = (fun (_, round, stop) -> round >= stop);
+    wake = Simulator.always;
+    msg_words = (fun m -> 1 + (m mod bw));
+  }
+
 (* --- generated fault plans --------------------------------------------- *)
 
 let gen_plan seed ~n ~m =
@@ -326,6 +393,29 @@ let diff_sleepy_out_of_rounds =
          outcomes, often with the ceiling inside a skipped stretch. *)
       sharded_agrees ~max_rounds ?plan g
         (sleepy ~pseed:(mix seed 71) ~bw:1 ~nap:20 ~horizon:80))
+
+(* Declared causes — step tags and parents, declared sends, two declared
+   sends on one port — read the same parents, parts and phases on every
+   core, fault-free and under fault plans. *)
+let diff_declared =
+  QCheck.Test.make ~name:"sharded = reference (declared causes)" ~count:60
+    QCheck.(quad (int_bound 100_000) (int_range 2 18) (int_bound 2) QCheck.bool)
+    (fun (seed, n, bw_sel, with_faults) ->
+      let g = random_connected_graph seed ~n ~extra:(n / 2) in
+      let plan = if with_faults then Some (gen_plan seed ~n ~m:(Graph.m g)) else None in
+      let bw = 1 + bw_sel in
+      sharded_agrees ~bandwidth:bw ?plan g (declaring ~pseed:(mix seed 79) ~bw))
+
+(* The same program under [Reliable.wrap] and a generated fault plan: each
+   data frame carries its inner send's declaration, on every
+   retransmission, and each inner delivery the id of its frame. *)
+let diff_declared_reliable =
+  QCheck.Test.make ~name:"sharded = reference (ARQ causes)" ~count:30
+    QCheck.(pair (int_bound 100_000) (int_range 2 12))
+    (fun (seed, n) ->
+      let g = random_connected_graph seed ~n ~extra:(n / 2) in
+      let plan = gen_plan seed ~n ~m:(Graph.m g) in
+      sharded_agrees ~bandwidth:2 ~plan g (Reliable.wrap (declaring ~pseed:(mix seed 83) ~bw:2)))
 
 (* Bipartite construction whose every edge joins the low and the high half
    of the id range: under the core's contiguous shard assignment
@@ -1125,6 +1215,8 @@ let props =
       diff_sleepy_fault_free;
       diff_sleepy_faulty;
       diff_sleepy_out_of_rounds;
+      diff_declared;
+      diff_declared_reliable;
       traffic_matrix_reconciles;
       host_reuse_matches_fresh;
     ]
