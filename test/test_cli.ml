@@ -229,12 +229,12 @@ let expected =
     ("pa/grid/trace+spans", "exit=0 out=e5c3f0b65bf6 s.json=aab3b62e6707 t.json=ec25167e3cfd");
     ("pa/grid/stream+sketch", "exit=0 out=e2ed143cad4c t.jsonl=75da68335800");
     ("pa/grid/par-profile+spans", "exit=0 out=8de129d51a1f pp.json=802283d91475 s.json=ac7db94a6a5c");
-    ("pa/grid/light_loss+trace+spans", "exit=0 out=9155d67d4e8d s.json=e39c5893652f t.json=cc8e01c88210");
-    ("pa/grid/crash_heavy+policy+stream", "exit=0 out=2c473fbc48e6 t.jsonl=f08822a1060a");
+    ("pa/grid/light_loss+trace+spans", "exit=0 out=9155d67d4e8d s.json=ec662c7d9e6c t.json=68ec1ba272f8");
+    ("pa/grid/crash_heavy+policy+stream", "exit=0 out=2c473fbc48e6 t.jsonl=ba6f51c7a05f");
     ("pa/ktree/trace+sketch", "exit=0 out=79d69783b749 t.json=3a0b2875f28f");
-    ("pa/ktree/light_loss+stream", "exit=0 out=780b364e250e t.jsonl=1988c645a896");
+    ("pa/ktree/light_loss+stream", "exit=0 out=780b364e250e t.jsonl=d7b2032d1b4f");
     ("pa/lbg/trace+spans+par-profile", "exit=0 out=35053895ef6d pp.json=40d4770a0c63 s.json=191b3a188aed t.json=1863355d7850");
-    ("pa/lbg/crash_heavy+trace+spans", "exit=0 out=d8d994fe943b s.json=e301c74e8298 t.json=8591da4f88af");
+    ("pa/lbg/crash_heavy+trace+spans", "exit=0 out=d8d994fe943b s.json=bcce2500b19b t.json=0fad4c3971cb");
     ("shortcut/grid", "exit=0 out=4b994be60869");
     ("shortcut/grid/full", "exit=0 out=763db1bd096b");
     ("shortcut/grid/trace+spans", "exit=0 out=c792e6d91f3f s.json=e7d391ab6b99 t.json=e2046553a340");

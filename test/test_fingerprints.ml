@@ -209,12 +209,12 @@ let expected =
     ("sync_bfs/grid8/d1", "r45 m350 w350 l1 res=0c92981a6686 ev=5470307821ac");
     ("pa/grid8/d1", "r401 m1098 w1098 l1 res=a85049aa3a1e ev=5351e8575582");
     ("pa_outcome_raw/grid8/d1", "r401 m986 w986 l1 res=99b555039cd9 ev=1f46b855fdc5");
-    ("pa_outcome_reliable/grid8/d1", "r3240 m2092 w2092 l1 res=78f3115c0601 ev=ccdaa8f09ee8");
+    ("pa_outcome_reliable/grid8/d1", "r3240 m2092 w2092 l1 res=78f3115c0601 ev=04b0c61bfa99");
     ("distributed/grid8/d1", "r45 m350 w350 l1 res=fcc09e56e8e4 ev=dd1b97ea982f");
     ("sync_bfs/grid8/d2", "r45 m350 w350 l1 res=0c92981a6686 ev=5470307821ac");
     ("pa/grid8/d2", "r401 m1098 w1098 l1 res=a85049aa3a1e ev=5351e8575582");
     ("pa_outcome_raw/grid8/d2", "r401 m986 w986 l1 res=99b555039cd9 ev=1f46b855fdc5");
-    ("pa_outcome_reliable/grid8/d2", "r3240 m2092 w2092 l1 res=78f3115c0601 ev=ccdaa8f09ee8");
+    ("pa_outcome_reliable/grid8/d2", "r3240 m2092 w2092 l1 res=78f3115c0601 ev=04b0c61bfa99");
     ("distributed/grid8/d2", "r45 m350 w350 l1 res=fcc09e56e8e4 ev=dd1b97ea982f");
     ("mst_d1/grid8", "p4 r43 m3104 res=946427d571c2 ev=acb252c9a845");
     ("mst_d2/grid8", "p4 r43 m3104 res=946427d571c2 ev=acb252c9a845");
@@ -226,12 +226,12 @@ let expected =
     ("sync_bfs/ktree4_120/d1", "r12 m1178 w1178 l1 res=1e20924659ef ev=ebde8ff45bee");
     ("pa/ktree4_120/d1", "r145 m1531 w1531 l1 res=1f4dec2ac439 ev=ae67287b1ccc");
     ("pa_outcome_raw/ktree4_120/d1", "r145 m1434 w1434 l1 res=50e884ee9c56 ev=38a0e9d6be3d");
-    ("pa_outcome_reliable/ktree4_120/d1", "r1192 m2851 w2851 l1 res=48c4be1d5b21 ev=32ba6124033e");
+    ("pa_outcome_reliable/ktree4_120/d1", "r1192 m2851 w2851 l1 res=48c4be1d5b21 ev=3327f36d9478");
     ("distributed/ktree4_120/d1", "r12 m1178 w1178 l1 res=f5dc0b4f4781 ev=a828c471a9a0");
     ("sync_bfs/ktree4_120/d2", "r12 m1178 w1178 l1 res=1e20924659ef ev=ebde8ff45bee");
     ("pa/ktree4_120/d2", "r145 m1531 w1531 l1 res=1f4dec2ac439 ev=ae67287b1ccc");
     ("pa_outcome_raw/ktree4_120/d2", "r145 m1434 w1434 l1 res=50e884ee9c56 ev=38a0e9d6be3d");
-    ("pa_outcome_reliable/ktree4_120/d2", "r1192 m2851 w2851 l1 res=48c4be1d5b21 ev=32ba6124033e");
+    ("pa_outcome_reliable/ktree4_120/d2", "r1192 m2851 w2851 l1 res=48c4be1d5b21 ev=3327f36d9478");
     ("distributed/ktree4_120/d2", "r12 m1178 w1178 l1 res=f5dc0b4f4781 ev=a828c471a9a0");
     ("mst_d1/ktree4_120", "p4 r22 m7904 res=ceee5ba94b27 ev=f8bdb6894a69");
     ("mst_d2/ktree4_120", "p4 r22 m7904 res=ceee5ba94b27 ev=f8bdb6894a69");
@@ -243,12 +243,12 @@ let expected =
     ("sync_bfs/lbg5_11/d1", "r18 m244 w244 l1 res=476fe9ecb2bb ev=6a299afb538f");
     ("pa/lbg5_11/d1", "r205 m273 w273 l1 res=b59fb4c31ccd ev=3c70e24944c5");
     ("pa_outcome_raw/lbg5_11/d1", "r205 m258 w258 l1 res=8b411a8449bf ev=b6343642a38e");
-    ("pa_outcome_reliable/lbg5_11/d1", "r1672 m592 w592 l1 res=d6579f5c7c53 ev=8ed3d1e7e069");
+    ("pa_outcome_reliable/lbg5_11/d1", "r1672 m592 w592 l1 res=d6579f5c7c53 ev=226266c4de42");
     ("distributed/lbg5_11/d1", "r18 m244 w244 l1 res=50e8763e0791 ev=38a389904832");
     ("sync_bfs/lbg5_11/d2", "r18 m244 w244 l1 res=476fe9ecb2bb ev=6a299afb538f");
     ("pa/lbg5_11/d2", "r205 m273 w273 l1 res=b59fb4c31ccd ev=3c70e24944c5");
     ("pa_outcome_raw/lbg5_11/d2", "r205 m258 w258 l1 res=8b411a8449bf ev=b6343642a38e");
-    ("pa_outcome_reliable/lbg5_11/d2", "r1672 m592 w592 l1 res=d6579f5c7c53 ev=8ed3d1e7e069");
+    ("pa_outcome_reliable/lbg5_11/d2", "r1672 m592 w592 l1 res=d6579f5c7c53 ev=226266c4de42");
     ("distributed/lbg5_11/d2", "r18 m244 w244 l1 res=50e8763e0791 ev=38a389904832");
     ("mst_d1/lbg5_11", "p5 r45 m1993 res=e23dbf73ecbb ev=c5acbbcdd75c");
     ("mst_d2/lbg5_11", "p5 r45 m1993 res=e23dbf73ecbb ev=c5acbbcdd75c");
