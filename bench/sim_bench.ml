@@ -20,13 +20,14 @@
    Allocation words per run are deterministic for a fixed code path,
    which is what makes them CI-gateable where timings are not:
 
-     sim_bench.exe [--quick] [--out PATH] [--check BASELINE.json]
+     sim_bench.exe [--quick] [--out PATH]
 
    --quick     small sizes only, one measured iteration (the CI mode)
    --out       where to write the lcs-bench-simulator/2 report
                (default BENCH_simulator.json)
-   --check     compare minor-heap words per benchmark against a previous
-               report and exit non-zero on a >25% regression *)
+
+   bench_diff.exe gates the report's minor-heap words against a baseline
+   report; CI checks the broadcast ratio on the report itself. *)
 
 open Core
 
@@ -572,79 +573,20 @@ let run_suite ~quick ~iters =
     (selected
        (sync_bfs_entries @ partwise_entries @ faulty_entries @ traced_entries
       @ par_obs_entries @ distributed_entries @ mst_entries));
-  ( Json.Obj
-      [
-        ("schema", Json.String schema);
-        ("mode", Json.String (if quick then "quick" else "full"));
-        ("unit", Json.String "words/run");
-        ("benchmarks", Json.Obj (List.rev !bench_rows));
-        ("broadcast_vs_ref", Json.Obj (List.rev !ratio_rows));
-      ],
-    List.rev !bench_rows,
-    aggregate )
-
-(* --- baseline gate ----------------------------------------------------- *)
-
-(* A regression is a benchmark whose minor-heap words grew more than 25%
-   over the checked-in baseline (with a 4096-word absolute floor so
-   near-zero benches don't trip on constant noise). *)
-let check_against ~baseline_path bench_rows =
-  let contents =
-    let ic = open_in baseline_path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    s
-  in
-  match Json.of_string contents with
-  | Error e ->
-      Printf.eprintf "cannot parse baseline %s: %s\n" baseline_path e;
-      exit 2
-  | Ok doc ->
-      let baseline_minor name =
-        match Json.member "benchmarks" doc with
-        | Some benches -> (
-            match Json.member name benches with
-            | Some b -> (
-                match Json.member "minor_words" b with
-                | Some (Json.Float f) -> Some f
-                | Some (Json.Int i) -> Some (float_of_int i)
-                | _ -> None)
-            | None -> None)
-        | None -> None
-      in
-      let regressions = ref [] in
-      List.iter
-        (fun (name, sample) ->
-          let current =
-            match Json.member "minor_words" sample with
-            | Some (Json.Float f) -> f
-            | _ -> 0.
-          in
-          match baseline_minor name with
-          | None -> Printf.printf "check: %s not in baseline, skipped\n" name
-          | Some base ->
-              if current > (base *. 1.25) +. 4096. then
-                regressions := (name, base, current) :: !regressions
-              else
-                Printf.printf "check: %-20s %10.0f -> %10.0f w (ok)\n" name base current)
-        bench_rows;
-      if !regressions <> [] then begin
-        List.iter
-          (fun (name, base, current) ->
-            Printf.eprintf
-              "ALLOCATION REGRESSION: %s grew %.0f -> %.0f minor words (>25%%)\n" name
-              base current)
-          !regressions;
-        exit 1
-      end
+  Json.Obj
+    [
+      ("schema", Json.String schema);
+      ("mode", Json.String (if quick then "quick" else "full"));
+      ("unit", Json.String "words/run");
+      ("benchmarks", Json.Obj (List.rev !bench_rows));
+      ("broadcast_vs_ref", Json.Obj (List.rev !ratio_rows));
+    ]
 
 (* --- entry point ------------------------------------------------------- *)
 
 let () =
   let quick = ref false in
   let out = ref "BENCH_simulator.json" in
-  let baseline = ref "" in
   let rec parse = function
     | [] -> ()
     | "--quick" :: rest ->
@@ -653,17 +595,14 @@ let () =
     | "--out" :: path :: rest ->
         out := path;
         parse rest
-    | "--check" :: path :: rest ->
-        baseline := path;
-        parse rest
     | arg :: _ ->
-        Printf.eprintf "usage: sim_bench [--quick] [--out PATH] [--check BASELINE]\n";
+        Printf.eprintf "usage: sim_bench [--quick] [--out PATH]\n";
         Printf.eprintf "unknown argument: %s\n" arg;
         exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
   let iters = if !quick then 1 else 3 in
-  let doc, bench_rows, aggregate = run_suite ~quick:!quick ~iters in
+  let doc = run_suite ~quick:!quick ~iters in
   let scaling_json, scaling_gate = run_scaling () in
   let doc =
     match doc with
@@ -675,17 +614,5 @@ let () =
   output_string oc "\n";
   close_out oc;
   Printf.printf "wrote %s\n" !out;
-  (* Gates run only after the report is on disk. *)
-  scaling_gate ();
-  if !baseline <> "" then begin
-    (* Gating mode: the CSR core's headline claim — >= 3x fewer minor-heap
-       words than the reference core on the broadcast macro-bench — is
-       asserted, not just reported. *)
-    if aggregate < 3.0 then begin
-      Printf.eprintf
-        "FAIL: aggregate broadcast allocation ratio %.2fx is below the 3x target\n"
-        aggregate;
-      exit 1
-    end;
-    check_against ~baseline_path:!baseline bench_rows
-  end
+  (* The gate runs only after the report is on disk. *)
+  scaling_gate ()

@@ -97,8 +97,6 @@ val of_json : Lcs_util.Json.t -> (run list, string) result
     naming its index in the array. Lenient towards v1 traces — they
     parse, but yield an empty critical path. *)
 
-val run_to_json : run -> Lcs_util.Json.t
-
 val to_json : run list -> Lcs_util.Json.t
 (** [{"schema": "lcs-analyze/1", "runs": [...]}]. *)
 

@@ -114,9 +114,6 @@ val compile : ?seed:int -> plan -> t
 
 val plan : t -> plan
 
-val edge_profile : t -> int -> edge_faults
-(** The merged fault profile governing an edge id. *)
-
 type loss = Random_loss | Link_is_down
 
 type verdict =

@@ -32,11 +32,6 @@ type config = {
           retransmissions from neighbors still get re-acked *)
 }
 
-val default_config : config
-(** [{rto = 4; rto_max = 32; max_retries = 8; linger = 40}] — [linger]
-    exceeds [rto_max] so a node cannot halt inside a neighbor's
-    retransmission gap. *)
-
 type 'msg frame
 (** Wire format: optional piggybacked ack plus optional (bit, payload). *)
 
@@ -49,9 +44,12 @@ val wrap :
   ?on_dead:(Simulator.ctx -> 'state -> port:int -> 'state) ->
   ('state, 'msg) Simulator.program ->
   (('state, 'msg) state, 'msg frame) Simulator.program
-(** [on_dead ctx st ~port] is applied to the inner state the round a
-    channel is declared dead, before that round's [on_round] step.
-    Raises [Invalid_argument] on a nonsensical [config]. *)
+(** [config] defaults to [{rto = 4; rto_max = 32; max_retries = 8;
+    linger = 40}] — [linger] exceeds [rto_max] so a node cannot halt
+    inside a neighbor's retransmission gap. [on_dead ctx st ~port] is
+    applied to the inner state the round a channel is declared dead,
+    before that round's [on_round] step. Raises [Invalid_argument] on a
+    nonsensical [config]. *)
 
 (** {1 Post-run reporting} *)
 

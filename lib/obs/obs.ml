@@ -1,8 +1,6 @@
 module Json = Lcs_util.Json
 module Stats = Lcs_util.Stats
 module Table = Lcs_util.Table
-module Sketch = Lcs_util.Sketch
-module Domains = Lcs_congest.Par_profile
 
 type value = Int of int | Float of float | Str of string
 

@@ -21,21 +21,6 @@
     raises: a mismatched {!exit} is ignored, an exception inside {!span}
     still closes the span. *)
 
-module Sketch = Lcs_util.Sketch
-(** Bounded-memory streaming summaries (Space-Saving heavy hitters and the
-    relative-accuracy quantile sketch), re-exported so observability
-    consumers find them next to spans and metrics. See
-    {!Lcs_util.Sketch}. *)
-
-module Domains = Lcs_congest.Par_profile
-(** Wall-clock accounting for the sharded multicore simulator — per
-    domain per round step / deliver / barrier times, the cross-shard
-    traffic matrix and the speedup-loss decomposition — re-exported so
-    observability consumers find the parallel-execution dimension next
-    to spans and metrics. See {!Lcs_congest.Par_profile}; pass
-    {!epoch_s} to its [chrome_events] to align the domain tracks with
-    this collector's span tree in one Perfetto timeline. *)
-
 type t
 (** A recording collector: an open-span stack, the completed-span list,
     the metrics registry and the ledger. *)
@@ -147,8 +132,9 @@ val ledger_to_json : t -> Lcs_util.Json.t
 val epoch_s : t -> float
 (** Absolute creation time ([Unix.gettimeofday]) of this collector — the
     zero point of every span's [start_s] and of {!to_chrome_json}'s
-    timestamps. Pass it as [t0] to {!Domains.chrome_events} to merge
-    domain tracks and span tree onto one clock. *)
+    timestamps. Pass it as [t0] to
+    {!Lcs_congest.Par_profile.chrome_events} to merge domain tracks and
+    span tree onto one clock. *)
 
 val to_chrome_json : t -> Lcs_util.Json.t
 (** The span tree as Chrome trace-event JSON (["ph": "X"] complete

@@ -6,10 +6,8 @@ let delays policy rng ~parts ~max_delay =
   | Fifo -> Array.make parts 0
   | Static_order -> Array.init parts (fun i -> i)
 
-let epoch_length ~max_delay = max 1 max_delay
-
 let epochs ~max_delay ~rounds =
-  let len = epoch_length ~max_delay in
+  let len = max 1 max_delay in
   let acc = ref [] in
   let start = ref 1 in
   while !start <= rounds do

@@ -28,14 +28,12 @@ type policy = Random_delay | Fifo | Static_order
 val delays : policy -> Lcs_util.Rng.t -> parts:int -> max_delay:int -> int array
 (** Per-part priorities realizing the policy. *)
 
-val epoch_length : max_delay:int -> int
-(** [max 1 max_delay] — the length of one epoch of the random-delay
-    schedule: the window within which every scheduled start round falls,
-    so analyses treat each epoch as one "shifted copy" of the flooding. *)
-
 val epochs : max_delay:int -> rounds:int -> (int * int) list
 (** Partition rounds [1..rounds] into consecutive inclusive [(first,
-    last)] windows of {!epoch_length} (the final one may be shorter).
+    last)] windows of one epoch of the random-delay schedule, [max 1
+    max_delay] rounds: the window within which every scheduled start round
+    falls, so analyses treat each epoch as one "shifted copy" of the
+    flooding (the final window may be shorter).
     Empty when [rounds = 0]. The observability layer attributes a traced
     run's per-round load curve to these windows. *)
 

@@ -36,8 +36,6 @@ val edges_array : t -> int -> int array
 
 val is_covered : t -> int -> bool
 
-val covered_count : t -> int
-
 val is_partial : t -> bool
 (** True if some part is uncovered. *)
 

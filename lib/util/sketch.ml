@@ -235,29 +235,24 @@ module Quantile = struct
       (lo, lo + (1 lsl shift) - 1)
     end
 
-  let add_many t v c =
+  let add t v =
     if v < 0 then invalid_arg "Sketch.Quantile.add: negative value";
-    if c < 0 then invalid_arg "Sketch.Quantile.add_many: negative count";
-    if c > 0 then begin
-      let i = index t v in
-      if i >= Array.length t.counts then begin
-        let cap = ref (Array.length t.counts) in
-        while i >= !cap do
-          cap := 2 * !cap
-        done;
-        let counts = Array.make !cap 0 in
-        Array.blit t.counts 0 counts 0 t.used;
-        t.counts <- counts
-      end;
-      t.counts.(i) <- t.counts.(i) + c;
-      if i >= t.used then t.used <- i + 1;
-      t.count <- t.count + c;
-      t.sum <- t.sum + (v * c);
-      if v < t.min_v then t.min_v <- v;
-      if v > t.max_v then t.max_v <- v
-    end
-
-  let add t v = add_many t v 1
+    let i = index t v in
+    if i >= Array.length t.counts then begin
+      let cap = ref (Array.length t.counts) in
+      while i >= !cap do
+        cap := 2 * !cap
+      done;
+      let counts = Array.make !cap 0 in
+      Array.blit t.counts 0 counts 0 t.used;
+      t.counts <- counts
+    end;
+    t.counts.(i) <- t.counts.(i) + 1;
+    if i >= t.used then t.used <- i + 1;
+    t.count <- t.count + 1;
+    t.sum <- t.sum + v;
+    if v < t.min_v then t.min_v <- v;
+    if v > t.max_v then t.max_v <- v
   let count t = t.count
   let sum t = t.sum
   let min_value t = if t.count = 0 then 0 else t.min_v

@@ -90,9 +90,6 @@ module Quantile : sig
   val add : t -> int -> unit
   (** Record one occurrence of value [v >= 0]. *)
 
-  val add_many : t -> int -> int -> unit
-  (** [add_many t v c] records [c >= 0] occurrences of [v]. *)
-
   val count : t -> int
   val sum : t -> int
 

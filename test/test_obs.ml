@@ -245,10 +245,10 @@ let summary_to_json_fields () =
       check Alcotest.bool (key ^ " present") true (Json.member key doc <> None))
     [ "count"; "mean"; "stddev"; "min"; "max"; "p50"; "p90"; "p99" ]
 
-(* --- bounded-memory sketches (Obs.Sketch re-export) ---------------------- *)
+(* --- bounded-memory sketches ------------------------------------------------ *)
 
-module Ss = Obs.Sketch.Space_saving
-module Qn = Obs.Sketch.Quantile
+module Ss = Lcs_util.Sketch.Space_saving
+module Qn = Lcs_util.Sketch.Quantile
 
 let exact_counts stream =
   let tbl = Hashtbl.create 16 in
