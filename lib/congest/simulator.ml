@@ -704,10 +704,11 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?flight ?par_p
   in
   let cur_in = ref (inboxes (fst host.lens, fst host.ports) cur_ids) in
   let nxt_in = ref (inboxes (snd host.lens, snd host.ports) nxt_ids) in
-  (* One mailbox per shard, lent to each of its steps in turn. Each domain
-     makes its own before the first round (below), so two shards'
-     mailboxes never share a cache line that both write on every send. *)
-  let mbs = Array.make d (mailbox ()) in
+  (* One mailbox per shard, lent to each of its steps in turn. Shard 0's
+     is made here; every other domain makes its own before the first round
+     (below), so two shards' mailboxes never share a cache line that both
+     write on every send. *)
+  let mbs = Array.make d (make_mailbox ~traced) in
   let budget = host.budget and touched = host.touched in
   let crashed = Array.make (max 1 n) false in
   (* Delayed deliveries in a ring keyed by arrival round mod [ring_span].
@@ -1158,7 +1159,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?flight ?par_p
   let crew = make_crew d in
   let handles = Array.init (d - 1) (fun i -> Domain.spawn (worker crew (i + 1))) in
   Fun.protect ~finally:(fun () -> shutdown crew handles) @@ fun () ->
-  run_phase crew (fun s -> mbs.(s) <- make_mailbox ~traced);
+  run_phase crew (fun s -> if s > 0 then mbs.(s) <- make_mailbox ~traced);
   (match par_profile with None -> () | Some pp -> Par_profile.begin_run pp ~domains:d);
   (* Each shard scans its nodes every round it runs, but steps only the
      due ones: a live node with mail waiting or its wake hint at or
