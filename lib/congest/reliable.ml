@@ -176,7 +176,7 @@ let wrap ?(config = default_config) ?on_dead (inner : ('s, 'm) Simulator.program
                 if Queue.is_empty ps.outq then None
                 else begin
                   let m = Queue.pop ps.outq in
-                  if traced then ps.inflight_decl <- Queue.pop ps.decls;
+                  if Simulator.traced mb then ps.inflight_decl <- Queue.pop ps.decls;
                   ps.inflight <- Some m;
                   ps.sent_at <- s.clock;
                   ps.tries <- 1;
@@ -197,7 +197,7 @@ let wrap ?(config = default_config) ?on_dead (inner : ('s, 'm) Simulator.program
           ps.ack_due <- None;
           match (data, ack) with
           | None, None -> ()
-          | Some _, _ when traced ->
+          | Some _, _ when Simulator.traced mb ->
               let d = ps.inflight_decl in
               Simulator.emit mb port ~parents:d.parents ~part:d.part ~phase:d.phase { ack; data }
           | _ -> Simulator.send mb port { ack; data }

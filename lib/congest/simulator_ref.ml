@@ -141,6 +141,14 @@ let run_outcome ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?faults g progr
   let round_max = ref 0 in
   let out_of_rounds = ref false in
   let mb = Simulator.mailbox () in
+  (* The event of the step's send [i], with its declaration read by index:
+     a [Send], or a [Duplicate] for an extra copy. *)
+  let event i ~copy ~id ~src ~dst ~edge ~words =
+    let parents = Simulator.sent_parents mb i and part = Simulator.sent_part mb i in
+    let phase = Simulator.sent_phase mb i and round = !rounds in
+    if copy then Trace.Duplicate { round; src; dst; edge; words; id; parents; part; phase }
+    else Trace.Send { round; src; dst; edge; words; id; parents; part; phase }
+  in
   (* Every live node steps every round, whatever its wake hint says; a
      step the hint declared asleep is checked instead (see the header). *)
   while !live > 0 && not !out_of_rounds do
@@ -220,18 +228,6 @@ let run_outcome ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?faults g progr
               let w = ctx.neighbors.(port) in
               let back = rev.(v).(port) in
               let edge = ctx.neighbor_edges.(port) in
-              (* The send's event, with its declaration read by index: a
-                 [Send], or a [Duplicate] for an extra copy. *)
-              let event ~copy id =
-                let parents = Simulator.sent_parents mb i and part = Simulator.sent_part mb i in
-                let phase = Simulator.sent_phase mb i and round = !rounds in
-                if copy then
-                  Trace.Duplicate
-                    { round; src = v; dst = w; edge; words = size; id; parents; part; phase }
-                else
-                  Trace.Send
-                    { round; src = v; dst = w; edge; words = size; id; parents; part; phase }
-              in
               match faults with
               | None ->
                   incr messages;
@@ -242,7 +238,7 @@ let run_outcome ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?faults g progr
                     | Some t ->
                         if used > !round_max then round_max := used;
                         let id = fresh_id () in
-                        t (event ~copy:false id);
+                        t (event i ~copy:false ~id ~src:v ~dst:w ~edge ~words:size);
                         id
                   in
                   next_inboxes.(w) <- (back, id, msg) :: next_inboxes.(w)
@@ -285,7 +281,7 @@ let run_outcome ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?faults g progr
                               | Some t ->
                                   if used > !round_max then round_max := used;
                                   let id = fresh_id () in
-                                  t (event ~copy:(copy > 0) id);
+                                  t (event i ~copy:(copy > 0) ~id ~src:v ~dst:w ~edge ~words:size);
                                   if delay > 0 then
                                     t
                                       (Trace.Delayed
