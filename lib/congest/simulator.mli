@@ -107,7 +107,9 @@ val round_cell : unit -> round_cell * (int -> unit)
 
 type 'msg mailbox
 (** One step's view of the network: the messages delivered to the node
-    this round, read by index, and the sends it queues.
+    this round, read by index, and the sends it queues — in a traced run,
+    with each delivery's message id and each send's causal declaration
+    (see "Causes" below).
 
     {b Contract.} Like the {!ctx}, a mailbox is valid only during the
     [on_round] step it is passed to: the core reuses it for the next
