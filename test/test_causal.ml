@@ -412,8 +412,8 @@ let arq_inner sends =
   }
 
 (* The events and final inner states of a traced run of the wrapped
-   program, under [plan] if given, on the reference core or on the core at
-   [d] domains. *)
+   program, under [plan] if given, on the reference core ([core = None]) or
+   on the core at [d] domains ([Some d]). *)
 let arq_run ?plan ~core g sends =
   let recorder = Trace.Recorder.create () in
   let tracer = Trace.Recorder.tracer recorder in

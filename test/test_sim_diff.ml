@@ -406,9 +406,10 @@ let diff_declared =
       let bw = 1 + bw_sel in
       sharded_agrees ~bandwidth:bw ?plan g (declaring ~pseed:(mix seed 79) ~bw))
 
-(* The same program under [Reliable.wrap] and a generated fault plan: each
-   data frame carries its inner send's declaration, on every
-   retransmission, and each inner delivery the id of its frame. *)
+(* The same program under [Reliable.wrap] and a generated fault plan, whose
+   data frames carry the inner sends' declarations and whose inner
+   deliveries read their frames' ids: the cores agree on every causal
+   field, retransmissions and duplicates included. *)
 let diff_declared_reliable =
   QCheck.Test.make ~name:"sharded = reference (ARQ causes)" ~count:30
     QCheck.(pair (int_bound 100_000) (int_range 2 12))
