@@ -16,6 +16,12 @@
     reported by {!dead_links} so callers can downgrade their result to
     [Degraded] rather than hang or lie.
 
+    In a traced run the wrapped protocol reads, for each payload, the
+    message id of the frame that delivered it ({!Simulator.cause}), and
+    the data frame that carries one of its sends carries that send's
+    causal declaration, retransmissions included. An ack-only frame is
+    untagged, its parents every frame its node received that round.
+
     Cost: each in-order delivery needs one data frame and one ack, so a
     fault-free wrapped run takes roughly 2–3× the rounds of the raw
     protocol (plus the [linger] tail); frames carry the inner payload's
