@@ -1381,19 +1381,24 @@ let bcast_cmd =
                 (Report.run_meta ~command:"bcast" ~protocol:"flood.broadcast" ~seed g)
                 path )
     in
-    let tracer = Option.map (fun (_, s) -> Trace.Stream.tracer s) sink in
-    let flight =
-      match sink with
-      | Some (_, s) when every > 0 -> Some (every, Trace.Stream.snapshot s)
-      | _ -> None
-    in
     (* A plain flood pays for no collector: the profile rides only on a
-       run whose stream or profile is written. *)
+       run whose stream or profile is written. It folds the event stream
+       ahead of the stream's own lines, and the flight recorder folds it
+       after them, so each snapshot line follows its round's end. *)
     let stats, profile =
       if trace = None && profile_out = None then (snd (Simulator.run ~domains g program), None)
       else
-        let _states, p = Simulator.run_profiled ~domains ?mode ?flight ?tracer g program in
-        (p.Simulator.base, Some p.Simulator.profile)
+        let profile = Trace.Profile.create ?mode ~edges:(Graph.m g) () in
+        let stream = match sink with Some (_, s) -> [ Trace.Stream.tracer s ] | None -> [] in
+        let flight =
+          match sink with
+          | Some (_, s) when every > 0 ->
+              let bounds = Simulator.shard_bounds ~domains g in
+              [ Trace.Flight.tracer ~every ~bounds profile (Trace.Stream.snapshot s) ]
+          | _ -> []
+        in
+        let tracer = Trace.tee ((Trace.Profile.tracer profile :: stream) @ flight) in
+        (snd (Simulator.run ~domains ~tracer g program), Some profile)
     in
     Printf.printf
       "broadcast: n=%d m=%d — %d rounds, %d messages, %d words, max edge \

@@ -81,13 +81,9 @@ type run = {
 
 val decomposition_total : decomposition -> int
 
-val segment :
-  Lcs_congest.Trace.event list -> Lcs_congest.Trace.event list list
-(** Split a multi-run recording into per-run segments at each
-    [Round_start {round = 1}] (ids restart there). *)
-
 val of_events : Lcs_congest.Trace.event list -> run list
-(** One {!run} per segment, in order. *)
+(** One {!run} per run of a recording, in order: a multi-run recording
+    is split at each [Round_start {round = 1}] (ids restart there). *)
 
 val of_json : Lcs_util.Json.t -> (run list, string) result
 (** Accepts a run-report object carrying an ["events"] array (what

@@ -24,10 +24,6 @@ let degradation = function
   | Complete _ -> None
   | Degraded (_, d) -> Some d
 
-let map f = function
-  | Complete v -> Complete (f v)
-  | Degraded (v, d) -> Degraded (f v, d)
-
 let degradation_to_json d =
   Json.Obj
     [

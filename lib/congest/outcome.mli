@@ -39,7 +39,6 @@ val classify : 'a -> degradation -> 'a t
 val value : 'a t -> 'a
 val is_complete : 'a t -> bool
 val degradation : 'a t -> degradation option
-val map : ('a -> 'b) -> 'a t -> 'b t
 
 val degradation_to_json : degradation -> Lcs_util.Json.t
 

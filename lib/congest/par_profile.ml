@@ -220,9 +220,7 @@ let commit_round t ~round =
 
 let domains t = t.active
 let rounds t = t.nrounds
-let runs t = t.nruns
 let wall_s t = t.wall
-let epoch_s t = t.epoch
 
 let totals t =
   Array.init t.active (fun s ->

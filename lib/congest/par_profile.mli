@@ -101,7 +101,6 @@ val rounds : t -> int
     fast-forwarded (no node due, no message in flight) ran no phase and
     commit no row. *)
 
-val runs : t -> int
 val wall_s : t -> float
 (** Round-loop wall time, summed across runs. *)
 
@@ -164,6 +163,3 @@ val chrome_events : ?t0:float -> t -> Lcs_util.Json.t list
     the collector's creation), so passing the [Obs] collector's epoch
     aligns the domain tracks with the span tree in one timeline. *)
 
-val epoch_s : t -> float
-(** Absolute time ([Unix.gettimeofday]) of [create], the zero point of
-    the timeline offsets. *)

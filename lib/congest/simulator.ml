@@ -329,8 +329,6 @@ type stats = {
   max_edge_load : int;
 }
 
-type profiled_stats = { base : stats; profile : Trace.Profile.t }
-
 type partial = {
   partial_stats : stats;
   unhalted : int list;
@@ -656,8 +654,7 @@ type 'msg pending = {
   p_msg : 'msg;
 }
 
-let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?flight ?par_profile g
-    program =
+let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g program =
   if domains < 1 then invalid_arg "Simulator.run: domains";
   if bandwidth < 1 then invalid_arg "Simulator.run: bandwidth";
   let n = Graph.n g in
@@ -690,7 +687,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?flight ?par_p
   let halted = Array.map program.is_halted states in
   let live = ref (Array.fold_left (fun acc h -> if h then acc else acc + 1) 0 halted) in
   (* Every live node of a program whose hint is [always] is due every
-     round, so the compute loops need not ask. *)
+     round, so the compute loop need not ask. *)
   let always_due = program.wake == always in
   (* Double-buffered inboxes: [cur_in] is read this round, [nxt_in]
      collects deliveries for the next; the references swap at the round
@@ -814,40 +811,6 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?flight ?par_p
     words_s.(s) <- words_s.(s) + !sent_words;
     mb.out_len <- 0
   in
-  (* Step shard [s]'s due nodes of this round in ascending order — live,
-     with mail waiting or the wake hint at or before the round — and drop
-     the late mail of halted ones. *)
-  let phase_compute_fast s =
-    let r = !rounds and cur = !cur_in and mb = mbs.(s) in
-    let stepping = ref 0 in
-    try
-      let stepped = ref 0 in
-      for v = bounds.(s) to bounds.(s + 1) - 1 do
-        let len = Array.unsafe_get cur.len v in
-        if halted.(v) then begin
-          if len > 0 then cur.len.(v) <- 0
-        end
-        else if always_due || len > 0 || program.wake states.(v) <= r then begin
-          stepping := v;
-          incr stepped;
-          lend mb cur v len;
-          let state = program.on_round ctxs.(v) states.(v) mb in
-          states.(v) <- state;
-          if mb.out_len > 0 then send_fast s v mb;
-          if program.is_halted state then begin
-            halted.(v) <- true;
-            live_delta.(s) <- live_delta.(s) - 1
-          end
-        end
-      done;
-      stepped_s.(s) <- !stepped;
-      let base = touched_base.(s) in
-      for i = base to base + ntouched.(s) - 1 do
-        budget.(touched.(i)) <- 0
-      done;
-      ntouched.(s) <- 0
-    with exn -> fail.(s) <- Some (!stepping, exn)
-  in
   let phase_drain t =
     (* Drain in source-shard order: shards are contiguous ascending id
        ranges, so this concatenation IS the ascending-sender send order. *)
@@ -863,16 +826,20 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?flight ?par_p
       cell.ob_len <- 0
     done
   in
-  (* --- serialized path (traced and/or faulty): buffer, then replay ------ *)
-  (* A shard's mailbox keeps every send of the round, step after step, with
-     its causal declaration when traced; the activation records say whose
-     they are. *)
+  (* --- the compute phase ------------------------------------------------- *)
+  (* In a traced or faulty run a shard's mailbox keeps every send of the
+     round, step after step, with its causal declaration when traced; the
+     activation records say whose they are. *)
   let act_node = Array.init d (fun _ -> Vec.create ()) in
   let act_sends = Array.init d (fun _ -> Vec.create ()) in
   let act_halt = Array.init d (fun _ -> Vec.create ()) in
-  (* The serialized twin of [phase_compute_fast]: the same due nodes, in
-     the same order, with their sends kept for the replay. *)
-  let phase_compute_slow s =
+  (* Step shard [s]'s due nodes of this round in ascending order — live,
+     with mail waiting or the wake hint at or before the round — and drop
+     the late mail of halted ones. An untraced, fault-free run delivers
+     each step's sends at once; a traced or faulty one keeps them for the
+     replay, with their settled declarations when traced, and records
+     the activation. *)
+  let phase_compute s =
     let r = !rounds and cur = !cur_in and mb = mbs.(s) in
     let stepping = ref 0 in
     try
@@ -890,17 +857,34 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?flight ?par_p
           let first = mb.out_len in
           let state = program.on_round ctxs.(v) states.(v) mb in
           states.(v) <- state;
-          if traced then settle_declarations mb ~first;
-          let halts = program.is_halted state in
-          if halts then halted.(v) <- true;
-          Vec.push act_node.(s) v;
-          Vec.push act_sends.(s) (mb.out_len - first);
-          Vec.push act_halt.(s) (if halts then 1 else 0)
+          if not serialized then begin
+            if mb.out_len > 0 then send_fast s v mb;
+            if program.is_halted state then begin
+              halted.(v) <- true;
+              live_delta.(s) <- live_delta.(s) - 1
+            end
+          end
+          else begin
+            if traced then settle_declarations mb ~first;
+            let halts = program.is_halted state in
+            if halts then halted.(v) <- true;
+            Vec.push act_node.(s) v;
+            Vec.push act_sends.(s) (mb.out_len - first);
+            Vec.push act_halt.(s) (if halts then 1 else 0)
+          end
         end
       done;
-      stepped_s.(s) <- !stepped
+      stepped_s.(s) <- !stepped;
+      if not serialized then begin
+        let base = touched_base.(s) in
+        for i = base to base + ntouched.(s) - 1 do
+          budget.(touched.(i)) <- 0
+        done;
+        ntouched.(s) <- 0
+      end
     with exn -> fail.(s) <- Some (!stepping, exn)
   in
+  (* --- serialized path (traced and/or faulty): replay at the barrier ----- *)
   (* Deliver into the next round's inboxes, with the causal id when
      traced. *)
   let deliver_next w back id msg =
@@ -1069,14 +1053,13 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?flight ?par_p
      into its own shard's slot (single-writer, merged at the barrier);
      the instrumentation-off arm passes the bare jobs through and
      allocates nothing. *)
-  let compute_job = if serialized then phase_compute_slow else phase_compute_fast in
   let compute_job =
     match par_profile with
-    | None -> compute_job
+    | None -> phase_compute
     | Some pp ->
         fun s ->
           let t0 = Par_profile.now () in
-          compute_job s;
+          phase_compute s;
           Par_profile.set_step pp ~shard:s (Par_profile.now () -. t0);
           Par_profile.set_activations pp ~shard:s stepped_s.(s)
   in
@@ -1089,36 +1072,16 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?flight ?par_p
           phase_drain s;
           Par_profile.set_deliver pp ~shard:s (Par_profile.now () -. t0)
   in
-  (* Flight snapshot at the barrier, after the round's [Round_end]: read
-     each domain's pending-delivery depth off the inboxes the swap just
-     made current (all empty after an idle round). *)
-  let snapshot ~idle =
-    match flight with
-    | Some (every, emit) when every > 0 && !rounds mod every = 0 ->
-        let queues = Array.make d 0 in
-        if not idle then
-          for s = 0 to d - 1 do
-            let depth = ref 0 in
-            for v = bounds.(s) to bounds.(s + 1) - 1 do
-              depth := !depth + (!cur_in).len.(v)
-            done;
-            queues.(s) <- !depth
-          done;
-        emit ~queues ~round:!rounds
-    | _ -> ()
-  in
   (* A round in which no node is due and no message is in flight: nothing
-     steps, but every observer still sees it open and close. *)
+     steps, but the tracer still sees it open and close. *)
   let idle_round () =
     incr rounds;
     (match tracer with
     | None -> ()
     | Some t ->
         t (Trace.Round_start { round = !rounds; live = !live });
-        t (Trace.Round_end { round = !rounds; max_edge_load = 0 }));
-    snapshot ~idle:true
+        t (Trace.Round_end { round = !rounds; max_edge_load = 0 }))
   in
-  let observed = traced || match flight with Some (every, _) -> every > 0 | None -> false in
   (* Messages sent so far in the run. *)
   let sent () =
     if serialized then !messages
@@ -1149,7 +1112,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?flight ?par_p
     let next = next_due !rounds in
     if next > !rounds + 1 then begin
       let last = min (next - 1) max_rounds in
-      if observed then
+      if traced then
         while !rounds < last do
           idle_round ()
         done
@@ -1168,9 +1131,9 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?flight ?par_p
      A fault-free round that sends nothing leaves no message in flight, so
      no node steps before the earliest hint: the loop fast-forwards to it
      (capped at [max_rounds]), still opening and closing each skipped
-     round for the tracer, the profile and the flight recorder. Fault
-     plans keep the loop round by round, because the delayed ring and the
-     crash schedule act on rounds of their own. *)
+     round for the tracer. Fault plans keep the loop round by round,
+     because the delayed ring and the crash schedule act on rounds of
+     their own. *)
   while !live > 0 && not !out_of_rounds do
     if !rounds >= max_rounds then out_of_rounds := true
     else begin
@@ -1243,7 +1206,6 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?flight ?par_p
       (match tracer with
       | None -> ()
       | Some t -> t (Trace.Round_end { round = !rounds; max_edge_load = !round_max }));
-      snapshot ~idle:false;
       let r = !rounds in
       (* A fault-free round that sent nothing leaves nothing in flight, so
          no node is due before the earliest wake hint: skip to it. The
@@ -1306,22 +1268,3 @@ let settle ?faults result =
   in
   let crashed = match faults with None -> [] | Some inj -> Fault.crashed_nodes inj in
   (states, stats, { Outcome.no_degradation with crashed; out_of_rounds; rounds = stats.rounds })
-
-let run_profiled ?(domains = 1) ?(bandwidth = 1) ?(max_rounds = 100_000) ?mode ?flight
-    ?tracer ?faults ?par_profile g program =
-  let profile = Trace.Profile.create ?mode ~edges:(Graph.m g) () in
-  (* The profile is one fold of the run's event stream, ahead of the
-     caller's tracer, so it is the same at every domain count. *)
-  let collect = Trace.Profile.tracer profile in
-  let tracer = match tracer with None -> collect | Some t -> Trace.tee [ collect; t ] in
-  let flight =
-    Option.map
-      (fun (every, emit) ->
-        (every, fun ~queues ~round -> emit (Trace.Flight.of_profile ~queues ~round profile)))
-      flight
-  in
-  let states, base =
-    finished
-      (execute ~domains ~bandwidth ~max_rounds ~tracer ?faults ?flight ?par_profile g program)
-  in
-  (states, { base; profile })

@@ -27,11 +27,12 @@
     the round boundary. A fault-free round that sends no message leaves
     nothing in flight, so no node steps before the earliest wake hint:
     the loop fast-forwards to that round (capped at [max_rounds]).
-    Skipped rounds still count in {!stats}, still emit their
-    [Round_start]/[Round_end] events and {!Trace.Profile} rows, and still
-    get any flight snapshot due; runs with a fault plan advance round by
-    round, because delayed deliveries and crashes act on rounds of their
-    own, but still skip sleeping nodes. A run therefore pays for
+    Skipped rounds still count in {!stats} and still emit their
+    [Round_start]/[Round_end] events, so a collector folding the event
+    stream ({!Trace.Profile}, {!Trace.Flight.tracer}) sees every round;
+    runs with a fault plan advance round by round, because delayed
+    deliveries and crashes act on rounds of their own, but still skip
+    sleeping nodes. A run therefore pays for
     messages, due timers and one allocation-free check per node in the
     rounds it runs, not for [on_round] calls of nodes × rounds. One
     domain is simply one shard: no domain is spawned. Cross-shard
@@ -68,11 +69,11 @@
     rules.
 
     {b When sharding helps.} On large graphs with fault-free, untraced
-    runs — the capacity workload. Tracing (which includes
-    {!run_profiled}) or fault injection serializes the verdict/id/event
-    step at the barrier, and tiny graphs are
-    dominated by barrier latency; both are better run with
-    [domains = 1].
+    runs — the capacity workload. Tracing (which every collector of the
+    event stream needs, a congestion profile included) or fault
+    injection serializes the verdict/id/event step at the barrier, and
+    tiny graphs are dominated by barrier latency; both are better run
+    with [domains = 1].
 
     Runs that raise ([Bandwidth_exceeded], or an exception escaping
     [on_round]) raise the exception of the smallest offending node of
@@ -270,12 +271,6 @@ type stats = {
   max_edge_load : int;  (** max words on one edge-direction in one round *)
 }
 
-type profiled_stats = {
-  base : stats;
-  profile : Trace.Profile.t;
-      (** per-edge / per-round congestion profile of the same run *)
-}
-
 type partial = {
   partial_stats : stats;  (** accounting for the rounds that did run *)
   unhalted : int list;  (** live (non-halted, non-crashed) nodes, ascending *)
@@ -311,7 +306,8 @@ val shard_bounds : domains:int -> Lcs_graph.Graph.t -> int array
     (after clamping — see {!run_outcome}), shard [s] owning nodes
     [bounds.(s) .. bounds.(s+1) - 1]. Balanced by port count, read off
     the graph's CSR row offsets, so dense regions spread across domains.
-    Exposed for tests and diagnostics. *)
+    A collector that reports per shard ({!Trace.Flight.tracer}) takes its
+    bounds from here, with the run's [domains]. *)
 
 type host
 (** What a run builds from its graph alone, kept for the runs after it:
@@ -377,7 +373,9 @@ val run :
     round boundaries, each message with its host edge id, node halts,
     per-round bandwidth high-water marks; when absent the run pays one
     branch per message and allocates nothing, so tracing never perturbs
-    what it observes.
+    what it observes. Collectors are folds of this stream, attached here
+    with {!Trace.tee}: a congestion profile ({!Trace.Profile.tracer}),
+    then a flight recorder reading it ({!Trace.Flight.tracer}).
 
     [faults] (default absent) subjects the network to a compiled
     {!Fault.t}: transmissions may be dropped, duplicated or delayed, links
@@ -403,33 +401,3 @@ val settle :
     (empty without one), [out_of_rounds] and [rounds]. [affected] and
     [unresponsive] are empty: they are the protocol validator's to fill.
     Pass the injector the run used. *)
-
-val run_profiled :
-  ?domains:int ->
-  ?bandwidth:int ->
-  ?max_rounds:int ->
-  ?mode:Trace.Profile.mode ->
-  ?flight:int * (Trace.Flight.snapshot -> unit) ->
-  ?tracer:Trace.tracer ->
-  ?faults:Fault.t ->
-  ?par_profile:Par_profile.t ->
-  Lcs_graph.Graph.t ->
-  ('state, 'msg) program ->
-  'state array * profiled_stats
-(** {!run} with a {!Trace.Profile} collector attached: the extended stats
-    carry the per-edge / per-round congestion profile alongside the four
-    aggregates (the profile's [total_words] equals [base.words]).
-
-    The profile is fed through the tracer: {!Trace.Profile.tracer} folds
-    the run's event stream, teed in ahead of any [tracer] given. A
-    profiled run is therefore a traced run — it replays its sends at the
-    barrier like any other — and its profile is the same at every domain
-    count, in either mode.
-
-    [mode] selects the profile's accounting mode exactly as
-    {!Trace.Profile.create} does (auto-selecting [Sketch] above
-    {!Trace.Profile.sketch_threshold} edges when omitted).
-
-    [flight = (every, emit)] emits a {!Trace.Flight.snapshot} at each
-    [every]-th round barrier, with one pending-delivery queue depth per
-    shard. *)

@@ -34,7 +34,13 @@ type event =
 
 type tracer = event -> unit
 
-let tee tracers event = List.iter (fun t -> t event) tracers
+(* A plain recursion: [List.iter] would allocate a closure per event. *)
+let rec tee tracers event =
+  match tracers with
+  | [] -> ()
+  | t :: rest ->
+      t event;
+      tee rest event
 
 (* Schema v2: send/duplicate events carry a per-run monotone [id], the
    causal [parents] ids, and — only when set — the source's [part] and
@@ -701,6 +707,38 @@ module Flight = struct
       top = Profile.top_edges ~k p;
       queues;
     }
+
+  (* The shard whose range [bounds.(s), bounds.(s + 1)) holds [v]; a node
+     outside every range counts toward the nearest end shard. *)
+  let shard_of bounds v =
+    let rec search lo hi =
+      if hi - lo <= 1 then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if v < bounds.(mid) then search lo mid else search mid hi
+    in
+    search 0 (Array.length bounds - 1)
+
+  (* A delivery is pending at the round's barrier when the round's send or
+     duplicate reached the next round's inbox: every one of them to a live
+     or halted node (a crashed one yields a [Drop] instead), less those a
+     [Delayed] event holds back. *)
+  let tracer ~every ~bounds profile emit =
+    if every < 1 then invalid_arg "Trace.Flight.tracer: every";
+    if Array.length bounds < 2 then invalid_arg "Trace.Flight.tracer: bounds";
+    let queues = Array.make (Array.length bounds - 1) 0 in
+    let count v delta =
+      let s = shard_of bounds v in
+      queues.(s) <- queues.(s) + delta
+    in
+    function
+    | Send { dst; _ } | Duplicate { dst; _ } -> count dst 1
+    | Delayed { dst; _ } -> count dst (-1)
+    | Round_end { round; _ } ->
+        if round mod every = 0 then
+          emit (of_profile ~queues:(Array.copy queues) ~round profile);
+        Array.fill queues 0 (Array.length queues) 0
+    | Round_start _ | Halt _ | Drop _ | Link_down _ | Crash _ -> ()
 end
 
 (* --- Streaming sink / reader --------------------------------------------- *)

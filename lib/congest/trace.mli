@@ -242,10 +242,11 @@ end
 
     Every [N] rounds a snapshot of the run's vital signs (round,
     cumulative words and messages, halt count, current heavy hitters,
-    per-domain queue depths) is emitted; streamed to disk these cost a
+    per-shard queue depths) is emitted; streamed to disk these cost a
     line per sample however long the run, and [lcs_cli top] renders them
-    post hoc. {!Simulator.run_profiled} emits them at its round barrier,
-    with one queue depth per shard. *)
+    post hoc. The recorder is one more fold of the event stream
+    ({!tracer}), so a run records them by teeing it in with the
+    {!Profile} it reads. *)
 module Flight : sig
   type snapshot = {
     round : int;
@@ -267,6 +268,23 @@ module Flight : sig
   (** Read the vital signs out of a profile; [k] (default 10) bounds the
       heavy-hitter list. [queues] defaults to empty: a snapshot read off
       a profile outside any round barrier has no queue depths. *)
+
+  val tracer : every:int -> bounds:int array -> Profile.t -> (snapshot -> unit) -> tracer
+  (** [tracer ~every ~bounds profile emit] folds a run's event stream into
+      snapshots: at the [Round_end] of every [every]-th round it emits
+      [profile]'s vital signs ({!of_profile}) with one queue depth per
+      shard of [bounds], the run's {!Simulator.shard_bounds}. Tee it in
+      after [profile]'s own {!Profile.tracer}, so the profile has seen
+      the round, and after a {!Stream.tracer} whose file also takes the
+      snapshots, so each follows its round's end.
+
+      A shard's depth is the number of deliveries pending for its nodes
+      at the round's barrier: the round's [Send] and [Duplicate] events
+      addressed to them, less its [Delayed] events (a crashed destination
+      yields a [Drop], never a [Send]). Only the split depends on
+      [bounds]: the depths sum to the same count at every domain count.
+      Raises [Invalid_argument] if [every < 1] or [bounds] has fewer than
+      two entries. *)
 end
 
 (** Line-delimited streaming of traces to disk (schema

@@ -26,8 +26,6 @@ let make ~dedup ~n =
 let create ~n = make ~dedup:true ~n
 let create_streaming ~n = make ~dedup:false ~n
 
-let n t = t.n
-
 let key t u v = (u * t.n) + v
 
 let add_edge t u v =

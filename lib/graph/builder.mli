@@ -23,8 +23,6 @@ val create_streaming : n:int -> t
     lives on the OCaml heap. Adding a duplicate anyway makes {!graph}
     raise. *)
 
-val n : t -> int
-
 val add_edge : t -> int -> int -> unit
 (** Idempotent when [dedup] is on. Raises [Invalid_argument] on self-loops
     or out-of-range endpoints. *)

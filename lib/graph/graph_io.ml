@@ -131,12 +131,6 @@ let write_file path contents =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc contents)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* --- binary graphs (schema lcs-graph-bin/1) ---------------------------- *)
 
 (* Layout, all words little-endian int64:
@@ -154,7 +148,9 @@ let read_file path =
    64-bit little-endian platform Unix.map_file hands back graph storage
    directly: read_binary is O(1) copying — five Array1.sub views into one
    mapping. Every value fits in 62 bits (OCaml int), including the magic,
-   whose most significant byte is '\n' = 0x0a. *)
+   whose most significant byte is '\n' = 0x0a. Both reads keep 63 bits of
+   a word, so a set bit 63 would vanish: the validating read checks the
+   raw words' top two bits. *)
 
 let magic = "lcsgrb1\n"
 
@@ -229,7 +225,10 @@ let graph_of_words path words =
   let ends_v = section m in
   Graph.of_csr_unchecked ~n ~m ~row_off ~col_nbr ~col_edge ~ends_u ~ends_v
 
-let read_binary_mmap path =
+let wide_word path i =
+  bad_binary path (Printf.sprintf "word %d has bit 62 or 63 set (values fit in 62 bits)" i)
+
+let read_binary_mmap ~validate path =
   let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
@@ -239,12 +238,22 @@ let read_binary_mmap path =
       (* A private (copy-on-write) mapping: the file can never be mutated
          through the graph, and the mapping outlives the fd, which closes
          right here. *)
-      let arr =
-        Unix.map_file fd Bigarray.int Bigarray.c_layout false [| size / 8 |]
-      in
-      graph_of_words path (Intvec.of_bigarray (Bigarray.array1_of_genarray arr)))
+      let arr = Unix.map_file fd Bigarray.int Bigarray.c_layout false [| size / 8 |] in
+      let g = graph_of_words path (Intvec.of_bigarray (Bigarray.array1_of_genarray arr)) in
+      if validate then begin
+        (* The same file as raw int64 words, whose top bits survive. *)
+        let raw =
+          Bigarray.array1_of_genarray
+            (Unix.map_file fd Bigarray.int64 Bigarray.c_layout false [| size / 8 |])
+        in
+        for i = 0 to Bigarray.Array1.dim raw - 1 do
+          if Int64.shift_right_logical (Bigarray.Array1.unsafe_get raw i) 62 <> 0L then
+            wide_word path i
+        done
+      end;
+      g)
 
-let read_binary_stream path =
+let read_binary_stream ~validate path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
@@ -254,24 +263,29 @@ let read_binary_stream path =
       let total = size / 8 in
       let words = Intvec.make total 0 in
       let chunk = Bytes.create 65_536 in
-      let filled = ref 0 in
+      let filled = ref 0 and first_wide = ref (-1) in
       while !filled < total do
         let want = min (Bytes.length chunk / 8) (total - !filled) in
         really_input ic chunk 0 (8 * want);
         for i = 0 to want - 1 do
-          Intvec.unsafe_set words (!filled + i)
-            (Int64.to_int (Bytes.get_int64_le chunk (8 * i)))
+          let x = Bytes.get_int64_le chunk (8 * i) in
+          if !first_wide < 0 && Int64.shift_right_logical x 62 <> 0L then
+            first_wide := !filled + i;
+          Intvec.unsafe_set words (!filled + i) (Int64.to_int x)
         done;
         filled := !filled + want
       done;
-      graph_of_words path words)
+      (* The header's checks come first, as on the mapped read. *)
+      let g = graph_of_words path words in
+      if validate && !first_wide >= 0 then wide_word path !first_wide;
+      g)
 
 let read_binary ?(mmap = true) ?(validate = false) path =
   let g =
     (* The mapped sections are byte images of little-endian int64s; on a
        big-endian host fall back to the decoding read. *)
-    if mmap && not Sys.big_endian then read_binary_mmap path
-    else read_binary_stream path
+    if mmap && not Sys.big_endian then read_binary_mmap ~validate path
+    else read_binary_stream ~validate path
   in
   if validate then Graph.validate g;
   g

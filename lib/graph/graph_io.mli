@@ -23,9 +23,6 @@ val write_file : string -> string -> unit
 (** [write_file path contents]. Opens in binary mode, so binary payloads
     and pinned line endings survive on every platform. *)
 
-val read_file : string -> string
-(** The whole file, read in binary mode. *)
-
 val write_binary : string -> Graph.t -> unit
 (** [write_binary path g] writes the [lcs-graph-bin/1] image of [g]: an
     8-byte magic ["lcsgrb1\n"], little-endian int64 [n] and [m], then the

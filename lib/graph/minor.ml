@@ -29,8 +29,6 @@ let contract g ~assignment =
       if a >= 0 && b >= 0 && a <> b then Builder.add_edge builder a b);
   Builder.graph builder
 
-let density = Graph.density
-
 let verify g model =
   let n = Graph.n g in
   let owner = Array.make n (-1) in

@@ -24,10 +24,6 @@ val contract : Graph.t -> assignment:int array -> Graph.t
     set is disconnected: such an assignment does not define a minor. The
     check is one O(n + m) pass over all branch sets. *)
 
-val density : Graph.t -> float
-(** [|E|/|V|] of a graph (alias of {!Graph.density}, for readability at
-    minor call sites). *)
-
 val verify : Graph.t -> model -> (unit, string) result
 (** Checks that the model is a genuine minor of the host: branch sets
     non-empty, disjoint, each inducing a connected subgraph, and every

@@ -117,5 +117,3 @@ let grid_rows host ~rows ~cols =
   if Graph.n host <> rows * cols then invalid_arg "Partition.grid_rows: dimensions";
   of_assignment host (Array.init (rows * cols) (fun v -> v / cols))
 
-let pp ppf t =
-  Format.fprintf ppf "partition(k=%d over %a)" (k t) Graph.pp t.host

@@ -58,4 +58,3 @@ val grid_rows : Graph.t -> rows:int -> cols:int -> t
     one part per grid row. Row parts are long thin paths — the classic
     hard partition for part-wise aggregation. *)
 
-val pp : Format.formatter -> t -> unit

@@ -82,6 +82,3 @@ let union a b =
 let total_edge_occurrences t =
   Array.fold_left (fun acc a -> acc + Array.length a) 0 t.edge_sets
 
-let pp ppf t =
-  Format.fprintf ppf "shortcut(k=%d, covered=%d, load=%d)" (k t) (covered_count t)
-    (total_edge_occurrences t)

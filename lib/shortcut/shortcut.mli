@@ -51,4 +51,3 @@ val union : t -> t -> t
 val total_edge_occurrences : t -> int
 (** Sum over parts of [|H_i|]; the communication footprint. *)
 
-val pp : Format.formatter -> t -> unit

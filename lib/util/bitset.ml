@@ -4,8 +4,6 @@ let create capacity =
   if capacity < 0 then invalid_arg "Bitset.create";
   { capacity; words = Bytes.make ((capacity + 7) / 8) '\000'; cardinal = 0 }
 
-let capacity t = t.capacity
-
 let check t i =
   if i < 0 || i >= t.capacity then invalid_arg "Bitset: index out of range"
 

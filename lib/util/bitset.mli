@@ -8,14 +8,12 @@ type t
 val create : int -> t
 (** [create capacity] is the empty set over [0..capacity-1]. *)
 
-val capacity : t -> int
 val mem : t -> int -> bool
 val add : t -> int -> unit
 val remove : t -> int -> unit
 val cardinal : t -> int
 val clear : t -> unit
 val copy : t -> t
-val iter : (int -> unit) -> t -> unit
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val to_list : t -> int list
 (** Ascending order. *)

@@ -40,7 +40,6 @@ let init n f =
   { data; len = n }
 
 let length t = t.len
-let capacity t = Bigarray.Array1.dim t.data
 
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Intvec.get: index out of bounds";
@@ -65,13 +64,9 @@ let push t x =
   Bigarray.Array1.unsafe_set t.data t.len x;
   t.len <- t.len + 1
 
-let clear t = t.len <- 0
-
 let freeze t = { data = t.data; len = t.len }
 
 let of_bigarray data = { data; len = Bigarray.Array1.dim data }
-
-let data t = t.data
 
 let sub_view t ~pos ~len =
   if pos < 0 || len < 0 || pos + len > t.len then
@@ -85,35 +80,10 @@ let sub_array t ~pos ~len =
     invalid_arg "Intvec.sub_array: range out of bounds";
   Array.init len (fun i -> Bigarray.Array1.unsafe_get t.data (pos + i))
 
-let fill t x =
-  if t.len > 0 then Bigarray.Array1.fill (Bigarray.Array1.sub t.data 0 t.len) x
-
 let iter f t =
   for i = 0 to t.len - 1 do
     f (Bigarray.Array1.unsafe_get t.data i)
   done
-
-let iteri f t =
-  for i = 0 to t.len - 1 do
-    f i (Bigarray.Array1.unsafe_get t.data i)
-  done
-
-let fold_left f init t =
-  let acc = ref init in
-  for i = 0 to t.len - 1 do
-    acc := f !acc (Bigarray.Array1.unsafe_get t.data i)
-  done;
-  !acc
-
-let equal a b =
-  a.len = b.len
-  &&
-  let rec go i =
-    i >= a.len
-    || Bigarray.Array1.unsafe_get a.data i = Bigarray.Array1.unsafe_get b.data i
-       && go (i + 1)
-  in
-  go 0
 
 (* In-place quicksort of [key] over [pos, pos+len), carrying [aux] through
    the same permutation. Median-of-three pivots and recursion on the

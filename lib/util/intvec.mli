@@ -26,8 +26,6 @@ val init : int -> (int -> int) -> t
 
 val length : t -> int
 
-val capacity : t -> int
-
 val get : t -> int -> int
 (** Bounds-checked against {!length}. *)
 
@@ -41,9 +39,6 @@ val unsafe_set : t -> int -> int -> unit
 val push : t -> int -> unit
 (** Amortized O(1); doubles the payload when full. *)
 
-val clear : t -> unit
-(** Length to 0; keeps the payload. *)
-
 val freeze : t -> t
 (** A fixed snapshot sharing the payload: later pushes to the source are
     invisible to it (they write beyond its length or reallocate). *)
@@ -51,9 +46,6 @@ val freeze : t -> t
 val of_bigarray : payload -> t
 (** Wrap an existing payload (e.g. an [mmap]ed file section) without
     copying; length = dimension. *)
-
-val data : t -> payload
-(** The raw payload; only the first {!length} entries are meaningful. *)
 
 val sub_view : t -> pos:int -> len:int -> t
 (** O(1) view sharing the payload. *)
@@ -63,17 +55,7 @@ val to_array : t -> int array
 val sub_array : t -> pos:int -> len:int -> int array
 (** Fresh heap array of the given range. *)
 
-val fill : t -> int -> unit
-(** Fill the first {!length} entries. *)
-
 val iter : (int -> unit) -> t -> unit
-
-val iteri : (int -> int -> unit) -> t -> unit
-
-val fold_left : ('a -> int -> 'a) -> 'a -> t -> 'a
-
-val equal : t -> t -> bool
-(** Same length and contents. *)
 
 val sort2 : t -> t -> pos:int -> len:int -> unit
 (** [sort2 key aux ~pos ~len] sorts [key.(pos..pos+len-1)] ascending in

@@ -242,5 +242,3 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
-let to_int = function Int i -> Some i | _ -> None
-let to_list = function List items -> Some items | _ -> None

@@ -34,5 +34,3 @@ val member : string -> t -> t option
 (** [member key (Obj fields)] is the first binding of [key], if any;
     [None] on non-objects. *)
 
-val to_int : t -> int option
-val to_list : t -> t list option

@@ -55,10 +55,6 @@ let uniform01 t =
   let r = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float r *. 0x1.0p-53
 
-let float t bound =
-  if bound <= 0. then invalid_arg "Rng.float: bound must be positive";
-  uniform01 t *. bound
-
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let bernoulli t p =

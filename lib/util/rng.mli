@@ -25,9 +25,6 @@ val bits64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Requires [bound > 0]. *)
 
-val float : t -> float -> float
-(** [float t bound] is uniform in [\[0, bound)]. Requires [bound > 0.]. *)
-
 val bool : t -> bool
 (** Fair coin. *)
 

@@ -739,6 +739,42 @@ let graph_io_mmap_matches_heap () =
             (Graph.find_edge m v u))
         (Graph.edges h))
 
+(* Every word of an lcs-graph-bin/1 file fits in 62 bits, but both reads
+   keep only 63 bits of a word: a validating read must refuse a word with
+   bit 62 or 63 set, naming it, on the mapped and the decoding path. *)
+let graph_io_wide_word_refused () =
+  let g = Generators.grid ~rows:4 ~cols:4 in
+  (* header, 17 row offsets, 48 neighbor ids: the first edge id *)
+  let word = 3 + 17 + 48 in
+  List.iter
+    (fun bit ->
+      with_temp_bin (fun path ->
+          Graph_io.write_binary path g;
+          let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+          let b = Bytes.create 8 in
+          ignore (Unix.lseek fd (8 * word) Unix.SEEK_SET);
+          ignore (Unix.read fd b 0 8);
+          Bytes.set_int64_le b 0
+            (Int64.logor (Bytes.get_int64_le b 0) (Int64.shift_left 1L bit));
+          ignore (Unix.lseek fd (8 * word) Unix.SEEK_SET);
+          ignore (Unix.write fd b 0 8);
+          Unix.close fd;
+          List.iter
+            (fun mmap ->
+              let refused =
+                match Graph_io.read_binary ~mmap ~validate:true path with
+                | _ -> "accepted"
+                | exception Invalid_argument msg -> msg
+              in
+              check Alcotest.string
+                (Printf.sprintf "bit %d, mmap=%b" bit mmap)
+                (Printf.sprintf
+                   "Graph_io.read_binary: %s: word %d has bit 62 or 63 set (values fit in 62 bits)"
+                   path word)
+                refused)
+            [ true; false ]))
+    [ 62; 63 ]
+
 (* Streaming a family through its Stream emitter and building it eagerly
    from the same seed must give the same graph — the emitters are the
    eager constructors' substrate, and the RNG draw order is part of the
@@ -915,6 +951,7 @@ let suite =
     case "graph io: dot" `Quick graph_io_dot;
     case "graph io: rejects garbage" `Quick graph_io_rejects_garbage;
     case "graph io: mmap = heap accessors" `Quick graph_io_mmap_matches_heap;
+    case "graph io: words over 62 bits refused" `Quick graph_io_wide_word_refused;
     case "generators: stream = eager" `Quick generators_stream_matches_eager;
     case "lower bound: structure" `Quick lower_bound_structure;
     case "lower bound: diameter/density" `Quick lower_bound_diameter_and_density;

@@ -454,9 +454,10 @@ let write_file path s =
    (125) or succeed. In argv and substring, [PLAN] stands for a fault
    plan with a JSON syntax error, [TXT] for an edge list with an endpoint
    out of range, [TRUNC] for a truncated lcs-graph-bin/1 file, [OFFSET]
-   for a 4x4 grid's binary file with one row offset set to 10^9, and
-   [NOM] for a trace stream whose header lacks "n" and "m" and whose
-   send has edge id 10^7. *)
+   for a 4x4 grid's binary file with one row offset set to 10^9, [BIT63]
+   for the same file with bit 63 of its first edge-id word (word 68) set,
+   which a 63-bit read would drop, and [NOM] for a trace stream whose
+   header lacks "n" and "m" and whose send has edge id 10^7. *)
 let cli_rejects_malformed_input () =
   let temp name suffix contents =
     let path = Filename.temp_file name suffix in
@@ -476,6 +477,15 @@ let cli_rejects_malformed_input () =
     Bytes.set_int64_le b (8 * (3 + 3)) 1_000_000_000L;
     Bytes.to_string b
   in
+  let bit63 =
+    let b = Bytes.of_string grid_bin in
+    (* header, 17 row offsets, 48 neighbor ids: the first edge id *)
+    let word = 3 + 17 + 48 in
+    let edge_id = Bytes.get_int64_le b (8 * word) in
+    (* [Int64.min_int] is bit 63 alone *)
+    Bytes.set_int64_le b (8 * word) (Int64.logor edge_id Int64.min_int);
+    Bytes.to_string b
+  in
   let files =
     [
       ( "NOM",
@@ -491,6 +501,7 @@ let cli_rejects_malformed_input () =
       ("TXT", temp "lcs_bad_graph" ".txt" "3 2\n0 1\n1 7\n");
       ("TRUNC", temp "lcs_trunc" ".bin" (String.sub grid_bin 0 100));
       ("OFFSET", temp "lcs_offset" ".bin" offset);
+      ("BIT63", temp "lcs_bit63" ".bin" bit63);
     ]
   in
   let subst a = Option.value ~default:a (List.assoc_opt a files) in
@@ -525,6 +536,7 @@ let cli_rejects_malformed_input () =
       ("graph info TXT", 2, "TXT");
       ("graph info TRUNC", 2, "TRUNC");
       ("graph info OFFSET", 2, "OFFSET");
+      ("graph info BIT63", 2, "word 68");
       ("shards OFFSET", 2, "OFFSET");
       ("graph convert OFFSET -o /dev/null", 2, "OFFSET");
       ("top NOM", 1, "\"m\"");

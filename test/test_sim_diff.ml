@@ -642,62 +642,122 @@ let profile_bytes_across_domains () =
   check_case "fault-free" ();
   check_case "faulty" ~plan:(gen_plan 4242 ~n:24 ~m:(Graph.m g)) ()
 
-(* The profiled entry point: its profile, one fold of the run's event
+(* A profiled run on the core, as `lcs bcast` makes one: the congestion
+   profile and, when [every] is given, the flight recorder, both folds of
+   the run's event stream, teed into the run with the recorder after the
+   profile it reads. Returns the result, the profile and the snapshots in
+   order. *)
+let profiled ~domains ?bandwidth ?max_rounds ?mode ?faults ?every g program =
+  let profile = Trace.Profile.create ?mode ~edges:(Graph.m g) () in
+  let snaps = ref [] in
+  let flight =
+    match every with
+    | None -> []
+    | Some every ->
+        [
+          Trace.Flight.tracer ~every
+            ~bounds:(Simulator.shard_bounds ~domains g)
+            profile
+            (fun s -> snaps := s :: !snaps);
+        ]
+  in
+  let tracer = Trace.tee (Trace.Profile.tracer profile :: flight) in
+  let result =
+    Simulator.run_outcome ~domains ?bandwidth ?max_rounds ~tracer ?faults g program
+  in
+  (result, profile, List.rev !snaps)
+
+let snapshot_vitals (s : Trace.Flight.snapshot) =
+  Trace.Flight.(s.round, s.words, s.messages, s.halted, s.top)
+
+(* The oracle's side of a flight recording: its profile's vital signs at
+   every [every]-th [Round_end], and per round the deliveries its stream
+   leaves pending for each shard of [bounds] at the barrier — the round's
+   sends and duplicates that no [Delayed] event follows. The recorder
+   subtracts a delay; this reads the event that comes next instead. *)
+let oracle_flight ~every ~bounds profile =
+  let snaps = ref [] and pending = Hashtbl.create 16 in
+  let last = ref None in
+  let shard v =
+    let s = ref 0 in
+    while v >= bounds.(!s + 1) do
+      incr s
+    done;
+    !s
+  in
+  let settle () =
+    match !last with
+    | Some (round, dst) ->
+        let q =
+          match Hashtbl.find_opt pending round with
+          | Some q -> q
+          | None ->
+              let q = Array.make (Array.length bounds - 1) 0 in
+              Hashtbl.replace pending round q;
+              q
+        in
+        q.(shard dst) <- q.(shard dst) + 1;
+        last := None
+    | None -> ()
+  in
+  let tracer ev =
+    Trace.Profile.tracer profile ev;
+    match ev with
+    | Trace.Delayed _ -> last := None
+    | Trace.Send { round; dst; _ } | Trace.Duplicate { round; dst; _ } ->
+        settle ();
+        last := Some (round, dst)
+    | Trace.Round_end { round; _ } ->
+        settle ();
+        if round mod every = 0 then
+          snaps := snapshot_vitals (Trace.Flight.of_profile ~round profile) :: !snaps
+    | _ -> settle ()
+  in
+  let queues round =
+    match Hashtbl.find_opt pending round with
+    | Some q -> q
+    | None -> Array.make (Array.length bounds - 1) 0
+  in
+  (tracer, (fun () -> List.rev !snaps), queues)
+
+(* The profile and the flight recorder, folded from the core's event
    stream, must reproduce the oracle's exactly — byte-identical profile
-   JSON, identical states, and flight snapshots whose vitals match the
-   oracle's profile at the same rounds. Each snapshot carries one
-   queue depth per shard, and the depths sum to the deliveries pending at
-   that barrier — the messages sent in the snapshot round, which do not
-   depend on sharding. *)
-let run_profiled_parallel_bytes () =
+   JSON, identical states, and snapshots whose vitals match the oracle's
+   profile at the same rounds. Each snapshot carries one queue depth per
+   shard, each the deliveries pending for that shard's nodes at the
+   barrier — here the messages sent in the snapshot round. *)
+let profile_and_flight_fold () =
   let g = random_connected_graph 777 ~n:32 ~extra:20 in
   let program = gossip ~pseed:97 ~bw:2 in
   let every = 2 in
-  let vitals (s : Trace.Flight.snapshot) =
-    Trace.Flight.(s.round, s.words, s.messages, s.halted, s.top)
-  in
-  let oracle_profile = Trace.Profile.create ~edges:(Graph.m g) () in
-  let oracle_snaps = ref [] and sent = Hashtbl.create 16 in
-  let tracer ev =
-    Trace.Profile.tracer oracle_profile ev;
-    match ev with
-    | Trace.Send { round; _ } ->
-        Hashtbl.replace sent round (1 + Option.value ~default:0 (Hashtbl.find_opt sent round))
-    | Trace.Round_end { round; _ } when round mod every = 0 ->
-        oracle_snaps := Trace.Flight.of_profile ~round oracle_profile :: !oracle_snaps
-    | _ -> ()
-  in
-  let oracle_states, _ = Simulator_ref.run ~bandwidth:2 ~tracer g program in
-  let oracle_json = Json.to_string (Trace.Profile.to_json oracle_profile) in
-  let oracle_vitals = List.rev_map vitals !oracle_snaps in
   List.iter
     (fun d ->
-      let snaps = ref [] in
-      let states, stats =
-        Simulator.run_profiled ~domains:d ~bandwidth:2
-          ~flight:(every, fun s -> snaps := s :: !snaps)
-          g program
+      let label what = Printf.sprintf "%s, domains=%d" what d in
+      let oracle_profile = Trace.Profile.create ~edges:(Graph.m g) () in
+      let tracer, oracle_snaps, queues =
+        oracle_flight ~every ~bounds:(Simulator.shard_bounds ~domains:d g) oracle_profile
       in
-      let snaps = List.rev !snaps in
-      check Alcotest.bool (Printf.sprintf "states equal, domains=%d" d) true
-        (states = oracle_states);
-      check Alcotest.string (Printf.sprintf "profile bytes, domains=%d" d) oracle_json
-        (Json.to_string (Trace.Profile.to_json stats.Simulator.profile));
-      check Alcotest.bool (Printf.sprintf "flight vitals equal, domains=%d" d) true
-        (List.map vitals snaps = oracle_vitals);
+      let oracle_states, _ = Simulator_ref.run ~bandwidth:2 ~tracer g program in
+      let result, profile, snaps = profiled ~domains:d ~bandwidth:2 ~every g program in
+      (match result with
+      | Simulator.Finished (states, _) ->
+          check Alcotest.bool (label "states equal") true (states = oracle_states)
+      | Simulator.Out_of_rounds _ -> Alcotest.fail "expected Finished");
+      check Alcotest.string (label "profile bytes")
+        (Json.to_string (Trace.Profile.to_json oracle_profile))
+        (Json.to_string (Trace.Profile.to_json profile));
+      check Alcotest.bool (label "flight recorder fired") true (oracle_snaps () <> []);
+      check Alcotest.bool (label "flight vitals equal") true
+        (List.map snapshot_vitals snaps = oracle_snaps ());
       List.iter
         (fun (s : Trace.Flight.snapshot) ->
           let r = s.Trace.Flight.round in
-          check Alcotest.int
-            (Printf.sprintf "one queue per shard, round %d, domains=%d" r d)
-            d (Array.length s.Trace.Flight.queues);
-          check Alcotest.int
-            (Printf.sprintf "queue sum = pending deliveries, round %d, domains=%d" r d)
-            (Option.value ~default:0 (Hashtbl.find_opt sent r))
-            (Array.fold_left ( + ) 0 s.Trace.Flight.queues))
+          let at what = label (Printf.sprintf "%s, round %d" what r) in
+          check Alcotest.int (at "one queue per shard") d (Array.length s.Trace.Flight.queues);
+          check Alcotest.(array int) (at "queues = pending deliveries") (queues r)
+            s.Trace.Flight.queues)
         snaps)
     [ 1; 2; 4 ];
-  check Alcotest.bool "flight recorder actually fired" true (oracle_vitals <> []);
   (* A sketch's evictions depend on the order it is fed, so a Sketch-mode
      profile equals the oracle's stream-fed one — eviction tally included —
      only if it folds the same stream, at every domain count. *)
@@ -707,12 +767,73 @@ let run_profiled_parallel_bytes () =
   let sketched = Json.to_string (Trace.Profile.to_json sketched) in
   List.iter
     (fun d ->
-      let _, stats = Simulator.run_profiled ~domains:d ~bandwidth:2 ~mode g program in
+      let _, profile, _ = profiled ~domains:d ~bandwidth:2 ~mode g program in
       check Alcotest.string
         (Printf.sprintf "sketched profile bytes, domains=%d" d)
         sketched
-        (Json.to_string (Trace.Profile.to_json stats.Simulator.profile)))
+        (Json.to_string (Trace.Profile.to_json profile)))
     [ 1; 2; 4 ]
+
+(* The flight recorder under a fault plan that drops, duplicates, delays
+   and crashes: each snapshot has one queue per shard, vitals equal to the
+   oracle's profile at that round, and per shard the deliveries the
+   oracle's stream leaves pending at the barrier — sends and duplicates
+   that no [Delayed] event follows, a crashed destination's traffic
+   being a [Drop]. *)
+let flight_under_faults () =
+  let g = random_connected_graph 2718 ~n:24 ~extra:14 in
+  let program = gossip ~pseed:1618 ~bw:2 in
+  let every = 1 in
+  let plan =
+    {
+      Fault.seed = 41;
+      default = { Fault.reliable_edge with drop = 0.15; duplicate = 0.2; reorder = 0.2 };
+      edges =
+        [
+          (0, { Fault.reliable_edge with delay = 2 });
+          (3, { Fault.reliable_edge with delay = 1 });
+        ];
+      crashes = [ { Fault.node = 5; round = 2 }; { Fault.node = 17; round = 4 } ];
+    }
+  in
+  List.iter
+    (fun d ->
+      let label what = Printf.sprintf "%s, domains=%d" what d in
+      let bounds = Simulator.shard_bounds ~domains:d g in
+      let oracle_profile = Trace.Profile.create ~edges:(Graph.m g) () in
+      let recorder = Trace.Recorder.create () in
+      let flight, oracle_snaps, queues = oracle_flight ~every ~bounds oracle_profile in
+      ignore
+        (Simulator_ref.run_outcome ~bandwidth:2
+           ~tracer:(Trace.tee [ flight; Trace.Recorder.tracer recorder ])
+           ~faults:(Fault.compile plan) g program);
+      let events = Trace.Recorder.events recorder in
+      List.iter
+        (fun (kind, seen) ->
+          check Alcotest.bool (label ("the plan fires: " ^ kind)) true (List.exists seen events))
+        [
+          ("drop", function Trace.Drop _ -> true | _ -> false);
+          ("duplicate", function Trace.Duplicate _ -> true | _ -> false);
+          ("delayed", function Trace.Delayed _ -> true | _ -> false);
+          ("crash", function Trace.Crash _ -> true | _ -> false);
+        ];
+      let _, profile, snaps =
+        profiled ~domains:d ~bandwidth:2 ~faults:(Fault.compile plan) ~every g program
+      in
+      check Alcotest.string (label "profile bytes")
+        (Json.to_string (Trace.Profile.to_json oracle_profile))
+        (Json.to_string (Trace.Profile.to_json profile));
+      check Alcotest.bool (label "flight vitals") true
+        (List.map snapshot_vitals snaps = oracle_snaps ());
+      List.iter
+        (fun (s : Trace.Flight.snapshot) ->
+          let r = s.Trace.Flight.round in
+          let at what = label (Printf.sprintf "%s, round %d" what r) in
+          check Alcotest.int (at "one queue per shard") d (Array.length s.Trace.Flight.queues);
+          check Alcotest.(array int) (at "queues = pending deliveries") (queues r)
+            s.Trace.Flight.queues)
+        snaps)
+    (1 :: domain_counts)
 
 (* Crash-at-round of a node whose pending delayed deliveries originate in
    a DIFFERENT shard: for each swept domain count, the sender sits just
@@ -819,7 +940,7 @@ let napping =
 
 (* A ceiling inside a skipped stretch: the traced run (events and
    Exact-mode profile bytes), the untraced run, and a profiled run with
-   flight snapshots must all reproduce the oracle — the partial payload
+   a flight recorder must all reproduce the oracle — the partial payload
    included — at every domain count. The finished run's profile and
    snapshots must match too, and the collector must show the skipping:
    far fewer activations than live node-rounds, and fewer committed
@@ -835,23 +956,6 @@ let skipped_rounds_observed () =
     let result = run ~tracer in
     (result, Trace.Recorder.events recorder, Json.to_string (Trace.Profile.to_json profile))
   in
-  let vitals (s : Trace.Flight.snapshot) =
-    Trace.Flight.(s.round, s.words, s.messages, s.halted, s.top)
-  in
-  (* The oracle's snapshots: its profile at every [every]-th Round_end. *)
-  let oracle_flight ?max_rounds () =
-    let profile = Trace.Profile.create ~mode:Trace.Profile.Exact ~edges:(Graph.m g) () in
-    let snaps = ref [] in
-    let tracer ev =
-      Trace.Profile.tracer profile ev;
-      match ev with
-      | Trace.Round_end { round; _ } when round mod every = 0 ->
-          snaps := vitals (Trace.Flight.of_profile ~round profile) :: !snaps
-      | _ -> ()
-    in
-    ignore (Simulator_ref.run_outcome ?max_rounds ~tracer g napping);
-    (List.rev !snaps, Json.to_string (Trace.Profile.to_json profile))
-  in
   let oracle_result, oracle_events, oracle_profile =
     traced (fun ~tracer -> Simulator_ref.run_outcome ~max_rounds:ceiling ~tracer g napping)
   in
@@ -861,8 +965,6 @@ let skipped_rounds_observed () =
   | Simulator.Finished _ -> Alcotest.fail "expected Out_of_rounds");
   check Alcotest.bool "skipped rounds still traced" true
     (List.exists (function Trace.Round_start { round = 30; _ } -> true | _ -> false) oracle_events);
-  let oracle_snaps, _ = oracle_flight ~max_rounds:ceiling () in
-  let full_snaps, full_profile = oracle_flight () in
   List.iter
     (fun d ->
       let label what = Printf.sprintf "%s, domains=%d" what d in
@@ -875,31 +977,42 @@ let skipped_rounds_observed () =
       check Alcotest.string (label "profile bytes") oracle_profile p;
       check Alcotest.bool (label "untraced partial payload") true
         (same_result (Simulator.run_outcome ~domains:d ~max_rounds:ceiling g napping) oracle_result);
-      let snaps = ref [] in
-      (match
-         Simulator.run_profiled ~domains:d ~max_rounds:ceiling
-           ~flight:(every, fun s -> snaps := s :: !snaps)
-           g napping
-       with
-      | _ -> Alcotest.fail "expected Round_limit"
-      | exception Simulator.Round_limit r -> check Alcotest.int (label "Round_limit") ceiling r);
-      let snaps = List.rev !snaps in
-      check Alcotest.bool (label "flight vitals (Out_of_rounds)") true
-        (List.map vitals snaps = oracle_snaps);
-      List.iter
-        (fun (s : Trace.Flight.snapshot) ->
-          check Alcotest.int (label "one queue per shard") d (Array.length s.Trace.Flight.queues))
-        snaps;
-      let snaps = ref [] in
-      let _, stats =
-        Simulator.run_profiled ~domains:d ~mode:Trace.Profile.Exact
-          ~flight:(every, fun s -> snaps := s :: !snaps)
-          g napping
+      (* The profile and flight folds, capped and finished: the oracle's
+         profile bytes, snapshot vitals and pending deliveries, skipped
+         rounds included. *)
+      let folds_agree ?max_rounds what =
+        let label what' = label (Printf.sprintf "%s (%s)" what' what) in
+        let oracle_profile =
+          Trace.Profile.create ~mode:Trace.Profile.Exact ~edges:(Graph.m g) ()
+        in
+        let tracer, oracle_snaps, queues =
+          oracle_flight ~every ~bounds:(Simulator.shard_bounds ~domains:d g) oracle_profile
+        in
+        ignore (Simulator_ref.run_outcome ?max_rounds ~tracer g napping);
+        let result, profile, snaps =
+          profiled ~domains:d ?max_rounds ~mode:Trace.Profile.Exact ~every g napping
+        in
+        check Alcotest.string (label "profile bytes")
+          (Json.to_string (Trace.Profile.to_json oracle_profile))
+          (Json.to_string (Trace.Profile.to_json profile));
+        check Alcotest.bool (label "flight vitals") true
+          (List.map snapshot_vitals snaps = oracle_snaps ());
+        List.iter
+          (fun (s : Trace.Flight.snapshot) ->
+            check Alcotest.int (label "one queue per shard") d (Array.length s.Trace.Flight.queues);
+            check Alcotest.(array int) (label "queues = pending deliveries")
+              (queues s.Trace.Flight.round) s.Trace.Flight.queues)
+          snaps;
+        result
       in
-      check Alcotest.string (label "finished profile bytes") full_profile
-        (Json.to_string (Trace.Profile.to_json stats.Simulator.profile));
-      check Alcotest.bool (label "flight vitals (finished)") true
-        (List.rev_map vitals !snaps = full_snaps);
+      (match folds_agree ~max_rounds:ceiling "Out_of_rounds" with
+      | Simulator.Out_of_rounds (_, p) ->
+          check Alcotest.int (label "profiled run stops at the ceiling") ceiling
+            p.Simulator.partial_stats.Simulator.rounds
+      | Simulator.Finished _ -> Alcotest.fail "expected Out_of_rounds");
+      (match folds_agree "finished" with
+      | Simulator.Finished _ -> ()
+      | Simulator.Out_of_rounds _ -> Alcotest.fail "expected Finished");
       let pp = Par_profile.create () in
       let _, stats = Simulator.run ~domains:d ~par_profile:pp g napping in
       let acts =
@@ -1228,7 +1341,8 @@ let suite =
     case "step exception parity" `Quick step_exception_parity;
     case "crash purges delayed deliveries" `Quick crash_purges_delayed;
     case "profile bytes identical across domains" `Quick profile_bytes_across_domains;
-    case "run_profiled = fold, any domain count" `Quick run_profiled_parallel_bytes;
+    case "profile and flight folds = the oracle" `Quick profile_and_flight_fold;
+    case "flight queues under faults" `Quick flight_under_faults;
     case "cross-shard crash purges foreign deliveries" `Quick cross_shard_crash_purge;
     case "par_profile attach is observable-transparent" `Quick par_profile_transparent;
     case "domain-count clamp is one constant" `Quick clamp_unified;

@@ -84,13 +84,14 @@ let profile_totals_match_stats () =
      in
      sorted top)
 
-let run_profiled_extends_stats () =
+let profiled_convergecast () =
   let g = Generators.grid ~rows:6 ~cols:6 in
   let tree = Bfs.tree g ~root:0 in
   let info = Tree_info.of_tree g tree in
   let values = Array.init (Graph.n g) (fun v -> v) in
   let program_total, plain = Convergecast.run g info ~values ~combine:( + ) in
-  (* Same protocol through run_profiled: identical stats plus a profile. *)
+  (* The same run with a profile folding its event stream: identical
+     stats, and profile words = stats words. *)
   let profile = Trace.Profile.create ~edges:(Graph.m g) () in
   let total, stats =
     Convergecast.run ~tracer:(Trace.Profile.tracer profile) g info ~values
@@ -100,29 +101,6 @@ let run_profiled_extends_stats () =
   check Alcotest.bool "same stats" true (stats_equal plain stats);
   check Alcotest.int "profile matches words" stats.Simulator.words
     (Trace.Profile.total_words profile)
-
-let run_profiled_direct () =
-  (* A one-shot flood on a path: run_profiled returns the same states as
-     run plus a reconciled profile. *)
-  let g = Generators.path 6 in
-  let program =
-    {
-      Simulator.init = (fun _ctx -> false);
-      on_round =
-        Lists.step (fun ctx sent ~inbox ->
-          ignore inbox;
-          if ctx.Simulator.node = 0 && not sent then (true, [ (0, ()) ]) else (true, []))
-      ;
-      is_halted = (fun sent -> sent);
-      wake = (fun _ -> Simulator.every_round);
-      msg_words = (fun () -> 1);
-    }
-  in
-  let _states, extended = Simulator.run_profiled g program in
-  check Alcotest.int "base words" 1 extended.Simulator.base.Simulator.words;
-  check Alcotest.int "profile words"
-    extended.Simulator.base.Simulator.words
-    (Trace.Profile.total_words extended.Simulator.profile)
 
 let router_tracing_reconciles () =
   (* The exactly-once sum: every up/down transmission lands in the
@@ -583,8 +561,7 @@ let suite =
     case "tracing transparent: sync bfs" `Quick tracing_is_transparent_bfs;
     case "tracing transparent: leader election" `Quick tracing_is_transparent_leader;
     case "profile reconciles with stats" `Quick profile_totals_match_stats;
-    case "profiled convergecast" `Quick run_profiled_extends_stats;
-    case "run_profiled direct" `Quick run_profiled_direct;
+    case "profiled convergecast" `Quick profiled_convergecast;
     case "router tracing reconciles" `Quick router_tracing_reconciles;
     case "recorder stream well-formed" `Quick recorder_stream_well_formed;
     case "recorder cap drops and marks" `Quick recorder_cap_drops;
