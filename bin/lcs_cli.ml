@@ -247,9 +247,11 @@ let seed_arg =
 let domains_arg =
   let doc =
     "Shard the enforced-simulator runs across $(docv) OCaml domains; one \
-     domain runs a single shard on the calling domain. Every observable — \
-     results, stats, traces — is identical at any value; see README \
-     \"Running in parallel\" for when sharding actually helps."
+     domain runs a single shard on the calling domain, and so does every \
+     traced or fault-injected run (--trace, --spans, --faults, or bcast's \
+     --profile-out), whatever $(docv). Every observable — results, \
+     stats, traces — is identical at any value; see README \"Running in \
+     parallel\" for when sharding actually helps."
   in
   Arg.(value & opt positive_int 1 & info [ "domains" ] ~docv:"N" ~doc)
 
@@ -273,7 +275,8 @@ let par_profile_arg =
      speedup-loss decomposition) to $(docv); at --domains 1 it is the \
      single-shard baseline timeline. Attaching the profiler never changes \
      any observable; it composes with --spans, whose Perfetto export then \
-     carries one track per domain."
+     carries the run's domain track (--spans traces the run, so it has one \
+     shard)."
   in
   Arg.(value & opt (some string) None
        & info [ "par-profile" ] ~docv:"PATH" ~doc)
@@ -1438,8 +1441,8 @@ let bcast_cmd =
          & info [ "every" ] ~docv:"N"
              ~doc:"with --trace, which it needs, also write a flight-recorder \
                    snapshot line (round, cumulative words, heavy hitters, \
-                   halt count, per-domain queue depths) every $(docv) rounds; \
-                   the final snapshot is always written")
+                   halt count, queue depths per shard of --domains) every \
+                   $(docv) rounds; the final snapshot is always written")
   in
   let profile_out_arg =
     Arg.(value & opt (some string) None

@@ -47,6 +47,7 @@ type t = {
   epoch : float;
   mutable cap : int;  (* allocated width; grows at [begin_run] *)
   mutable active : int;  (* max shard count across observed runs *)
+  mutable shards : int;  (* the current run's shard count *)
   mutable nruns : int;
   mutable nrounds : int;
   mutable wall : float;
@@ -80,6 +81,7 @@ let create () =
     epoch = now ();
     cap = 0;
     active = 0;
+    shards = 0;
     nruns = 0;
     nrounds = 0;
     wall = 0.0;
@@ -144,6 +146,7 @@ let begin_run t ~domains =
   if domains < 1 then invalid_arg "Par_profile.begin_run: domains";
   grow t domains;
   if domains > t.active then t.active <- domains;
+  t.shards <- domains;
   t.nruns <- t.nruns + 1;
   t.run_t0 <- now ()
 
@@ -155,7 +158,7 @@ let round_start t =
   t.step_wall <- 0.0;
   t.deliver_wall <- 0.0;
   t.serial_cur <- 0.0;
-  for s = 0 to t.active - 1 do
+  for s = 0 to t.shards - 1 do
     t.cur_step.(s) <- 0.0;
     t.cur_deliver.(s) <- 0.0;
     t.rnd_acts.(s) <- 0
@@ -179,8 +182,11 @@ let record_send t ~src ~dst ~words =
   t.rnd_msgs.(src) <- t.rnd_msgs.(src) + 1;
   t.rnd_words.(src) <- t.rnd_words.(src) + words
 
+(* A row spans the shards of the run that made it, so a shard that sat
+   out a narrower run neither waits at its barriers nor thins its
+   imbalance. *)
 let commit_round t ~round =
-  let a = t.active in
+  let a = t.shards in
   let step = Array.sub t.cur_step 0 a in
   let deliver = Array.sub t.cur_deliver 0 a in
   let msgs = Array.sub t.rnd_msgs 0 a in
@@ -416,7 +422,8 @@ let chrome_events ?t0 t =
       done;
       if r.r_serial > 0.0 then
         emit
-          (slice ~name:"serial replay" ~cat:"serial" ~tid:0 ~ts:(base +. r.r_step_wall)
+          (slice ~name:"serial" ~cat:"serial" ~tid:0
+             ~ts:(base +. r.r_step_wall +. r.r_deliver_wall)
              ~dur:r.r_serial ~args:[ round_arg ]))
     (rows t);
   header @ List.rev !events

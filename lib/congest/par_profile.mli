@@ -7,10 +7,12 @@
     round it records the compute ("step") time, the delivery ("drain")
     time, the barrier-wait time, the messages and words sent, and a
     cross-shard traffic matrix keyed by (source shard, destination
-    shard); traced or faulty runs additionally record the serial-replay
-    time spent at the barrier. From those it derives a round-by-round
+    shard), and the serial time the main domain spends alone scanning
+    for the next due round before it fast-forwards over idle ones. A
+    traced or faulty run takes one shard (see {!Simulator.run}), so it
+    reports one domain. From those it derives a round-by-round
     imbalance ratio (max shard busy-time / mean) and a speedup-loss
-    decomposition — imbalance vs barrier vs serialization — that sums to
+    decomposition — imbalance vs barrier vs serial time — that sums to
     the measured wall clock.
 
     Determinism: recording is strictly single-writer — each domain
@@ -48,8 +50,9 @@ val now : unit -> float
 (** The collector's clock ([Unix.gettimeofday]). *)
 
 val begin_run : t -> domains:int -> unit
-(** Start a run executing on [domains] shards. Widens the active shard
-    count (a collector shared across runs reports the maximum). *)
+(** Start a run executing on [domains] shards: its rounds are booked
+    over those shards only. Widens the active shard count (a collector
+    shared across runs reports the maximum). *)
 
 val end_run : t -> unit
 (** Close the current run: accumulates its round-loop wall time. *)
@@ -73,14 +76,14 @@ val end_deliver : t -> unit
 (** Main domain, after the drain barrier: captures the phase wall. *)
 
 val add_serial : t -> float -> unit
-(** Serial time the main domain spent alone this round: the replay at the
-    barrier (traced / faulty runs), and any fast-forward over idle rounds
-    that follows the round. *)
+(** Serial time the main domain spent alone this round: the fast-forward
+    over idle rounds that follows it. *)
 
 val record_send : t -> src:int -> dst:int -> words:int -> unit
 (** One delivered message of [words] words from shard [src] to shard
-    [dst]. On the fast path the source domain writes its own matrix row;
-    on the serialized path the main domain records during replay. Counts
+    [dst]. In an untraced, fault-free run the source domain writes its
+    own matrix row; a traced or faulty run has one shard, whose domain
+    records each copy as it delivers it. Counts
     follow {!Simulator.stats}: duplicates count once per delivery,
     dropped or crashed-destination sends not at all — so the matrix
     row/column sums reconcile exactly with the run's stats. *)
@@ -88,7 +91,7 @@ val record_send : t -> src:int -> dst:int -> words:int -> unit
 val commit_round : t -> round:int -> unit
 (** Main domain, at the end-of-round barrier: derives per-shard barrier
     waits (phase wall minus the shard's own job time) and appends the
-    round's row. *)
+    round's row, over the current run's shards. *)
 
 (** {1 Reading the report} *)
 
@@ -117,7 +120,8 @@ type totals = {
 }
 
 val totals : t -> totals array
-(** Per-domain totals, length [domains t]. *)
+(** Per-domain totals, length [domains t]; a shard's totals count only
+    the runs that had it. *)
 
 val traffic_messages : t -> int array array
 (** [domains t]-square matrix; [(i).(j)] counts messages delivered from
@@ -131,8 +135,7 @@ type decomposition = {
   d_imbalance_s : float;  (** sum of (max busy - mean busy) *)
   d_barrier_s : float;  (** sum of (phase wall - max busy) *)
   d_serial_s : float;
-      (** main-domain-only time: serial replay at the barrier
-          (traced/faulty) and fast-forwards over idle rounds *)
+      (** main-domain-only time: fast-forwards over idle rounds *)
   d_other_s : float;  (** wall minus all of the above: loop bookkeeping *)
 }
 
@@ -148,7 +151,8 @@ val imbalance : t -> float
     run. *)
 
 val round_imbalance : t -> float array
-(** Per-round imbalance ratio, in round order across runs. *)
+(** Per-round imbalance ratio, in round order across runs, each over
+    the shards of the run that made the round. *)
 
 val to_json : t -> Lcs_util.Json.t
 (** The [lcs-par-profile/1] report: schema, domains, rounds, runs,
@@ -158,8 +162,9 @@ val to_json : t -> Lcs_util.Json.t
 val chrome_events : ?t0:float -> t -> Lcs_util.Json.t list
 (** Chrome trace-event objects: one Perfetto track per domain (pid 0,
     tid = shard id) with "step" / "deliver" busy slices, "barrier" wait
-    slices, a "serial replay" slice on shard 0's track, and thread-name
-    metadata. Timestamps are microseconds relative to [t0] (default:
-    the collector's creation), so passing the [Obs] collector's epoch
-    aligns the domain tracks with the span tree in one timeline. *)
+    slices, a "serial" slice on shard 0's track after the round's
+    phases, and thread-name metadata. Timestamps are microseconds
+    relative to [t0] (default: the collector's creation), so passing the
+    [Obs] collector's epoch aligns the domain tracks with the span tree
+    in one timeline. *)
 

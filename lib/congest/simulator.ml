@@ -27,7 +27,8 @@
    them), and delayed deliveries (faults only) in a ring keyed by arrival
    round modulo the plan's maximum delay. A program reads its deliveries
    and queues its sends through one reusable mailbox per shard, which the
-   core points at the stepping node's inbox buffers, so an untraced,
+   core points at the stepping node's inbox buffers, and the core
+   delivers a step's sends as soon as it returns, so an untraced,
    fault-free message costs no allocation: the core copies its port and
    payload from the sender's mailbox straight into the receiver's next
    inbox when both nodes live in shard 0 (every message at one domain),
@@ -42,19 +43,16 @@
    - Shards are CONTIGUOUS id ranges and every domain walks its nodes in
      ascending order, so draining the outbox cells in source-shard order
      reproduces the ascending-sender send order at every inbox.
-   - Traced or faulty runs never consume shared sequential state (the id
-     counter, the fault injector's random stream, the tracer callback)
-     inside a worker: workers only buffer their nodes' sends in their
-     shard's mailbox (with each send's causal declaration, settled when
-     its step returns), and the calling domain replays the buffered sends
-     in shard order at the barrier — drawing ids, fault verdicts and trace
-     events in one global sequence.
+   - A traced or faulty run consumes shared sequential state (the id
+     counter, the fault injector's random stream, the tracer callback),
+     so it takes one shard on the calling domain whatever [domains] says
+     and spawns no worker. Its steps return in ascending node order, and
+     each step's sends draw their ids, verdicts and trace events as it
+     returns — one global sequence, the same at every requested count.
 
    The flip side, documented rather than hidden: with a tracer or a fault
-   plan attached, only the protocol steps parallelize (verdicts, ids and
-   event emission serialize at the barrier), so sharding buys little
-   there. The untraced fault-free path — the capacity workload — is
-   parallel end to end. *)
+   plan attached, a run does not parallelize at all. The untraced
+   fault-free path — the capacity workload — is parallel end to end. *)
 
 module Graph = Lcs_graph.Graph
 module Vec = Lcs_util.Vec
@@ -288,14 +286,13 @@ let clear mb ~traced =
   mb.in_len <- 0;
   mb.out_len <- 0
 
-(* Write the declarations of the sends [first, out_len) that a traced step
-   just queued into the [decl_] arrays, resolved against the step's tag
-   and parents, and clear the marks and the step's defaults for the next
-   step on the same mailbox. The core's replay then reads each send's
-   declaration by its index. *)
-let settle_declarations mb ~first =
+(* Write the declarations of the sends a traced step just queued into the
+   [decl_] arrays, resolved against the step's tag and parents, and clear
+   the marks and the step's defaults for the next step on the same
+   mailbox. The core then reads each send's declaration by its index. *)
+let settle_declarations mb =
   reserve mb mb.out_len;
-  for i = first to mb.out_len - 1 do
+  for i = 0 to mb.out_len - 1 do
     (match mb.declared.(i) with
     | Nothing ->
         mb.decl_part.(i) <- mb.step_part;
@@ -474,7 +471,7 @@ type host = {
   budget : int array;  (* per port slot: words sent on it this round *)
   touched : int array;
       (* the budget slots to clear at the round's end; shard [s] lists its
-         slots from its first port slot on, a serialized run from 0 *)
+         slots from its first port slot on *)
   running : bool Atomic.t;
 }
 
@@ -667,7 +664,12 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
      domain before the compute phase, read by the steps after the phase
      barrier. *)
   let clock = host.clock in
-  let bounds = shard_bounds ~domains g in
+  (* A tracer or an injector makes the run's observables depend on a
+     sequential resource (event order, the id counter, the random verdict
+     stream); those runs take one shard, on the calling domain, and draw
+     from it as each step returns. *)
+  let serialized = traced || faults <> None in
+  let bounds = shard_bounds ~domains:(if serialized then 1 else domains) g in
   let d = Array.length bounds - 1 in
   let owner = Array.make (max 1 n) 0 in
   for s = 0 to d - 1 do
@@ -675,13 +677,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
       owner.(v) <- s
     done
   done;
-  (* A tracer or an injector makes the run's observables depend on a
-     sequential resource (event order, the id counter, the random verdict
-     stream); those runs buffer in parallel and replay serially at the
-     barrier. *)
-  let serialized = traced || faults <> None in
-  (* The run's message ids: drawn from 1 in trace-event order, on the
-     calling domain only. *)
+  (* The run's message ids: drawn from 1 in trace-event order. *)
   let last_id = ref 0 in
   let states = Array.map program.init ctxs in
   let halted = Array.map program.is_halted states in
@@ -720,16 +716,14 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
   in
   let ring : 'msg pending Vec.t array = Array.init ring_span (fun _ -> Vec.create ()) in
   let rounds = ref 0 in
-  let messages = ref 0 in
-  let words = ref 0 in
-  let max_edge_load = ref 0 in
   let round_max = ref 0 in
   let out_of_rounds = ref false in
   (* Per-shard failure slots: each domain stops its shard at its first
      raising node and parks the exception here. Shards are ascending id
-     ranges, so the first failed shard holds the smallest failing node —
-     exactly where a node-by-node execution would have stopped. *)
-  let fail : (int * exn) option array = Array.make d None in
+     ranges, so the first failed shard holds the smallest failing node's
+     exception — exactly where a node-by-node execution would have
+     stopped. *)
+  let fail : exn option array = Array.make d None in
   let first_failure () =
     let rec scan s =
       if s = d then None else match fail.(s) with None -> scan (s + 1) | f -> f
@@ -743,12 +737,10 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
     mb.in_len <- len;
     Array.unsafe_set ib.len v 0
   in
-  (* --- fast path (untraced, fault-free): parallel end to end ------------ *)
+  (* --- untraced, fault-free: [send_fast], parallel end to end ----------- *)
   let out : 'msg outcell array array =
-    if serialized then [||]
-    else
-      Array.init d (fun _ ->
-          Array.init d (fun _ -> { ob_dst = [||]; ob_port = [||]; ob_msg = [||]; ob_len = 0 }))
+    Array.init d (fun _ ->
+        Array.init d (fun _ -> { ob_dst = [||]; ob_port = [||]; ob_msg = [||]; ob_len = 0 }))
   in
   (* Shard 0's sends to its own nodes skip the cells: the drain appends the
      cells in source-shard order, so they would come first anyway. *)
@@ -761,11 +753,8 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
      stepped. *)
   let stepped_s = Array.make d 0 in
   (* Where each shard's touched list starts in the host's: the shard's
-     first port slot, so the lists never overlap; the serialized path
-     clears through shard 0's list only, which may then span every slot. *)
-  let touched_base =
-    Array.init d (fun s -> if serialized then 0 else Intvec.get csr.port_offset bounds.(s))
-  in
+     first port slot, so the lists never overlap. *)
+  let touched_base = Array.init d (fun s -> Intvec.get csr.port_offset bounds.(s)) in
   let ntouched = Array.make d 0 in
   (* Deliver the sends node [v] queued in [mb] this step, in order, and
      empty the mailbox's send side. The shard's counters are read once and
@@ -826,65 +815,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
       cell.ob_len <- 0
     done
   in
-  (* --- the compute phase ------------------------------------------------- *)
-  (* In a traced or faulty run a shard's mailbox keeps every send of the
-     round, step after step, with its causal declaration when traced; the
-     activation records say whose they are. *)
-  let act_node = Array.init d (fun _ -> Vec.create ()) in
-  let act_sends = Array.init d (fun _ -> Vec.create ()) in
-  let act_halt = Array.init d (fun _ -> Vec.create ()) in
-  (* Step shard [s]'s due nodes of this round in ascending order — live,
-     with mail waiting or the wake hint at or before the round — and drop
-     the late mail of halted ones. An untraced, fault-free run delivers
-     each step's sends at once; a traced or faulty one keeps them for the
-     replay, with their settled declarations when traced, and records
-     the activation. *)
-  let phase_compute s =
-    let r = !rounds and cur = !cur_in and mb = mbs.(s) in
-    let stepping = ref 0 in
-    try
-      let stepped = ref 0 in
-      for v = bounds.(s) to bounds.(s + 1) - 1 do
-        let len = Array.unsafe_get cur.len v in
-        if halted.(v) then begin
-          if len > 0 then cur.len.(v) <- 0
-        end
-        else if always_due || len > 0 || program.wake states.(v) <= r then begin
-          stepping := v;
-          incr stepped;
-          if traced then mb.in_ids <- Array.unsafe_get cur.ids v;
-          lend mb cur v len;
-          let first = mb.out_len in
-          let state = program.on_round ctxs.(v) states.(v) mb in
-          states.(v) <- state;
-          if not serialized then begin
-            if mb.out_len > 0 then send_fast s v mb;
-            if program.is_halted state then begin
-              halted.(v) <- true;
-              live_delta.(s) <- live_delta.(s) - 1
-            end
-          end
-          else begin
-            if traced then settle_declarations mb ~first;
-            let halts = program.is_halted state in
-            if halts then halted.(v) <- true;
-            Vec.push act_node.(s) v;
-            Vec.push act_sends.(s) (mb.out_len - first);
-            Vec.push act_halt.(s) (if halts then 1 else 0)
-          end
-        end
-      done;
-      stepped_s.(s) <- !stepped;
-      if not serialized then begin
-        let base = touched_base.(s) in
-        for i = base to base + ntouched.(s) - 1 do
-          budget.(touched.(i)) <- 0
-        done;
-        ntouched.(s) <- 0
-      end
-    with exn -> fail.(s) <- Some (!stepping, exn)
-  in
-  (* --- serialized path (traced and/or faulty): replay at the barrier ----- *)
+  (* --- traced or faulty: [process_send], on one shard -------------------- *)
   (* Deliver into the next round's inboxes, with the causal id when
      traced. *)
   let deliver_next w back id msg =
@@ -898,11 +829,11 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
   let rec deliver_copies mb i v w back edge size msg ~first = function
     | [] -> ()
     | delay :: rest ->
-        incr messages;
-        words := !words + size;
+        messages_s.(0) <- messages_s.(0) + 1;
+        words_s.(0) <- words_s.(0) + size;
         (match par_profile with
         | None -> ()
-        | Some pp -> Par_profile.record_send pp ~src:owner.(v) ~dst:owner.(w) ~words:size);
+        | Some pp -> Par_profile.record_send pp ~src:0 ~dst:0 ~words:size);
         let id =
           match tracer with
           | None -> 0
@@ -939,10 +870,10 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
              });
         deliver_copies mb i v w back edge size msg ~first:false rest
   in
-  (* Replay send [i] of mailbox [mb], node [v]'s, on the calling domain.
-     Ids, verdicts and trace events are drawn here, in shard-merge (=
-     ascending sender) order. Without a plan every send gets the verdict
-     [Deliver [0]]: one copy, on time. *)
+  (* Deliver send [i] of mailbox [mb], node [v]'s, drawing its ids, its
+     verdict and its trace events: steps return in ascending node order,
+     so these are drawn in one global sequence. Without a plan every send
+     gets the verdict [Deliver [0]]: one copy, on time. *)
   let process_send mb i v =
     let port = mb.out_ports.(i) and msg = mb.out_msgs.(i) in
     if port < 0 || port >= Csr.degree csr v then invalid_arg "Simulator: bad port";
@@ -960,7 +891,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
       ntouched.(0) <- ntouched.(0) + 1
     end;
     budget.(slot) <- used;
-    if used > !max_edge_load then max_edge_load := used;
+    if used > maxload_s.(0) then maxload_s.(0) <- used;
     (* The transmission consumed its slot on the wire whatever the
        network then does to it: the round's traced high-water mark counts
        it too. *)
@@ -988,38 +919,56 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
             t (Trace.Drop { round = !rounds; src = v; dst = w; edge; words = size })
         | Fault.Lose Fault.Link_is_down, Some t -> t (Trace.Link_down { round = !rounds; edge }))
   in
-  (* Replay the round's buffered activations of nodes below [until] — all
-     of them, unless some node's step raised, in which case exactly the
-     prefix a node-by-node execution completes before that node. *)
-  let replay_round ~until =
-    for s = 0 to d - 1 do
-      let mb = mbs.(s) in
-      let send_idx = ref 0 in
-      for a = 0 to Vec.length act_node.(s) - 1 do
-        let v = Vec.get act_node.(s) a in
-        let k = Vec.get act_sends.(s) a in
-        if v < until then begin
-          for i = !send_idx to !send_idx + k - 1 do
-            process_send mb i v
-          done;
-          if Vec.get act_halt.(s) a = 1 then begin
-            decr live;
-            match tracer with
-            | None -> ()
-            | Some t -> t (Trace.Halt { round = !rounds; node = v })
+  (* --- the compute phase ------------------------------------------------- *)
+  (* Step shard [s]'s due nodes of this round in ascending order — live,
+     with mail waiting or the wake hint at or before the round — and drop
+     the late mail of halted ones. Each step's sends are delivered as it
+     returns: an untraced, fault-free run's by [send_fast], a traced or
+     faulty one's by [process_send], with their settled declarations when
+     traced, before its halt. *)
+  let phase_compute s =
+    let r = !rounds and cur = !cur_in and mb = mbs.(s) in
+    try
+      let stepped = ref 0 in
+      for v = bounds.(s) to bounds.(s + 1) - 1 do
+        let len = Array.unsafe_get cur.len v in
+        if halted.(v) then begin
+          if len > 0 then cur.len.(v) <- 0
+        end
+        else if always_due || len > 0 || program.wake states.(v) <= r then begin
+          incr stepped;
+          if traced then mb.in_ids <- Array.unsafe_get cur.ids v;
+          lend mb cur v len;
+          let state = program.on_round ctxs.(v) states.(v) mb in
+          states.(v) <- state;
+          if not serialized then begin
+            if mb.out_len > 0 then send_fast s v mb;
+            if program.is_halted state then begin
+              halted.(v) <- true;
+              live_delta.(s) <- live_delta.(s) - 1
+            end
           end
-        end;
-        send_idx := !send_idx + k
+          else begin
+            if traced then settle_declarations mb;
+            for i = 0 to mb.out_len - 1 do
+              process_send mb i v
+            done;
+            mb.out_len <- 0;
+            if program.is_halted state then begin
+              halted.(v) <- true;
+              live_delta.(s) <- live_delta.(s) - 1;
+              match tracer with None -> () | Some t -> t (Trace.Halt { round = r; node = v })
+            end
+          end
+        end
       done;
-      Vec.clear act_node.(s);
-      Vec.clear act_sends.(s);
-      Vec.clear act_halt.(s);
-      mb.out_len <- 0
-    done;
-    for i = 0 to ntouched.(0) - 1 do
-      budget.(touched.(i)) <- 0
-    done;
-    ntouched.(0) <- 0
+      stepped_s.(s) <- !stepped;
+      let base = touched_base.(s) in
+      for i = base to base + ntouched.(s) - 1 do
+        budget.(touched.(i)) <- 0
+      done;
+      ntouched.(s) <- 0
+    with exn -> fail.(s) <- Some exn
   in
   (* A crashed node's pending delayed deliveries are discarded with it:
      each one is traced as a Drop and counted against the injector, in
@@ -1083,16 +1032,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
         t (Trace.Round_end { round = !rounds; max_edge_load = 0 }))
   in
   (* Messages sent so far in the run. *)
-  let sent () =
-    if serialized then !messages
-    else begin
-      let total = ref 0 in
-      for s = 0 to d - 1 do
-        total := !total + messages_s.(s)
-      done;
-      !total
-    end
-  in
+  let sent () = Array.fold_left ( + ) 0 messages_s in
   (* The earliest wake hint of a live node, after round [r]; the scan
      stops at the first node due by [r + 1], since no skip is possible
      then. *)
@@ -1140,66 +1080,52 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
       incr rounds;
       clock := !rounds;
       let sent_before = sent () in
-      if serialized then begin
-        (match tracer with
-        | None -> ()
-        | Some t ->
-            round_max := 0;
-            t (Trace.Round_start { round = !rounds; live = !live }));
-        match faults with
-        | None -> ()
-        | Some inj ->
-            (* Crashes fire at the start of the round: the node neither
-               steps nor receives from now on, so the scan treats it as
-               halted too. *)
-            List.iter
-              (fun v ->
-                if v >= 0 && v < n && not crashed.(v) then begin
-                  crashed.(v) <- true;
-                  if not halted.(v) then decr live;
-                  halted.(v) <- true;
-                  (!cur_in).len.(v) <- 0;
-                  (match tracer with
-                  | None -> ()
-                  | Some t -> t (Trace.Crash { round = !rounds; node = v }));
-                  purge_delayed_to inj v ~round:!rounds
-                end)
-              (Fault.crashes_at inj ~round:!rounds);
-            (* Deliveries whose extra latency expires this round join the
-               inboxes after the synchronous ones. *)
-            let slot = ring.(!rounds mod ring_span) in
-            let cur = !cur_in in
-            Vec.iter
-              (fun p ->
-                if not halted.(p.p_dst) then begin
-                  if traced then push_id csr cur p.p_dst p.p_id;
-                  push_inbox csr cur p.p_dst p.p_port p.p_msg
-                end)
-              slot;
-            Vec.clear slot
-      end;
+      (match tracer with
+      | None -> ()
+      | Some t ->
+          round_max := 0;
+          t (Trace.Round_start { round = !rounds; live = !live }));
+      (match faults with
+      | None -> ()
+      | Some inj ->
+          (* Crashes fire at the start of the round: the node neither
+             steps nor receives from now on, so the scan treats it as
+             halted too. *)
+          List.iter
+            (fun v ->
+              if v >= 0 && v < n && not crashed.(v) then begin
+                crashed.(v) <- true;
+                if not halted.(v) then decr live;
+                halted.(v) <- true;
+                (!cur_in).len.(v) <- 0;
+                (match tracer with
+                | None -> ()
+                | Some t -> t (Trace.Crash { round = !rounds; node = v }));
+                purge_delayed_to inj v ~round:!rounds
+              end)
+            (Fault.crashes_at inj ~round:!rounds);
+          (* Deliveries whose extra latency expires this round join the
+             inboxes after the synchronous ones. *)
+          let slot = ring.(!rounds mod ring_span) in
+          let cur = !cur_in in
+          Vec.iter
+            (fun p ->
+              if not halted.(p.p_dst) then begin
+                if traced then push_id csr cur p.p_dst p.p_id;
+                push_inbox csr cur p.p_dst p.p_port p.p_msg
+              end)
+            slot;
+          Vec.clear slot);
       (match par_profile with None -> () | Some pp -> Par_profile.round_start pp);
       run_phase crew compute_job;
       (match par_profile with None -> () | Some pp -> Par_profile.end_step pp);
-      let failure = first_failure () in
-      if serialized then begin
-        let until = match failure with Some (v, _) -> v | None -> n in
-        match par_profile with
-        | None -> replay_round ~until
-        | Some pp ->
-            let t0 = Par_profile.now () in
-            replay_round ~until;
-            Par_profile.add_serial pp (Par_profile.now () -. t0)
-      end;
-      (match failure with Some (_, exn) -> raise exn | None -> ());
-      if not serialized then begin
-        for s = 0 to d - 1 do
-          live := !live + live_delta.(s);
-          live_delta.(s) <- 0
-        done;
-        run_phase crew drain_job;
-        match par_profile with None -> () | Some pp -> Par_profile.end_deliver pp
-      end;
+      (match first_failure () with Some exn -> raise exn | None -> ());
+      for s = 0 to d - 1 do
+        live := !live + live_delta.(s);
+        live_delta.(s) <- 0
+      done;
+      run_phase crew drain_job;
+      (match par_profile with None -> () | Some pp -> Par_profile.end_deliver pp);
       let swap = !cur_in in
       cur_in := !nxt_in;
       nxt_in := swap;
@@ -1223,15 +1149,13 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
     end
   done;
   (match par_profile with None -> () | Some pp -> Par_profile.end_run pp);
-  if not serialized then begin
-    for s = 0 to d - 1 do
-      messages := !messages + messages_s.(s);
-      words := !words + words_s.(s);
-      if maxload_s.(s) > !max_edge_load then max_edge_load := maxload_s.(s)
-    done
-  end;
   let stats =
-    { rounds = !rounds; messages = !messages; words = !words; max_edge_load = !max_edge_load }
+    {
+      rounds = !rounds;
+      messages = sent ();
+      words = Array.fold_left ( + ) 0 words_s;
+      max_edge_load = Array.fold_left Int.max 0 maxload_s;
+    }
   in
   if !out_of_rounds then begin
     let unhalted = ref [] in
@@ -1244,7 +1168,6 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
     Out_of_rounds (states, { partial_stats = stats; unhalted = !unhalted; crashed_nodes })
   end
   else Finished (states, stats)
-
 
 (* --- entry points -------------------------------------------------------- *)
 

@@ -18,33 +18,36 @@
     port-numbering convention; the context also exposes neighbor ids (the
     customary KT1 assumption).
 
-    {b Execution.} A run is split into [domains] contiguous node shards
-    balanced by port count (see {!shard_bounds}); each round, every
-    shard delivers its inboxes, checks each of its nodes and runs the
-    [on_round] steps of the live ones that are due — a non-empty inbox,
-    or a wake hint at or before the round — shard 0 on the calling
-    domain and the others on OCaml 5 worker domains, with a barrier at
-    the round boundary. A fault-free round that sends no message leaves
-    nothing in flight, so no node steps before the earliest wake hint:
-    the loop fast-forwards to that round (capped at [max_rounds]).
-    Skipped rounds still count in {!stats} and still emit their
-    [Round_start]/[Round_end] events, so a collector folding the event
-    stream ({!Trace.Profile}, {!Trace.Flight.tracer}) sees every round;
-    runs with a fault plan advance round by round, because delayed
-    deliveries and crashes act on rounds of their own, but still skip
-    sleeping nodes. A run therefore pays for
-    messages, due timers and one allocation-free check per node in the
-    rounds it runs, not for [on_round] calls of nodes × rounds. One
-    domain is simply one shard: no domain is spawned. Cross-shard
-    messages travel through per-(source, destination) shard outboxes —
-    each cell has exactly one writer and one reader, separated by the
-    barrier, so the hot path takes no locks. The message plane runs on
-    flat preallocated arrays: the graph's CSR port layout, int-array
-    word budgets cleared via touched-slot lists, and reusable per-node
-    inbox buffers whose ports are int arrays. A step sees its inbox
-    through a {!mailbox}, one per shard, which the core lends to each
-    due node in turn; a send is queued in the same mailbox and copied
-    after the step straight into the receiver's next inbox when both
+    {b Execution.} An untraced, fault-free run is split into [domains]
+    contiguous node shards balanced by port count (see {!shard_bounds});
+    each round, every shard delivers its inboxes, checks each of its
+    nodes and runs the [on_round] steps of the live ones that are due —
+    a non-empty inbox, or a wake hint at or before the round — shard 0
+    on the calling domain and the others on OCaml 5 worker domains, with
+    a barrier at the round boundary. A run with a tracer or a fault plan
+    takes one shard on the calling domain, whatever [domains] says, and
+    spawns no domain: its ids, verdicts and events come from one
+    sequence, drawn as each step returns. A fault-free round that sends
+    no message leaves nothing in flight, so no node steps before the
+    earliest wake hint: the loop fast-forwards to that round (capped at
+    [max_rounds]). Skipped rounds still count in {!stats} and still emit
+    their [Round_start]/[Round_end] events, so a collector folding the
+    event stream ({!Trace.Profile}, {!Trace.Flight.tracer}) sees every
+    round; runs with a fault plan advance round by round, because
+    delayed deliveries and crashes act on rounds of their own, but still
+    skip sleeping nodes. A run therefore pays for messages, due timers
+    and one allocation-free check per node in the rounds it runs, not
+    for [on_round] calls of nodes × rounds. One domain is simply one
+    shard: no domain is spawned. Cross-shard messages travel through
+    per-(source, destination) shard outboxes — each cell has exactly one
+    writer and one reader, separated by the barrier, so the hot path
+    takes no locks. The message plane runs on flat preallocated arrays:
+    the graph's CSR port layout, int-array word budgets cleared via
+    touched-slot lists, and reusable per-node inbox buffers whose ports
+    are int arrays. A step sees its inbox through a {!mailbox}, one per
+    shard, which the core lends to each due node in turn; a send is
+    queued in the same mailbox and delivered as soon as the step
+    returns: copied straight into the receiver's next inbox when both
     nodes belong to shard 0 — every message of a one-domain run — and
     through the outbox cell otherwise. That is safe because the drain
     appends the cells in source-shard order, so shard 0's sends come
@@ -57,30 +60,30 @@
     plan, a run is observationally {e identical} at every domain count:
     final states, {!stats}, the full trace event order, message ids and
     their causal declarations, and fault verdicts all match byte for
-    byte. Untraced
-    fault-free runs get this from shard contiguity alone (draining
-    outboxes in source-shard order reproduces the ascending-sender send
-    order); traced or faulty runs buffer sends in parallel and replay
-    them on the calling domain at the barrier, drawing ids, verdicts and
-    events in one global sequence. The retained reference core
-    {!Simulator_ref} is the oracle: the differential suite proves this
-    core matches it at every swept domain count. See the "parallelism"
-    documentation page for the full execution model and its ownership
-    rules.
+    byte. Untraced fault-free runs get this from shard contiguity alone
+    (draining outboxes in source-shard order reproduces the
+    ascending-sender send order); traced or faulty runs take one shard,
+    so they step nodes in ascending order and draw ids, verdicts and
+    events in one global sequence at any requested count. The retained
+    reference core {!Simulator_ref} is the oracle: the differential
+    suite proves this core matches it at every swept domain count. See
+    the "parallelism" documentation page for the full execution model
+    and its ownership rules.
 
     {b When sharding helps.} On large graphs with fault-free, untraced
-    runs — the capacity workload. Tracing (which every collector of the
-    event stream needs, a congestion profile included) or fault
-    injection serializes the verdict/id/event step at the barrier, and
-    tiny graphs are dominated by barrier latency; both are better run
-    with [domains = 1].
+    runs — the capacity workload. A traced run (which every collector of
+    the event stream needs, a congestion profile included) or a faulty
+    one takes one shard at any [domains], so sharding changes nothing
+    there; tiny graphs are dominated by barrier latency and are better
+    run with [domains = 1].
 
     Runs that raise ([Bandwidth_exceeded], or an exception escaping
     [on_round]) raise the exception of the smallest offending node of
     the round, with every send, trace event and fault verdict of the
     smaller nodes' steps already drawn — exactly where a node-by-node
-    execution stops. Steps of higher-id nodes in the same round may have
-    run in parallel; their effects are discarded with the run. *)
+    execution stops. In a sharded run, steps of higher-id nodes in the
+    same round may have run in parallel; their effects are discarded
+    with the run. *)
 
 type round_cell
 (** The run's current round: one cell shared by every context of a run,
@@ -302,12 +305,14 @@ val recommended : unit -> int
     [\[1, max_domains\]]. *)
 
 val shard_bounds : domains:int -> Lcs_graph.Graph.t -> int array
-(** The contiguous shard boundaries a run uses: [domains + 1] entries
-    (after clamping — see {!run_outcome}), shard [s] owning nodes
+(** The contiguous shard boundaries of [domains] shards: [domains + 1]
+    entries (after clamping — see {!run_outcome}), shard [s] owning nodes
     [bounds.(s) .. bounds.(s+1) - 1]. Balanced by port count, read off
     the graph's CSR row offsets, so dense regions spread across domains.
-    A collector that reports per shard ({!Trace.Flight.tracer}) takes its
-    bounds from here, with the run's [domains]. *)
+    An untraced, fault-free run uses these bounds; a traced or faulty
+    run uses [shard_bounds ~domains:1]. A collector that reports per
+    shard ({!Trace.Flight.tracer}) splits by whatever bounds its caller
+    passes, such as the requested [domains]' bounds. *)
 
 type host
 (** What a run builds from its graph alone, kept for the runs after it:
@@ -317,7 +322,7 @@ type host
     run has made them), and the per-port word budgets with the
     touched-slot lists that clear them. Payload buffers, shard bounds
     and owners stay per run: the first depend on the program's message
-    type, the others on [domains]. *)
+    type, the others on the run's shard count. *)
 
 val prepare : Lcs_graph.Graph.t -> host
 (** [prepare g] builds [g]'s host. Pass it as [?host] to every run on
@@ -361,9 +366,10 @@ val run :
     [max_rounds] defaults to [100_000]. Returns each node's final state and
     the round/message accounting.
 
-    [domains] (default 1) is the shard count, clamped to
-    [\[1, min n max_domains\]]; [domains < 1] raises [Invalid_argument].
-    Every observable is identical at any value.
+    [domains] (default 1) is the shard count of an untraced, fault-free
+    run, clamped to [\[1, min n max_domains\]]; a run with a [tracer] or
+    [faults] takes one shard at any value. [domains < 1] raises
+    [Invalid_argument]. Every observable is identical at any value.
 
     [host] (default: one prepared for this run) reuses a {!prepare}d
     host's set-up. Raises [Invalid_argument] if it was prepared for
@@ -389,9 +395,10 @@ val run :
 
     [par_profile] attaches a wall-clock collector (see {!Par_profile}):
     per-domain step / deliver / barrier-wait times, message counts and
-    the cross-shard traffic matrix, recorded per round. Attaching one
-    never changes any observable — timing is recorded per domain and
-    merged at the barrier, never read by the simulator. *)
+    the cross-shard traffic matrix, recorded per round over the run's
+    shards (one for a traced or faulty run). Attaching one never changes
+    any observable — timing is recorded per domain and merged at the
+    barrier, never read by the simulator. *)
 
 val settle :
   ?faults:Fault.t -> 'state run_result -> 'state array * stats * Outcome.degradation

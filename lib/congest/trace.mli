@@ -256,7 +256,7 @@ module Flight : sig
     top : (int * int) list;  (** current heavy hitters as [(edge, words)] *)
     queues : int array;
         (** pending deliveries per shard at the snapshot round's barrier,
-            one entry per shard of the run *)
+            one entry per shard of the bounds the recorder was given *)
   }
 
   val to_json : snapshot -> Lcs_util.Json.t
@@ -273,7 +273,9 @@ module Flight : sig
   (** [tracer ~every ~bounds profile emit] folds a run's event stream into
       snapshots: at the [Round_end] of every [every]-th round it emits
       [profile]'s vital signs ({!of_profile}) with one queue depth per
-      shard of [bounds], the run's {!Simulator.shard_bounds}. Tee it in
+      shard of [bounds], such as {!Simulator.shard_bounds} of the
+      requested domain count. The split follows [bounds], not the shards
+      the run executed on: a traced run takes one shard. Tee it in
       after [profile]'s own {!Profile.tracer}, so the profile has seen
       the round, and after a {!Stream.tracer} whose file also takes the
       snapshots, so each follows its round's end.

@@ -46,11 +46,11 @@ let timing_key k =
 
 let field k = function Json.Obj f -> List.assoc_opt k f | _ -> None
 
-(* Per-domain tracks a par-profiled run merges into --spans (pid 0). The
-   wall-clock slices ("X") vary in number from run to run; with [~twin]
-   the whole track goes, since its metadata names one thread per domain. *)
-let domain_event ~twin ev =
-  field "pid" ev = Some (Json.Int 0) && (twin || field "ph" ev = Some (Json.String "X"))
+(* The wall-clock slices ("X") of the domain track a par-profiled run
+   merges into --spans (pid 0) vary in number from run to run. Its
+   metadata stays in both views: --spans traces the run, so the track
+   names one domain at any --domains. *)
+let domain_event ev = field "pid" ev = Some (Json.Int 0) && field "ph" ev = Some (Json.String "X")
 
 (* With [~twin], the flight snapshots' per-domain queue depths go too. *)
 let dropped_key ~twin k = timing_key k || (twin && k = "queues")
@@ -64,7 +64,7 @@ let rec normalize ~twin = function
   | Json.List l ->
       Json.List
         (List.filter_map
-           (fun v -> if domain_event ~twin v then None else Some (normalize ~twin v))
+           (fun v -> if domain_event v then None else Some (normalize ~twin v))
            l)
   | j -> j
 

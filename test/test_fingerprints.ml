@@ -7,9 +7,9 @@
    idle rounds must reproduce them exactly; the sum and mst rows, which
    came later, were recorded on the sleeping-node core. An untraced run
    of the same case must reproduce the stats and result digest too, so
-   both the parallel fast path and the serialized replay path are
-   pinned. Borůvka runs at one and two domains and must fingerprint the
-   same at both. *)
+   both delivery paths are pinned: the sharded untraced one and the
+   traced one, which runs on one shard. Borůvka runs at one and two
+   domains and must fingerprint the same at both. *)
 
 open Core
 

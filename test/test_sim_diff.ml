@@ -456,8 +456,8 @@ let diff_sharded_cross_shard =
 (* --- deterministic cases ------------------------------------------------ *)
 
 (* The core rejects an over-budget send with the oracle's exception
-   payload, at one shard and at two, on the parallel fast path (untraced)
-   and on the serialized replay path (traced). *)
+   payload, at one domain and at two, through [send_fast] (untraced) and
+   through [process_send] (traced, on one shard). *)
 let bandwidth_parity () =
   let g = Generators.path 2 in
   let program =
@@ -484,31 +484,34 @@ let bandwidth_parity () =
   check Alcotest.bool "oracle raises" true (oracle <> None);
   List.iter
     (fun domains ->
-      let fast = catch (fun g p -> Simulator.run ~domains g p) in
+      let untraced = catch (fun g p -> Simulator.run ~domains g p) in
       check Alcotest.bool
-        (Printf.sprintf "raises (fast path), domains=%d" domains)
-        true (fast = oracle);
-      let replay = catch (fun g p -> Simulator.run ~domains ~tracer:ignore g p) in
+        (Printf.sprintf "raises (untraced), domains=%d" domains)
+        true (untraced = oracle);
+      let traced = catch (fun g p -> Simulator.run ~domains ~tracer:ignore g p) in
       check Alcotest.bool
-        (Printf.sprintf "raises (replay path), domains=%d" domains)
-        true (replay = oracle))
+        (Printf.sprintf "raises (traced), domains=%d" domains)
+        true (traced = oracle))
     [ 1; 2 ]
 
-(* An exception escaping one node's step surfaces exactly as in the
+(* An offense in one node's step — an exception escaping it, or a second
+   word on a port with a budget of one — surfaces exactly as in the
    oracle's node-by-node execution: the same exception, after the same
    trace events and fault verdicts for the smaller nodes' sends of that
-   round — at one shard and across shards, fault-free and lossy. *)
+   round and the offender's sends before the offending one — at one
+   shard and across shards, fault-free and lossy. *)
 let step_exception_parity () =
   let g = Generators.path 8 in
-  let program ~bad =
+  let program ~bad ~overload =
     {
       Simulator.init = (fun ctx -> (ctx.Simulator.node, 0));
       on_round =
         Lists.step (fun _ (id, r) ~inbox ->
           ignore inbox;
           let r = r + 1 in
-          if id = bad && r = 2 then failwith "boom";
-          ((id, r), [ (0, r) ]));
+          if id = bad && r = 2 then
+            if overload then ((id, r), [ (0, r); (0, r) ]) else failwith "boom"
+          else ((id, r), [ (0, r) ]));
       is_halted = (fun (_, r) -> r >= 4);
       wake = (fun _ -> Simulator.every_round);
       msg_words = (fun _ -> 1);
@@ -528,6 +531,8 @@ let step_exception_parity () =
       match run_core core ?tracer ?faults g p with
       | _ -> None
       | exception Failure m -> Some m
+      | exception Simulator.Bandwidth_exceeded { node; port; round; words; limit } ->
+          Some (Printf.sprintf "node %d port %d round %d: %d words > %d" node port round words limit)
     in
     (raised, Option.map Fault.counts faults)
   in
@@ -537,25 +542,31 @@ let step_exception_parity () =
     (raised, Trace.Recorder.events recorder)
   in
   List.iter
-    (fun bad ->
+    (fun (bad, overload, offense) ->
       List.iter
         (fun (label, plan) ->
-          let p = program ~bad in
+          let p = program ~bad ~overload in
           let oracle = observe_traced Ref ?plan p in
-          check Alcotest.bool "oracle raises" true (fst (fst oracle) = Some "boom");
+          check (Alcotest.option Alcotest.string) "oracle raises" (Some offense)
+            (fst (fst oracle));
+          let what = if overload then "overloads" else "raises" in
           List.iter
             (fun d ->
               check Alcotest.bool
-                (Printf.sprintf "traced %s, node %d raises, domains=%d" label bad d)
+                (Printf.sprintf "traced %s, node %d %s, domains=%d" label bad what d)
                 true
                 (observe_traced (Sim d) ?plan p = oracle);
               check Alcotest.bool
-                (Printf.sprintf "untraced %s, node %d raises, domains=%d" label bad d)
+                (Printf.sprintf "untraced %s, node %d %s, domains=%d" label bad what d)
                 true
                 (observe_raise (Sim d) ?plan p = observe_raise Ref ?plan p))
             (1 :: domain_counts))
         [ ("fault-free", None); ("lossy", Some lossy) ])
-    [ 2; 5 ]
+    [
+      (2, false, "boom");
+      (5, false, "boom");
+      (5, true, "node 5 port 0 round 2: 2 words > 1");
+    ]
 
 (* A crash purges the delayed deliveries already in flight toward the dead
    node: they surface as Drop events at the crash round and count as
@@ -1076,7 +1087,9 @@ let dishonest_hint_rejected () =
    each swept domain count, fault-free and under a fault plan, traced and
    untraced: identical results, identical trace event sequences,
    byte-identical Exact-mode congestion profiles, identical fault
-   counters. *)
+   counters. The collector sees the run's shards: one for a traced or
+   faulty run at any domain count, the requested count for an untraced
+   one. *)
 let par_profile_transparent () =
   let g = random_connected_graph 1312 ~n:28 ~extra:16 in
   let program = gossip ~pseed:2029 ~bw:2 in
@@ -1120,8 +1133,8 @@ let par_profile_transparent () =
           | None -> Alcotest.fail "collector missing"
           | Some pp ->
               check Alcotest.int
-                (Printf.sprintf "collector saw %d shards (%s)" d label)
-                d (Par_profile.domains pp);
+                (Printf.sprintf "collector saw 1 shard (%s, domains=%d)" label d)
+                1 (Par_profile.domains pp);
               check Alcotest.bool
                 (Printf.sprintf "collector recorded rounds (%s, domains=%d)"
                    label d)
@@ -1129,11 +1142,48 @@ let par_profile_transparent () =
                 (Par_profile.rounds pp > 0)))
         [ ("fault-free", None); ("faulty", Some plan) ];
       let r0, _ = untraced ~pp:false d in
-      let r1, _ = untraced ~pp:true d in
+      let r1, pp = untraced ~pp:true d in
       check Alcotest.bool
         (Printf.sprintf "untraced fast-path result, domains=%d" d)
-        true (same_result r0 r1))
+        true (same_result r0 r1);
+      let shards = Array.length (Simulator.shard_bounds ~domains:d g) - 1 in
+      check Alcotest.int
+        (Printf.sprintf "collector saw %d shards (untraced)" shards)
+        shards
+        (match pp with Some pp -> Par_profile.domains pp | None -> 0))
     (1 :: domain_counts)
+
+(* A collector that records runs of different widths books each round
+   over the shards of the run that made it. After a gossip run on a 12x12
+   grid at two domains, a run at one domain and a traced run at two
+   (which takes one shard) each leave shard 1's totals as they were, and
+   each of their rounds reads an imbalance of exactly 1. *)
+let par_profile_rows_per_run () =
+  let g = Generators.grid ~rows:12 ~cols:12 in
+  let program = gossip ~pseed:12 ~bw:1 in
+  let pp = Par_profile.create () in
+  ignore (Simulator.run ~domains:2 ~par_profile:pp g program);
+  check Alcotest.int "the first run had two shards" 2 (Par_profile.domains pp);
+  List.iter
+    (fun (label, run) ->
+      let before = Par_profile.rounds pp and shard1 = (Par_profile.totals pp).(1) in
+      ignore (run ());
+      let added = Par_profile.rounds pp - before in
+      check Alcotest.bool (label ^ ": rounds recorded") true (added > 0);
+      Array.iteri
+        (fun i x ->
+          check Alcotest.bool
+            (Printf.sprintf "%s: round %d of %d reads imbalance 1 (%g)" label (i + 1) added x)
+            true (x = 1.0))
+        (Array.sub (Par_profile.round_imbalance pp) before added);
+      check Alcotest.bool (label ^ ": shard 1's totals unchanged") true
+        ((Par_profile.totals pp).(1) = shard1);
+      check Alcotest.int (label ^ ": the widest run's shards") 2 (Par_profile.domains pp))
+    [
+      ("one domain", fun () -> Simulator.run ~domains:1 ~par_profile:pp g program);
+      ( "traced at two domains",
+        fun () -> Simulator.run ~domains:2 ~tracer:ignore ~par_profile:pp g program );
+    ]
 
 (* The traffic matrix is an exact decomposition of the run's delivered
    traffic: cell (s, t) counts messages whose source lives in shard s and
@@ -1345,6 +1395,7 @@ let suite =
     case "flight queues under faults" `Quick flight_under_faults;
     case "cross-shard crash purges foreign deliveries" `Quick cross_shard_crash_purge;
     case "par_profile attach is observable-transparent" `Quick par_profile_transparent;
+    case "par_profile books a round over its run's shards" `Quick par_profile_rows_per_run;
     case "domain-count clamp is one constant" `Quick clamp_unified;
     case "cross-shard generator sanity" `Quick cross_shard_graph_is_cross;
     case "skipped rounds are observed like stepped ones" `Quick skipped_rounds_observed;
