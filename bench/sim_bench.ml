@@ -210,7 +210,7 @@ let faulty_entries =
    allocation matrix rather than folklore. [untraced] is the in-section
    baseline; [profile] pays the dense Exact counters; [sketch] the
    bounded-memory Space-Saving/quantile pair; [stream] additionally
-   writes every event as a line of lcs-trace-stream/1 JSON (to a fixed
+   writes every event as a line of lcs-trace-stream/2 JSON (to a fixed
    temp path, recreated and removed per run, so the measured allocation
    stays deterministic). *)
 let traced_entries =

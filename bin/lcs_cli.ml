@@ -346,39 +346,29 @@ type run = {
   policy : Supervisor.policy option;
 }
 
-(* What a body returns: its exit code and, read only when the run writes
-   a JSON report, the command's report fields and the parenthesized
-   summary of its "trace: wrote" line. *)
-type ran = {
-  code : int;
-  fields : Trace.Profile.t -> (string * Json.t) list;
-  summary : Trace.Recorder.t -> Trace.Profile.t -> string;
-}
+(* What a body returns: its exit code and, read only under --trace, the
+   command's fields of the stream's report line. *)
+type ran = { code : int; fields : Trace.Profile.t -> (string * Json.t) list }
 
 (* Run [body] observed as [opts] ask: a span collector under --trace or
-   --spans; the in-memory recorder, or the line-delimited sink for a
-   .jsonl --trace; a wall-clock collector under --par-profile. Then write
-   the JSON report or finish the stream, the span tree, and the
-   par-profile, in that order. [mode] selects the profile's accounting
-   (--sketch). *)
+   --spans; the stream sink under --trace and a recorder under --spans;
+   a wall-clock collector under --par-profile. Then finish the stream
+   with its report line, write the span tree, and the par-profile, in
+   that order. [mode] selects the profile's accounting (--sketch). *)
 let run_with ?mode opts ~command ~protocol ~seed g body =
-  let meta = Report.run_meta ~command ~protocol ~seed g in
   let obs = if opts.trace <> None || opts.spans <> None then Some (Obs.create ()) else None in
   let sink =
-    match opts.trace with
-    | Some path when Report.is_stream path -> Some (Report.open_stream meta path)
-    | _ -> None
+    Option.map (Report.open_stream (Report.run_meta ~command ~protocol ~seed g)) opts.trace
   in
-  let recorder, profile, tracer = Report.tracing ?mode ?sink g ~on:(obs <> None) in
+  let recorder, profile, tracer = Report.tracing ?mode ?sink ~spans:(opts.spans <> None) g in
   let pp = Option.map (fun _ -> Par_profile.create ()) opts.par_profile in
   let r = body { obs; tracer; pp; domains = opts.domains; policy = opts.policy } in
-  (match (opts.trace, sink, recorder, profile) with
-  | Some path, Some sink, _, Some profile -> Report.finish_stream path sink profile
-  | Some path, None, Some recorder, Some profile ->
-      Report.write_json path
-        (Report.assemble meta ~extra:(r.fields profile) ~profile ~recorder obs)
-        ~describe:(fun () ->
-          Printf.printf "trace: wrote %s (%s)\n" path (r.summary recorder profile))
+  (match (opts.trace, sink, profile) with
+  | Some path, Some sink, Some profile ->
+      let report =
+        r.fields profile @ (("profile", Trace.Profile.to_json profile) :: Report.obs_fields obs)
+      in
+      Report.finish_stream ~report path sink profile
   | _ -> ());
   Report.write_spans ?recorder ?par:pp opts.spans obs;
   Option.iter (Report.write_par_profile opts.par_profile) pp;
@@ -400,7 +390,7 @@ let supervise r ?accept ~fallback attempt =
       print_trail sup;
       (sup.Supervisor.outcome, [ ("resilience", Supervisor.to_json sup) ])
 
-(* Report fields and trace summary shared by the runs under faults. *)
+(* Report fields shared by the runs under faults. *)
 let outcome_fields f o =
   [
     ( "outcome",
@@ -412,10 +402,6 @@ let outcome_fields f o =
       | Outcome.Degraded (_, d) -> Outcome.degradation_to_json d );
     ("fault_plan", Json.String f.plan_path);
   ]
-
-let fault_summary recorder profile =
-  Printf.sprintf "%d events, %d fault events" (Trace.Recorder.length recorder)
-    (Trace.Profile.fault_events profile)
 
 let part_traffic sc profile =
   ( "part_traffic",
@@ -468,8 +454,7 @@ let shortcut_cmd =
        genuine CONGEST event stream (BFS + detection waves). With only
        --par-profile the pipeline runs untraced, so the sharded fast path
        stays fully parallel. *)
-    if r.obs = None && r.pp = None then
-      { code = 0; fields = (fun _ -> []); summary = (fun _ _ -> "") }
+    if r.obs = None && r.pp = None then { code = 0; fields = (fun _ -> []) }
     else begin
       let o =
         Distributed.construct ?obs:r.obs ~domains:r.domains ?tracer:r.tracer
@@ -494,12 +479,6 @@ let shortcut_cmd =
               ("wave_messages", Json.Int o.Distributed.wave_messages);
               part_traffic o.Distributed.result.Construct.shortcut profile;
             ]);
-        summary =
-          (fun _ profile ->
-            Printf.sprintf "%d words over %d edges in %d rounds"
-              (Trace.Profile.total_words profile)
-              (Trace.Profile.edges_used profile)
-              (Trace.Profile.rounds profile));
       }
     end
   in
@@ -575,7 +554,6 @@ let shortcut_cmd =
         (fun _ ->
           (("parts", Json.Int (Partition.k partition)) :: outcome_fields f o)
           @ (("pipeline_rounds", Json.Int rep.Distributed.pipeline_rounds) :: resilience));
-      summary = fault_summary;
     }
   in
   let run family parts seed full faults opts =
@@ -596,11 +574,11 @@ let shortcut_cmd =
     Term.(const run $ graph_arg $ parts_arg $ seed_arg $ full_arg $ faults_term
           $ run_opts
               ~trace_doc:"also run the distributed (Theorem 1.5) pipeline on the \
-                          enforced simulator with tracing on and write the JSON \
-                          run report (stats, per-edge congestion profile, \
-                          per-part traffic, event stream, spans/metrics/ledger) \
-                          to $(docv); a .jsonl suffix instead streams the events \
-                          line by line (lcs-trace-stream/1)"
+                          enforced simulator with tracing on and stream its \
+                          trace to $(docv), whatever the suffix, as \
+                          line-delimited lcs-trace-stream/2 JSON: a header, the \
+                          events, and a last report line (per-edge congestion \
+                          profile, per-part traffic, spans/metrics/ledger)"
               ~spans_doc:"write the construction's span tree as Chrome \
                           trace-event JSON (Perfetto-loadable) to $(docv)")
 
@@ -636,13 +614,6 @@ let pa_cmd =
             ("completion_round", Json.Int out.Sim_aggregate.completion_round);
             part_traffic sc profile;
           ]);
-      summary =
-        (fun recorder profile ->
-          Printf.sprintf "%d events; %d words over %d edges in %d rounds"
-            (Trace.Recorder.length recorder)
-            (Trace.Profile.total_words profile)
-            (Trace.Profile.edges_used profile)
-            (Trace.Profile.rounds profile));
     }
   in
   let faulty sc values ~seed f r =
@@ -725,7 +696,6 @@ let pa_cmd =
               part_traffic sc profile;
             ]
           @ resilience);
-      summary = fault_summary;
     }
   in
   let run family parts seed faults sketch opts =
@@ -747,12 +717,12 @@ let pa_cmd =
     Term.(const run $ graph_arg $ parts_arg $ seed_arg $ faults_term $ sketch_arg
           $ run_opts
               ~trace_doc:"run the aggregation under the enforced simulator with \
-                          tracing on and write the JSON run report (stats, \
-                          per-edge congestion profile, per-part traffic, event \
-                          stream, spans/metrics/ledger) to $(docv); a .jsonl \
-                          suffix instead streams the events line by line \
-                          (lcs-trace-stream/1, O(1) resident memory — see `lcs \
-                          top' and `lcs analyze')"
+                          tracing on and stream its trace to $(docv), whatever \
+                          the suffix, as line-delimited lcs-trace-stream/2 JSON: \
+                          a header, the events, and a last report line (stats, \
+                          per-edge congestion profile, per-part traffic, \
+                          spans/metrics/ledger); O(1) resident memory in the \
+                          event count — see `lcs top' and `lcs analyze'"
               ~spans_doc:"write the enforced-simulator run's span tree as Chrome \
                           trace-event JSON (Perfetto-loadable) to $(docv)")
 
@@ -812,12 +782,6 @@ let mst_cmd =
                 ("max_congestion", Json.Int acc.Boruvka_engine.max_congestion);
                 ("correct_vs_kruskal", Json.Bool ok);
               ]);
-          summary =
-            (fun recorder profile ->
-              Printf.sprintf "%d events; %d words over %d edges"
-                (Trace.Recorder.length recorder)
-                (Trace.Profile.total_words profile)
-                (Trace.Profile.edges_used profile));
         })
   in
   let mode_arg =
@@ -836,11 +800,11 @@ let mst_cmd =
     (Cmd.info "mst" ~doc:"distributed Boruvka MST with measured PA rounds")
     Term.(const run $ graph_arg $ seed_arg $ mode_arg
           $ run_opts
-              ~trace_doc:"trace every phase's simulated aggregation and write the \
-                          JSON run report (accounting, per-edge congestion \
-                          profile, event stream, spans/metrics/ledger) to \
-                          $(docv); a .jsonl suffix instead streams the events \
-                          line by line (lcs-trace-stream/1)"
+              ~trace_doc:"trace every phase's simulated aggregation and stream it \
+                          to $(docv), whatever the suffix, as line-delimited \
+                          lcs-trace-stream/2 JSON: a header, the events, and a \
+                          last report line (accounting, per-edge congestion \
+                          profile, spans/metrics/ledger)"
               ~spans_doc:"write the run's span tree (mst → boruvka.phase → pa → \
                           pa.epoch) as Chrome trace-event JSON to $(docv)")
 
@@ -938,53 +902,21 @@ let certificate_cmd =
 (* --- analyze subcommand ------------------------------------------------------ *)
 
 let analyze_cmd =
-  let run_report_runs path =
-    let contents =
-      match open_in_bin path with
-      | ic ->
-          let len = in_channel_length ic in
-          let s = really_input_string ic len in
-          close_in ic;
-          s
-      | exception Sys_error msg ->
-          Printf.eprintf "lcs: cannot read %s: %s\n" path msg;
-          exit 1
-    in
-    let doc =
-      match Json.of_string contents with
-      | Ok doc -> doc
-      | Error msg ->
-          Printf.eprintf "lcs: %s: invalid JSON: %s\n" path msg;
-          exit 1
-    in
-    match Analyze.of_json doc with
-    | Ok runs -> runs
-    | Error msg ->
-        Printf.eprintf "lcs: %s: %s\n" path msg;
-        exit 1
-  in
-  (* A streamed (.jsonl) trace is read line by line; the causal DAG the
-     analyzer builds still needs every event, but the file is never held
-     in memory as one JSON document. *)
-  let streamed_runs path =
-    let events = ref [] in
+  (* The causal DAG the analyzer builds needs every event, but the file
+     is read line by line, never held in memory as one JSON document. *)
+  let read_runs path =
     match
-      Trace.Stream.fold path ~init:() ~f:(fun () line ->
-          match line with
-          | Trace.Stream.Event ev -> events := ev :: !events
-          | Trace.Stream.Meta _ | Trace.Stream.Snapshot _
-          | Trace.Stream.Truncated _ -> ())
+      Trace.Stream.fold path ~init:[] ~f:(fun events -> function
+        | Trace.Stream.Event ev -> ev :: events
+        | Trace.Stream.Meta _ | Trace.Stream.Snapshot _ | Trace.Stream.Report _ -> events)
     with
-    | Ok () -> Analyze.of_events (List.rev !events)
+    | Ok events -> Analyze.of_events (List.rev events)
     | Error msg ->
         Printf.eprintf "lcs: %s: %s\n" path msg;
         exit 1
   in
   let run path json_out flows_out =
-    let runs =
-      if Report.is_stream path then streamed_runs path
-      else run_report_runs path
-    in
+    let runs = read_runs path in
     if runs = [] then Printf.printf "%s: no simulator runs in trace\n" path;
     List.iter (fun r -> print_string (Analyze.to_text r)) runs;
     (match json_out with
@@ -1022,9 +954,8 @@ let analyze_cmd =
   let trace_pos =
     Arg.(required & pos 0 (some string) None
          & info [] ~docv:"TRACE"
-             ~doc:"run report written by pa/shortcut/mst --trace, a bare \
-                   event array, or a streamed .jsonl trace \
-                   (lcs-trace-stream/1)")
+             ~doc:"trace stream written by pa/shortcut/mst/bcast --trace \
+                   (lcs-trace-stream/2, or /1)")
   in
   let json_arg =
     Arg.(value & opt (some string) None
@@ -1433,8 +1364,8 @@ let bcast_cmd =
     Arg.(value & opt (some string) None
          & info [ "trace" ] ~docv:"PATH"
              ~doc:"stream the run's events to $(docv) as line-delimited \
-                   lcs-trace-stream/1 JSON — resident memory stays O(1) \
-                   however long the run")
+                   lcs-trace-stream/2 JSON, with no report line — resident \
+                   memory stays O(1) however long the run")
   in
   let every_arg =
     Arg.(value & opt nonneg_int 0
@@ -1462,9 +1393,10 @@ let bcast_cmd =
 
 let top_cmd =
   let run path k profile_out =
-    (* One pass over the streamed file: remember the header, tabulate the
-       flight snapshots, and rebuild the congestion profile by replaying
-       every event line into a collector sized by the header's edge count.
+    (* One pass over the streamed file: remember the header (its first
+       line; the fold refuses one anywhere else), tabulate the flight
+       snapshots, and rebuild the congestion profile by replaying every
+       event line into a collector sized by the header's edge count.
        Without that count the fold cannot bound edge ids, so a stream
        lacking it is refused rather than sized by the ids it carries. *)
     let header = ref [] in
@@ -1478,9 +1410,7 @@ let top_cmd =
             | Trace.Stream.Meta m ->
                 (match m with Json.Obj fields -> header := fields | _ -> ());
                 (match Json.member "m" m with
-                | Some (Json.Int edges) ->
-                    if Option.is_none !profile then
-                      profile := Some (Trace.Profile.create ~edges ())
+                | Some (Json.Int edges) -> profile := Some (Trace.Profile.create ~edges ())
                 | _ -> raise No_edge_count);
                 events
             | Trace.Stream.Event ev -> (
@@ -1492,7 +1422,7 @@ let top_cmd =
             | Trace.Stream.Snapshot s ->
                 snaps := s :: !snaps;
                 events
-            | Trace.Stream.Truncated _ -> events)
+            | Trace.Stream.Report _ -> events)
       with No_edge_count -> Error "stream header has no \"m\" (edge count) field"
     in
     match result with
@@ -1550,8 +1480,8 @@ let top_cmd =
   let trace_pos =
     Arg.(required & pos 0 (some file) None
          & info [] ~docv:"TRACE"
-             ~doc:"streamed lcs-trace-stream/1 file written by --trace \
-                   FILE.jsonl")
+             ~doc:"trace stream written by pa/shortcut/mst/bcast --trace \
+                   (lcs-trace-stream/2, or /1)")
   in
   let k_arg =
     Arg.(value & opt int 10

@@ -1,7 +1,8 @@
-(* Shared run-report assembly for lcs_cli subcommands: one JSON schema
-   (command/protocol/seed/n/m + per-command extras + profile/events +
-   spans/metrics/ledger) and one writer, so `pa`, `shortcut` and `mst`
-   cannot drift apart. *)
+(* Shared trace and report output for lcs_cli subcommands. A traced run
+   writes one lcs-trace-stream/2 file: the header (command, protocol,
+   seed, n, m), the events, a final snapshot, and a report line
+   (per-command extras, profile, spans/metrics/ledger), so `pa`,
+   `shortcut` and `mst` cannot drift apart. *)
 
 open Core
 
@@ -25,7 +26,7 @@ let obs_fields = function
         ("ledger", Obs.ledger_to_json o);
       ]
 
-(* The header every run report and trace stream opens with. *)
+(* The header every trace stream opens with. *)
 let run_meta ~command ~protocol ~seed g =
   [
     ("command", Json.String command);
@@ -34,12 +35,6 @@ let run_meta ~command ~protocol ~seed g =
     ("n", Json.Int (Graph.n g));
     ("m", Json.Int (Graph.m g));
   ]
-
-let assemble meta ~extra ~profile ~recorder obs =
-  Json.Obj
-    (meta @ extra
-    @ [ ("profile", Trace.Profile.to_json profile); ("events", Trace.Recorder.to_json recorder) ]
-    @ obs_fields obs)
 
 let write_json path doc ~describe =
   match open_out path with
@@ -112,12 +107,7 @@ let write_par_profile path pp =
             d.Par_profile.d_barrier_s d.Par_profile.d_serial_s
             d.Par_profile.d_other_s)
 
-(* --- streaming traces (--trace FILE.jsonl) ------------------------------ *)
-
-(* Trace output format by extension, mirroring the graph loader's .bin
-   convention: a .jsonl suffix selects the line-delimited streaming sink
-   (lcs-trace-stream/1), anything else the in-memory JSON run report. *)
-let is_stream path = Filename.check_suffix path ".jsonl"
+(* --- trace streams (--trace PATH) --------------------------------------- *)
 
 let open_stream meta path =
   match Trace.Stream.create ~meta path with
@@ -126,29 +116,31 @@ let open_stream meta path =
       Printf.eprintf "lcs: cannot write %s: %s\n" path msg;
       exit 1
 
-(* Tracing harness: the congestion profile tee'd with the event sink, or
-   nothing when the run is not traced. The sink is the line-delimited
-   stream when one is given, so resident memory stays O(1) in the event
-   count; otherwise an in-memory recorder, returned for the JSON report.
-   [mode] selects the profile's accounting mode (--sketch). *)
-let tracing ?mode ?sink g ~on =
-  if not on then (None, None, None)
+(* Tracing harness: one collector per output, or nothing when the run is
+   neither streamed nor span-traced. The congestion profile always; the
+   stream [sink] under --trace, so resident memory stays O(1) in the
+   event count; and an in-memory recorder under --spans, whose events
+   give the critical-path flows. [mode] selects the profile's accounting
+   mode (--sketch). *)
+let tracing ?mode ?sink ~spans g =
+  if Option.is_none sink && not spans then (None, None, None)
   else
     let profile = Trace.Profile.create ?mode ~edges:(Graph.m g) () in
-    let recorder, events =
-      match sink with
-      | Some s -> (None, Trace.Stream.tracer s)
-      | None ->
-          let r = Trace.Recorder.create () in
-          (Some r, Trace.Recorder.tracer r)
+    let recorder = if spans then Some (Trace.Recorder.create ()) else None in
+    let tracers =
+      Trace.Profile.tracer profile
+      :: List.filter_map Fun.id
+           [ Option.map Trace.Stream.tracer sink; Option.map Trace.Recorder.tracer recorder ]
     in
-    (recorder, Some profile, Some (Trace.tee [ Trace.Profile.tracer profile; events ]))
+    (recorder, Some profile, Some (Trace.tee tracers))
 
 (* Close a sink after one final snapshot, so `lcs top` always has the
-   end-of-run vital signs even when no cadence was requested. *)
-let finish_stream path sink profile =
+   end-of-run vital signs even when no cadence was requested, and after
+   the run's [report] line when there is one. *)
+let finish_stream ?report path sink profile =
   Trace.Stream.snapshot sink
     (Trace.Flight.of_profile ~round:(Trace.Profile.rounds profile) profile);
+  Option.iter (Trace.Stream.report sink) report;
   Trace.Stream.close sink;
   Printf.printf
     "trace: streamed %s (%d events, %d snapshots; %d words over %d edges \

@@ -311,48 +311,6 @@ let analyze_segment ~index events =
 let of_events events =
   List.mapi (fun index seg -> analyze_segment ~index seg) (segment events)
 
-(* --- JSON input ----------------------------------------------------------- *)
-
-let events_of_json doc =
-  let arr =
-    match doc with
-    | Json.List _ -> Ok doc
-    | Json.Obj _ -> (
-        match Json.member "events" doc with
-        | Some (Json.List _ as l) -> Ok l
-        | Some _ -> Error "\"events\" is not an array"
-        | None -> Error "no \"events\" array (was the trace recorded without --trace?)")
-    | _ -> Error "expected a trace report object or an event array"
-  in
-  match arr with
-  | Error _ as e -> e
-  | Ok (Json.List items) ->
-      (* A report object carries the run's [n] and [m], which bound the
-         events' ids exactly as a stream header does. *)
-      let check = Trace.checker ~meta:doc () in
-      let rec go i acc = function
-        | [] -> Ok (List.rev acc)
-        (* A capped recorder ends its stream with a {"t":"truncated",
-           "dropped":N} marker — metadata, not an event; skip it. *)
-        | item :: rest
-          when Json.member "t" item = Some (Json.String "truncated") ->
-            go (i + 1) acc rest
-        | item :: rest -> (
-            match
-              Result.bind (Trace.event_of_json item) (fun ev ->
-                  Result.map (fun () -> ev) (check ev))
-            with
-            | Ok ev -> go (i + 1) (ev :: acc) rest
-            | Error e -> Error (Printf.sprintf "events[%d]: %s" i e))
-      in
-      go 0 [] items
-  | Ok _ -> Error "expected a trace report object or an event array"
-
-let of_json doc =
-  match events_of_json doc with
-  | Error _ as e -> e
-  | Ok events -> Ok (of_events events)
-
 (* --- JSON output ---------------------------------------------------------- *)
 
 let hop_to_json h =

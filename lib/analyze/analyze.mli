@@ -83,15 +83,10 @@ val decomposition_total : decomposition -> int
 
 val of_events : Lcs_congest.Trace.event list -> run list
 (** One {!run} per run of a recording, in order: a multi-run recording
-    is split at each [Round_start {round = 1}] (ids restart there). *)
-
-val of_json : Lcs_util.Json.t -> (run list, string) result
-(** Accepts a run-report object carrying an ["events"] array (what
-    [lcs_cli pa --trace] writes) or a bare event array. Every event must
-    pass {!Lcs_congest.Trace.checker} under the report's ["n"] and ["m"]
-    (unbounded for a bare array); the first that does not is an [Error]
-    naming its index in the array. Lenient towards v1 traces — they
-    parse, but yield an empty critical path. *)
+    is split at each [Round_start {round = 1}] (ids restart there). The
+    events come from a {!Lcs_congest.Trace.Recorder}, or from a trace
+    file read through {!Lcs_congest.Trace.Stream.fold}, which checks
+    them. v1 events parse, but yield an empty critical path. *)
 
 val to_json : run list -> Lcs_util.Json.t
 (** [{"schema": "lcs-analyze/1", "runs": [...]}]. *)

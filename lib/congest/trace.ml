@@ -322,17 +322,6 @@ module Recorder = struct
   let events r = List.rev r.events
   let length r = r.kept
   let dropped r = r.dropped
-
-  let to_json r =
-    let evs = List.rev_map event_to_json r.events in
-    if r.dropped = 0 then Json.List evs
-    else
-      Json.List
-        (evs
-        @ [
-            Json.Obj
-              [ ("t", Json.String "truncated"); ("dropped", Json.Int r.dropped) ];
-          ])
 end
 
 (* --- Profile ------------------------------------------------------------- *)
@@ -744,7 +733,11 @@ end
 (* --- Streaming sink / reader --------------------------------------------- *)
 
 module Stream = struct
-  let schema = "lcs-trace-stream/1"
+  let schema = "lcs-trace-stream/2"
+
+  (* The line set before the report line: a /1 file is a /2 file without
+     one, and reads as such. *)
+  let schema_v1 = "lcs-trace-stream/1"
 
   type sink = {
     oc : out_channel;
@@ -772,6 +765,8 @@ module Stream = struct
     sink.snapshots <- sink.snapshots + 1;
     write_line sink (Flight.to_json s)
 
+  let report sink fields = write_line sink (Json.Obj (("t", Json.String "report") :: fields))
+
   let events_written sink = sink.events
   let snapshots_written sink = sink.snapshots
 
@@ -785,29 +780,28 @@ module Stream = struct
     | Meta of Json.t
     | Event of event
     | Snapshot of Flight.snapshot
-    | Truncated of int
+    | Report of Json.t
 
   let parse_line j =
     match Json.member "t" j with
     | Some (Json.String "snapshot") ->
         Result.map (fun s -> Snapshot s) (Flight.of_json j)
-    | Some (Json.String "truncated") -> (
-        match Json.member "dropped" j with
-        | Some (Json.Int n) -> Ok (Truncated n)
-        | _ -> Error "truncated marker without a \"dropped\" count")
+    | Some (Json.String "report") -> Ok (Report j)
     | Some _ -> Result.map (fun e -> Event e) (event_of_json j)
     | None -> (
         match Json.member "schema" j with
-        | Some (Json.String s) when s = schema -> Ok (Meta j)
+        | Some (Json.String s) when s = schema || s = schema_v1 -> Ok (Meta j)
         | Some (Json.String s) -> Error ("unexpected stream schema " ^ s)
-        | _ -> Error "line is neither an event, a snapshot nor a stream header")
+        | _ -> Error "line is neither an event, a snapshot, a report nor a stream header")
 
   (* One line at a time — memory stays O(longest line) however large the
      file. The fold stops at the first malformed line and reports its
      number; a trailing partial line (a run killed mid-write) therefore
      surfaces as an error rather than silent truncation. So does an event
      outside the bounds [checker] keeps, which collectors would otherwise
-     index out of range. *)
+     index out of range, and a line out of place: a header past the first
+     line, which would rebind those bounds, and anything after the report
+     line, which ends the stream. *)
   let fold path ~init ~f =
     match open_in_bin path with
     | exception Sys_error msg -> Error msg
@@ -818,24 +812,28 @@ module Stream = struct
             let lineno = ref 0 in
             let check = ref (checker ()) in
             let located e = Error (Printf.sprintf "line %d: %s" !lineno e) in
-            let rec loop acc =
+            let rec loop acc at =
               match input_line ic with
               | exception End_of_file -> Ok acc
               | "" ->
                   incr lineno;
-                  loop acc
+                  loop acc at
               | line -> (
                   incr lineno;
-                  match Result.bind (Json.of_string line) parse_line with
-                  | Error e -> located e
-                  | Ok (Event ev as l) -> (
-                      match !check ev with Ok () -> loop (f acc l) | Error e -> located e)
-                  | Ok (Meta j as l) ->
+                  match (Result.bind (Json.of_string line) parse_line, at) with
+                  | Error e, _ -> located e
+                  | Ok (Report _), `Ended -> located "second report line"
+                  | Ok _, `Ended -> located "nothing may follow the report line"
+                  | Ok (Meta _), `Body -> located "stream header after the first line"
+                  | Ok (Meta j as l), `Start ->
                       check := checker ~meta:j ();
-                      loop (f acc l)
-                  | Ok l -> loop (f acc l))
+                      loop (f acc l) `Body
+                  | Ok (Event ev as l), _ -> (
+                      match !check ev with Ok () -> loop (f acc l) `Body | Error e -> located e)
+                  | Ok (Snapshot _ as l), _ -> loop (f acc l) `Body
+                  | Ok (Report _ as l), _ -> loop (f acc l) `Ended)
             in
-            loop init)
+            loop init `Start)
 
   let replay ?on_meta ?on_snapshot path tr =
     fold path ~init:0 ~f:(fun n l ->
@@ -849,5 +847,5 @@ module Stream = struct
         | Meta j ->
             (match on_meta with Some f -> f j | None -> ());
             n
-        | Truncated _ -> n)
+        | Report _ -> n)
 end

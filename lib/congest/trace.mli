@@ -12,9 +12,12 @@
     message when absent; protocols therefore thread it through unchanged.
 
     Two collectors cover the common uses: {!Recorder} keeps the raw event
-    stream (for JSON export and replay debugging); {!Profile} folds events
-    into per-edge / per-round congestion profiles incrementally, without
-    retaining the stream. Combine them with {!tee}. *)
+    stream in memory (for the causal analyzer and replay debugging);
+    {!Profile} folds events into per-edge / per-round congestion profiles
+    incrementally, without retaining the stream. Combine them with
+    {!tee}. On disk a trace has one format, the line-delimited
+    {!Stream}: a header, the events, and a last line holding the run
+    report. *)
 
 type event =
   | Round_start of { round : int; live : int }
@@ -91,17 +94,18 @@ val checker : ?meta:Lcs_util.Json.t -> unit -> event -> (unit, string) result
     at least [meta]'s ["m"], when [words] is negative, or when a [Send]
     or [Duplicate] has an [id] below 1 or a parent that is not an earlier
     id (below 1, or at least its own [id]). [meta] is the
-    run's metadata object — a {!Stream} header or a run report; a bound
-    it does not carry is not checked. {!Stream.fold} and the analyzer's
-    JSON reader both check through it, so collectors never index out of
-    range. *)
+    run's metadata object, a {!Stream} header; a bound it does not carry
+    is not checked. {!Stream.fold} checks every event it reads through
+    it, so collectors never index out of range. *)
 
 (** Retains the event stream in memory, in order, up to a cap.
 
     In-memory retention of a big-graph trace is unbounded heap growth by
     design; use {!Stream} to spill to disk instead. The recorder
     therefore caps itself at {!default_cap} events unless told otherwise
-    and counts what it dropped. *)
+    and counts what it dropped. The CLI records a run this way only for
+    [--spans], whose critical-path flows the analyzer builds from the
+    retained events. *)
 module Recorder : sig
   type t
 
@@ -124,12 +128,6 @@ module Recorder : sig
 
   val dropped : t -> int
   (** Events past the cap that were counted and discarded. *)
-
-  val to_json : t -> Lcs_util.Json.t
-  (** The retained events as a JSON array. When events were dropped, one
-      final [{"t": "truncated", "dropped": n}] marker object is appended
-      so consumers can tell a capped trace from a complete one (the
-      analyzer and the stream reader skip it). *)
 end
 
 (** Incremental per-edge / per-round congestion aggregation.
@@ -290,19 +288,21 @@ module Flight : sig
 end
 
 (** Line-delimited streaming of traces to disk (schema
-    [lcs-trace-stream/1]).
+    [lcs-trace-stream/2]) — the one on-disk trace format.
 
     A streamed trace file is one JSON object per line: a header line
-    [{"schema": "lcs-trace-stream/1", ...metadata}], then events in
+    [{"schema": "lcs-trace-stream/2", ...metadata}], then events in
     order (the {!event_to_json} objects), interleaved with optional
-    {!Flight} snapshot lines. The sink holds only an [out_channel]
-    buffer — resident memory is O(1) in the trace length — and the
-    reader replays a file into any {!tracer} one line at a time, so
-    every existing collector ({!Profile}, {!Recorder}, the analyzer)
-    consumes streamed traces without loading them whole. *)
+    {!Flight} snapshot lines, and, when the writer has one, a last
+    [{"t": "report", ...}] line holding the run report. The sink holds
+    only an [out_channel] buffer — resident memory is O(1) in the trace
+    length — and the reader replays a file into any {!tracer} one line
+    at a time, so every existing collector ({!Profile}, {!Recorder}, the
+    analyzer) consumes streamed traces without loading them whole. *)
 module Stream : sig
   val schema : string
-  (** ["lcs-trace-stream/1"]. *)
+  (** ["lcs-trace-stream/2"]. {!fold} also reads [lcs-trace-stream/1]
+      files: a [/1] file is a [/2] file without a report line. *)
 
   (** {2 Writing} *)
 
@@ -321,6 +321,10 @@ module Stream : sig
   val snapshot : sink -> Flight.snapshot -> unit
   (** Append a snapshot line. *)
 
+  val report : sink -> (string * Lcs_util.Json.t) list -> unit
+  (** Append the report line, [{"t": "report"}] followed by the given
+      fields. It ends the stream: {!fold} refuses any line after it. *)
+
   val events_written : sink -> int
 
   val snapshots_written : sink -> int
@@ -335,14 +339,16 @@ module Stream : sig
     | Meta of Lcs_util.Json.t  (** the header object *)
     | Event of event
     | Snapshot of Flight.snapshot
-    | Truncated of int  (** a {!Recorder} truncation marker *)
+    | Report of Lcs_util.Json.t  (** the report line's object, ["t"] included *)
 
   val fold : string -> init:'a -> f:('a -> line -> 'a) -> ('a, string) result
   (** Fold over a streamed file line by line — memory stays O(longest
       line). Stops at the first malformed line with its line number, so a
       file cut off mid-write surfaces as an [Error], not silence. An event
       that {!checker} rejects under the header is malformed too, and [f]
-      never sees it. *)
+      never sees it. So is a line out of place: a header anywhere but on
+      the first non-empty line, a second report line, or any line after
+      the report. *)
 
   val replay :
     ?on_meta:(Lcs_util.Json.t -> unit) ->
@@ -352,5 +358,5 @@ module Stream : sig
     (int, string) result
   (** Replay a streamed file's events, in order, into a tracer; returns
       the number of events replayed. Snapshot and header lines go to the
-      optional callbacks instead. *)
+      optional callbacks instead, and the report line is skipped. *)
 end

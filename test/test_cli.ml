@@ -1,11 +1,12 @@
 (* CLI golden suite: `pa`, `shortcut`, `mst` and `bcast` invocations on
    the three hosts of the library fingerprints (grid:8 rows, ktree:4,120
-   voronoi:8, lbg:5,11 rows), sweeping --trace (.json report and .jsonl
-   stream), --spans, --sketch, --par-profile, fault plans and the
-   resilience supervisor. A row pins the exit code, a digest of stdout and
-   a digest of every file the run writes, after timing fields are
-   stripped. Each invocation runs in a fresh directory with fixed relative
-   file names and a copy of plans/, because stdout and reports echo paths.
+   voronoi:8, lbg:5,11 rows), sweeping --trace (one stream format, at a
+   .json and a .jsonl suffix), --spans, --sketch, --par-profile, fault
+   plans and the resilience supervisor. A row pins the exit code, a digest
+   of stdout and a digest of every file the run writes, after timing
+   fields are stripped. Each invocation runs in a fresh directory with
+   fixed relative file names and a copy of plans/, because stdout and
+   trace streams echo paths.
 
    --domains is a performance knob, so every case must also observe the
    same at --domains 2 (and at LCS_DOMAINS, when set) as at --domains 1;
@@ -76,8 +77,10 @@ let normalize_json name s =
       (view false, view true)
   | Error e -> Alcotest.failf "%s: invalid JSON: %s" name e
 
+(* A trace stream, whatever its suffix, is normalized line by line; any
+   other .json file as one document. *)
 let normalize_file name contents =
-  if Filename.check_suffix name ".jsonl" then
+  if String.starts_with ~prefix:{|{"schema":"lcs-trace-stream/|} contents then
     let views =
       String.split_on_char '\n' contents
       |> List.map (fun l -> if l = "" then (l, l) else normalize_json name l)
@@ -108,8 +111,15 @@ let normalize_stdout ~twin out =
 let par_profile_file = "pp.json"
 
 (* One invocation's observables: [golden] is the row the matrix pins,
-   [twin] the view every domain count must share. *)
-type run = { stdout : string; stderr : string; golden : string; twin : string }
+   [twin] the view every domain count must share, and [files] what it
+   wrote, by name. *)
+type run = {
+  stdout : string;
+  stderr : string;
+  golden : string;
+  twin : string;
+  files : (string * string) list;
+}
 
 let rec remove_tree path =
   if Sys.is_directory path then begin
@@ -142,13 +152,18 @@ let invoke args =
          (Filename.quote out) (Filename.quote err))
   in
   let stdout = read_file out and stderr = read_file err in
-  let digests =
+  let files =
     Sys.readdir work |> Array.to_list
     |> List.filter (fun f -> f <> "plans")
     |> List.sort compare
-    |> List.map (fun f ->
-           let golden, twin = normalize_file f (read_file (Filename.concat work f)) in
-           (f, short golden, short twin))
+    |> List.map (fun f -> (f, read_file (Filename.concat work f)))
+  in
+  let digests =
+    List.map
+      (fun (f, contents) ->
+        let golden, twin = normalize_file f contents in
+        (f, short golden, short twin))
+      files
   in
   remove_tree dir;
   let row ~twin =
@@ -161,7 +176,7 @@ let invoke args =
              else Some (Printf.sprintf "%s=%s" f twin_view))
            digests)
   in
-  { stdout; stderr; golden = row ~twin:false; twin = row ~twin:true }
+  { stdout; stderr; golden = row ~twin:false; twin = row ~twin:true; files }
 
 (* --- the matrix -------------------------------------------------------------- *)
 
@@ -358,8 +373,67 @@ let flag_sets_pinned () =
     subcommands
   |> report "flag sets"
 
+(* --- one trace format ------------------------------------------------------ *)
+
+let written r name =
+  match List.assoc_opt name r.files with
+  | Some contents -> contents
+  | None -> Alcotest.failf "%s was not written" name
+
+let parse name s =
+  match Json.of_string s with Ok j -> j | Error e -> Alcotest.failf "%s: %s" name e
+
+(* --trace writes one stream whatever the suffix: the same file, timing
+   keys aside. *)
+let trace_suffix_free () =
+  let stream path =
+    let r = invoke (("pa" :: grid) @ [ "--trace"; path ]) in
+    fst (normalize_file path (written r path))
+  in
+  check Alcotest.string "--trace t.json writes what --trace t.jsonl does" (stream "t.jsonl")
+    (stream "t.json")
+
+(* The stream's last line is the run report: every key of a run under
+   faults, supervised, but the events and the header's meta. *)
+let report_line_keys () =
+  let r = invoke (("pa" :: grid) @ crash_heavy @ [ "--trace"; "t.jsonl" ]) in
+  let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' (written r "t.jsonl")) in
+  let report = parse "t.jsonl" (List.nth lines (List.length lines - 1)) in
+  check Alcotest.bool "the last line is the report" true
+    (Json.member "t" report = Some (Json.String "report"));
+  List.iter
+    (fun key ->
+      check Alcotest.bool (key ^ " in the report line") true (Json.member key report <> None))
+    [
+      "outcome"; "degradation"; "fault_plan"; "fault_counts"; "resilience"; "stats";
+      "completion_round"; "retransmissions"; "parts"; "part_traffic"; "profile"; "spans";
+      "metrics"; "ledger";
+    ]
+
+(* --spans draws the critical path's flow arrows beside a stream too:
+   every "s" event has its "f". *)
+let spans_flows_beside_stream () =
+  let r = invoke (("shortcut" :: lbg) @ words "--trace t.jsonl --spans s.json") in
+  let events =
+    match Json.member "traceEvents" (parse "s.json" (written r "s.json")) with
+    | Some (Json.List l) -> l
+    | _ -> Alcotest.fail "s.json has no traceEvents"
+  in
+  let ids ph =
+    List.sort compare
+      (List.filter_map
+         (fun ev ->
+           if Json.member "ph" ev = Some (Json.String ph) then Json.member "id" ev else None)
+         events)
+  in
+  check Alcotest.bool "flow starts drawn" true (ids "s" <> []);
+  check Alcotest.bool "each start has its finish" true (ids "s" = ids "f")
+
 let suite =
   [
     case "golden invocations" `Quick golden_rows;
     case "flag sets" `Quick flag_sets_pinned;
+    case "trace: one stream at either suffix" `Quick trace_suffix_free;
+    case "trace: report line holds the report" `Quick report_line_keys;
+    case "trace: --spans flows beside a stream" `Quick spans_flows_beside_stream;
   ]

@@ -146,7 +146,8 @@ let record_run ?faults g =
     Simulator.run ~tracer:(Trace.Recorder.tracer recorder) ?faults g
       (flood_program ~rounds:12)
   in
-  (states, stats, Json.to_string (Trace.Recorder.to_json recorder))
+  let events = List.map Trace.event_to_json (Trace.Recorder.events recorder) in
+  (states, stats, Json.to_string (Json.List events))
 
 let empty_injector_is_invisible () =
   let g = random_connected_graph 5 ~n:20 ~extra:10 in

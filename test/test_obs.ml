@@ -117,7 +117,8 @@ let collector_is_transparent () =
         ~tracer:(Trace.Recorder.tracer recorder)
         (Rng.create 11) sc ~values
     in
-    (out, Json.to_string (Trace.Recorder.to_json recorder))
+    let events = List.map Trace.event_to_json (Trace.Recorder.events recorder) in
+    (out, Json.to_string (Json.List events))
   in
   let plain, events_plain = run None in
   let o = Obs.create () in

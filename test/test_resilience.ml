@@ -457,7 +457,13 @@ let write_file path s =
    for a 4x4 grid's binary file with one row offset set to 10^9, [BIT63]
    for the same file with bit 63 of its first edge-id word (word 68) set,
    which a 63-bit read would drop, and [NOM] for a trace stream whose
-   header lacks "n" and "m" and whose send has edge id 10^7. *)
+   header lacks "n" and "m" and whose send has edge id 10^7. Four more
+   traces have a line out of place: [HDR2] a second header on line 4,
+   whose "m" would let its next send's edge 50000 through a stream whose
+   first header says m = 3; [REP2] a second report line on line 5;
+   [AFTER] a send on line 4, after the report line; and [REPORT] a run
+   report in the one-document JSON format that --trace no longer
+   writes. *)
 let cli_rejects_malformed_input () =
   let temp name suffix contents =
     let path = Filename.temp_file name suffix in
@@ -496,6 +502,44 @@ let cli_rejects_malformed_input () =
                {|{"t":"round_start","round":1,"live":16}|};
                {|{"t":"send","round":1,"src":0,"dst":1,"edge":10000000,"words":1,"id":1,"parents":[]}|};
              ]) );
+      ( "HDR2",
+        temp "lcs_two_headers" ".jsonl"
+          (String.concat "\n"
+             [
+               {|{"schema":"lcs-trace-stream/1","command":"bfs","n":3,"m":3}|};
+               {|{"t":"round_start","round":1,"live":3}|};
+               {|{"t":"send","round":1,"src":0,"dst":1,"edge":0,"words":1,"id":1,"parents":[]}|};
+               {|{"schema":"lcs-trace-stream/1","command":"bfs","n":3,"m":100000}|};
+               {|{"t":"send","round":1,"src":1,"dst":2,"edge":50000,"words":1,"id":2,"parents":[]}|};
+             ]) );
+      ( "REP2",
+        temp "lcs_two_reports" ".jsonl"
+          (String.concat "\n"
+             [
+               {|{"schema":"lcs-trace-stream/2","command":"bfs","n":3,"m":3}|};
+               {|{"t":"round_start","round":1,"live":3}|};
+               {|{"t":"send","round":1,"src":0,"dst":1,"edge":0,"words":1,"id":1,"parents":[]}|};
+               {|{"t":"report","parts":1}|};
+               {|{"t":"report","parts":1}|};
+             ]) );
+      ( "AFTER",
+        temp "lcs_after_report" ".jsonl"
+          (String.concat "\n"
+             [
+               {|{"schema":"lcs-trace-stream/2","command":"bfs","n":3,"m":3}|};
+               {|{"t":"round_start","round":1,"live":3}|};
+               {|{"t":"report","parts":1}|};
+               {|{"t":"send","round":1,"src":0,"dst":1,"edge":0,"words":1,"id":1,"parents":[]}|};
+             ]) );
+      ( "REPORT",
+        temp "lcs_report" ".json"
+          {|{
+  "command": "pa",
+  "n": 16,
+  "m": 24,
+  "events": [ { "t": "round_start", "round": 1, "live": 16 } ]
+}
+|} );
       ("PLAN", temp "lcs_bad_plan" ".json"
                  {|{ "schema": "lcs-fault-plan/1", "default": { "drop": 0.5, }|});
       ("TXT", temp "lcs_bad_graph" ".txt" "3 2\n0 1\n1 7\n");
@@ -540,6 +584,13 @@ let cli_rejects_malformed_input () =
       ("shards OFFSET", 2, "OFFSET");
       ("graph convert OFFSET -o /dev/null", 2, "OFFSET");
       ("top NOM", 1, "\"m\"");
+      ("top HDR2", 1, "line 4: stream header");
+      ("analyze HDR2", 1, "line 4: stream header");
+      ("top REP2", 1, "line 5: second report");
+      ("analyze REP2", 1, "line 5: second report");
+      ("top AFTER", 1, "line 4: nothing may follow");
+      ("analyze AFTER", 1, "line 4: nothing may follow");
+      ("analyze REPORT", 1, "line 1: ");
     ]
   in
   List.iter

@@ -208,7 +208,8 @@ let trace_json_roundtrip () =
   in
   let out = Sim_aggregate.minimum ~tracer (Rng.create 5) sc ~values in
   check Alcotest.bool "events json round-trips" true
-    (json_roundtrip (Trace.Recorder.to_json recorder));
+    (json_roundtrip
+       (Json.List (List.map Trace.event_to_json (Trace.Recorder.events recorder))));
   let pjson = Trace.Profile.to_json profile in
   check Alcotest.bool "profile json round-trips" true (json_roundtrip pjson);
   (* The exported totals agree with the run's stats. *)
@@ -266,28 +267,17 @@ let recorder_cap_drops () =
   done;
   check Alcotest.int "kept at the cap" 5 (Trace.Recorder.length r);
   check Alcotest.int "overflow counted" 4 (Trace.Recorder.dropped r);
-  check Alcotest.int "kept events are the earliest" 5
-    (List.length (Trace.Recorder.events r));
-  (match Trace.Recorder.to_json r with
-  | Json.List items -> (
-      check Alcotest.int "json keeps events + marker" 6 (List.length items);
-      match List.nth items 5 with
-      | Json.Obj _ as marker ->
-          check Alcotest.bool "marker tagged truncated" true
-            (Json.member "t" marker = Some (Json.String "truncated"));
-          check Alcotest.bool "marker carries the count" true
-            (Json.member "dropped" marker = Some (Json.Int 4))
-      | _ -> Alcotest.fail "last item is not the truncation marker")
-  | _ -> Alcotest.fail "recorder json is not a list");
-  (* An uncapped recorder emits no marker. *)
+  check Alcotest.bool "kept events are the earliest" true
+    (List.map
+       (function Trace.Round_start { round; _ } -> round | _ -> 0)
+       (Trace.Recorder.events r)
+    = [ 1; 2; 3; 4; 5 ]);
   let r0 = Trace.Recorder.create ~cap:0 () in
   for round = 1 to 9 do
     Trace.Recorder.tracer r0 (Trace.Round_start { round; live = 1 })
   done;
   check Alcotest.int "cap:0 keeps everything" 9 (Trace.Recorder.length r0);
-  match Trace.Recorder.to_json r0 with
-  | Json.List items -> check Alcotest.int "no marker when nothing dropped" 9 (List.length items)
-  | _ -> Alcotest.fail "recorder json is not a list"
+  check Alcotest.int "cap:0 drops nothing" 0 (Trace.Recorder.dropped r0)
 
 let stream_roundtrip () =
   let path = Filename.temp_file "lcs_stream" ".jsonl" in
@@ -312,6 +302,7 @@ let stream_roundtrip () =
       let _out = Sim_aggregate.minimum ~tracer (Rng.create 9) sc ~values in
       Trace.Stream.snapshot sink
         (Trace.Flight.of_profile ~round:(Trace.Profile.rounds profile) profile);
+      Trace.Stream.report sink [ ("profile", Trace.Profile.to_json profile) ];
       Trace.Stream.close sink;
       check Alcotest.int "sink saw every event"
         (Trace.Recorder.length recorder)
@@ -344,6 +335,15 @@ let stream_roundtrip () =
       | _ -> Alcotest.fail "expected exactly one snapshot");
       check Alcotest.bool "events identical after the disk round-trip" true
         (Trace.Recorder.events recorder = Trace.Recorder.events replayed);
+      (* The report line comes back last, with the fields it was given. *)
+      (match Trace.Stream.fold path ~init:None ~f:(fun _ l -> Some l) with
+      | Ok (Some (Trace.Stream.Report j)) ->
+          check Alcotest.bool "report line tagged" true
+            (Json.member "t" j = Some (Json.String "report"));
+          check Alcotest.bool "report line keeps its fields" true
+            (Json.member "profile" j = Some (Trace.Profile.to_json profile))
+      | Ok _ -> Alcotest.fail "the report is not the last line"
+      | Error msg -> Alcotest.fail msg);
       (* A profile rebuilt from the replayed events matches the live one
          byte-for-byte — the property `lcs top` depends on. *)
       let rebuilt = Trace.Profile.create ~edges:(Graph.m g) () in
@@ -356,8 +356,10 @@ let stream_roundtrip () =
    a message's parents back to earlier ids, so a stream event outside its
    header's bounds, below round 1, before an earlier round of its run, or
    with an id below 1 or a parent that is not an earlier id must stop the
-   fold with its line number. A stream of two runs, each opening at round
-   1, stays valid. *)
+   fold with its line number. So must a line out of place: a header past
+   the first line, which would rebind those bounds, and anything after
+   the report line. A stream of two runs, each opening at round 1, stays
+   valid. *)
 let stream_rejects_out_of_range_events () =
   let g = Generators.grid ~rows:4 ~cols:4 in
   let partition = Partition.grid_rows g ~rows:4 ~cols:4 in
@@ -396,6 +398,17 @@ let stream_rejects_out_of_range_events () =
         go 0
       in
       let is_send line = field "t" line = Some (Json.String "send") in
+      let write lines =
+        Out_channel.with_open_bin bad (fun oc -> output_string oc (String.concat "\n" lines))
+      in
+      let refused label ~line lines =
+        write lines;
+        match read bad with
+        | Ok _ -> Alcotest.failf "%s: accepted" label
+        | Error e ->
+            check Alcotest.bool (label ^ ": located error") true
+              (String.starts_with ~prefix:(Printf.sprintf "line %d: " line) e)
+      in
       let expect_error ~at key value =
         let mutated =
           match Json.of_string lines.(at) with
@@ -404,17 +417,10 @@ let stream_rejects_out_of_range_events () =
                 (Json.Obj (List.map (fun (k, v) -> if k = key then (k, value) else (k, v)) fields))
           | _ -> Alcotest.fail "event line is not an object"
         in
-        Out_channel.with_open_bin bad (fun oc ->
-            output_string oc
-              (String.concat "\n" (Array.to_list (Array.mapi (fun i l -> if i = at then mutated else l) lines))));
-        let label = Printf.sprintf "%s = %s" key (Json.to_string ~minify:true value) in
-        match read bad with
-        | Ok _ -> Alcotest.failf "%s: accepted" label
-        | Error e ->
-            let prefix = Printf.sprintf "line %d: " (at + 1) in
-            check Alcotest.bool (label ^ ": located error") true
-              (String.length e > String.length prefix
-              && String.sub e 0 (String.length prefix) = prefix)
+        refused
+          (Printf.sprintf "%s = %s" key (Json.to_string ~minify:true value))
+          ~line:(at + 1)
+          (Array.to_list (Array.mapi (fun i l -> if i = at then mutated else l) lines))
       in
       let send = first_line is_send in
       let id = Option.get (field "id" lines.(send)) in
@@ -430,45 +436,23 @@ let stream_rejects_out_of_range_events () =
       (* A send of round 2 moved back to round 1 inside the same run. *)
       expect_error
         ~at:(first_line (fun l -> is_send l && field "round" l = Some (Json.Int 2)))
-        "round" (Json.Int 1))
-
-(* A JSON run report is checked as a stream is: the report's "n" and "m"
-   bound its events, and the first event out of range is refused with its
-   index in the "events" array. *)
-let report_rejects_out_of_range_events () =
-  let g = Generators.grid ~rows:4 ~cols:4 in
-  let recorder = Trace.Recorder.create () in
-  ignore (Sync_bfs.run ~tracer:(Trace.Recorder.tracer recorder) g ~root:0);
-  let events = match Trace.Recorder.to_json recorder with Json.List l -> l | _ -> [] in
-  let report events =
-    Json.Obj
-      [ ("n", Json.Int (Graph.n g)); ("m", Json.Int (Graph.m g)); ("events", Json.List events) ]
-  in
-  (match Analyze.of_json (report events) with
-  | Ok runs -> check Alcotest.int "unedited report analyzes" 1 (List.length runs)
-  | Error e -> Alcotest.fail ("unedited report: " ^ e));
-  let rec first_send i = function
-    | ev :: rest -> if Json.member "t" ev = Some (Json.String "send") then i else first_send (i + 1) rest
-    | [] -> Alcotest.fail "no send event"
-  in
-  let send = first_send 0 events in
-  let id = Option.get (Json.member "id" (List.nth events send)) in
-  List.iter
-    (fun (key, value) ->
-      let edit = function
-        | Json.Obj fields -> Json.Obj (List.map (fun (k, v) -> if k = key then (k, value) else (k, v)) fields)
-        | ev -> ev
-      in
-      let label = Printf.sprintf "%s = %s" key (Json.to_string ~minify:true value) in
-      match Analyze.of_json (report (List.mapi (fun i ev -> if i = send then edit ev else ev) events)) with
-      | Ok _ -> Alcotest.failf "%s: accepted" label
-      | Error e ->
-          check Alcotest.bool (label ^ ": names the event") true
-            (String.starts_with ~prefix:(Printf.sprintf "events[%d]: " send) e))
-    (List.map
-       (fun (key, v) -> (key, Json.Int v))
-       [ ("round", -1); ("edge", -1); ("src", 99); ("words", -5); ("id", 0) ]
-    @ [ ("parents", Json.List [ Json.Int 0 ]); ("parents", Json.List [ id ]) ])
+        "round" (Json.Int 1);
+      let body = List.filter (fun l -> l <> "") (Array.to_list lines) in
+      let report = {|{"t":"report","parts":4}|} in
+      write (body @ [ report ]);
+      (match read bad with
+      | Ok n -> check Alcotest.int "a report line ends the stream" (List.length body + 1) n
+      | Error e -> Alcotest.fail ("stream with a report line: " ^ e));
+      refused "second header" ~line:4
+        (List.concat
+           [
+             List.filteri (fun i _ -> i < 3) body;
+             [ List.hd body ];
+             List.filteri (fun i _ -> i >= 3) body;
+           ]);
+      let after = List.length body + 2 in
+      refused "second report line" ~line:after (body @ [ report; report ]);
+      refused "event after the report" ~line:after (body @ [ report; lines.(send) ]))
 
 let profile_sketch_mode () =
   (* Same event stream through both accounting modes: with the budget
@@ -567,7 +551,6 @@ let suite =
     case "recorder cap drops and marks" `Quick recorder_cap_drops;
     case "stream sink round-trips" `Quick stream_roundtrip;
     case "stream rejects out-of-range events" `Quick stream_rejects_out_of_range_events;
-    case "report rejects out-of-range events" `Quick report_rejects_out_of_range_events;
     case "profile sketch mode" `Quick profile_sketch_mode;
     case "histogram bucket widths" `Quick histogram_bucket_widths;
     case "json value round-trip" `Quick json_value_roundtrip;
