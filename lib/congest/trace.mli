@@ -223,9 +223,6 @@ module Profile : sig
   val crashed : t -> int
   (** Nodes that crashed during the run. *)
 
-  val fault_events : t -> int
-  (** Total injected-fault events observed; [0] for every fault-free run. *)
-
   val to_json : ?top_k:int -> t -> Lcs_util.Json.t
   (** The whole profile — totals, per-edge words, top-[k] edges, load
       curve, per-round high-water marks, histogram. [Exact] fault-free

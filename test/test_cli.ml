@@ -393,8 +393,8 @@ let trace_suffix_free () =
   check Alcotest.string "--trace t.json writes what --trace t.jsonl does" (stream "t.jsonl")
     (stream "t.json")
 
-(* The stream's last line is the run report: every key of a run under
-   faults, supervised, but the events and the header's meta. *)
+(* The stream's last line is the run report, with every field of a
+   supervised pa run under faults. *)
 let report_line_keys () =
   let r = invoke (("pa" :: grid) @ crash_heavy @ [ "--trace"; "t.jsonl" ]) in
   let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' (written r "t.jsonl")) in
