@@ -359,7 +359,7 @@ let stream_roundtrip () =
    fold with its line number. So must a line out of place: a header past
    the first line, which would rebind those bounds, and anything after
    the report line. A stream of two runs, each opening at round 1, stays
-   valid. *)
+   valid, and so does its /1 header. *)
 let stream_rejects_out_of_range_events () =
   let g = Generators.grid ~rows:4 ~cols:4 in
   let partition = Partition.grid_rows g ~rows:4 ~cols:4 in
@@ -443,6 +443,22 @@ let stream_rejects_out_of_range_events () =
       (match read bad with
       | Ok n -> check Alcotest.int "a report line ends the stream" (List.length body + 1) n
       | Error e -> Alcotest.fail ("stream with a report line: " ^ e));
+      (* A /1 stream is a /2 stream without a report line. *)
+      let v1 =
+        match Json.of_string (List.hd body) with
+        | Ok (Json.Obj fields) ->
+            Json.to_string ~minify:true
+              (Json.Obj
+                 (List.map
+                    (fun (k, v) ->
+                      if k = "schema" then (k, Json.String "lcs-trace-stream/1") else (k, v))
+                    fields))
+        | _ -> Alcotest.fail "header line is not an object"
+      in
+      write (v1 :: List.tl body);
+      (match read bad with
+      | Ok n -> check Alcotest.int "a /1 stream reads" (List.length body) n
+      | Error e -> Alcotest.fail ("/1 stream: " ^ e));
       refused "second header" ~line:4
         (List.concat
            [
