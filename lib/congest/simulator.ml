@@ -394,23 +394,75 @@ module Csr = struct
     Intvec.unsafe_get csr.port_offset (v + 1) - Intvec.unsafe_get csr.port_offset v
 end
 
+(* --- due bitsets ------------------------------------------------------------ *)
+
+(* The one shard-count ceiling: [recommended], [shard_bounds] and the
+   run entry points all clamp to it. *)
+let max_domains = 32
+
+(* The nodes a shard visits in a round, one bit each, 32 to an int word.
+   Node [v] of shard [s] is bit [v land 31] of word [(v lsr 5) + s]: the
+   one-word shift per shard keeps the shards' words apart, so no two
+   domains ever write one word, and [d] shards fit in ⌈n/32⌉ + [d]
+   words. *)
+let due_words n ~shards = ((n + 31) / 32) + shards
+
+let mark due s v =
+  let i = (v lsr 5) + s in
+  Array.unsafe_set due i (Array.unsafe_get due i lor (1 lsl (v land 31)))
+
+(* Set the bits of nodes [lo .. hi - 1], all of shard [s]. *)
+let mark_range due s lo hi =
+  let v = ref lo in
+  while !v < hi do
+    let base = !v land lnot 31 in
+    let stop = min hi (base + 32) in
+    let i = (!v lsr 5) + s in
+    due.(i) <- due.(i) lor ((1 lsl (stop - base)) - (1 lsl (!v - base)));
+    v := stop
+  done
+
+(* The index of the one set bit of [b], a power of two below 2^32
+   (de Bruijn multiplication). *)
+let debruijn =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let bit_index b = Array.unsafe_get debruijn (((b * 0x077CB531) land 0xFFFFFFFF) lsr 27)
+
+(* Live node [v] of shard [s], after round [round], sleeps until [hint]:
+   due next round, it gets its bit in [next_due]; otherwise the shard's
+   earliest timed hint [bound] becomes [min hint bound]. *)
+let asleep next_due s v ~round hint bound =
+  if hint <= round + 1 then begin
+    mark next_due s v;
+    bound
+  end
+  else Int.min hint bound
+
 (* --- inboxes ------------------------------------------------------------- *)
 
 (* One half of the double-buffered inboxes: node [v]'s deliveries are the
    first [len.(v)] entries of [ports.(v)] and [msgs.(v)] (and of [ids.(v)],
-   their causal ids, in traced runs). The int halves are the host's and
-   keep their capacity from run to run; the payload half is the run's,
-   since its type is the program's. A buffer grows on demand, first to the
-   node's degree — all a bandwidth-1 fault-free round can deliver. *)
+   their causal ids, in traced runs), and [due] holds the bits of the
+   nodes the round must visit (see "due bitsets" above). The int halves
+   are the host's and keep their capacity from run to run; the payload
+   half is the run's, since its type is the program's. A buffer grows on
+   demand, first to the node's degree — all a bandwidth-1 fault-free
+   round can deliver. *)
 type 'msg inboxes = {
   len : int array;
+  due : int array;
   ports : int array array;
   ids : int array array;  (* [||] when the run is untraced *)
   msgs : 'msg array array;
 }
 
-let push_inbox csr ib w port msg =
+(* Append a delivery to node [w]'s inbox; the first one of the round sets
+   [w]'s due bit, in the words of [w]'s shard [s]. *)
+let push_inbox csr ib s w port msg =
   let k = Array.unsafe_get ib.len w in
+  if k = 0 then mark ib.due s w;
   let ps = Array.unsafe_get ib.ports w in
   let ps =
     if k < Array.length ps then ps
@@ -455,17 +507,19 @@ let push_id csr ib w id =
 (* What a run builds from the graph alone, kept for the next run on it:
    the CSR port plane with its reverse ports, the contexts and the round
    cell they share, the int halves of the double-buffered inboxes (their
-   causal-id twins too, made by the first traced run), the per-port word
-   budgets and the touched-slot lists that clear them. A run resets the
-   lengths and the budgets before its first round, so one that raised
-   leaves nothing behind; [running] refuses a second run while one is in
-   progress, from this domain or another. *)
+   causal-id twins too, made by the first traced run) with the due bitsets
+   beside their lengths, the per-port word budgets and the touched-slot
+   lists that clear them. A run resets the lengths, the bitsets and the
+   budgets before its first round, so one that raised leaves nothing
+   behind; [running] refuses a second run while one is in progress, from
+   this domain or another. *)
 type host = {
   graph : Graph.t;
   csr : Csr.t;
   clock : round_cell;
   ctxs : ctx array;
   lens : int array * int array;
+  mutable due : int array * int array;  (* sized for the most shards yet *)
   ports : int array array * int array array;
   mutable ids : (int array array * int array array) option;
   budget : int array;  (* per port slot: words sent on it this round *)
@@ -480,12 +534,14 @@ let prepare g =
   let csr = Csr.build g in
   let clock = ref 0 in
   let total_ports = Intvec.get csr.port_offset n in
+  let words = due_words n ~shards:1 in
   {
     graph = g;
     csr;
     clock;
     ctxs = Csr.contexts csr n clock;
     lens = (Array.make n 0, Array.make n 0);
+    due = (Array.make words 0, Array.make words 0);
     ports = (Array.make n [||], Array.make n [||]);
     ids = None;
     budget = Array.make (max 1 total_ports) 0;
@@ -493,14 +549,22 @@ let prepare g =
     running = Atomic.make false;
   }
 
-(* Hand [host]'s buffers to a new run on [g], cleared. *)
-let claim host g ~traced =
+(* Hand [host]'s buffers to a new run on [g] over [shards] shards,
+   cleared. *)
+let claim host g ~traced ~shards =
   if host.graph != g then invalid_arg "Simulator.run: host prepared for another graph";
   if not (Atomic.compare_and_set host.running false true) then
     invalid_arg "Simulator.run: host is already running";
   host.clock := 0;
   Array.fill (fst host.lens) 0 (Array.length (fst host.lens)) 0;
   Array.fill (snd host.lens) 0 (Array.length (snd host.lens)) 0;
+  let words = due_words (Graph.n g) ~shards in
+  if Array.length (fst host.due) < words then
+    host.due <- (Array.make words 0, Array.make words 0)
+  else begin
+    Array.fill (fst host.due) 0 words 0;
+    Array.fill (snd host.due) 0 words 0
+  end;
   Array.fill host.budget 0 (Array.length host.budget) 0;
   if traced && host.ids = None then begin
     let n = Graph.n g in
@@ -508,10 +572,6 @@ let claim host g ~traced =
   end
 
 (* --- shards -------------------------------------------------------------- *)
-
-(* The one shard-count ceiling: [recommended], [shard_bounds] and the
-   run entry points all clamp to it. *)
-let max_domains = 32
 
 let recommended () = max 1 (min max_domains (Domain.recommended_domain_count ()))
 
@@ -656,14 +716,6 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
   if bandwidth < 1 then invalid_arg "Simulator.run: bandwidth";
   let n = Graph.n g in
   let traced = tracer <> None in
-  let host = match host with Some h -> h | None -> prepare g in
-  claim host g ~traced;
-  Fun.protect ~finally:(fun () -> Atomic.set host.running false) @@ fun () ->
-  let csr = host.csr and ctxs = host.ctxs in
-  (* The round every context reads: written once per round on the calling
-     domain before the compute phase, read by the steps after the phase
-     barrier. *)
-  let clock = host.clock in
   (* A tracer or an injector makes the run's observables depend on a
      sequential resource (event order, the id counter, the random verdict
      stream); those runs take one shard, on the calling domain, and draw
@@ -671,6 +723,14 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
   let serialized = traced || faults <> None in
   let bounds = shard_bounds ~domains:(if serialized then 1 else domains) g in
   let d = Array.length bounds - 1 in
+  let host = match host with Some h -> h | None -> prepare g in
+  claim host g ~traced ~shards:d;
+  Fun.protect ~finally:(fun () -> Atomic.set host.running false) @@ fun () ->
+  let csr = host.csr and ctxs = host.ctxs in
+  (* The round every context reads: written once per round on the calling
+     domain before the compute phase, read by the steps after the phase
+     barrier. *)
+  let clock = host.clock in
   let owner = Array.make (max 1 n) 0 in
   for s = 0 to d - 1 do
     for v = bounds.(s) to bounds.(s + 1) - 1 do
@@ -689,14 +749,14 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
      collects deliveries for the next; the references swap at the round
      boundary. The buffers are emptied by resetting lengths, never
      reallocated. *)
-  let inboxes (lens, ports) ids =
-    { len = lens; ports; ids; msgs = Array.make n [||] }
+  let inboxes (lens, due, ports) ids =
+    { len = lens; due; ports; ids; msgs = Array.make n [||] }
   in
   let cur_ids, nxt_ids =
     match host.ids with Some (a, b) when traced -> (a, b) | _ -> ([||], [||])
   in
-  let cur_in = ref (inboxes (fst host.lens, fst host.ports) cur_ids) in
-  let nxt_in = ref (inboxes (snd host.lens, snd host.ports) nxt_ids) in
+  let cur_in = ref (inboxes (fst host.lens, fst host.due, fst host.ports) cur_ids) in
+  let nxt_in = ref (inboxes (snd host.lens, snd host.due, snd host.ports) nxt_ids) in
   (* One mailbox per shard, lent to each of its steps in turn. Shard 0's
      is made here; every other domain makes its own before the first round
      (below), so two shards' mailboxes never share a cache line that both
@@ -791,7 +851,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
       (match par_profile with
       | None -> ()
       | Some pp -> Par_profile.record_send pp ~src:s ~dst:owner.(w) ~words:size);
-      if s = 0 && w < local_end then push_inbox csr nxt w back msg
+      if s = 0 && w < local_end then push_inbox csr nxt 0 w back msg
       else push_cell out.(s).(owner.(w)) w back msg
     done;
     ntouched.(s) <- !nt;
@@ -807,7 +867,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
     for s = 0 to d - 1 do
       let cell = out.(s).(t) in
       for i = 0 to cell.ob_len - 1 do
-        push_inbox csr nxt
+        push_inbox csr nxt t
           (Array.unsafe_get cell.ob_dst i)
           (Array.unsafe_get cell.ob_port i)
           (Array.unsafe_get cell.ob_msg i)
@@ -821,7 +881,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
   let deliver_next w back id msg =
     let nxt = !nxt_in in
     if traced then push_id csr nxt w id;
-    push_inbox csr nxt w back msg
+    push_inbox csr nxt 0 w back msg
   in
   (* Deliver the copies of send [i] of mailbox [mb] that the verdict lets
      through, one per delay: the first is the send itself, the others its
@@ -920,48 +980,78 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
         | Fault.Lose Fault.Link_is_down, Some t -> t (Trace.Link_down { round = !rounds; edge }))
   in
   (* --- the compute phase ------------------------------------------------- *)
+  (* Per shard, the earliest timed hint it has seen — a hint past the next
+     round, read after a step or in a fill round: a lower bound on every
+     hint of its live nodes that no bit covers. Lowered after each step,
+     recomputed in each fill round; at 0, it makes round 1 one. *)
+  let earliest = Array.make d every_round in
   (* Step shard [s]'s due nodes of this round in ascending order — live,
      with mail waiting or the wake hint at or before the round — and drop
-     the late mail of halted ones. Each step's sends are delivered as it
-     returns: an untraced, fault-free run's by [send_fast], a traced or
-     faulty one's by [process_send], with their settled declarations when
-     traced, before its halt. *)
+     the late mail of halted ones. The shard visits only the nodes whose
+     due bit is set: every delivery sets one, and so does a step whose
+     hint, read as it returns, names the next round. A fill round sets
+     every bit first, so the shard visits each of its nodes and reads each
+     live one's hint: round 1, every round of an [always] program, and any
+     round at or past the shard's [earliest]. A live node left asleep gets
+     its bit for the next round, or lowers the bound. Each step's sends
+     are delivered as it returns: an untraced, fault-free run's by
+     [send_fast], a traced or faulty one's by [process_send], with their
+     settled declarations when traced, before its halt. *)
   let phase_compute s =
     let r = !rounds and cur = !cur_in and mb = mbs.(s) in
+    let due = cur.due and next_due = (!nxt_in).due in
+    let lo = bounds.(s) and hi = bounds.(s + 1) in
+    let fill = always_due || r >= earliest.(s) in
+    if fill then mark_range due s lo hi;
     try
-      let stepped = ref 0 in
-      for v = bounds.(s) to bounds.(s + 1) - 1 do
-        let len = Array.unsafe_get cur.len v in
-        if halted.(v) then begin
-          if len > 0 then cur.len.(v) <- 0
-        end
-        else if always_due || len > 0 || program.wake states.(v) <= r then begin
-          incr stepped;
-          if traced then mb.in_ids <- Array.unsafe_get cur.ids v;
-          lend mb cur v len;
-          let state = program.on_round ctxs.(v) states.(v) mb in
-          states.(v) <- state;
-          if not serialized then begin
-            if mb.out_len > 0 then send_fast s v mb;
-            if program.is_halted state then begin
-              halted.(v) <- true;
-              live_delta.(s) <- live_delta.(s) - 1
-            end
+      let stepped = ref 0 and bound = ref (if fill then max_int else earliest.(s)) in
+      for word = (lo lsr 5) + s to ((hi - 1) asr 5) + s do
+        let bits = ref (Array.unsafe_get due word) in
+        if !bits <> 0 then Array.unsafe_set due word 0;
+        while !bits <> 0 do
+          let low = !bits land (- !bits) in
+          bits := !bits lxor low;
+          let v = ((word - s) lsl 5) + bit_index low in
+          let len = Array.unsafe_get cur.len v in
+          if halted.(v) then begin
+            if len > 0 then cur.len.(v) <- 0
           end
-          else begin
-            if traced then settle_declarations mb;
-            for i = 0 to mb.out_len - 1 do
-              process_send mb i v
-            done;
-            mb.out_len <- 0;
-            if program.is_halted state then begin
-              halted.(v) <- true;
-              live_delta.(s) <- live_delta.(s) - 1;
-              match tracer with None -> () | Some t -> t (Trace.Halt { round = r; node = v })
+          else
+            let hint =
+              if always_due || len > 0 then every_round else program.wake states.(v)
+            in
+            if hint > r then bound := asleep next_due s v ~round:r hint !bound
+            else begin
+              incr stepped;
+              if traced then mb.in_ids <- Array.unsafe_get cur.ids v;
+              lend mb cur v len;
+              let state = program.on_round ctxs.(v) states.(v) mb in
+              states.(v) <- state;
+              if not serialized then begin
+                if mb.out_len > 0 then send_fast s v mb;
+                if program.is_halted state then begin
+                  halted.(v) <- true;
+                  live_delta.(s) <- live_delta.(s) - 1
+                end
+              end
+              else begin
+                if traced then settle_declarations mb;
+                for i = 0 to mb.out_len - 1 do
+                  process_send mb i v
+                done;
+                mb.out_len <- 0;
+                if program.is_halted state then begin
+                  halted.(v) <- true;
+                  live_delta.(s) <- live_delta.(s) - 1;
+                  match tracer with None -> () | Some t -> t (Trace.Halt { round = r; node = v })
+                end
+              end;
+              if not (always_due || halted.(v)) then
+                bound := asleep next_due s v ~round:r (program.wake state) !bound
             end
-          end
-        end
+        done
       done;
+      earliest.(s) <- !bound;
       stepped_s.(s) <- !stepped;
       let base = touched_base.(s) in
       for i = base to base + ntouched.(s) - 1 do
@@ -1112,7 +1202,7 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
             (fun p ->
               if not halted.(p.p_dst) then begin
                 if traced then push_id csr cur p.p_dst p.p_id;
-                push_inbox csr cur p.p_dst p.p_port p.p_msg
+                push_inbox csr cur 0 p.p_dst p.p_port p.p_msg
               end)
             slot;
           Vec.clear slot);

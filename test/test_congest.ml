@@ -342,6 +342,53 @@ let activations_bounded_by_messages () =
         [ 1; 2 ])
     hosts
 
+(* The core reads a node's hint in a round it visits the node, not in
+   every round it runs: a token walks along a 300-node path, each node
+   waiting for mail (hint [max_int]) until the token reaches it, then
+   passing it on and halting. Reading every waiting node's hint in every
+   round made 44,851 calls; visiting only the nodes with mail, after
+   round 1 reads each initial hint, makes at most 2n. *)
+type token = Waiting | Holding | Passed
+
+let token_walk_reads_few_hints () =
+  let n = 300 in
+  let g = Generators.path n in
+  let calls = Atomic.make 0 in
+  let program =
+    {
+      Simulator.init = (fun ctx -> if ctx.Simulator.node = 0 then Holding else Waiting);
+      on_round =
+        (fun ctx st mb ->
+          if st = Holding || Simulator.deliveries mb > 0 then begin
+            let next = ctx.Simulator.node + 1 in
+            Array.iteri
+              (fun port w -> if w = next then Simulator.send mb port ())
+              ctx.Simulator.neighbors;
+            Passed
+          end
+          else st);
+      is_halted = (fun st -> st = Passed);
+      wake =
+        (fun st ->
+          Atomic.incr calls;
+          if st = Holding then Simulator.every_round else max_int);
+      msg_words = (fun _ -> 1);
+    }
+  in
+  List.iter
+    (fun domains ->
+      Atomic.set calls 0;
+      let states, stats = Simulator.run ~domains g program in
+      let label what = Printf.sprintf "%s, domains=%d" what domains in
+      check Alcotest.bool (label "every node passed the token") true
+        (Array.for_all (fun st -> st = Passed) states);
+      check Alcotest.int (label "one round per node") n stats.Simulator.rounds;
+      check Alcotest.bool
+        (label (Printf.sprintf "%d hint calls <= 2n" (Atomic.get calls)))
+        true
+        (Atomic.get calls <= 2 * n))
+    [ 1; 2 ]
+
 let suite =
   [
     case "simulator: ping pong" `Quick simulator_ping_pong;
@@ -357,6 +404,7 @@ let suite =
     case "convergecast: sums" `Quick convergecast_sums;
     case "leader election: grid" `Quick leader_election_elects_max;
     case "activations <= 2 messages + 2n" `Quick activations_bounded_by_messages;
+    case "a token walk reads at most 2n hints" `Quick token_walk_reads_few_hints;
     case "simulator: no allocation per message" `Quick simulator_message_plane_allocation;
   ]
   @ props

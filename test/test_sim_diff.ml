@@ -1080,6 +1080,65 @@ let dishonest_hint_rejected () =
         p.Simulator.partial_stats.Simulator.messages
   | Simulator.Finished _ -> Alcotest.fail "expected Out_of_rounds"
 
+type snooze_state = { role : int; timer : int; acc : int; woke : int; gone : bool }
+
+(* A timed hint pre-empted by mail. On a 16-node path, node [v] plays
+   role [v mod 4]. A sleeper (1) sets its timer for round 10, but its
+   right neighbour, a chatter (2), snoozes it in round 3, so the sleeper
+   re-arms for round 20 and the earliest timed hint its shard has seen,
+   10, goes stale. The chatter also sends to its right neighbour, a sink
+   (3), in every round up to 25, so no round is skipped: round 10 runs,
+   every node of the shard is visited, and none may step early. In round
+   20 the sleeper wakes, greets its left neighbour, a listener (0), and
+   halts; the listener halts on the greeting, and the sink at its timer,
+   round 26. *)
+let snoozing =
+  let neighbour ctx w =
+    let port = ref (-1) in
+    Array.iteri (fun p u -> if u = w then port := p) ctx.Simulator.neighbors;
+    !port
+  in
+  let wake st =
+    match st.role with
+    | 1 -> st.timer
+    | 2 -> Simulator.every_round
+    | 3 -> 26
+    | _ -> max_int
+  in
+  {
+    Simulator.init =
+      (fun ctx ->
+        let role = ctx.Simulator.node mod 4 in
+        { role; timer = 10; acc = ctx.Simulator.node; woke = 0; gone = false });
+    on_round =
+      Lists.step (fun ctx st ~inbox ->
+        let round = Simulator.round ctx and v = ctx.Simulator.node in
+        if inbox = [] && round < wake st then (st, [])
+        else
+          let st = { st with acc = List.fold_left (fun a (p, m) -> mix a (mix p m)) st.acc inbox } in
+          match st.role with
+          | 0 -> ({ st with gone = true }, [])
+          | 1 when inbox <> [] -> ({ st with timer = 20 }, [])
+          | 1 -> ({ st with woke = round; gone = true }, [ (neighbour ctx (v - 1), st.acc) ])
+          | 2 ->
+              let snooze = if round = 3 then [ (neighbour ctx (v - 1), round) ] else [] in
+              ({ st with gone = round >= 25 }, (neighbour ctx (v + 1), round) :: snooze)
+          | _ -> ({ st with gone = round >= 26 }, []));
+    is_halted = (fun st -> st.gone);
+    wake;
+    msg_words = (fun _ -> 1);
+  }
+
+let stale_timer_bound () =
+  let g = Generators.path 16 in
+  let states, stats = Simulator_ref.run g snoozing in
+  check Alcotest.int "the sinks end the run" 26 stats.Simulator.rounds;
+  Array.iter
+    (fun st -> if st.role = 1 then check Alcotest.int "a sleeper wakes in round 20" 20 st.woke)
+    states;
+  check Alcotest.bool "sharded = reference, traced and untraced" true
+    (sharded_agrees g snoozing)
+
 (* --- parallel-execution profiler --------------------------------------- *)
 
 (* Attaching a Par_profile collector must be invisible to every simulator
@@ -1400,6 +1459,7 @@ let suite =
     case "cross-shard generator sanity" `Quick cross_shard_graph_is_cross;
     case "skipped rounds are observed like stepped ones" `Quick skipped_rounds_observed;
     case "a dishonest wake hint is rejected" `Quick dishonest_hint_rejected;
+    case "a snoozed timer leaves a stale bound" `Quick stale_timer_bound;
     case "a host serves one graph, one run at a time" `Quick host_misuse_rejected;
   ]
   @ props
