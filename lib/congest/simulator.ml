@@ -11,13 +11,16 @@
    so the hot path takes no locks at all.
 
    Only due nodes step. A node is due in a round when mail reaches it or
-   its program's wake hint comes due; a shard checks each of its nodes
-   for that and steps only the due ones. A fault-free round that sends
-   nothing fast-forwards the loop to the earliest wake hint, replaying
-   only the round boundaries that observers see, so idle rounds cost
-   nothing. The hint's contract makes the skipping unobservable;
-   Simulator_ref, which still steps every node every round, checks that
-   contract.
+   its program's wake hint comes due; a shard visits the nodes of its
+   due bitset — set by each delivery, and by each step whose hint names
+   the next round — and steps the due ones, visiting every node only in
+   a fill round (round 1, an [always] program's rounds, and rounds that
+   reach the earliest later hint the shard has read). A fault-free round
+   that sends nothing fast-forwards the loop to the earliest wake hint,
+   replaying only the round boundaries that observers see, so idle
+   rounds cost nothing. The hint's contract makes the skipping
+   unobservable; Simulator_ref, which still steps every node every
+   round, checks that contract.
 
    The message plane lives on flat, preallocated arrays: the graph's own
    CSR port layout (every per-message lookup — destination, host edge id,
@@ -40,7 +43,7 @@
    causal declarations, fault verdict order — is byte-identical at every
    domain count. Two facts make that cheap:
 
-   - Shards are CONTIGUOUS id ranges and every domain walks its nodes in
+   - Shards are CONTIGUOUS id ranges and every domain visits its nodes in
      ascending order, so draining the outbox cells in source-shard order
      reproduces the ascending-sender send order at every inbox.
    - A traced or faulty run consumes shared sequential state (the id
@@ -743,12 +746,13 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
   let halted = Array.map program.is_halted states in
   let live = ref (Array.fold_left (fun acc h -> if h then acc else acc + 1) 0 halted) in
   (* Every live node of a program whose hint is [always] is due every
-     round, so the compute loop need not ask. *)
+     round, so each of its rounds is a fill round and the compute loop
+     never asks. *)
   let always_due = program.wake == always in
   (* Double-buffered inboxes: [cur_in] is read this round, [nxt_in]
-     collects deliveries for the next; the references swap at the round
-     boundary. The buffers are emptied by resetting lengths, never
-     reallocated. *)
+     collects deliveries for the next, and each half's due bitset swaps
+     with it; the references swap at the round boundary. The buffers are
+     emptied by resetting lengths and clearing bits, never reallocated. *)
   let inboxes (lens, due, ports) ids =
     { len = lens; due; ports; ids; msgs = Array.make n [||] }
   in
@@ -1154,10 +1158,11 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
   Fun.protect ~finally:(fun () -> shutdown crew handles) @@ fun () ->
   run_phase crew (fun s -> if s > 0 then mbs.(s) <- make_mailbox ~traced);
   (match par_profile with None -> () | Some pp -> Par_profile.begin_run pp ~domains:d);
-  (* Each shard scans its nodes every round it runs, but steps only the
-     due ones: a live node with mail waiting or its wake hint at or
-     before the round. A step before then with an empty inbox is, by the
-     hint's contract, a no-op, so skipping it changes nothing observable.
+  (* Each shard visits the nodes of its due bitset in every round it
+     runs, but steps only the due ones: a live node with mail waiting or
+     its wake hint at or before the round. A step before then with an
+     empty inbox is, by the hint's contract, a no-op, so skipping it
+     changes nothing observable.
      A fault-free round that sends nothing leaves no message in flight, so
      no node steps before the earliest hint: the loop fast-forwards to it
      (capped at [max_rounds]), still opening and closing each skipped

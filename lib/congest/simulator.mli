@@ -20,11 +20,18 @@
 
     {b Execution.} An untraced, fault-free run is split into [domains]
     contiguous node shards balanced by port count (see {!shard_bounds});
-    each round, every shard delivers its inboxes, checks each of its
-    nodes and runs the [on_round] steps of the live ones that are due —
-    a non-empty inbox, or a wake hint at or before the round — shard 0
-    on the calling domain and the others on OCaml 5 worker domains, with
-    a barrier at the round boundary. A run with a tracer or a fault plan
+    each round, every shard delivers its inboxes and runs the [on_round]
+    steps of its live nodes that are due — a non-empty inbox, or a wake
+    hint at or before the round — shard 0 on the calling domain and the
+    others on OCaml 5 worker domains, with a barrier at the round
+    boundary. A shard finds its due nodes in a bitset, one bit per
+    node: a delivery sets the receiver's bit, and so does a step whose
+    hint, read as the step returns, names the next round. It visits
+    only the set bits, in ascending node order, except in a {e fill}
+    round, where it visits every node and reads each live one's hint:
+    round 1, every round of an {!always} program, and any round at or
+    past the earliest later hint the shard has read since its last fill.
+    A run with a tracer or a fault plan
     takes one shard on the calling domain, whatever [domains] says, and
     spawns no domain: its ids, verdicts and events come from one
     sequence, drawn as each step returns. A fault-free round that sends
@@ -36,8 +43,8 @@
     round; runs with a fault plan advance round by round, because
     delayed deliveries and crashes act on rounds of their own, but still
     skip sleeping nodes. A run therefore pays for messages, due timers
-    and one allocation-free check per node in the rounds it runs, not
-    for [on_round] calls of nodes × rounds. One domain is simply one
+    and fill rounds, not for [on_round] calls — nor, outside fill
+    rounds, for visits — of nodes × rounds. One domain is simply one
     shard: no domain is spawned. Cross-shard messages travel through
     per-(source, destination) shard outboxes — each cell has exactly one
     writer and one reader, separated by the barrier, so the hot path
@@ -246,9 +253,11 @@ type ('state, 'msg) program = {
           the step is unobservable. {!Simulator_ref} steps every node
           every round regardless and raises [Invalid_argument] when such a
           step sends or halts; the differential suite compares final
-          states. It must be cheap and must not allocate: the core
-          evaluates it for every live node with an empty inbox in each
-          round it runs, and again when it looks for a round to skip to. *)
+          states. It must be cheap and must not allocate: the core reads
+          it after each of the node's steps that leaves it live, for a
+          live node with an empty inbox in each round that visits it (a
+          fill round, or a round its last hint named), and for every
+          live node when it looks for a round to skip to. *)
   msg_words : 'msg -> int;
       (** Size accounting: how many O(log n)-bit words the payload needs.
           Must be at least 1. *)
@@ -262,10 +271,10 @@ val always : 'state -> int
 (** [fun _ -> every_round], the [wake] of a program whose nodes never
     sleep — protocols that act on timers they do not expose, such as
     {!Reliable.wrap}'s retransmissions, and floods that step every node.
-    The core recognises this function and skips the per-node hint call
-    for such programs, so they cost what they did before wake hints;
-    any other hint that always returns {!every_round} behaves the same,
-    only slower. *)
+    The core recognises this function: every round of such a program
+    visits every node, as a fill round, and makes no hint calls, so it
+    costs what it did before wake hints; any other hint that always
+    returns {!every_round} behaves the same, only slower. *)
 
 type stats = {
   rounds : int;
@@ -319,10 +328,12 @@ type host
     the CSR port plane with each port's reverse, the per-node contexts
     and the round cell they share, the port buffers of the
     double-buffered inboxes (their causal-id twins too, once a traced
-    run has made them), and the per-port word budgets with the
-    touched-slot lists that clear them. Payload buffers, shard bounds
-    and owners stay per run: the first depend on the program's message
-    type, the others on the run's shard count. *)
+    run has made them) with the due bitsets beside their lengths —
+    ⌈n/32⌉ words plus one per shard, grown once by the first run with
+    more shards than any before it — and the per-port word budgets with
+    the touched-slot lists that clear them. Payload buffers, shard
+    bounds and owners stay per run: the first depend on the program's
+    message type, the others on the run's shard count. *)
 
 val prepare : Lcs_graph.Graph.t -> host
 (** [prepare g] builds [g]'s host. Pass it as [?host] to every run on
