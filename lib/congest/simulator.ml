@@ -399,10 +399,6 @@ end
 
 (* --- due bitsets ------------------------------------------------------------ *)
 
-(* The one shard-count ceiling: [recommended], [shard_bounds] and the
-   run entry points all clamp to it. *)
-let max_domains = 32
-
 (* The nodes a shard visits in a round, one bit each, 32 to an int word.
    Node [v] of shard [s] is bit [v land 31] of word [(v lsr 5) + s]: the
    one-word shift per shard keeps the shards' words apart, so no two
@@ -575,6 +571,10 @@ let claim host g ~traced ~shards =
   end
 
 (* --- shards -------------------------------------------------------------- *)
+
+(* The one shard-count ceiling: [recommended], [shard_bounds] and the
+   run entry points all clamp to it. *)
+let max_domains = 32
 
 let recommended () = max 1 (min max_domains (Domain.recommended_domain_count ()))
 
