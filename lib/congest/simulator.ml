@@ -16,11 +16,11 @@
    the next round — and steps the due ones, visiting every node only in
    a fill round (round 1, an [always] program's rounds, and rounds that
    reach the earliest later hint the shard has read). A fault-free round
-   that sends nothing fast-forwards the loop to the earliest wake hint,
-   replaying only the round boundaries that observers see, so idle
-   rounds cost nothing. The hint's contract makes the skipping
-   unobservable; Simulator_ref, which still steps every node every
-   round, checks that contract.
+   that sends nothing and leaves no bit set fast-forwards the loop to
+   the round before the smallest such bound, replaying only the round
+   boundaries that observers see, so idle rounds cost nothing. The
+   hint's contract makes the skipping unobservable; Simulator_ref, which
+   still steps every node every round, checks that contract.
 
    The message plane lives on flat, preallocated arrays: the graph's own
    CSR port layout (every per-message lookup — destination, host edge id,
@@ -993,11 +993,13 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
      with mail waiting or the wake hint at or before the round — and drop
      the late mail of halted ones. The shard visits only the nodes whose
      due bit is set: every delivery sets one, and so does a step whose
-     hint, read as it returns, names the next round. A fill round sets
-     every bit first, so the shard visits each of its nodes and reads each
-     live one's hint: round 1, every round of an [always] program, and any
-     round at or past the shard's [earliest]. A live node left asleep gets
-     its bit for the next round, or lowers the bound. Each step's sends
+     hint, read as it returns, names the next round, so outside a fill
+     round every live node it visits is due and no hint is read before a
+     step. A fill round sets every bit first, so the shard visits each of
+     its nodes and reads each live one's hint: round 1, every round of an
+     [always] program, and any round at or past the shard's [earliest].
+     A live node left asleep gets its bit for the next round, or lowers
+     the bound. Each step's sends
      are delivered as it returns: an untraced, fault-free run's by
      [send_fast], a traced or faulty one's by [process_send], with their
      settled declarations when traced, before its halt. *)
@@ -1022,7 +1024,8 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
           end
           else
             let hint =
-              if always_due || len > 0 then every_round else program.wake states.(v)
+              if len > 0 || not fill || always_due then every_round
+              else program.wake states.(v)
             in
             if hint > r then bound := asleep next_due s v ~round:r hint !bound
             else begin
@@ -1127,30 +1130,35 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
   in
   (* Messages sent so far in the run. *)
   let sent () = Array.fold_left ( + ) 0 messages_s in
-  (* The earliest wake hint of a live node, after round [r]; the scan
-     stops at the first node due by [r + 1], since no skip is possible
-     then. *)
-  let next_due r =
-    let rec scan v earliest =
-      if v = n || earliest <= r + 1 then earliest
-      else if halted.(v) then scan (v + 1) earliest
-      else
-        let w = program.wake states.(v) in
-        scan (v + 1) (if w < earliest then w else earliest)
-    in
-    scan 0 max_int
+  (* Whether no bit is set for the next round, whose buffer [cur_in]
+     holds once the round's buffers have swapped. *)
+  let due_span = due_words n ~shards:d in
+  let none_due () =
+    let due = (!cur_in).due and i = ref 0 in
+    while !i < due_span && Array.unsafe_get due !i = 0 do
+      incr i
+    done;
+    !i = due_span
   in
   (* Jump from a round that left nothing in flight to the round before
-     the earliest wake hint, replaying the skipped rounds for observers. *)
+     the smallest shard bound, replaying the skipped rounds for
+     observers. With no bit set for the next round, every live node
+     sleeps past it, until a hint no earlier than its shard's bound; that
+     round is a fill round, so a stale bound (a timer that mail
+     pre-empted) costs one round in which nothing steps. An [always]
+     program sets no bit and no bound, and its nodes are due every
+     round. *)
   let fast_forward () =
-    let next = next_due !rounds in
-    if next > !rounds + 1 then begin
-      let last = min (next - 1) max_rounds in
-      if traced then
-        while !rounds < last do
-          idle_round ()
-        done
-      else rounds := last
+    if not always_due && none_due () then begin
+      let next = Array.fold_left Int.min max_int earliest in
+      if next > !rounds + 1 then begin
+        let last = min (next - 1) max_rounds in
+        if traced then
+          while !rounds < last do
+            idle_round ()
+          done
+        else rounds := last
+      end
     end
   in
   let crew = make_crew d in
@@ -1164,9 +1172,10 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
      empty inbox is, by the hint's contract, a no-op, so skipping it
      changes nothing observable.
      A fault-free round that sends nothing leaves no message in flight, so
-     no node steps before the earliest hint: the loop fast-forwards to it
-     (capped at [max_rounds]), still opening and closing each skipped
-     round for the tracer. Fault plans keep the loop round by round,
+     when it also leaves no due bit set, no node steps before the smallest
+     shard bound: the loop fast-forwards to the round before it (capped
+     at [max_rounds]), still opening and closing each skipped round for
+     the tracer. Fault plans keep the loop round by round,
      because the delayed ring and the crash schedule act on rounds of
      their own. *)
   while !live > 0 && not !out_of_rounds do
@@ -1229,9 +1238,9 @@ let execute ~domains ~bandwidth ~max_rounds ?host ?tracer ?faults ?par_profile g
       | Some t -> t (Trace.Round_end { round = !rounds; max_edge_load = !round_max }));
       let r = !rounds in
       (* A fault-free round that sent nothing leaves nothing in flight, so
-         no node is due before the earliest wake hint: skip to it. The
-         skip is calling-domain work, so a wall-clock collector books it
-         as this round's serial time. *)
+         with no due bit set no node is due before the smallest shard
+         bound: skip to it. The skip is calling-domain work, so a
+         wall-clock collector books it as this round's serial time. *)
       if faults = None && !live > 0 && sent () = sent_before then begin
         match par_profile with
         | None -> fast_forward ()

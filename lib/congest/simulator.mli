@@ -27,17 +27,21 @@
     boundary. A shard finds its due nodes in a bitset, one bit per
     node: a delivery sets the receiver's bit, and so does a step whose
     hint, read as the step returns, names the next round. It visits
-    only the set bits, in ascending node order, except in a {e fill}
-    round, where it visits every node and reads each live one's hint:
-    round 1, every round of an {!always} program, and any round at or
-    past the earliest later hint the shard has read since its last fill.
+    only the set bits, in ascending node order, and steps each visited
+    live node without reading its hint, except in a {e fill} round,
+    where it visits every node and reads each live one's hint: round 1,
+    every round of an {!always} program, and any round at or past the
+    earliest later hint the shard has read since its last fill.
     A run with a tracer or a fault plan
     takes one shard on the calling domain, whatever [domains] says, and
     spawns no domain: its ids, verdicts and events come from one
     sequence, drawn as each step returns. A fault-free round that sends
-    no message leaves nothing in flight, so no node steps before the
-    earliest wake hint: the loop fast-forwards to that round (capped at
-    [max_rounds]). Skipped rounds still count in {!stats} and still emit
+    no message leaves nothing in flight, so when it leaves no due bit
+    set either, no node steps before the earliest hint its shards have
+    read: the loop fast-forwards to the round before that one (capped
+    at [max_rounds]), which is a fill round. A hint that mail pre-empted
+    can leave that bound early; the fill round then steps nothing and
+    the loop skips again. Skipped rounds still count in {!stats} and still emit
     their [Round_start]/[Round_end] events, so a collector folding the
     event stream ({!Trace.Profile}, {!Trace.Flight.tracer}) sees every
     round; runs with a fault plan advance round by round, because
@@ -254,10 +258,10 @@ type ('state, 'msg) program = {
           every round regardless and raises [Invalid_argument] when such a
           step sends or halts; the differential suite compares final
           states. It must be cheap and must not allocate: the core reads
-          it after each of the node's steps that leaves it live, for a
-          live node with an empty inbox in each round that visits it (a
-          fill round, or a round its last hint named), and for every
-          live node when it looks for a round to skip to. *)
+          it after each of the node's steps that leaves it live, and for
+          each live node with an empty inbox in a fill round — nowhere
+          else, so a node that steps every round costs one call per
+          step. *)
   msg_words : 'msg -> int;
       (** Size accounting: how many O(log n)-bit words the payload needs.
           Must be at least 1. *)

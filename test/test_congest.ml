@@ -389,6 +389,43 @@ let token_walk_reads_few_hints () =
         (Atomic.get calls <= 2 * n))
     [ 1; 2 ]
 
+(* Outside a fill round a visited live node is due (mail or its own
+   hint for the round set its bit), so the core reads hints only after a
+   step and in fill rounds, and finds a round to skip to from the due
+   bits and the shards' bounds, not by asking every node. Two nodes of
+   [path:2] step every round for 100 rounds without mail: re-reading each
+   hint before each step and scanning for the next due round made 497
+   calls; one call per step plus one per live node per fill round (here
+   only round 1) is at most 2 * 100 + 2. *)
+let awake_nodes_read_one_hint_per_step () =
+  let g = Generators.path 2 in
+  let calls = Atomic.make 0 in
+  let program =
+    {
+      Simulator.init = (fun _ -> 0);
+      on_round = (fun _ st _ -> st + 1);
+      is_halted = (fun st -> st >= 100);
+      wake =
+        (fun _ ->
+          Atomic.incr calls;
+          Simulator.every_round);
+      msg_words = (fun _ -> 1);
+    }
+  in
+  List.iter
+    (fun domains ->
+      Atomic.set calls 0;
+      let states, stats = Simulator.run ~domains g program in
+      let label what = Printf.sprintf "%s, domains=%d" what domains in
+      check Alcotest.bool (label "every node stepped 100 times") true
+        (Array.for_all (fun st -> st = 100) states);
+      check Alcotest.int (label "100 rounds") 100 stats.Simulator.rounds;
+      check Alcotest.bool
+        (label (Printf.sprintf "%d hint calls <= 202" (Atomic.get calls)))
+        true
+        (Atomic.get calls <= (2 * 100) + 2))
+    [ 1; 2 ]
+
 let suite =
   [
     case "simulator: ping pong" `Quick simulator_ping_pong;
@@ -406,5 +443,6 @@ let suite =
     case "activations <= 2 messages + 2n" `Quick activations_bounded_by_messages;
     case "a token walk reads at most 2n hints" `Quick token_walk_reads_few_hints;
     case "simulator: no allocation per message" `Quick simulator_message_plane_allocation;
+    case "awake nodes read one hint per step" `Quick awake_nodes_read_one_hint_per_step;
   ]
   @ props
