@@ -248,10 +248,11 @@ let domains_arg =
   let doc =
     "Shard the enforced-simulator runs across $(docv) OCaml domains; one \
      domain runs a single shard on the calling domain, and so does every \
-     traced or fault-injected run (--trace, --spans, --faults, or bcast's \
-     --profile-out), whatever $(docv). Every observable — results, \
-     stats, traces — is identical at any value; see README \"Running in \
-     parallel\" for when sharding actually helps."
+     traced or fault-injected run (--trace, --faults, or bcast's \
+     --profile-out), whatever $(docv); --spans and --par-profile leave a \
+     run untraced. Every observable — results, stats, traces — is \
+     identical at any value; see README \"Running in parallel\" for when \
+     sharding actually helps."
   in
   Arg.(value & opt positive_int 1 & info [ "domains" ] ~docv:"N" ~doc)
 
@@ -275,8 +276,8 @@ let par_profile_arg =
      speedup-loss decomposition) to $(docv); at --domains 1 it is the \
      single-shard baseline timeline. Attaching the profiler never changes \
      any observable; it composes with --spans, whose Perfetto export then \
-     carries the run's domain track (--spans traces the run, so it has one \
-     shard)."
+     carries one track per domain (--spans leaves the run untraced, so it \
+     keeps its shards)."
   in
   Arg.(value & opt (some string) None
        & info [ "par-profile" ] ~docv:"PATH" ~doc)
@@ -351,16 +352,16 @@ type run = {
 type ran = { code : int; fields : Trace.Profile.t -> (string * Json.t) list }
 
 (* Run [body] observed as [opts] ask: a span collector under --trace or
-   --spans; the stream sink under --trace and a recorder under --spans;
-   a wall-clock collector under --par-profile. Then finish the stream
-   with its report line, write the span tree, and the par-profile, in
-   that order. [mode] selects the profile's accounting (--sketch). *)
+   --spans; the stream sink, the one tracer, under --trace; a wall-clock
+   collector under --par-profile. Then finish the stream with its report
+   line, write the span tree, and the par-profile, in that order. [mode]
+   selects the profile's accounting (--sketch). *)
 let run_with ?mode opts ~command ~protocol ~seed g body =
   let obs = if opts.trace <> None || opts.spans <> None then Some (Obs.create ()) else None in
   let sink =
     Option.map (Report.open_stream (Report.run_meta ~command ~protocol ~seed g)) opts.trace
   in
-  let recorder, profile, tracer = Report.tracing ?mode ?sink ~spans:(opts.spans <> None) g in
+  let profile, tracer = Report.tracing ?mode sink g in
   let pp = Option.map (fun _ -> Par_profile.create ()) opts.par_profile in
   let r = body { obs; tracer; pp; domains = opts.domains; policy = opts.policy } in
   (match (opts.trace, sink, profile) with
@@ -370,7 +371,7 @@ let run_with ?mode opts ~command ~protocol ~seed g body =
       in
       Report.finish_stream ~report path sink profile
   | _ -> ());
-  Report.write_spans ?recorder ?par:pp opts.spans obs;
+  Report.write_spans ?par:pp opts.spans obs;
   Option.iter (Report.write_par_profile opts.par_profile) pp;
   r.code
 
@@ -449,11 +450,11 @@ let shortcut_cmd =
         result.Construct.selected_count (Partition.k partition);
       Format.printf "  %a@." Quality.pp_report q
     end;
-    (* The traced (or par-profiled) run is the Theorem 1.5 pipeline on
-       the enforced simulator — that is where shortcut construction has a
-       genuine CONGEST event stream (BFS + detection waves). With only
-       --par-profile the pipeline runs untraced, so the sharded fast path
-       stays fully parallel. *)
+    (* The observed run is the Theorem 1.5 pipeline on the enforced
+       simulator — that is where shortcut construction has a genuine
+       CONGEST event stream (BFS + detection waves). Without --trace the
+       pipeline runs untraced, so under --spans and --par-profile the
+       sharded fast path stays fully parallel. *)
     if r.obs = None && r.pp = None then { code = 0; fields = (fun _ -> []) }
     else begin
       let o =
@@ -588,9 +589,9 @@ let pa_cmd =
   let body partition sc values ~seed r =
     (* One shortcut aggregation, the run --trace, --spans and --par-profile
        observe: every transmission crosses the simulator's enforced 1-word
-       bandwidth and lands in the event stream. With only --par-profile
-       the run is untraced, so the sharded simulator keeps its fully
-       parallel fast path. *)
+       bandwidth, and under --trace lands in the event stream. Without
+       --trace the run is untraced, so the sharded simulator keeps its
+       fully parallel fast path under --spans and --par-profile. *)
     let out =
       Sim_aggregate.minimum ~domains:r.domains ?obs:r.obs ?tracer:r.tracer
         ?par_profile:r.pp (Rng.create (seed + 7)) sc ~values

@@ -48,35 +48,18 @@ let write_json path doc ~describe =
       exit 1
 
 (* Write the collector's span tree as Chrome trace-event JSON (--spans).
-   When a recorder captured the run's event stream, the critical path of
-   each run rides along as flow events (Perfetto arrows between causally
-   linked sends) on synthetic processes next to the wall-clock spans; a
-   recorder that reached its cap kept only the first events, so the
-   summary line then says how many it kept and dropped, and that the
-   flows cover only the kept ones. When a wall-clock collector profiled
-   a sharded run (--par-profile), its per-domain tracks (pid 0) merge in
-   on the same clock: their timestamps are rebased to the span
-   collector's epoch, so domain busy slices line up under the algorithm
-   spans that ran them. *)
-let write_spans ?recorder ?par spans obs =
+   When a wall-clock collector profiled the run (--par-profile), its
+   per-domain tracks (pid 0) merge in on the same clock: their timestamps
+   are rebased to the span collector's epoch, so domain busy slices line
+   up under the algorithm spans that ran them. A span collector does not
+   trace its run, so a sharded run shows one track per domain. *)
+let write_spans ?par spans obs =
   match (spans, obs) with
   | Some path, Some o ->
-      let flows =
-        match recorder with
-        | None -> []
-        | Some r ->
-            List.concat_map Analyze.flow_events
-              (Analyze.of_events (Trace.Recorder.events r))
-      in
-      let par_events =
-        match par with
-        | None -> []
-        | Some pp -> Par_profile.chrome_events ~t0:(Obs.epoch_s o) pp
-      in
       let doc =
-        match (par_events @ flows, Obs.to_chrome_json o) with
-        | [], doc -> doc
-        | extra, Json.Obj fields ->
+        match (par, Obs.to_chrome_json o) with
+        | Some pp, Json.Obj fields ->
+            let extra = Par_profile.chrome_events ~t0:(Obs.epoch_s o) pp in
             Json.Obj
               (List.map
                  (function
@@ -88,14 +71,7 @@ let write_spans ?recorder ?par spans obs =
       in
       write_json path doc ~describe:(fun () ->
           Printf.printf "spans: wrote %s (%d spans, max depth %d)\n" path
-            (Obs.span_count o) (Obs.max_depth o);
-          match recorder with
-          | Some r when Trace.Recorder.dropped r > 0 ->
-              Printf.printf
-                "spans: the recorder kept %d events and dropped %d past its cap; the \
-                 critical-path flows cover only the kept events\n"
-                (Trace.Recorder.length r) (Trace.Recorder.dropped r)
-          | _ -> ())
+            (Obs.span_count o) (Obs.max_depth o))
   | _ -> ()
 
 (* Write the wall-clock collector's lcs-par-profile/1 report
@@ -126,24 +102,17 @@ let open_stream meta path =
       Printf.eprintf "lcs: cannot write %s: %s\n" path msg;
       exit 1
 
-(* Tracing harness: one collector per output, or nothing when the run is
-   neither streamed nor span-traced. Under --trace, the stream [sink],
-   so resident memory stays O(1) in the event count, and the congestion
-   profile its report line holds; under --spans, an in-memory recorder,
-   whose events give the critical-path flows. [mode] selects the
-   profile's accounting mode (--sketch). *)
-let tracing ?mode ?sink ~spans g =
-  let profile = Option.map (fun _ -> Trace.Profile.create ?mode ~edges:(Graph.m g) ()) sink in
-  let recorder = if spans then Some (Trace.Recorder.create ()) else None in
-  let tracers =
-    List.filter_map Fun.id
-      [
-        Option.map Trace.Profile.tracer profile;
-        Option.map Trace.Stream.tracer sink;
-        Option.map Trace.Recorder.tracer recorder;
-      ]
-  in
-  (recorder, profile, if tracers = [] then None else Some (Trace.tee tracers))
+(* Tracing harness: under --trace, the stream [sink], so resident memory
+   stays O(1) in the event count, teed with the congestion profile its
+   report line holds; nothing otherwise, so the run stays untraced.
+   [mode] selects the profile's accounting mode (--sketch). *)
+let tracing ?mode sink g =
+  match sink with
+  | None -> (None, None)
+  | Some sink ->
+      let profile = Trace.Profile.create ?mode ~edges:(Graph.m g) () in
+      ( Some profile,
+        Some (Trace.tee [ Trace.Profile.tracer profile; Trace.Stream.tracer sink ]) )
 
 (* Close a sink after one final snapshot, so `lcs top` always has the
    end-of-run vital signs even when no cadence was requested, and after

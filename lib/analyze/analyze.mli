@@ -99,4 +99,7 @@ val flow_events : run -> Lcs_util.Json.t list
 (** The critical path as Chrome trace events: one slice per hop on a
     synthetic process (pid [2 + run index], 1 round = 1000 "us") plus
     ["s"]/["f"] flow pairs so Perfetto draws arrows between causally
-    linked sends. Empty when the path is empty. *)
+    linked sends. Empty when the path is empty. The clock is simulated
+    rounds, not wall time, so these events stand alone: [lcs analyze
+    TRACE --flows] writes them, the one producer of flow arrows, and a
+    [--spans] export carries none. *)

@@ -37,13 +37,3 @@ let degradation_to_json d =
       ("out_of_rounds", Json.Bool d.out_of_rounds);
       ("rounds", Json.Int d.rounds);
     ]
-
-let to_json value_to_json = function
-  | Complete v -> Json.Obj [ ("status", Json.String "complete"); ("value", value_to_json v) ]
-  | Degraded (v, d) ->
-      Json.Obj
-        [
-          ("status", Json.String "degraded");
-          ("value", value_to_json v);
-          ("degradation", degradation_to_json d);
-        ]

@@ -41,6 +41,3 @@ val is_complete : 'a t -> bool
 val degradation : 'a t -> degradation option
 
 val degradation_to_json : degradation -> Lcs_util.Json.t
-
-val to_json : ('a -> Lcs_util.Json.t) -> 'a t -> Lcs_util.Json.t
-(** [{"status": "complete" | "degraded", "value": ..., "degradation"?: ...}]. *)

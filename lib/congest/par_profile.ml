@@ -226,7 +226,6 @@ let commit_round t ~round =
 
 let domains t = t.active
 let rounds t = t.nrounds
-let wall_s t = t.wall
 
 let totals t =
   Array.init t.active (fun s ->

@@ -7,10 +7,11 @@
     round it records the compute ("step") time, the delivery ("drain")
     time, the barrier-wait time, the messages and words sent, and a
     cross-shard traffic matrix keyed by (source shard, destination
-    shard), and the serial time the main domain spends alone scanning
-    for the next due round before it fast-forwards over idle ones. A
-    traced or faulty run takes one shard (see {!Simulator.run}), so it
-    reports one domain. From those it derives a round-by-round
+    shard), and the serial time the main domain spends alone checking
+    the due bitsets for a round to skip to and fast-forwarding over idle
+    ones. A traced or faulty run takes one shard (see {!Simulator.run}),
+    so it reports one domain; a span collector does not trace a run.
+    From those it derives a round-by-round
     imbalance ratio (max shard busy-time / mean) and a speedup-loss
     decomposition — imbalance vs barrier vs serial time — that sums to
     the measured wall clock.
@@ -103,9 +104,6 @@ val rounds : t -> int
 (** Committed rounds, summed across runs. Rounds the simulator
     fast-forwarded (no node due, no message in flight) ran no phase and
     commit no row. *)
-
-val wall_s : t -> float
-(** Round-loop wall time, summed across runs. *)
 
 type totals = {
   step_s : float;

@@ -296,32 +296,16 @@ end
 (* --- Recorder ------------------------------------------------------------ *)
 
 module Recorder = struct
-  type t = {
-    mutable events : event list;
-    mutable kept : int;
-    mutable dropped : int;
-    cap : int;
-  }
+  type t = { mutable events : event list; mutable length : int }
 
-  (* Unbounded retention of a big-graph trace is exactly the heap blowup
-     the streaming sink exists to avoid, so in-memory recording is capped
-     by default; callers that really want everything opt in with
-     [~cap:0]. *)
-  let default_cap = 1_000_000
-
-  let create ?(cap = default_cap) () =
-    { events = []; kept = 0; dropped = 0; cap = (if cap <= 0 then max_int else cap) }
+  let create () = { events = []; length = 0 }
 
   let tracer r event =
-    if r.kept < r.cap then begin
-      r.events <- event :: r.events;
-      r.kept <- r.kept + 1
-    end
-    else r.dropped <- r.dropped + 1
+    r.events <- event :: r.events;
+    r.length <- r.length + 1
 
   let events r = List.rev r.events
-  let length r = r.kept
-  let dropped r = r.dropped
+  let length r = r.length
 end
 
 (* --- Profile ------------------------------------------------------------- *)
@@ -460,9 +444,6 @@ module Profile = struct
         a
 
   let dropped p = p.dropped + p.link_down_drops
-  let duplicated p = p.duplicated
-  let delayed p = p.delayed
-  let crashed p = p.crashed
   let fault_events p = p.dropped + p.link_down_drops + p.duplicated + p.delayed + p.crashed
   let halts p = Array.fold_left ( + ) 0 (Ibuf.to_array p.halt_rounds)
 
@@ -750,12 +731,10 @@ module Stream = struct
     output_string sink.oc (Json.to_string ~minify:true j);
     output_char sink.oc '\n'
 
-  let of_channel ?(meta = []) oc =
-    let sink = { oc; events = 0; snapshots = 0; closed = false } in
+  let create ?(meta = []) path =
+    let sink = { oc = open_out_bin path; events = 0; snapshots = 0; closed = false } in
     write_line sink (Json.Obj (("schema", Json.String schema) :: meta));
     sink
-
-  let create ?meta path = of_channel ?meta (open_out_bin path)
 
   let tracer sink ev =
     sink.events <- sink.events + 1;

@@ -98,36 +98,24 @@ val checker : ?meta:Lcs_util.Json.t -> unit -> event -> (unit, string) result
     is not checked. {!Stream.fold} checks every event it reads through
     it, so collectors never index out of range. *)
 
-(** Retains the event stream in memory, in order, up to a cap.
+(** Retains the whole event stream in memory, in order — for tests and
+    library callers that analyze a small run in place.
 
-    In-memory retention of a big-graph trace is unbounded heap growth by
-    design; use {!Stream} to spill to disk instead. The recorder
-    therefore caps itself at {!default_cap} events unless told otherwise
-    and counts what it dropped. The CLI records a run this way only for
-    [--spans], whose critical-path flows the analyzer builds from the
-    retained events. *)
+    Its heap grows with the event count; the CLI records nothing this
+    way, and a run worth keeping goes to disk through {!Stream} (whose
+    {!Stream.fold} replays it into any collector). *)
 module Recorder : sig
   type t
 
-  val default_cap : int
-  (** 1e6 events — roughly a hundred MB of retained list cells, the most
-      an interactive report should ever hold. *)
-
-  val create : ?cap:int -> unit -> t
-  (** Events beyond [cap] (default {!default_cap}) are counted, not
-      retained. [cap <= 0] means unbounded — the pre-streaming behavior,
-      now opt-in. *)
+  val create : unit -> t
 
   val tracer : t -> tracer
 
   val events : t -> event list
-  (** The retained events, oldest first. *)
+  (** The recorded events, oldest first. *)
 
   val length : t -> int
-  (** Retained events; [length t <= cap]. *)
-
-  val dropped : t -> int
-  (** Events past the cap that were counted and discarded. *)
+  (** Recorded events. *)
 end
 
 (** Incremental per-edge / per-round congestion aggregation.
@@ -166,7 +154,9 @@ module Profile : sig
   val rounds : t -> int
   val total_words : t -> int
   (** Equals the [words] field of the traced run's {!Simulator.stats} —
-      asserted by the test suite. *)
+      asserted by the test suite. [Duplicate] events count as traffic:
+      their words are folded into [edge_words] and [total_words], so a
+      faulty run's profile still reconciles with its stats. *)
 
   val total_messages : t -> int
 
@@ -210,18 +200,6 @@ module Profile : sig
 
   val dropped : t -> int
   (** Transmissions lost to injected faults (random loss + down links). *)
-
-  val duplicated : t -> int
-  (** Extra copies the network delivered. [Duplicate] events count as
-      traffic — their words are folded into [edge_words]/[total_words] so
-      a faulty run's profile still reconciles with its
-      {!Simulator.stats}. *)
-
-  val delayed : t -> int
-  (** Deliveries that arrived later than the synchronous round [r + 1]. *)
-
-  val crashed : t -> int
-  (** Nodes that crashed during the run. *)
 
   val to_json : ?top_k:int -> t -> Lcs_util.Json.t
   (** The whole profile — totals, per-edge words, top-[k] edges, load
@@ -308,9 +286,6 @@ module Stream : sig
   val create : ?meta:(string * Lcs_util.Json.t) list -> string -> sink
   (** Open (truncate) a file and write the header line; [meta] fields
       (say [command], [n], [m], [seed]) are appended to it. *)
-
-  val of_channel : ?meta:(string * Lcs_util.Json.t) list -> out_channel -> sink
-  (** Same, on an already-open channel (the sink closes it). *)
 
   val tracer : sink -> tracer
   (** Append one event line per event. *)

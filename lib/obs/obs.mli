@@ -35,7 +35,10 @@ type span = {
   name : string;
   start_s : float;  (** wall-clock seconds since the collector was created *)
   dur_s : float;  (** wall-clock duration *)
-  alloc_words : float;  (** [Gc.minor_words] delta over the span *)
+  alloc_words : float;
+      (** [Gc.minor_words] delta over the span, on the domain that opened
+          it: a span over a sharded simulator run counts only the
+          calling domain's allocation, not the worker domains' *)
   rounds : int;
       (** simulated rounds attributed to the span, including its
           children's ({!add_rounds} totals propagate to the parent on

@@ -30,62 +30,64 @@ let note_schedule obs ~budget sched =
     Obs.note obs "max_delay" (Obs.Int sched.max_delay)
   end
 
-(* When a collector is installed, tee an internal profile into the
-   caller's tracer so epochs and the congestion ledger can be derived
-   without asking the caller to profile. *)
+(* When a collector is installed on a traced run, tee an internal profile
+   into the caller's tracer, so the epochs' words and the congestion
+   ledger entry can be derived without asking the caller to profile. A
+   collector alone leaves the run untraced, and so sharded. *)
 let profiled obs tracer ~edges =
-  match obs with
-  | None -> (None, tracer)
-  | Some _ ->
+  match (obs, tracer) with
+  | Some _, Some t ->
       let p = Trace.Profile.create ~edges () in
-      let pt = Trace.Profile.tracer p in
-      let tracer =
-        match tracer with None -> pt | Some t -> Trace.tee [ t; pt ]
-      in
-      (Some p, Some tracer)
+      (Some p, Some (Trace.tee [ t; Trace.Profile.tracer p ]))
+  | _ -> (None, tracer)
 
 (* Emit one "pa.epoch" span per schedule epoch, carrying the window's
-   simulated rounds and traced words. Called while "pa.run" is still open
-   so the epochs nest under it (their wall-clock extent is an artifact —
-   the information is in rounds/words, like the paper's analysis). *)
+   simulated rounds and, in a traced run, its traced words. Called while
+   "pa.run" is still open so the epochs nest under it (their wall-clock
+   extent is an artifact — the information is in rounds/words, like the
+   paper's analysis). *)
 let record_epochs obs profile ~max_delay ~rounds =
-  match profile with
-  | None -> ()
-  | Some p ->
-      let curve = Trace.Profile.load_curve p in
-      List.iteri
-        (fun idx (first, last) ->
-          Obs.enter obs "pa.epoch";
-          Obs.note obs "epoch" (Obs.Int idx);
-          Obs.note obs "first_round" (Obs.Int first);
-          Obs.note obs "last_round" (Obs.Int last);
-          let words = ref 0 in
-          for r = first to last do
-            if r - 1 < Array.length curve then words := !words + curve.(r - 1)
-          done;
-          Obs.note obs "words" (Obs.Int !words);
-          Obs.add_rounds obs (last - first + 1);
-          Obs.exit obs)
-        (Schedule.epochs ~max_delay ~rounds)
+  if obs <> None then begin
+    let curve = Option.map Trace.Profile.load_curve profile in
+    List.iteri
+      (fun idx (first, last) ->
+        Obs.enter obs "pa.epoch";
+        Obs.note obs "epoch" (Obs.Int idx);
+        Obs.note obs "first_round" (Obs.Int first);
+        Obs.note obs "last_round" (Obs.Int last);
+        Option.iter
+          (fun curve ->
+            let words = ref 0 in
+            for r = first to last do
+              if r - 1 < Array.length curve then words := !words + curve.(r - 1)
+            done;
+            Obs.note obs "words" (Obs.Int !words))
+          curve;
+        Obs.add_rounds obs (last - first + 1);
+        Obs.exit obs)
+      (Schedule.epochs ~max_delay ~rounds)
+  end
 
 (* Ledger entries against the open "pa" span: the completion round vs the
-   scheduling bound c + d·log n, and max per-edge traced words vs the
-   shortcut's Def 2.2 congestion (each part crosses an edge O(1) times, so
-   the ratio staying O(1) is exactly the load-spreading claim). *)
+   scheduling bound c + d·log n and, in a traced run, max per-edge traced
+   words vs the shortcut's Def 2.2 congestion (each part crosses an edge
+   O(1) times, so the ratio staying O(1) is exactly the load-spreading
+   claim). *)
 let record_ledger obs profile sched ~n ~observed_rounds =
-  match profile with
-  | None -> ()
-  | Some p ->
-      let predicted =
-        Aggregate.bound ~congestion:sched.congestion
-          ~dilation:(max 1 (Lazy.force sched.dilation)) ~n
-      in
-      Obs.bound obs ~metric:"rounds" ~predicted:(float_of_int predicted)
-        ~observed:(float_of_int observed_rounds);
-      Obs.bound obs ~metric:"congestion"
-        ~predicted:(float_of_int sched.congestion)
-        ~observed:
-          (float_of_int (Array.fold_left max 0 (Trace.Profile.edge_words p)))
+  if obs <> None then begin
+    let predicted =
+      Aggregate.bound ~congestion:sched.congestion
+        ~dilation:(max 1 (Lazy.force sched.dilation)) ~n
+    in
+    Obs.bound obs ~metric:"rounds" ~predicted:(float_of_int predicted)
+      ~observed:(float_of_int observed_rounds);
+    Option.iter
+      (fun p ->
+        Obs.bound obs ~metric:"congestion"
+          ~predicted:(float_of_int sched.congestion)
+          ~observed:(float_of_int (Array.fold_left max 0 (Trace.Profile.edge_words p))))
+      profile
+  end
 
 (* --- The shared network: routes and port queues ---------------------------- *)
 

@@ -123,9 +123,12 @@ val minimum :
     waits and the cross-shard traffic matrix, without touching any
     observable. [?obs] opens a ["pa"] span with ["pa.setup"] /
     ["pa.run"] children, cuts the run into ["pa.epoch"] spans at the
-    schedule's epoch boundaries ({!Schedule.epochs}), and records
-    rounds-vs-[c + d·log n] (observed = completion round) and
-    per-edge-words-vs-congestion ledger entries. *)
+    schedule's epoch boundaries ({!Schedule.epochs}) with their round
+    windows, and records a rounds-vs-[c + d·log n] ledger entry
+    (observed = completion round). It does not trace the run, which
+    keeps its shards; only a run that also has a [tracer] adds each
+    epoch's traced ["words"] note and a per-edge-words-vs-congestion
+    ledger entry, read from a profile teed into that tracer. *)
 
 val broadcast :
   ?prepared:prepared ->

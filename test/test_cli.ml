@@ -47,11 +47,11 @@ let timing_key k =
 
 let field k = function Json.Obj f -> List.assoc_opt k f | _ -> None
 
-(* The wall-clock slices ("X") of the domain track a par-profiled run
-   merges into --spans (pid 0) vary in number from run to run. Its
-   metadata stays in both views: --spans traces the run, so the track
-   names one domain at any --domains. *)
-let domain_event ev = field "pid" ev = Some (Json.Int 0) && field "ph" ev = Some (Json.String "X")
+(* Per-domain tracks a par-profiled run merges into --spans (pid 0). The
+   wall-clock slices ("X") vary in number from run to run; with [~twin]
+   the whole track goes, since its metadata names one thread per domain. *)
+let domain_event ~twin ev =
+  field "pid" ev = Some (Json.Int 0) && (twin || field "ph" ev = Some (Json.String "X"))
 
 (* With [~twin], the flight snapshots' per-domain queue depths go too. *)
 let dropped_key ~twin k = timing_key k || (twin && k = "queues")
@@ -65,7 +65,7 @@ let rec normalize ~twin = function
   | Json.List l ->
       Json.List
         (List.filter_map
-           (fun v -> if domain_event v then None else Some (normalize ~twin v))
+           (fun v -> if domain_event ~twin v then None else Some (normalize ~twin v))
            l)
   | j -> j
 
@@ -410,24 +410,29 @@ let report_line_keys () =
       "metrics"; "ledger";
     ]
 
-(* --spans draws the critical path's flow arrows beside a stream too:
-   every "s" event has its "f". *)
-let spans_flows_beside_stream () =
-  let r = invoke (("shortcut" :: lbg) @ words "--trace t.jsonl --spans s.json") in
-  let events =
+(* --spans and --par-profile leave a run untraced, so it keeps its
+   shards: the profile counts both domains, and the Perfetto export names
+   a pid-0 track for each. *)
+let spans_keep_shards () =
+  let r = invoke (("pa" :: grid) @ words "--domains 2 --par-profile pp.json --spans s.json") in
+  check Alcotest.bool "pp.json counts 2 domains" true
+    (Json.member "domains" (parse "pp.json" (written r "pp.json")) = Some (Json.Int 2));
+  let tracks =
     match Json.member "traceEvents" (parse "s.json" (written r "s.json")) with
-    | Some (Json.List l) -> l
+    | Some (Json.List l) ->
+        List.filter_map
+          (fun ev ->
+            match (field "pid" ev, field "name" ev, field "args" ev) with
+            | Some (Json.Int 0), Some (Json.String "thread_name"), Some args ->
+                Option.bind (field "name" args) (function
+                  | Json.String name -> Some name
+                  | _ -> None)
+            | _ -> None)
+          l
     | _ -> Alcotest.fail "s.json has no traceEvents"
   in
-  let ids ph =
-    List.sort compare
-      (List.filter_map
-         (fun ev ->
-           if Json.member "ph" ev = Some (Json.String ph) then Json.member "id" ev else None)
-         events)
-  in
-  check Alcotest.bool "flow starts drawn" true (ids "s" <> []);
-  check Alcotest.bool "each start has its finish" true (ids "s" = ids "f")
+  check Alcotest.(list string) "pid-0 thread names" [ "domain 0"; "domain 1" ]
+    (List.sort compare tracks)
 
 let suite =
   [
@@ -435,5 +440,5 @@ let suite =
     case "flag sets" `Quick flag_sets_pinned;
     case "trace: one stream at either suffix" `Quick trace_suffix_free;
     case "trace: report line holds the report" `Quick report_line_keys;
-    case "trace: --spans flows beside a stream" `Quick spans_flows_beside_stream;
+    case "spans: a sharded run keeps its domain tracks" `Quick spans_keep_shards;
   ]

@@ -132,11 +132,13 @@ let collector_is_transparent () =
   check Alcotest.string "event-identical" events_plain events_observed;
   check Alcotest.bool "collector recorded spans" true (Obs.span_count o > 0)
 
+(* The congestion entry reads a profile teed into the run's tracer, so it
+   needs a traced run. *)
 let pa_ledger_has_bounds () =
   let g, sc = grid_shortcut () in
   let values = Array.init (Graph.n g) (fun v -> (v * 17) mod 401) in
   let o = Obs.create () in
-  let _ = Sim_aggregate.minimum ~obs:o (Rng.create 5) sc ~values in
+  let _ = Sim_aggregate.minimum ~obs:o ~tracer:ignore (Rng.create 5) sc ~values in
   let metrics = List.map (fun e -> e.Obs.metric) (Obs.ledger o) in
   check Alcotest.bool "rounds entry" true (List.mem "rounds" metrics);
   check Alcotest.bool "congestion entry" true (List.mem "congestion" metrics);
@@ -145,6 +147,28 @@ let pa_ledger_has_bounds () =
       check Alcotest.bool "predicted positive" true (e.Obs.predicted > 0.);
       check Alcotest.bool "observed non-negative" true (e.Obs.observed >= 0.))
     (Obs.ledger o)
+
+(* A collector alone leaves the run untraced, so it keeps its shards: the
+   epochs carry their round windows but no traced words, and the ledger
+   records rounds but not the traced congestion. *)
+let pa_collector_keeps_shards () =
+  let g, sc = grid_shortcut () in
+  let values = Array.init (Graph.n g) (fun v -> (v * 17) mod 401) in
+  let o = Obs.create () and pp = Par_profile.create () in
+  let _ = Sim_aggregate.minimum ~obs:o ~domains:2 ~par_profile:pp (Rng.create 5) sc ~values in
+  check Alcotest.int "the run took 2 shards" 2 (Par_profile.domains pp);
+  let metrics = List.map (fun e -> e.Obs.metric) (Obs.ledger o) in
+  check Alcotest.bool "rounds entry" true (List.mem "rounds" metrics);
+  check Alcotest.bool "no congestion entry" false (List.mem "congestion" metrics);
+  let epochs = List.filter (fun s -> s.Obs.name = "pa.epoch") (Obs.spans o) in
+  check Alcotest.bool "epoch spans" true (epochs <> []);
+  List.iter
+    (fun s ->
+      let keys = List.map fst s.Obs.notes in
+      check Alcotest.bool "round window" true
+        (List.mem "first_round" keys && List.mem "last_round" keys);
+      check Alcotest.bool "no words note" false (List.mem "words" keys))
+    epochs
 
 (* --- MST span tree ------------------------------------------------------- *)
 
@@ -371,5 +395,6 @@ let suite =
     case "mst: chrome JSON round-trips" `Quick mst_chrome_roundtrip;
     case "metrics: registry + export" `Quick metrics_registry;
     case "stats: summary_to_json fields" `Quick summary_to_json_fields;
+    case "pa: a collector alone keeps the shards" `Quick pa_collector_keeps_shards;
   ]
   @ props

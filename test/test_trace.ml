@@ -259,26 +259,6 @@ let send ~edge ~words =
       phase = "";
     }
 
-let recorder_cap_drops () =
-  let r = Trace.Recorder.create ~cap:5 () in
-  let t = Trace.Recorder.tracer r in
-  for round = 1 to 9 do
-    t (Trace.Round_start { round; live = 1 })
-  done;
-  check Alcotest.int "kept at the cap" 5 (Trace.Recorder.length r);
-  check Alcotest.int "overflow counted" 4 (Trace.Recorder.dropped r);
-  check Alcotest.bool "kept events are the earliest" true
-    (List.map
-       (function Trace.Round_start { round; _ } -> round | _ -> 0)
-       (Trace.Recorder.events r)
-    = [ 1; 2; 3; 4; 5 ]);
-  let r0 = Trace.Recorder.create ~cap:0 () in
-  for round = 1 to 9 do
-    Trace.Recorder.tracer r0 (Trace.Round_start { round; live = 1 })
-  done;
-  check Alcotest.int "cap:0 keeps everything" 9 (Trace.Recorder.length r0);
-  check Alcotest.int "cap:0 drops nothing" 0 (Trace.Recorder.dropped r0)
-
 let stream_roundtrip () =
   let path = Filename.temp_file "lcs_stream" ".jsonl" in
   Fun.protect
@@ -564,7 +544,6 @@ let suite =
     case "profiled convergecast" `Quick profiled_convergecast;
     case "router tracing reconciles" `Quick router_tracing_reconciles;
     case "recorder stream well-formed" `Quick recorder_stream_well_formed;
-    case "recorder cap drops and marks" `Quick recorder_cap_drops;
     case "stream sink round-trips" `Quick stream_roundtrip;
     case "stream rejects out-of-range events" `Quick stream_rejects_out_of_range_events;
     case "profile sketch mode" `Quick profile_sketch_mode;
