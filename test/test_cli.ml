@@ -241,35 +241,35 @@ let cases =
 let expected =
   [
     ("pa/grid", "exit=0 out=3fc4bc26b100");
-    ("pa/grid/trace+spans", "exit=0 out=1e35e29ccafa s.json=aab3b62e6707 t.json=5a5490c0b0f1");
+    ("pa/grid/trace+spans", "exit=0 out=1e35e29ccafa s.json=4ca8d63bad4c t.json=5a5490c0b0f1");
     ("pa/grid/stream+sketch", "exit=0 out=e2ed143cad4c t.jsonl=52993f3c0a44");
-    ("pa/grid/par-profile+spans", "exit=0 out=8de129d51a1f pp.json=802283d91475 s.json=ac7db94a6a5c");
-    ("pa/grid/light_loss+trace+spans", "exit=0 out=e2c28bca2a86 s.json=ec662c7d9e6c t.json=937a20dd8280");
+    ("pa/grid/par-profile+spans", "exit=0 out=8de129d51a1f pp.json=802283d91475 s.json=19e3228de3c9");
+    ("pa/grid/light_loss+trace+spans", "exit=0 out=e2c28bca2a86 s.json=b13fe66a357e t.json=937a20dd8280");
     ("pa/grid/crash_heavy+policy+stream", "exit=0 out=2c473fbc48e6 t.jsonl=5da61d3870c5");
     ("pa/ktree/trace+sketch", "exit=0 out=8984fe3d29bc t.json=325556580d67");
     ("pa/ktree/light_loss+stream", "exit=0 out=780b364e250e t.jsonl=7bd123e63039");
-    ("pa/lbg/trace+spans+par-profile", "exit=0 out=f3e637f2b26c pp.json=40d4770a0c63 s.json=191b3a188aed t.json=b81825cd49fe");
-    ("pa/lbg/crash_heavy+trace+spans", "exit=0 out=52199a4dc71a s.json=bcce2500b19b t.json=382630834f1b");
+    ("pa/lbg/trace+spans+par-profile", "exit=0 out=f3e637f2b26c pp.json=40d4770a0c63 s.json=dd3f21ac2dda t.json=b81825cd49fe");
+    ("pa/lbg/crash_heavy+trace+spans", "exit=0 out=52199a4dc71a s.json=b5e5c15adfa4 t.json=382630834f1b");
     ("shortcut/grid", "exit=0 out=4b994be60869");
     ("shortcut/grid/full", "exit=0 out=763db1bd096b");
-    ("shortcut/grid/trace+spans", "exit=0 out=598227036c56 s.json=e7d391ab6b99 t.json=100897590b4d");
+    ("shortcut/grid/trace+spans", "exit=0 out=598227036c56 s.json=ab1519e98747 t.json=100897590b4d");
     ("shortcut/grid/stream+par-profile", "exit=0 out=c5eff36dc0dd pp.json=0cb5c6918147 t.jsonl=100897590b4d");
     ("shortcut/grid/light_loss", "exit=0 out=c3e46919e539");
     ("shortcut/grid/crash_heavy", "exit=0 out=20c3194bc528");
-    ("shortcut/ktree/full+trace+spans", "exit=0 out=6c156c631409 s.json=ea5ccb1885d1 t.json=8ae3ee73c2ed");
-    ("shortcut/ktree/par-profile+spans", "exit=0 out=30c5c3b09322 pp.json=be428bf4b09a s.json=20db57e5cf85");
-    ("shortcut/lbg/stream+spans", "exit=0 out=49ceff46dda6 s.json=c6ffcedf80ea t.jsonl=a907373cb9c2");
+    ("shortcut/ktree/full+trace+spans", "exit=0 out=6c156c631409 s.json=fa2f5d5ec5b8 t.json=8ae3ee73c2ed");
+    ("shortcut/ktree/par-profile+spans", "exit=0 out=30c5c3b09322 pp.json=be428bf4b09a s.json=a25b2dbff54d");
+    ("shortcut/lbg/stream+spans", "exit=0 out=49ceff46dda6 s.json=bceaf9be6b29 t.jsonl=a907373cb9c2");
     ("shortcut/lbg/light_loss+fault-seed", "exit=0 out=1531f2d98bb4");
-    ("shortcut/grid/light_loss+trace+spans", "exit=0 out=d2cb4752925e s.json=0accefd41a2e t.json=54bf90033129");
-    ("shortcut/ktree/crash_heavy+trace+spans", "exit=0 out=09eb6eebf4d2 s.json=20da2e043538 t.json=acd1ef961924");
+    ("shortcut/grid/light_loss+trace+spans", "exit=0 out=d2cb4752925e s.json=ffdf534584f9 t.json=54bf90033129");
+    ("shortcut/ktree/crash_heavy+trace+spans", "exit=0 out=09eb6eebf4d2 s.json=7d4d98f9090f t.json=acd1ef961924");
     ("shortcut/lbg/light_loss+stream", "exit=0 out=d4322baab719 t.jsonl=849040e73beb");
     ("mst/grid", "exit=0 out=5543f01c66ca");
-    ("mst/grid/trace+spans", "exit=0 out=4a8486eb4b0b s.json=cd1f2db928a0 t.json=e3ca00c2ac9a");
+    ("mst/grid/trace+spans", "exit=0 out=4a8486eb4b0b s.json=0622b3abc075 t.json=e3ca00c2ac9a");
     ("mst/grid/stream+par-profile", "exit=0 out=8a75729f1c0e pp.json=d53dc66d7312 t.jsonl=e3ca00c2ac9a");
     ("mst/grid/baseline", "exit=0 out=821e5612126f");
     ("mst/ktree/trace", "exit=0 out=83930451c252 t.json=4c7a36021d79");
-    ("mst/ktree/retry+spans", "exit=0 out=e76885df4d4f s.json=8c95231d1c57");
-    ("mst/lbg/baseline+trace+spans", "exit=0 out=0e5626ed8d92 s.json=57203c2854d9 t.json=afe4240ed513");
+    ("mst/ktree/retry+spans", "exit=0 out=e76885df4d4f s.json=298d49d4e818");
+    ("mst/lbg/baseline+trace+spans", "exit=0 out=0e5626ed8d92 s.json=f00e6519a5b9 t.json=afe4240ed513");
     ("mst/lbg/par-profile", "exit=0 out=aca3d9b9aa72 pp.json=ca90d19f33c4");
     ("bcast/grid16/stream", "exit=0 out=482fa0a5437a p.json=f72e86d70b0e t.jsonl=1eefe5601aaa");
     ("bcast/grid16/sketch+profile", "exit=0 out=524a3698c2a6 p.json=dea09df59715");
